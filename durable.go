@@ -551,6 +551,24 @@ func (d *durableTable) StoreStats() StoreStats {
 // the serving layer acks client writes behind.
 func (d *durableTable) Sync() error { return d.log.Sync() }
 
+// beginSync is Sync split for a caller that must not stall in the
+// fsync: it spills the log here, on the table's owner, and returns the
+// fsync half, which may run on any goroutine while the owner goes on
+// mutating the table (wal.Log.FsyncDetached). It returns a nil fsync
+// when the barrier already ran to completion on the owner: the spill
+// failed, or the table is crash-injected — the crash harness counts
+// syscalls in order, so it stays synchronous like every other
+// asynchronous tier does under it.
+func (d *durableTable) beginSync() (fsync func() error, err error) {
+	if d.crasher != nil {
+		return nil, d.log.Sync()
+	}
+	if err := d.log.Spill(); err != nil {
+		return nil, err
+	}
+	return d.log.FsyncDetached, nil
+}
+
 // Flush is the durability barrier: it commits a checkpoint, after which
 // every previously submitted operation survives any crash.
 func (d *durableTable) Flush() error { return d.checkpoint() }

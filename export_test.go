@@ -53,3 +53,30 @@ func (c Config) WithClock(now func() uint64) Config {
 	c.nowMillis = now
 	return c
 }
+
+// heldFile announces every Sync of the file it wraps on entered and
+// holds it until release is closed.
+type heldFile struct {
+	iomodel.BlockFile
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (f *heldFile) Sync() error {
+	select {
+	case f.entered <- struct{}{}:
+	default: // an earlier signal is still unread
+	}
+	<-f.release
+	return f.BlockFile.Sync()
+}
+
+// HoldShardFsyncForTest interposes on the write-ahead log of the shard
+// that owns key: each of its fsyncs signals entered and then blocks
+// until release is closed. Call it before the engine sees any operation.
+func HoldShardFsyncForTest(s *Sharded, key uint64) (entered <-chan struct{}, release chan<- struct{}) {
+	f := &heldFile{entered: make(chan struct{}, 1), release: make(chan struct{})}
+	d := s.shards[s.shard(key)].(*guard).t.(*durableTable)
+	d.log.Interpose(func(bf iomodel.BlockFile) iomodel.BlockFile { f.BlockFile = bf; return f })
+	return f.entered, f.release
+}

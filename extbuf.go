@@ -1057,6 +1057,19 @@ func (g *guard) Sync() error {
 	return g.t.Sync()
 }
 
+// beginSync is Sync with the fsync split off for the caller to run
+// elsewhere (durableTable.beginSync); tables without that split sync
+// here and return a nil fsync.
+func (g *guard) beginSync() (fsync func() error, err error) {
+	if g.closed {
+		return nil, ErrClosed
+	}
+	if d, ok := g.t.(*durableTable); ok {
+		return d.beginSync()
+	}
+	return nil, g.t.Sync()
+}
+
 func (g *guard) Flush() error {
 	if g.closed {
 		return ErrClosed

@@ -31,18 +31,40 @@ type request struct {
 	errText string   // set when the reader rejected the frame (op == wire.OpErr)
 }
 
-// conn is one client connection: a reader decoding frames into a
-// bounded apply queue, an applier coalescing queued requests into
-// engine batch calls, and a writer streaming the encoded responses
-// back. The queue bound is the connection's backpressure (the reader
-// simply stops reading); response order is request order because the
-// single applier drains the queue FIFO.
+// ackItem is one encoded response held by the ack stage. A mutation's
+// acknowledgement (barrier set) is released only behind a commit that
+// covers it; any other response is there only because it must not
+// overtake one that is.
+type ackItem struct {
+	frame   []byte
+	id      uint32 // echoed again if the frame has to be rewritten as ERR
+	lsn     uint64 // the mutation's highest ship LSN (0: nothing shipped)
+	ops     int    // operations the mutation applied
+	barrier bool
+}
+
+// conn is one client connection, a four-stage pipeline: a reader
+// decoding frames into a bounded apply queue, an applier coalescing
+// queued requests into engine batch calls, an ack stage holding
+// mutation acknowledgements back until a commit covers them, and a
+// writer streaming the encoded responses back. The queue bound is the
+// connection's backpressure (the reader simply stops reading). Response
+// order is request order: the single applier drains the queue FIFO, and
+// a response goes around the ack stage only when that stage is empty.
 type conn struct {
 	srv *Server
 	nc  net.Conn
 
 	applyCh chan *request
+	ackCh   chan ackItem
 	writeCh chan []byte
+
+	// ackPending counts the responses inside the ack stage: raised by the
+	// applier before it queues one, lowered by the ack stage after the
+	// frame is on writeCh. Only the applier raises it, so when the
+	// applier reads zero every earlier response has reached the writer
+	// and the next may follow directly.
+	ackPending atomic.Int32
 
 	// readerDone closes when the reader exits — disconnect or drain —
 	// which is what tells a replication streamer parked at the log tail
@@ -60,6 +82,9 @@ type conn struct {
 	found []bool
 	pay   []byte
 
+	// ack stage scratch: the burst being committed.
+	burst []ackItem
+
 	// replication streamer scratch.
 	recs  []wal.Record
 	wrecs []wire.ReplRec
@@ -72,10 +97,12 @@ func newConn(s *Server, nc net.Conn) *conn {
 		srv:        s,
 		nc:         nc,
 		applyCh:    make(chan *request, s.pipeline),
+		ackCh:      make(chan ackItem, s.pipeline),
 		writeCh:    make(chan []byte, s.pipeline),
 		readerDone: make(chan struct{}),
 		reqFree:    make(chan *request, s.pipeline+1),
-		bufFree:    make(chan []byte, s.pipeline+1),
+		// Frames can sit in the ack stage and in the write queue at once.
+		bufFree: make(chan []byte, 2*s.pipeline+1),
 	}
 }
 
@@ -88,12 +115,14 @@ func (c *conn) beginDrain() {
 }
 
 // run owns the connection lifecycle: it runs the reader inline and the
-// applier and writer as goroutines, wired so that reader exit closes
-// the apply queue, applier exit closes the write queue, and writer exit
-// closes the socket. run returns once all three are done.
+// applier, ack stage and writer as goroutines, wired so that reader exit
+// closes the apply queue, applier exit closes the ack queue, ack-stage
+// exit closes the write queue, and writer exit closes the socket. run
+// returns once all four are done.
 func (c *conn) run() {
 	writerDone := make(chan struct{})
 	go c.applier()
+	go c.acker()
 	go func() {
 		defer close(writerDone)
 		c.writer()
@@ -204,7 +233,7 @@ func (c *conn) checkBatch(payload []byte) error {
 // requests into one engine call each, and emits responses in request
 // order.
 func (c *conn) applier() {
-	defer close(c.writeCh)
+	defer close(c.ackCh)
 	var pending *request
 	chOpen := true
 	next := func(block bool) *request {
@@ -302,18 +331,15 @@ func (c *conn) serveBatch(op wire.Op, batch []*request) {
 			// inside the engine's shard workers, so a key's ship order is
 			// its apply order even across racing connections (the
 			// replication total order, DESIGN.md §2a). With replication
-			// off the sink is nil and last stays 0. On success, the ack
-			// barrier: group-committed WAL + ship-log fsync, then the
-			// semi-sync follower wait — acks below are only sent when the
-			// operations are crash-durable (and, under semi-sync,
-			// follower-applied). Scratch backends skip the fsync.
+			// off the sink is nil and last stays 0. The acks below are
+			// encoded now but go out through the ack stage, which holds
+			// them until the operations are crash-durable (and, under
+			// semi-sync, follower-applied) while this goroutine moves on
+			// to the next request.
 			if op == wire.OpInsert || op == wire.OpInsertAt {
 				last, err = c.srv.engine.InsertBatchShip(keys, vals)
 			} else {
 				last, err = c.srv.engine.UpsertBatchShip(keys, vals)
-			}
-			if err == nil {
-				err = c.srv.commitMutation(last)
 			}
 		}
 		epoch := c.srv.epochNow()
@@ -329,9 +355,9 @@ func (c *conn) serveBatch(op wire.Op, batch []*request) {
 				// waits for this request's own records too. 0 (no
 				// constraint) when the node does not replicate.
 				c.pay = wire.AppendAckT(c.pay[:0], last, epoch)
-				c.respond(wire.OpAckT, r.id, c.pay)
+				c.respondAck(wire.OpAckT, r.id, c.pay, last, len(r.keys))
 			default:
-				c.respond(wire.OpAck, r.id, nil)
+				c.respondAck(wire.OpAck, r.id, nil, last, len(r.keys))
 			}
 			c.putReq(r)
 		}
@@ -357,10 +383,8 @@ func (c *conn) serveBatch(op wire.Op, batch []*request) {
 		if !c.srv.writableNow() {
 			err = errNotWritable
 		} else {
+			// Deletes are mutations: acked through the ack stage.
 			last, err = c.srv.engine.DeleteBatchShipInto(keys, found)
-			if err == nil {
-				err = c.srv.commitMutation(last) // deletes are mutations: ack behind the barrier
-			}
 		}
 		epoch := c.srv.epochNow()
 		off := 0
@@ -372,10 +396,10 @@ func (c *conn) serveBatch(op wire.Op, batch []*request) {
 			case op == wire.OpDeleteAt:
 				// Covering token, as for INSERTAT/UPSERTAT above.
 				c.pay = wire.AppendFoundsT(c.pay[:0], last, epoch, found[off:off+n])
-				c.respond(wire.OpFoundsT, r.id, c.pay)
+				c.respondAck(wire.OpFoundsT, r.id, c.pay, last, n)
 			default:
 				c.pay = wire.AppendFounds(c.pay[:0], found[off:off+n])
-				c.respond(wire.OpFounds, r.id, c.pay)
+				c.respondAck(wire.OpFounds, r.id, c.pay, last, n)
 			}
 			off += n
 			c.putReq(r)
@@ -402,10 +426,10 @@ func (c *conn) valsOut(n int) []uint64 {
 
 // serveTTL answers the TTL/CAS mutations. They are mutations in full:
 // gated on writability, shipped from inside the engine (the Ship
-// variants), and acknowledged only behind the same commit barrier as
-// inserts — a kill -9 after the response never loses an acked expiry
-// or swap. Responses carry the covering ship LSN, so a client can
-// read-its-swap on a replica with LOOKUPAT.
+// variants), and acknowledged through the ack stage, behind the same
+// commit barrier as inserts — a kill -9 after the response never loses
+// an acked expiry or swap. Responses carry the covering ship LSN, so a
+// client can read-its-swap on a replica with LOOKUPAT.
 func (c *conn) serveTTL(r *request) {
 	defer c.putReq(r)
 	if !c.srv.writableNow() {
@@ -427,9 +451,6 @@ func (c *conn) serveTTL(r *request) {
 		found = c.foundOut(len(r.keys))
 		last, err = c.srv.engine.CompareSwapBatchShip(r.keys, r.vals, r.vals2, found)
 	}
-	if err == nil {
-		err = c.srv.commitMutation(last)
-	}
 	if err != nil {
 		c.respondErr(r.id, err)
 		return
@@ -437,11 +458,11 @@ func (c *conn) serveTTL(r *request) {
 	epoch := c.srv.epochNow()
 	if r.op == wire.OpUpsertTTL {
 		c.pay = wire.AppendAckT(c.pay[:0], last, epoch)
-		c.respond(wire.OpAckT, r.id, c.pay)
+		c.respondAck(wire.OpAckT, r.id, c.pay, last, len(r.keys))
 		return
 	}
 	c.pay = wire.AppendFoundsT(c.pay[:0], last, epoch, found)
-	c.respond(wire.OpFoundsT, r.id, c.pay)
+	c.respondAck(wire.OpFoundsT, r.id, c.pay, last, len(r.keys))
 }
 
 // serveScan answers one cursor page. Scans are reads — replicas serve
@@ -607,16 +628,94 @@ func (c *conn) serveSingle(r *request) {
 	c.putReq(r)
 }
 
-// respond encodes one response frame into a pooled buffer and queues it
-// for the writer.
+// respond queues a response that needs no commit: a read, a control
+// reply, an error.
 func (c *conn) respond(op wire.Op, id uint32, payload []byte) {
+	c.send(ackItem{frame: c.frame(op, id, payload), id: id})
+}
+
+// respondAck queues the acknowledgement of a mutation that applied ops
+// operations and shipped up to lsn, to be released once they are
+// committed.
+func (c *conn) respondAck(op wire.Op, id uint32, payload []byte, lsn uint64, ops int) {
+	c.send(ackItem{frame: c.frame(op, id, payload), id: id, lsn: lsn, ops: ops, barrier: c.srv.needsBarrier(lsn)})
+}
+
+// frame encodes one response frame into a pooled buffer.
+func (c *conn) frame(op wire.Op, id uint32, payload []byte) []byte {
 	var buf []byte
 	select {
 	case buf = <-c.bufFree:
 		buf = buf[:0]
 	default:
 	}
-	c.writeCh <- wire.AppendFrame(buf, op, id, payload)
+	return wire.AppendFrame(buf, op, id, payload)
+}
+
+// send passes a response on in request order: straight to the writer
+// when it needs no barrier and nothing is held in the ack stage — every
+// response of a connection that never mutates a durable or semi-sync
+// node — and through the ack stage otherwise.
+func (c *conn) send(a ackItem) {
+	if !a.barrier && c.ackPending.Load() == 0 {
+		c.writeCh <- a.frame
+		return
+	}
+	c.ackPending.Add(1)
+	c.ackCh <- a
+}
+
+// acker is the ack stage. It takes whatever the applier has finished so
+// far as one burst and runs ONE commit barrier for it: the barrier
+// starts after every mutation of the burst was applied, so the group
+// committer's rule (a Sync that started after the call) and the
+// followers' monotone acks (the burst's highest LSN) cover them all.
+// Then it releases the burst to the writer in request order — mutation
+// acks rewritten as ERR if the barrier failed, the rest as they are.
+// Meanwhile the applier is applying the next requests, which is the
+// point: apply and commit overlap instead of alternating.
+func (c *conn) acker() {
+	defer close(c.writeCh)
+	for first := range c.ackCh {
+		burst := append(c.burst[:0], first)
+	drain:
+		for {
+			select {
+			case a, ok := <-c.ackCh:
+				if !ok {
+					break drain
+				}
+				burst = append(burst, a)
+			default:
+				break drain
+			}
+		}
+		var (
+			barrier bool
+			lsn     uint64
+			ops     int
+		)
+		for _, a := range burst {
+			if a.barrier {
+				barrier = true
+				lsn = max(lsn, a.lsn)
+				ops += a.ops
+			}
+		}
+		var err error
+		if barrier {
+			err = c.srv.commitMutation(lsn, ops)
+		}
+		for i, a := range burst {
+			if a.barrier && err != nil {
+				a.frame = wire.AppendFrame(a.frame[:0], wire.OpErr, a.id, []byte(err.Error()))
+			}
+			c.writeCh <- a.frame
+			c.ackPending.Add(-1)
+			burst[i].frame = nil // the writer recycles it
+		}
+		c.burst = burst
+	}
 }
 
 // respondErr answers a request with an ERR frame carrying err's text.

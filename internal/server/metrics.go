@@ -59,6 +59,11 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_uring_sqes_total", "counter", "io_uring submission-queue entries placed.", st.UringSQEs)
 	metric(buf, "extbuf_directio_stores", "gauge", "Stores whose block fd is open O_DIRECT.", st.DirectIO)
 
+	// The ack barrier: operations per wave is how well group commit and
+	// the ack stage amortise the fsyncs above.
+	metric(buf, "extbuf_commit_waves_total", "counter", "Group-commit sync waves run.", s.commit.wavesStarted())
+	metric(buf, "extbuf_commit_wave_ops_total", "counter", "Mutation operations acknowledged behind commit waves.", s.waveOps.Load())
+
 	// TTL expiry.
 	metric(buf, "extbuf_expiry_tracked", "gauge", "Keys with a pending expiry deadline.", exp.Tracked)
 	metric(buf, "extbuf_expiry_lazy_hits_total", "counter", "Reads that filtered an expired key.", exp.LazyHits)

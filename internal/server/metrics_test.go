@@ -69,7 +69,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatalf("extbuf_writable = %q, want 1", samples["extbuf_writable"])
 	}
 	for _, want := range []string{"extbuf_expiry_tracked", "extbuf_expiry_swept_total",
-		"extbuf_store_cache_hits_total", "extbuf_repl_current_lsn", "go_goroutines"} {
+		"extbuf_store_cache_hits_total", "extbuf_repl_current_lsn", "go_goroutines",
+		"extbuf_commit_waves_total", "extbuf_commit_wave_ops_total"} {
 		if _, ok := samples[want]; !ok {
 			t.Fatalf("metric %s missing from exposition", want)
 		}

@@ -2,21 +2,24 @@
 // the wire protocol (package wire) in front of the sharded pipelined
 // engine (extbuf.Sharded). See DESIGN.md, "Serving layer".
 //
-// Each connection runs three goroutines — reader, applier, writer — so
-// a client that pipelines requests gets them aggregated: the applier
-// coalesces consecutive same-kind requests into single engine batch
-// calls (InsertBatch/UpsertBatch/LookupBatchInto/DeleteBatchInto),
-// which fan out across the engine's shard workers exactly like any
-// other batch. Responses stream back strictly in request order, so the
-// id-matching on the client side never reorders.
+// Each connection runs four goroutines — reader, applier, ack stage,
+// writer — so a client that pipelines requests gets them aggregated:
+// the applier coalesces consecutive same-kind requests into single
+// engine batch calls (InsertBatch/UpsertBatch/LookupBatchInto/
+// DeleteBatchInto), which fan out across the engine's shard workers
+// exactly like any other batch. Responses stream back strictly in
+// request order, so the id-matching on the client side never reorders.
 //
 // Durability of acks: a mutation is acknowledged only after an engine
 // Sync barrier (write-ahead-log fsync on durable backends) that started
-// after it was applied. Connections share one group committer, so
-// concurrent mutation batches across all connections ride the same
-// fsync — the serving-layer analogue of the WAL group commit inside the
-// checkpoint path. On scratch backends Sync is a no-op and acks are
-// immediate.
+// after it was applied. The applier does not wait for it: it hands the
+// encoded ack to the connection's ack stage and applies the next
+// request, and the ack stage runs one barrier per burst of finished
+// requests. Connections share one group committer, so concurrent
+// bursts across all connections ride the same fsync — the serving-layer
+// analogue of the WAL group commit inside the checkpoint path. On
+// scratch backends without semi-sync replication no barrier exists and
+// responses skip the ack stage.
 //
 // Backpressure: each connection's in-flight requests are bounded by a
 // fixed-depth apply queue; when a client pipelines past it the reader
@@ -31,6 +34,7 @@ import (
 	"errors"
 	"net"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -95,7 +99,8 @@ type Server struct {
 	logf     func(string, ...any)
 	durable  bool
 	commit   *groupCommitter
-	repl     *replState // nil: replication off
+	waveOps  atomic.Int64 // operations acknowledged behind commit waves
+	repl     *replState   // nil: replication off
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -170,13 +175,11 @@ func NewServer(cfg Config) (*Server, error) {
 			// The ack barrier must also make the ship log durable, or a
 			// restarted primary could serve tokens for records its
 			// followers can no longer fetch. One group-commit wave fsyncs
-			// both fds.
-			s.commit.sync = func() error {
-				if err := cfg.Engine.Sync(); err != nil {
-					return err
-				}
-				return repl.ship.Fsync()
-			}
+			// both fds, together: the wave's ship records were appended
+			// during apply, so neither fsync depends on the other.
+			fsyncs := wal.NewCommitter(2)
+			engineSync, shipFsync := cfg.Engine.Sync, repl.ship.Fsync
+			s.commit.sync = func() error { return fsyncs.Commit(engineSync, shipFsync) }
 		}
 	}
 	if cfg.SweepEvery > 0 {
@@ -228,7 +231,7 @@ func (s *Server) sweepLoop(every time.Duration, max int) {
 			continue
 		}
 		if n > 0 {
-			if err := s.commitMutation(last); err != nil {
+			if err := s.commitMutation(last, n); err != nil {
 				s.logf("ttl sweep commit: %v", err)
 			}
 		}
@@ -241,12 +244,21 @@ func (s *Server) writableNow() bool {
 	return s.repl == nil || s.repl.isWritable()
 }
 
-// commitMutation is the full acknowledgement barrier for a mutation
-// whose last ship-log record is lastLSN: the durable group commit
-// (engine WAL + ship log fsync), then the semi-synchronous follower
-// wait. Either failing withholds the ack.
-func (s *Server) commitMutation(lastLSN uint64) error {
+// needsBarrier reports whether the acknowledgement of a mutation whose
+// last ship-log record is lastLSN has to wait for commitMutation: on a
+// durable engine always, otherwise only when semi-sync followers must
+// confirm records it shipped.
+func (s *Server) needsBarrier(lastLSN uint64) bool {
+	return s.durable || (s.repl != nil && s.repl.syncN > 0 && lastLSN > 0)
+}
+
+// commitMutation is the full acknowledgement barrier for ops applied
+// operations whose last ship-log record is lastLSN: the durable group
+// commit (engine WAL + ship log fsync), then the semi-synchronous
+// follower wait. Either failing withholds the ack.
+func (s *Server) commitMutation(lastLSN uint64, ops int) error {
 	if s.durable {
+		s.waveOps.Add(int64(ops))
 		if err := s.commit.commit(); err != nil {
 			return err
 		}
@@ -476,6 +488,13 @@ type commitWave struct {
 	refs int
 	err  error
 	done bool
+}
+
+// wavesStarted returns the number of sync waves run so far.
+func (g *groupCommitter) wavesStarted() int64 {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return int64(g.started)
 }
 
 // commit blocks until a covering Sync completes and returns that very

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -628,6 +629,84 @@ func BenchmarkServerPipeline(b *testing.B) {
 		if err := p.Wait(ctx); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "ops/s")
+}
+
+// BenchmarkServePipelinedDurable is the durable ack path under a
+// pipelined client: one loopback connection keeping 16 requests of 128
+// operations in flight against a file-backed engine, the request kinds
+// alternating INSERT/UPSERT/DELETE so that no two neighbours aggregate
+// and every request needs its own place behind a commit barrier. One
+// iteration is one request.
+func BenchmarkServePipelinedDurable(b *testing.B) {
+	addr, _, stop := startServer(b, extbuf.Config{
+		Backend: "file",
+		Path:    filepath.Join(b.TempDir(), "t"),
+	}, 2, server.Config{Logf: func(string, ...any) {}})
+	defer stop()
+	cl, err := client.Dial(addr, client.Options{Conns: 1, Pipeline: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	const batch, depth = 128, 16
+	// Each in-flight slot owns its operand slices until its reply is in.
+	var keys, vals [depth][]uint64
+	for i := range keys {
+		keys[i], vals[i] = make([]uint64, batch), make([]uint64, batch)
+	}
+	var pendings [depth]*client.Pending
+	// wait collects the reply of the request issued at iteration i.
+	wait := func(i int) {
+		p := pendings[i%depth]
+		if p == nil {
+			return
+		}
+		err := error(nil)
+		if i%3 == 2 {
+			_, err = p.Deleted(ctx)
+		} else {
+			err = p.Wait(ctx)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	var block uint64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := i % depth
+		if i >= depth {
+			wait(i - depth)
+		}
+		// Insert a fresh block of keys, overwrite it, delete it.
+		if i%3 == 0 {
+			block++
+		}
+		for j := range keys[slot] {
+			keys[slot][j] = block*batch + uint64(j) + 1
+			vals[slot][j] = uint64(i)
+		}
+		var p *client.Pending
+		switch i % 3 {
+		case 0:
+			p, err = cl.GoInsert(keys[slot], vals[slot])
+		case 1:
+			p, err = cl.GoUpsert(keys[slot], vals[slot])
+		default:
+			p, err = cl.GoDelete(keys[slot])
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		pendings[slot] = p
+	}
+	for i := max(b.N-depth, 0); i < b.N; i++ {
+		wait(i)
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "ops/s")

@@ -40,23 +40,31 @@ func NewCommitter(parallel int) *Committer {
 func (c *Committer) Commit(fns ...func() error) error {
 	c.batches.Add(1)
 	c.syncs.Add(int64(len(fns)))
-	if len(fns) == 1 {
+	if len(fns) == 0 {
+		return nil
+	}
+	run := func(fn func() error) error {
 		c.sem <- struct{}{}
-		err := fns[0]()
-		<-c.sem
-		return err
+		defer func() { <-c.sem }()
+		return fn()
+	}
+	// The last function runs on the caller, which would otherwise only
+	// wait: a two-file commit costs one goroutine, not two, and a single
+	// function none (its error is returned bare, not joined).
+	last := len(fns) - 1
+	if last == 0 {
+		return run(fns[0])
 	}
 	errs := make([]error, len(fns))
 	var wg sync.WaitGroup
-	for i, fn := range fns {
+	for i, fn := range fns[:last] {
 		wg.Add(1)
 		go func(i int, fn func() error) {
 			defer wg.Done()
-			c.sem <- struct{}{}
-			errs[i] = fn()
-			<-c.sem
+			errs[i] = run(fn)
 		}(i, fn)
 	}
+	errs[last] = run(fns[last])
 	wg.Wait()
 	return errors.Join(errs...)
 }

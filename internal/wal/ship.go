@@ -59,7 +59,8 @@ type ShipLog struct {
 	fsyncMu sync.Mutex
 	dirty   atomic.Bool // bytes written since the last fsync
 
-	appendBuf []byte // reused encode buffer, guarded by mu
+	appendBuf []byte    // reused encode buffer, guarded by mu
+	readBufs  sync.Pool // *[]byte: Read's raw-record buffers
 }
 
 // OpenShip opens (creating if absent) the ship log at path and scans
@@ -182,22 +183,12 @@ func (s *ShipLog) Append(op Op, keys, vals []uint64) (uint64, error) {
 	first := s.next.Load()
 	buf := s.appendBuf[:0]
 	lsn := first
-	var lsnb [8]byte
 	for i, k := range keys {
 		var v uint64
 		if vals != nil {
 			v = vals[i]
 		}
-		var rec [recordBytes]byte
-		rec[0] = byte(op)
-		binary.LittleEndian.PutUint64(rec[1:9], k)
-		binary.LittleEndian.PutUint64(rec[9:17], v)
-		binary.LittleEndian.PutUint64(lsnb[:], lsn)
-		h := crc32.NewIEEE()
-		h.Write(rec[:17])
-		h.Write(lsnb[:])
-		binary.LittleEndian.PutUint32(rec[17:21], h.Sum32())
-		buf = append(buf, rec[:]...)
+		buf = appendRecord(buf, op, k, v, lsn)
 		lsn++
 	}
 	s.appendBuf = buf
@@ -278,8 +269,20 @@ func (s *ShipLog) Read(from uint64, recs []Record) (int, error) {
 		avail = len(recs)
 	}
 	off := headerBytes + int64(from-first)*recordBytes
-	buf := make([]byte, avail*recordBytes)
-	if _, err := io.ReadFull(io.NewSectionReader(s.f, off, int64(len(buf))), buf); err != nil {
+	// The raw bytes live only for this call, so concurrent cursors share
+	// a pool of read buffers instead of allocating one per call.
+	bp, _ := s.readBufs.Get().(*[]byte)
+	if bp == nil {
+		bp = new([]byte)
+	}
+	defer s.readBufs.Put(bp)
+	if cap(*bp) < avail*recordBytes {
+		*bp = make([]byte, avail*recordBytes)
+	}
+	buf := (*bp)[:avail*recordBytes]
+	// Everything below next is committed, so a short read is an error
+	// (ReadAt reports one whenever it returns fewer bytes than asked).
+	if _, err := s.f.ReadAt(buf, off); err != nil {
 		return 0, fmt.Errorf("wal: ship read: %w", err)
 	}
 	for i := 0; i < avail; i++ {

@@ -48,6 +48,8 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"sync"
+	"sync/atomic"
 
 	"extbuf/internal/iomodel"
 )
@@ -97,22 +99,34 @@ var errCorruptHeader = errors.New("wal: corrupt log header")
 // Log is an open write-ahead log. Appends are buffered in memory;
 // Sync flushes and fsyncs them — an operation is durable only after
 // the Sync that follows its Append returns nil. Not safe for concurrent
-// use; the owning table serializes access.
+// use; the owning table serializes access — with one exception, the
+// fsync half of the barrier: FsyncDetached may run on any goroutine
+// while the owner keeps appending and spilling, which is what lets a
+// shard worker hand the fsync of an ack barrier off and go on applying.
 type Log struct {
 	f        iomodel.BlockFile
 	buf      []byte
 	next     uint64 // LSN of the next append
 	size     int64  // bytes written to the file (header + records)
 	prealloc int64  // file extent reserved ahead of size via Truncate
-	syncs    int64  // fsyncs issued (Fsync/Sync)
-	elided   int64  // barrier fsyncs skipped: nothing written since the last
 	spills   int64  // spill WriteAt syscalls issued
-	dirty    bool   // bytes written (spill/truncate/header) since the last fsync
 	failed   error  // sticky first write failure
 	fsBlock  int64  // preallocation granularity: the filesystem block size
 	sector   int64  // >0: O_DIRECT fd, spills rewrite the tail sector
 	tail     []byte // direct mode: logical bytes past the last sector boundary
 	dbuf     []byte // direct mode: reusable aligned spill buffer
+
+	// The fsync half, shared with detached fsyncs. fsMu is held across
+	// the syscall, so a barrier arriving while another fsync is in
+	// flight waits for it and only then reads dirty: the one-fsync-per-fd
+	// elision is always against a COMPLETED fsync. The owner sets dirty
+	// after each write returns — never before — so a racing fsync can
+	// leave the flag spuriously set (one extra fsync), never clear with
+	// unsynced bytes behind it.
+	fsMu   sync.Mutex
+	dirty  atomic.Bool  // bytes written (spill/truncate/header) since the last fsync
+	syncs  atomic.Int64 // fsyncs issued (Fsync/Sync)
+	elided atomic.Int64 // barrier fsyncs skipped: nothing written since the last
 }
 
 // Open opens (creating if absent) the log at path, scanning any
@@ -241,14 +255,34 @@ func (l *Log) recover(firstLSN uint64) ([]Record, error) {
 	return recs, nil
 }
 
+// recordCRC is the checksum of a record's 17 payload bytes (op, key,
+// val) followed by its position LSN, little-endian — the LSN is mixed
+// in without being stored. It allocates nothing: hash/crc32 reaches its
+// implementation through a function variable, so every slice handed to
+// it is forced to the heap. The payload therefore has to be checksummed
+// where it already lives (a log buffer, a read buffer), and the eight
+// LSN bytes, which live nowhere, are folded in with the table directly.
+func recordCRC(rec []byte, lsn uint64) uint32 {
+	crc := ^crc32.ChecksumIEEE(rec[:17])
+	for i := 0; i < 8; i++ {
+		crc = crc32.IEEETable[byte(crc)^byte(lsn)] ^ crc>>8
+		lsn >>= 8
+	}
+	return ^crc
+}
+
+// appendRecord encodes one record frame for position lsn onto buf.
+func appendRecord(buf []byte, op Op, key, val, lsn uint64) []byte {
+	n := len(buf)
+	buf = append(buf, byte(op))
+	buf = binary.LittleEndian.AppendUint64(buf, key)
+	buf = binary.LittleEndian.AppendUint64(buf, val)
+	return binary.LittleEndian.AppendUint32(buf, recordCRC(buf[n:], lsn))
+}
+
 // validate checks a record's CRC against its position LSN.
 func validate(rec []byte, lsn uint64) bool {
-	var lsnb [8]byte
-	binary.LittleEndian.PutUint64(lsnb[:], lsn)
-	h := crc32.NewIEEE()
-	h.Write(rec[:17])
-	h.Write(lsnb[:])
-	return binary.LittleEndian.Uint32(rec[17:21]) == h.Sum32()
+	return binary.LittleEndian.Uint32(rec[17:21]) == recordCRC(rec, lsn)
 }
 
 // NextLSN returns the LSN the next Append will receive.
@@ -274,17 +308,7 @@ func (l *Log) Append(op Op, key, val uint64) (uint64, error) {
 		}
 	}
 	lsn := l.next
-	var rec [recordBytes]byte
-	rec[0] = byte(op)
-	binary.LittleEndian.PutUint64(rec[1:9], key)
-	binary.LittleEndian.PutUint64(rec[9:17], val)
-	var lsnb [8]byte
-	binary.LittleEndian.PutUint64(lsnb[:], lsn)
-	h := crc32.NewIEEE()
-	h.Write(rec[:17])
-	h.Write(lsnb[:])
-	binary.LittleEndian.PutUint32(rec[17:21], h.Sum32())
-	l.buf = append(l.buf, rec[:]...)
+	l.buf = appendRecord(l.buf, op, key, val, lsn)
 	l.next++
 	return lsn, nil
 }
@@ -324,7 +348,7 @@ func (l *Log) spillN(n int) error {
 	wn, err := l.f.WriteAt(l.buf[:n], l.size)
 	l.size += int64(wn)
 	l.spills++
-	l.dirty = true
+	l.dirty.Store(true)
 	if err != nil {
 		l.failed = fmt.Errorf("wal: append: %w", err)
 		return l.failed
@@ -356,7 +380,7 @@ func (l *Log) spillDirect(n int) error {
 	clear(buf[total:])
 	wn, err := l.f.WriteAt(buf, writeOff)
 	l.spills++
-	l.dirty = true
+	l.dirty.Store(true)
 	if err == nil && wn < padded {
 		err = io.ErrShortWrite
 	}
@@ -402,7 +426,7 @@ func (l *Log) reserve(size int64) error {
 		return l.failed
 	}
 	l.prealloc = p
-	l.dirty = true
+	l.dirty.Store(true)
 	return nil
 }
 
@@ -419,15 +443,27 @@ func (l *Log) Fsync() error {
 	if l.failed != nil {
 		return l.failed
 	}
-	if !l.dirty {
-		l.elided++
+	return l.FsyncDetached()
+}
+
+// FsyncDetached is Fsync for a goroutine other than the log's owner:
+// the owner calls Spill (which reports the sticky write failure), then
+// hands this half off and goes on appending. It touches only the fsync
+// state and the fd, covers every byte written before it was called, and
+// waits its turn behind any fsync already in flight on this log — so
+// Fsync from a checkpoint, and Close, wait for a detached fsync too.
+func (l *Log) FsyncDetached() error {
+	l.fsMu.Lock()
+	defer l.fsMu.Unlock()
+	if !l.dirty.Swap(false) {
+		l.elided.Add(1)
 		return nil
 	}
 	if err := l.f.Sync(); err != nil {
+		l.dirty.Store(true) // not durable: the next barrier must try again
 		return fmt.Errorf("wal: sync: %w", err)
 	}
-	l.syncs++
-	l.dirty = false
+	l.syncs.Add(1)
 	return nil
 }
 
@@ -442,11 +478,11 @@ func (l *Log) Sync() error {
 // Fsyncs returns the number of fsyncs issued, and Spills the number of
 // spill writes — the real-cost counters experiments report next to the
 // paper's I/O counts.
-func (l *Log) Fsyncs() int64 { return l.syncs }
+func (l *Log) Fsyncs() int64 { return l.syncs.Load() }
 
 // FsyncsElided returns the number of barrier fsyncs skipped because
 // nothing had been written since the previous fsync.
-func (l *Log) FsyncsElided() int64 { return l.elided }
+func (l *Log) FsyncsElided() int64 { return l.elided.Load() }
 
 // Spills returns the number of spill WriteAt syscalls issued.
 func (l *Log) Spills() int64 { return l.spills }
@@ -504,7 +540,7 @@ func (l *Log) reset(firstLSN uint64) error {
 	}
 	l.next = firstLSN
 	l.size = headerBytes
-	l.dirty = true
+	l.dirty.Store(true)
 	return nil
 }
 
@@ -516,11 +552,18 @@ func (l *Log) Direct() bool { return l.sector > 0 }
 // SectorSize returns the direct-mode spill alignment, 0 when buffered.
 func (l *Log) SectorSize() int { return int(l.sector) }
 
+// Interpose replaces the log's file with wrap(file): the seam tests use
+// to observe or stall the log's syscalls. Call it before the log is
+// shared with a detached fsync.
+func (l *Log) Interpose(wrap func(iomodel.BlockFile) iomodel.BlockFile) { l.f = wrap(l.f) }
+
 // Close flushes buffered records (without fsync), trims the
 // preallocated tail so the file ends at its last record, and closes
-// the file.
+// the file — after any fsync still in flight on it.
 func (l *Log) Close() error {
 	err := l.spill()
+	l.fsMu.Lock()
+	defer l.fsMu.Unlock()
 	if err == nil && l.prealloc > l.size {
 		if terr := l.f.Truncate(l.size); terr == nil {
 			l.prealloc = l.size
