@@ -16,14 +16,14 @@ import (
 )
 
 // steadyTable builds a populated table of the given structure on the
-// mem backend, with keys to exercise.
-func steadyTable(t testing.TB, structure string, n int) (extbuf.Table, []uint64) {
+// mem backend, with keys to exercise; keys[i] holds value i.
+func steadyTable(t testing.TB, structure string, n int) (extbuf.Engine, []uint64) {
 	cfg := extbuf.Config{BlockSize: 64, MemoryWords: 1024, Beta: 8,
 		ExpectedItems: n, Seed: 17}
 	if structure == "extendible" {
 		cfg.MemoryWords = int64(8*n/64 + 4096)
 	}
-	tab, err := extbuf.Open(structure, cfg)
+	tab, err := extbuf.OpenEngine(structure, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,6 +50,12 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"twolevel", "lookup"},
 		{"extendible", "lookup"},
 		{"buffered", "lookup"},
+		// The read-modify-write probes hand a callback down to the block
+		// walk; it must stay on the stack.
+		{"buffered", "upsert"},
+		{"buffered", "cas"},
+		{"knuth", "cas"},
+		{"knuth", "delete+insert"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.structure+"/"+tc.op, func(t *testing.T) {
@@ -74,6 +80,24 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 						t.Fatal("lost key")
 					}
 				}
+			case "cas":
+				cas := newSteadyCAS(tab, keys)
+				run = func() {
+					if !cas.swapNext() {
+						t.Fatal("CAS against the stored value refused")
+					}
+				}
+			case "delete+insert":
+				run = func() {
+					k := keys[i%len(keys)]
+					i++
+					if !tab.Delete(k) {
+						t.Fatal("lost key")
+					}
+					if err := tab.Insert(k, uint64(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 			run() // warm the disk scratch freelist
 			if allocs := testing.AllocsPerRun(400, run); allocs != 0 {
@@ -82,6 +106,42 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// steadyCAS cycles compare-and-swaps over a steadyTable's keys, each
+// against the value the key currently holds, so every one swaps.
+type steadyCAS struct {
+	tab           extbuf.Engine
+	keys, cur     []uint64
+	key, old, new []uint64 // one-element batch, reused
+	swapped       []bool
+	i             int
+}
+
+func newSteadyCAS(tab extbuf.Engine, keys []uint64) *steadyCAS {
+	c := &steadyCAS{tab: tab, keys: keys, cur: make([]uint64, len(keys)),
+		key: make([]uint64, 1), old: make([]uint64, 1), new: make([]uint64, 1), swapped: make([]bool, 1)}
+	for i := range c.cur {
+		c.cur[i] = uint64(i)
+	}
+	return c
+}
+
+func (c *steadyCAS) swapNext() bool {
+	j := c.i % len(c.keys)
+	c.i++
+	c.key[0], c.old[0], c.new[0] = c.keys[j], c.cur[j], c.cur[j]+1
+	if _, err := c.tab.CompareSwapBatchShip(c.key, c.old, c.new, c.swapped); err != nil || !c.swapped[0] {
+		return false
+	}
+	c.cur[j]++
+	return true
+}
+
+// reportIOs reports the model I/Os per benchmark iteration since base —
+// the paper's currency beside ns/op (cmd/benchdiff prints the column).
+func reportIOs(b *testing.B, tab extbuf.Table, base extbuf.Stats) {
+	b.ReportMetric(float64(tab.Stats().IOs()-base.IOs())/float64(b.N), "ios/op")
 }
 
 // --- Steady-state micro-benchmarks (the CI alloc gate watches these) ---
@@ -118,6 +178,55 @@ func BenchmarkSteadyStateLookup(b *testing.B) {
 					b.Fatal("lost key")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSteadyStateDelete measures delete + re-insert pairs (one
+// pair per op, so the table stays at its working-set shape) with
+// allocation and model-I/O reporting. On buffered the re-insert lands
+// in H_0 and is later merged down, so its pair prices a delete of a
+// mostly Ĥ-resident key plus an amortized insert.
+func BenchmarkSteadyStateDelete(b *testing.B) {
+	for _, structure := range []string{"buffered", "knuth"} {
+		b.Run(structure, func(b *testing.B) {
+			tab, keys := steadyTable(b, structure, 50000)
+			defer tab.Close()
+			base := tab.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := keys[i%len(keys)]
+				if !tab.Delete(k) {
+					b.Fatal("lost key")
+				}
+				if err := tab.Insert(k, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			reportIOs(b, tab, base)
+		})
+	}
+}
+
+// BenchmarkSteadyStateCAS measures compare-and-swaps that all swap, with
+// allocation and model-I/O reporting: one probe on buffered, a lookup
+// plus an upsert on the baselines.
+func BenchmarkSteadyStateCAS(b *testing.B) {
+	for _, structure := range []string{"buffered", "knuth"} {
+		b.Run(structure, func(b *testing.B) {
+			tab, keys := steadyTable(b, structure, 50000)
+			defer tab.Close()
+			cas := newSteadyCAS(tab, keys)
+			base := tab.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !cas.swapNext() {
+					b.Fatal("CAS against the stored value refused")
+				}
+			}
+			reportIOs(b, tab, base)
 		})
 	}
 }

@@ -18,6 +18,12 @@
 //
 //	benchdiff -old main.txt -new pr.txt [-out BENCH.json] [-threshold 0.10]
 //
+// A custom ios/op metric (b.ReportMetric — model I/Os per operation, the
+// paper's currency) is carried into the report per benchmark when both
+// sides print it. It is reported, never gated: the counts are exact and
+// deterministic, so a change in them is a statement about the algorithm
+// for a reviewer to read, not noise for a threshold to catch.
+//
 // Benchmarks present in only one file are reported but excluded from
 // the geomeans, so adding or removing benchmarks never trips the gate.
 package main
@@ -80,6 +86,7 @@ func main() {
 type samples struct {
 	ns     []float64
 	allocs []float64
+	ios    []float64
 }
 
 // Benchmark is one paired benchmark's comparison.
@@ -93,6 +100,10 @@ type Benchmark struct {
 	// AllocRatio is (new+1)/(old+1); > 1 means more allocation. Zero
 	// when either side lacks -benchmem output.
 	AllocRatio float64 `json:"alloc_ratio,omitempty"`
+	// OldIOs and NewIOs are the median ios/op, present (zero included)
+	// when both sides report the metric. Informational only.
+	OldIOs *float64 `json:"old_ios_per_op,omitempty"`
+	NewIOs *float64 `json:"new_ios_per_op,omitempty"`
 }
 
 // Report is the JSON artifact benchdiff emits.
@@ -109,7 +120,7 @@ type Report struct {
 	Regression   bool    `json:"regression"`
 }
 
-// parseBench extracts ns/op and allocs/op samples per benchmark name
+// parseBench extracts ns/op, allocs/op and ios/op samples per benchmark name
 // from a `go test -bench` output file. Repetitions (-count) accumulate
 // under one name; the trailing -GOMAXPROCS suffix stays part of the
 // name since both files run on the same CI runner shape.
@@ -131,21 +142,24 @@ func parseBench(path string) (map[string]*samples, error) {
 		// with an unparseable value is a corrupt file and must fail
 		// loudly — silently dropping the line would quietly exclude
 		// the benchmark from the gate.
-		var ns, allocs float64
-		var haveNs, haveAllocs bool
+		var ns, allocs, ios float64
+		var haveNs, haveAllocs, haveIOs bool
 		for i := 2; i+1 < len(fields); i += 2 {
 			unit := fields[i+1]
-			if unit != "ns/op" && unit != "allocs/op" {
+			if unit != "ns/op" && unit != "allocs/op" && unit != "ios/op" {
 				continue
 			}
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
 				return nil, fmt.Errorf("%s: bad %s in %q: %w", path, unit, sc.Text(), err)
 			}
-			if unit == "ns/op" {
+			switch unit {
+			case "ns/op":
 				ns, haveNs = v, true
-			} else {
+			case "allocs/op":
 				allocs, haveAllocs = v, true
+			case "ios/op":
+				ios, haveIOs = v, true
 			}
 		}
 		if !haveNs {
@@ -159,6 +173,9 @@ func parseBench(path string) (map[string]*samples, error) {
 		s.ns = append(s.ns, ns)
 		if haveAllocs {
 			s.allocs = append(s.allocs, allocs)
+		}
+		if haveIOs {
+			s.ios = append(s.ios, ios)
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -215,6 +232,10 @@ func compare(oldRuns, newRuns map[string]*samples, threshold float64) Report {
 			b.AllocRatio = (b.NewAllocs + 1) / (b.OldAllocs + 1)
 			allocLogSum += math.Log(b.AllocRatio)
 			allocPairs++
+		}
+		if len(or.ios) > 0 && len(nr.ios) > 0 {
+			oi, ni := median(or.ios), median(nr.ios)
+			b.OldIOs, b.NewIOs = &oi, &ni
 		}
 		rep.Benchmarks = append(rep.Benchmarks, b)
 	}

@@ -101,3 +101,58 @@ BenchmarkLookup/knuth-8       200000    500 ns/op    64 B/op    2 allocs/op
 		})
 	}
 }
+
+// TestIOsColumnReportedNotGated: a custom ios/op metric is carried into
+// the report (a measured zero included) for benchmarks that print it on
+// both sides, left out for the others, and never moves the verdict —
+// here it triples while ns/op and allocs/op hold still.
+func TestIOsColumnReportedNotGated(t *testing.T) {
+	const base = `
+BenchmarkSteadyStateDelete/buffered-8   	  200000	       900 ns/op	         1.637 ios/op	     520 B/op	       1 allocs/op
+BenchmarkSteadyStateDelete/buffered-8   	  200000	       910 ns/op	         1.641 ios/op	     520 B/op	       1 allocs/op
+BenchmarkSteadyStateDelete/buffered-8   	  200000	       920 ns/op	         1.639 ios/op	     520 B/op	       1 allocs/op
+BenchmarkSteadyStateCAS/h0-8            	  200000	       100 ns/op	         0 ios/op	       0 B/op	       0 allocs/op
+BenchmarkSteadyStateLookup/knuth-8      	  200000	        60 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNewlyInstrumented-8            	  200000	        60 ns/op	       0 B/op	       0 allocs/op
+`
+	const head = `
+BenchmarkSteadyStateDelete/buffered-8   	  200000	       910 ns/op	         5.438 ios/op	     520 B/op	       1 allocs/op
+BenchmarkSteadyStateCAS/h0-8            	  200000	       100 ns/op	         0 ios/op	       0 B/op	       0 allocs/op
+BenchmarkSteadyStateLookup/knuth-8      	  200000	        60 ns/op	       0 B/op	       0 allocs/op
+BenchmarkNewlyInstrumented-8            	  200000	        60 ns/op	         1.000 ios/op	       0 B/op	       0 allocs/op
+`
+	oldRuns, err := parseBench(writeBench(t, "old.txt", base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRuns, err := parseBench(writeBench(t, "new.txt", head))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := compare(oldRuns, newRuns, 0.10)
+	if rep.Regression {
+		t.Fatalf("ios/op tripped the gate: %+v", rep)
+	}
+	want := map[string][2]float64{
+		"BenchmarkSteadyStateDelete/buffered-8": {1.639, 5.438}, // median of three
+		"BenchmarkSteadyStateCAS/h0-8":          {0, 0},
+	}
+	for _, b := range rep.Benchmarks {
+		w, reported := want[b.Name]
+		if !reported {
+			if b.OldIOs != nil || b.NewIOs != nil {
+				t.Errorf("%s: ios/op reported without samples on both sides", b.Name)
+			}
+			continue
+		}
+		if b.OldIOs == nil || b.NewIOs == nil || *b.OldIOs != w[0] || *b.NewIOs != w[1] {
+			t.Errorf("%s: ios/op = %v -> %v, want %v -> %v", b.Name, b.OldIOs, b.NewIOs, w[0], w[1])
+		}
+	}
+	if len(rep.Benchmarks) != 4 {
+		t.Fatalf("paired = %d, want 4", len(rep.Benchmarks))
+	}
+	if _, err := parseBench(writeBench(t, "bad.txt", "BenchmarkX-8 100 5 ns/op x.y ios/op\n")); err == nil {
+		t.Fatal("unparseable ios/op accepted")
+	}
+}

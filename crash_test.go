@@ -88,13 +88,30 @@ func runCrashWorkload(t *testing.T, structure string, cfg extbuf.Config) crashWo
 		}
 		key := rng.Uint64() % crashKeySpace
 		switch r := rng.Uint64() % 10; {
-		case r < 6:
+		case r < 5:
 			val := uint64(i)<<16 | key
 			if err := tab.Upsert(key, val); err != nil {
 				res.crashed = true
 				return res
 			}
 			cur[key] = val
+		case r < 6:
+			// Compare-and-swap, against the stored value on even rounds:
+			// a swap logs one upsert record, a refusal must leave none
+			// behind for replay (the durable layer retracts it).
+			val := uint64(i)<<16 | key | 1<<49
+			old, present := cur[key]
+			old += uint64(i % 2)
+			if _, err := tab.CompareSwapBatchShip([]uint64{key}, []uint64{old}, []uint64{val}, found); err != nil {
+				res.crashed = true
+				return res
+			}
+			if want := present && i%2 == 0; found[0] != want {
+				t.Fatalf("op %d: cas(%d) swapped = %v, want %v", i, key, found[0], want)
+			}
+			if found[0] {
+				cur[key] = val
+			}
 		case r < 8:
 			got := tab.Delete(key)
 			_, present := cur[key]
@@ -169,6 +186,11 @@ func verifyRecovered(t *testing.T, structure string, cfg extbuf.Config, label st
 	for key := uint64(0); key < crashKeySpace; key++ {
 		if v, ok := tab.Lookup(key); ok {
 			state[key] = v
+		}
+		// WAL replay (inserts applied as upserts) must leave at most one
+		// live copy of a key: first-hit Delete sweeps up no second one.
+		if n, _ := extbuf.CopiesForTest(tab, key); n > 1 {
+			t.Fatalf("%s: key %d recovered with %d live copies", label, key, n)
 		}
 	}
 	for j := len(snapshots) - 1; j >= 0; j-- {

@@ -515,6 +515,26 @@ func (d *durableTable) Delete(key uint64) bool {
 	return d.inner.Delete(key)
 }
 
+// compareSwap is the logged compare-and-swap. On a structure with a
+// one-probe form the upsert record is logged first (write-ahead, like
+// Upsert), the swap is applied, and a swap that did not happen retracts
+// the record — replay must not perform an upsert the table refused. The
+// baselines probe first and log only the Upsert that follows.
+func (d *durableTable) compareSwap(key, old, new uint64) (bool, error) {
+	cs, ok := d.inner.(compareSwapper)
+	if !ok {
+		return casByLookup(d, key, old, new)
+	}
+	if _, err := d.log.Append(wal.OpUpsert, key, new); err != nil {
+		return false, err
+	}
+	swapped, err := cs.compareSwap(key, old, new)
+	if !swapped {
+		d.log.Rollback()
+	}
+	return swapped, err
+}
+
 // logExpire appends a wal.OpExpire record (value field = deadline) so
 // recovery re-learns the deadline; the caller then updates the shared
 // expiry index. The structure itself is untouched — a deadline is

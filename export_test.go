@@ -47,6 +47,23 @@ func PoolPinnedForTest(tab Table) (pinned int, ok bool) {
 	return 0, false
 }
 
+// CopiesForTest walks tab down to its Theorem 2 structure and returns
+// the number of live copies of key across H_0, Ĥ and the cascade levels
+// (a zero-I/O audit). First-hit Delete, Upsert and CAS are only correct
+// while this stays at most 1. ok is false for the baseline structures,
+// which keep no such invariant.
+func CopiesForTest(tab Table, key uint64) (copies int, ok bool) {
+	switch v := tab.(type) {
+	case *guard:
+		return CopiesForTest(v.t, key)
+	case *durableTable:
+		return CopiesForTest(v.inner, key)
+	case *coreTable:
+		return v.t.Copies(key), true
+	}
+	return 0, false
+}
+
 // WithClock returns cfg with the TTL clock replaced by now (unix ms),
 // so expiry tests control time instead of sleeping through it.
 func (c Config) WithClock(now func() uint64) Config {

@@ -124,7 +124,10 @@ func fromFileStats(st iomodel.FileStats) StoreStats {
 type Table interface {
 	// Insert stores (key, val). For the buffered table (New) the key
 	// must not already be present — the paper's insert-only model; this
-	// is what keeps its lookups at 1 + O(1/beta) I/Os. Use Upsert for
+	// is what keeps its lookups at 1 + O(1/beta) I/Os, and what lets
+	// Upsert, Delete and compare-and-swap stop at the first copy of a
+	// key they meet: an Insert of a present key strands a second copy
+	// that a later Delete does not remove. Use Upsert for
 	// read-modify-write. Baseline tables treat Insert as Upsert.
 	Insert(key, val uint64) error
 	// Upsert stores (key, val) whether or not key is present.
@@ -768,6 +771,10 @@ func (c *coreTable) Lookup(key uint64) (uint64, bool) {
 func (c *coreTable) Delete(key uint64) bool {
 	ok, _ := c.t.Delete(key)
 	return ok
+}
+func (c *coreTable) compareSwap(key, old, new uint64) (bool, error) {
+	swapped, _ := c.t.CompareSwap(key, old, new)
+	return swapped, nil
 }
 func (c *coreTable) Len() int { return c.t.Len() }
 func (c *coreTable) Close() error {

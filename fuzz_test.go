@@ -34,6 +34,12 @@ func FuzzTableOps(f *testing.F) {
 		// leak the final table's file descriptors across fuzz iterations.
 		defer func() { tab.Close() }()
 		ref := map[uint64]uint64{}
+		checkCopies := func(i int, key uint64) {
+			t.Helper()
+			if n, want, bad := copiesMismatch(tab, ref, key); bad {
+				t.Fatalf("op %d: key %d has %d live copies, reference wants %d", i, key, n, want)
+			}
+		}
 		val := uint64(0)
 		for i, b := range ops {
 			key := uint64(b >> 3) // 32 keys: constant collisions
@@ -44,6 +50,7 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("op %d: upsert(%d): %v", i, key, err)
 				}
 				ref[key] = val
+				checkCopies(i, key)
 			case 2: // insert honoring the fresh-key contract
 				if _, present := ref[key]; present {
 					continue
@@ -52,6 +59,7 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("op %d: insert(%d): %v", i, key, err)
 				}
 				ref[key] = val
+				checkCopies(i, key)
 			case 3: // delete
 				got := tab.Delete(key)
 				_, want := ref[key]
@@ -59,6 +67,7 @@ func FuzzTableOps(f *testing.F) {
 					t.Fatalf("op %d: delete(%d) = %v, reference %v", i, key, got, want)
 				}
 				delete(ref, key)
+				checkCopies(i, key)
 			case 4: // flush barrier
 				if err := tab.Flush(); err != nil {
 					t.Fatalf("op %d: flush: %v", i, err)
@@ -69,6 +78,9 @@ func FuzzTableOps(f *testing.F) {
 				}
 				if tab, err = extbuf.Open("buffered", cfg); err != nil {
 					t.Fatalf("op %d: reopen: %v", i, err)
+				}
+				for k := uint64(0); k < 32; k++ {
+					checkCopies(i, k)
 				}
 			default: // lookup
 				v, ok := tab.Lookup(key)

@@ -130,77 +130,100 @@ func InsertNoDup(d *iomodel.Disk, head iomodel.BlockID, e iomodel.Entry) (ios in
 // Delete removes key from the chain rooted at head. To keep chains
 // compact it backfills the hole with an entry taken from the chain's last
 // block, freeing that block if it empties (the head block is never
-// freed). It reports the I/Os spent and whether the key was present.
-func Delete(d *iomodel.Disk, head iomodel.BlockID, key uint64) (ios int, found bool) {
-	// First pass: locate the block holding the key, remembering the path.
+// freed). It reports the I/Os spent, whether the key was present, and
+// the number of blocks freed (0 or 1), so tables keep their block count
+// without walking headers.
+//
+// The walk is a single pass that never re-reads the block it is
+// positioned on: over a chain of L blocks a miss costs L I/Os, a victim
+// in the last block L, and a victim elsewhere L+1 (the walk finishes on
+// the last block, takes the backfill entry under the free write-back,
+// and returns to the victim's block once). Unlinking an emptied last
+// block adds one read of its predecessor, unless the predecessor is the
+// victim's block, whose return visit carries the header update.
+func Delete(d *iomodel.Disk, head iomodel.BlockID, key uint64) (ios int, found bool, freed int) {
 	buf := d.AcquireBuf()
 	defer func() { d.ReleaseBuf(buf) }()
-	foundID := iomodel.NilBlock
-	foundIdx := -1
-	prev := iomodel.NilBlock
-	lastID := head
-	lastPrev := iomodel.NilBlock
-	for id := head; id != iomodel.NilBlock; id = d.Next(id) {
-		buf = d.Read(id, buf[:0])
+	victim, victimIdx := iomodel.NilBlock, -1
+	prev, last := iomodel.NilBlock, head // the walk ends with last on the chain's final block
+	for {
+		buf = d.Read(last, buf[:0])
 		ios++
-		if foundIdx < 0 {
-			for i, e := range buf {
-				if e.Key == key {
-					foundID, foundIdx = id, i
+		if victimIdx < 0 {
+			for i := range buf {
+				if buf[i].Key == key {
+					victim, victimIdx = last, i
 					break
 				}
 			}
 		}
-		lastPrev = prev
-		prev = id
-		lastID = id
-		if foundIdx >= 0 && d.Next(id) == iomodel.NilBlock {
+		next := d.Next(last)
+		if next == iomodel.NilBlock {
 			break
 		}
+		prev, last = last, next
 	}
-	if foundIdx < 0 {
-		return ios, false
+	if victimIdx < 0 {
+		return ios, false, 0
 	}
-	// Re-read the victim block (the scan may have moved past it).
-	buf = d.Read(foundID, buf[:0])
-	ios++
-	if foundID == lastID {
-		// Remove in place from the last block.
-		buf[foundIdx] = buf[len(buf)-1]
-		buf = buf[:len(buf)-1]
-		d.WriteBack(foundID, buf)
-		if len(buf) == 0 && foundID != head {
-			unlink(d, lastPrev, foundID)
-			ios++ // re-reading predecessor to update its header
-		}
-		return ios, true
+	// Positioned on the last block, held in buf: it gives up one entry —
+	// the victim itself, or the backfill for the victim's hole.
+	fill := buf[len(buf)-1]
+	buf = buf[:len(buf)-1]
+	if victim == last && victimIdx < len(buf) {
+		buf[victimIdx] = fill
 	}
-	// Steal the final entry of the last block to fill the hole.
-	lastBuf := d.Read(lastID, d.AcquireBuf())
-	ios++
-	steal := lastBuf[len(lastBuf)-1]
-	lastBuf = lastBuf[:len(lastBuf)-1]
-	d.WriteBack(lastID, lastBuf)
-	if len(lastBuf) == 0 && lastID != head {
-		unlink(d, lastPrev, lastID)
+	emptied := len(buf) == 0 && last != head
+	if !emptied {
+		d.WriteBack(last, buf)
+	}
+	if victim != last {
+		buf = d.Read(victim, buf[:0])
 		ios++
+		buf[victimIdx] = fill
+		if emptied && prev == victim {
+			d.SetNext(victim, iomodel.NilBlock)
+			prev = iomodel.NilBlock
+		}
+		d.WriteBack(victim, buf)
 	}
-	d.ReleaseBuf(lastBuf)
-	buf = d.Read(foundID, buf[:0])
-	ios++
-	buf[foundIdx] = steal
-	d.WriteBack(foundID, buf)
-	return ios, true
+	if emptied {
+		if prev != iomodel.NilBlock {
+			buf = d.Read(prev, buf[:0])
+			ios++
+			d.SetNext(prev, iomodel.NilBlock)
+			d.WriteBack(prev, buf)
+		}
+		d.Free(last)
+		freed = 1
+	}
+	return ios, true, freed
 }
 
-// unlink detaches victim (known to follow prev) from the chain and frees
-// it. It costs one read of prev, accounted by the caller.
-func unlink(d *iomodel.Disk, prev, victim iomodel.BlockID) {
-	pbuf := d.Read(prev, d.AcquireBuf())
-	d.SetNext(prev, d.Next(victim))
-	d.WriteBack(prev, pbuf)
-	d.Free(victim)
-	d.ReleaseBuf(pbuf)
+// Update walks the chain rooted at head looking for key and, when it
+// finds it, calls fn with the stored value: fn returns the value to
+// store and whether to store it (under the free write-back of the block
+// just read). It reports whether the key was found and the I/Os spent —
+// exactly Find's cost either way. Plain overwrites and compare-and-swap
+// are both this walk with a different fn; it never inserts.
+func Update(d *iomodel.Disk, head iomodel.BlockID, key uint64, fn func(cur uint64) (val uint64, write bool)) (found bool, ios int) {
+	buf := d.AcquireBuf()
+	defer func() { d.ReleaseBuf(buf) }()
+	for id := head; id != iomodel.NilBlock; id = d.Next(id) {
+		buf = d.Read(id, buf[:0])
+		ios++
+		for i := range buf {
+			if buf[i].Key != key {
+				continue
+			}
+			if val, write := fn(buf[i].Val); write {
+				buf[i].Val = val
+				d.WriteBack(id, buf)
+			}
+			return true, ios
+		}
+	}
+	return false, ios
 }
 
 // Collect appends every entry of the chain to buf and returns it together

@@ -104,11 +104,11 @@ func TestDelete(t *testing.T) {
 	for k := uint64(0); k < 6; k++ {
 		Insert(d, head, iomodel.Entry{Key: k, Val: k})
 	}
-	if _, found := Delete(d, head, 99); found {
+	if _, found, _ := Delete(d, head, 99); found {
 		t.Fatal("deleted absent key")
 	}
 	for k := uint64(0); k < 6; k++ {
-		_, found := Delete(d, head, k)
+		_, found, _ := Delete(d, head, k)
 		if !found {
 			t.Fatalf("key %d not found for delete", k)
 		}
@@ -121,6 +121,110 @@ func TestDelete(t *testing.T) {
 	}
 	if Blocks(d, head) != 1 {
 		t.Fatalf("empty chain should shrink to head only, has %d blocks", Blocks(d, head))
+	}
+}
+
+// TestDeleteChainShapes pins Delete's exact cost and effect over every
+// chain shape, with b = 2 and keys 0..n-1 inserted in order (so block i
+// of the chain holds keys 2i and 2i+1). The disk runs strict, so any
+// write-back that does not immediately follow the read of its own block
+// panics; a delete performs no cold write at all.
+func TestDeleteChainShapes(t *testing.T) {
+	cases := []struct {
+		name   string
+		n      int    // keys in the chain before the delete
+		victim uint64 // key to delete
+		ios    int
+		freed  int
+	}{
+		{"single block", 2, 0, 1, 0},
+		{"single block emptied keeps the head", 1, 0, 1, 0},
+		{"miss walks the chain once", 6, 99, 3, 0},
+		{"victim in last block", 6, 5, 3, 0},
+		{"victim in head block", 6, 0, 4, 0},
+		{"victim in middle block", 6, 2, 4, 0},
+		{"victim alone in last block: unlink via predecessor", 5, 4, 4, 1},
+		{"backfill empties last block, victim in head", 5, 0, 5, 1},
+		{"backfill empties last block, victim in its predecessor", 5, 2, 4, 1},
+		{"two blocks, backfill empties the second", 3, 0, 3, 1},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d, head := newChain(t, 2)
+			d.SetStrict(true)
+			for k := uint64(0); k < uint64(tc.n); k++ {
+				Insert(d, head, iomodel.Entry{Key: k, Val: k + 100})
+			}
+			blocks := Blocks(d, head)
+			c0 := d.Counters()
+			ios, found, freed := Delete(d, head, tc.victim)
+			dc := d.Counters().Sub(c0)
+			present := tc.victim < uint64(tc.n)
+			if ios != tc.ios || freed != tc.freed || found != present {
+				t.Fatalf("Delete = (ios %d, found %v, freed %d), want (%d, %v, %d)",
+					ios, found, freed, tc.ios, present, tc.freed)
+			}
+			if dc.Reads != int64(ios) || dc.Writes != 0 {
+				t.Fatalf("charged %+v for %d reported I/Os", dc, ios)
+			}
+			if got := Blocks(d, head); got != blocks-freed || d.NumBlocks() != got {
+				t.Fatalf("chain has %d blocks (%d allocated), want %d", got, d.NumBlocks(), blocks-freed)
+			}
+			// Survivors intact, victim gone, and only the last block may
+			// have free space (what Insert's duplicate scan relies on).
+			for k := uint64(0); k < uint64(tc.n); k++ {
+				v, ok, _ := Find(d, head, k)
+				if ok != (k != tc.victim) || (ok && v != k+100) {
+					t.Fatalf("key %d: (%d, %v) after deleting %d", k, v, ok, tc.victim)
+				}
+			}
+			want := tc.n
+			if present {
+				want--
+			}
+			if Len(d, head) != want {
+				t.Fatalf("Len = %d, want %d", Len(d, head), want)
+			}
+			for id := head; d.Next(id) != iomodel.NilBlock; id = d.Next(id) {
+				if len(d.Peek(id)) != d.B() {
+					t.Fatalf("non-final block %d holds %d entries", id, len(d.Peek(id)))
+				}
+			}
+		})
+	}
+}
+
+func TestUpdate(t *testing.T) {
+	d, head := newChain(t, 2)
+	for k := uint64(0); k < 5; k++ {
+		Insert(d, head, iomodel.Entry{Key: k, Val: k})
+	}
+	c0 := d.Counters()
+	found, ios := Update(d, head, 4, func(cur uint64) (uint64, bool) { return cur + 10, true })
+	if !found || ios != 3 {
+		t.Fatalf("write: found=%v ios=%d", found, ios)
+	}
+	if v, _, _ := Find(d, head, 4); v != 14 {
+		t.Fatalf("value = %d", v)
+	}
+	c1 := d.Counters()
+	if dc := c1.Sub(c0); dc.Reads != 3+3 || dc.Writes != 0 || dc.WriteBacks != 1 {
+		t.Fatalf("write charged %+v", dc)
+	}
+	// A declined write and a miss cost the walk and write nothing.
+	found, ios = Update(d, head, 2, func(uint64) (uint64, bool) { return 0, false })
+	if !found || ios != 2 {
+		t.Fatalf("declined: found=%v ios=%d", found, ios)
+	}
+	found, ios = Update(d, head, 99, func(uint64) (uint64, bool) { t.Fatal("fn called on a miss"); return 0, false })
+	if found || ios != 3 {
+		t.Fatalf("miss: found=%v ios=%d", found, ios)
+	}
+	if dc := d.Counters().Sub(c1); dc.Reads != 5 || dc.Writes != 0 || dc.WriteBacks != 0 {
+		t.Fatalf("declined + miss charged %+v", dc)
+	}
+	if v, _, _ := Find(d, head, 2); v != 2 {
+		t.Fatalf("declined update wrote %d", v)
 	}
 }
 
@@ -247,7 +351,7 @@ func TestChainMatchesMapModel(t *testing.T) {
 				Insert(d, head, iomodel.Entry{Key: key, Val: val})
 				model[key] = val
 			case op%3 == 1: // delete
-				_, found := Delete(d, head, key)
+				_, found, _ := Delete(d, head, key)
 				_, inModel := model[key]
 				if found != inModel {
 					return false

@@ -144,34 +144,21 @@ func (t *Table) Lookup(key uint64) (val uint64, ok bool, ios int) {
 // Delete removes key, reporting whether it was present and the I/Os
 // spent.
 func (t *Table) Delete(key uint64) (ok bool, ios int) {
-	before := block.Blocks(t.d, t.heads[t.bucket(key)])
-	ios, ok = block.Delete(t.d, t.heads[t.bucket(key)], key)
+	ios, ok, freed := block.Delete(t.d, t.heads[t.bucket(key)], key)
 	if ok {
 		t.n--
-		t.blocks -= before - block.Blocks(t.d, t.heads[t.bucket(key)])
+		t.blocks -= freed
 	}
 	return ok, ios
 }
 
-// Update overwrites the value of key if present, without inserting.
-// Returns whether the key was found and the I/Os spent. Used by upsert
-// paths that must not create a second copy of a key.
-func (t *Table) Update(key, val uint64) (ok bool, ios int) {
-	id := t.heads[t.bucket(key)]
-	buf := t.d.AcquireBuf()
-	defer func() { t.d.ReleaseBuf(buf) }()
-	for ; id != iomodel.NilBlock; id = t.d.Next(id) {
-		buf = t.d.Read(id, buf[:0])
-		ios++
-		for i := range buf {
-			if buf[i].Key == key {
-				buf[i].Val = val
-				t.d.WriteBack(id, buf)
-				return true, ios
-			}
-		}
-	}
-	return false, ios
+// Update finds key and passes its stored value to fn, which returns the
+// value to store and whether to store it (see block.Update); it never
+// inserts. Returns whether the key was found and the I/Os spent — a
+// lookup's cost. Used by the upsert and compare-and-swap paths, which
+// must not create a second copy of a key.
+func (t *Table) Update(key uint64, fn func(cur uint64) (val uint64, write bool)) (ok bool, ios int) {
+	return block.Update(t.d, t.heads[t.bucket(key)], key, fn)
 }
 
 // MergeIn bulk-merges entries (whose keys must not already be present)
@@ -366,8 +353,9 @@ func (t *Table) BulkLoad(entries []iomodel.Entry) int {
 			blocks++
 			continue
 		}
-		ios += block.Rewrite(t.d, head, groups[i])
-		blocks += block.Blocks(t.d, head)
+		w := block.Rewrite(t.d, head, groups[i])
+		ios += w
+		blocks += w // Rewrite pays one cold write per block of the new chain
 	}
 	t.n = len(entries)
 	t.blocks = blocks
@@ -391,6 +379,21 @@ func (t *Table) Reset() {
 // used by the zones audit.
 func (t *Table) AddressOf(key uint64) iomodel.BlockID {
 	return t.heads[t.bucket(key)]
+}
+
+// Copies counts the entries stored under key in its bucket's chain
+// without performing I/O (Peek; an audit, never operation logic). A
+// chain holds a key at most once, so anything above 1 is corruption.
+func (t *Table) Copies(key uint64) int {
+	n := 0
+	for id := t.heads[t.bucket(key)]; id != iomodel.NilBlock; id = t.d.Next(id) {
+		for _, e := range t.d.Peek(id) {
+			if e.Key == key {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // MemoryKeys returns the keys held in the memory zone; the plain table

@@ -172,19 +172,34 @@ func TestMemoryCharge(t *testing.T) {
 	}
 }
 
+// set is the Update callback of a plain overwrite.
+func set(v uint64) func(uint64) (uint64, bool) {
+	return func(uint64) (uint64, bool) { return v, true }
+}
+
 func TestUpdate(t *testing.T) {
 	_, tab := newTable(t, 4, 4)
-	if ok, _ := tab.Update(1, 10); ok {
+	if ok, _ := tab.Update(1, set(10)); ok {
 		t.Fatal("updated absent key")
 	}
 	tab.Insert(1, 10)
-	ok, ios := tab.Update(1, 20)
-	if !ok || ios < 1 {
+	ok, ios := tab.Update(1, set(20))
+	if !ok || ios != 1 {
 		t.Fatalf("ok=%v ios=%d", ok, ios)
 	}
 	v, _, _ := tab.Lookup(1)
 	if v != 20 {
 		t.Fatalf("v = %d", v)
+	}
+	// A callback that declines the write still reports the key found,
+	// sees the stored value, and leaves it alone.
+	var saw uint64
+	ok, ios = tab.Update(1, func(cur uint64) (uint64, bool) { saw = cur; return 99, false })
+	if !ok || ios != 1 || saw != 20 {
+		t.Fatalf("declined update: ok=%v ios=%d saw=%d", ok, ios, saw)
+	}
+	if v, _, _ := tab.Lookup(1); v != 20 {
+		t.Fatalf("declined update wrote %d", v)
 	}
 	if tab.Len() != 1 {
 		t.Fatalf("Len = %d", tab.Len())

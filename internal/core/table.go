@@ -32,14 +32,24 @@
 // insertion cost is eps for lookups in 1 + O(1/b). Both parameterizations
 // are exercised by the benchmarks.
 //
-// # API contract
+// # API contract: one copy, one probe order
 //
 // Insert requires a key not currently in the table (the paper's model:
-// n distinct uniform items); this is what keeps at most one copy of each
-// key alive and makes the largest-first probe order sound. Upsert
-// provides read-modify-write semantics at ~1 extra I/O by updating in
-// place wherever the key lives. Delete (an extension; the paper studies
-// insertions) purges the key from every component.
+// n distinct uniform items). That keeps the invariant every point
+// operation stands on: at most one copy of a key is alive across H_0, Ĥ
+// and the cascade levels (merges move a copy, they never duplicate it).
+//
+// Given the invariant, every point operation is the same probe sequence
+// — H_0 (free), Ĥ, cascade levels largest-first — stopping at the first
+// copy, because it is the only one. Lookup reads it; Upsert and
+// CompareSwap rewrite it in the block just read, under the footnote-2
+// free write-back, so they cost exactly the lookup of their key (Upsert
+// of an absent key adds the Insert); Delete (an extension; the paper
+// studies insertions) removes it there, paying beyond the lookup only
+// the backfill of a multi-block chain. None of them visits a component
+// past the hit, so an Insert of a present key is a contract violation
+// that is no longer papered over: the stale copy it strands survives a
+// later Delete of the fresh one. Copies audits the invariant.
 package core
 
 import (
@@ -159,7 +169,10 @@ func (t *Table) window() int {
 // amortize to O(beta/b + (gamma/b)·log(n/m)) per insertion).
 //
 // The key must not already be present (see the package contract); use
-// Upsert for read-modify-write semantics.
+// Upsert for read-modify-write semantics. Inserting a present key
+// creates a second live copy, and nothing sweeps it up: Lookup, Upsert,
+// CompareSwap and Delete all stop at the first copy they meet, so a
+// later Delete would remove one and leave the other to resurface.
 func (t *Table) Insert(key, val uint64) (int, error) {
 	ios, err := t.cascade.Insert(key, val)
 	if err != nil {
@@ -230,35 +243,74 @@ func (t *Table) LookupSmallestFirst(key uint64) (val uint64, ok bool, ios int) {
 	return v, hit, ios
 }
 
+// update is the one probe sequence behind every read-modify-write: H_0
+// (free), then Ĥ, then the cascade levels largest-first — Lookup's
+// order, sound for the same reason (at most one copy of a key is alive)
+// — stopping at the key's copy and handing its value to fn, which
+// returns the value to store and whether to store it. The store rides
+// the free write-back of the block just read, so an update costs what
+// the lookup of its key costs. It never inserts.
+func (t *Table) update(key uint64, fn func(cur uint64) (val uint64, write bool)) (found bool, ios int) {
+	if t.cascade.UpdateMem(key, fn) {
+		return true, 0
+	}
+	found, ios = t.big.Update(key, fn)
+	if found {
+		return true, ios
+	}
+	found, c := t.cascade.UpdateLevels(key, fn)
+	return found, ios + c
+}
+
 // Upsert stores (key, val) whether or not key is present, updating in
 // place when it is. It costs ~1 I/O more than Insert for keys that turn
 // out to be new (the existence probe), matching the cost of a standard
 // hash table; workloads that know their keys are fresh should call
 // Insert.
 func (t *Table) Upsert(key, val uint64) (int, error) {
-	if _, hit := t.cascade.LookupMem(key); hit {
-		return t.cascade.Insert(key, val) // overwrites the H_0 copy
-	}
-	ok, ios := t.big.Update(key, val)
-	if ok {
-		return ios, nil
-	}
-	ok, c := t.cascade.UpdateLevels(key, val)
-	ios += c
-	if ok {
+	found, ios := t.update(key, func(uint64) (uint64, bool) { return val, true })
+	if found {
 		return ios, nil
 	}
 	c, err := t.Insert(key, val)
 	return ios + c, err
 }
 
-// Delete removes key from every component (extension; see package doc).
-// Reports whether it was present and the I/Os spent.
+// CompareSwap replaces key's value with new if the key is present and
+// its value is old, reporting whether it swapped and the I/Os spent:
+// the cost of looking the key up, hit or miss, swapped or not.
+func (t *Table) CompareSwap(key, old, new uint64) (swapped bool, ios int) {
+	_, ios = t.update(key, func(cur uint64) (uint64, bool) {
+		swapped = cur == old
+		return new, swapped
+	})
+	return swapped, ios
+}
+
+// Delete removes key (an extension; the paper studies insertions),
+// reporting whether it was present and the I/Os spent. It follows
+// Lookup's probe order and stops at the first copy, which is the only
+// one (see the package contract), so a delete costs what the lookup of
+// its key costs, plus at most the backfill of the hole it leaves in a
+// multi-block chain.
 func (t *Table) Delete(key uint64) (ok bool, ios int) {
-	ok, ios = t.cascade.Delete(key)
-	big, c := t.big.Delete(key)
-	ios += c
-	return ok || big, ios
+	if t.cascade.DeleteMem(key) {
+		return true, 0
+	}
+	ok, ios = t.big.Delete(key)
+	if ok {
+		return true, ios
+	}
+	ok, c := t.cascade.DeleteLevelsLargestFirst(key)
+	return ok, ios + c
+}
+
+// Copies counts the live copies of key across H_0, Ĥ and every cascade
+// level without performing I/O. The contract keeps it at most 1; tests
+// audit that after every mutation, because the first-hit probes of
+// Lookup, Upsert, CompareSwap and Delete all stand on it.
+func (t *Table) Copies(key uint64) int {
+	return t.big.Copies(key) + t.cascade.Copies(key)
 }
 
 // LoadFactor returns the paper's load factor of Ĥ (the dominant disk

@@ -351,7 +351,7 @@ func TestMatchesMapModel(t *testing.T) {
 		r := xrand.New(seed)
 		for _, op := range ops {
 			key := uint64(op % 32)
-			switch op % 4 {
+			switch op % 5 {
 			case 0, 1:
 				v := r.Uint64()
 				if _, err := tab.Upsert(key, v); err != nil {
@@ -365,12 +365,30 @@ func TestMatchesMapModel(t *testing.T) {
 					return false
 				}
 				delete(ref, key)
+			case 3: // CAS, against the stored value half the time
+				rv, inRef := ref[key]
+				old, v := rv+r.Uint64()%2, r.Uint64()
+				swapped, _ := tab.CompareSwap(key, old, v)
+				if swapped != (inRef && old == rv) {
+					return false
+				}
+				if swapped {
+					ref[key] = v
+				}
 			default:
 				v, ok, _ := tab.Lookup(key)
 				rv, rok := ref[key]
 				if ok != rok || (ok && v != rv) {
 					return false
 				}
+			}
+			// The invariant every first-hit probe stands on.
+			want := 0
+			if _, inRef := ref[key]; inRef {
+				want = 1
+			}
+			if tab.Copies(key) != want || tab.Len() != len(ref) {
+				return false
 			}
 		}
 		for k, v := range ref {

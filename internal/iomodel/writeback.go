@@ -3,6 +3,7 @@ package iomodel
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // writeback is the asynchronous I/O submission engine behind a
@@ -32,7 +33,7 @@ type writeback struct {
 	mu       sync.Mutex
 	done     sync.Cond
 	inflight map[int64]struct{} // physical slots with a queued or in-progress write
-	pending  int                // submitted jobs not yet completed
+	pending  atomic.Int64       // submitted jobs not yet completed; changed under mu, read lock-free by waitSlot
 	firstErr error              // first write failure, sticky
 	dropped  int                // jobs discarded unwritten after the first failure
 	bufs     [][]byte           // run-buffer free list, recycled across jobs
@@ -96,7 +97,7 @@ func (w *writeback) run() {
 		for i := 0; i < job.n; i++ {
 			delete(w.inflight, job.first+int64(i))
 		}
-		w.pending--
+		w.pending.Add(-1)
 		w.bufs = append(w.bufs, job.buf[:0])
 		w.done.Broadcast()
 		w.mu.Unlock()
@@ -128,7 +129,7 @@ func (w *writeback) submit(job wbJob) {
 	for i := 0; i < job.n; i++ {
 		w.inflight[job.first+int64(i)] = struct{}{}
 	}
-	w.pending++
+	w.pending.Add(1)
 	w.mu.Unlock()
 	w.jobs <- job
 }
@@ -145,8 +146,15 @@ func (w *writeback) overlaps(first int64, n int) bool {
 }
 
 // waitSlot blocks until no in-flight write covers physical slot phys,
-// so a following pread observes the completed write.
+// so a following pread observes the completed write. Store-goroutine
+// only, like submit: every job this goroutine submitted is counted in
+// pending until its pwrite has returned, so reading zero proves no
+// write — to this slot or any other — is in flight, and the common
+// case (every pool miss of a read-only workload) skips the lock.
 func (w *writeback) waitSlot(phys int64) {
+	if w.pending.Load() == 0 {
+		return
+	}
 	w.mu.Lock()
 	for {
 		if _, busy := w.inflight[phys]; !busy {
@@ -163,7 +171,7 @@ func (w *writeback) waitSlot(phys int64) {
 // join asynchronous errors at.
 func (w *writeback) drain() error {
 	w.mu.Lock()
-	for w.pending > 0 {
+	for w.pending.Load() > 0 {
 		w.done.Wait()
 	}
 	err := w.firstErr

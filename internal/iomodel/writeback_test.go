@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -179,11 +180,67 @@ func TestWritebackDrainDropsQueuedAfterFailure(t *testing.T) {
 	// recycled.
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.inflight) != 0 || w.pending != 0 {
-		t.Fatalf("pool not settled after drain: inflight=%d pending=%d", len(w.inflight), w.pending)
+	if len(w.inflight) != 0 || w.pending.Load() != 0 {
+		t.Fatalf("pool not settled after drain: inflight=%d pending=%d", len(w.inflight), w.pending.Load())
 	}
 	if len(w.bufs) != 3 {
 		t.Fatalf("buffers not recycled: %d pooled, want 3", len(w.bufs))
+	}
+}
+
+// heldFile is a BlockFile stub whose WriteAt announces itself on entered
+// and then blocks until release is closed.
+type heldFile struct {
+	gateFile
+	entered chan struct{}
+	release chan struct{}
+	wrote   atomic.Bool
+}
+
+func (h *heldFile) WriteAt(p []byte, off int64) (int, error) {
+	h.entered <- struct{}{}
+	<-h.release
+	h.wrote.Store(true)
+	return len(p), nil
+}
+
+// TestWritebackWaitSlotAfterSubmit pins the read-after-write guarantee
+// across waitSlot's lock-free fast path: with nothing in flight it
+// returns at once, but a read of a slot issued after that slot's submit
+// waits until the pwrite has returned — while reads of other slots go
+// through — and the fast path comes back once the pool has drained.
+func TestWritebackWaitSlotAfterSubmit(t *testing.T) {
+	f := &heldFile{entered: make(chan struct{}), release: make(chan struct{})}
+	w := newWriteback(f, 1, 4096, 0)
+	w.waitSlot(7) // idle pool: must not block
+
+	w.submit(wbJob{buf: w.getBuf(64), off: 7 * 64, first: 7, n: 1, id0: 7, id1: 7})
+	<-f.entered   // the worker is inside WriteAt
+	w.waitSlot(8) // another slot: not ordered behind slot 7's write
+	returned := make(chan struct{})
+	go func() {
+		defer close(returned)
+		w.waitSlot(7)
+		if !f.wrote.Load() {
+			t.Error("waitSlot returned before the covering write completed")
+		}
+	}()
+	select {
+	case <-returned:
+		t.Fatal("waitSlot did not wait for the in-flight write to its slot")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(f.release)
+	<-returned
+	if err := w.drain(); err != nil {
+		t.Fatal(err)
+	}
+	if n := w.pending.Load(); n != 0 {
+		t.Fatalf("pending = %d after drain", n)
+	}
+	w.waitSlot(7)
+	if err := w.shutdown(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -138,8 +138,7 @@ func (t *Table) splitNext() int {
 	i := t.split
 	head := t.heads[i]
 	var buf []iomodel.Entry
-	buf, ios := block.Collect(t.d, head, buf)
-	oldBlocks := block.Blocks(t.d, head)
+	buf, oldBlocks := block.Collect(t.d, head, buf) // one read per block
 	var lo, hi []iomodel.Entry
 	for _, e := range buf {
 		j := int(hashfn.TopBits(t.fn.Hash(e.Key), t.level+1))
@@ -149,12 +148,13 @@ func (t *Table) splitNext() int {
 			lo = append(lo, e)
 		}
 	}
-	ios += block.Rewrite(t.d, head, lo)
-	newHead, w := block.WriteChain(t.d, hi)
-	ios += w
+	// Rewrite and WriteChain pay one cold write per block they lay out,
+	// so the I/O counts double as the block counts.
+	loBlocks := block.Rewrite(t.d, head, lo)
+	newHead, hiBlocks := block.WriteChain(t.d, hi)
+	ios := oldBlocks + loBlocks + hiBlocks
 	t.heads = append(t.heads, newHead)
-	loBlocks := block.Blocks(t.d, head)
-	t.blocks += loBlocks + w - oldBlocks
+	t.blocks += loBlocks + hiBlocks - oldBlocks
 	t.split++
 	if t.split == 1<<t.level {
 		// Round complete: reorder heads into the natural (L+1)-bit
@@ -190,11 +190,10 @@ func (t *Table) Lookup(key uint64) (val uint64, ok bool, ios int) {
 // entry and lets the fill drift down without merging.
 func (t *Table) Delete(key uint64) (ok bool, ios int) {
 	head := t.heads[t.bucket(key)]
-	before := block.Blocks(t.d, head)
-	ios, ok = block.Delete(t.d, head, key)
+	ios, ok, freed := block.Delete(t.d, head, key)
 	if ok {
 		t.n--
-		t.blocks -= before - block.Blocks(t.d, head)
+		t.blocks -= freed
 	}
 	return ok, ios
 }

@@ -397,15 +397,30 @@ func (t *Table) LookupLevelsLargestFirst(key uint64) (val uint64, ok bool, ios i
 	return 0, false, ios
 }
 
-// UpdateLevels overwrites key's value in whichever disk level holds it,
-// without inserting. Returns whether a copy was found and I/Os spent.
-func (t *Table) UpdateLevels(key, val uint64) (ok bool, ios int) {
-	for k := 1; k <= len(t.levels); k++ {
+// UpdateMem is UpdateLevels over the memory-resident H_0 only, at zero
+// I/O cost.
+func (t *Table) UpdateMem(key uint64, fn func(cur uint64) (val uint64, write bool)) bool {
+	cur, hit := t.h0[key]
+	if !hit {
+		return false
+	}
+	if val, write := fn(cur); write {
+		t.h0[key] = val
+	}
+	return true
+}
+
+// UpdateLevels finds key in the disk levels, probing largest-first like
+// LookupLevelsLargestFirst and under the same one-copy contract, and
+// passes the stored value to fn (see chainhash.Table.Update); it never
+// inserts. Returns whether a copy was found and I/Os spent.
+func (t *Table) UpdateLevels(key uint64, fn func(cur uint64) (val uint64, write bool)) (ok bool, ios int) {
+	for k := len(t.levels); k >= 1; k-- {
 		lv := t.levels[k-1]
 		if lv.t.Len() == 0 {
 			continue
 		}
-		hit, c := lv.t.Update(key, val)
+		hit, c := lv.t.Update(key, fn)
 		ios += c
 		if hit {
 			return true, ios
@@ -433,6 +448,55 @@ func (t *Table) Delete(key uint64) (ok bool, ios int) {
 	}
 	t.recount()
 	return ok, ios
+}
+
+// DeleteMem removes key from the memory-resident H_0 at zero I/O cost,
+// reporting whether it was there. With DeleteLevelsLargestFirst it is
+// the first-hit delete of callers that keep at most one copy of a key
+// alive (the Theorem 2 structure); Delete is the purge for callers that
+// do not.
+func (t *Table) DeleteMem(key uint64) bool {
+	if _, hit := t.h0[key]; !hit {
+		return false
+	}
+	delete(t.h0, key)
+	t.n--
+	return true
+}
+
+// DeleteLevelsLargestFirst removes key from the first disk level that
+// holds it, probing largest-first and stopping there — a lookup's probe
+// sequence. Like LookupLevelsLargestFirst it is only correct when at
+// most one copy of the key exists across levels.
+func (t *Table) DeleteLevelsLargestFirst(key uint64) (ok bool, ios int) {
+	for k := len(t.levels); k >= 1; k-- {
+		lv := t.levels[k-1]
+		if lv.t.Len() == 0 {
+			continue
+		}
+		hit, c := lv.t.Delete(key)
+		ios += c
+		if hit {
+			t.n--
+			return true, ios
+		}
+	}
+	return false, ios
+}
+
+// Copies counts the copies of key held across H_0 and every disk level
+// without performing I/O (an audit, never operation logic). The
+// standalone structure may hold shadowed copies; the Theorem 2 structure
+// keeps the count at most 1.
+func (t *Table) Copies(key uint64) int {
+	n := 0
+	if _, hit := t.h0[key]; hit {
+		n++
+	}
+	for _, lv := range t.levels {
+		n += lv.t.Copies(key)
+	}
+	return n
 }
 
 // CollectAll drains every entry of the structure (memory and disk) into

@@ -245,6 +245,11 @@ func TestLevelGeometry(t *testing.T) {
 	}
 }
 
+// set is the UpdateLevels callback of a plain overwrite.
+func set(v uint64) func(uint64) (uint64, bool) {
+	return func(uint64) (uint64, bool) { return v, true }
+}
+
 func TestUpdateLevels(t *testing.T) {
 	_, tab := newTable(t, 4, 128, 2)
 	rng := xrand.New(29)
@@ -265,7 +270,7 @@ func TestUpdateLevels(t *testing.T) {
 	if !found {
 		t.Skip("no key migrated to disk at these parameters")
 	}
-	ok, _ := tab.UpdateLevels(diskKey, 9999)
+	ok, _ := tab.UpdateLevels(diskKey, set(9999))
 	if !ok {
 		t.Fatal("UpdateLevels missed a disk-resident key")
 	}
@@ -273,8 +278,52 @@ func TestUpdateLevels(t *testing.T) {
 	if !ok || v != 9999 {
 		t.Fatalf("v = %d after UpdateLevels", v)
 	}
-	if ok, _ := tab.UpdateLevels(0xdeadbeef, 1); ok {
+	if ok, _ := tab.UpdateLevels(0xdeadbeef, set(1)); ok {
 		t.Fatal("UpdateLevels hit an absent key")
+	}
+}
+
+// TestFirstHitDelete covers the pair the Theorem 2 structure deletes
+// through: on distinct keys (one copy each) DeleteMem and
+// DeleteLevelsLargestFirst together remove exactly that copy, at the
+// cost of the largest-first lookup that finds it, and keep Len exact.
+func TestFirstHitDelete(t *testing.T) {
+	_, tab := newTable(t, 4, 128, 2)
+	rng := xrand.New(31)
+	keys := workload.Keys(rng, 300)
+	for i, k := range keys {
+		tab.Insert(k, uint64(i))
+	}
+	mem, disk := 0, 0
+	for i, k := range keys {
+		if n := tab.Copies(k); n != 1 {
+			t.Fatalf("key %d has %d copies", k, n)
+		}
+		if _, inMem := tab.LookupMem(k); inMem {
+			mem++
+			if !tab.DeleteMem(k) {
+				t.Fatalf("DeleteMem missed H_0-resident key %d", k)
+			}
+		} else {
+			disk++
+			if tab.DeleteMem(k) {
+				t.Fatalf("DeleteMem hit disk-resident key %d", k)
+			}
+			_, _, lookup := tab.LookupLevelsLargestFirst(k)
+			ok, ios := tab.DeleteLevelsLargestFirst(k)
+			if !ok || ios < lookup || ios > lookup+2 {
+				t.Fatalf("key %d: delete ok=%v ios=%d, lookup %d", k, ok, ios, lookup)
+			}
+		}
+		if tab.Copies(k) != 0 || tab.Len() != len(keys)-i-1 {
+			t.Fatalf("key %d: %d copies left, Len %d", k, tab.Copies(k), tab.Len())
+		}
+		if ok, _ := tab.DeleteLevelsLargestFirst(k); ok || tab.DeleteMem(k) {
+			t.Fatalf("key %d deleted twice", k)
+		}
+	}
+	if mem == 0 || disk == 0 {
+		t.Fatalf("parameters left a component unexercised: %d in memory, %d on disk", mem, disk)
 	}
 }
 

@@ -37,6 +37,7 @@ type checkedTable interface {
 	Upsert(key, val uint64) error
 	Lookup(key uint64) (uint64, bool)
 	Delete(key uint64) bool
+	CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) (uint64, error)
 	Len() int
 	Flush() error
 	Close() error
@@ -47,6 +48,18 @@ type checkedTable interface {
 // cross-level deduplication to the next merge (see logmethod.recount),
 // so the checker requires Len >= model instead of equality there.
 var lenUpperBound = map[string]bool{"logmethod": true}
+
+// copiesMismatch audits the one-copy invariant the Theorem 2 table's
+// first-hit Delete, Upsert and CAS stand on: a key present in ref has
+// exactly one live copy across H_0, Ĥ and the cascade levels, an absent
+// one none. Structures without the invariant never mismatch.
+func copiesMismatch(tab extbuf.Table, ref map[uint64]uint64, key uint64) (n, want int, bad bool) {
+	if _, present := ref[key]; present {
+		want = 1
+	}
+	n, ok := extbuf.CopiesForTest(tab, key)
+	return n, want, ok && n != want
+}
 
 // runModelCheck drives one table instance against the reference model.
 // reopen rebuilds the implementation from its durable files; nil
@@ -61,6 +74,15 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 	}
 	rng := xrand.New(seed)
 	ref := map[uint64]uint64{}
+	checkCopies := func(i int, key uint64) {
+		t.Helper()
+		if table, isTable := tab.(extbuf.Table); isTable {
+			if n, want, bad := copiesMismatch(table, ref, key); bad {
+				fail("op %d: key %d has %d live copies, reference wants %d", i, key, n, want)
+			}
+		}
+	}
+	swapped := make([]bool, 1)
 	nops := modelOps(t)
 	for i := 0; i < nops; i++ {
 		key := rng.Uint64() % 256 // small key space: plenty of collisions and hits
@@ -71,6 +93,7 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 				fail("op %d: upsert(%d): %v", i, key, err)
 			}
 			ref[key] = val
+			checkCopies(i, key)
 		case c < 50: // insert, honoring the fresh-key contract
 			if _, present := ref[key]; present {
 				key = rng.Uint64() | 1<<32 // move outside the hot space
@@ -83,6 +106,7 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 				fail("op %d: insert(%d): %v", i, key, err)
 			}
 			ref[key] = val
+			checkCopies(i, key)
 		case c < 65: // delete
 			got := tab.Delete(key)
 			_, want := ref[key]
@@ -90,6 +114,20 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 				fail("op %d: delete(%d) = %v, reference %v", i, key, got, want)
 			}
 			delete(ref, key)
+			checkCopies(i, key)
+		case c < 72: // compare-and-swap, against the stored value half the time
+			rv, present := ref[key]
+			old, val := rv+rng.Uint64()%2, rng.Uint64()
+			if _, err := tab.CompareSwapBatchShip([]uint64{key}, []uint64{old}, []uint64{val}, swapped); err != nil {
+				fail("op %d: cas(%d): %v", i, key, err)
+			}
+			if want := present && old == rv; swapped[0] != want {
+				fail("op %d: cas(%d, %d -> %d) swapped = %v, reference (%d,%v)", i, key, old, val, swapped[0], rv, present)
+			}
+			if swapped[0] {
+				ref[key] = val
+			}
+			checkCopies(i, key)
 		case c < 90: // lookup
 			v, ok := tab.Lookup(key)
 			rv, rok := ref[key]
@@ -118,6 +156,9 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 			var err error
 			if tab, err = reopen(); err != nil {
 				fail("op %d: reopen: %v", i, err)
+			}
+			for k := uint64(0); k < 256; k++ {
+				checkCopies(i, k)
 			}
 		}
 		if i%97 == 0 {
@@ -174,11 +215,11 @@ func TestModelCheckStructures(t *testing.T) {
 				if name == "extendible" {
 					cfg.MemoryWords = 1 << 16
 				}
-				tab, err := extbuf.Open(name, cfg)
+				tab, err := extbuf.OpenEngine(name, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reopen := func() (checkedTable, error) { return extbuf.Open(name, cfg) }
+				reopen := func() (checkedTable, error) { return extbuf.OpenEngine(name, cfg) }
 				runModelCheck(t, name, seed, tab, reopen)
 			})
 		}
@@ -196,7 +237,7 @@ func TestModelCheckMemBackend(t *testing.T) {
 			if name == "extendible" {
 				cfg.MemoryWords = 1 << 16
 			}
-			tab, err := extbuf.Open(name, cfg)
+			tab, err := extbuf.OpenEngine(name, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

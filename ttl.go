@@ -136,17 +136,42 @@ func (g *guard) upsertTTLOne(key, val, deadline uint64) error {
 	return nil
 }
 
-// casOne atomically replaces key's value with new if it currently reads
-// old. Absent and expired keys never swap.
-func (g *guard) casOne(key, old, new uint64) (bool, error) {
-	v, ok := g.Lookup(key)
-	if !ok || v != old {
+// compareSwapper is implemented by tables that run a compare-and-swap
+// as one probe: the Theorem 2 table swaps inside the block its lookup
+// just read, and the durable layer forwards it.
+type compareSwapper interface {
+	compareSwap(key, old, new uint64) (swapped bool, err error)
+}
+
+// casByLookup is compare-and-swap for tables without a one-probe form:
+// a full Lookup, then a full Upsert.
+func casByLookup(t Table, key, old, new uint64) (bool, error) {
+	if v, ok := t.Lookup(key); !ok || v != old {
 		return false, nil
 	}
-	if err := g.upsertOne(key, new); err != nil {
+	if err := t.Upsert(key, new); err != nil {
 		return false, err
 	}
 	return true, nil
+}
+
+// casOne atomically replaces key's value with new if it currently reads
+// old, clearing the key's TTL like any value write. Absent and expired
+// keys never swap.
+func (g *guard) casOne(key, old, new uint64) (swapped bool, err error) {
+	if g.expired(key) {
+		g.expStats.LazyHits++
+		return false, nil
+	}
+	if cs, ok := g.t.(compareSwapper); ok {
+		swapped, err = cs.compareSwap(key, old, new)
+	} else {
+		swapped, err = casByLookup(g.t, key, old, new)
+	}
+	if swapped {
+		g.exp.Clear(key)
+	}
+	return swapped, err
 }
 
 // UpsertTTLBatchShip upserts each pair and installs its deadline in one
@@ -212,7 +237,7 @@ func (g *guard) CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) 
 			firstErr = err
 		}
 		swapped[i] = ok
-		if ok {
+		if ok && g.ship != nil {
 			shipK = append(shipK, k)
 			shipV = append(shipV, news[i])
 		}
