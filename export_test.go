@@ -60,6 +60,10 @@ func CopiesForTest(tab Table, key uint64) (copies int, ok bool) {
 		return CopiesForTest(v.inner, key)
 	case *coreTable:
 		return v.t.Copies(key), true
+	case *Sharded:
+		// Only when the engine is quiescent: the audit reads the owning
+		// shard's structure from outside its worker.
+		return CopiesForTest(v.shards[v.shard(key)], key)
 	}
 	return 0, false
 }

@@ -302,16 +302,14 @@ func (t *Table) grow() int {
 func (t *Table) BucketHead(i int) iomodel.BlockID { return t.heads[i] }
 
 // AdjustAfterMerge fixes the table's bookkeeping after a caller has
-// rewritten bucket chains directly via BucketHead: addedEntries is the
-// net change in entry count; the block count is re-derived from the
-// chain headers (a memory walk, no I/O).
-func (t *Table) AdjustAfterMerge(addedEntries int) {
+// rewritten bucket chains directly via BucketHead: addedEntries and
+// addedBlocks are the net changes in entry count and in chain blocks,
+// which the rewriter knows from what it allocated and freed — the table
+// does not walk its chains to find out (on a file store every link
+// followed is a possible block read the model never charges).
+func (t *Table) AdjustAfterMerge(addedEntries, addedBlocks int) {
 	t.n += addedEntries
-	blocks := 0
-	for _, head := range t.heads {
-		blocks += block.Blocks(t.d, head)
-	}
-	t.blocks = blocks
+	t.blocks += addedBlocks
 }
 
 // CollectAll reads every block of the table in bucket order, appending

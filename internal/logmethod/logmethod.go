@@ -238,15 +238,17 @@ func (t *Table) mergeInto(k int, entries []iomodel.Entry) int {
 	}
 	ios := 0
 	added := 0
+	blocks := 0
 	for i, g := range groups {
 		if len(g) == 0 {
 			continue
 		}
-		c, a := t.mergeChain(lv.t.BucketHead(i), g)
+		c, a, b := t.mergeChain(lv.t.BucketHead(i), g)
 		ios += c
 		added += a
+		blocks += b
 	}
-	lv.t.AdjustAfterMerge(added)
+	lv.t.AdjustAfterMerge(added, blocks)
 	return ios
 }
 
@@ -255,8 +257,8 @@ func (t *Table) mergeInto(k int, entries []iomodel.Entry) int {
 // items are repacked densely, and the block is written back at zero
 // cost. Net growth allocates overflow blocks (cold writes); net
 // shrinkage frees emptied tail blocks. Returns I/Os spent and the net
-// entry-count change.
-func (t *Table) mergeChain(head iomodel.BlockID, fresh []iomodel.Entry) (ios, added int) {
+// changes in entry count and in chain blocks.
+func (t *Table) mergeChain(head iomodel.BlockID, fresh []iomodel.Entry) (ios, added, blocks int) {
 	d := t.model.Disk
 	b := d.B()
 	freshKeys := make(map[uint64]struct{}, len(fresh))
@@ -308,7 +310,7 @@ func (t *Table) mergeChain(head iomodel.BlockID, fresh []iomodel.Entry) (ios, ad
 				ios++
 				rest = rest[len(chunk):]
 			}
-			return ios, added
+			return ios, added, need
 		}
 		d.WriteBack(id, pending[:take])
 		pending = pending[take:]
@@ -329,10 +331,11 @@ func (t *Table) mergeChain(head iomodel.BlockID, fresh []iomodel.Entry) (ios, ad
 		for cur := tail; cur != iomodel.NilBlock; {
 			next := d.Next(cur)
 			d.Free(cur)
+			blocks--
 			cur = next
 		}
 	}
-	return ios, added
+	return ios, added, blocks
 }
 
 // Lookup returns the value for key and the I/Os spent. H_0 is probed

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"extbuf/internal/block"
 	"extbuf/internal/hashfn"
 	"extbuf/internal/iomodel"
 	"extbuf/internal/workload"
@@ -324,6 +325,64 @@ func TestFirstHitDelete(t *testing.T) {
 	}
 	if mem == 0 || disk == 0 {
 		t.Fatalf("parameters left a component unexercised: %d in memory, %d on disk", mem, disk)
+	}
+}
+
+// TestMergeKeepsBlockCount pins the block bookkeeping of the merge
+// path: mergeInto hands each level the blocks its merges allocated and
+// freed, and after growth merges (fresh keys), replacement merges
+// (overwrites) and shrinking ones (deletes, then a cascade that empties
+// tails) every level's DiskBlocks still equals a walk of its chains.
+func TestMergeKeepsBlockCount(t *testing.T) {
+	_, tab := newTable(t, 4, 128, 2)
+	audit := func(when string) {
+		t.Helper()
+		for k, lv := range tab.levels {
+			walked := 0
+			for i := 0; i < lv.t.NumBuckets(); i++ {
+				walked += block.Blocks(tab.model.Disk, lv.t.BucketHead(i))
+			}
+			if got := lv.t.DiskBlocks(); got != walked {
+				t.Fatalf("%s: level %d counts %d blocks, its chains hold %d", when, k+1, got, walked)
+			}
+		}
+	}
+	keys := workload.Keys(xrand.New(47), 2000)
+	for i, k := range keys {
+		tab.Insert(k, uint64(i))
+	}
+	audit("after fresh inserts")
+	for i, k := range keys[:1000] {
+		tab.Insert(k, uint64(i)+7)
+	}
+	audit("after overwrites")
+	for _, k := range keys[500:1800] {
+		tab.Delete(k)
+	}
+	for i, k := range workload.Keys(xrand.New(48), 600) {
+		tab.Insert(k, uint64(i))
+	}
+	audit("after deletes and refill")
+	if tab.Migrations() == 0 || tab.Levels() < 2 {
+		t.Fatalf("parameters exercised no cascade: %d migrations, %d levels", tab.Migrations(), tab.Levels())
+	}
+
+	// The block operations keep chains dense, so the cascade above never
+	// takes mergeChain's shrinking branch; a hand-built sparse chain does:
+	// of three blocks holding one entry each, the fresh entries replace
+	// the two in the tail, land in the head, and the tail is freed.
+	d := tab.model.Disk
+	ids := []iomodel.BlockID{d.Alloc(), d.Alloc(), d.Alloc()}
+	for i, id := range ids {
+		d.Write(id, []iomodel.Entry{{Key: uint64(i + 1), Val: 1}})
+		if i > 0 {
+			d.SetNext(ids[i-1], id)
+		}
+	}
+	_, added, blocks := tab.mergeChain(ids[0], []iomodel.Entry{{Key: 2, Val: 2}, {Key: 3, Val: 2}})
+	if added != 0 || blocks != -2 || block.Blocks(d, ids[0]) != 1 {
+		t.Fatalf("sparse chain: added %d, block delta %d, %d blocks left; want 0, -2, 1",
+			added, blocks, block.Blocks(d, ids[0]))
 	}
 }
 

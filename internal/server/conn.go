@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"extbuf"
 	"extbuf/internal/wal"
 	"extbuf/internal/wire"
 )
@@ -43,14 +44,51 @@ type ackItem struct {
 	barrier bool
 }
 
+// applyRing is how many engine calls a connection keeps outstanding:
+// the applier submits its next batch while the shard workers are still
+// applying the previous ones, and waits for the oldest only when this
+// many are in flight or it has nothing left to submit. Two already hide
+// one shard's stall behind the other's work; eight is where the measured
+// gain levels off (EXPERIMENTS.md, "Pipelined apply").
+const applyRing = 8
+
+// batchStarter is the engine capability the applier pipelines on:
+// submit a batch without waiting for it (extbuf.Sharded.StartBatch). It
+// is optional — extbuf.Engine does not have it — and an engine without
+// it (a single guarded table, a decorator, a test stub) is driven by the
+// synchronous calls instead, through the same ring and finish routine.
+type batchStarter interface {
+	StartBatch(op extbuf.BatchOp, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error)
+}
+
+// call is one slot of the applier's ring: one engine batch call and the
+// run of same-kind requests it answers. The slot owns the requests, the
+// operand slices the engine reads and the result slices it writes from
+// start until finish; keyBuf, valBuf and foundBuf are the slot's own
+// backing for them, reused across calls.
+type call struct {
+	op    wire.Op
+	reqs  []*request
+	vals  []uint64          // lookup results, parallel to the run's keys
+	found []bool            // lookup/delete results
+	h     *extbuf.BatchCall // non-nil while the engine is applying the call
+	last  uint64            // highest ship LSN and error of a call that
+	err   error             // completed (or was refused) at submission
+
+	keyBuf, valBuf []uint64
+	foundBuf       []bool
+}
+
 // conn is one client connection, a four-stage pipeline: a reader
 // decoding frames into a bounded apply queue, an applier coalescing
-// queued requests into engine batch calls, an ack stage holding
-// mutation acknowledgements back until a commit covers them, and a
-// writer streaming the encoded responses back. The queue bound is the
-// connection's backpressure (the reader simply stops reading). Response
-// order is request order: the single applier drains the queue FIFO, and
-// a response goes around the ack stage only when that stage is empty.
+// queued requests into engine batch calls and keeping a ring of them
+// outstanding, an ack stage holding mutation acknowledgements back
+// until a commit covers them, and a writer streaming the encoded
+// responses back. The queue bound is the connection's backpressure (the
+// reader simply stops reading). Response order is request order: the
+// single applier drains the queue FIFO and finishes its calls oldest
+// first, and a response goes around the ack stage only when that stage
+// is empty.
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -75,9 +113,13 @@ type conn struct {
 	reqFree chan *request
 	bufFree chan []byte
 
-	// applier scratch, reused across aggregated batches.
-	batch []*request
-	keys  []uint64
+	// The applier's outstanding engine calls, oldest at ringHead.
+	ring     [applyRing]call
+	ringHead int
+	ringLen  int
+
+	// applier scratch: result buffers of the unpipelined ops, and the
+	// response payload being encoded.
 	vals  []uint64
 	found []bool
 	pay   []byte
@@ -231,7 +273,15 @@ func (c *conn) checkBatch(payload []byte) error {
 
 // applier drains the apply queue, coalescing runs of same-kind batch
 // requests into one engine call each, and emits responses in request
-// order.
+// order. Batch calls are pipelined: the applier starts the run it just
+// aggregated and goes back to the queue, finishing the oldest
+// outstanding call only when the ring is full or the queue is empty, so
+// the shard workers are handed the next request's share while they are
+// still applying this one's. Per-key order is the order of submission:
+// this one goroutine enqueues the connection's calls, in request order,
+// on the engine's FIFO shard queues. Every other op — and exit — first
+// drains the ring, so it observes every earlier request applied and its
+// response follows theirs.
 func (c *conn) applier() {
 	defer close(c.ackCh)
 	var pending *request
@@ -265,17 +315,27 @@ func (c *conn) applier() {
 		}
 	}
 	for {
-		first := next(true)
+		first := next(c.ringLen == 0)
 		if first == nil {
-			return
+			if c.ringLen == 0 {
+				return
+			}
+			// Nothing to submit: answer the oldest call, then look again.
+			c.finishOldest()
+			continue
 		}
 		switch first.op {
 		case wire.OpInsert, wire.OpUpsert, wire.OpLookup, wire.OpDelete,
 			wire.OpInsertAt, wire.OpUpsertAt, wire.OpDeleteAt:
+			if c.ringLen == applyRing {
+				c.finishOldest()
+			}
 			// Aggregate the pipelined run of same-kind requests into one
 			// engine batch — this is what maps client pipelining 1:1 onto
 			// the engine's shard fan-out.
-			c.batch = append(c.batch[:0], first)
+			cl := &c.ring[(c.ringHead+c.ringLen)%applyRing]
+			cl.op = first.op
+			cl.reqs = append(cl.reqs[:0], first)
 			ops := len(first.keys)
 			for ops < c.srv.maxBatch {
 				r2 := next(false)
@@ -286,10 +346,20 @@ func (c *conn) applier() {
 					pending = r2
 					break
 				}
-				c.batch = append(c.batch, r2)
+				cl.reqs = append(cl.reqs, r2)
 				ops += len(r2.keys)
 			}
-			c.serveBatch(first.op, c.batch)
+			c.startCall(cl)
+			c.ringLen++
+			if cl.h == nil {
+				// Already complete — an engine without StartBatch, or a
+				// refused submission: nothing to overlap with.
+				c.drainRing()
+			}
+			continue
+		}
+		c.drainRing()
+		switch first.op {
 		case wire.OpLookupAt:
 			c.serveLookupAt(first)
 		case wire.OpExpire, wire.OpUpsertTTL, wire.OpCAS:
@@ -304,50 +374,112 @@ func (c *conn) applier() {
 	}
 }
 
-// serveBatch applies one aggregated run of same-kind requests with a
-// single engine call and answers every request in it.
-func (c *conn) serveBatch(op wire.Op, batch []*request) {
+// startCall submits the run of same-kind requests in cl.reqs as one
+// engine call. With a batchStarter engine the call is left outstanding
+// (cl.h); otherwise — or when the submission is refused — it is complete
+// on return, its outcome in cl.last and cl.err.
+func (c *conn) startCall(cl *call) {
 	// Concatenate the requests' operands. A run of one request uses its
 	// slices directly — the common case when the client is not
-	// pipelining — so aggregation costs nothing when it buys nothing.
-	keys, vals := batch[0].keys, batch[0].vals
-	if len(batch) > 1 {
-		c.keys = c.keys[:0]
-		c.vals = c.vals[:0]
-		for _, r := range batch {
-			c.keys = append(c.keys, r.keys...)
-			c.vals = append(c.vals, r.vals...)
+	// pipelining same-kind requests — so aggregation costs nothing when
+	// it buys nothing.
+	keys, vals := cl.reqs[0].keys, cl.reqs[0].vals
+	if len(cl.reqs) > 1 {
+		cl.keyBuf, cl.valBuf = cl.keyBuf[:0], cl.valBuf[:0]
+		for _, r := range cl.reqs {
+			cl.keyBuf = append(cl.keyBuf, r.keys...)
+			cl.valBuf = append(cl.valBuf, r.vals...)
 		}
-		keys, vals = c.keys, c.vals
+		keys, vals = cl.keyBuf, cl.valBuf
 	}
-	var err error
-	switch op {
-	case wire.OpInsert, wire.OpUpsert, wire.OpInsertAt, wire.OpUpsertAt:
-		var last uint64
-		if !c.srv.writableNow() {
-			err = errNotWritable
-		} else {
-			// The Ship variants apply AND emit ship-log records from
-			// inside the engine's shard workers, so a key's ship order is
-			// its apply order even across racing connections (the
-			// replication total order, DESIGN.md §2a). With replication
-			// off the sink is nil and last stays 0. The acks below are
-			// encoded now but go out through the ack stage, which holds
-			// them until the operations are crash-durable (and, under
-			// semi-sync, follower-applied) while this goroutine moves on
-			// to the next request.
-			if op == wire.OpInsert || op == wire.OpInsertAt {
-				last, err = c.srv.engine.InsertBatchShip(keys, vals)
-			} else {
-				last, err = c.srv.engine.UpsertBatchShip(keys, vals)
-			}
+	n := len(keys)
+	cl.h, cl.last, cl.err = nil, 0, nil
+	cl.vals, cl.found = nil, nil
+	var op extbuf.BatchOp
+	switch cl.op {
+	case wire.OpInsert, wire.OpInsertAt:
+		op = extbuf.BatchInsert
+	case wire.OpUpsert, wire.OpUpsertAt:
+		op = extbuf.BatchUpsert
+	case wire.OpDelete, wire.OpDeleteAt:
+		op, vals = extbuf.BatchDelete, nil
+		cl.foundBuf = growTo(cl.foundBuf, n)
+		cl.found = cl.foundBuf[:n]
+	case wire.OpLookup:
+		// LOOKUP requests carry no values, so the slot's value backing is
+		// free to receive the results.
+		op = extbuf.BatchLookup
+		cl.valBuf = growTo(cl.valBuf, n)
+		cl.foundBuf = growTo(cl.foundBuf, n)
+		cl.vals, cl.found = cl.valBuf[:n], cl.foundBuf[:n]
+		vals = cl.vals
+	}
+	if op != extbuf.BatchLookup && !c.srv.writableNow() {
+		cl.err = errNotWritable
+		return
+	}
+	c.srv.countCall(n)
+	// The mutations apply AND emit ship-log records from inside the
+	// engine's shard workers, so a key's ship order is its apply order
+	// even across racing connections (the replication total order,
+	// DESIGN.md §2a). With replication off the sink is nil and the LSN
+	// stays 0.
+	if st := c.srv.starter; st != nil {
+		if cl.h, cl.err = st.StartBatch(op, keys, vals, cl.found); cl.h != nil {
+			c.srv.callsOutstanding.Add(1)
 		}
-		epoch := c.srv.epochNow()
-		for _, r := range batch {
-			switch {
-			case err != nil:
-				c.respondErr(r.id, err)
-			case op == wire.OpInsertAt || op == wire.OpUpsertAt:
+		return
+	}
+	switch op {
+	case extbuf.BatchInsert:
+		cl.last, cl.err = c.srv.engine.InsertBatchShip(keys, vals)
+	case extbuf.BatchUpsert:
+		cl.last, cl.err = c.srv.engine.UpsertBatchShip(keys, vals)
+	case extbuf.BatchDelete:
+		cl.last, cl.err = c.srv.engine.DeleteBatchShipInto(keys, cl.found)
+	case extbuf.BatchLookup:
+		cl.err = c.srv.engine.LookupBatchInto(keys, cl.vals, cl.found)
+	}
+}
+
+// drainRing finishes every outstanding call, oldest first.
+func (c *conn) drainRing() {
+	for c.ringLen > 0 {
+		c.finishOldest()
+	}
+}
+
+// finishOldest waits for the oldest outstanding call (if the engine is
+// still applying it) and answers every request in it, in request order.
+// A mutation's ack is encoded here but goes out through the ack stage,
+// which holds it until the operations are crash-durable (and, under
+// semi-sync, follower-applied) while this goroutine moves on; it is
+// queued only now, after the call's wait returned, so the barrier the
+// ack stage then starts covers every operation of the call.
+func (c *conn) finishOldest() {
+	cl := &c.ring[c.ringHead]
+	c.ringHead = (c.ringHead + 1) % applyRing
+	c.ringLen--
+	last, err := cl.last, cl.err
+	if cl.h != nil {
+		last, err = cl.h.Wait()
+		cl.h = nil
+		c.srv.callsOutstanding.Add(-1)
+	}
+	epoch := c.srv.epochNow()
+	off := 0
+	for i, r := range cl.reqs {
+		n := len(r.keys)
+		if err != nil {
+			c.respondErr(r.id, err)
+		} else {
+			switch cl.op {
+			case wire.OpLookup:
+				c.pay = wire.AppendValues(c.pay[:0], cl.vals[off:off+n], cl.found[off:off+n])
+				c.respond(wire.OpValues, r.id, c.pay)
+			case wire.OpInsert, wire.OpUpsert:
+				c.respondAck(wire.OpAck, r.id, nil, last, n)
+			case wire.OpInsertAt, wire.OpUpsertAt:
 				// The token is the aggregated run's highest ship LSN: the
 				// shard fan-out interleaves the run's records, so a
 				// per-request contiguous sub-range no longer exists. A
@@ -355,72 +487,40 @@ func (c *conn) serveBatch(op wire.Op, batch []*request) {
 				// waits for this request's own records too. 0 (no
 				// constraint) when the node does not replicate.
 				c.pay = wire.AppendAckT(c.pay[:0], last, epoch)
-				c.respondAck(wire.OpAckT, r.id, c.pay, last, len(r.keys))
-			default:
-				c.respondAck(wire.OpAck, r.id, nil, last, len(r.keys))
-			}
-			c.putReq(r)
-		}
-	case wire.OpLookup:
-		found := c.foundOut(len(keys))
-		outV := c.valsOut(len(keys))
-		err = c.srv.engine.LookupBatchInto(keys, outV, found)
-		off := 0
-		for _, r := range batch {
-			n := len(r.keys)
-			if err != nil {
-				c.respondErr(r.id, err)
-			} else {
-				c.pay = wire.AppendValues(c.pay[:0], outV[off:off+n], found[off:off+n])
-				c.respond(wire.OpValues, r.id, c.pay)
-			}
-			off += n
-			c.putReq(r)
-		}
-	case wire.OpDelete, wire.OpDeleteAt:
-		found := c.foundOut(len(keys))
-		var last uint64
-		if !c.srv.writableNow() {
-			err = errNotWritable
-		} else {
-			// Deletes are mutations: acked through the ack stage.
-			last, err = c.srv.engine.DeleteBatchShipInto(keys, found)
-		}
-		epoch := c.srv.epochNow()
-		off := 0
-		for _, r := range batch {
-			n := len(r.keys)
-			switch {
-			case err != nil:
-				c.respondErr(r.id, err)
-			case op == wire.OpDeleteAt:
-				// Covering token, as for INSERTAT/UPSERTAT above.
-				c.pay = wire.AppendFoundsT(c.pay[:0], last, epoch, found[off:off+n])
-				c.respondAck(wire.OpFoundsT, r.id, c.pay, last, n)
-			default:
-				c.pay = wire.AppendFounds(c.pay[:0], found[off:off+n])
+				c.respondAck(wire.OpAckT, r.id, c.pay, last, n)
+			case wire.OpDelete:
+				c.pay = wire.AppendFounds(c.pay[:0], cl.found[off:off+n])
 				c.respondAck(wire.OpFounds, r.id, c.pay, last, n)
+			case wire.OpDeleteAt:
+				// Covering token, as for INSERTAT/UPSERTAT above.
+				c.pay = wire.AppendFoundsT(c.pay[:0], last, epoch, cl.found[off:off+n])
+				c.respondAck(wire.OpFoundsT, r.id, c.pay, last, n)
 			}
-			off += n
-			c.putReq(r)
 		}
+		off += n
+		c.putReq(r)
+		cl.reqs[i] = nil
 	}
+}
+
+// growTo returns buf with capacity for n elements, reallocating only
+// when it is too small.
+func growTo[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf
 }
 
 // foundOut returns the reusable found-flag result buffer at length n.
 func (c *conn) foundOut(n int) []bool {
-	if cap(c.found) < n {
-		c.found = make([]bool, n)
-	}
+	c.found = growTo(c.found, n)
 	return c.found[:n]
 }
 
-// valsOut returns a reusable uint64 result buffer of length n, disjoint
-// from the key scratch.
+// valsOut returns the reusable uint64 result buffer at length n.
 func (c *conn) valsOut(n int) []uint64 {
-	if cap(c.vals) < n {
-		c.vals = make([]uint64, n)
-	}
+	c.vals = growTo(c.vals, n)
 	return c.vals[:n]
 }
 
@@ -441,6 +541,7 @@ func (c *conn) serveTTL(r *request) {
 		found []bool
 		err   error
 	)
+	c.srv.countCall(len(r.keys))
 	switch r.op {
 	case wire.OpExpire:
 		found = c.foundOut(len(r.keys))
@@ -499,6 +600,7 @@ func (c *conn) serveLookupAt(r *request) {
 	}
 	found := c.foundOut(len(r.keys))
 	outV := c.valsOut(len(r.keys))
+	c.srv.countCall(len(r.keys))
 	if err := c.srv.engine.LookupBatchInto(r.keys, outV, found); err != nil {
 		c.respondErr(r.id, err)
 		return

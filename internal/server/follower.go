@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"sync"
 	"time"
@@ -20,10 +21,16 @@ import (
 // replication itself after a promotion. The loop reconnects on any
 // error until Stop (or promotion) ends it.
 //
-// Replay is idempotent by the same rule recovery uses (durable.go
-// replayRecords): inserts re-apply as upserts, so a batch re-delivered
-// across a reconnect — or re-applied after a crash that lost the ship
-// log's tail but not the engine's — converges instead of erroring.
+// Replay has two regimes, split at the catch-up horizon: the primary's
+// applied LSN when this stream connected. Nothing above it can have
+// reached this node before, so those records replay exactly as the
+// primary ran them — an INSERT as an insert, at the structure's
+// buffered o(1) cost. At or below it a record may be one this node
+// already applied — a crash can lose the ship log's tail but not the
+// engine's, and the engine is then ahead of the position we subscribe
+// from — so there inserts replay as upserts, idempotent by the same
+// rule recovery uses (durable.go replayRecords), and converge instead
+// of leaving a second copy.
 type Follower struct {
 	srv  *Server
 	addr string
@@ -34,6 +41,11 @@ type Follower struct {
 	stopped bool
 
 	done chan struct{}
+
+	// catchUp is the current stream's catch-up horizon: insert records
+	// with an LSN at or below it replay as upserts. Owned by the run
+	// goroutine.
+	catchUp uint64
 
 	// replay scratch, reused across batches.
 	recs  []wire.ReplRec
@@ -101,8 +113,30 @@ func (f *Follower) run() {
 	}
 }
 
-// stream runs one connection's worth of replication: subscribe from
-// our applied horizon, then replay batches until the stream breaks.
+// primaryInfo asks the node at the other end of a fresh stream for its
+// replication identity (an INFO round trip ahead of the subscription).
+func (f *Follower) primaryInfo(nc net.Conn, r *wire.Reader) (wire.Info, error) {
+	f.frame = wire.AppendFrame(f.frame[:0], wire.OpInfo, 1, nil)
+	if _, err := nc.Write(f.frame); err != nil {
+		return wire.Info{}, err
+	}
+	nc.SetReadDeadline(time.Now().Add(3 * time.Second))
+	fr, err := r.Next()
+	if err != nil {
+		return wire.Info{}, err
+	}
+	switch fr.Op {
+	case wire.OpInfoR:
+		return wire.DecodeInfo(fr.Payload)
+	case wire.OpErr:
+		return wire.Info{}, fmt.Errorf("primary rejected INFO: %s", fr.Payload)
+	}
+	return wire.Info{}, fmt.Errorf("unexpected %v frame in reply to INFO", fr.Op)
+}
+
+// stream runs one connection's worth of replication: learn the
+// primary's applied LSN (the catch-up horizon), subscribe from our own
+// applied horizon, then replay batches until the stream breaks.
 func (f *Follower) stream() error {
 	nc, err := net.DialTimeout("tcp", f.addr, 3*time.Second)
 	if err != nil {
@@ -114,7 +148,22 @@ func (f *Follower) stream() error {
 		nc.Close()
 	}()
 	repl := f.srv.repl
+	r := wire.NewReader(bufio.NewReaderSize(nc, connBufBytes))
+	info, err := f.primaryInfo(nc, r)
+	if err != nil {
+		return err
+	}
 	from := repl.ship.NextLSN()
+	f.catchUp = info.AppliedLSN
+	if from-1 > info.AppliedLSN {
+		// Our log is longer than the primary's: the two disagree about
+		// history (a primary that lost its unshipped tail, or a deposed
+		// one — ROADMAP item 4a), and no horizon separates what we may
+		// have applied from what we have not. Stay idempotent throughout.
+		f.catchUp = math.MaxUint64
+		f.logf("follower: applied through lsn %d but %s is at %d; replaying the whole stream as upserts",
+			from-1, f.addr, info.AppliedLSN)
+	}
 	f.pay = wire.AppendLSN(f.pay[:0], from)
 	f.frame = wire.AppendFrame(f.frame[:0], wire.OpReplSubscribe, 1, f.pay)
 	if _, err := nc.Write(f.frame); err != nil {
@@ -126,7 +175,6 @@ func (f *Follower) stream() error {
 	if readTimeout < 5*time.Second {
 		readTimeout = 5 * time.Second
 	}
-	r := wire.NewReader(bufio.NewReaderSize(nc, connBufBytes))
 	lastSync := time.Now()
 	for {
 		nc.SetReadDeadline(time.Now().Add(readTimeout))
@@ -159,7 +207,7 @@ func (f *Follower) stream() error {
 				}
 			}
 			if len(batch) > 0 {
-				if err := f.apply(batch); err != nil {
+				if err := f.apply(next, batch); err != nil {
 					return err
 				}
 				repl.addReplayed()
@@ -201,10 +249,12 @@ func (f *Follower) stream() error {
 	}
 }
 
-// apply replays one batch: engine first (so the applied horizon the
-// ship log advertises never runs ahead of readable state), then the
-// ship log, in runs of consecutive same-op records so the engine sees
-// batch calls, not single ops.
+// apply replays one batch whose first record has LSN first: engine
+// first (so the applied horizon the ship log advertises never runs ahead
+// of readable state), then the ship log, in runs of consecutive same-op
+// records so the engine sees batch calls, not single ops. A run of
+// inserts is cut at the catch-up horizon: upserts up to it, inserts
+// beyond.
 //
 // The replay deliberately does NOT go through the engine's ship seam
 // (the *BatchShip variants): the seam lets shard workers interleave a
@@ -216,12 +266,22 @@ func (f *Follower) stream() error {
 // would hand them different records under the same LSNs. Stream-order
 // apply-then-append by this single goroutine preserves both the total
 // order (it IS the primary's order) and the positions.
-func (f *Follower) apply(batch []wire.ReplRec) error {
+func (f *Follower) apply(first uint64, batch []wire.ReplRec) error {
+	repl := f.srv.repl
 	for i := 0; i < len(batch); {
-		op := batch[i].Op
+		op := wal.Op(batch[i].Op)
 		j := i + 1
-		for j < len(batch) && batch[j].Op == op {
+		for j < len(batch) && wal.Op(batch[j].Op) == op {
 			j++
+		}
+		lsn := first + uint64(i)
+		live := lsn > f.catchUp
+		if op == wal.OpInsert && !live {
+			// Cut a run that straddles the horizon after its last record
+			// at or below it.
+			if below := f.catchUp - lsn + 1; below < uint64(j-i) {
+				j = i + int(below)
+			}
 		}
 		run := batch[i:j]
 		f.keys = f.keys[:0]
@@ -231,21 +291,25 @@ func (f *Follower) apply(batch []wire.ReplRec) error {
 			f.vals = append(f.vals, rec.Val)
 		}
 		var err error
-		switch wal.Op(op) {
-		case wal.OpInsert, wal.OpUpsert:
-			err = f.srv.engine.UpsertBatch(f.keys, f.vals)
-		case wal.OpDelete:
-			if cap(f.found) < len(f.keys) {
-				f.found = make([]bool, len(f.keys))
+		switch op {
+		case wal.OpInsert:
+			if live {
+				err = f.srv.engine.InsertBatch(f.keys, f.vals)
+				repl.replayInserts.Add(int64(len(run)))
+				break
 			}
+			fallthrough
+		case wal.OpUpsert:
+			err = f.srv.engine.UpsertBatch(f.keys, f.vals)
+			repl.replayUpserts.Add(int64(len(run)))
+		case wal.OpDelete:
+			f.found = growTo(f.found, len(f.keys))
 			err = f.srv.engine.DeleteBatchInto(f.keys, f.found[:len(f.keys)])
 		case wal.OpExpire:
 			// Deadlines ride the value field. Non-ship variant: the
 			// stream-order append below adds the record to our own ship
 			// log at the primary's position; the engine seam must not.
-			if cap(f.found) < len(f.keys) {
-				f.found = make([]bool, len(f.keys))
-			}
+			f.found = growTo(f.found, len(f.keys))
 			err = f.srv.engine.ExpireBatch(f.keys, f.vals, f.found[:len(f.keys)])
 		default:
 			err = fmt.Errorf("replicated record with unknown op %d", op)
@@ -253,7 +317,7 @@ func (f *Follower) apply(batch []wire.ReplRec) error {
 		if err != nil {
 			return err
 		}
-		if _, err := f.srv.repl.ship.Append(wal.Op(op), f.keys, f.vals); err != nil {
+		if _, err := repl.ship.Append(op, f.keys, f.vals); err != nil {
 			return err
 		}
 		i = j

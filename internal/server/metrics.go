@@ -64,6 +64,14 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_commit_waves_total", "counter", "Group-commit sync waves run.", s.commit.wavesStarted())
 	metric(buf, "extbuf_commit_wave_ops_total", "counter", "Mutation operations acknowledged behind commit waves.", s.waveOps.Load())
 
+	// The appliers' engine calls: operations per call is how well client
+	// pipelining aggregates, calls outstanding how deep the appliers keep
+	// the shard queues (0 on an engine that cannot start a batch without
+	// waiting for it).
+	metric(buf, "extbuf_engine_calls_total", "counter", "Engine batch calls made by connection appliers.", s.engineCalls.Load())
+	metric(buf, "extbuf_engine_call_ops_total", "counter", "Operations in those engine batch calls.", s.engineCallOps.Load())
+	metric(buf, "extbuf_engine_calls_outstanding", "gauge", "Engine batch calls started and not yet waited for, across connections.", s.callsOutstanding.Load())
+
 	// TTL expiry.
 	metric(buf, "extbuf_expiry_tracked", "gauge", "Keys with a pending expiry deadline.", exp.Tracked)
 	metric(buf, "extbuf_expiry_lazy_hits_total", "counter", "Reads that filtered an expired key.", exp.LazyHits)
@@ -75,6 +83,12 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_repl_follower_lag", "gauge", "Slowest subscribed follower's LSN lag.", repl.FollowerLag)
 	metric(buf, "extbuf_repl_frames_shipped_total", "counter", "Replication batches sent to followers.", repl.FramesShipped)
 	metric(buf, "extbuf_repl_frames_replayed_total", "counter", "Replication batches applied as a follower.", repl.FramesReplayed)
+	var replayInserts, replayUpserts int64
+	if s.repl != nil {
+		replayInserts, replayUpserts = s.repl.replayInserts.Load(), s.repl.replayUpserts.Load()
+	}
+	metric(buf, "extbuf_repl_replay_inserts_total", "counter", "Records replayed as inserts (live region, above the catch-up horizon).", replayInserts)
+	metric(buf, "extbuf_repl_replay_upserts_total", "counter", "Insert and upsert records replayed as idempotent upserts.", replayUpserts)
 
 	writable := int64(0)
 	if s.writableNow() {

@@ -3,11 +3,13 @@ package server_test
 import (
 	"context"
 	"io"
+	"net"
 	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"extbuf"
+	"extbuf/client"
 	"extbuf/internal/server"
 )
 
@@ -22,8 +24,24 @@ func TestMetricsEndpoint(t *testing.T) {
 	defer eng.Close()
 	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
 	defer srv.Shutdown(context.Background())
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(lis)
 
-	if err := eng.UpsertBatch([]uint64{1, 2, 3}, []uint64{4, 5, 6}); err != nil {
+	// Three keys through the wire: one engine call of three operations,
+	// then one of two.
+	cl, err := client.Dial(lis.Addr().String(), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	if err := cl.UpsertBatch(ctx, []uint64{1, 2, 3}, []uint64{4, 5, 6}); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := cl.LookupBatch(ctx, []uint64{1, 9}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,6 +85,19 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if samples["extbuf_writable"] != "1" {
 		t.Fatalf("extbuf_writable = %q, want 1", samples["extbuf_writable"])
+	}
+	// The appliers' engine calls, counted by the server itself (a
+	// decorator around the engine no longer sees the pipelined ones).
+	for name, want := range map[string]string{
+		"extbuf_engine_calls_total":        "2",
+		"extbuf_engine_call_ops_total":     "5",
+		"extbuf_engine_calls_outstanding":  "0",
+		"extbuf_repl_replay_inserts_total": "0",
+		"extbuf_repl_replay_upserts_total": "0",
+	} {
+		if samples[name] != want {
+			t.Fatalf("%s = %q, want %s", name, samples[name], want)
+		}
 	}
 	for _, want := range []string{"extbuf_expiry_tracked", "extbuf_expiry_swept_total",
 		"extbuf_store_cache_hits_total", "extbuf_repl_current_lsn", "go_goroutines",

@@ -7,6 +7,7 @@ import (
 	"hash/crc32"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"extbuf"
@@ -88,6 +89,11 @@ type replState struct {
 	ackCh    chan struct{}    // closed+replaced when subs/acks change
 	shipped  int64            // REPLBATCH frames sent
 	replayed int64            // REPLBATCH frames applied (follower)
+
+	// Insert and upsert records the follower loop replayed as inserts
+	// (above the catch-up horizon) and as upserts (everything else).
+	replayInserts atomic.Int64
+	replayUpserts atomic.Int64
 }
 
 // openRepl builds the replication state: open (or recover) the ship

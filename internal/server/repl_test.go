@@ -25,7 +25,7 @@ type replNode struct {
 // primary; otherwise the node starts as a read-only follower of that
 // address (call node.srv.Follow to begin replaying). Short intervals
 // throughout so tests run fast.
-func startReplNode(t *testing.T, follow string, syncFollowers int, syncTimeout time.Duration) *replNode {
+func startReplNode(t testing.TB, follow string, syncFollowers int, syncTimeout time.Duration) *replNode {
 	t.Helper()
 	dir := t.TempDir()
 	eng, err := extbuf.NewSharded("buffered", extbuf.Config{}, 2)
@@ -58,7 +58,7 @@ func startReplNode(t *testing.T, follow string, syncFollowers int, syncTimeout t
 }
 
 // stop drains the node gracefully.
-func (n *replNode) stop(t *testing.T) {
+func (n *replNode) stop(t testing.TB) {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
@@ -473,4 +473,78 @@ func TestClientReconnect(t *testing.T) {
 	if n, err := cl.Len(ctx); err != nil || n != 1 {
 		t.Fatalf("Len after reconnect = %d, %v; want 1", n, err)
 	}
+}
+
+// BenchmarkFollowerApply is insert-heavy replay through a real
+// follower: a client keeps 16 requests of 128 fresh inserts in flight
+// against a primary while a follower tails its ship log over loopback,
+// and the clock stops when the follower has applied the last record.
+// One iteration is one request; ios/op is the model I/Os the FOLLOWER's
+// table spent per request, which is where replaying an insert as an
+// insert (the buffered structure's o(1) each) and as an upsert (an
+// existence probe first) differ.
+func BenchmarkFollowerApply(b *testing.B) {
+	primary := startReplNode(b, "", 0, 0)
+	defer primary.stop(b)
+	follower := startReplNode(b, primary.addr, 0, 0)
+	defer follower.stop(b)
+	if _, err := follower.srv.Follow(primary.addr); err != nil {
+		b.Fatal(err)
+	}
+	cl, err := client.Dial(primary.addr, client.Options{Conns: 1, Pipeline: 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	caughtUp := func() {
+		info, _ := primary.srv.Info()
+		for {
+			if f, _ := follower.srv.Info(); f.AppliedLSN >= info.AppliedLSN {
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	// One record to bring the stream up, so every timed one is replayed
+	// in the live region.
+	if _, err := cl.Insert(ctx, []uint64{1}, []uint64{1}); err != nil {
+		b.Fatal(err)
+	}
+	caughtUp()
+
+	const batch, depth = 128, 16
+	var keys, vals [depth][]uint64
+	for i := range keys {
+		keys[i], vals[i] = make([]uint64, batch), make([]uint64, batch)
+	}
+	var pendings [depth]*client.Pending
+	base := follower.eng.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		slot := i % depth
+		if p := pendings[slot]; p != nil {
+			if err := p.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for j := range keys[slot] {
+			keys[slot][j] = uint64(i+1)*batch + uint64(j) + 1
+			vals[slot][j] = uint64(i)
+		}
+		if pendings[slot], err = cl.GoInsert(keys[slot], vals[slot]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, p := range pendings {
+		if p != nil {
+			if err := p.Wait(ctx); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	caughtUp()
+	b.StopTimer()
+	b.ReportMetric(float64(follower.eng.Stats().IOs()-base.IOs())/float64(b.N), "ios/op")
 }

@@ -7,8 +7,14 @@
 // the applier coalesces consecutive same-kind requests into single
 // engine batch calls (InsertBatch/UpsertBatch/LookupBatchInto/
 // DeleteBatchInto), which fan out across the engine's shard workers
-// exactly like any other batch. Responses stream back strictly in
-// request order, so the id-matching on the client side never reorders.
+// exactly like any other batch. The calls themselves are pipelined too:
+// on an engine that can start a batch without waiting for it
+// (extbuf.Sharded.StartBatch) the applier keeps a small ring of calls
+// outstanding and submits the next run while the workers apply the
+// last, so requests that do not aggregate — neighbours of different
+// kinds — still keep every shard busy. Responses stream back strictly
+// in request order, so the id-matching on the client side never
+// reorders.
 //
 // Durability of acks: a mutation is acknowledged only after an engine
 // Sync barrier (write-ahead-log fsync on durable backends) that started
@@ -24,9 +30,10 @@
 // Backpressure: each connection's in-flight requests are bounded by a
 // fixed-depth apply queue; when a client pipelines past it the reader
 // stops reading and TCP flow control pushes back. Behind the queue, the
-// engine's own bounded shard channels bound the batches in flight, so
-// server memory is a constant multiple of (connections x pipeline x
-// batch) regardless of offered load.
+// applier's ring holds a fixed number of engine calls and the engine's
+// own bounded shard channels bound the batches in flight, so server
+// memory is a constant multiple of (connections x pipeline x batch)
+// regardless of offered load.
 package server
 
 import (
@@ -66,7 +73,9 @@ type Config struct {
 	MaxBatch int
 	// Pipeline bounds each connection's queued-but-unapplied requests
 	// (default 64). Together with MaxBatch it bounds per-connection
-	// memory; past it, TCP backpressure holds the client.
+	// memory — the applier holds a fixed handful of engine calls of at
+	// most MaxBatch operations on top of the queue; past it, TCP
+	// backpressure holds the client.
 	Pipeline int
 	// Logf receives connection-level diagnostics (nil: discard).
 	Logf func(format string, args ...any)
@@ -94,6 +103,7 @@ const DefaultPipeline = 64
 // Server serves the wire protocol over any net.Listener.
 type Server struct {
 	engine   Engine
+	starter  batchStarter // engine, when it can start a batch without waiting; else nil
 	maxBatch int
 	pipeline int
 	logf     func(string, ...any)
@@ -101,6 +111,12 @@ type Server struct {
 	commit   *groupCommitter
 	waveOps  atomic.Int64 // operations acknowledged behind commit waves
 	repl     *replState   // nil: replication off
+
+	// Engine batch calls the appliers made, the operations in them, and
+	// how many are outstanding (started, not yet waited for) right now.
+	engineCalls      atomic.Int64
+	engineCallOps    atomic.Int64
+	callsOutstanding atomic.Int64
 
 	mu        sync.Mutex
 	listeners map[net.Listener]struct{}
@@ -158,6 +174,7 @@ func NewServer(cfg Config) (*Server, error) {
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 	}
+	s.starter, _ = cfg.Engine.(batchStarter)
 	if cfg.Repl != nil {
 		repl, err := openRepl(*cfg.Repl)
 		if err != nil {
@@ -236,6 +253,13 @@ func (s *Server) sweepLoop(every time.Duration, max int) {
 			}
 		}
 	}
+}
+
+// countCall records one engine batch call of ops operations made by a
+// connection's applier.
+func (s *Server) countCall(ops int) {
+	s.engineCalls.Add(1)
+	s.engineCallOps.Add(int64(ops))
 }
 
 // writableNow reports whether the node currently accepts mutations:

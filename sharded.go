@@ -30,7 +30,10 @@ const shardQueueDepth = 64
 // positions. The single-operation methods are one-element batches, so
 // the per-shard operation order — and therefore the simulated I/O
 // counters on the "mem" backend — is identical to a sequential run of
-// the same stream.
+// the same stream. Every batch is a start (partition and enqueue) and a
+// wait (join); StartBatch exposes the two halves separately, so a
+// caller can keep several batches outstanding and the workers busy,
+// with the same per-key order.
 //
 // Config.FlushPolicy selects the write path: under FlushSync (default)
 // a mutation call returns once every shard has applied its share, and
@@ -170,11 +173,15 @@ type shardReq struct {
 	e1    [1]error
 }
 
-// batchScratch is the pooled per-batch bookkeeping of a submitting
-// goroutine: partition index lists (backing arrays reused across
-// batches), per-shard error and length slots, and the request pointers
-// to recycle after the barrier.
-type batchScratch struct {
+// BatchCall is one fan-out in flight — the handle StartBatch returns and
+// Wait joins — and, being pooled, the per-batch bookkeeping of every
+// submitting goroutine: partition index lists (backing arrays reused
+// across batches), the barrier the shard workers signal, per-shard
+// error, LSN and length slots, and the request pointers to recycle once
+// the barrier has passed.
+type BatchCall struct {
+	s      *Sharded
+	wg     sync.WaitGroup
 	parts  [][]int
 	errs   []error
 	lens   []int64
@@ -211,11 +218,11 @@ func (s *Sharded) putReq(r *shardReq) {
 
 // getScratch returns pooled per-batch bookkeeping with clean error
 // slots and empty request list.
-func (s *Sharded) getScratch() *batchScratch { return s.scratchPool.Get().(*batchScratch) }
+func (s *Sharded) getScratch() *BatchCall { return s.scratchPool.Get().(*BatchCall) }
 
 // putScratch recycles sc, clearing the error slots so a stale error
 // can never surface in a later batch.
-func (s *Sharded) putScratch(sc *batchScratch) {
+func (s *Sharded) putScratch(sc *BatchCall) {
 	for i := range sc.errs {
 		sc.errs[i] = nil
 	}
@@ -268,7 +275,8 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 	}
 	s.reqPool.New = func() any { return new(shardReq) }
 	s.scratchPool.New = func() any {
-		return &batchScratch{
+		return &BatchCall{
+			s:      s,
 			parts:  make([][]int, n),
 			errs:   make([]error, n),
 			lens:   make([]int64, n),
@@ -623,7 +631,7 @@ func (s *Sharded) shard(key uint64) int {
 
 // partitionInto maps each batch position to its shard, preserving
 // input order within every shard's index list. The lists are built in
-// parts (from a batchScratch), whose backing arrays are reused across
+// parts (from a BatchCall), whose backing arrays are reused across
 // batches.
 func (s *Sharded) partitionInto(keys []uint64, parts [][]int) {
 	for i := range parts {
@@ -645,42 +653,75 @@ func (s *Sharded) partitionInto(keys []uint64, parts [][]int) {
 // Workers only read req.idx, so one backing array serves all requests.
 var singleIdx = [1]int{0}
 
-// runBatch fans a batch out to the shard workers and waits for every
-// shard to finish, joining per-shard errors. The submission (closed
-// check plus channel sends) runs under the state read-lock; the wait
-// does not, since enqueued requests are served even while Close holds
-// the write side. One-element batches route through runOne.
-func (s *Sharded) runBatch(kind opKind, keys, vals []uint64, outV []uint64, outOK []bool) error {
-	if len(keys) == 1 {
-		return s.runOne(kind, keys, vals, outV, outOK)
-	}
-	var wg sync.WaitGroup
+// startBatch is the submission half of every multi-operation batch: it
+// partitions the batch by shard and enqueues each shard's share, in
+// input order, on that shard's FIFO queue. The closed check and the
+// channel sends run under the state read-lock, so a send can never hit a
+// closed channel; a full shard queue blocks the send (the engine's
+// backpressure). It returns without waiting for any worker: the caller
+// owns the handle and must pass it to waitBatch exactly once, and must
+// leave the operand and result slices alone until that returns.
+//
+// A goroutine that starts several batches before waiting on the first
+// keeps per-key order — every shard queue receives its shares in start
+// order — which is what lets a connection keep the workers busy instead
+// of idling them behind one fork-join per request.
+func (s *Sharded) startBatch(kind opKind, keys, vals, vals2, outV []uint64, outOK []bool) (*BatchCall, error) {
 	sc := s.getScratch()
-	defer s.putScratch(sc)
 	s.partitionInto(keys, sc.parts)
 	s.stateMu.RLock()
 	if s.closed {
 		s.stateMu.RUnlock()
-		return ErrClosed
+		s.putScratch(sc)
+		return nil, ErrClosed
 	}
 	for sh, idx := range sc.parts {
 		if len(idx) == 0 {
 			continue
 		}
 		req := s.getReq()
-		req.kind, req.keys, req.vals, req.idx = kind, keys, vals, idx
+		req.kind, req.keys, req.vals, req.vals2, req.idx = kind, keys, vals, vals2, idx
 		req.outV, req.outOK = outV, outOK
-		req.errs, req.shard, req.wg = sc.errs, sh, &wg
+		req.errs, req.lsns, req.shard, req.wg = sc.errs, sc.lsns, sh, &sc.wg
 		sc.reqs = append(sc.reqs, req)
-		wg.Add(1)
+		sc.wg.Add(1)
 		s.reqs[sh] <- req
 	}
 	s.stateMu.RUnlock()
-	wg.Wait()
+	return sc, nil
+}
+
+// waitBatch is the join half: it waits for every shard to finish its
+// share of sc, returns the batch's highest ship LSN (the max over
+// per-shard maxima; 0 when nothing shipped) and the joined per-shard
+// errors, and recycles the requests and the handle. It runs outside the
+// state lock: enqueued requests are served even while Close holds the
+// write side.
+func (s *Sharded) waitBatch(sc *BatchCall) (uint64, error) {
+	sc.wg.Wait()
+	var last uint64
+	for _, lsn := range sc.lsns {
+		last = max(last, lsn)
+	}
 	err := errors.Join(sc.errs...)
 	for _, req := range sc.reqs {
 		s.putReq(req)
 	}
+	s.putScratch(sc)
+	return last, err
+}
+
+// runBatch is a synchronous batch: start, then wait. One-element
+// batches route through runOne.
+func (s *Sharded) runBatch(kind opKind, keys, vals []uint64, outV []uint64, outOK []bool) error {
+	if len(keys) == 1 {
+		return s.runOne(kind, keys, vals, outV, outOK)
+	}
+	sc, err := s.startBatch(kind, keys, vals, nil, outV, outOK)
+	if err != nil {
+		return err
+	}
+	_, err = s.waitBatch(sc)
 	return err
 }
 
@@ -858,77 +899,101 @@ func (s *Sharded) SetShip(fn ShipFunc) {
 	}
 }
 
-// runBatchShip is runBatch for the ship mutation kinds: always
-// synchronous (even under FlushAsync — the caller needs the assigned
-// LSNs back) and with no single-op shortcut, since the per-shard LSN
-// slots live in batch scratch. Returns the batch's highest ship LSN
-// (the max over per-shard maxima; 0 when nothing shipped).
+// runBatchShip is the synchronous form of the ship mutation kinds —
+// always waited for, even under FlushAsync, since the caller needs the
+// assigned LSNs back — with no single-op shortcut: the per-shard LSN
+// slots live in the batch handle. Returns the batch's highest ship LSN.
 func (s *Sharded) runBatchShip(kind opKind, keys, vals, vals2 []uint64, outOK []bool) (uint64, error) {
-	var wg sync.WaitGroup
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.partitionInto(keys, sc.parts)
-	s.stateMu.RLock()
-	if s.closed {
-		s.stateMu.RUnlock()
-		return 0, ErrClosed
+	sc, err := s.startBatch(kind, keys, vals, vals2, nil, outOK)
+	if err != nil {
+		return 0, err
 	}
-	for sh, idx := range sc.parts {
-		if len(idx) == 0 {
-			continue
+	return s.waitBatch(sc)
+}
+
+// BatchOp names the operation of a StartBatch call.
+type BatchOp uint8
+
+const (
+	BatchInsert BatchOp = iota // InsertBatchShip
+	BatchUpsert                // UpsertBatchShip
+	BatchDelete                // DeleteBatchShipInto
+	BatchLookup                // LookupBatchInto
+)
+
+// StartBatch submits the batch the serving layer would otherwise run
+// with InsertBatchShip, UpsertBatchShip, DeleteBatchShipInto or
+// LookupBatchInto — same length contracts, same shipping — and returns
+// once every shard's share is queued, without waiting for the workers.
+// vals carries the payloads of BatchInsert/BatchUpsert and receives the
+// values of BatchLookup; found receives the hit flags of BatchLookup and
+// BatchDelete. The caller must call Wait on the returned handle exactly
+// once and must not touch keys, vals or found until it returns.
+//
+// Batches started by one goroutine apply per key in start order, whether
+// or not earlier ones have been waited for: a later batch's share
+// queues behind the earlier one's on the same shard. So a caller may
+// keep several calls outstanding and wait for them oldest-first; that
+// is how the network server pipelines a connection's requests.
+func (s *Sharded) StartBatch(op BatchOp, keys, vals []uint64, found []bool) (*BatchCall, error) {
+	switch op {
+	case BatchInsert, BatchUpsert:
+		if len(keys) != len(vals) {
+			return nil, fmt.Errorf("%w: %d keys, %d values", ErrBatchLength, len(keys), len(vals))
 		}
-		req := s.getReq()
-		req.kind, req.keys, req.vals, req.idx = kind, keys, vals, idx
-		req.vals2 = vals2
-		req.outOK = outOK
-		req.errs, req.lsns, req.shard, req.wg = sc.errs, sc.lsns, sh, &wg
-		sc.reqs = append(sc.reqs, req)
-		wg.Add(1)
-		s.reqs[sh] <- req
-	}
-	s.stateMu.RUnlock()
-	wg.Wait()
-	var last uint64
-	for _, lsn := range sc.lsns {
-		if lsn > last {
-			last = lsn
+		kind := opInsertShip
+		if op == BatchUpsert {
+			kind = opUpsertShip
 		}
+		return s.startBatch(kind, keys, vals, nil, nil, nil)
+	case BatchDelete:
+		if len(found) < len(keys) {
+			return nil, fmt.Errorf("%w: %d keys, %d found slots", ErrBatchLength, len(keys), len(found))
+		}
+		return s.startBatch(opDeleteShip, keys, nil, nil, nil, found)
+	case BatchLookup:
+		if len(vals) < len(keys) || len(found) < len(keys) {
+			return nil, fmt.Errorf("%w: %d keys, %d value and %d found slots",
+				ErrBatchLength, len(keys), len(vals), len(found))
+		}
+		return s.startBatch(opLookup, keys, nil, nil, vals, found)
 	}
-	err := errors.Join(sc.errs...)
-	for _, req := range sc.reqs {
-		s.putReq(req)
+	return nil, fmt.Errorf("extbuf: unknown batch op %d", op)
+}
+
+// Wait joins a batch started by StartBatch: it returns once every shard
+// has applied its share, with the batch's highest ship LSN (0 when
+// nothing shipped) and the joined per-shard errors — what the
+// synchronous call would have returned. The handle is recycled; it must
+// not be used again.
+func (c *BatchCall) Wait() (uint64, error) { return c.s.waitBatch(c) }
+
+// runStarted is StartBatch + Wait: the synchronous form of the batches
+// the serving layer can also pipeline, through the same validation.
+func (s *Sharded) runStarted(op BatchOp, keys, vals []uint64, found []bool) (uint64, error) {
+	c, err := s.StartBatch(op, keys, vals, found)
+	if err != nil {
+		return 0, err
 	}
-	return last, err
+	return c.Wait()
 }
 
 // InsertBatchShip is InsertBatch plus shipping of the applied pairs in
 // apply order (Engine.InsertBatchShip). Always synchronous.
 func (s *Sharded) InsertBatchShip(keys, vals []uint64) (uint64, error) {
-	if len(keys) != len(vals) {
-		return 0, fmt.Errorf("%w: %d keys, %d values", ErrBatchLength, len(keys), len(vals))
-	}
-	return s.runBatchShip(opInsertShip, keys, vals, nil, nil)
+	return s.runStarted(BatchInsert, keys, vals, nil)
 }
 
 // UpsertBatchShip is UpsertBatch plus shipping of the applied pairs in
 // apply order (Engine.UpsertBatchShip). Always synchronous.
 func (s *Sharded) UpsertBatchShip(keys, vals []uint64) (uint64, error) {
-	if len(keys) != len(vals) {
-		return 0, fmt.Errorf("%w: %d keys, %d values", ErrBatchLength, len(keys), len(vals))
-	}
-	return s.runBatchShip(opUpsertShip, keys, vals, nil, nil)
+	return s.runStarted(BatchUpsert, keys, vals, nil)
 }
 
 // DeleteBatchShipInto is DeleteBatchInto plus shipping of every
 // attempted delete in apply order (Engine.DeleteBatchShipInto).
 func (s *Sharded) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error) {
-	if len(found) < len(keys) {
-		return 0, fmt.Errorf("%w: %d keys, %d found slots", ErrBatchLength, len(keys), len(found))
-	}
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	return s.runBatchShip(opDeleteShip, keys, nil, nil, found)
+	return s.runStarted(BatchDelete, keys, nil, found)
 }
 
 // scanShardShift positions the shard index in a Sharded scan cursor:
