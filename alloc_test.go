@@ -8,6 +8,7 @@
 package extbuf_test
 
 import (
+	"strings"
 	"testing"
 
 	"extbuf"
@@ -56,14 +57,54 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"buffered", "cas"},
 		{"knuth", "cas"},
 		{"knuth", "delete+insert"},
+		// The TTL/CAS batch forms gather what they ship into scratch
+		// the guard owns, with a sink installed or not.
+		{"buffered", "upsert-ttl"},
+		{"buffered", "expire"},
+		{"buffered", "upsert-ttl+sink"},
+		{"buffered", "expire+sink"},
+		{"buffered", "cas+sink"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.structure+"/"+tc.op, func(t *testing.T) {
 			tab, keys := steadyTable(t, tc.structure, 20000)
 			defer tab.Close()
+			op, sink := strings.CutSuffix(tc.op, "+sink")
+			if sink {
+				next := uint64(1)
+				tab.SetShip(func(_ uint8, keys, _ []uint64) (uint64, error) {
+					first := next
+					next += uint64(len(keys))
+					return first, nil
+				})
+			}
 			i := 0
 			var run func()
-			switch tc.op {
+			switch op {
+			case "upsert-ttl", "expire":
+				// A deadline far in the future: the keys stay live.
+				const batch = 16
+				vals, deadlines, found := make([]uint64, batch), make([]uint64, batch), make([]bool, batch)
+				for j := range deadlines {
+					deadlines[j] = ^uint64(0)
+				}
+				run = func() {
+					ks := keys[i%(len(keys)-batch):][:batch]
+					i += batch
+					var lsn uint64
+					var err error
+					if op == "expire" {
+						lsn, err = tab.ExpireBatchShip(ks, deadlines, found)
+					} else {
+						lsn, err = tab.UpsertTTLBatchShip(ks, vals, deadlines)
+					}
+					if err != nil || (lsn != 0) != sink {
+						t.Fatalf("lsn %d, err %v (sink installed: %v)", lsn, err, sink)
+					}
+				}
+				for i < len(keys) {
+					run() // every key gets a deadline: the expiry index reaches its working-set shape
+				}
 			case "upsert":
 				run = func() {
 					k := keys[i%len(keys)]

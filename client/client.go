@@ -7,17 +7,17 @@
 // write a frame and return a Pending whose Wait-style methods block for
 // the matching response, so a single goroutine can pipeline many
 // requests down one connection and the server aggregates them into
-// engine batches. The plain methods (InsertBatch, LookupBatch, ...) are
-// the synchronous wrappers: one Go* plus one wait, honoring the
-// context's deadline.
+// engine batches. The plain methods (Insert, Lookup, ...) are the
+// synchronous wrappers: one Go* plus one wait, honoring the context's
+// deadline.
 //
 // In-flight requests per connection are bounded (Options.Pipeline);
 // past the bound, senders block — the client-side half of the
 // end-to-end backpressure chain (client bound, server apply queue, TCP
 // flow control, engine shard channels).
 //
-// An acknowledged mutation (a nil error from InsertBatch, UpsertBatch,
-// DeleteBatch or a Pending.Wait) is durable on the server when it runs
+// An acknowledged mutation (a nil error from Insert, Upsert, Delete or a
+// Pending.Wait) is durable on the server when it runs
 // a durable backend: the server acks behind a group-committed
 // write-ahead-log fsync.
 package client
@@ -391,42 +391,6 @@ func (c *Client) Promote(ctx context.Context) (NodeInfo, error) {
 		return NodeInfo{}, err
 	}
 	return p.info(ctx, wire.OpInfoR)
-}
-
-// InsertBatch stores (keys[i], vals[i]) for every i and returns after
-// the server acks the batch as applied and WAL-durable.
-//
-// Deprecated: use Insert, which also returns the batch's ReadToken.
-func (c *Client) InsertBatch(ctx context.Context, keys, vals []uint64) error {
-	_, err := c.Insert(ctx, keys, vals)
-	return err
-}
-
-// UpsertBatch stores (keys[i], vals[i]) whether or not the keys are
-// present.
-//
-// Deprecated: use Upsert, which also returns the batch's ReadToken.
-func (c *Client) UpsertBatch(ctx context.Context, keys, vals []uint64) error {
-	_, err := c.Upsert(ctx, keys, vals)
-	return err
-}
-
-// LookupBatch returns the value and presence of every key, in input
-// order.
-//
-// Deprecated: use Lookup, which can carry a ReadToken for
-// read-your-writes against replicas.
-func (c *Client) LookupBatch(ctx context.Context, keys []uint64) ([]uint64, []bool, error) {
-	return c.Lookup(ctx, keys, ReadToken{})
-}
-
-// DeleteBatch removes every key, reporting per key whether it was
-// present.
-//
-// Deprecated: use Delete, which also returns the batch's ReadToken.
-func (c *Client) DeleteBatch(ctx context.Context, keys []uint64) ([]bool, error) {
-	founds, _, err := c.Delete(ctx, keys)
-	return founds, err
 }
 
 // Len returns the number of entries stored by the server.

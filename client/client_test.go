@@ -59,7 +59,7 @@ func TestContextDeadline(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, _, err = cl.LookupBatch(ctx, []uint64{1})
+	_, _, err = cl.Lookup(ctx, []uint64{1}, client.ReadToken{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
@@ -130,7 +130,7 @@ func TestServerGoneFailsFast(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	if err := cl.InsertBatch(ctx, []uint64{1}, []uint64{2}); err != nil {
+	if _, err := cl.Insert(ctx, []uint64{1}, []uint64{2}); err != nil {
 		stop()
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestServerGoneFailsFast(t *testing.T) {
 
 	deadline, cancel := context.WithTimeout(ctx, 5*time.Second)
 	defer cancel()
-	err = cl.InsertBatch(deadline, []uint64{3}, []uint64{4})
+	_, err = cl.Insert(deadline, []uint64{3}, []uint64{4})
 	if err == nil {
 		t.Fatal("insert succeeded against a dead server")
 	}

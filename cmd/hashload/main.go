@@ -433,7 +433,7 @@ func worker(ctx context.Context, cancel context.CancelFunc, cl, rcl *client.Clie
 				keys = append(keys, pick())
 			}
 			t0 := time.Now()
-			_, found, err := cl.LookupBatch(ctx, keys)
+			_, found, err := cl.Lookup(ctx, keys, client.ReadToken{})
 			if done := tally(&res, cancel, ctx, err, cfg.batch, t0); done {
 				return res
 			}
@@ -467,7 +467,7 @@ func worker(ctx context.Context, cancel context.CancelFunc, cl, rcl *client.Clie
 				}
 			}
 			t0 := time.Now()
-			_, err := cl.DeleteBatch(ctx, keys)
+			_, _, err := cl.Delete(ctx, keys)
 			if done := tally(&res, cancel, ctx, err, cfg.batch, t0); done {
 				return res
 			}
@@ -756,7 +756,7 @@ func verify(cl *client.Client, path string, batch int) error {
 		if len(keys) == 0 {
 			return nil
 		}
-		vals, found, err := cl.LookupBatch(ctx, keys)
+		vals, found, err := cl.Lookup(ctx, keys, client.ReadToken{})
 		if err != nil {
 			return err
 		}
@@ -872,11 +872,11 @@ func diffConverged(cl, rcl *client.Client, path string, batch int) error {
 			end = len(all)
 		}
 		keys := all[base:end]
-		av, af, err := cl.LookupBatch(ctx, keys)
+		av, af, err := cl.Lookup(ctx, keys, client.ReadToken{})
 		if err != nil {
 			return fmt.Errorf("primary read: %w", err)
 		}
-		bv, bf, err := rcl.LookupBatch(ctx, keys)
+		bv, bf, err := rcl.Lookup(ctx, keys, client.ReadToken{})
 		if err != nil {
 			return fmt.Errorf("replica read: %w", err)
 		}

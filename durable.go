@@ -87,7 +87,7 @@ type superblock struct {
 // durableTable layers write-ahead logging and checkpointing over a
 // structure adapter running on a durable FileStore.
 type durableTable struct {
-	inner     tableAdapter
+	inner     *adapter
 	store     *iomodel.FileStore
 	log       *wal.Log
 	cfg       Config // effective configuration (post-merge, post-defaults)
@@ -102,7 +102,8 @@ type durableTable struct {
 // expiry index idx is filled during recovery (checkpoint snapshot +
 // OpExpire replay) and snapshotted into every checkpoint; the guard
 // that owns this table shares it.
-func openDurable(structure string, cfg Config, idx *expiry.Index) (*durableTable, error) {
+func openDurable(kind int, cfg Config, idx *expiry.Index) (*durableTable, error) {
+	structure := structures[kind].name
 	var crasher *iomodel.Crasher
 	if cfg.Crash != nil {
 		crasher = iomodel.NewCrasher(iomodel.CrashPlan{
@@ -143,23 +144,19 @@ func openDurable(structure string, cfg Config, idx *expiry.Index) (*durableTable
 	model := iomodel.NewModelOn(store, cfg.MemoryWords)
 	fn := hashfn.Family(cfg.HashFamily, cfg.Seed)
 
-	var inner tableAdapter
 	var lastLSN uint64
 	if sb != nil {
 		if err := store.RestoreAllocState(sb.nslots, sb.free, sb.mapping); err != nil {
 			model.Close()
 			return nil, fmt.Errorf("extbuf: recover %s: %w", cfg.Path, err)
 		}
-		inner, err = restoreAdapter(structure, model, fn, stateDec)
 		lastLSN = sb.lastLSN
 		for k, dl := range sb.expiry {
 			idx.Set(k, dl)
 		}
-	} else {
-		inner, err = buildAdapter(structure, model, fn, cfg)
 	}
+	inner, err := newAdapter(kind, model, fn, cfg, stateDec) // stateDec is nil on a fresh table
 	if err != nil {
-		model.Close()
 		return nil, err
 	}
 
@@ -203,6 +200,13 @@ func (c Config) walPath() string {
 // than it saves.
 const replayParallelThreshold = 4096
 
+// replayTarget is what replay needs of the recovered structure (tests
+// substitute a map).
+type replayTarget interface {
+	Upsert(key, val uint64) error
+	Delete(key uint64) bool
+}
+
 // replayOp is one collapsed replay operation: the final state of a key
 // in the log suffix, tagged with its hash for bucket-ordered apply. exp
 // carries the key's final deadline (expSet) when an OpExpire record
@@ -233,7 +237,7 @@ type replayOp struct {
 // faulting the pool randomly, so the replayed I/O coalesces. Applying
 // the collapsed suffix is content-equivalent to applying the full one;
 // only the physical block layout may differ.
-func replayRecords(records []wal.Record, lastLSN uint64, fn hashfn.Fn, inner tableAdapter, idx *expiry.Index, par int) error {
+func replayRecords(records []wal.Record, lastLSN uint64, fn hashfn.Fn, inner replayTarget, idx *expiry.Index, par int) error {
 	// Drop the prefix the checkpoint already absorbed.
 	live := records
 	for len(live) > 0 && live[0].LSN <= lastLSN {
@@ -521,14 +525,13 @@ func (d *durableTable) Delete(key uint64) bool {
 // the record — replay must not perform an upsert the table refused. The
 // baselines probe first and log only the Upsert that follows.
 func (d *durableTable) compareSwap(key, old, new uint64) (bool, error) {
-	cs, ok := d.inner.(compareSwapper)
-	if !ok {
+	if d.inner.rmw == nil {
 		return casByLookup(d, key, old, new)
 	}
 	if _, err := d.log.Append(wal.OpUpsert, key, new); err != nil {
 		return false, err
 	}
-	swapped, err := cs.compareSwap(key, old, new)
+	swapped, err := d.inner.compareSwap(key, old, new)
 	if !swapped {
 		d.log.Rollback()
 	}
@@ -651,7 +654,7 @@ func (d *durableTable) checkpoint() error {
 	expMap := make(map[uint64]uint64, d.exp.Len())
 	d.exp.Range(func(k, dl uint64) { expMap[k] = dl })
 	e.PairMap(expMap)
-	d.inner.saveState(e)
+	d.inner.s.SaveState(e)
 	if err := writeFileAtomic(d.cfg.Path+ckptSuffix, ckpt.Frame(superblockVersion, e.Bytes()), d.crasher); err != nil {
 		return err
 	}

@@ -1,21 +1,33 @@
 package extbuf
 
-import "extbuf/internal/wal"
+import (
+	"fmt"
+
+	"extbuf/internal/expiry"
+	"extbuf/internal/iomodel"
+	"extbuf/internal/wal"
+)
 
 // Engine is the full serving surface of a table: the single-key Table
 // operations plus the order-preserving batch operations and the
 // Durable capability probe. Both Sharded (worker-per-shard pipeline)
-// and every table returned by Open/New* (via the close guard) satisfy
-// it, so layers that used to special-case the two — the network server,
-// the replication follower apply loop, load generators — program
-// against one interface and work with either.
+// and every table returned by Open/New* (via the guard) satisfy it, so
+// layers that used to special-case the two — the network server, the
+// replication follower apply loop, load generators — program against
+// one interface and work with either.
 //
-// Batch semantics are those Sharded established: positions i of keys,
-// vals and found correspond; InsertBatch and UpsertBatch require
-// len(keys) == len(vals) (ErrBatchLength otherwise); the *Into variants
-// write results into caller-provided slices of exactly len(keys) and
-// allocate nothing. A batch is not atomic — on error a prefix of it may
-// have applied — but per-key ordering is preserved between batches.
+// Both engines run every keyed operation through the same routine
+// (guard.apply; DESIGN.md §1a), so the batch contract is one contract —
+// the one Sharded established. Positions i of every slice correspond.
+// Operand slices (vals, deadlines, olds, news) must be exactly len(keys)
+// long and result slices (a lookup's vals, found, swapped) at least
+// len(keys) long — longer is fine, the tail is left alone — or the call
+// fails with ErrBatchLength before touching the table. The *Into and
+// *Ship forms write into the caller's slices and allocate nothing. A
+// batch is not atomic, and a failing position does not stop it: every
+// position is attempted, in order, and the first error is returned;
+// per-key ordering is preserved between batches. A closed engine
+// returns ErrClosed and leaves the result slices untouched.
 type Engine interface {
 	Table
 
@@ -25,13 +37,13 @@ type Engine interface {
 	UpsertBatch(keys, vals []uint64) error
 	// LookupBatch looks up every key, allocating the result slices.
 	LookupBatch(keys []uint64) (vals []uint64, found []bool, err error)
-	// LookupBatchInto looks up every key into caller-provided slices
-	// (len(vals) == len(found) == len(keys)); it allocates nothing.
+	// LookupBatchInto looks up every key into caller-provided slices of
+	// at least len(keys); it allocates nothing.
 	LookupBatchInto(keys, vals []uint64, found []bool) error
 	// DeleteBatch deletes every key, allocating the found slice.
 	DeleteBatch(keys []uint64) ([]bool, error)
 	// DeleteBatchInto deletes every key into a caller-provided found
-	// slice of len(keys); it allocates nothing.
+	// slice of at least len(keys); it allocates nothing.
 	DeleteBatchInto(keys []uint64, found []bool) error
 	// Durable reports whether Sync buys crash durability (the durable
 	// file backend). Serving layers skip the commit barrier when false.
@@ -48,9 +60,9 @@ type Engine interface {
 	// ENGINE APPLIES WITH (per key: apply order == ship order — the
 	// replication total-order guarantee, DESIGN.md §2a). It returns the
 	// highest ship LSN assigned to the batch — 0 when no sink is
-	// installed, the batch is empty, or nothing applied. A partially
-	// failed batch ships its applied subset and still returns the
-	// first apply error.
+	// installed, the batch is empty, nothing applied, or the sink
+	// failed (its error is returned). A partially failed batch ships
+	// its applied subset and still returns the first apply error.
 	InsertBatchShip(keys, vals []uint64) (uint64, error)
 	// UpsertBatchShip is UpsertBatch with InsertBatchShip's shipping
 	// contract.
@@ -72,10 +84,10 @@ type Engine interface {
 	// primary's deadlines instead of running their own clocks.
 	ExpireBatchShip(keys, deadlines []uint64, found []bool) (uint64, error)
 	// UpsertTTLBatchShip atomically upserts each pair and sets its
-	// deadline, shipping an upsert record followed by an expire record
-	// per key. Unlike UpsertBatch + ExpireBatchShip, no concurrent
-	// writer can interleave between a key's value write and its
-	// deadline write.
+	// deadline, shipping the applied pairs' upsert records and then
+	// their expire records, so the returned LSN covers both. Unlike
+	// UpsertBatch + ExpireBatchShip, no concurrent writer can interleave
+	// between a key's value write and its deadline write.
 	UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error)
 	// CompareSwapBatchShip atomically replaces keys[i]'s value with
 	// news[i] iff its current (unexpired) value equals olds[i];
@@ -131,14 +143,11 @@ var (
 // NewSharded) when serving. See Open for structure names and reopen
 // semantics.
 func OpenEngine(structure string, cfg Config) (Engine, error) {
-	t, err := Open(structure, cfg)
+	g, err := open(structure, cfg)
 	if err != nil {
 		return nil, err
 	}
-	// Open's single construction path always wraps in *guard, which
-	// satisfies Engine; assert so a future refactor that breaks the
-	// invariant fails loudly here rather than at a call site.
-	return t.(Engine), nil
+	return g, nil
 }
 
 // ReplStats reports a node's replication state and traffic counters,
@@ -166,162 +175,446 @@ type ReplStats struct {
 	ShipStartLSN int64
 }
 
-// batch runs a per-key mutation over a batch, enforcing the length
-// contract shared with Sharded.
-func (g *guard) mutateBatch(keys, vals []uint64, op func(k, v uint64) error) error {
-	if len(keys) != len(vals) {
-		return ErrBatchLength
-	}
-	if g.closed {
-		return ErrClosed
-	}
-	for i, k := range keys {
-		if err := op(k, vals[i]); err != nil {
-			return err
-		}
+// BatchOp names an operation kind. The four exported values are the
+// batches Sharded.StartBatch accepts; the rest of the enum is the
+// engine's own: the remaining keyed kinds, then the unkeyed requests a
+// Sharded engine broadcasts to its shard workers.
+type BatchOp uint8
+
+const (
+	BatchInsert BatchOp = iota // InsertBatch, InsertBatchShip
+	BatchUpsert                // UpsertBatch, UpsertBatchShip
+	BatchDelete                // DeleteBatchInto, DeleteBatchShipInto
+	BatchLookup                // LookupBatchInto
+	opExpire                   // vals carries the deadlines
+	opUpsertTTL                // vals2 carries the deadlines
+	opCAS                      // vals carries the expected values, vals2 the new ones
+
+	opLen
+	opStats
+	opExpiryStats
+	opSweep
+	opScan
+	opSync
+	opFlush
+	opClose // the flush every worker serves last (Sharded.Close)
+)
+
+// opVec is a keyed operand vector: one kind, its operands (vals, vals2)
+// and its results (outV, outOK) position by position beside keys, and
+// whether the applied subset ships.
+type opVec struct {
+	kind                    BatchOp
+	ship                    bool
+	keys, vals, vals2, outV []uint64
+	outOK                   []bool
+}
+
+// keyedOps lists, per keyed kind, its name in errors and which operand
+// and result columns it uses.
+var keyedOps = [...]struct {
+	name                     string
+	vals, vals2, outV, outOK bool
+}{
+	BatchInsert: {"insert", true, false, false, false},
+	BatchUpsert: {"upsert", true, false, false, false},
+	BatchDelete: {"delete", false, false, false, true},
+	BatchLookup: {"lookup", false, false, true, true},
+	opExpire:    {"expire", true, false, false, true},
+	opUpsertTTL: {"upsert-ttl", true, true, false, false},
+	opCAS:       {"compare-swap", true, true, false, true},
+}
+
+// check is the one length contract of every keyed batch (see Engine):
+// the operand columns the kind uses are exactly len(keys) long, its
+// result columns at least that.
+func (v *opVec) check() error {
+	n, use := len(v.keys), keyedOps[v.kind]
+	if use.vals && len(v.vals) != n || use.vals2 && len(v.vals2) != n ||
+		use.outV && len(v.outV) < n || use.outOK && len(v.outOK) < n {
+		return fmt.Errorf("%w: %s of %d keys with operand columns of %d and %d, result columns of %d and %d",
+			ErrBatchLength, use.name, n, len(v.vals), len(v.vals2), len(v.outV), len(v.outOK))
 	}
 	return nil
 }
 
-// InsertBatch inserts each pair in order on the guarded table.
-func (g *guard) InsertBatch(keys, vals []uint64) error {
-	return g.mutateBatch(keys, vals, g.insertOne)
+// batchAPI states Engine's keyed batch methods once, for both engines.
+// Each is the length contract plus one call of the engine's do: on a
+// guard, apply on the table at hand; on Sharded, start-and-wait across
+// the shard workers, each of which calls its guard's apply on its share.
+type batchAPI struct {
+	do func(v opVec) (uint64, error)
 }
 
-// UpsertBatch upserts each pair in order on the guarded table.
-func (g *guard) UpsertBatch(keys, vals []uint64) error {
-	return g.mutateBatch(keys, vals, g.upsertOne)
+func (b batchAPI) run(v *opVec) (uint64, error) {
+	if err := v.check(); err != nil {
+		return 0, err
+	}
+	return b.do(*v) // by value: through the func value a pointer would escape
 }
 
-// LookupBatch looks up every key, allocating the result slices.
-func (g *guard) LookupBatch(keys []uint64) ([]uint64, []bool, error) {
-	vals := make([]uint64, len(keys))
+func (b batchAPI) InsertBatch(keys, vals []uint64) error {
+	_, err := b.run(&opVec{kind: BatchInsert, keys: keys, vals: vals})
+	return err
+}
+
+func (b batchAPI) UpsertBatch(keys, vals []uint64) error {
+	_, err := b.run(&opVec{kind: BatchUpsert, keys: keys, vals: vals})
+	return err
+}
+
+func (b batchAPI) LookupBatch(keys []uint64) ([]uint64, []bool, error) {
+	vals, found := make([]uint64, len(keys)), make([]bool, len(keys))
+	return vals, found, b.LookupBatchInto(keys, vals, found)
+}
+
+func (b batchAPI) LookupBatchInto(keys, vals []uint64, found []bool) error {
+	_, err := b.run(&opVec{kind: BatchLookup, keys: keys, outV: vals, outOK: found})
+	return err
+}
+
+func (b batchAPI) DeleteBatch(keys []uint64) ([]bool, error) {
 	found := make([]bool, len(keys))
-	if err := g.LookupBatchInto(keys, vals, found); err != nil {
-		return nil, nil, err
-	}
-	return vals, found, nil
+	return found, b.DeleteBatchInto(keys, found)
 }
 
-// LookupBatchInto looks up every key into caller-provided slices.
-func (g *guard) LookupBatchInto(keys, vals []uint64, found []bool) error {
-	if len(vals) != len(keys) || len(found) != len(keys) {
-		return ErrBatchLength
-	}
-	if g.closed {
-		return ErrClosed
-	}
-	for i, k := range keys {
-		if g.expired(k) {
-			g.expStats.LazyHits++
-			vals[i], found[i] = 0, false
-			continue
-		}
-		vals[i], found[i] = g.t.Lookup(k)
-	}
-	return nil
+func (b batchAPI) DeleteBatchInto(keys []uint64, found []bool) error {
+	_, err := b.run(&opVec{kind: BatchDelete, keys: keys, outOK: found})
+	return err
 }
 
-// DeleteBatch deletes every key, allocating the found slice.
-func (g *guard) DeleteBatch(keys []uint64) ([]bool, error) {
-	found := make([]bool, len(keys))
-	if err := g.DeleteBatchInto(keys, found); err != nil {
-		return nil, err
-	}
-	return found, nil
+func (b batchAPI) InsertBatchShip(keys, vals []uint64) (uint64, error) {
+	return b.run(&opVec{kind: BatchInsert, ship: true, keys: keys, vals: vals})
 }
 
-// DeleteBatchInto deletes every key into a caller-provided found slice.
-func (g *guard) DeleteBatchInto(keys []uint64, found []bool) error {
-	if len(found) != len(keys) {
-		return ErrBatchLength
-	}
-	if g.closed {
-		return ErrClosed
-	}
-	for i, k := range keys {
-		found[i] = g.deleteOne(k)
-	}
-	return nil
+func (b batchAPI) UpsertBatchShip(keys, vals []uint64) (uint64, error) {
+	return b.run(&opVec{kind: BatchUpsert, ship: true, keys: keys, vals: vals})
 }
 
-// Durable reports whether the guarded table was opened on the durable
-// file backend.
-func (g *guard) Durable() bool { return g.durable }
+func (b batchAPI) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error) {
+	return b.run(&opVec{kind: BatchDelete, ship: true, keys: keys, outOK: found})
+}
 
-// SetShip installs the ship sink on the guarded table. Single tables
-// are single-goroutine by contract, so "apply then ship, per key, in
-// call order" is trivially the total order the seam requires.
-func (g *guard) SetShip(fn ShipFunc) { g.ship = fn }
+func (b batchAPI) ExpireBatch(keys, deadlines []uint64, found []bool) error {
+	_, err := b.run(&opVec{kind: opExpire, keys: keys, vals: deadlines, outOK: found})
+	return err
+}
 
-// mutateBatchShip applies a per-key mutation over the batch and ships
-// the applied subset in apply order, returning the batch's highest
-// ship LSN and the first apply (or ship) error.
-func (g *guard) mutateBatchShip(op uint8, keys, vals []uint64, apply func(k, v uint64) error) (uint64, error) {
-	if len(keys) != len(vals) {
-		return 0, ErrBatchLength
-	}
+func (b batchAPI) ExpireBatchShip(keys, deadlines []uint64, found []bool) (uint64, error) {
+	return b.run(&opVec{kind: opExpire, ship: true, keys: keys, vals: deadlines, outOK: found})
+}
+
+func (b batchAPI) UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error) {
+	return b.run(&opVec{kind: opUpsertTTL, ship: true, keys: keys, vals: vals, vals2: deadlines})
+}
+
+func (b batchAPI) CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) (uint64, error) {
+	return b.run(&opVec{kind: opCAS, ship: true, keys: keys, vals: olds, vals2: news, outOK: swapped})
+}
+
+// innerTable is what a guard drives: a bare structure adapter, or the
+// durable layer around one.
+type innerTable interface {
+	Table
+	compareSwap(key, old, new uint64) (swapped bool, err error)
+	// logExpire makes a deadline write recoverable (a wal.OpExpire
+	// record on a durable table) before the guard records it.
+	logExpire(key, deadline uint64) error
+	// beginSync is Sync with the fsync split off for the caller to run
+	// elsewhere; a nil fsync means the barrier already completed.
+	beginSync() (fsync func() error, err error)
+	scanBuckets() int
+	scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int)
+}
+
+// guard is the engine around one table, and what a Sharded engine runs
+// per shard. It enforces the close contract — operations on a closed
+// table fail with ErrClosed (or zero results from the non-error
+// methods), a second Close reports ErrClosed instead of panicking on
+// released resources, and Stats stays readable after Close so
+// experiments can harvest counters last — and it owns everything an
+// operation does besides the table call: the TTL sidecar and the ship
+// seam (apply).
+type guard struct {
+	batchAPI
+	t       innerTable
+	durable bool
+	closed  bool
+
+	// ship is the replication seam (Engine.SetShip); shipK/V/W gather
+	// the subset of a batch that ships.
+	ship                ShipFunc
+	shipK, shipV, shipW []uint64
+
+	// TTL sidecar (see ttl.go): the expiry index, the millisecond clock
+	// it is read against, reusable sweep/scan scratch, and counters.
+	// Shared with the durable layer, which fills the index during WAL
+	// replay and persists it at every checkpoint.
+	exp      *expiry.Index
+	now      func() uint64
+	sweepBuf []uint64
+	scanBuf  []iomodel.Entry
+	expStats ExpiryStats
+}
+
+func newGuard(t innerTable, durable bool, idx *expiry.Index, now func() uint64) *guard {
+	g := &guard{t: t, durable: durable, exp: idx, now: now}
+	g.do = func(v opVec) (uint64, error) { return g.apply(&v, nil) }
+	return g
+}
+
+// apply is the one definition of every keyed operation. It runs v.kind
+// on positions idx of the operand vector (nil idx: every position), in
+// order, and — when v.ship is set and a sink is installed — emits the
+// kind's shipped subset from the same goroutine, so that per key ship
+// order is apply order (the replication total order, DESIGN.md §2a). It
+// returns the highest ship LSN assigned (0 when nothing shipped or the
+// sink failed) and the first error; a failing position never stops the
+// rest.
+//
+//	kind        per-key action (applyOne)                   shipped subset
+//	insert      Insert; clear the deadline                  applied pairs, as inserts
+//	upsert      Upsert; clear the deadline                  applied pairs, as upserts
+//	lookup      the value, unless the deadline has passed   nothing
+//	delete      Delete; clear the deadline                  every attempted key
+//	expire      set the deadline of a live key              found keys, as expires
+//	upsert-ttl  Upsert, then set the deadline               applied pairs: upserts, then expires
+//	cas         swap a live key's matching value;           swapped keys, as upserts of the
+//	            clear the deadline                          new value
+//
+// A plain value write makes a key persistent again (Redis semantics),
+// which also keeps replicas convergent: the shipped record is a plain
+// insert/upsert and clears the deadline there too. A missed delete still
+// ships — it replays as a no-op, and the record stream stays dense.
+func (g *guard) apply(v *opVec, idx []int) (uint64, error) {
 	if g.closed {
 		return 0, ErrClosed
 	}
-	var firstErr error
-	shipK, shipV := keys, vals
-	var failed bool
-	for i, k := range keys {
-		if err := apply(k, vals[i]); err != nil {
-			if firstErr == nil {
-				firstErr = err
-			}
-			if !failed {
-				// First failure: switch to filtered ship slices seeded
-				// with the applied prefix. Error path only — the clean
-				// path ships the caller's slices without copying.
-				failed = true
-				shipK = append([]uint64(nil), keys[:i]...)
-				shipV = append([]uint64(nil), vals[:i]...)
-			}
-			continue
+	kind, keys, vals, vals2, outV, outOK := v.kind, v.keys, v.vals, v.vals2, v.outV, v.outOK
+	ship := v.ship && g.ship != nil && kind != BatchLookup
+	var sk, sv, sw []uint64
+	if ship {
+		sk, sv, sw = g.shipK[:0], g.shipV[:0], g.shipW[:0]
+	}
+	n := len(keys)
+	if idx != nil {
+		n = len(idx)
+	}
+	var first error
+	for p := 0; p < n; p++ {
+		j := p
+		if idx != nil {
+			j = idx[p]
 		}
-		if failed {
-			shipK = append(shipK, k)
-			shipV = append(shipV, vals[i])
+		var a, b uint64
+		if vals != nil {
+			a = vals[j]
+		}
+		if vals2 != nil {
+			b = vals2[j]
+		}
+		val, ok, err := g.applyOne(kind, keys[j], a, b)
+		if outV != nil {
+			outV[j] = val
+		}
+		if outOK != nil {
+			outOK[j] = ok
+		}
+		if err != nil && first == nil {
+			first = err
+		}
+		if ship && (ok || kind == BatchDelete) {
+			sk, sv, sw = append(sk, keys[j]), append(sv, a), append(sw, b)
 		}
 	}
-	if g.ship == nil || len(shipK) == 0 {
-		return 0, firstErr
+	if len(sk) == 0 {
+		return 0, first
 	}
-	first, err := g.ship(op, shipK, shipV)
+	g.shipK, g.shipV, g.shipW = sk, sv, sw
+	var lsn uint64
+	var err error
+	switch kind {
+	case BatchInsert:
+		lsn, err = g.emit(ShipInsert, sk, sv)
+	case BatchUpsert:
+		lsn, err = g.emit(ShipUpsert, sk, sv)
+	case BatchDelete:
+		lsn, err = g.emit(ShipDelete, sk, nil)
+	case opExpire:
+		lsn, err = g.emit(ShipExpire, sk, sv)
+	case opUpsertTTL:
+		// Values before deadlines, so the covering (higher) LSNs belong
+		// to the expires and a follower at the returned LSN has both.
+		if _, err = g.emit(ShipUpsert, sk, sv); err == nil {
+			lsn, err = g.emit(ShipExpire, sk, sw)
+		}
+	case opCAS:
+		lsn, err = g.emit(ShipUpsert, sk, sw)
+	}
+	if first == nil {
+		first = err
+	}
+	return lsn, first
+}
+
+// applyOne is kind's action on one key, with operands a and b standing
+// for vals[i] and vals2[i]. ok reports that the write applied (insert,
+// upsert, upsert-ttl), the key was found (lookup, delete, expire) or the
+// value swapped (cas); val is a lookup's value.
+func (g *guard) applyOne(kind BatchOp, key, a, b uint64) (val uint64, ok bool, err error) {
+	switch kind {
+	case BatchInsert:
+		err = g.t.Insert(key, a)
+	case BatchUpsert, opUpsertTTL:
+		err = g.t.Upsert(key, a)
+	case BatchLookup:
+		val, ok = g.live(key)
+		return val, ok, nil
+	case BatchDelete:
+		// A key that expired before the sweep reached it is still
+		// removed physically, but reports a miss: it was logically
+		// absent.
+		expired := g.expired(key)
+		ok = g.t.Delete(key) && !expired
+		g.exp.Clear(key)
+		return 0, ok, nil
+	case opExpire:
+		if _, ok = g.live(key); ok {
+			err = g.setDeadline(key, a)
+		}
+		return 0, ok && err == nil, err
+	case opCAS:
+		if g.expired(key) {
+			g.expStats.LazyHits++
+			return 0, false, nil
+		}
+		if ok, err = g.t.compareSwap(key, a, b); ok {
+			g.exp.Clear(key)
+		}
+		return 0, ok, err
+	}
+	// The value writes.
 	if err != nil {
-		if firstErr == nil {
-			firstErr = err
-		}
-		return 0, firstErr
+		return 0, false, err
 	}
-	return first + uint64(len(shipK)) - 1, firstErr
+	g.exp.Clear(key)
+	if kind == opUpsertTTL {
+		// The WAL, like the ship log, sees the upsert record before the
+		// expire record: replay converges to value + deadline.
+		err = g.setDeadline(key, b)
+	}
+	return 0, err == nil, err
 }
 
-// InsertBatchShip inserts each pair in order, shipping applied pairs.
-func (g *guard) InsertBatchShip(keys, vals []uint64) (uint64, error) {
-	return g.mutateBatchShip(ShipInsert, keys, vals, g.insertOne)
-}
-
-// UpsertBatchShip upserts each pair in order, shipping applied pairs.
-func (g *guard) UpsertBatchShip(keys, vals []uint64) (uint64, error) {
-	return g.mutateBatchShip(ShipUpsert, keys, vals, g.upsertOne)
-}
-
-// DeleteBatchShipInto deletes every key, shipping the whole attempted
-// batch (misses included — idempotent on replay).
-func (g *guard) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error) {
-	if err := g.DeleteBatchInto(keys, found); err != nil {
-		return 0, err
-	}
-	if g.ship == nil || len(keys) == 0 {
-		return 0, nil
-	}
-	first, err := g.ship(ShipDelete, keys, nil)
+// emit ships one record per key and returns the last record's LSN.
+func (g *guard) emit(op uint8, keys, vals []uint64) (uint64, error) {
+	first, err := g.ship(op, keys, vals)
 	if err != nil {
 		return 0, err
 	}
 	return first + uint64(len(keys)) - 1, nil
+}
+
+// expired reports whether key's deadline has passed. The deadline map
+// read comes first so keys without a TTL — the hot path — never pay
+// the clock read.
+func (g *guard) expired(key uint64) bool {
+	d, ok := g.exp.Deadline(key)
+	return ok && d <= g.now()
+}
+
+// live is the lazily filtered read: a key is dead the instant its
+// deadline passes, without waiting for the sweep to delete it.
+func (g *guard) live(key uint64) (uint64, bool) {
+	if g.expired(key) {
+		g.expStats.LazyHits++
+		return 0, false
+	}
+	return g.t.Lookup(key)
+}
+
+// setDeadline logs the deadline, then records it in the index.
+func (g *guard) setDeadline(key, deadline uint64) error {
+	if err := g.t.logExpire(key, deadline); err != nil {
+		return err
+	}
+	g.exp.Set(key, deadline)
+	return nil
+}
+
+// one is a single-key operation, which never ships.
+func (g *guard) one(kind BatchOp, key, val uint64) (uint64, bool, error) {
+	if g.closed {
+		return 0, false, ErrClosed
+	}
+	return g.applyOne(kind, key, val, 0)
+}
+
+func (g *guard) Insert(key, val uint64) error {
+	_, _, err := g.one(BatchInsert, key, val)
+	return err
+}
+
+func (g *guard) Upsert(key, val uint64) error {
+	_, _, err := g.one(BatchUpsert, key, val)
+	return err
+}
+
+func (g *guard) Lookup(key uint64) (uint64, bool) {
+	v, ok, _ := g.one(BatchLookup, key, 0)
+	return v, ok
+}
+
+func (g *guard) Delete(key uint64) bool {
+	_, ok, _ := g.one(BatchDelete, key, 0)
+	return ok
+}
+
+func (g *guard) Len() int {
+	if g.closed {
+		return 0
+	}
+	return g.t.Len()
+}
+
+func (g *guard) Stats() Stats { return g.t.Stats() }
+
+func (g *guard) StoreStats() StoreStats { return g.t.StoreStats() }
+
+func (g *guard) MemoryUsed() int64 { return g.t.MemoryUsed() }
+
+func (g *guard) Durable() bool { return g.durable }
+
+// SetShip installs the ship sink. A single table is single-goroutine by
+// contract and a shard's guard is driven by its worker alone, so "apply
+// then ship, per key, in call order" is the total order the seam needs.
+func (g *guard) SetShip(fn ShipFunc) { g.ship = fn }
+
+func (g *guard) Sync() error {
+	if g.closed {
+		return ErrClosed
+	}
+	return g.t.Sync()
+}
+
+func (g *guard) beginSync() (fsync func() error, err error) {
+	if g.closed {
+		return nil, ErrClosed
+	}
+	return g.t.beginSync()
+}
+
+func (g *guard) Flush() error {
+	if g.closed {
+		return ErrClosed
+	}
+	return g.t.Flush()
+}
+
+func (g *guard) Close() error {
+	if g.closed {
+		return ErrClosed
+	}
+	g.closed = true
+	return g.t.Close()
 }

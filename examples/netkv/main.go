@@ -6,8 +6,8 @@
 // drains the server gracefully — the SIGTERM path of cmd/hashserved —
 // and reopens the engine to show the checkpoint took.
 //
-// The one line to notice: InsertBatch returning nil MEANS the batch is
-// WAL-durable on disk (the server group-commits the ack behind an
+// The one line to notice: an insert's Wait returning nil MEANS the batch
+// is WAL-durable on disk (the server group-commits the ack behind an
 // engine Sync), which is why the reopened engine must report every
 // acked key.
 package main
@@ -86,7 +86,7 @@ func main() {
 	}
 	fmt.Printf("inserted %d keys in %v (acked durable)\n", n, time.Since(start).Round(time.Millisecond))
 
-	got, found, err := cl.LookupBatch(ctx, []uint64{1, 777, n, n + 1})
+	got, found, err := cl.Lookup(ctx, []uint64{1, 777, n, n + 1}, client.ReadToken{})
 	if err != nil {
 		log.Fatal(err)
 	}

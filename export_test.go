@@ -1,16 +1,18 @@
 package extbuf
 
-import "extbuf/internal/iomodel"
+import (
+	"extbuf/internal/core"
+	"extbuf/internal/iomodel"
+)
 
 // Test-only exports: the differential model checker asserts that
 // buffer-pool pin reference counts balance after every operation
 // sequence, which needs a path from a public Table (or engine) down to
 // its block store's pin gauge.
 
-// poolPinned reports the pin gauge of the adapter's backing store. The
-// method lives on base, so every structure adapter promotes it.
-func (b base) poolPinned() (int, bool) {
-	switch st := b.model.Disk.Store().(type) {
+// poolPinned reports the pin gauge of the adapter's backing store.
+func (a *adapter) poolPinned() (int, bool) {
+	switch st := a.model.Disk.Store().(type) {
 	case *iomodel.FileStore:
 		return st.PinnedFrames(), true
 	case *iomodel.MemStore:
@@ -58,8 +60,10 @@ func CopiesForTest(tab Table, key uint64) (copies int, ok bool) {
 		return CopiesForTest(v.t, key)
 	case *durableTable:
 		return CopiesForTest(v.inner, key)
-	case *coreTable:
-		return v.t.Copies(key), true
+	case *adapter:
+		if t, isCore := v.s.(*core.Table); isCore {
+			return t.Copies(key), true
+		}
 	case *Sharded:
 		// Only when the engine is quiescent: the audit reads the owning
 		// shard's structure from outside its worker.
@@ -97,7 +101,7 @@ func (f *heldFile) Sync() error {
 // until release is closed. Call it before the engine sees any operation.
 func HoldShardFsyncForTest(s *Sharded, key uint64) (entered <-chan struct{}, release chan<- struct{}) {
 	f := &heldFile{entered: make(chan struct{}, 1), release: make(chan struct{})}
-	d := s.shards[s.shard(key)].(*guard).t.(*durableTable)
+	d := s.shards[s.shard(key)].t.(*durableTable)
 	d.log.Interpose(func(bf iomodel.BlockFile) iomodel.BlockFile { f.BlockFile = bf; return f })
 	return f.entered, f.release
 }

@@ -500,112 +500,162 @@ func (c Config) validateFor(structure string) error {
 	return nil
 }
 
-// base carries the model shared by all adapters.
-type base struct {
-	model *iomodel.Model
+// structure is the method set the seven external hash tables share
+// (internal/core, logmethod, chainhash, linprobe, exthash, linhash,
+// twolevel): every operation reports the model I/Os it spent, which the
+// adapter drops — the public counters come from the model itself.
+type structure interface {
+	Insert(key, val uint64) (ios int, err error)
+	Lookup(key uint64) (val uint64, ok bool, ios int)
+	Delete(key uint64) (ok bool, ios int)
+	Len() int
+	Close()
+	SaveState(e *ckpt.Encoder)
+	ScanBuckets() int
+	ScanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int)
 }
 
-func (b base) Stats() Stats {
-	c := b.model.Counters()
-	return Stats{Reads: c.Reads, Writes: c.Writes, WriteBacks: c.WriteBacks}
+// readModifyWriter is the optional capability of a structure whose
+// Insert is not already an upsert — the Theorem 2 table, whose Insert
+// takes fresh keys only: Upsert and CompareSwap walk to the key's single
+// live copy and rewrite it inside the block the lookup just read.
+type readModifyWriter interface {
+	Upsert(key, val uint64) (ios int, err error)
+	CompareSwap(key, old, new uint64) (swapped bool, ios int)
 }
 
-func (b base) MemoryUsed() int64 { return b.model.Mem.Used() }
+// structures is the one table of constructors behind Open, in
+// Structures() order: how each structure is built fresh and how it is
+// restored from a checkpoint's state payload (on a model whose store
+// already holds the checkpointed blocks). alias is the package-style name
+// Open also accepts (the name again where there is none).
+var structures = []struct {
+	name, alias string
+	build       func(*iomodel.Model, hashfn.Fn, Config) (structure, error)
+	restore     func(*iomodel.Model, hashfn.Fn, *ckpt.Decoder) (structure, error)
+}{
+	{"buffered", "core", func(m *iomodel.Model, fn hashfn.Fn, cfg Config) (structure, error) {
+		return lift(core.New(m, fn, core.Config{Beta: cfg.Beta, Gamma: cfg.Gamma}))
+	}, restorer(core.Restore)},
+	{"logmethod", "logmethod", func(m *iomodel.Model, fn hashfn.Fn, cfg Config) (structure, error) {
+		return lift(logmethod.New(m, fn, logmethod.Config{Gamma: cfg.Gamma}))
+	}, restorer(logmethod.Restore)},
+	{"knuth", "chainhash", func(m *iomodel.Model, fn hashfn.Fn, cfg Config) (structure, error) {
+		t, err := chainhash.New(m, fn, cfg.halfLoadBlocks())
+		if err != nil {
+			return nil, err
+		}
+		t.SetMaxLoad(0.75)
+		return t, nil
+	}, restorer(chainhash.Restore)},
+	{"linprobe", "linprobe", func(m *iomodel.Model, fn hashfn.Fn, cfg Config) (structure, error) {
+		t, err := linprobe.New(m, fn, cfg.halfLoadBlocks())
+		if err != nil {
+			return nil, err
+		}
+		t.SetMaxLoad(0.7)
+		return t, nil
+	}, restorer(linprobe.Restore)},
+	{"extendible", "exthash", func(m *iomodel.Model, fn hashfn.Fn, _ Config) (structure, error) {
+		return lift(exthash.New(m, fn, 2))
+	}, restorer(exthash.Restore)},
+	{"linear", "linhash", func(m *iomodel.Model, fn hashfn.Fn, _ Config) (structure, error) {
+		return lift(linhash.New(m, fn, 2))
+	}, restorer(linhash.Restore)},
+	{"twolevel", "twolevel", func(m *iomodel.Model, fn hashfn.Fn, cfg Config) (structure, error) {
+		return lift(twolevel.New(m, fn, twolevel.HomeBucketsFor(cfg.ExpectedItems, cfg.BlockSize)))
+	}, restorer(twolevel.Restore)},
+}
 
-func (b base) Sync() error { return b.model.Disk.Store().Sync() }
-
-func (b base) Flush() error { return b.model.Disk.Store().Sync() }
-
-func (b base) StoreStats() StoreStats {
-	if fs, ok := b.model.Disk.Store().(*iomodel.FileStore); ok {
-		return fromFileStats(fs.Stats())
+// lift widens a concrete structure to the interface, keeping a failed
+// constructor's nil a nil interface.
+func lift[T structure](t T, err error) (structure, error) {
+	if err != nil {
+		return nil, err
 	}
-	return StoreStats{}
+	return t, nil
 }
 
-// tableAdapter is a structure adapter plus the checkpoint hook the
-// durability layer serializes it through and the bucket-order scan
-// hooks the engine's Scan pages over.
-type tableAdapter interface {
-	Table
-	saveState(e *ckpt.Encoder)
-	scanBuckets() int
-	scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int)
+// restorer adapts a package's Restore function to the table's signature.
+func restorer[T structure](restore func(*iomodel.Model, hashfn.Fn, *ckpt.Decoder) (T, error)) func(*iomodel.Model, hashfn.Fn, *ckpt.Decoder) (structure, error) {
+	return func(m *iomodel.Model, fn hashfn.Fn, d *ckpt.Decoder) (structure, error) {
+		return lift(restore(m, fn, d))
+	}
+}
+
+// halfLoadBlocks sizes a fixed-capacity baseline for ExpectedItems at
+// load factor 1/2.
+func (c Config) halfLoadBlocks() int {
+	return max(2, 2*c.ExpectedItems/c.BlockSize)
 }
 
 // Structures lists the constructor names accepted by Open.
 func Structures() []string {
-	return []string{"buffered", "logmethod", "knuth", "linprobe", "extendible", "linear", "twolevel"}
-}
-
-// canonicalStructure folds the name aliases Open accepts onto the
-// Structures entries; it returns "" for unknown names.
-func canonicalStructure(name string) string {
-	switch name {
-	case "buffered", "core":
-		return "buffered"
-	case "logmethod":
-		return "logmethod"
-	case "knuth", "chainhash":
-		return "knuth"
-	case "linprobe":
-		return "linprobe"
-	case "extendible", "exthash":
-		return "extendible"
-	case "linear", "linhash":
-		return "linear"
-	case "twolevel":
-		return "twolevel"
-	default:
-		return ""
+	names := make([]string, len(structures))
+	for i, s := range structures {
+		names[i] = s.name
 	}
+	return names
 }
 
 // Open constructs a table by structure name; see Structures. With the
 // durable file backend (Backend "file" and a named Path), Open reopens
 // an existing table at Path — recovering its checkpoint and replaying
 // its write-ahead log — and creates a fresh durable table otherwise.
-func Open(structure string, cfg Config) (Table, error) {
-	canonical := canonicalStructure(structure)
-	if canonical == "" {
-		return nil, fmt.Errorf("extbuf: unknown structure %q (want one of %v)", structure, Structures())
-	}
-	return open(canonical, cfg)
-}
+func Open(structure string, cfg Config) (Table, error) { return asTable(open(structure, cfg)) }
 
 // New returns the paper's Theorem 2 buffered hash table: o(1) amortized
 // insertions with lookups in 1 + O(1/Beta) I/Os. It returns ErrBetaRange
 // or ErrGammaRange for parameters outside the paper's preconditions.
-func New(cfg Config) (Table, error) { return open("buffered", cfg) }
+func New(cfg Config) (Table, error) { return Open("buffered", cfg) }
 
 // NewLogMethod returns the Lemma 5 logarithmic-method table: o(1)
 // amortized insertions with O(log_gamma(n/m)) lookups. It returns
 // ErrGammaRange for growth factors below 2.
-func NewLogMethod(cfg Config) (Table, error) { return open("logmethod", cfg) }
+func NewLogMethod(cfg Config) (Table, error) { return Open("logmethod", cfg) }
 
 // NewKnuth returns the classical external chaining table sized for
 // cfg.ExpectedItems at load factor 1/2: ~1 I/O lookups and inserts.
-func NewKnuth(cfg Config) (Table, error) { return open("knuth", cfg) }
+func NewKnuth(cfg Config) (Table, error) { return Open("knuth", cfg) }
 
 // NewLinearProbing returns the block-level linear probing baseline.
-func NewLinearProbing(cfg Config) (Table, error) { return open("linprobe", cfg) }
+func NewLinearProbing(cfg Config) (Table, error) { return Open("linprobe", cfg) }
 
 // NewExtendible returns the extendible hashing baseline (Fagin et al.).
 // Its in-memory directory needs Theta(n/b) words; size MemoryWords
 // accordingly (the constructor cannot know the final n).
-func NewExtendible(cfg Config) (Table, error) { return open("extendible", cfg) }
+func NewExtendible(cfg Config) (Table, error) { return Open("extendible", cfg) }
 
 // NewLinear returns the linear hashing baseline (Litwin).
-func NewLinear(cfg Config) (Table, error) { return open("linear", cfg) }
+func NewLinear(cfg Config) (Table, error) { return Open("linear", cfg) }
 
 // NewTwoLevel returns the Jensen–Pagh-style high-load table sized for
 // cfg.ExpectedItems at load factor 1 - 1/sqrt(b).
-func NewTwoLevel(cfg Config) (Table, error) { return open("twolevel", cfg) }
+func NewTwoLevel(cfg Config) (Table, error) { return Open("twolevel", cfg) }
 
-// open is the single construction path behind Open and the New*
-// wrappers: validate, build the backend, construct or recover the
-// structure, and wrap the result in the close guard.
-func open(structure string, cfg Config) (Table, error) {
+// asTable returns an opened guard as a Table, keeping a failed open's
+// nil a nil interface.
+func asTable(g *guard, err error) (Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// open is the single construction path behind Open, OpenEngine, the New*
+// wrappers and NewSharded: resolve the name, validate, build the backend,
+// construct or recover the structure, and wrap the result in the guard.
+func open(name string, cfg Config) (*guard, error) {
+	kind := -1
+	for i, s := range structures {
+		if name == s.name || name == s.alias {
+			kind = i
+			break
+		}
+	}
+	if kind < 0 {
+		return nil, fmt.Errorf("extbuf: unknown structure %q (want one of %v)", name, Structures())
+	}
 	if cfg.Crash != nil && !cfg.durable() {
 		return nil, fmt.Errorf("extbuf: Crash injection requires the durable file backend (Backend \"file\" with a named Path)")
 	}
@@ -614,14 +664,14 @@ func open(structure string, cfg Config) (Table, error) {
 		// merge: a reopen with zero-valued fields adopts the stored
 		// parameters rather than colliding with the defaults.
 		idx := expiry.New()
-		t, err := openDurable(structure, cfg, idx)
+		t, err := openDurable(kind, cfg, idx)
 		if err != nil {
 			return nil, err
 		}
-		return &guard{t: t, durable: true, exp: idx, now: cfg.clock()}, nil
+		return newGuard(t, true, idx, cfg.clock()), nil
 	}
 	cfg = cfg.withDefaults()
-	if err := cfg.validateFor(structure); err != nil {
+	if err := cfg.validateFor(structures[kind].name); err != nil {
 		return nil, err
 	}
 	store, err := cfg.store()
@@ -629,465 +679,118 @@ func open(structure string, cfg Config) (Table, error) {
 		return nil, err
 	}
 	model := iomodel.NewModelOn(store, cfg.MemoryWords)
-	fn := hashfn.Family(cfg.HashFamily, cfg.Seed)
-	inner, err := buildAdapter(structure, model, fn, cfg)
+	inner, err := newAdapter(kind, model, hashfn.Family(cfg.HashFamily, cfg.Seed), cfg, nil)
+	if err != nil {
+		return nil, err
+	}
+	return newGuard(inner, false, expiry.New(), cfg.clock()), nil
+}
+
+// adapter presents a structure running on a model as a Table: it drops
+// the per-operation I/O counts, reads the public counters off the model,
+// and states once that the six baselines' Insert is already an upsert.
+type adapter struct {
+	model *iomodel.Model
+	s     structure
+	rmw   readModifyWriter // nil for the baselines
+}
+
+// newAdapter builds structure number kind on the model — fresh, or from
+// a checkpoint's state payload when d is non-nil. It closes the model if
+// the structure cannot be built.
+func newAdapter(kind int, model *iomodel.Model, fn hashfn.Fn, cfg Config, d *ckpt.Decoder) (*adapter, error) {
+	var s structure
+	var err error
+	if d != nil {
+		s, err = structures[kind].restore(model, fn, d)
+	} else {
+		s, err = structures[kind].build(model, fn, cfg)
+	}
 	if err != nil {
 		model.Close()
 		return nil, err
 	}
-	return &guard{t: inner, exp: expiry.New(), now: cfg.clock()}, nil
+	a := &adapter{model: model, s: s}
+	a.rmw, _ = s.(readModifyWriter)
+	return a, nil
 }
 
-// buildAdapter constructs a fresh structure of the given canonical name
-// on the model.
-func buildAdapter(structure string, model *iomodel.Model, fn hashfn.Fn, cfg Config) (tableAdapter, error) {
-	switch structure {
-	case "buffered":
-		t, err := core.New(model, fn, core.Config{Beta: cfg.Beta, Gamma: cfg.Gamma})
-		if err != nil {
-			return nil, err
-		}
-		return &coreTable{base{model}, t}, nil
-	case "logmethod":
-		t, err := logmethod.New(model, fn, logmethod.Config{Gamma: cfg.Gamma})
-		if err != nil {
-			return nil, err
-		}
-		return &logTable{base{model}, t}, nil
-	case "knuth":
-		nb := 2 * cfg.ExpectedItems / cfg.BlockSize
-		if nb < 2 {
-			nb = 2
-		}
-		t, err := chainhash.New(model, fn, nb)
-		if err != nil {
-			return nil, err
-		}
-		t.SetMaxLoad(0.75)
-		return &chainTable{base{model}, t}, nil
-	case "linprobe":
-		nb := 2 * cfg.ExpectedItems / cfg.BlockSize
-		if nb < 2 {
-			nb = 2
-		}
-		t, err := linprobe.New(model, fn, nb)
-		if err != nil {
-			return nil, err
-		}
-		t.SetMaxLoad(0.7)
-		return &probeTable{base{model}, t}, nil
-	case "extendible":
-		t, err := exthash.New(model, fn, 2)
-		if err != nil {
-			return nil, err
-		}
-		return &extTable{base{model}, t}, nil
-	case "linear":
-		t, err := linhash.New(model, fn, 2)
-		if err != nil {
-			return nil, err
-		}
-		return &linTable{base{model}, t}, nil
-	case "twolevel":
-		t, err := twolevel.New(model, fn, twolevel.HomeBucketsFor(cfg.ExpectedItems, cfg.BlockSize))
-		if err != nil {
-			return nil, err
-		}
-		return &twoTable{base{model}, t}, nil
-	default:
-		return nil, fmt.Errorf("extbuf: unknown structure %q (want one of %v)", structure, Structures())
-	}
-}
-
-// restoreAdapter rebuilds a structure of the given canonical name from
-// a checkpoint state payload, on a model whose store already holds the
-// checkpointed blocks.
-func restoreAdapter(structure string, model *iomodel.Model, fn hashfn.Fn, d *ckpt.Decoder) (tableAdapter, error) {
-	switch structure {
-	case "buffered":
-		t, err := core.Restore(model, fn, d)
-		if err != nil {
-			return nil, err
-		}
-		return &coreTable{base{model}, t}, nil
-	case "logmethod":
-		t, err := logmethod.Restore(model, fn, d)
-		if err != nil {
-			return nil, err
-		}
-		return &logTable{base{model}, t}, nil
-	case "knuth":
-		t, err := chainhash.Restore(model, fn, d)
-		if err != nil {
-			return nil, err
-		}
-		return &chainTable{base{model}, t}, nil
-	case "linprobe":
-		t, err := linprobe.Restore(model, fn, d)
-		if err != nil {
-			return nil, err
-		}
-		return &probeTable{base{model}, t}, nil
-	case "extendible":
-		t, err := exthash.Restore(model, fn, d)
-		if err != nil {
-			return nil, err
-		}
-		return &extTable{base{model}, t}, nil
-	case "linear":
-		t, err := linhash.Restore(model, fn, d)
-		if err != nil {
-			return nil, err
-		}
-		return &linTable{base{model}, t}, nil
-	case "twolevel":
-		t, err := twolevel.Restore(model, fn, d)
-		if err != nil {
-			return nil, err
-		}
-		return &twoTable{base{model}, t}, nil
-	default:
-		return nil, fmt.Errorf("extbuf: unknown structure %q in superblock", structure)
-	}
-}
-
-type coreTable struct {
-	base
-	t *core.Table
-}
-
-func (c *coreTable) Insert(key, val uint64) error {
-	_, err := c.t.Insert(key, val)
+func (a *adapter) Insert(key, val uint64) error {
+	_, err := a.s.Insert(key, val)
 	return err
 }
-func (c *coreTable) Upsert(key, val uint64) error {
-	_, err := c.t.Upsert(key, val)
+
+func (a *adapter) Upsert(key, val uint64) error {
+	if a.rmw == nil {
+		return a.Insert(key, val)
+	}
+	_, err := a.rmw.Upsert(key, val)
 	return err
 }
-func (c *coreTable) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := c.t.Lookup(key)
+
+func (a *adapter) Lookup(key uint64) (uint64, bool) {
+	v, ok, _ := a.s.Lookup(key)
 	return v, ok
 }
-func (c *coreTable) Delete(key uint64) bool {
-	ok, _ := c.t.Delete(key)
+
+func (a *adapter) Delete(key uint64) bool {
+	ok, _ := a.s.Delete(key)
 	return ok
 }
-func (c *coreTable) compareSwap(key, old, new uint64) (bool, error) {
-	swapped, _ := c.t.CompareSwap(key, old, new)
+
+// compareSwap is one probe where the structure has a read-modify-write
+// walk, and a full Lookup then a full Upsert where it has not.
+func (a *adapter) compareSwap(key, old, new uint64) (bool, error) {
+	if a.rmw == nil {
+		return casByLookup(a, key, old, new)
+	}
+	swapped, _ := a.rmw.CompareSwap(key, old, new)
 	return swapped, nil
 }
-func (c *coreTable) Len() int { return c.t.Len() }
-func (c *coreTable) Close() error {
-	c.t.Close()
-	return c.model.Close()
-}
-func (c *coreTable) saveState(e *ckpt.Encoder) { c.t.SaveState(e) }
-func (c *coreTable) scanBuckets() int          { return c.t.ScanBuckets() }
-func (c *coreTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	return c.t.ScanBucket(i, buf)
-}
 
-type logTable struct {
-	base
-	t *logmethod.Table
-}
-
-func (l *logTable) Insert(key, val uint64) error {
-	_, err := l.t.Insert(key, val)
-	return err
-}
-func (l *logTable) Upsert(key, val uint64) error { return l.Insert(key, val) }
-func (l *logTable) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := l.t.Lookup(key)
-	return v, ok
-}
-func (l *logTable) Delete(key uint64) bool {
-	ok, _ := l.t.Delete(key)
-	return ok
-}
-func (l *logTable) Len() int { return l.t.Len() }
-func (l *logTable) Close() error {
-	l.t.Close()
-	return l.model.Close()
-}
-func (l *logTable) saveState(e *ckpt.Encoder) { l.t.SaveState(e) }
-func (l *logTable) scanBuckets() int          { return l.t.ScanBuckets() }
-func (l *logTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	return l.t.ScanBucket(i, buf)
-}
-
-type chainTable struct {
-	base
-	t *chainhash.Table
-}
-
-func (c *chainTable) Insert(key, val uint64) error { c.t.Insert(key, val); return nil }
-func (c *chainTable) Upsert(key, val uint64) error { return c.Insert(key, val) }
-func (c *chainTable) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := c.t.Lookup(key)
-	return v, ok
-}
-func (c *chainTable) Delete(key uint64) bool {
-	ok, _ := c.t.Delete(key)
-	return ok
-}
-func (c *chainTable) Len() int { return c.t.Len() }
-func (c *chainTable) Close() error {
-	c.t.Close()
-	return c.model.Close()
-}
-func (c *chainTable) saveState(e *ckpt.Encoder) { c.t.SaveState(e) }
-func (c *chainTable) scanBuckets() int          { return c.t.ScanBuckets() }
-func (c *chainTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	return c.t.ScanBucket(i, buf)
-}
-
-type probeTable struct {
-	base
-	t *linprobe.Table
-}
-
-func (p *probeTable) Insert(key, val uint64) error {
-	_, err := p.t.Insert(key, val)
-	return err
-}
-func (p *probeTable) Upsert(key, val uint64) error { return p.Insert(key, val) }
-func (p *probeTable) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := p.t.Lookup(key)
-	return v, ok
-}
-func (p *probeTable) Delete(key uint64) bool {
-	ok, _ := p.t.Delete(key)
-	return ok
-}
-func (p *probeTable) Len() int { return p.t.Len() }
-func (p *probeTable) Close() error {
-	p.t.Close()
-	return p.model.Close()
-}
-func (p *probeTable) saveState(e *ckpt.Encoder) { p.t.SaveState(e) }
-func (p *probeTable) scanBuckets() int          { return p.t.ScanBuckets() }
-func (p *probeTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	return p.t.ScanBucket(i, buf)
-}
-
-type extTable struct {
-	base
-	t *exthash.Table
-}
-
-func (e *extTable) Insert(key, val uint64) error { e.t.Insert(key, val); return nil }
-func (e *extTable) Upsert(key, val uint64) error { return e.Insert(key, val) }
-func (e *extTable) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := e.t.Lookup(key)
-	return v, ok
-}
-func (e *extTable) Delete(key uint64) bool {
-	ok, _ := e.t.Delete(key)
-	return ok
-}
-func (e *extTable) Len() int { return e.t.Len() }
-func (e *extTable) Close() error {
-	e.t.Close()
-	return e.model.Close()
-}
-func (e *extTable) saveState(enc *ckpt.Encoder) { e.t.SaveState(enc) }
-func (e *extTable) scanBuckets() int            { return e.t.ScanBuckets() }
-func (e *extTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	return e.t.ScanBucket(i, buf)
-}
-
-type linTable struct {
-	base
-	t *linhash.Table
-}
-
-func (l *linTable) Insert(key, val uint64) error { l.t.Insert(key, val); return nil }
-func (l *linTable) Upsert(key, val uint64) error { return l.Insert(key, val) }
-func (l *linTable) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := l.t.Lookup(key)
-	return v, ok
-}
-func (l *linTable) Delete(key uint64) bool {
-	ok, _ := l.t.Delete(key)
-	return ok
-}
-func (l *linTable) Len() int { return l.t.Len() }
-func (l *linTable) Close() error {
-	l.t.Close()
-	return l.model.Close()
-}
-func (l *linTable) saveState(e *ckpt.Encoder) { l.t.SaveState(e) }
-func (l *linTable) scanBuckets() int          { return l.t.ScanBuckets() }
-func (l *linTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	return l.t.ScanBucket(i, buf)
-}
-
-type twoTable struct {
-	base
-	t *twolevel.Table
-}
-
-func (w *twoTable) Insert(key, val uint64) error { w.t.Insert(key, val); return nil }
-func (w *twoTable) Upsert(key, val uint64) error { return w.Insert(key, val) }
-func (w *twoTable) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := w.t.Lookup(key)
-	return v, ok
-}
-func (w *twoTable) Delete(key uint64) bool {
-	ok, _ := w.t.Delete(key)
-	return ok
-}
-func (w *twoTable) Len() int { return w.t.Len() }
-func (w *twoTable) Close() error {
-	w.t.Close()
-	return w.model.Close()
-}
-func (w *twoTable) saveState(e *ckpt.Encoder) { w.t.SaveState(e) }
-func (w *twoTable) scanBuckets() int          { return w.t.ScanBuckets() }
-func (w *twoTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	return w.t.ScanBucket(i, buf)
-}
-
-// guard enforces the close contract around every table returned by the
-// constructors: operations on a closed table fail with ErrClosed (or
-// zero results from the non-error methods) and a second Close reports
-// ErrClosed instead of panicking on released resources. Stats stays
-// readable after Close so experiments can harvest counters last.
-type guard struct {
-	t       Table
-	durable bool
-	closed  bool
-	ship    ShipFunc // replication seam; see Engine.SetShip
-
-	// TTL sidecar (see ttl.go): the expiry index, the millisecond clock
-	// it is read against, reusable sweep/scan scratch, and counters.
-	// Shared with the durable layer, which fills the index during WAL
-	// replay and persists it at every checkpoint.
-	exp      *expiry.Index
-	now      func() uint64
-	sweepBuf []uint64
-	scanBuf  []iomodel.Entry
-	expStats ExpiryStats
-}
-
-// insertOne applies one insert and clears the key's TTL — any plain
-// value write makes a key persistent again (Redis semantics), which is
-// also what keeps replicas convergent: the shipped record is a plain
-// insert/upsert and clears the TTL there too.
-func (g *guard) insertOne(key, val uint64) error {
-	if err := g.t.Insert(key, val); err != nil {
-		return err
+// casByLookup is compare-and-swap for tables without a one-probe form.
+func casByLookup(t Table, key, old, new uint64) (bool, error) {
+	if v, ok := t.Lookup(key); !ok || v != old {
+		return false, nil
 	}
-	g.exp.Clear(key)
-	return nil
-}
-
-// upsertOne applies one upsert and clears the key's TTL; see insertOne.
-func (g *guard) upsertOne(key, val uint64) error {
-	if err := g.t.Upsert(key, val); err != nil {
-		return err
+	if err := t.Upsert(key, new); err != nil {
+		return false, err
 	}
-	g.exp.Clear(key)
-	return nil
+	return true, nil
 }
 
-// deleteOne applies one delete and clears the key's TTL. Deleting a
-// key that has already expired (but not yet been swept) still removes
-// it physically, but reports a miss — the key was logically absent.
-func (g *guard) deleteOne(key uint64) bool {
-	expired := g.expired(key)
-	ok := g.t.Delete(key)
-	g.exp.Clear(key)
-	return ok && !expired
+func (a *adapter) Len() int { return a.s.Len() }
+
+func (a *adapter) Stats() Stats {
+	c := a.model.Counters()
+	return Stats{Reads: c.Reads, Writes: c.Writes, WriteBacks: c.WriteBacks}
 }
 
-// expired reports whether key's deadline has passed. The deadline map
-// read comes first so keys without a TTL — the hot path — never pay
-// the clock read.
-func (g *guard) expired(key uint64) bool {
-	d, ok := g.exp.Deadline(key)
-	return ok && d <= g.now()
-}
+func (a *adapter) MemoryUsed() int64 { return a.model.Mem.Used() }
 
-func (g *guard) Insert(key, val uint64) error {
-	if g.closed {
-		return ErrClosed
+func (a *adapter) Sync() error { return a.model.Disk.Store().Sync() }
+
+func (a *adapter) Flush() error { return a.Sync() }
+
+func (a *adapter) StoreStats() StoreStats {
+	if fs, ok := a.model.Disk.Store().(*iomodel.FileStore); ok {
+		return fromFileStats(fs.Stats())
 	}
-	return g.insertOne(key, val)
+	return StoreStats{}
 }
 
-func (g *guard) Upsert(key, val uint64) error {
-	if g.closed {
-		return ErrClosed
-	}
-	return g.upsertOne(key, val)
+func (a *adapter) Close() error {
+	a.s.Close()
+	return a.model.Close()
 }
 
-func (g *guard) Lookup(key uint64) (uint64, bool) {
-	if g.closed {
-		return 0, false
-	}
-	if g.expired(key) {
-		// Lazy expiry: the key is dead the instant its deadline passes,
-		// without waiting for the sweep to delete it physically.
-		g.expStats.LazyHits++
-		return 0, false
-	}
-	return g.t.Lookup(key)
+func (a *adapter) scanBuckets() int { return a.s.ScanBuckets() }
+
+func (a *adapter) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
+	return a.s.ScanBucket(i, buf)
 }
 
-func (g *guard) Delete(key uint64) bool {
-	if g.closed {
-		return false
-	}
-	return g.deleteOne(key)
-}
-
-func (g *guard) Len() int {
-	if g.closed {
-		return 0
-	}
-	return g.t.Len()
-}
-
-func (g *guard) Stats() Stats { return g.t.Stats() }
-
-func (g *guard) StoreStats() StoreStats { return g.t.StoreStats() }
-
-func (g *guard) MemoryUsed() int64 { return g.t.MemoryUsed() }
-
-func (g *guard) Sync() error {
-	if g.closed {
-		return ErrClosed
-	}
-	return g.t.Sync()
-}
-
-// beginSync is Sync with the fsync split off for the caller to run
-// elsewhere (durableTable.beginSync); tables without that split sync
-// here and return a nil fsync.
-func (g *guard) beginSync() (fsync func() error, err error) {
-	if g.closed {
-		return nil, ErrClosed
-	}
-	if d, ok := g.t.(*durableTable); ok {
-		return d.beginSync()
-	}
-	return nil, g.t.Sync()
-}
-
-func (g *guard) Flush() error {
-	if g.closed {
-		return ErrClosed
-	}
-	return g.t.Flush()
-}
-
-func (g *guard) Close() error {
-	if g.closed {
-		return ErrClosed
-	}
-	g.closed = true
-	return g.t.Close()
-}
+// A scratch table has no log to write a deadline to and no fsync to
+// split off its Sync; the durable layer overrides both.
+func (a *adapter) logExpire(key, deadline uint64) error { return nil }
+func (a *adapter) beginSync() (func() error, error)     { return nil, a.Sync() }

@@ -121,7 +121,9 @@ func (t *Table) bucket(key uint64) int {
 
 // Insert stores (key, val), overwriting any existing value for key, and
 // returns the I/Os spent.
-func (t *Table) Insert(key, val uint64) int {
+// The error is always nil: it is in the signature so that all seven
+// structures share one method set (extbuf's structure interface).
+func (t *Table) Insert(key, val uint64) (int, error) {
 	ios, grew, replaced := block.Insert(t.d, t.heads[t.bucket(key)], iomodel.Entry{Key: key, Val: val})
 	if grew {
 		t.blocks++
@@ -132,7 +134,7 @@ func (t *Table) Insert(key, val uint64) int {
 	if t.maxLoad > 0 && t.Fill() > t.maxLoad {
 		ios += t.grow()
 	}
-	return ios
+	return ios, nil
 }
 
 // Lookup returns the value stored for key and the I/Os spent. A lookup

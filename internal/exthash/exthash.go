@@ -98,7 +98,9 @@ func (t *Table) slot(key uint64) int {
 
 // Insert stores (key, val), overwriting an existing value. It returns
 // the I/Os spent.
-func (t *Table) Insert(key, val uint64) int {
+// The error is always nil: it is in the signature so that all seven
+// structures share one method set (extbuf's structure interface).
+func (t *Table) Insert(key, val uint64) (int, error) {
 	ios := 0
 	for attempt := 0; attempt < 64; attempt++ {
 		s := t.slot(key)
@@ -109,14 +111,14 @@ func (t *Table) Insert(key, val uint64) int {
 			if buf[i].Key == key {
 				buf[i].Val = val
 				t.d.WriteBack(id, buf)
-				return ios
+				return ios, nil
 			}
 		}
 		if len(buf) < t.d.B() {
 			buf = append(buf, iomodel.Entry{Key: key, Val: val})
 			t.d.WriteBack(id, buf)
 			t.n++
-			return ios
+			return ios, nil
 		}
 		ios += t.split(s, buf)
 	}

@@ -119,7 +119,9 @@ func (t *Table) bucket(key uint64) int {
 // Insert stores (key, val), overwriting existing values, and returns the
 // I/Os spent. A controlled split runs when the fill exceeds the
 // threshold.
-func (t *Table) Insert(key, val uint64) int {
+// The error is always nil: it is in the signature so that all seven
+// structures share one method set (extbuf's structure interface).
+func (t *Table) Insert(key, val uint64) (int, error) {
 	ios, grew, replaced := block.Insert(t.d, t.heads[t.bucket(key)], iomodel.Entry{Key: key, Val: val})
 	if grew {
 		t.blocks++
@@ -130,7 +132,7 @@ func (t *Table) Insert(key, val uint64) int {
 	if t.maxLoad > 0 && t.Fill() > t.maxLoad {
 		ios += t.splitNext()
 	}
-	return ios
+	return ios, nil
 }
 
 // splitNext splits the bucket at the split pointer, advancing the round.

@@ -38,10 +38,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	defer cl.Close()
 	ctx := context.Background()
-	if err := cl.UpsertBatch(ctx, []uint64{1, 2, 3}, []uint64{4, 5, 6}); err != nil {
+	if _, err := cl.Upsert(ctx, []uint64{1, 2, 3}, []uint64{4, 5, 6}); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := cl.LookupBatch(ctx, []uint64{1, 9}); err != nil {
+	if _, _, err := cl.Lookup(ctx, []uint64{1, 9}, client.ReadToken{}); err != nil {
 		t.Fatal(err)
 	}
 

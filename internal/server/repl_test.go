@@ -429,7 +429,7 @@ func TestClientReconnect(t *testing.T) {
 
 	cl := dialNode(t, addr)
 	ctx := context.Background()
-	if err := cl.InsertBatch(ctx, []uint64{1}, []uint64{10}); err != nil {
+	if _, err := cl.Insert(ctx, []uint64{1}, []uint64{10}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -461,7 +461,7 @@ func TestClientReconnect(t *testing.T) {
 	// The old sockets are dead; the client must redial, not fail forever.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		err := cl.UpsertBatch(ctx, []uint64{2}, []uint64{20})
+		_, err := cl.Upsert(ctx, []uint64{2}, []uint64{20})
 		if err == nil {
 			break
 		}

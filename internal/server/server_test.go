@@ -69,13 +69,13 @@ func TestServeRoundTrip(t *testing.T) {
 		keys[i] = uint64(i + 1)
 		vals[i] = uint64(i) * 7
 	}
-	if err := cl.InsertBatch(ctx, keys, vals); err != nil {
+	if _, err := cl.Insert(ctx, keys, vals); err != nil {
 		t.Fatalf("InsertBatch: %v", err)
 	}
 	if n, err := cl.Len(ctx); err != nil || n != 500 {
 		t.Fatalf("Len = %d, %v; want 500", n, err)
 	}
-	got, found, err := cl.LookupBatch(ctx, append([]uint64{9999}, keys...))
+	got, found, err := cl.Lookup(ctx, append([]uint64{9999}, keys...), client.ReadToken{})
 	if err != nil {
 		t.Fatalf("LookupBatch: %v", err)
 	}
@@ -87,13 +87,13 @@ func TestServeRoundTrip(t *testing.T) {
 			t.Fatalf("key %d: (%d,%v), want (%d,true)", keys[i], got[i+1], found[i+1], vals[i])
 		}
 	}
-	if err := cl.UpsertBatch(ctx, keys[:10], make([]uint64, 10)); err != nil {
+	if _, err := cl.Upsert(ctx, keys[:10], make([]uint64, 10)); err != nil {
 		t.Fatalf("UpsertBatch: %v", err)
 	}
-	if got, _, _ := cl.LookupBatch(ctx, keys[:1]); got[0] != 0 {
+	if got, _, _ := cl.Lookup(ctx, keys[:1], client.ReadToken{}); got[0] != 0 {
 		t.Fatalf("upserted value = %d, want 0", got[0])
 	}
-	deleted, err := cl.DeleteBatch(ctx, keys[:20])
+	deleted, _, err := cl.Delete(ctx, keys[:20])
 	if err != nil {
 		t.Fatalf("DeleteBatch: %v", err)
 	}
@@ -514,11 +514,11 @@ func TestConcurrentClients(t *testing.T) {
 					keys[j] = uint64(cidx)<<32 | uint64(i*100+j+1)
 					vals[j] = keys[j] * 3
 				}
-				if err := cl.InsertBatch(ctx, keys, vals); err != nil {
+				if _, err := cl.Insert(ctx, keys, vals); err != nil {
 					errCh <- fmt.Errorf("insert: %w", err)
 					return
 				}
-				got, found, err := cl.LookupBatch(ctx, keys)
+				got, found, err := cl.Lookup(ctx, keys, client.ReadToken{})
 				if err != nil {
 					errCh <- fmt.Errorf("lookup: %w", err)
 					return
@@ -561,7 +561,7 @@ func TestStatsOverWire(t *testing.T) {
 		keys[i] = uint64(i + 1)
 		vals[i] = uint64(i)
 	}
-	if err := cl.InsertBatch(ctx, keys, vals); err != nil {
+	if _, err := cl.Insert(ctx, keys, vals); err != nil {
 		t.Fatal(err)
 	}
 	if err := cl.Flush(ctx); err != nil {

@@ -136,7 +136,9 @@ func (t *Table) home(key uint64) int {
 // Insert stores (key, val), overwriting existing values. It returns the
 // I/Os spent: 1 when the home block absorbs the item, 1 + overflow cost
 // otherwise.
-func (t *Table) Insert(key, val uint64) int {
+// The error is always nil: it is in the signature so that all seven
+// structures share one method set (extbuf's structure interface).
+func (t *Table) Insert(key, val uint64) (int, error) {
 	h := t.home(key)
 	id := t.homes[h]
 	buf := t.d.Read(id, t.d.AcquireBuf())
@@ -146,7 +148,7 @@ func (t *Table) Insert(key, val uint64) int {
 		if buf[i].Key == key {
 			buf[i].Val = val
 			t.d.WriteBack(id, buf)
-			return ios
+			return ios, nil
 		}
 	}
 	_, isDirty := t.dirty[h]
@@ -155,7 +157,7 @@ func (t *Table) Insert(key, val uint64) int {
 		buf = append(buf, iomodel.Entry{Key: key, Val: val})
 		t.d.WriteBack(id, buf)
 		t.n++
-		return ios
+		return ios, nil
 	}
 	if len(buf) < t.d.B() {
 		// Dirty bucket: the key may be hiding in overflow. Probe it;
@@ -163,8 +165,9 @@ func (t *Table) Insert(key, val uint64) int {
 		// bucket's inference stays broken (still dirty).
 		if _, ok, c := t.overflow.Lookup(key); ok {
 			ios += c
-			ios += t.overflow.Insert(key, val)
-			return ios
+			c, _ = t.overflow.Insert(key, val) // chainhash inserts cannot fail
+			ios += c
+			return ios, nil
 		} else {
 			ios += c
 		}
@@ -173,16 +176,17 @@ func (t *Table) Insert(key, val uint64) int {
 		buf = append(buf, iomodel.Entry{Key: key, Val: val})
 		t.d.WriteBack(id, buf)
 		t.n++
-		return ios
+		return ios, nil
 	}
 	// Full home block: the item goes to overflow (chainhash handles
 	// duplicates there).
 	before := t.overflow.Len()
-	ios += t.overflow.Insert(key, val)
+	c, _ := t.overflow.Insert(key, val) // chainhash inserts cannot fail
+	ios += c
 	if t.overflow.Len() > before {
 		t.n++
 	}
-	return ios
+	return ios, nil
 }
 
 // Lookup returns the value for key and the I/Os spent: 1 when the home

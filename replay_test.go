@@ -3,15 +3,13 @@ package extbuf
 import (
 	"testing"
 
-	"extbuf/internal/ckpt"
 	"extbuf/internal/expiry"
 	"extbuf/internal/hashfn"
-	"extbuf/internal/iomodel"
 	"extbuf/internal/wal"
 	"extbuf/internal/xrand"
 )
 
-// replayMock is a map-backed tableAdapter that records the net effect
+// replayMock is a map-backed replayTarget that records the net effect
 // of a replay, for differential comparison between the serial and
 // parallel replay paths.
 type replayMock struct {
@@ -19,27 +17,12 @@ type replayMock struct {
 }
 
 func newReplayMock() *replayMock               { return &replayMock{m: make(map[uint64]uint64)} }
-func (r *replayMock) Insert(k, v uint64) error { r.m[k] = v; return nil }
 func (r *replayMock) Upsert(k, v uint64) error { r.m[k] = v; return nil }
-func (r *replayMock) Lookup(k uint64) (uint64, bool) {
-	v, ok := r.m[k]
-	return v, ok
-}
 func (r *replayMock) Delete(k uint64) bool {
 	_, ok := r.m[k]
 	delete(r.m, k)
 	return ok
 }
-func (r *replayMock) Len() int                                               { return len(r.m) }
-func (r *replayMock) Stats() Stats                                           { return Stats{} }
-func (r *replayMock) MemoryUsed() int64                                      { return 0 }
-func (r *replayMock) Sync() error                                            { return nil }
-func (r *replayMock) Flush() error                                           { return nil }
-func (r *replayMock) StoreStats() StoreStats                                 { return StoreStats{} }
-func (r *replayMock) Close() error                                           { return nil }
-func (r *replayMock) saveState(*ckpt.Encoder)                                {}
-func (r *replayMock) scanBuckets() int                                       { return 0 }
-func (r *replayMock) scanBucket(int, []iomodel.Entry) ([]iomodel.Entry, int) { return nil, 0 }
 
 // TestReplayRecordsParallelEquivalent: the parallel replay path (hash
 // partition, last-write-wins collapse, bucket-ordered apply) must leave
@@ -101,7 +84,7 @@ func TestReplayRecordsParallelEquivalent(t *testing.T) {
 	if err := replayRecords(records[:50], uint64(n), fn, empty, expiry.New(), 8); err != nil {
 		t.Fatal(err)
 	}
-	if empty.Len() != 0 {
-		t.Fatalf("prefix below lastLSN replayed: Len = %d", empty.Len())
+	if len(empty.m) != 0 {
+		t.Fatalf("prefix below lastLSN replayed: %d entries", len(empty.m))
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"extbuf/internal/wal"
 	"extbuf/internal/xrand"
@@ -24,24 +25,29 @@ const shardQueueDepth = 64
 // different shards proceed in parallel and batches fan out to all
 // shards at once.
 //
-// The batch entry points (InsertBatch, UpsertBatch, LookupBatch,
-// DeleteBatch) split a slice of operations by shard, hand every shard
-// its sub-batch in input order, and reassemble results at the original
-// positions. The single-operation methods are one-element batches, so
-// the per-shard operation order — and therefore the simulated I/O
-// counters on the "mem" backend — is identical to a sequential run of
-// the same stream. Every batch is a start (partition and enqueue) and a
-// wait (join); StartBatch exposes the two halves separately, so a
-// caller can keep several batches outstanding and the workers busy,
-// with the same per-key order.
+// Every keyed operation is one choreography: split the operand vector
+// by shard, hand every shard its share in input order (startBatch), and
+// join (waitBatch); each worker runs its share through its guard's
+// apply, writing results at the original positions. The single-key
+// methods are one-element batches, so the per-shard operation order —
+// and therefore the simulated I/O counters on the "mem" backend — is
+// identical to a sequential run of the same stream. StartBatch exposes
+// the two halves separately, so a caller can keep several batches
+// outstanding and the workers busy, with the same per-key order.
+// Everything unkeyed (Len, StoreStats, ExpiryStats, SweepExpired, Scan,
+// Sync, Flush, Close) is the other choreography: broadcast.
 //
 // Config.FlushPolicy selects the write path: under FlushSync (default)
-// a mutation call returns once every shard has applied its share, and
-// under FlushAsync Insert/Upsert enqueue and return immediately
-// (write-behind), with Flush and Close acting as completion barriers
-// that also drive all shards' backend syncs in parallel. Reads always
-// queue behind prior writes of their shard, so read-your-writes holds
-// under both policies.
+// a mutation call returns once every shard has applied its share — with
+// the join of the shards' first errors — and under FlushAsync Insert,
+// Upsert, InsertBatch and UpsertBatch enqueue and return immediately
+// (write-behind); their errors surface at the next Sync, Flush or
+// Close. Flush and Close are the completion barriers that also drive all
+// shards' backend syncs in parallel. Everything else — reads, deletes,
+// the shipping and TTL/CAS forms, Len — always waits, queued behind the
+// prior writes of its shard, so read-your-writes holds under both
+// policies. A closed engine returns ErrClosed (zero results from
+// Lookup/Delete/Len), never a miss mistaken for one.
 //
 // The external memory model is per-shard: each shard owns a disk and an
 // m-word memory budget (total memory = Shards * Config.MemoryWords),
@@ -50,9 +56,10 @@ const shardQueueDepth = 64
 // without entering the pipeline (the underlying counters are atomic),
 // so monitoring never stalls the workers.
 type Sharded struct {
-	shards   []Table
-	reqs     []chan *shardReq
-	deferred [][]error // per-shard async errors; owned by the worker between barriers
+	batchAPI
+	shards   []*guard
+	reqs     []chan *BatchCall
+	deferred [][]error // per-shard write-behind errors; owned by the worker between barriers
 	workerWG sync.WaitGroup
 	salt     uint64
 	bits     uint
@@ -66,23 +73,9 @@ type Sharded struct {
 	committer *wal.Committer
 	fsyncWG   sync.WaitGroup
 
-	// ship is the replication seam (Engine.SetShip): shard workers emit
-	// applied mutations to it while they still own the per-shard apply
-	// order, so a key's ship order always matches its apply order.
-	// shipK/shipV are per-worker gather scratch (indexed by shard,
-	// touched only by that shard's worker goroutine).
-	ship  ShipFunc
-	shipK [][]uint64
-	shipV [][]uint64
-	shipW [][]uint64 // third gather column (upsert-TTL deadlines)
-
-	// reqPool and scratchPool recycle the per-request and per-batch
-	// bookkeeping (request structs, partition index lists, error/length
-	// slots), so the steady-state submission path allocates nothing.
-	// Sync requests are returned by the submitter after its barrier;
-	// write-behind requests (nil wg) are returned by the serving worker.
-	reqPool     sync.Pool
-	scratchPool sync.Pool
+	// callPool recycles the handles, so the steady-state submission path
+	// allocates nothing.
+	callPool sync.Pool
 
 	// stateMu makes submission and shutdown race-free: submitters hold
 	// the read side across the closed check and their channel sends, and
@@ -96,141 +89,65 @@ type Sharded struct {
 	closeErr error
 }
 
-// opKind discriminates shard requests.
-type opKind uint8
-
-const (
-	opInsert opKind = iota
-	opUpsert
-	opLookup
-	opDelete
-	opLen
-	opSync
-	opFlush
-	opStats
-
-	// Ship variants of the mutations: apply, then emit the applied
-	// records to the ship sink from inside the worker (total-order
-	// replication, DESIGN.md §2a). Always synchronous — the caller
-	// needs the assigned LSNs back.
-	opInsertShip
-	opUpsertShip
-	opDeleteShip
-
-	// The TTL/CAS/scan surface (DESIGN.md §2b). Expire has ship and
-	// non-ship variants — followers replay shipped expires without
-	// re-shipping them; CAS and upsert-with-TTL only exist shipped. All
-	// run synchronously: callers need found flags or LSNs back.
-	opExpire
-	opExpireShip
-	opUpsertTTLShip
-	opCASShip
-	opScan
-	opSweep
-	opExpiryStats
-)
-
-// shardReq is one shard's share of a batch: the positions idx of the
-// caller's slices that hash to this shard, in input order. Result and
-// error slots are shared across the fan-out but written at disjoint
-// positions (per-operation slots at idx, per-shard slots at shard), so
-// workers never contend. A nil wg marks a write-behind request: the
-// worker applies it without signalling and parks any error until the
-// next barrier.
-//
-// Requests are pooled. The trailing inline fields are the operand and
-// result storage of pooled single-operation requests (the slice fields
-// alias them), so a single op carries no per-call slices at all.
-type shardReq struct {
-	kind   opKind
-	keys   []uint64
-	vals   []uint64     // insert/upsert payloads, parallel to keys
-	idx    []int        // this shard's positions within keys/vals
-	outV   []uint64     // lookup values, parallel to keys
-	outOK  []bool       // lookup/delete hits, parallel to keys
-	errs   []error      // one slot per shard
-	lens   []int64      // one slot per shard
-	stores []StoreStats // one slot per shard (opStats)
-	lsns   []uint64     // one slot per shard: highest ship LSN (ship kinds)
-	shard  int
-	wg     *sync.WaitGroup
-
-	// TTL/CAS/scan operands and results.
-	vals2    []uint64      // third operand column: CAS new values, upsert-TTL deadlines
-	expSt    []ExpiryStats // one slot per shard (opExpiryStats)
-	cursor   uint64        // opScan: in-shard bucket cursor
-	maxN     int           // opScan page size; opSweep per-shard budget
-	scanK    []uint64      // opScan page, written by the worker
-	scanV    []uint64
-	scanNext uint64
-
-	// Inline storage for single-operation requests.
-	wg1   sync.WaitGroup
-	k1    [1]uint64
-	v1    [1]uint64
-	outV1 [1]uint64
-	ok1   [1]bool
-	e1    [1]error
-}
-
-// BatchCall is one fan-out in flight — the handle StartBatch returns and
-// Wait joins — and, being pooled, the per-batch bookkeeping of every
-// submitting goroutine: partition index lists (backing arrays reused
-// across batches), the barrier the shard workers signal, per-shard
-// error, LSN and length slots, and the request pointers to recycle once
-// the barrier has passed.
+// BatchCall is one request in flight on the shard queues — the handle
+// StartBatch returns and Wait joins. Every shard it concerns receives
+// the same pointer: the request half is read-only to the workers, and
+// each worker writes only its own shard's result slots (and, of the
+// caller's result slices, only its own positions), so they never
+// contend. Handles are pooled, and carry their own storage for
+// single-key and write-behind operands.
 type BatchCall struct {
-	s      *Sharded
-	wg     sync.WaitGroup
+	s *Sharded
+
+	// The request: a keyed operand vector, of which worker i applies
+	// positions parts[i] (in input order; backing arrays reused across
+	// batches), or an unkeyed kind with its argument.
+	opVec
 	parts  [][]int
-	errs   []error
-	lens   []int64
-	stores []StoreStats
-	lsns   []uint64
-	expSt  []ExpiryStats
-	reqs   []*shardReq
+	cursor uint64 // opScan: in-shard bucket cursor
+	maxN   int    // opScan page size; opSweep per-shard budget
+
+	// Completion: the workers signal wg. Nobody waits for a write-behind
+	// call; it is counted in refs instead, and whoever drops the last
+	// reference recycles it.
+	wg          sync.WaitGroup
+	writeBehind bool
+	refs        atomic.Int32
+
+	// Results, one slot per shard, and the page of an opScan.
+	errs         []error
+	lsns         []uint64 // highest ship LSN
+	lens         []int64
+	stores       []StoreStats
+	expSt        []ExpiryStats
+	scanK, scanV []uint64
+	scanNext     uint64
+
+	// Operand storage of single-key calls (v1 also takes the looked-up
+	// value) and of write-behind calls, which outlive their caller.
+	k1, v1     [1]uint64
+	ok1        [1]bool
+	ownK, ownV []uint64
 }
 
-// getReq returns a zeroed pooled request.
-func (s *Sharded) getReq() *shardReq { return s.reqPool.Get().(*shardReq) }
+func (s *Sharded) getCall() *BatchCall { return s.callPool.Get().(*BatchCall) }
 
-// putReq recycles a request once no worker can touch it (after the
-// submitter's barrier for sync requests, after serve for write-behind
-// ones). Fields are cleared individually — the inline WaitGroup must
-// not be copied over.
-func (s *Sharded) putReq(r *shardReq) {
-	r.keys, r.vals, r.idx = nil, nil, nil
-	r.outV, r.outOK, r.errs, r.lens = nil, nil, nil, nil
-	r.stores, r.lsns = nil, nil
-	r.vals2, r.expSt = nil, nil
-	r.cursor, r.maxN = 0, 0
-	r.scanK, r.scanV, r.scanNext = nil, nil, 0
-	r.shard = 0
-	r.wg = nil
-	// Clear the inline result and error slots: a submission refused at
-	// the closed check returns before any worker writes them, and the
-	// caller must then read zero values, not a previous op's results.
-	r.e1[0] = nil
-	r.outV1[0] = 0
-	r.ok1[0] = false
-	s.reqPool.Put(r)
+// putCall recycles c once no worker can touch it, clearing the slots a
+// later call only writes on some shards (a stale error or LSN must
+// never surface in another batch) and dropping the caller's slices.
+func (s *Sharded) putCall(c *BatchCall) {
+	clear(c.errs)
+	clear(c.lsns)
+	c.opVec = opVec{}
+	c.scanK, c.scanV = nil, nil
+	s.callPool.Put(c)
 }
 
-// getScratch returns pooled per-batch bookkeeping with clean error
-// slots and empty request list.
-func (s *Sharded) getScratch() *BatchCall { return s.scratchPool.Get().(*BatchCall) }
-
-// putScratch recycles sc, clearing the error slots so a stale error
-// can never surface in a later batch.
-func (s *Sharded) putScratch(sc *BatchCall) {
-	for i := range sc.errs {
-		sc.errs[i] = nil
+// unref drops one reference to a write-behind call.
+func (s *Sharded) unref(c *BatchCall) {
+	if c.refs.Add(-1) == 0 {
+		s.putCall(c)
 	}
-	for i := range sc.lsns {
-		sc.lsns[i] = 0
-	}
-	sc.reqs = sc.reqs[:0]
-	s.scratchPool.Put(sc)
 }
 
 // NewSharded builds a sharded table of the given structure ("buffered",
@@ -265,29 +182,26 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 		bits++
 	}
 	s := &Sharded{
-		shards:   make([]Table, n),
-		reqs:     make([]chan *shardReq, n),
+		shards:   make([]*guard, n),
+		reqs:     make([]chan *BatchCall, n),
 		deferred: make([][]error, n),
 		salt:     xrand.Mix64(cfg.Seed ^ 0xa5a5a5a5a5a5a5a5),
 		bits:     bits,
 		async:    cfg.FlushPolicy == FlushAsync,
 		durable:  cfg.durable(),
 	}
-	s.reqPool.New = func() any { return new(shardReq) }
-	s.scratchPool.New = func() any {
+	s.do = s.runBatch
+	s.callPool.New = func() any {
 		return &BatchCall{
 			s:      s,
 			parts:  make([][]int, n),
 			errs:   make([]error, n),
+			lsns:   make([]uint64, n),
 			lens:   make([]int64, n),
 			stores: make([]StoreStats, n),
-			lsns:   make([]uint64, n),
 			expSt:  make([]ExpiryStats, n),
 		}
 	}
-	s.shipK = make([][]uint64, n)
-	s.shipV = make([][]uint64, n)
-	s.shipW = make([][]uint64, n)
 	// One group committer serves every durable shard: a Flush barrier
 	// then overlaps all shards' WAL and block-file fsyncs in one pool
 	// (two per shard) instead of each worker syncing serially.
@@ -328,12 +242,12 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 				scfg.shardIndex = i
 				scfg.committer = committer
 			}
-			tab, err := Open(structure, scfg)
+			g, err := open(structure, scfg)
 			if err != nil {
 				errs[i] = fmt.Errorf("extbuf: shard %d: %w", i, err)
 				return
 			}
-			s.shards[i] = tab
+			s.shards[i] = g
 		}(i)
 	}
 	openWG.Wait()
@@ -349,63 +263,39 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 		return nil, err
 	}
 	for i := range s.shards {
-		s.reqs[i] = make(chan *shardReq, shardQueueDepth)
+		s.reqs[i] = make(chan *BatchCall, shardQueueDepth)
 		s.workerWG.Add(1)
 		go s.worker(i)
 	}
 	return s, nil
 }
 
-// worker is shard i's dedicated goroutine: it owns the shard table
-// exclusively and applies requests in channel order until Close shuts
+// worker is shard i's dedicated goroutine: it owns the shard's guard
+// exclusively and serves requests in channel order until Close shuts
 // the channel.
 func (s *Sharded) worker(i int) {
 	defer s.workerWG.Done()
-	tab := s.shards[i]
-	for req := range s.reqs[i] {
-		writeBehind := req.wg == nil
-		s.serve(i, tab, req)
-		if writeBehind {
-			// No submitter waits on a write-behind request; the worker
-			// owns it after serve and recycles it.
-			s.putReq(req)
-		}
+	g := s.shards[i]
+	for c := range s.reqs[i] {
+		s.serve(i, g, c)
 	}
 }
 
-// serve applies one request to shard i's table.
-func (s *Sharded) serve(i int, tab Table, req *shardReq) {
-	switch req.kind {
-	case opInsert, opUpsert:
-		var first error
-		for _, j := range req.idx {
-			var err error
-			if req.kind == opInsert {
-				err = tab.Insert(req.keys[j], req.vals[j])
-			} else {
-				err = tab.Upsert(req.keys[j], req.vals[j])
-			}
-			if err != nil && first == nil {
-				first = err
-			}
-		}
-		if req.wg == nil { // write-behind: park the error until a barrier
-			if first != nil {
-				s.deferred[i] = append(s.deferred[i], first)
-			}
-			return
-		}
-		req.errs[req.shard] = first
-	case opLookup:
-		for _, j := range req.idx {
-			req.outV[j], req.outOK[j] = tab.Lookup(req.keys[j])
-		}
-	case opDelete:
-		for _, j := range req.idx {
-			req.outOK[j] = tab.Delete(req.keys[j])
-		}
+// serve runs shard i's part of one request.
+func (s *Sharded) serve(i int, g *guard, c *BatchCall) {
+	switch c.kind {
 	case opLen:
-		req.lens[req.shard] = int64(tab.Len())
+		c.lens[i] = int64(g.Len())
+	case opStats:
+		c.stores[i] = g.StoreStats()
+	case opExpiryStats:
+		c.expSt[i] = g.ExpiryStats()
+	case opSweep:
+		var n int
+		n, c.lsns[i], c.errs[i] = g.SweepExpired(c.maxN)
+		c.lens[i] = int64(n)
+	case opScan:
+		c.scanK, c.scanV, c.scanNext, c.errs[i] = g.Scan(c.cursor, c.maxN)
 	case opSync:
 		// An acknowledgement barrier must surface every deferred
 		// write-behind error — but it reports them WITHOUT consuming
@@ -423,195 +313,51 @@ func (s *Sharded) serve(i int, tab Table, req *shardReq) {
 		// to its queue: applies (and lookups) queued behind the barrier
 		// overlap the fsync instead of waiting out its ~250 µs, and the
 		// barrier completes whenever the fsync does.
-		var errs []error
-		errs = append(errs, s.deferred[i]...)
-		fsync, err := tab.(*guard).beginSync()
+		errs := append([]error(nil), s.deferred[i]...)
+		fsync, err := g.beginSync()
 		if err != nil {
 			errs = append(errs, err)
 		}
 		if fsync != nil {
 			s.fsyncWG.Add(1)
-			go func() {
-				defer s.fsyncWG.Done()
-				if err := s.committer.Commit(fsync); err != nil {
-					errs = append(errs, err)
-				}
-				req.errs[req.shard] = errors.Join(errs...)
-				req.wg.Done()
-			}()
+			go s.finishSync(c, i, fsync, errs)
 			return
 		}
-		req.errs[req.shard] = errors.Join(errs...)
-	case opFlush:
+		c.errs[i] = errors.Join(errs...)
+	case opFlush, opClose:
 		errs := s.deferred[i]
 		s.deferred[i] = nil
-		if err := tab.Flush(); err != nil {
+		if err := g.Flush(); err != nil {
 			errs = append(errs, err)
 		}
-		req.errs[req.shard] = errors.Join(errs...)
-	case opStats:
-		req.stores[req.shard] = tab.StoreStats()
-	case opInsertShip, opUpsertShip:
-		// Apply, then ship the applied subset — from this goroutine,
-		// which owns the shard's apply order. The sink's own append
-		// mutex merges the shards into one contiguous LSN sequence, so
-		// per key (a key hashes to exactly one shard) ship order ==
-		// apply order: the replication total order. Ship kinds are
-		// always synchronous (req.wg non-nil) — callers need the LSN.
-		sk, sv := s.shipK[i][:0], s.shipV[i][:0]
-		var first error
-		for _, j := range req.idx {
-			var err error
-			if req.kind == opInsertShip {
-				err = tab.Insert(req.keys[j], req.vals[j])
-			} else {
-				err = tab.Upsert(req.keys[j], req.vals[j])
-			}
+		c.errs[i] = errors.Join(errs...)
+	default:
+		// Every keyed kind: the worker owns the shard's apply order, and
+		// apply ships from this goroutine. The sink's own append mutex
+		// merges the shards into one contiguous LSN sequence, so per key
+		// (a key hashes to exactly one shard) ship order == apply order.
+		lsn, err := g.apply(&c.opVec, c.parts[i])
+		if c.writeBehind { // park the error until a barrier
 			if err != nil {
-				if first == nil {
-					first = err
-				}
-				continue
+				s.deferred[i] = append(s.deferred[i], err)
 			}
-			sk = append(sk, req.keys[j])
-			sv = append(sv, req.vals[j])
+			s.unref(c)
+			return
 		}
-		s.shipK[i], s.shipV[i] = sk, sv
-		if len(sk) > 0 && s.ship != nil {
-			op := ShipInsert
-			if req.kind == opUpsertShip {
-				op = ShipUpsert
-			}
-			if lsn, err := s.ship(op, sk, sv); err != nil {
-				if first == nil {
-					first = err
-				}
-			} else {
-				req.lsns[req.shard] = lsn + uint64(len(sk)) - 1
-			}
-		}
-		req.errs[req.shard] = first
-	case opDeleteShip:
-		// Every attempted delete ships (a miss replays as an idempotent
-		// no-op), so no gather filter is needed — but the ship slice
-		// must still be built here, in apply order, for the same
-		// total-order reason as above.
-		sk := s.shipK[i][:0]
-		for _, j := range req.idx {
-			req.outOK[j] = tab.Delete(req.keys[j])
-			sk = append(sk, req.keys[j])
-		}
-		s.shipK[i] = sk
-		if len(sk) > 0 && s.ship != nil {
-			if lsn, err := s.ship(ShipDelete, sk, nil); err != nil {
-				req.errs[req.shard] = err
-			} else {
-				req.lsns[req.shard] = lsn + uint64(len(sk)) - 1
-			}
-		}
-	case opExpire, opExpireShip:
-		// Set deadlines on present keys, gathering the hits for the ship
-		// variant — same apply-then-ship, same total-order argument as
-		// the mutation ship kinds above.
-		g := tab.(*guard)
-		sk, sv := s.shipK[i][:0], s.shipV[i][:0]
-		var first error
-		for _, j := range req.idx {
-			ok, err := g.expireAt(req.keys[j], req.vals[j])
-			if err != nil && first == nil {
-				first = err
-			}
-			req.outOK[j] = ok
-			if ok && req.kind == opExpireShip {
-				sk = append(sk, req.keys[j])
-				sv = append(sv, req.vals[j])
-			}
-		}
-		s.shipK[i], s.shipV[i] = sk, sv
-		if req.kind == opExpireShip && len(sk) > 0 && s.ship != nil {
-			if lsn, err := s.ship(ShipExpire, sk, sv); err != nil {
-				if first == nil {
-					first = err
-				}
-			} else {
-				req.lsns[req.shard] = lsn + uint64(len(sk)) - 1
-			}
-		}
-		req.errs[req.shard] = first
-	case opUpsertTTLShip:
-		// Upsert + deadline per key; ships the value batch before the
-		// deadline batch so the covering (higher) LSNs belong to the
-		// expires and a follower at the returned LSN has both.
-		g := tab.(*guard)
-		sk, sv, sd := s.shipK[i][:0], s.shipV[i][:0], s.shipW[i][:0]
-		var first error
-		for _, j := range req.idx {
-			if err := g.upsertTTLOne(req.keys[j], req.vals[j], req.vals2[j]); err != nil {
-				if first == nil {
-					first = err
-				}
-				continue
-			}
-			sk = append(sk, req.keys[j])
-			sv = append(sv, req.vals[j])
-			sd = append(sd, req.vals2[j])
-		}
-		s.shipK[i], s.shipV[i], s.shipW[i] = sk, sv, sd
-		if len(sk) > 0 && s.ship != nil {
-			if _, err := s.ship(ShipUpsert, sk, sv); err != nil {
-				if first == nil {
-					first = err
-				}
-			} else if lsn, err := s.ship(ShipExpire, sk, sd); err != nil {
-				if first == nil {
-					first = err
-				}
-			} else {
-				req.lsns[req.shard] = lsn + uint64(len(sk)) - 1
-			}
-		}
-		req.errs[req.shard] = first
-	case opCASShip:
-		// Compare-and-swap; swapped keys ship as plain upserts (which
-		// clear any TTL on followers, matching the primary's semantics).
-		g := tab.(*guard)
-		sk, sv := s.shipK[i][:0], s.shipV[i][:0]
-		var first error
-		for _, j := range req.idx {
-			ok, err := g.casOne(req.keys[j], req.vals[j], req.vals2[j])
-			if err != nil && first == nil {
-				first = err
-			}
-			req.outOK[j] = ok
-			if ok {
-				sk = append(sk, req.keys[j])
-				sv = append(sv, req.vals2[j])
-			}
-		}
-		s.shipK[i], s.shipV[i] = sk, sv
-		if len(sk) > 0 && s.ship != nil {
-			if lsn, err := s.ship(ShipUpsert, sk, sv); err != nil {
-				if first == nil {
-					first = err
-				}
-			} else {
-				req.lsns[req.shard] = lsn + uint64(len(sk)) - 1
-			}
-		}
-		req.errs[req.shard] = first
-	case opScan:
-		req.scanK, req.scanV, req.scanNext, req.errs[req.shard] =
-			tab.(*guard).Scan(req.cursor, req.maxN)
-	case opSweep:
-		g := tab.(*guard)
-		n, lsn, err := g.SweepExpired(req.maxN)
-		req.lens[req.shard] = int64(n)
-		req.lsns[req.shard] = lsn
-		req.errs[req.shard] = err
-	case opExpiryStats:
-		req.expSt[req.shard] = tab.(*guard).ExpiryStats()
+		c.lsns[i], c.errs[i] = lsn, err
 	}
-	req.wg.Done()
+	c.wg.Done()
+}
+
+// finishSync is the detached half of shard i's opSync: the fsync, then
+// the barrier's completion.
+func (s *Sharded) finishSync(c *BatchCall, i int, fsync func() error, errs []error) {
+	defer s.fsyncWG.Done()
+	if err := s.committer.Commit(fsync); err != nil {
+		errs = append(errs, err)
+	}
+	c.errs[i] = errors.Join(errs...)
+	c.wg.Done()
 }
 
 // NumShards returns the shard count.
@@ -630,18 +376,10 @@ func (s *Sharded) shard(key uint64) int {
 }
 
 // partitionInto maps each batch position to its shard, preserving
-// input order within every shard's index list. The lists are built in
-// parts (from a BatchCall), whose backing arrays are reused across
-// batches.
+// input order within every shard's index list.
 func (s *Sharded) partitionInto(keys []uint64, parts [][]int) {
 	for i := range parts {
 		parts[i] = parts[i][:0]
-	}
-	if s.bits == 0 {
-		for i := range keys {
-			parts[0] = append(parts[0], i)
-		}
-		return
 	}
 	for i, k := range keys {
 		sh := s.shard(k)
@@ -649,281 +387,146 @@ func (s *Sharded) partitionInto(keys []uint64, parts [][]int) {
 	}
 }
 
-// singleIdx is the shared position list of every one-element batch.
-// Workers only read req.idx, so one backing array serves all requests.
-var singleIdx = [1]int{0}
-
-// startBatch is the submission half of every multi-operation batch: it
-// partitions the batch by shard and enqueues each shard's share, in
-// input order, on that shard's FIFO queue. The closed check and the
+// startBatch is the submission half of the keyed choreography: it
+// partitions the operand vector by shard and enqueues c on the FIFO
+// queue of every shard that has a share. The closed check and the
 // channel sends run under the state read-lock, so a send can never hit a
 // closed channel; a full shard queue blocks the send (the engine's
-// backpressure). It returns without waiting for any worker: the caller
-// owns the handle and must pass it to waitBatch exactly once, and must
-// leave the operand and result slices alone until that returns.
+// backpressure). It returns without waiting for any worker. On ErrClosed
+// the handle has been recycled; otherwise the caller passes it to
+// waitBatch exactly once and leaves the operand and result slices alone
+// until that returns — unless the call went write-behind (a non-shipping
+// insert or upsert under FlushAsync), in which case it took copies of
+// the operands and now belongs to the workers.
 //
 // A goroutine that starts several batches before waiting on the first
 // keeps per-key order — every shard queue receives its shares in start
 // order — which is what lets a connection keep the workers busy instead
 // of idling them behind one fork-join per request.
-func (s *Sharded) startBatch(kind opKind, keys, vals, vals2, outV []uint64, outOK []bool) (*BatchCall, error) {
-	sc := s.getScratch()
-	s.partitionInto(keys, sc.parts)
+func (s *Sharded) startBatch(c *BatchCall, v *opVec) (writeBehind bool, err error) {
+	writeBehind = s.async && !v.ship && (v.kind == BatchInsert || v.kind == BatchUpsert)
+	c.opVec, c.writeBehind = *v, writeBehind
+	if writeBehind {
+		c.ownK = append(c.ownK[:0], v.keys...)
+		c.ownV = append(c.ownV[:0], v.vals...)
+		c.keys, c.vals = c.ownK, c.ownV
+		c.refs.Store(1) // the submitter's, so the count cannot reach zero mid-loop
+	}
+	s.partitionInto(c.keys, c.parts)
 	s.stateMu.RLock()
 	if s.closed {
 		s.stateMu.RUnlock()
-		s.putScratch(sc)
-		return nil, ErrClosed
+		s.putCall(c)
+		return false, ErrClosed
 	}
-	for sh, idx := range sc.parts {
+	for sh, idx := range c.parts {
 		if len(idx) == 0 {
 			continue
 		}
-		req := s.getReq()
-		req.kind, req.keys, req.vals, req.vals2, req.idx = kind, keys, vals, vals2, idx
-		req.outV, req.outOK = outV, outOK
-		req.errs, req.lsns, req.shard, req.wg = sc.errs, sc.lsns, sh, &sc.wg
-		sc.reqs = append(sc.reqs, req)
-		sc.wg.Add(1)
-		s.reqs[sh] <- req
+		if writeBehind {
+			c.refs.Add(1)
+		} else {
+			c.wg.Add(1)
+		}
+		s.reqs[sh] <- c
 	}
 	s.stateMu.RUnlock()
-	return sc, nil
+	if writeBehind {
+		s.unref(c)
+	}
+	return writeBehind, nil
 }
 
-// waitBatch is the join half: it waits for every shard to finish its
-// share of sc, returns the batch's highest ship LSN (the max over
-// per-shard maxima; 0 when nothing shipped) and the joined per-shard
-// errors, and recycles the requests and the handle. It runs outside the
-// state lock: enqueued requests are served even while Close holds the
-// write side.
-func (s *Sharded) waitBatch(sc *BatchCall) (uint64, error) {
-	sc.wg.Wait()
+// join waits for every shard to finish its share of c and returns the
+// call's highest ship LSN (the max over per-shard maxima; 0 when nothing
+// shipped) and the joined per-shard errors. It runs outside the state
+// lock: enqueued requests are served even while Close holds the write
+// side.
+func (s *Sharded) join(c *BatchCall) (uint64, error) {
+	c.wg.Wait()
 	var last uint64
-	for _, lsn := range sc.lsns {
+	for _, lsn := range c.lsns {
 		last = max(last, lsn)
 	}
-	err := errors.Join(sc.errs...)
-	for _, req := range sc.reqs {
-		s.putReq(req)
-	}
-	s.putScratch(sc)
-	return last, err
+	return last, errors.Join(c.errs...)
 }
 
-// runBatch is a synchronous batch: start, then wait. One-element
-// batches route through runOne.
-func (s *Sharded) runBatch(kind opKind, keys, vals []uint64, outV []uint64, outOK []bool) error {
-	if len(keys) == 1 {
-		return s.runOne(kind, keys, vals, outV, outOK)
-	}
-	sc, err := s.startBatch(kind, keys, vals, nil, outV, outOK)
-	if err != nil {
-		return err
-	}
-	_, err = s.waitBatch(sc)
-	return err
+// waitBatch is the join half of the keyed choreography; it recycles the
+// handle.
+func (s *Sharded) waitBatch(c *BatchCall) (uint64, error) {
+	lsn, err := s.join(c)
+	s.putCall(c)
+	return lsn, err
 }
 
-// submitOne is the one synchronous single-operation choreography: the
-// pooled request's inline fields carry the operand (k1/v1) and error
-// slot, the closed check and send run under the state read-lock, and
-// the inline WaitGroup is the barrier. The caller owns req before and
-// after the call (reading result slots, then recycling it) — submitOne
-// never recycles. Steady state allocates nothing.
-func (s *Sharded) submitOne(kind opKind, req *shardReq) error {
-	req.kind = kind
-	req.keys, req.vals, req.idx = req.k1[:], req.v1[:], singleIdx[:]
-	req.errs, req.wg = req.e1[:], &req.wg1
-	s.stateMu.RLock()
-	if s.closed {
-		s.stateMu.RUnlock()
-		return ErrClosed
-	}
-	req.wg1.Add(1)
-	s.reqs[s.shard(req.k1[0])] <- req
-	s.stateMu.RUnlock()
-	req.wg1.Wait()
-	return req.e1[0]
-}
-
-// runOne adapts submitOne to batch-API callers with one-element
-// slices: results land in the caller's outV/outOK.
-func (s *Sharded) runOne(kind opKind, keys, vals []uint64, outV []uint64, outOK []bool) error {
-	req := s.getReq()
-	req.k1[0] = keys[0]
-	if vals != nil {
-		req.v1[0] = vals[0]
-	}
-	req.outV, req.outOK = outV, outOK
-	err := s.submitOne(kind, req)
-	s.putReq(req)
-	return err
-}
-
-// mutateBatch is the write path: synchronous fan-out under FlushSync,
-// copy-and-enqueue under FlushAsync.
-func (s *Sharded) mutateBatch(kind opKind, keys, vals []uint64) error {
-	if len(keys) != len(vals) {
-		return fmt.Errorf("%w: %d keys, %d values", ErrBatchLength, len(keys), len(vals))
-	}
-	if !s.async {
-		return s.runBatch(kind, keys, vals, nil, nil)
-	}
-	if len(keys) == 1 {
-		return s.mutateOneAsync(kind, keys[0], vals[0])
-	}
-	// Write-behind requests outlive the call, so they need their own
-	// copy of the operands: the caller is free to reuse its slices the
-	// moment we return. The copy is shared by every shard's request and
-	// released by the garbage collector once the last worker is done.
-	keys = append([]uint64(nil), keys...)
-	vals = append([]uint64(nil), vals...)
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.partitionInto(keys, sc.parts)
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if s.closed {
-		return ErrClosed
-	}
-	for sh, idx := range sc.parts {
-		if len(idx) == 0 {
-			continue
-		}
-		req := s.getReq()
-		req.kind, req.keys, req.vals = kind, keys, vals
-		// The index list must outlive this call too: write-behind
-		// requests keep it until served, so it cannot come from the
-		// recycled scratch backing.
-		req.idx = append([]int(nil), idx...)
-		s.reqs[sh] <- req
-	}
-	return nil
-}
-
-// mutateOneAsync enqueues a single write-behind mutation with the
-// operand inlined in the pooled request — no copies, no slices.
-func (s *Sharded) mutateOneAsync(kind opKind, key, val uint64) error {
-	req := s.getReq()
-	req.kind = kind
-	req.k1[0], req.v1[0] = key, val
-	req.keys, req.vals, req.idx = req.k1[:], req.v1[:], singleIdx[:]
-	s.stateMu.RLock()
-	defer s.stateMu.RUnlock()
-	if s.closed {
-		s.putReq(req)
-		return ErrClosed
-	}
-	s.reqs[s.shard(key)] <- req
-	return nil
-}
-
-// InsertBatch stores (keys[i], vals[i]) for every i, partitioning the
-// batch by shard and applying all shards' shares in parallel. The
-// fresh-key contract of the buffered structure applies per the Table
-// documentation. Under FlushSync it returns the join of the shards'
-// first errors; under FlushAsync it returns after enqueueing and any
-// application errors surface at the next Flush or Close.
-func (s *Sharded) InsertBatch(keys, vals []uint64) error {
-	return s.mutateBatch(opInsert, keys, vals)
-}
-
-// UpsertBatch stores (keys[i], vals[i]) for every i whether or not the
-// keys are present, with the same fan-out and flush-policy semantics as
-// InsertBatch.
-func (s *Sharded) UpsertBatch(keys, vals []uint64) error {
-	return s.mutateBatch(opUpsert, keys, vals)
-}
-
-// LookupBatch looks up every key in parallel across shards and returns
-// values and presence flags in input order: vals[i], found[i] belong to
-// keys[i]. Lookups queue behind previously submitted writes of their
-// shard, so a batch observes everything enqueued before it. The error
-// is non-nil only when the engine is closed (ErrClosed) — never for
-// absent keys — so a miss is distinguishable from use-after-close.
-func (s *Sharded) LookupBatch(keys []uint64) (vals []uint64, found []bool, err error) {
-	vals = make([]uint64, len(keys))
-	found = make([]bool, len(keys))
-	err = s.LookupBatchInto(keys, vals, found)
-	return vals, found, err
-}
-
-// LookupBatchInto is LookupBatch with caller-provided result storage:
-// vals[i] and found[i] receive the result for keys[i]. Both slices must
-// be at least len(keys) long (ErrBatchLength otherwise). Reusing the
-// slices across calls keeps a serving loop allocation-free; the serving
-// layer's request pipeline is built on exactly this entry point.
-func (s *Sharded) LookupBatchInto(keys, vals []uint64, found []bool) error {
-	if len(vals) < len(keys) || len(found) < len(keys) {
-		return fmt.Errorf("%w: %d keys, %d value and %d found slots",
-			ErrBatchLength, len(keys), len(vals), len(found))
-	}
-	return s.runBatch(opLookup, keys, nil, vals, found)
-}
-
-// DeleteBatch removes every key, reporting per key (in input order)
-// whether it was present. Deletes synchronize under both flush
-// policies: they must observe the table to report presence. The error
-// is non-nil only when the engine is closed (ErrClosed).
-func (s *Sharded) DeleteBatch(keys []uint64) ([]bool, error) {
-	found := make([]bool, len(keys))
-	err := s.DeleteBatchInto(keys, found)
-	return found, err
-}
-
-// DeleteBatchInto is DeleteBatch with caller-provided result storage:
-// found[i] reports whether keys[i] was present. found must be at least
-// len(keys) long (ErrBatchLength otherwise).
-func (s *Sharded) DeleteBatchInto(keys []uint64, found []bool) error {
-	if len(found) < len(keys) {
-		return fmt.Errorf("%w: %d keys, %d found slots", ErrBatchLength, len(keys), len(found))
-	}
-	return s.runBatch(opDelete, keys, nil, nil, found)
-}
-
-// SetShip installs (or removes, with nil) the ship sink the shard
-// workers emit applied mutations to. Per the Engine contract it must
-// be wired before Ship-variant mutations are submitted and never
-// toggled concurrently with them; the serving layer installs it once
-// at construction. The sink is also installed on every shard guard so
-// guard-level shipping paths the workers delegate to (the expiry
-// sweep) emit to the same sink; the sink's append mutex merges all
-// shards into one LSN sequence either way.
-func (s *Sharded) SetShip(fn ShipFunc) {
-	s.ship = fn
-	for _, tab := range s.shards {
-		if g, ok := tab.(*guard); ok {
-			g.SetShip(fn)
-		}
-	}
-}
-
-// runBatchShip is the synchronous form of the ship mutation kinds —
-// always waited for, even under FlushAsync, since the caller needs the
-// assigned LSNs back — with no single-op shortcut: the per-shard LSN
-// slots live in the batch handle. Returns the batch's highest ship LSN.
-func (s *Sharded) runBatchShip(kind opKind, keys, vals, vals2 []uint64, outOK []bool) (uint64, error) {
-	sc, err := s.startBatch(kind, keys, vals, vals2, nil, outOK)
-	if err != nil {
+// runBatch is a whole keyed batch — start, then wait unless it went
+// write-behind: the do behind every batchAPI method.
+func (s *Sharded) runBatch(v opVec) (uint64, error) {
+	c := s.getCall()
+	writeBehind, err := s.startBatch(c, &v)
+	if err != nil || writeBehind {
 		return 0, err
 	}
-	return s.waitBatch(sc)
+	return s.waitBatch(c)
 }
 
-// BatchOp names the operation of a StartBatch call.
-type BatchOp uint8
+// one is a single-key operation: a one-element batch whose operand and
+// result live in the pooled handle, so it allocates nothing.
+func (s *Sharded) one(kind BatchOp, key, val uint64) (uint64, bool, error) {
+	c := s.getCall()
+	c.k1[0], c.v1[0], c.ok1[0] = key, val, false
+	writeBehind, err := s.startBatch(c, &opVec{kind: kind, keys: c.k1[:], vals: c.v1[:], outV: c.v1[:], outOK: c.ok1[:]})
+	if err != nil || writeBehind {
+		return 0, false, err
+	}
+	_, err = s.join(c)
+	v, ok := c.v1[0], c.ok1[0]
+	s.putCall(c)
+	return v, ok, err
+}
 
-const (
-	BatchInsert BatchOp = iota // InsertBatchShip
-	BatchUpsert                // UpsertBatchShip
-	BatchDelete                // DeleteBatchShipInto
-	BatchLookup                // LookupBatchInto
-)
+// Insert stores (key, val) in key's shard, with the semantics of a
+// one-element InsertBatch.
+func (s *Sharded) Insert(key, val uint64) error {
+	_, _, err := s.one(BatchInsert, key, val)
+	return err
+}
+
+// Upsert stores (key, val) whether or not key is present.
+func (s *Sharded) Upsert(key, val uint64) error {
+	_, _, err := s.one(BatchUpsert, key, val)
+	return err
+}
+
+// Lookup returns the value stored for key. On a closed engine it
+// reports absence; use LookupBatch for an error-signalled variant.
+func (s *Sharded) Lookup(key uint64) (uint64, bool) {
+	v, ok, _ := s.one(BatchLookup, key, 0)
+	return v, ok
+}
+
+// Delete removes key, reporting whether it was present. On a closed
+// engine it reports a miss; use DeleteBatch for an error-signalled
+// variant.
+func (s *Sharded) Delete(key uint64) bool {
+	_, ok, _ := s.one(BatchDelete, key, 0)
+	return ok
+}
+
+// SetShip installs (or removes, with nil) the ship sink on every shard's
+// guard, whose apply and sweep emit to it from the shard worker. Per the
+// Engine contract it must be wired before Ship-variant mutations are
+// submitted and never toggled concurrently with them; the sink's append
+// mutex merges all shards into one LSN sequence.
+func (s *Sharded) SetShip(fn ShipFunc) {
+	for _, g := range s.shards {
+		g.SetShip(fn)
+	}
+}
 
 // StartBatch submits the batch the serving layer would otherwise run
 // with InsertBatchShip, UpsertBatchShip, DeleteBatchShipInto or
-// LookupBatchInto — same length contracts, same shipping — and returns
+// LookupBatchInto — same length contract, same shipping — and returns
 // once every shard's share is queued, without waiting for the workers.
 // vals carries the payloads of BatchInsert/BatchUpsert and receives the
 // values of BatchLookup; found receives the hit flags of BatchLookup and
@@ -936,29 +539,26 @@ const (
 // keep several calls outstanding and wait for them oldest-first; that
 // is how the network server pipelines a connection's requests.
 func (s *Sharded) StartBatch(op BatchOp, keys, vals []uint64, found []bool) (*BatchCall, error) {
-	switch op {
-	case BatchInsert, BatchUpsert:
-		if len(keys) != len(vals) {
-			return nil, fmt.Errorf("%w: %d keys, %d values", ErrBatchLength, len(keys), len(vals))
-		}
-		kind := opInsertShip
-		if op == BatchUpsert {
-			kind = opUpsertShip
-		}
-		return s.startBatch(kind, keys, vals, nil, nil, nil)
-	case BatchDelete:
-		if len(found) < len(keys) {
-			return nil, fmt.Errorf("%w: %d keys, %d found slots", ErrBatchLength, len(keys), len(found))
-		}
-		return s.startBatch(opDeleteShip, keys, nil, nil, nil, found)
-	case BatchLookup:
-		if len(vals) < len(keys) || len(found) < len(keys) {
-			return nil, fmt.Errorf("%w: %d keys, %d value and %d found slots",
-				ErrBatchLength, len(keys), len(vals), len(found))
-		}
-		return s.startBatch(opLookup, keys, nil, nil, vals, found)
+	if op > BatchLookup {
+		return nil, fmt.Errorf("extbuf: unknown batch op %d", op)
 	}
-	return nil, fmt.Errorf("extbuf: unknown batch op %d", op)
+	v := opVec{kind: op, ship: true, keys: keys}
+	switch op {
+	case BatchLookup:
+		v.outV, v.outOK = vals, found
+	case BatchDelete:
+		v.outOK = found
+	default:
+		v.vals = vals
+	}
+	if err := v.check(); err != nil {
+		return nil, err
+	}
+	c := s.getCall()
+	if _, err := s.startBatch(c, &v); err != nil {
+		return nil, err
+	}
+	return c, nil
 }
 
 // Wait joins a batch started by StartBatch: it returns once every shard
@@ -968,142 +568,93 @@ func (s *Sharded) StartBatch(op BatchOp, keys, vals []uint64, found []bool) (*Ba
 // not be used again.
 func (c *BatchCall) Wait() (uint64, error) { return c.s.waitBatch(c) }
 
-// runStarted is StartBatch + Wait: the synchronous form of the batches
-// the serving layer can also pipeline, through the same validation.
-func (s *Sharded) runStarted(op BatchOp, keys, vals []uint64, found []bool) (uint64, error) {
-	c, err := s.StartBatch(op, keys, vals, found)
-	if err != nil {
-		return 0, err
-	}
-	return c.Wait()
-}
-
-// InsertBatchShip is InsertBatch plus shipping of the applied pairs in
-// apply order (Engine.InsertBatchShip). Always synchronous.
-func (s *Sharded) InsertBatchShip(keys, vals []uint64) (uint64, error) {
-	return s.runStarted(BatchInsert, keys, vals, nil)
-}
-
-// UpsertBatchShip is UpsertBatch plus shipping of the applied pairs in
-// apply order (Engine.UpsertBatchShip). Always synchronous.
-func (s *Sharded) UpsertBatchShip(keys, vals []uint64) (uint64, error) {
-	return s.runStarted(BatchUpsert, keys, vals, nil)
-}
-
-// DeleteBatchShipInto is DeleteBatchInto plus shipping of every
-// attempted delete in apply order (Engine.DeleteBatchShipInto).
-func (s *Sharded) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error) {
-	return s.runStarted(BatchDelete, keys, nil, found)
-}
-
-// scanShardShift positions the shard index in a Sharded scan cursor:
-// shard in the top 16 bits, that shard's own bucket cursor in the low
-// 48 (no structure approaches 2^48 buckets).
-const scanShardShift = 48
-
-// ExpireBatch sets each present key's expiry deadline without shipping
-// (Engine.ExpireBatch); followers replay shipped expire records through
-// this path.
-func (s *Sharded) ExpireBatch(keys, deadlines []uint64, found []bool) error {
-	if len(deadlines) != len(keys) || len(found) < len(keys) {
-		return fmt.Errorf("%w: %d keys, %d deadlines and %d found slots",
-			ErrBatchLength, len(keys), len(deadlines), len(found))
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	return s.runBatch(opExpire, keys, deadlines, nil, found)
-}
-
-// ExpireBatchShip is ExpireBatch plus shipping of the found subset in
-// apply order (Engine.ExpireBatchShip). Always synchronous.
-func (s *Sharded) ExpireBatchShip(keys, deadlines []uint64, found []bool) (uint64, error) {
-	if len(deadlines) != len(keys) || len(found) < len(keys) {
-		return 0, fmt.Errorf("%w: %d keys, %d deadlines and %d found slots",
-			ErrBatchLength, len(keys), len(deadlines), len(found))
-	}
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	return s.runBatchShip(opExpireShip, keys, deadlines, nil, found)
-}
-
-// UpsertTTLBatchShip upserts each pair and installs its deadline in one
-// atomic per-key step (Engine.UpsertTTLBatchShip). Always synchronous.
-func (s *Sharded) UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error) {
-	if len(vals) != len(keys) || len(deadlines) != len(keys) {
-		return 0, fmt.Errorf("%w: %d keys, %d values and %d deadlines",
-			ErrBatchLength, len(keys), len(vals), len(deadlines))
-	}
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	return s.runBatchShip(opUpsertTTLShip, keys, vals, deadlines, nil)
-}
-
-// CompareSwapBatchShip atomically replaces each key's value with
-// news[i] if it currently reads olds[i] (Engine.CompareSwapBatchShip).
-// Each swap runs entirely inside the owning shard worker, so it is
-// atomic against every other operation on that key.
-func (s *Sharded) CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) (uint64, error) {
-	if len(olds) != len(keys) || len(news) != len(keys) || len(swapped) < len(keys) {
-		return 0, fmt.Errorf("%w: %d keys, %d olds, %d news and %d swapped slots",
-			ErrBatchLength, len(keys), len(olds), len(news), len(swapped))
-	}
-	if len(keys) == 0 {
-		return 0, nil
-	}
-	return s.runBatchShip(opCASShip, keys, olds, news, swapped)
-}
-
-// Scan reads one page in shard-then-bucket order (Engine.Scan). The
-// cursor packs the shard index above the shard's own bucket cursor;
-// exhausted shards advance the cursor to the next one, so a client
-// paging from 0 to ScanDone visits every shard exactly once.
-func (s *Sharded) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, error) {
-	sh := int(cursor >> scanShardShift)
-	inner := cursor & (1<<scanShardShift - 1)
-	for sh < len(s.shards) {
-		keys, vals, next, err := s.scanShard(sh, inner, max)
-		if err != nil {
-			return nil, nil, ScanDone, err
+// broadcast is the unkeyed choreography: it hands c, as a request of the
+// given kind, to the workers of shards lo..hi-1 — behind everything
+// already queued there, so the answer reflects every operation submitted
+// before it, write-behind mutations included — waits for them, and
+// returns the joined per-shard errors. The caller owns c before and
+// after (it sets the kind's argument, reads the result slots, recycles
+// it). A closed engine returns ErrClosed without touching c's slots.
+//
+// opClose is the closing point: the flush is enqueued, closed flipped
+// and the channels shut in one critical section under the state
+// write-lock, so it is the last request every worker serves. Submitters
+// hold the read side across their own check-and-send, so they land
+// either wholly before this (served normally) or wholly after
+// (ErrClosed) — never on a closed channel.
+func (s *Sharded) broadcast(c *BatchCall, kind BatchOp, lo, hi int) error {
+	c.kind = kind
+	if kind == opClose {
+		s.stateMu.Lock()
+	} else {
+		s.stateMu.RLock()
+		if s.closed {
+			s.stateMu.RUnlock()
+			return ErrClosed
 		}
-		if next != ScanDone {
-			return keys, vals, uint64(sh)<<scanShardShift | next, nil
-		}
-		sh, inner = sh+1, 0
-		if sh >= len(s.shards) {
-			return keys, vals, ScanDone, nil
-		}
-		if len(keys) > 0 {
-			return keys, vals, uint64(sh) << scanShardShift, nil
-		}
-		// Empty shard: fall through and page the next one, so callers
-		// only see an empty page when the whole table is exhausted.
 	}
-	return nil, nil, ScanDone, nil
-}
-
-// scanShard pages one shard through its worker (the worker owns the
-// table, so the page is consistent with the shard's apply order).
-func (s *Sharded) scanShard(sh int, cursor uint64, max int) ([]uint64, []uint64, uint64, error) {
-	req := s.getReq()
-	req.kind = opScan
-	req.cursor, req.maxN = cursor, max
-	req.errs, req.shard, req.wg = req.e1[:], 0, &req.wg1
-	s.stateMu.RLock()
-	if s.closed {
+	c.wg.Add(hi - lo)
+	for sh := lo; sh < hi; sh++ {
+		s.reqs[sh] <- c
+	}
+	if kind == opClose {
+		s.closed = true
+		for _, q := range s.reqs {
+			close(q)
+		}
+		s.stateMu.Unlock()
+	} else {
 		s.stateMu.RUnlock()
-		s.putReq(req)
-		return nil, nil, ScanDone, ErrClosed
 	}
-	req.wg1.Add(1)
-	s.reqs[sh] <- req
-	s.stateMu.RUnlock()
-	req.wg1.Wait()
-	keys, vals, next, err := req.scanK, req.scanV, req.scanNext, req.e1[0]
-	s.putReq(req)
-	return keys, vals, next, err
+	c.wg.Wait()
+	return errors.Join(c.errs...)
+}
+
+// Len returns the total number of stored entries across shards.
+func (s *Sharded) Len() int {
+	c := s.getCall()
+	defer s.putCall(c)
+	if s.broadcast(c, opLen, 0, len(s.shards)) != nil {
+		return 0
+	}
+	var total int64
+	for _, n := range c.lens {
+		total += n
+	}
+	return int(total)
+}
+
+// StoreStats returns the aggregated backend real-cost counters of all
+// shards (file-backend syscall/pool counters plus per-shard WAL
+// spill/fsync counts; zeros on scratch backends). Unlike Stats the
+// backend counters are not atomic, so the snapshot rides through the
+// pipeline like Len and briefly occupies each shard worker. A closed
+// engine returns zeros.
+func (s *Sharded) StoreStats() StoreStats {
+	c := s.getCall()
+	defer s.putCall(c)
+	var total StoreStats
+	if s.broadcast(c, opStats, 0, len(s.shards)) != nil {
+		return total
+	}
+	for _, st := range c.stores {
+		total = total.Add(st)
+	}
+	return total
+}
+
+// ExpiryStats aggregates the shards' TTL counters (Engine.ExpiryStats).
+func (s *Sharded) ExpiryStats() ExpiryStats {
+	c := s.getCall()
+	defer s.putCall(c)
+	var total ExpiryStats
+	if s.broadcast(c, opExpiryStats, 0, len(s.shards)) != nil {
+		return total
+	}
+	for _, st := range c.expSt {
+		total = total.Add(st)
+	}
+	return total
 }
 
 // SweepExpired physically deletes up to max due keys across the shards
@@ -1113,147 +664,56 @@ func (s *Sharded) SweepExpired(max int) (int, uint64, error) {
 	if max <= 0 {
 		return 0, 0, nil
 	}
-	per := (max + len(s.shards) - 1) / len(s.shards)
-	var wg sync.WaitGroup
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.stateMu.RLock()
-	if s.closed {
-		s.stateMu.RUnlock()
-		return 0, 0, ErrClosed
+	c := s.getCall()
+	defer s.putCall(c)
+	c.maxN = (max + len(s.shards) - 1) / len(s.shards)
+	err := s.broadcast(c, opSweep, 0, len(s.shards))
+	if errors.Is(err, ErrClosed) {
+		return 0, 0, err
 	}
-	for sh := range s.shards {
-		req := s.getReq()
-		req.kind, req.maxN = opSweep, per
-		req.errs, req.lens, req.lsns, req.shard, req.wg = sc.errs, sc.lens, sc.lsns, sh, &wg
-		sc.reqs = append(sc.reqs, req)
-		wg.Add(1)
-		s.reqs[sh] <- req
-	}
-	s.stateMu.RUnlock()
-	wg.Wait()
 	var n int64
 	var last uint64
 	for sh := range s.shards {
-		n += sc.lens[sh]
-		if sc.lsns[sh] > last {
-			last = sc.lsns[sh]
+		n += c.lens[sh]
+		if c.lsns[sh] > last {
+			last = c.lsns[sh]
 		}
-	}
-	err := errors.Join(sc.errs...)
-	for _, req := range sc.reqs {
-		s.putReq(req)
 	}
 	return int(n), last, err
 }
 
-// ExpiryStats aggregates the shards' TTL counters (Engine.ExpiryStats).
-// Like Len it rides the pipeline, reflecting every operation submitted
-// before it.
-func (s *Sharded) ExpiryStats() ExpiryStats {
-	var wg sync.WaitGroup
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.stateMu.RLock()
-	if s.closed {
-		s.stateMu.RUnlock()
-		return ExpiryStats{}
-	}
-	for sh := range s.shards {
-		req := s.getReq()
-		req.kind, req.expSt, req.shard, req.wg = opExpiryStats, sc.expSt, sh, &wg
-		sc.reqs = append(sc.reqs, req)
-		wg.Add(1)
-		s.reqs[sh] <- req
-	}
-	s.stateMu.RUnlock()
-	wg.Wait()
-	var total ExpiryStats
-	for _, st := range sc.expSt {
-		total = total.Add(st)
-	}
-	for _, req := range sc.reqs {
-		s.putReq(req)
-	}
-	return total
-}
+// scanShardShift positions the shard index in a Sharded scan cursor:
+// shard in the top 16 bits, that shard's own bucket cursor in the low
+// 48 (no structure approaches 2^48 buckets).
+const scanShardShift = 48
 
-// one submits a single operation with results in the pooled request's
-// inline slots: the per-shard operation order is identical to a
-// one-element batch, with no allocation.
-func (s *Sharded) one(kind opKind, key, val uint64) (uint64, bool, error) {
-	req := s.getReq()
-	req.k1[0], req.v1[0] = key, val
-	req.outV, req.outOK = req.outV1[:], req.ok1[:]
-	err := s.submitOne(kind, req)
-	v, ok := req.outV1[0], req.ok1[0]
-	s.putReq(req)
-	return v, ok, err
-}
-
-// Insert stores (key, val) in key's shard, with the semantics of a
-// one-element InsertBatch.
-func (s *Sharded) Insert(key, val uint64) error {
-	if s.async {
-		return s.mutateOneAsync(opInsert, key, val)
+// Scan reads one page in shard-then-bucket order (Engine.Scan). The
+// cursor packs the shard index above the shard's own bucket cursor;
+// exhausted shards advance the cursor to the next one, so a client
+// paging from 0 to ScanDone visits every shard exactly once. Each page
+// is read by the shard's worker (a one-shard broadcast), so it is
+// consistent with the shard's apply order.
+func (s *Sharded) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, error) {
+	sh := int(cursor >> scanShardShift)
+	c := s.getCall()
+	defer s.putCall(c)
+	c.cursor, c.maxN = cursor&(1<<scanShardShift-1), max
+	for ; sh < len(s.shards); sh, c.cursor = sh+1, 0 {
+		if err := s.broadcast(c, opScan, sh, sh+1); err != nil {
+			return nil, nil, ScanDone, err
+		}
+		switch {
+		case c.scanNext != ScanDone:
+			return c.scanK, c.scanV, uint64(sh)<<scanShardShift | c.scanNext, nil
+		case sh+1 == len(s.shards):
+			return c.scanK, c.scanV, ScanDone, nil
+		case len(c.scanK) > 0:
+			return c.scanK, c.scanV, uint64(sh+1) << scanShardShift, nil
+		}
+		// Empty shard: page the next one, so callers only see an empty
+		// page when the whole table is exhausted.
 	}
-	_, _, err := s.one(opInsert, key, val)
-	return err
-}
-
-// Upsert stores (key, val) whether or not key is present.
-func (s *Sharded) Upsert(key, val uint64) error {
-	if s.async {
-		return s.mutateOneAsync(opUpsert, key, val)
-	}
-	_, _, err := s.one(opUpsert, key, val)
-	return err
-}
-
-// Lookup returns the value stored for key. On a closed engine it
-// reports absence; use LookupBatch for an error-signalled variant.
-func (s *Sharded) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := s.one(opLookup, key, 0)
-	return v, ok
-}
-
-// Delete removes key, reporting whether it was present. On a closed
-// engine it reports a miss; use DeleteBatch for an error-signalled
-// variant.
-func (s *Sharded) Delete(key uint64) bool {
-	_, ok, _ := s.one(opDelete, key, 0)
-	return ok
-}
-
-// Len returns the total number of stored entries across shards. It runs
-// through the pipeline, so it reflects every operation submitted before
-// it — including write-behind mutations still in the queues.
-func (s *Sharded) Len() int {
-	var wg sync.WaitGroup
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.stateMu.RLock()
-	if s.closed {
-		s.stateMu.RUnlock()
-		return 0
-	}
-	for sh := range s.shards {
-		req := s.getReq()
-		req.kind, req.lens, req.shard, req.wg = opLen, sc.lens, sh, &wg
-		sc.reqs = append(sc.reqs, req)
-		wg.Add(1)
-		s.reqs[sh] <- req
-	}
-	s.stateMu.RUnlock()
-	wg.Wait()
-	var total int64
-	for _, n := range sc.lens {
-		total += n
-	}
-	for _, req := range sc.reqs {
-		s.putReq(req)
-	}
-	return int(total)
+	return nil, nil, ScanDone, nil
 }
 
 // Sync is the engine's acknowledgement barrier: it waits for every
@@ -1263,43 +723,26 @@ func (s *Sharded) Len() int {
 // the per-shard fsyncs overlap each other AND the operations queued
 // behind the barrier, which the workers go straight back to applying.
 // Once Sync returns nil, every operation submitted before it (including
-// write-behind mutations) survives a crash. Errors deferred by write-behind mutations are reported here
-// but NOT consumed: every Sync fails until a Flush or Close clears
-// them, so concurrent acknowledgement barriers can never race a failed
-// apply out of view. The serving layer group-commits client acks
-// behind this barrier.
-func (s *Sharded) Sync() error { return s.barrier(opSync) }
+// write-behind mutations) survives a crash. Errors deferred by
+// write-behind mutations are reported here but NOT consumed: every Sync
+// fails until a Flush or Close clears them, so concurrent
+// acknowledgement barriers can never race a failed apply out of view.
+// The serving layer group-commits client acks behind this barrier.
+func (s *Sharded) Sync() error {
+	c := s.getCall()
+	defer s.putCall(c)
+	return s.broadcast(c, opSync, 0, len(s.shards))
+}
 
 // Flush is the engine's checkpoint barrier: it waits for every shard to
 // drain the requests queued before it, syncs all shards' storage
 // backends in parallel (overlapping their syscalls; durable shards
 // commit a full checkpoint), and returns the join of any errors
 // deferred by write-behind mutations since the last barrier.
-func (s *Sharded) Flush() error { return s.barrier(opFlush) }
-
-// barrier broadcasts a drain request (opSync or opFlush) to every shard
-// and joins the per-shard errors.
-func (s *Sharded) barrier(kind opKind) error {
-	var wg sync.WaitGroup
-	errs := make([]error, len(s.shards))
-	s.stateMu.RLock()
-	if s.closed {
-		s.stateMu.RUnlock()
-		return ErrClosed
-	}
-	s.sendBarrier(kind, errs, &wg)
-	s.stateMu.RUnlock()
-	wg.Wait()
-	return errors.Join(errs...)
-}
-
-// sendBarrier enqueues a barrier request on every shard. Callers hold
-// stateMu (either side) so the channels cannot close mid-broadcast.
-func (s *Sharded) sendBarrier(kind opKind, errs []error, wg *sync.WaitGroup) {
-	for sh := range s.shards {
-		wg.Add(1)
-		s.reqs[sh] <- &shardReq{kind: kind, errs: errs, shard: sh, wg: wg}
-	}
+func (s *Sharded) Flush() error {
+	c := s.getCall()
+	defer s.putCall(c)
+	return s.broadcast(c, opFlush, 0, len(s.shards))
 }
 
 // Stats returns the aggregated I/O counters of all shards. It reads the
@@ -1308,8 +751,8 @@ func (s *Sharded) sendBarrier(kind opKind, errs []error, wg *sync.WaitGroup) {
 // snapshot is monotonic.
 func (s *Sharded) Stats() Stats {
 	var out Stats
-	for _, tab := range s.shards {
-		st := tab.Stats()
+	for _, g := range s.shards {
+		st := g.Stats()
 		out.Reads += st.Reads
 		out.Writes += st.Writes
 		out.WriteBacks += st.WriteBacks
@@ -1317,47 +760,12 @@ func (s *Sharded) Stats() Stats {
 	return out
 }
 
-// StoreStats returns the aggregated backend real-cost counters of all
-// shards (file-backend syscall/pool counters plus per-shard WAL
-// spill/fsync counts; zeros on scratch backends). Unlike Stats the
-// backend counters are not atomic, so the snapshot rides through the
-// pipeline like Len: it reflects every operation submitted before it
-// and briefly occupies each shard worker. A closed engine returns
-// zeros.
-func (s *Sharded) StoreStats() StoreStats {
-	var wg sync.WaitGroup
-	sc := s.getScratch()
-	defer s.putScratch(sc)
-	s.stateMu.RLock()
-	if s.closed {
-		s.stateMu.RUnlock()
-		return StoreStats{}
-	}
-	for sh := range s.shards {
-		req := s.getReq()
-		req.kind, req.stores, req.shard, req.wg = opStats, sc.stores, sh, &wg
-		sc.reqs = append(sc.reqs, req)
-		wg.Add(1)
-		s.reqs[sh] <- req
-	}
-	s.stateMu.RUnlock()
-	wg.Wait()
-	var total StoreStats
-	for _, st := range sc.stores {
-		total = total.Add(st)
-	}
-	for _, req := range sc.reqs {
-		s.putReq(req)
-	}
-	return total
-}
-
 // MemoryUsed returns the summed memory charge of all shards, read
 // atomically without entering the pipeline.
 func (s *Sharded) MemoryUsed() int64 {
 	var total int64
-	for _, tab := range s.shards {
-		total += tab.MemoryUsed()
+	for _, g := range s.shards {
+		total += g.MemoryUsed()
 	}
 	return total
 }
@@ -1367,36 +775,22 @@ func (s *Sharded) MemoryUsed() int64 {
 // every shard, returning the join of deferred write-behind errors and
 // the shards' flush and close errors. Close is idempotent, and safe
 // against concurrent operations: anything submitted before the closing
-// point completes normally, anything after it is rejected with
-// ErrClosed (or zero results from Lookup/Delete/Len). Calls after the
-// first return the first call's error.
+// point (see broadcast) completes normally, anything after it is
+// rejected with ErrClosed (or zero results from Lookup/Delete/Len).
+// Calls after the first return the first call's error.
 func (s *Sharded) Close() error {
 	s.closeMu.Lock()
 	defer s.closeMu.Unlock()
 	if s.closed {
 		return s.closeErr
 	}
-	// The closing point: flip closed and shut the channels under the
-	// state write-lock, with the final flush barrier enqueued in the
-	// same critical section so it is the last request every worker
-	// serves. Submitters hold the read side across their own
-	// check-and-send, so they land either wholly before this (served
-	// normally) or wholly after (ErrClosed) — never on a closed channel.
-	var flushWG sync.WaitGroup
-	flushErrs := make([]error, len(s.shards))
-	s.stateMu.Lock()
-	s.sendBarrier(opFlush, flushErrs, &flushWG)
-	s.closed = true
-	for i := range s.reqs {
-		close(s.reqs[i])
-	}
-	s.stateMu.Unlock()
-	flushWG.Wait()
+	c := s.getCall()
+	errs := []error{s.broadcast(c, opClose, 0, len(s.shards))}
+	s.putCall(c)
 	s.workerWG.Wait()
 	s.fsyncWG.Wait()
-	errs := []error{errors.Join(flushErrs...)}
-	for _, tab := range s.shards {
-		errs = append(errs, tab.Close())
+	for _, g := range s.shards {
+		errs = append(errs, g.Close())
 	}
 	s.closeErr = errors.Join(errs...)
 	return s.closeErr

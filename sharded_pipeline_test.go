@@ -205,9 +205,9 @@ func TestStartWaitMatchesSynchronous(t *testing.T) {
 	}
 }
 
-// TestStartWaitZeroAllocs: the handle, its barrier and the per-shard
-// requests are pooled, so a warmed start+wait allocates nothing — with
-// one call at a time or several outstanding.
+// TestStartWaitZeroAllocs: the handle is the request and is pooled with
+// its barrier, so a warmed start+wait allocates nothing — with one call
+// at a time or several outstanding — and neither does a broadcast.
 func TestStartWaitZeroAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, set := range bi.Settings {
@@ -254,8 +254,22 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-	run() // warm the request and handle pools
+	run() // warm the handle pool
 	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
 		t.Fatalf("steady-state start+wait: %.2f allocs per %d calls, want 0", allocs, depth)
+	}
+	// The broadcasts use the same pooled handle: no request per shard,
+	// no error slice per barrier.
+	broadcasts := func() {
+		if s.Len() == 0 || s.StoreStats() != (extbuf.StoreStats{}) || s.ExpiryStats() != (extbuf.ExpiryStats{}) {
+			t.Fatal("mem-backed engine: want entries, zero store costs, no TTL state")
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	broadcasts()
+	if allocs := testing.AllocsPerRun(200, broadcasts); allocs != 0 {
+		t.Fatalf("Len+StoreStats+ExpiryStats+Sync: %.2f allocs, want 0", allocs)
 	}
 }
