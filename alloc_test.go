@@ -51,6 +51,11 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 		{"twolevel", "lookup"},
 		{"extendible", "lookup"},
 		{"buffered", "lookup"},
+		// Misses: on buffered, once the lookups have bought the cascade's
+		// merge (the merge itself may grow its scratch) a miss is one
+		// probe of Ĥ and a counter compare.
+		{"buffered", "lookup-miss"},
+		{"knuth", "lookup-miss"},
 		// The read-modify-write probes hand a callback down to the block
 		// walk; it must stay on the stack.
 		{"buffered", "upsert"},
@@ -120,6 +125,17 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					if _, ok := tab.Lookup(k); !ok {
 						t.Fatal("lost key")
 					}
+				}
+			case "lookup-miss":
+				miss := func() {
+					i++
+					if _, ok := tab.Lookup(uint64(i) | 1<<63); ok {
+						t.Fatal("found an absent key")
+					}
+				}
+				run = miss
+				for miss(); extbuf.MergeStatsForTest(tab).ReadDebt > 0; {
+					miss() // until the read-paid merge has fired
 				}
 			case "cas":
 				cas := newSteadyCAS(tab, keys)
@@ -219,6 +235,32 @@ func BenchmarkSteadyStateLookup(b *testing.B) {
 					b.Fatal("lost key")
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkSteadyStateLookupMiss measures lookups of absent keys with
+// allocation and model-I/O reporting. On buffered a miss pays one I/O per
+// occupied cascade level after its Ĥ probe, until the misses have paid
+// for the cascade's merge (DESIGN.md §3a, "Read-paid merges"); over a
+// long run ios/op settles at the single probe knuth pays. (60000 keys,
+// not the other benchmarks' 50000: at 50000 the last insert-triggered
+// merge has just emptied the cascade; at 60000 four levels are occupied
+// and the first ~1000 misses buy their merge for ~4300 I/Os.)
+func BenchmarkSteadyStateLookupMiss(b *testing.B) {
+	for _, structure := range []string{"buffered", "knuth"} {
+		b.Run(structure, func(b *testing.B) {
+			tab, _ := steadyTable(b, structure, 60000)
+			defer tab.Close()
+			base := tab.Stats()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := tab.Lookup(uint64(i) | 1<<63); ok {
+					b.Fatal("found an absent key")
+				}
+			}
+			reportIOs(b, tab, base)
 		})
 	}
 }

@@ -184,6 +184,7 @@ func main() {
 		insert  func(k uint64) error
 		lookup  func(k uint64) bool
 		subject zones.Subject
+		merges  func() extbuf.MergeStats // the Theorem 2 table's restructuring counters
 	)
 	switch *structure {
 	case "chainhash", "knuth":
@@ -228,6 +229,14 @@ func main() {
 		insert = func(k uint64) error { _, err := tab.Insert(k, 0); return err }
 		lookup = func(k uint64) bool { _, ok, _ := tab.Lookup(k); return ok }
 		subject = tab
+		// Direct mode drives the paper's schedule: lookups accrue read
+		// debt, nothing ever settles it, read-paid merges stay 0.
+		merges = func() extbuf.MergeStats {
+			return extbuf.MergeStats{
+				Merges: int64(tab.Merges()), Growths: int64(tab.Growths()),
+				ReadPaidMerges: int64(tab.ReadPaidMerges()), ReadDebt: int64(tab.ReadDebt()),
+			}
+		}
 	case "staged":
 		tab, err := core.NewStaged(model, fn, core.StagedConfig{Delta: *delta})
 		fatal(err)
@@ -289,10 +298,22 @@ func main() {
 	t.AddRow("memory peak (words)", model.Mem.Peak())
 	t.AddRow("disk blocks", model.Disk.NumBlocks())
 	t.AddRow("(tq-1)*b", tablefmt.FormatFloat((float64(qry.IOs())/float64(len(qs))-1)*float64(*b)))
+	if merges != nil {
+		addMergeRows(t, merges())
+	}
 	for _, r := range backendRows {
 		t.AddRow(r.metric, r.value)
 	}
 	t.Render(os.Stdout)
+}
+
+// addMergeRows reports how often the Theorem 2 table restructured, and
+// who paid: the insertion window or the lookups.
+func addMergeRows(t *tablefmt.Table, ms extbuf.MergeStats) {
+	t.AddRow("cascade merges", ms.Merges)
+	t.AddRow("  bought by lookups (read-paid)", ms.ReadPaidMerges)
+	t.AddRow("  read debt outstanding (I/Os)", ms.ReadDebt)
+	t.AddRow("big-table doublings", ms.Growths)
 }
 
 // runEngine drives the sharded pipelined engine: n batched inserts and
@@ -380,6 +401,9 @@ func runEngine(structure string, cfg extbuf.Config, workers, batch, n, q int) {
 	t.AddRow("  free write-backs", float64(ins.WriteBacks)/float64(n))
 	t.AddRow("avg successful lookup I/Os", float64(qry.IOs())/float64(len(qs)))
 	t.AddRow("memory used (words)", s.MemoryUsed())
+	if structure == "core" || structure == "buffered" {
+		addMergeRows(t, s.MergeStats())
+	}
 	if cfg.Backend == "file" {
 		st := s.StoreStats()
 		t.AddRow("store: io mode (effective)", effectiveIOMode(st, cfg.IOMode))

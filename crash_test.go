@@ -26,12 +26,25 @@ import (
 // crashKeySpace is the small key universe the scripted workload mutates.
 const crashKeySpace = 48
 
+// The read-paid row of the matrix (buffered, Beta 2) first stores
+// crashFillKeys keys from crashFillBase up, one upsert each: with the
+// merge window (m/2) wider than H_0 (m/4) they occupy a cascade level,
+// so the lookup burst every workload issues mid-epoch buys a merge there
+// and the crash point walks that merge's copy-on-write block writes.
+const (
+	crashFillBase = 1 << 20
+	crashFillKeys = 180
+	crashLookups  = 160 // absent-key lookups issued at operation crashLookupAt
+	crashLookupAt = 90
+)
+
 // crashWorkloadResult captures a faulted run: the reference state after
 // each applied operation since the last acknowledged Flush (index 0 is
 // the acknowledged state itself), and whether the fault tripped.
 type crashWorkloadResult struct {
 	snapshots []map[uint64]uint64
 	crashed   bool
+	readPaid  int64 // merges the lookup burst had bought when it ended
 }
 
 func copyState(m map[uint64]uint64) map[uint64]uint64 {
@@ -65,7 +78,13 @@ const (
 // (one upsert record then one expire record) therefore contributes TWO
 // snapshots — the value-visible intermediate state is a legal recovery
 // prefix.
-func runCrashWorkload(t *testing.T, structure string, cfg extbuf.Config) crashWorkloadResult {
+//
+// fill is the number of filler keys stored first (see crashFillKeys).
+// Every workload issues a burst of absent-key lookups in the middle of
+// its second epoch; lookups log nothing and change no snapshot, but on a
+// buffered table with an occupied cascade level they buy a merge, whose
+// block writes then sit between two checkpoints like any other.
+func runCrashWorkload(t *testing.T, structure string, cfg extbuf.Config, fill int) crashWorkloadResult {
 	t.Helper()
 	res := crashWorkloadResult{}
 	cur := map[uint64]uint64{}
@@ -76,9 +95,25 @@ func runCrashWorkload(t *testing.T, structure string, cfg extbuf.Config) crashWo
 		return res
 	}
 	defer tab.Close() // release handles; harmless post-crash (all writes fail)
+	for key := uint64(crashFillBase); key < crashFillBase+uint64(fill); key++ {
+		if err := tab.Upsert(key, key<<8); err != nil {
+			res.crashed = true
+			return res
+		}
+		cur[key] = key << 8
+		res.snapshots = append(res.snapshots, copyState(cur))
+	}
 	rng := xrand.New(9)
 	found := make([]bool, 1)
 	for i := 0; i < 240; i++ {
+		if i == crashLookupAt {
+			for j := uint64(0); j < crashLookups; j++ {
+				if _, ok := tab.Lookup(1<<40 | j); ok {
+					t.Fatalf("absent key %d found", 1<<40|j)
+				}
+			}
+			res.readPaid = extbuf.MergeStatsForTest(tab).ReadPaidMerges
+		}
 		if i > 0 && i%60 == 0 {
 			if err := tab.Flush(); err != nil {
 				res.crashed = true
@@ -183,7 +218,14 @@ func verifyRecovered(t *testing.T, structure string, cfg extbuf.Config, label st
 	}
 	defer tab.Close()
 	state := map[uint64]uint64{}
+	keys := make([]uint64, 0, crashKeySpace+crashFillKeys)
 	for key := uint64(0); key < crashKeySpace; key++ {
+		keys = append(keys, key)
+	}
+	for key := uint64(crashFillBase); key < crashFillBase+crashFillKeys; key++ {
+		keys = append(keys, key)
+	}
+	for _, key := range keys {
 		if v, ok := tab.Lookup(key); ok {
 			state[key] = v
 		}
@@ -216,30 +258,44 @@ func verifyRecovered(t *testing.T, structure string, cfg extbuf.Config, label st
 // TestCrashMatrix walks the crash point across every write syscall of
 // the scripted workload for every structure, with and without torn
 // writes, until a plan survives the whole run (the crash point lies
-// beyond the workload's total writes).
+// beyond the workload's total writes). The "buffered-readpaid" rows run
+// the buffered table shaped so that the workload's lookup burst buys a
+// merge mid-epoch (see crashFillKeys).
 func TestCrashMatrix(t *testing.T) {
 	stride := int64(1)
 	if testing.Short() {
 		stride = 7
 	}
+	type row struct {
+		name, structure string
+		beta, fill      int
+	}
+	var rows []row
 	for _, structure := range extbuf.Structures() {
+		rows = append(rows, row{name: structure, structure: structure})
+	}
+	rows = append(rows, row{name: "buffered-readpaid", structure: "buffered", beta: 2, fill: crashFillKeys})
+	for _, r := range rows {
 		for _, torn := range []bool{false, true} {
-			t.Run(fmt.Sprintf("%s/torn=%v", structure, torn), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/torn=%v", r.name, torn), func(t *testing.T) {
 				completed := false
 				for k := int64(1); k < 4000; k += stride {
 					cfg := extbuf.Config{
-						BlockSize: 16, MemoryWords: 512, ExpectedItems: 512, Seed: 5,
+						BlockSize: 16, MemoryWords: 512, ExpectedItems: 512, Seed: 5, Beta: r.beta,
 						Backend: "file", Path: filepath.Join(t.TempDir(), "crash.tbl"),
 						CacheBlocks: 4, // small cache: evictions exercise copy-on-write mid-epoch
 						Crash:       &extbuf.CrashPlan{FailAfterWrites: k, TornWrite: torn, Seed: 77},
 					}
-					if structure == "extendible" {
+					if r.structure == "extendible" {
 						cfg.MemoryWords = 1 << 16
 					}
-					res := runCrashWorkload(t, structure, cfg)
-					verifyRecovered(t, structure, cfg,
-						fmt.Sprintf("%s torn=%v k=%d", structure, torn, k), res.snapshots)
+					res := runCrashWorkload(t, r.structure, cfg, r.fill)
+					verifyRecovered(t, r.structure, cfg,
+						fmt.Sprintf("%s torn=%v k=%d", r.name, torn, k), res.snapshots)
 					if !res.crashed {
+						if r.fill > 0 && res.readPaid == 0 {
+							t.Fatal("the lookup burst bought no merge: the read-paid row exercised nothing")
+						}
 						completed = true
 						break
 					}

@@ -552,6 +552,16 @@ func (d *durableTable) Len() int                         { return d.inner.Len() 
 func (d *durableTable) Stats() Stats                     { return d.inner.Stats() }
 func (d *durableTable) MemoryUsed() int64                { return d.inner.MemoryUsed() }
 
+// settleReads needs no log record for the merge it may run: a merge moves
+// copies between blocks and changes no logical content, so replaying the
+// log against the last checkpoint reaches the same key set without it,
+// and copy-on-write keeps the merge's block writes off that checkpoint's
+// slots like any other write of the epoch. Recovery and the follower
+// never look up, so neither ever triggers one.
+func (d *durableTable) settleReads() { d.inner.settleReads() }
+
+func (d *durableTable) mergeStats() MergeStats { return d.inner.mergeStats() }
+
 func (d *durableTable) scanBuckets() int { return d.inner.scanBuckets() }
 func (d *durableTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
 	return d.inner.scanBucket(i, buf)
@@ -651,9 +661,13 @@ func (d *durableTable) checkpoint() error {
 	e.String(d.cfg.WALPath)
 	e.String(d.cfg.IOMode)
 	e.Int(d.store.SectorSize())
-	expMap := make(map[uint64]uint64, d.exp.Len())
-	d.exp.Range(func(k, dl uint64) { expMap[k] = dl })
-	e.PairMap(expMap)
+	// The expiry index, in the format Decoder.PairMap reads back on
+	// reopen: count, then pairs.
+	e.U32(uint32(d.exp.Len()))
+	d.exp.Range(func(k, dl uint64) {
+		e.U64(k)
+		e.U64(dl)
+	})
 	d.inner.s.SaveState(e)
 	if err := writeFileAtomic(d.cfg.Path+ckptSuffix, ckpt.Frame(superblockVersion, e.Bytes()), d.crasher); err != nil {
 		return err

@@ -193,6 +193,7 @@ const (
 	opLen
 	opStats
 	opExpiryStats
+	opMergeStats
 	opSweep
 	opScan
 	opSync
@@ -317,6 +318,10 @@ func (b batchAPI) CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool
 type innerTable interface {
 	Table
 	compareSwap(key, old, new uint64) (swapped bool, err error)
+	// settleReads runs after lookups: the point where a structure whose
+	// lookups can pay for a merge (readPaidMerger) performs it.
+	settleReads()
+	mergeStats() MergeStats
 	// logExpire makes a deadline write recoverable (a wal.OpExpire
 	// record on a durable table) before the guard records it.
 	logExpire(key, deadline uint64) error
@@ -375,7 +380,8 @@ func newGuard(t innerTable, durable bool, idx *expiry.Index, now func() uint64) 
 //	kind        per-key action (applyOne)                   shipped subset
 //	insert      Insert; clear the deadline                  applied pairs, as inserts
 //	upsert      Upsert; clear the deadline                  applied pairs, as upserts
-//	lookup      the value, unless the deadline has passed   nothing
+//	lookup      the value, unless the deadline has passed;  nothing
+//	            then settleReads, once for the share
 //	delete      Delete; clear the deadline                  every attempted key
 //	expire      set the deadline of a live key              found keys, as expires
 //	upsert-ttl  Upsert, then set the deadline               applied pairs: upserts, then expires
@@ -426,6 +432,9 @@ func (g *guard) apply(v *opVec, idx []int) (uint64, error) {
 		if ship && (ok || kind == BatchDelete) {
 			sk, sv, sw = append(sk, keys[j]), append(sv, a), append(sw, b)
 		}
+	}
+	if kind == BatchLookup {
+		g.t.settleReads() // once per share, not per key
 	}
 	if len(sk) == 0 {
 		return 0, first
@@ -561,7 +570,10 @@ func (g *guard) Upsert(key, val uint64) error {
 }
 
 func (g *guard) Lookup(key uint64) (uint64, bool) {
-	v, ok, _ := g.one(BatchLookup, key, 0)
+	v, ok, err := g.one(BatchLookup, key, 0)
+	if err == nil {
+		g.t.settleReads()
+	}
 	return v, ok
 }
 
@@ -580,6 +592,14 @@ func (g *guard) Len() int {
 func (g *guard) Stats() Stats { return g.t.Stats() }
 
 func (g *guard) StoreStats() StoreStats { return g.t.StoreStats() }
+
+// MergeStats reports the table's restructuring counters (see MergeStats).
+func (g *guard) MergeStats() MergeStats {
+	if g.closed {
+		return MergeStats{}
+	}
+	return g.t.mergeStats()
+}
 
 func (g *guard) MemoryUsed() int64 { return g.t.MemoryUsed() }
 

@@ -72,6 +72,13 @@ func CopiesForTest(tab Table, key uint64) (copies int, ok bool) {
 	return 0, false
 }
 
+// MergeStatsForTest returns tab's restructuring counters: every table
+// Open returns and *Sharded have a MergeStats method, which Engine does
+// not name.
+func MergeStatsForTest(tab any) MergeStats {
+	return tab.(interface{ MergeStats() MergeStats }).MergeStats()
+}
+
 // WithClock returns cfg with the TTL clock replaced by now (unix ms),
 // so expiry tests control time instead of sleeping through it.
 func (c Config) WithClock(now func() uint64) Config {

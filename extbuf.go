@@ -93,6 +93,26 @@ func (s StoreStats) Add(o StoreStats) StoreStats {
 	return s
 }
 
+// MergeStats counts the restructuring events of a buffered (Theorem 2)
+// table; the baselines report zeros. It is a diagnostic beside Stats, not
+// part of Engine: *Sharded and every table Open returns have a
+// MergeStats() method (on a closed engine it reports zeros).
+type MergeStats struct {
+	Merges         int64 // merges of the cascade into Ĥ, insert-triggered and read-paid alike
+	Growths        int64 // doublings of Ĥ
+	ReadPaidMerges int64 // the merges lookups bought (DESIGN.md §3a, "Read-paid merges")
+	ReadDebt       int64 // I/Os lookups have spent in the cascade since the last merge
+}
+
+// Add returns s + o field-wise, for aggregating shards.
+func (s MergeStats) Add(o MergeStats) MergeStats {
+	s.Merges += o.Merges
+	s.Growths += o.Growths
+	s.ReadPaidMerges += o.ReadPaidMerges
+	s.ReadDebt += o.ReadDebt
+	return s
+}
+
 // fromFileStats maps the file backend's counter struct onto the public
 // one.
 func fromFileStats(st iomodel.FileStats) StoreStats {
@@ -132,7 +152,12 @@ type Table interface {
 	Insert(key, val uint64) error
 	// Upsert stores (key, val) whether or not key is present.
 	Upsert(key, val uint64) error
-	// Lookup returns the value stored for key.
+	// Lookup returns the value stored for key. It changes no content,
+	// but on the buffered table it may restructure: once lookups have
+	// spent, in the cascade levels behind Ĥ, the I/Os that merging those
+	// levels into Ĥ costs, the lookup that tips the balance runs that
+	// merge (MergeStats.ReadPaidMerges; DESIGN.md §3a), and lookups go
+	// back to one probe each.
 	Lookup(key uint64) (uint64, bool)
 	// Delete removes key, reporting whether it was present.
 	Delete(key uint64) bool
@@ -524,6 +549,22 @@ type readModifyWriter interface {
 	CompareSwap(key, old, new uint64) (swapped bool, ios int)
 }
 
+// readPaidMerger is the optional capability of a structure whose lookups
+// can buy a restructuring — the Theorem 2 table: Lookup itself is the
+// paper's probe and changes nothing, but it keeps count of the I/Os it
+// spends past Ĥ in the cascade, and MergeIfReadsPaid merges the cascade
+// into Ĥ once they add up to what that merge costs (core's package
+// comment has the rule and its 2x bound). The guard calls it after
+// lookups, so a served table that stops being written stops paying one
+// I/O per cascade level on every miss.
+type readPaidMerger interface {
+	MergeIfReadsPaid() (ios int, merged bool)
+	Merges() int
+	Growths() int
+	ReadPaidMerges() int
+	ReadDebt() int
+}
+
 // structures is the one table of constructors behind Open, in
 // Structures() order: how each structure is built fresh and how it is
 // restored from a checkpoint's state payload (on a model whose store
@@ -693,6 +734,7 @@ type adapter struct {
 	model *iomodel.Model
 	s     structure
 	rmw   readModifyWriter // nil for the baselines
+	reads readPaidMerger   // nil for the baselines
 }
 
 // newAdapter builds structure number kind on the model — fresh, or from
@@ -712,6 +754,7 @@ func newAdapter(kind int, model *iomodel.Model, fn hashfn.Fn, cfg Config, d *ckp
 	}
 	a := &adapter{model: model, s: s}
 	a.rmw, _ = s.(readModifyWriter)
+	a.reads, _ = s.(readPaidMerger)
 	return a, nil
 }
 
@@ -731,6 +774,26 @@ func (a *adapter) Upsert(key, val uint64) error {
 func (a *adapter) Lookup(key uint64) (uint64, bool) {
 	v, ok, _ := a.s.Lookup(key)
 	return v, ok
+}
+
+// settleReads lets the lookups served so far buy the merge they have
+// paid for, on a structure that sells one.
+func (a *adapter) settleReads() {
+	if a.reads != nil {
+		a.reads.MergeIfReadsPaid()
+	}
+}
+
+func (a *adapter) mergeStats() MergeStats {
+	if a.reads == nil {
+		return MergeStats{}
+	}
+	return MergeStats{
+		Merges:         int64(a.reads.Merges()),
+		Growths:        int64(a.reads.Growths()),
+		ReadPaidMerges: int64(a.reads.ReadPaidMerges()),
+		ReadDebt:       int64(a.reads.ReadDebt()),
+	}
 }
 
 func (a *adapter) Delete(key uint64) bool {

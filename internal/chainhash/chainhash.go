@@ -39,18 +39,12 @@ type Table struct {
 	maxLoad float64 // grow when n/(blocks*b) would exceed this; 0 = fixed
 	memRes  int64   // words charged against mem
 
-	// Merge scratch, reused across MergeIn calls so bulk merges build
-	// no per-call maps or slices.
-	msort []mergeItem
+	// Grouping scratch of EachBucketGroup, reused across calls so bulk
+	// merges and loads build no per-call maps or slices: msort holds one
+	// word per entry, its bucket in the high half and its input position
+	// in the low half; mrun holds the group being visited.
+	msort []uint64
 	mrun  []iomodel.Entry
-}
-
-// mergeItem tags an entry with its bucket and input position for the
-// sort-based grouping in MergeIn.
-type mergeItem struct {
-	bucket int32
-	seq    int32
-	e      iomodel.Entry
 }
 
 // memoryWords is the in-memory footprint charged by the table: base
@@ -163,6 +157,30 @@ func (t *Table) Update(key uint64, fn func(cur uint64) (val uint64, write bool))
 	return block.Update(t.d, t.heads[t.bucket(key)], key, fn)
 }
 
+// EachBucketGroup groups entries by the bucket their key hashes to and
+// calls visit once per non-empty group, in ascending bucket order, each
+// group in input order. It is the grouping step of every bulk path — a
+// reusable sort instead of a per-call map or slice per bucket: no
+// allocation in steady state, and a deterministic write sequence (a map
+// walk would randomize it per process, breaking crash-point replay).
+// group is the table's scratch, valid only during the call; visit must
+// not start another grouping on the same table.
+func (t *Table) EachBucketGroup(entries []iomodel.Entry, visit func(bucket int, group []iomodel.Entry)) {
+	t.msort = t.msort[:0]
+	for i, e := range entries {
+		t.msort = append(t.msort, uint64(t.bucket(e.Key))<<32|uint64(uint32(i)))
+	}
+	slices.Sort(t.msort)
+	for start := 0; start < len(t.msort); {
+		bucket := t.msort[start] >> 32
+		t.mrun = t.mrun[:0]
+		for ; start < len(t.msort) && t.msort[start]>>32 == bucket; start++ {
+			t.mrun = append(t.mrun, entries[uint32(t.msort[start])])
+		}
+		visit(int(bucket), t.mrun)
+	}
+}
+
 // MergeIn bulk-merges entries (whose keys must not already be present)
 // into the table with one sequential pass per touched bucket: each chain
 // block is read once and written back for free (footnote 2 accounting),
@@ -174,40 +192,10 @@ func (t *Table) MergeIn(entries []iomodel.Entry) int {
 	if len(entries) == 0 {
 		return 0
 	}
-	// Group by bucket with a reusable sort instead of a per-call map:
-	// no allocation in steady state, and the buckets are visited in
-	// ascending order, so the write sequence is deterministic (a map
-	// walk would randomize it per process, breaking crash-point
-	// replay). The input position breaks ties, preserving each
-	// bucket's input order.
-	t.msort = t.msort[:0]
-	for i, e := range entries {
-		t.msort = append(t.msort, mergeItem{bucket: int32(t.bucket(e.Key)), seq: int32(i), e: e})
-	}
-	// slices.SortFunc with a capture-free comparator: unlike
-	// sort.Slice, no swapper or closure allocation per merge.
-	slices.SortFunc(t.msort, func(a, b mergeItem) int {
-		if a.bucket != b.bucket {
-			return int(a.bucket) - int(b.bucket)
-		}
-		return int(a.seq) - int(b.seq)
-	})
 	ios := 0
 	b := t.d.B()
 	buf := t.d.AcquireBuf()
-	defer func() { t.d.ReleaseBuf(buf) }()
-	for start := 0; start < len(t.msort); {
-		end := start + 1
-		for end < len(t.msort) && t.msort[end].bucket == t.msort[start].bucket {
-			end++
-		}
-		t.mrun = t.mrun[:0]
-		for _, it := range t.msort[start:end] {
-			t.mrun = append(t.mrun, it.e)
-		}
-		g := t.mrun
-		i := int(t.msort[start].bucket)
-		start = end
+	t.EachBucketGroup(entries, func(i int, g []iomodel.Entry) {
 		id := t.heads[i]
 		for {
 			buf = t.d.Read(id, buf[:0])
@@ -242,15 +230,16 @@ func (t *Table) MergeIn(entries []iomodel.Entry) int {
 					g = g[len(chunk):]
 				}
 				t.blocks += need
-				break
+				return
 			}
 			t.d.WriteBack(id, buf)
 			if len(g) == 0 {
-				break
+				return
 			}
 			id = next
 		}
-	}
+	})
+	t.d.ReleaseBuf(buf)
 	t.n += len(entries)
 	return ios
 }
@@ -335,28 +324,27 @@ func (t *Table) CollectAll(buf []iomodel.Entry) ([]iomodel.Entry, int) {
 // are skipped when the table is already empty (their heads are clear),
 // and cleared otherwise.
 func (t *Table) BulkLoad(entries []iomodel.Entry) int {
-	nb := len(t.heads)
-	groups := make([][]iomodel.Entry, nb)
-	for _, e := range entries {
-		i := t.bucket(e.Key)
-		groups[i] = append(groups[i], e)
-	}
 	wasEmpty := t.n == 0
-	ios := 0
-	blocks := 0
-	for i, head := range t.heads {
-		if len(groups[i]) == 0 {
-			if !wasEmpty {
+	ios, blocks := 0, 0
+	next := 0 // first bucket not yet visited
+	// skipTo passes over buckets [next, i), which receive nothing.
+	skipTo := func(i int) {
+		if !wasEmpty {
+			for _, head := range t.heads[next:i] {
 				block.FreeChainTail(t.d, head)
 				t.d.Clear(head)
 			}
-			blocks++
-			continue
 		}
-		w := block.Rewrite(t.d, head, groups[i])
+		blocks += i - next
+		next = i + 1
+	}
+	t.EachBucketGroup(entries, func(i int, g []iomodel.Entry) {
+		skipTo(i)
+		w := block.Rewrite(t.d, t.heads[i], g)
 		ios += w
 		blocks += w // Rewrite pays one cold write per block of the new chain
-	}
+	})
+	skipTo(len(t.heads))
 	t.n = len(entries)
 	t.blocks = blocks
 	return ios

@@ -181,6 +181,37 @@ func TestOpKindIOCost(t *testing.T) {
 		measure(keys[i], uint64(i), tab.residencyOf(keys[i]))
 	}
 
+	// The read-paid merge, on a second table loaded the same way (the
+	// sampling above deleted the first one's cascade): absent lookups pay
+	// the absent column's price until MergeIfReadsPaid has its estimate,
+	// and 1 I/O afterwards.
+	_, tab = newCore(t, 64, 1024, 8)
+	for i, k := range keys {
+		if _, err := tab.Insert(k, uint64(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paidLookups, paidIOs := 0, 0
+	for merged := false; !merged; paidLookups++ {
+		_, _, c := tab.Lookup(absentKey(tab, rng))
+		paidIOs += c
+		_, merged = tab.MergeIfReadsPaid()
+	}
+	afterAbsent, afterPresent := 0, 0
+	for i := 0; i < recent; i++ {
+		_, _, c := tab.Lookup(absentKey(tab, rng))
+		afterAbsent += c
+		_, ok, c := tab.Lookup(keys[64*i+1])
+		if !ok {
+			t.Fatalf("key %d lost by the read-paid merge", keys[64*i+1])
+		}
+		afterPresent += c
+	}
+	if afterAbsent != recent || afterPresent != recent || tab.ReadDebt() != 0 {
+		t.Fatalf("after the read-paid merge: %d absent and %d present lookups cost %d and %d I/Os, debt %d",
+			recent, recent, afterAbsent, afterPresent, tab.ReadDebt())
+	}
+
 	var b strings.Builder
 	fmt.Fprintf(&b, "mean I/Os per operation by where the key lives (insert of a fresh key: %.3f amortized)\n", float64(insertIOs)/n)
 	fmt.Fprintf(&b, "%-8s", "kind")
@@ -200,5 +231,7 @@ func TestOpKindIOCost(t *testing.T) {
 			fmt.Fprintf(&b, " %20.3f", float64(sum[r][i])/float64(count[r]))
 		}
 	}
+	fmt.Fprintf(&b, "\nabsent lookup, cascade full: %.3f; %d of them (%d I/Os) bought the read-paid merge; after it: absent %.3f, present %.3f",
+		float64(sum[absent][0])/float64(count[absent]), paidLookups, paidIOs, float64(afterAbsent)/recent, float64(afterPresent)/recent)
 	t.Log("\n" + b.String())
 }

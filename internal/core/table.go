@@ -50,6 +50,32 @@
 // past the hit, so an Insert of a present key is a contract violation
 // that is no longer papered over: the stale copy it strands survives a
 // later Delete of the fresh one. Copies audits the invariant.
+//
+// # Read-paid merges
+//
+// The paper merges the cascade on a schedule of insertions only, so a
+// table that stops being written keeps whatever cascade it has, and every
+// lookup that misses Ĥ — every absent key, and the 1/β share of present
+// ones — keeps paying one I/O per occupied level. MergeIfReadsPaid is the
+// rent-or-buy answer, for callers that serve reads (package extbuf; the
+// experiments never call it and reproduce the paper's schedule exactly).
+// Lookup adds the I/Os it spends in the cascade's disk levels — the part
+// after the Ĥ probe — to a read debt; when the debt reaches
+// mergeCostEstimate, what absorbing the cascade into Ĥ would cost right
+// now, MergeIfReadsPaid runs that merge, after which lookups cost their
+// single Ĥ probe again. Every merge, whoever triggers it, zeroes the debt.
+//
+// The rule is 2-competitive: a read-paid merge runs only once lookups
+// have already spent its estimated price on probes the merge would have
+// saved, so the merge I/O the rule adds never exceeds the cascade I/O
+// the same run's lookups paid (up to the estimate's slack, which tests
+// bound by mergeCostSlack), and the total is at most twice what the run
+// costs without the rule. Theorem 1's insertion bound is untouched:
+// under interleaved inserts the extra merges surface as t_u, which is
+// the paper's t_q/t_u trade, its point chosen online from the operations
+// observed instead of by β alone. Only pure lookups accrue debt:
+// Upsert, CompareSwap and Delete walk the same levels but are writes,
+// and stay on the paper's insert-driven schedule.
 package core
 
 import (
@@ -87,6 +113,15 @@ type Table struct {
 	beta    int
 	merges  int // cascade-into-Ĥ merge events
 	growths int // Ĥ doubling events
+
+	// Read-paid merges (see the package comment): the I/Os Lookup has
+	// spent in the cascade's disk levels since the last merge, and how
+	// many of the merges were bought with them. Neither is checkpointed:
+	// a reopened table starts with no debt.
+	readDebt       int
+	readPaidMerges int
+
+	collectBuf []iomodel.Entry // mergeCascade's scratch, reused across merges
 }
 
 // New returns an empty Theorem 2 table on the model.
@@ -185,12 +220,15 @@ func (t *Table) Insert(key, val uint64) (int, error) {
 }
 
 // mergeCascade absorbs the entire cascade into Ĥ and clears it, then
-// doubles Ĥ if the merge pushed its load factor past 1/2.
+// doubles Ĥ if the merge pushed its load factor past 1/2. The one-copy
+// contract makes the collect a plain concatenation of the levels.
 func (t *Table) mergeCascade() int {
-	entries, ios := t.cascade.CollectAll(nil)
+	entries, ios := t.cascade.CollectAllUnique(t.collectBuf[:0])
 	ios += t.big.MergeIn(entries)
+	t.collectBuf = entries[:0]
 	t.cascade.Clear()
 	t.merges++
+	t.readDebt = 0
 	for t.big.Fill() > 0.5 {
 		ios += t.big.Grow()
 		t.growths++
@@ -208,7 +246,9 @@ func (t *Table) Flush() int {
 }
 
 // Lookup returns the value for key and the I/Os spent, probing H_0
-// (free), then Ĥ, then the cascade levels largest-first.
+// (free), then Ĥ, then the cascade levels largest-first. It is the
+// paper's probe and never restructures the table; the I/Os of its last
+// step accrue as read debt, which only MergeIfReadsPaid acts on.
 func (t *Table) Lookup(key uint64) (val uint64, ok bool, ios int) {
 	if v, hit := t.cascade.LookupMem(key); hit {
 		return v, true, 0
@@ -219,9 +259,56 @@ func (t *Table) Lookup(key uint64) (val uint64, ok bool, ios int) {
 		return v, true, ios
 	}
 	v, hit, c = t.cascade.LookupLevelsLargestFirst(key)
+	t.readDebt += c
 	ios += c
 	return v, hit, ios
 }
+
+// mergeCostSlack bounds what a read-paid merge really costs against
+// mergeCostEstimate: at most mergeCostSlack times the estimate. The
+// estimate is exact for the collect and for one read per touched Ĥ
+// bucket; what it leaves out are Ĥ's overflow blocks — a 1/2^Ω(b)
+// share of buckets at fill <= 1/2 — so the true ratio sits just above 1.
+const mergeCostSlack = 2
+
+// mergeCostEstimate prices mergeCascade as of now, from memory-resident
+// counts alone: the cascade blocks the collect reads, the Ĥ buckets the
+// merge can touch (one read each; the write-back is free) and, if the
+// merge would push Ĥ's fill past 1/2, the rebuild that doubles it (every
+// block read, two head blocks written per old bucket).
+func (t *Table) mergeCostEstimate() int {
+	ios := t.cascade.CollectCost() + min(t.cascade.Len(), t.big.NumBuckets())
+	if 2*t.Len() > t.model.B()*t.big.NumBuckets() {
+		ios += t.big.DiskBlocks() + 2*t.big.NumBuckets()
+	}
+	return ios
+}
+
+// MergeIfReadsPaid is the read-paid merge rule (see the package comment):
+// once the I/Os lookups have spent in the cascade's disk levels since the
+// last merge reach mergeCostEstimate — and not one I/O earlier — it
+// absorbs the cascade into Ĥ exactly as an insert-triggered merge would,
+// and reports the I/Os spent. Callers that serve lookups call it after
+// them; it is a counter compare when there is no debt to act on.
+func (t *Table) MergeIfReadsPaid() (ios int, merged bool) {
+	if t.readDebt == 0 || t.readDebt < t.mergeCostEstimate() {
+		return 0, false
+	}
+	if t.cascade.Len() == 0 { // deletes drained what the lookups probed
+		t.readDebt = 0
+		return 0, false
+	}
+	t.readPaidMerges++
+	return t.mergeCascade(), true
+}
+
+// ReadDebt returns the I/Os lookups have spent in the cascade's disk
+// levels since the last merge.
+func (t *Table) ReadDebt() int { return t.readDebt }
+
+// ReadPaidMerges returns how many of Merges were triggered by
+// MergeIfReadsPaid instead of the insertion window.
+func (t *Table) ReadPaidMerges() int { return t.readPaidMerges }
 
 // LookupSmallestFirst is an ablation hook: like Lookup, but probes the
 // cascade's disk levels smallest-first instead of largest-first. Since

@@ -97,20 +97,22 @@ type FileStore struct {
 	cacheCap   int
 
 	// Buffer pool: frames is the arena, arena the shared entry backing,
-	// cache maps resident block IDs to frame indexes, freeFrames the
-	// recycle list, hand the CLOCK sweep position.
+	// resident the index from block ID to frame (block IDs are dense, so
+	// it is a slice grown with the allocator: the frame index, or -1 for
+	// a block not in the pool), freeFrames the recycle list, hand the
+	// CLOCK sweep position.
 	frames     []frame
 	arena      []Entry
-	cache      map[BlockID]int32
+	resident   []int32
 	freeFrames []int32
 	hand       int
 	pinned     int // frames with pins > 0 (gauge)
 
 	// Most-recently-used memo: block accesses cluster heavily on the
 	// block just touched (read → write-back → header), so remembering
-	// one (id, frame) pair skips the cache map on the dominant path.
+	// one (id, frame) pair skips the resident index on the dominant path.
 	// Self-invalidating: recycling sets the frame's id to NilBlock, so
-	// a stale memo simply misses into the map.
+	// a stale memo simply misses into the index.
 	lastID  BlockID
 	lastIdx int32
 
@@ -132,16 +134,19 @@ type FileStore struct {
 	wrote      bool
 	hasCrasher bool // write order must stay deterministic: no async pool
 
-	// Scan-resistant eviction (2Q/CLOCK-Pro-lite): a bounded ghost ring
+	// Scan-resistant eviction (2Q/CLOCK-Pro-lite): a bounded ghost list
 	// remembers recently evicted block IDs; a block faulting back in
 	// from the ghost list enters the pool "hot" and survives one extra
 	// CLOCK lap (demotion before eviction). First-touch blocks — a
 	// sequential scan's entire footprint — enter cold and are evicted
 	// after a single lap, so a scan cannot displace the re-referenced
-	// hot set.
-	ghost    map[BlockID]struct{}
-	ghostLog []BlockID // FIFO ring over ghost membership
-	ghostPos int
+	// hot set. The list is a generation stamp per block ID, grown with
+	// the allocator like resident: ghostAt[id] is the value ghostSeq had
+	// when id was last recorded (0: not on the list), and a block stays
+	// on the list while fewer than cacheCap others have been recorded
+	// since — one cache-capacity's worth of eviction history.
+	ghostAt  []uint64
+	ghostSeq uint64
 
 	// Durable-mode placement state (nil mapping = direct mode).
 	durable     bool
@@ -312,7 +317,6 @@ func newFileStoreOn(f BlockFile, osf *os.File, b, cacheBlocks int, durable bool,
 		cacheCap:   cacheBlocks,
 		frames:     make([]frame, cacheBlocks),
 		arena:      alignedEntryArena(cacheBlocks * b),
-		cache:      make(map[BlockID]int32, cacheBlocks),
 		freeFrames: make([]int32, cacheBlocks),
 		scratch:    alignedBytes(int(slot), int(slot), int(sector)),
 		durable:    durable,
@@ -331,13 +335,6 @@ func newFileStoreOn(f BlockFile, osf *os.File, b, cacheBlocks int, durable bool,
 	}
 	if durable {
 		s.epochSlots = make(map[int64]struct{})
-	}
-	// The ghost list remembers one cache-capacity's worth of eviction
-	// history: a block re-faulted within that window is hot.
-	s.ghost = make(map[BlockID]struct{}, cacheBlocks)
-	s.ghostLog = make([]BlockID, cacheBlocks)
-	for i := range s.ghostLog {
-		s.ghostLog[i] = NilBlock
 	}
 	return s
 }
@@ -458,6 +455,8 @@ func (s *FileStore) Alloc() BlockID {
 	}
 	id := BlockID(s.nslots)
 	s.nslots++
+	s.resident = append(s.resident, -1)
+	s.ghostAt = append(s.ghostAt, 0)
 	if s.durable {
 		s.mapping = append(s.mapping, -1)
 	}
@@ -475,7 +474,7 @@ func (s *FileStore) Alloc() BlockID {
 // alias a recycled frame).
 func (s *FileStore) Free(id BlockID) {
 	s.checkID(id)
-	if idx, ok := s.cache[id]; ok {
+	if idx := s.resident[id]; idx >= 0 {
 		fr := &s.frames[idx]
 		if fr.pins > 0 {
 			panic(fmt.Sprintf("iomodel: freeing pinned block %d", id))
@@ -488,15 +487,15 @@ func (s *FileStore) Free(id BlockID) {
 	}
 	// Forget eviction history: the ID's next use is a fresh block, not
 	// a re-reference.
-	delete(s.ghost, id)
+	s.ghostAt[id] = 0
 	s.free = append(s.free, id)
 }
 
-// recycle detaches frame idx from the cache and returns it to the free
+// recycle detaches frame idx from the pool and returns it to the free
 // list.
 func (s *FileStore) recycle(idx int32) {
 	fr := &s.frames[idx]
-	delete(s.cache, fr.id)
+	s.resident[fr.id] = -1
 	fr.id = NilBlock
 	fr.dirty = false
 	fr.ref = false
@@ -583,8 +582,8 @@ func (s *FileStore) PinBlock(id BlockID) []Entry {
 // guaranteed.
 func (s *FileStore) UnpinBlock(id BlockID) {
 	s.checkID(id)
-	idx, ok := s.cache[id]
-	if !ok || s.frames[idx].pins == 0 {
+	idx := s.resident[id]
+	if idx < 0 || s.frames[idx].pins == 0 {
 		panic(fmt.Sprintf("iomodel: unpin of unpinned block %d", id))
 	}
 	fr := &s.frames[idx]
@@ -793,6 +792,11 @@ func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int6
 	s.nslots = nslots
 	s.free = append(s.free[:0], free...)
 	s.mapping = append(s.mapping[:0], mapping...)
+	s.resident = make([]int32, nslots)
+	for i := range s.resident {
+		s.resident[i] = -1
+	}
+	s.ghostAt = make([]uint64, nslots)
 	s.physHigh = 0
 	used := make(map[int64]struct{}, len(mapping))
 	for _, p := range mapping {
@@ -863,7 +867,7 @@ func (s *FileStore) frameFor(id BlockID) *frame {
 			return fr
 		}
 	}
-	if idx, ok := s.cache[id]; ok {
+	if idx := s.resident[id]; idx >= 0 {
 		fr := &s.frames[idx]
 		s.stats.CacheHits++
 		fr.ref = true
@@ -895,7 +899,7 @@ func (s *FileStore) frameForWrite(id BlockID, preserveNext bool) *frame {
 		}
 	}
 	var fr *frame
-	if idx, ok := s.cache[id]; ok {
+	if idx := s.resident[id]; idx >= 0 {
 		fr = &s.frames[idx]
 		s.stats.CacheHits++
 		fr.ref = true
@@ -913,7 +917,7 @@ func (s *FileStore) frameForWrite(id BlockID, preserveNext bool) *frame {
 }
 
 // install obtains a frame for id — from the free list, or by evicting —
-// and inserts it into the cache empty and referenced. Eviction of a
+// and inserts it into the pool empty and referenced. Eviction of a
 // dirty frame on a failed store drops the frame: the write is lost,
 // exactly as in the crash the failure models, and the loss is reported
 // by Sync/Close.
@@ -936,13 +940,13 @@ func (s *FileStore) install(id BlockID) *frame {
 	// and enters hot.
 	fr.hot = false
 	fr.wasHot = false
-	if _, returning := s.ghost[id]; returning {
-		delete(s.ghost, id)
+	if s.isGhost(id) {
+		s.ghostAt[id] = 0
 		fr.hot = true
 		fr.wasHot = true
 		s.stats.GhostHits++
 	}
-	s.cache[id] = idx
+	s.resident[id] = idx
 	s.lastID, s.lastIdx = id, idx
 	return fr
 }
@@ -988,7 +992,7 @@ func (s *FileStore) evict() int32 {
 			}
 		}
 		s.ghostAdd(fr.id)
-		delete(s.cache, fr.id)
+		s.resident[fr.id] = -1
 		fr.id = NilBlock
 		fr.dirty = false
 		fr.wasHot = false
@@ -997,21 +1001,21 @@ func (s *FileStore) evict() int32 {
 	panic("iomodel: CLOCK sweep found no evictable frame")
 }
 
-// ghostAdd records an evicted block ID on the bounded ghost ring,
-// displacing the oldest entry.
+// isGhost reports whether id is on the ghost list: recorded, and fewer
+// than cacheCap evictions recorded since.
+func (s *FileStore) isGhost(id BlockID) bool {
+	at := s.ghostAt[id]
+	return at != 0 && s.ghostSeq-at < uint64(s.cacheCap)
+}
+
+// ghostAdd records an evicted block ID on the ghost list, which ages the
+// oldest entry off it. An ID already on the list keeps its place.
 func (s *FileStore) ghostAdd(id BlockID) {
-	if _, present := s.ghost[id]; present {
+	if s.isGhost(id) {
 		return
 	}
-	if old := s.ghostLog[s.ghostPos]; old != NilBlock {
-		delete(s.ghost, old)
-	}
-	s.ghostLog[s.ghostPos] = id
-	s.ghostPos++
-	if s.ghostPos == len(s.ghostLog) {
-		s.ghostPos = 0
-	}
-	s.ghost[id] = struct{}{}
+	s.ghostSeq++
+	s.ghostAt[id] = s.ghostSeq
 }
 
 // maxClusterFrames bounds the write cluster gathered around a dirty
@@ -1030,15 +1034,15 @@ func (s *FileStore) flushCluster(victim *frame) error {
 	cluster := s.clusterList[:0]
 	cluster = append(cluster, victim)
 	for id := victim.id - 1; id >= 0 && len(cluster) < maxClusterFrames; id-- {
-		idx, ok := s.cache[id]
-		if !ok || !s.frames[idx].dirty {
+		idx := s.resident[id]
+		if idx < 0 || !s.frames[idx].dirty {
 			break
 		}
 		cluster = append(cluster, &s.frames[idx])
 	}
 	for id := victim.id + 1; int(id) < s.nslots && len(cluster) < maxClusterFrames; id++ {
-		idx, ok := s.cache[id]
-		if !ok || !s.frames[idx].dirty {
+		idx := s.resident[id]
+		if idx < 0 || !s.frames[idx].dirty {
 			break
 		}
 		cluster = append(cluster, &s.frames[idx])

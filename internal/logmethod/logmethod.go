@@ -22,6 +22,7 @@ package logmethod
 
 import (
 	"fmt"
+	"slices"
 
 	"extbuf/internal/chainhash"
 	"extbuf/internal/hashfn"
@@ -50,6 +51,15 @@ type Table struct {
 	memRes int64
 	// migrations counts level-merge events, exposed for experiments.
 	migrations int
+
+	// Merge scratch, reused so flushes and level merges build no
+	// per-call maps or slices: moveBuf carries the entries one migration
+	// moves (H_0's, or a level's — a migration finishes with them before
+	// the next one collects), mkeys one bucket's fresh keys sorted for
+	// mergeChain's shadow test, mpend mergeChain's placement queue.
+	moveBuf []iomodel.Entry
+	mkeys   []uint64
+	mpend   []iomodel.Entry
 }
 
 // level wraps one disk-resident table H_k with its item capacity.
@@ -184,12 +194,13 @@ func (t *Table) flushH0() (int, error) {
 	if err != nil {
 		return ios, err
 	}
-	entries := make([]iomodel.Entry, 0, len(t.h0))
+	entries := t.moveBuf[:0]
 	for k, v := range t.h0 {
 		entries = append(entries, iomodel.Entry{Key: k, Val: v})
 	}
 	ios += t.mergeInto(1, entries)
-	t.h0 = make(map[uint64]uint64, t.h0cap)
+	t.moveBuf = entries[:0]
+	clear(t.h0)
 	t.migrations++
 	t.recount()
 	return ios, nil
@@ -209,9 +220,10 @@ func (t *Table) makeRoom(k, extra int) (int, error) {
 	if err != nil {
 		return ios, err
 	}
-	moved, c := lv.t.CollectAll(nil)
+	moved, c := lv.t.CollectAll(t.moveBuf[:0])
 	ios += c
 	ios += t.mergeInto(k+1, moved)
+	t.moveBuf = moved[:0]
 	lv.t.Reset()
 	t.migrations++
 	return ios, nil
@@ -230,24 +242,15 @@ func (t *Table) mergeInto(k int, entries []iomodel.Entry) int {
 	if lv.t.Len() == 0 {
 		return lv.t.BulkLoad(entries)
 	}
-	nb := lv.t.NumBuckets()
-	groups := make([][]iomodel.Entry, nb)
-	for _, e := range entries {
-		i := hashfn.BucketOf(t.fn.Hash(e.Key), nb)
-		groups[i] = append(groups[i], e)
-	}
 	ios := 0
 	added := 0
 	blocks := 0
-	for i, g := range groups {
-		if len(g) == 0 {
-			continue
-		}
+	lv.t.EachBucketGroup(entries, func(i int, g []iomodel.Entry) {
 		c, a, b := t.mergeChain(lv.t.BucketHead(i), g)
 		ios += c
 		added += a
 		blocks += b
-	}
+	})
 	lv.t.AdjustAfterMerge(added, blocks)
 	return ios
 }
@@ -261,36 +264,38 @@ func (t *Table) mergeInto(k int, entries []iomodel.Entry) int {
 func (t *Table) mergeChain(head iomodel.BlockID, fresh []iomodel.Entry) (ios, added, blocks int) {
 	d := t.model.Disk
 	b := d.B()
-	freshKeys := make(map[uint64]struct{}, len(fresh))
+	t.mkeys = t.mkeys[:0]
 	for _, e := range fresh {
-		freshKeys[e.Key] = struct{}{}
+		t.mkeys = append(t.mkeys, e.Key)
 	}
+	slices.Sort(t.mkeys)
 	added = len(fresh)
-	// pending holds items awaiting placement: fresh first, then chain
-	// survivors stream through it.
-	pending := append([]iomodel.Entry(nil), fresh...)
-	var buf []iomodel.Entry
+	// pending holds items awaiting placement from position off on: fresh
+	// first, then chain survivors stream through it.
+	pending := append(t.mpend[:0], fresh...)
+	off := 0
+	buf := d.AcquireBuf()
 	id := head
 	var lastNonEmpty iomodel.BlockID = iomodel.NilBlock
 	for {
 		buf = d.Read(id, buf[:0])
 		ios++
 		for _, e := range buf {
-			if _, shadowed := freshKeys[e.Key]; shadowed {
+			if _, shadowed := slices.BinarySearch(t.mkeys, e.Key); shadowed {
 				added-- // replacement, not growth
 				continue
 			}
 			pending = append(pending, e)
 		}
-		take := len(pending)
+		take := len(pending) - off
 		if take > b {
 			take = b
 		}
 		next := d.Next(id)
-		if len(pending) > take && next == iomodel.NilBlock {
+		if len(pending)-off > take && next == iomodel.NilBlock {
 			// Net growth: allocate the overflow chain, link it via the
 			// free write-back, then pay cold writes for the new blocks.
-			rest := pending[take:]
+			rest := pending[off+take:]
 			need := (len(rest) + b - 1) / b
 			ids := make([]iomodel.BlockID, need)
 			for j := range ids {
@@ -300,7 +305,7 @@ func (t *Table) mergeChain(head iomodel.BlockID, fresh []iomodel.Entry) (ios, ad
 				d.SetNext(ids[j], ids[j+1])
 			}
 			d.SetNext(id, ids[0])
-			d.WriteBack(id, pending[:take])
+			d.WriteBack(id, pending[off:off+take])
 			for j := 0; j < need; j++ {
 				chunk := rest
 				if len(chunk) > b {
@@ -310,10 +315,12 @@ func (t *Table) mergeChain(head iomodel.BlockID, fresh []iomodel.Entry) (ios, ad
 				ios++
 				rest = rest[len(chunk):]
 			}
+			d.ReleaseBuf(buf)
+			t.mpend = pending[:0]
 			return ios, added, need
 		}
-		d.WriteBack(id, pending[:take])
-		pending = pending[take:]
+		d.WriteBack(id, pending[off:off+take])
+		off += take
 		if take > 0 {
 			lastNonEmpty = id
 		}
@@ -322,6 +329,8 @@ func (t *Table) mergeChain(head iomodel.BlockID, fresh []iomodel.Entry) (ios, ad
 		}
 		id = next
 	}
+	d.ReleaseBuf(buf)
+	t.mpend = pending[:0]
 	// Net shrinkage: free the emptied tail, keeping the head alive.
 	if lastNonEmpty == iomodel.NilBlock {
 		lastNonEmpty = head
@@ -503,13 +512,31 @@ func (t *Table) Copies(key uint64) int {
 }
 
 // CollectAll drains every entry of the structure (memory and disk) into
-// buf, returning entries and I/Os spent. Used by the Theorem 2 structure
-// when absorbing the cascade into the big table.
+// buf, returning entries and I/Os spent: one read per block of every
+// occupied level (CollectCost). A key overwritten since its last
+// migration has stale copies in deeper levels; the freshest wins.
 func (t *Table) CollectAll(buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	seen := make(map[uint64]struct{}, t.n)
+	return t.collect(buf, true)
+}
+
+// CollectAllUnique is CollectAll without the dedupe pass — no map of
+// the whole cascade — for callers (the Theorem 2 structure, absorbing
+// the cascade into the big table) whose API contract keeps at most one
+// copy of each key across the cascade.
+func (t *Table) CollectAllUnique(buf []iomodel.Entry) ([]iomodel.Entry, int) {
+	return t.collect(buf, false)
+}
+
+func (t *Table) collect(buf []iomodel.Entry, dedupe bool) ([]iomodel.Entry, int) {
+	var seen map[uint64]struct{}
+	if dedupe {
+		seen = make(map[uint64]struct{}, t.n)
+	}
 	for k, v := range t.h0 {
 		buf = append(buf, iomodel.Entry{Key: k, Val: v})
-		seen[k] = struct{}{}
+		if dedupe {
+			seen[k] = struct{}{}
+		}
 	}
 	ios := 0
 	// Smaller levels are fresher; collect smallest-first and let the
@@ -523,6 +550,9 @@ func (t *Table) CollectAll(buf []iomodel.Entry) ([]iomodel.Entry, int) {
 		start := len(buf)
 		buf, c = lv.t.CollectAll(buf)
 		ios += c
+		if !dedupe {
+			continue
+		}
 		w := start
 		for _, e := range buf[start:] {
 			if _, dup := seen[e.Key]; dup {
@@ -537,10 +567,22 @@ func (t *Table) CollectAll(buf []iomodel.Entry) ([]iomodel.Entry, int) {
 	return buf, ios
 }
 
+// CollectCost returns the I/Os CollectAll would spend right now — the
+// blocks of every occupied disk level — from memory-resident counts.
+func (t *Table) CollectCost() int {
+	ios := 0
+	for _, lv := range t.levels {
+		if lv.t.Len() > 0 {
+			ios += lv.t.DiskBlocks()
+		}
+	}
+	return ios
+}
+
 // Clear discards all contents (a format operation, no I/O) while keeping
 // the allocated levels for reuse.
 func (t *Table) Clear() {
-	t.h0 = make(map[uint64]uint64, t.h0cap)
+	clear(t.h0)
 	for _, lv := range t.levels {
 		lv.t.Reset()
 	}

@@ -63,10 +63,12 @@ func copiesMismatch(tab extbuf.Table, ref map[uint64]uint64, key uint64) (n, wan
 
 // runModelCheck drives one table instance against the reference model.
 // reopen rebuilds the implementation from its durable files; nil
-// disables close/reopen transitions (scratch backends).
+// disables close/reopen transitions (scratch backends). It returns how
+// many merges the stream's lookups bought (summed over the reopens).
 func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
-	reopen func() (checkedTable, error)) {
+	reopen func() (checkedTable, error)) (readPaidMerges int64) {
 	t.Helper()
+	countReadPaid := func() { readPaidMerges += extbuf.MergeStatsForTest(tab).ReadPaidMerges }
 	fail := func(format string, args ...any) {
 		t.Helper()
 		t.Fatalf("seed %#x: %s: %s (add the seed to modelCheckSeeds to replay)",
@@ -150,6 +152,7 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 			if reopen == nil {
 				continue
 			}
+			countReadPaid()
 			if err := tab.Close(); err != nil {
 				fail("op %d: close: %v", i, err)
 			}
@@ -196,9 +199,11 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 			fail("final audit: %d buffer-pool pins leaked", pinned)
 		}
 	}
+	countReadPaid()
 	if err := tab.Close(); err != nil {
 		fail("final close: %v", err)
 	}
+	return readPaidMerges
 }
 
 // TestModelCheckStructures model-checks each structure on the durable
@@ -267,5 +272,62 @@ func TestModelCheckSharded(t *testing.T) {
 				runModelCheck(t, "sharded/"+policy, seed, s, reopen)
 			})
 		}
+	}
+}
+
+// TestModelCheckReadPaidMerges model-checks the buffered table where
+// lookups restructure it. Beta 2 makes the merge window (m/2) wider than
+// H_0 (m/4), so cascade levels stay occupied between insert-triggered
+// merges and the streams' lookups buy merges of their own — on the
+// scratch backend, on a durable table across reopens, and on a sharded
+// durable engine — with results, Len and the one-copy audit checked
+// after every operation as everywhere else. (A small memory keeps the
+// merge's price, a few dozen I/Os, within what the lookups of a 600-op
+// -short stream spend; the streams are seeded, so whether they buy one is
+// a fixed fact of these parameters, which the test asserts.)
+func TestModelCheckReadPaidMerges(t *testing.T) {
+	base := extbuf.Config{BlockSize: 16, MemoryWords: 160, Beta: 2, CacheBlocks: 8}
+	variants := map[string]func(t *testing.T, seed uint64) int64{
+		"mem": func(t *testing.T, seed uint64) int64 {
+			cfg := base
+			cfg.Seed = seed | 1
+			tab, err := extbuf.OpenEngine("buffered", cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runModelCheck(t, "buffered", seed, tab, nil)
+		},
+		"durable": func(t *testing.T, seed uint64) int64 {
+			cfg := base
+			cfg.Seed, cfg.Backend, cfg.Path = seed|1, "file", filepath.Join(t.TempDir(), "model.tbl")
+			open := func() (checkedTable, error) { return extbuf.OpenEngine("buffered", cfg) }
+			tab, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runModelCheck(t, "buffered", seed, tab, open)
+		},
+		"sharded": func(t *testing.T, seed uint64) int64 {
+			cfg := base
+			cfg.Seed, cfg.Backend, cfg.Path = seed|1, "file", filepath.Join(t.TempDir(), "shards")
+			open := func() (checkedTable, error) { return extbuf.NewSharded("buffered", cfg, 2) }
+			s, err := open()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return runModelCheck(t, "sharded/buffered", seed, s, open)
+		},
+	}
+	for name, run := range variants {
+		t.Run(name, func(t *testing.T) {
+			var bought int64
+			for _, seed := range modelCheckSeeds {
+				bought += run(t, seed)
+			}
+			if bought == 0 {
+				t.Fatal("no stream's lookups bought a merge: the rule went unexercised")
+			}
+			t.Logf("%d read-paid merges across %d streams", bought, len(modelCheckSeeds))
+		})
 	}
 }

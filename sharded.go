@@ -120,6 +120,7 @@ type BatchCall struct {
 	lens         []int64
 	stores       []StoreStats
 	expSt        []ExpiryStats
+	mergeSt      []MergeStats
 	scanK, scanV []uint64
 	scanNext     uint64
 
@@ -193,13 +194,14 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 	s.do = s.runBatch
 	s.callPool.New = func() any {
 		return &BatchCall{
-			s:      s,
-			parts:  make([][]int, n),
-			errs:   make([]error, n),
-			lsns:   make([]uint64, n),
-			lens:   make([]int64, n),
-			stores: make([]StoreStats, n),
-			expSt:  make([]ExpiryStats, n),
+			s:       s,
+			parts:   make([][]int, n),
+			errs:    make([]error, n),
+			lsns:    make([]uint64, n),
+			lens:    make([]int64, n),
+			stores:  make([]StoreStats, n),
+			expSt:   make([]ExpiryStats, n),
+			mergeSt: make([]MergeStats, n),
 		}
 	}
 	// One group committer serves every durable shard: a Flush barrier
@@ -290,6 +292,8 @@ func (s *Sharded) serve(i int, g *guard, c *BatchCall) {
 		c.stores[i] = g.StoreStats()
 	case opExpiryStats:
 		c.expSt[i] = g.ExpiryStats()
+	case opMergeStats:
+		c.mergeSt[i] = g.MergeStats()
 	case opSweep:
 		var n int
 		n, c.lsns[i], c.errs[i] = g.SweepExpired(c.maxN)
@@ -652,6 +656,21 @@ func (s *Sharded) ExpiryStats() ExpiryStats {
 		return total
 	}
 	for _, st := range c.expSt {
+		total = total.Add(st)
+	}
+	return total
+}
+
+// MergeStats aggregates the shards' restructuring counters (see
+// MergeStats). Like StoreStats it rides through the pipeline.
+func (s *Sharded) MergeStats() MergeStats {
+	c := s.getCall()
+	defer s.putCall(c)
+	var total MergeStats
+	if s.broadcast(c, opMergeStats, 0, len(s.shards)) != nil {
+		return total
+	}
+	for _, st := range c.mergeSt {
 		total = total.Add(st)
 	}
 	return total
