@@ -430,3 +430,75 @@ func TestCrashShardedAsyncRecovers(t *testing.T) {
 		})
 	}
 }
+
+// TestCrashInsideReset pins the crash points a recycled log adds, which
+// the matrix above only samples under -short: death inside the header
+// write of the Reset that ends a checkpoint (torn at several lengths, and
+// whole), death between that header and the new epoch's first spill, and
+// death after that spill — which lands on the previous epoch's records,
+// not on fresh extent, and ends exactly where stale records begin. A
+// torn header must fall back to the checkpoint's LSN; a spill, torn or
+// whole, must recover a prefix of the new epoch and nothing of the old.
+func TestCrashInsideReset(t *testing.T) {
+	run := func(cfg extbuf.Config) (snapshots []map[uint64]uint64, headerWrite int64) {
+		cur := map[uint64]uint64{}
+		snapshots = []map[uint64]uint64{copyState(cur)}
+		tab, err := extbuf.OpenEngine("buffered", cfg)
+		if err != nil {
+			return snapshots, 0
+		}
+		defer tab.Close()
+		// Epoch 1 writes the keys upwards and epoch 2 downwards, so a
+		// stale record that validated behind the new epoch's records
+		// would overwrite a key they had already set.
+		upserts := func(base uint64, keys ...uint64) bool {
+			for _, key := range keys {
+				if tab.Upsert(key, base+key) != nil {
+					return false
+				}
+				cur[key] = base + key
+				snapshots = append(snapshots, copyState(cur))
+			}
+			return true
+		}
+		var up, down []uint64
+		for key := uint64(0); key < 40; key++ {
+			up, down = append(up, key), append(down, 39-key)
+		}
+		// A Flush that dies in Reset's header write — its last — has
+		// committed the checkpoint already: the whole epoch is a legal
+		// recovery, and stays in the list.
+		if !upserts(100, up...) || tab.Flush() != nil {
+			return snapshots, 0
+		}
+		headerWrite = extbuf.CrashWritesForTest(tab)
+		// Epoch 2, acknowledged in two spills over epoch 1's records.
+		for _, half := range [][]uint64{down[:20], down[20:]} {
+			snapshots = []map[uint64]uint64{copyState(cur)}
+			if !upserts(200, half...) || tab.Sync() != nil {
+				return snapshots, headerWrite
+			}
+		}
+		return []map[uint64]uint64{copyState(cur)}, headerWrite
+	}
+	base := extbuf.Config{
+		BlockSize: 16, MemoryWords: 512, ExpectedItems: 512, Seed: 5,
+		Backend: "file", CacheBlocks: 4,
+	}
+	cfg := base
+	cfg.Path = filepath.Join(t.TempDir(), "count.tbl")
+	cfg.Crash = &extbuf.CrashPlan{FailAfterWrites: 1 << 40}
+	_, header := run(cfg)
+	if header == 0 {
+		t.Fatal("fault-free run did not reach its checkpoint")
+	}
+	for k := header; k <= header+2; k++ {
+		for seed := uint64(0); seed < 9; seed++ {
+			cfg := base
+			cfg.Path = filepath.Join(t.TempDir(), "crash.tbl")
+			cfg.Crash = &extbuf.CrashPlan{FailAfterWrites: k, TornWrite: seed > 0, Seed: seed}
+			snapshots, _ := run(cfg)
+			verifyRecovered(t, "buffered", cfg, fmt.Sprintf("write %d (header is %d) seed %d", k, header, seed), snapshots)
+		}
+	}
+}

@@ -34,7 +34,7 @@ import (
 //     operation so far is now recoverable against the PREVIOUS
 //     checkpoint; (3) write the new superblock+checkpoint to a temp
 //     file, fsync, and atomically rename it over Path + ".ckpt"; (4)
-//     commit the copy-on-write epoch and truncate the WAL.
+//     commit the copy-on-write epoch and recycle the WAL (wal.Log.Reset).
 //   - A crash strictly before (3)'s rename leaves the previous
 //     checkpoint and a WAL holding every operation since it. A crash
 //     after the rename leaves the new checkpoint, whose recorded LSN
@@ -223,9 +223,9 @@ type replayOp struct {
 
 // replayRecords applies the log suffix the checkpoint has not
 // absorbed. Inserts replay as upserts: a record at or below the
-// checkpoint LSN was truncated away, but re-applying a full suffix
+// checkpoint LSN was discarded by Reset, but re-applying a full suffix
 // must stay idempotent when a crash landed between checkpoint commit
-// and log truncation.
+// and that Reset.
 //
 // Large suffixes run through a parallel pipeline: records are
 // partitioned by hash prefix into par groups, each group is collapsed

@@ -357,6 +357,8 @@ type guard struct {
 	// replay and persists it at every checkpoint.
 	exp      *expiry.Index
 	now      func() uint64
+	callNow  uint64 // the clock as arm read it for the call in progress, 0 if it did not
+	anyDue   bool   // some deadline may be at or before callNow
 	sweepBuf []uint64
 	scanBuf  []iomodel.Entry
 	expStats ExpiryStats
@@ -396,6 +398,7 @@ func (g *guard) apply(v *opVec, idx []int) (uint64, error) {
 	if g.closed {
 		return 0, ErrClosed
 	}
+	g.arm()
 	kind, keys, vals, vals2, outV, outOK := v.kind, v.keys, v.vals, v.vals2, v.outV, v.outOK
 	ship := v.ship && g.ship != nil && kind != BatchLookup
 	var sk, sv, sw []uint64
@@ -524,12 +527,25 @@ func (g *guard) emit(op uint8, keys, vals []uint64) (uint64, error) {
 	return first + uint64(len(keys)) - 1, nil
 }
 
-// expired reports whether key's deadline has passed. The deadline map
-// read comes first so keys without a TTL — the hot path — never pay
-// the clock read.
+// arm reads the TTL clock for one call (apply, one, Scan, SweepExpired):
+// once, and not at all while no key has a deadline (callNow stays 0).
+// While the earliest deadline is still ahead of it no key of the call can
+// be expired, and expired skips the per-key probe of the deadline map.
+func (g *guard) arm() {
+	g.callNow, g.anyDue = 0, false
+	if g.exp.Len() > 0 {
+		g.callNow = g.now()
+		g.anyDue = g.exp.Earliest() <= g.callNow
+	}
+}
+
+// expired reports whether key's deadline had passed when the call began.
 func (g *guard) expired(key uint64) bool {
+	if !g.anyDue {
+		return false
+	}
 	d, ok := g.exp.Deadline(key)
-	return ok && d <= g.now()
+	return ok && d <= g.callNow
 }
 
 // live is the lazily filtered read: a key is dead the instant its
@@ -548,6 +564,12 @@ func (g *guard) setDeadline(key, deadline uint64) error {
 		return err
 	}
 	g.exp.Set(key, deadline)
+	// The new deadline may already be due for the rest of the call.
+	if g.callNow == 0 {
+		g.arm() // the index was empty when the call began: first clock read
+	} else if deadline <= g.callNow {
+		g.anyDue = true
+	}
 	return nil
 }
 
@@ -556,6 +578,7 @@ func (g *guard) one(kind BatchOp, key, val uint64) (uint64, bool, error) {
 	if g.closed {
 		return 0, false, ErrClosed
 	}
+	g.arm()
 	return g.applyOne(kind, key, val, 0)
 }
 

@@ -112,3 +112,10 @@ func HoldShardFsyncForTest(s *Sharded, key uint64) (entered <-chan struct{}, rel
 	d.log.Interpose(func(bf iomodel.BlockFile) iomodel.BlockFile { f.BlockFile = bf; return f })
 	return f.entered, f.release
 }
+
+// CrashWritesForTest returns how many write syscalls the crash plan of a
+// durable table has counted so far — what FailAfterWrites is matched
+// against.
+func CrashWritesForTest(tab Table) int64 {
+	return tab.(*guard).t.(*durableTable).crasher.Writes()
+}

@@ -179,7 +179,7 @@ type Table interface {
 	// Flush forces any state buffered by the storage backend down to
 	// durable storage. For a durable table (file backend with a named
 	// Path) this is the checkpoint barrier: it fsyncs the write-ahead
-	// log, flushes dirty blocks, commits a checkpoint and truncates the
+	// log, flushes dirty blocks, commits a checkpoint and empties the
 	// log, so every operation submitted before Flush survives a crash
 	// once it returns nil — and subsequent recovery pays no log replay.
 	// For scratch backends it degrades to a backend sync (a no-op in

@@ -20,7 +20,8 @@ package expiry
 
 // entry is one heap element. The heap uses lazy deletion: an entry is
 // live only while the map still holds the same deadline for its key, so
-// Clear and re-Set just abandon the old entry to be skipped when popped.
+// Clear and re-Set just abandon the old entry to be skipped when popped —
+// or dropped by trim, once abandoned entries outnumber live ones.
 type entry struct {
 	key      uint64
 	deadline uint64
@@ -40,15 +41,49 @@ func New() *Index {
 // Len returns the number of keys with a live deadline.
 func (x *Index) Len() int { return len(x.deadline) }
 
+// Earliest returns a lower bound on every live deadline: the heap's top,
+// or the largest uint64 when nothing is tracked. An abandoned entry on
+// top only makes the bound earlier than it need be. While Earliest() is
+// above the clock no key can be expired, and callers skip the per-key
+// probe.
+func (x *Index) Earliest() uint64 {
+	if len(x.heap) == 0 {
+		return ^uint64(0)
+	}
+	return x.heap[0].deadline
+}
+
 // Set installs or replaces key's deadline (unix ms).
 func (x *Index) Set(key, deadline uint64) {
 	x.deadline[key] = deadline
 	x.push(entry{key, deadline})
+	x.trim()
 }
 
 // Clear drops key's deadline, if any. The heap entry is abandoned.
 func (x *Index) Clear(key uint64) {
 	delete(x.deadline, key)
+	x.trim()
+}
+
+// trim rebuilds the heap from the map once abandoned entries outnumber
+// live ones, so far-deadline re-Sets and Clears — which PopDue never
+// reaches — cannot grow it without bound. A rebuild costs O(Len), and the
+// Len/2 or more Sets and Clears that made it due pay for it.
+func (x *Index) trim() {
+	if len(x.heap) > 2*len(x.deadline)+1 {
+		x.compact()
+	}
+}
+
+func (x *Index) compact() {
+	x.heap = x.heap[:0]
+	for k, d := range x.deadline {
+		x.heap = append(x.heap, entry{k, d})
+	}
+	for i := len(x.heap)/2 - 1; i >= 0; i-- {
+		x.siftDown(i)
+	}
 }
 
 // Deadline returns key's deadline and whether one is set.
@@ -108,7 +143,11 @@ func (x *Index) pop() {
 	n := len(x.heap) - 1
 	x.heap[0] = x.heap[n]
 	x.heap = x.heap[:n]
-	i := 0
+	x.siftDown(0)
+}
+
+func (x *Index) siftDown(i int) {
+	n := len(x.heap)
 	for {
 		l, r := 2*i+1, 2*i+2
 		small := i

@@ -118,3 +118,61 @@ func TestRandomAgainstModel(t *testing.T) {
 		t.Fatalf("final Len = %d, model %d", x.Len(), len(model))
 	}
 }
+
+// TestHeapCompactsUnderChurn: far-deadline re-Sets and Clears, which
+// PopDue never drains, must not grow the heap without bound — and the
+// bound keeps Earliest tight on the live minimum.
+func TestHeapCompactsUnderChurn(t *testing.T) {
+	x := New()
+	rng := rand.New(rand.NewSource(3))
+	const keys, far = 1000, uint64(1) << 60
+	for i := 0; i < 1_000_000; i++ {
+		k := uint64(rng.Intn(keys))
+		if rng.Intn(3) == 0 {
+			x.Clear(k)
+		} else {
+			x.Set(k, far+uint64(rng.Intn(1<<20)))
+		}
+		if len(x.heap) > 2*x.Len()+1 {
+			t.Fatalf("op %d: heap holds %d entries for %d live keys", i, len(x.heap), x.Len())
+		}
+	}
+	min := ^uint64(0)
+	x.Range(func(_, d uint64) {
+		if d < min {
+			min = d
+		}
+	})
+	if e := x.Earliest(); e > min {
+		t.Fatalf("Earliest = %d is above the live minimum %d", e, min)
+	}
+	// Every live key still pops, in deadline order.
+	due := x.PopDue(^uint64(0), nil, keys+1)
+	if len(due) == 0 || x.Len() != 0 {
+		t.Fatalf("popped %d keys, %d left", len(due), x.Len())
+	}
+}
+
+// TestEarliest: a lower bound on every live deadline; exact after a
+// compaction, conservative (never late) with abandoned entries on top.
+func TestEarliest(t *testing.T) {
+	x := New()
+	if x.Earliest() != ^uint64(0) {
+		t.Fatalf("empty index: Earliest = %d", x.Earliest())
+	}
+	x.Set(1, 500)
+	x.Set(2, 300)
+	x.Set(3, 900)
+	if x.Earliest() != 300 {
+		t.Fatalf("Earliest = %d, want 300", x.Earliest())
+	}
+	x.Set(2, 700) // the 300 entry is abandoned but still on top
+	if e := x.Earliest(); e > 500 {
+		t.Fatalf("Earliest = %d is above the live minimum 500", e)
+	}
+	x.Clear(1)
+	x.Clear(3) // 4 heap entries for 1 live key: compacted
+	if x.Earliest() != 700 || len(x.heap) != 1 {
+		t.Fatalf("after compaction: Earliest = %d, heap %d entries; want 700, 1", x.Earliest(), len(x.heap))
+	}
+}

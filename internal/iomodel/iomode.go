@@ -72,10 +72,6 @@ func OpenDirectFile(path string, flags int, wantDirect bool) (*os.File, bool, er
 	return openBlockFile(path, flags, wantDirect)
 }
 
-// FsBlockSize returns the block size of the filesystem holding path
-// (preallocation granularity), 4096 when the probe fails.
-func FsBlockSize(path string) int { return fsBlockSize(path) }
-
 // FsSectorSize returns the direct-I/O alignment for the filesystem
 // holding path.
 func FsSectorSize(path string) int { return fsSectorSize(path) }

@@ -169,10 +169,10 @@ func TestDirectCrasherStaysBuffered(t *testing.T) {
 	}
 }
 
-// TestPreallocBlockAligned (satellite): a log reopened from a trimmed
-// file starts with a mid-block prealloc; the next reservation must
-// round the Truncate target up to the filesystem block size so the
-// extent never ends mid-block.
+// TestPreallocBlockAligned: a log reopened from a trimmed file starts
+// with a mid-block extent; the next reservation must end on a reserve
+// chunk — and so, a power of two far above any block size, on a
+// filesystem block — boundary, so the extent never ends mid-block.
 func TestPreallocBlockAligned(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "prealloc.wal")
 	l, _, err := Open(path, nil, 1)
@@ -199,10 +199,7 @@ func TestPreallocBlockAligned(t *testing.T) {
 	if len(recs) != 100 {
 		t.Fatalf("recovered %d records, want 100", len(recs))
 	}
-	if l2.fsBlock <= 0 {
-		t.Fatalf("fsBlock not probed: %d", l2.fsBlock)
-	}
-	// Drive past the recovered prealloc so reserve issues a Truncate.
+	// Drive past the recovered extent so reserve takes a chunk.
 	for i := uint64(100); i < 10000; i++ {
 		if _, err := l2.Append(OpInsert, i, i); err != nil {
 			t.Fatal(err)
@@ -214,8 +211,8 @@ func TestPreallocBlockAligned(t *testing.T) {
 	if l2.prealloc <= l2.size {
 		t.Skip("no preallocated extent to check") // defensive; should not happen
 	}
-	if l2.prealloc%l2.fsBlock != 0 {
-		t.Fatalf("prealloc %d not a multiple of the %d-byte fs block", l2.prealloc, l2.fsBlock)
+	if l2.prealloc%reserveChunk != 0 {
+		t.Fatalf("prealloc %d not a multiple of the %d-byte reserve chunk", l2.prealloc, reserveChunk)
 	}
 	info, err := os.Stat(path)
 	if err != nil {

@@ -10,7 +10,7 @@ import (
 
 // TestSpillChunksAndPrealloc drives enough appends to cross the 64 KiB
 // spill threshold several times and checks (a) spills happen in few,
-// large writes, (b) the file is preallocated ahead in doubling steps
+// large writes, (b) the file is preallocated ahead in reserve chunks
 // rather than extended per spill, (c) Close trims the preallocated
 // tail, and (d) a reopen recovers every record.
 func TestSpillChunksAndPrealloc(t *testing.T) {
@@ -39,7 +39,7 @@ func TestSpillChunksAndPrealloc(t *testing.T) {
 	if l.Fsyncs() != 1 {
 		t.Fatalf("Fsyncs = %d, want 1", l.Fsyncs())
 	}
-	// Preallocation extends ahead of the data in powers of two.
+	// Preallocation extends ahead of the data in whole reserve chunks.
 	info, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +47,8 @@ func TestSpillChunksAndPrealloc(t *testing.T) {
 	if info.Size() < l.size {
 		t.Fatalf("file %d bytes < data %d", info.Size(), l.size)
 	}
-	if info.Size() != l.prealloc {
-		t.Fatalf("file %d bytes, prealloc %d", info.Size(), l.prealloc)
+	if info.Size() != l.prealloc || l.prealloc != reserveChunk {
+		t.Fatalf("file %d bytes, prealloc %d, want one %d-byte chunk", info.Size(), l.prealloc, reserveChunk)
 	}
 	dataSize := l.size
 	if err := l.Close(); err != nil {

@@ -18,10 +18,8 @@
 package wal
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"sync"
@@ -81,50 +79,31 @@ func OpenShip(path string, firstLSN uint64) (*ShipLog, error) {
 }
 
 // recoverShip scans the file like Log.recover: parse or (re)write the
-// header, then validate records in bulk reads until the first CRC
-// failure ends the valid prefix.
+// header, walk the valid prefix, and cut the file behind it.
 func (s *ShipLog) recoverShip(firstLSN uint64) error {
-	var hdr [headerBytes]byte
-	n, err := s.f.ReadAt(hdr[:], 0)
-	if err != nil && err != io.EOF {
+	first, ok, err := readHeader(s.f, shipMagic)
+	if err != nil {
 		return fmt.Errorf("wal: ship read header: %w", err)
 	}
-	if n < headerBytes ||
-		binary.LittleEndian.Uint32(hdr[0:4]) != shipMagic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != version ||
-		binary.LittleEndian.Uint32(hdr[16:20]) != crc32.ChecksumIEEE(hdr[:16]) {
+	if !ok {
 		// Empty file, or a header torn by a crash before any record
 		// could exist behind it: start fresh at firstLSN.
 		return s.resetShip(firstLSN)
 	}
-	lsn := binary.LittleEndian.Uint64(hdr[8:16])
-	s.start.Store(lsn)
-	size := int64(headerBytes)
-	buf := make([]byte, spillChunk)
-	for {
-		rn, err := s.f.ReadAt(buf, size)
-		if err != nil && err != io.EOF {
-			return fmt.Errorf("wal: ship scan: %w", err)
-		}
-		valid := 0
-		for valid+recordBytes <= rn {
-			if !validate(buf[valid:valid+recordBytes], lsn) {
-				break
-			}
-			valid += recordBytes
-			lsn++
-		}
-		size += int64(valid)
-		if valid+recordBytes <= rn || rn < len(buf) {
-			break // hit an invalid record, or the end of the file
+	next, err := scan(s.f, first, nil)
+	if err != nil {
+		return fmt.Errorf("wal: ship scan: %w", err)
+	}
+	size := headerBytes + int64(next-first)*recordBytes
+	if info, err := s.f.Stat(); err == nil && info.Size() > size {
+		if err := s.f.Truncate(size); err != nil {
+			return fmt.Errorf("wal: ship trim recovered log: %w", err)
 		}
 	}
-	s.next.Store(lsn)
+	s.start.Store(first)
+	s.next.Store(next)
 	s.size.Store(size)
 	s.prealloc = size
-	if info, err := s.f.Stat(); err == nil && info.Size() > s.prealloc {
-		s.prealloc = info.Size()
-	}
 	return nil
 }
 
@@ -134,10 +113,7 @@ func (s *ShipLog) resetShip(firstLSN uint64) error {
 		return fmt.Errorf("wal: ship truncate: %w", err)
 	}
 	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], shipMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
-	binary.LittleEndian.PutUint64(hdr[8:16], firstLSN)
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[:16]))
+	putHeader(hdr[:], shipMagic, firstLSN)
 	if _, err := s.f.WriteAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("wal: ship write header: %w", err)
 	}
@@ -193,8 +169,14 @@ func (s *ShipLog) Append(op Op, keys, vals []uint64) (uint64, error) {
 	}
 	s.appendBuf = buf
 	size := s.size.Load()
-	if err := s.reserveShip(size + int64(len(buf))); err != nil {
-		return 0, err
+	if need := size + int64(len(buf)); need > s.prealloc {
+		// The log is never recycled, so every block is taken here once.
+		p, err := extend(s.f, s.prealloc, need, 1)
+		s.dirty.Store(true)
+		if err != nil {
+			return 0, fmt.Errorf("wal: ship preallocate: %w", err)
+		}
+		s.prealloc = p
 	}
 	if _, err := s.f.WriteAt(buf, size); err != nil {
 		return 0, fmt.Errorf("wal: ship append: %w", err)
@@ -207,27 +189,6 @@ func (s *ShipLog) Append(op Op, keys, vals []uint64) (uint64, error) {
 	close(s.notify)
 	s.notify = make(chan struct{})
 	return first, nil
-}
-
-// reserveShip extends the file in doubling steps ahead of appends, like
-// Log.reserve; the zero tail fails record CRCs, so recovery ignores it.
-func (s *ShipLog) reserveShip(size int64) error {
-	if size <= s.prealloc {
-		return nil
-	}
-	p := s.prealloc
-	if p < spillChunk {
-		p = spillChunk
-	}
-	for p < size {
-		p *= 2
-	}
-	if err := s.f.Truncate(p); err != nil {
-		return fmt.Errorf("wal: ship preallocate: %w", err)
-	}
-	s.prealloc = p
-	s.dirty.Store(true)
-	return nil
 }
 
 // Fsync makes previously appended records durable. Safe concurrently
@@ -291,12 +252,7 @@ func (s *ShipLog) Read(from uint64, recs []Record) (int, error) {
 		if !validate(rec, lsn) {
 			return 0, fmt.Errorf("%w at lsn %d", ErrShipCorrupt, lsn)
 		}
-		recs[i] = Record{
-			LSN: lsn,
-			Op:  Op(rec[0]),
-			Key: binary.LittleEndian.Uint64(rec[1:9]),
-			Val: binary.LittleEndian.Uint64(rec[9:17]),
-		}
+		recs[i] = decodeRecord(rec, lsn)
 	}
 	return avail, nil
 }
@@ -334,10 +290,7 @@ func (s *ShipLog) TruncateBefore(lsn uint64) error {
 		return fmt.Errorf("wal: ship truncate open: %w", err)
 	}
 	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], shipMagic)
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
-	binary.LittleEndian.PutUint64(hdr[8:16], lsn)
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[:16]))
+	putHeader(hdr[:], shipMagic, lsn)
 	// Write (not WriteAt): the copy below appends at the file offset.
 	if _, err := tmp.Write(hdr[:]); err != nil {
 		tmp.Close()
@@ -349,6 +302,13 @@ func (s *ShipLog) TruncateBefore(lsn uint64) error {
 		tmp.Close()
 		os.Remove(tmpPath)
 		return fmt.Errorf("wal: ship truncate copy: %w", err)
+	}
+	// The new file starts with its reserve, synced with the copy.
+	prealloc, err := extend(tmp, headerBytes+retained, headerBytes+retained, 1)
+	if err != nil {
+		tmp.Close()
+		os.Remove(tmpPath)
+		return fmt.Errorf("wal: ship truncate preallocate: %w", err)
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -366,7 +326,7 @@ func (s *ShipLog) TruncateBefore(lsn uint64) error {
 	s.f = tmp
 	s.start.Store(lsn)
 	s.size.Store(headerBytes + retained)
-	s.prealloc = headerBytes + retained
+	s.prealloc = prealloc
 	s.readMu.Unlock()
 	s.fsyncMu.Unlock()
 	// A crash between the rename above and the next directory sync may

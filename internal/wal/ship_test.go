@@ -168,8 +168,12 @@ func TestShipTruncateBefore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after.Size() >= before.Size() {
-		t.Fatalf("file did not shrink: %d -> %d bytes", before.Size(), after.Size())
+	// The rewritten file is the retained suffix plus its reserve: the
+	// 9000 dropped records are gone, the next appends allocate nothing.
+	const retained = headerBytes + (total+1-cut)*recordBytes
+	if after.Size() != reserveChunk || s.size.Load() != retained || retained >= before.Size() {
+		t.Fatalf("after truncate: file %d bytes (want one reserve chunk), records %d bytes (want %d, below %d)",
+			after.Size(), s.size.Load(), retained, before.Size())
 	}
 	recs := make([]Record, 32)
 	if _, err := s.Read(cut-1, recs); err == nil {
@@ -191,6 +195,9 @@ func TestShipTruncateBefore(t *testing.T) {
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	if trimmed, err := os.Stat(path); err != nil || trimmed.Size() != retained+recordBytes {
+		t.Fatalf("closed file: %v bytes, err %v; want trimmed to %d", trimmed.Size(), err, retained+recordBytes)
 	}
 	if s, err = OpenShip(path, 1); err != nil {
 		t.Fatal(err)
@@ -336,4 +343,80 @@ func TestShipConcurrentTailFollow(t *testing.T) {
 		cur += uint64(n)
 	}
 	wg.Wait()
+}
+
+// TestShipReserveTailIgnored: the ship log takes its extent as written
+// zeros, ahead of appends and again in TruncateBefore's rewritten file.
+// A crash leaves that tail in place; OpenShip must stop at the last
+// record, resume there, and leave nothing behind it for a later scan.
+func TestShipReserveTailIgnored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ship")
+	s, err := OpenShip(path, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const total = 5000
+	keys, vals := make([]uint64, total), make([]uint64, total)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i), uint64(i)*3
+	}
+	if _, err := s.Append(OpUpsert, keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	crashAndReopen := func(when string, start, next uint64) {
+		t.Helper()
+		info, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		records := headerBytes + int64(next-start)*recordBytes
+		if info.Size() != alignUp(records, reserveChunk) {
+			t.Fatalf("%s: file is %d bytes for %d bytes of records, want them plus a reserve up to the next %d-byte chunk",
+				when, info.Size(), records, reserveChunk)
+		}
+		tail := make([]byte, info.Size()-records)
+		if _, err := s.f.ReadAt(tail, records); err != nil {
+			t.Fatal(err)
+		}
+		for i, b := range tail {
+			if b != 0 {
+				t.Fatalf("%s: reserve byte %d is %#x, want written zeros", when, i, b)
+			}
+		}
+		if err := s.f.Close(); err != nil { // die: no trimming Close
+			t.Fatal(err)
+		}
+		if s, err = OpenShip(path, 1); err != nil {
+			t.Fatalf("%s: %v", when, err)
+		}
+		if s.StartLSN() != start || s.NextLSN() != next {
+			t.Fatalf("%s: reopened at [%d, %d), want [%d, %d)", when, s.StartLSN(), s.NextLSN(), start, next)
+		}
+		if info, err = os.Stat(path); err != nil || info.Size() != records {
+			t.Fatalf("%s: reopened file is %d bytes (err %v), want cut to its %d bytes of records", when, info.Size(), err, records)
+		}
+		recs := make([]Record, 1)
+		if n, err := s.Read(next-1, recs); err != nil || n != 1 || recs[0].Key != next-2 {
+			t.Fatalf("%s: last record = %+v (%d, %v)", when, recs[0], n, err)
+		}
+	}
+	crashAndReopen("after append", 1, total+1)
+	// The reopened log reserves afresh for its next append.
+	if _, err := s.Append(OpUpsert, []uint64{total}, []uint64{total * 3}); err != nil {
+		t.Fatal(err)
+	}
+	crashAndReopen("after reopen and append", 1, total+2)
+	if _, err := s.Append(OpUpsert, []uint64{total + 1}, []uint64{0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.TruncateBefore(total - 98); err != nil {
+		t.Fatal(err)
+	}
+	crashAndReopen("after TruncateBefore", total-98, total+3)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 }

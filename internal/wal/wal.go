@@ -2,14 +2,16 @@
 // durability subsystem: a flat file of logical operation records
 // (insert/upsert/delete with key and value) appended before the table's
 // buffer absorbs each operation, fsynced at every Flush barrier, and
-// truncated once a checkpoint has made the logged state durable.
+// recycled once a checkpoint has made the logged state durable: Reset
+// rewrites the header in place and the next epoch overwrites the blocks
+// the file already owns (DESIGN.md §1b, "Log lifecycle").
 //
 // Recovery contract (see DESIGN.md, "Durability & recovery"): on open
 // the log is scanned, each record validated by its CRC, and the valid
 // prefix returned for replay. Records carry log sequence numbers (LSNs)
 // so a replayer can skip operations a checkpoint already contains — the
-// window between a checkpoint commit and the log truncation that
-// follows it. A torn append (a crash mid-record) fails the CRC of the
+// window between a checkpoint commit and the Reset that follows it. A
+// torn append (a crash mid-record) fails the CRC of the
 // final record and cleanly ends the scan: a half-written operation is
 // never replayed, so no operation half-applies.
 //
@@ -20,7 +22,14 @@
 //
 // The LSN of record i is firstLSN + i; including it in the record CRC
 // (without storing it) ties each record to its position, so stale bytes
-// from a previous log generation can never validate.
+// from a previous log generation can never validate: Reset only keeps
+// the file's extent when the new firstLSN is above the old one, so an
+// older generation's record at position i was summed with a different
+// LSN than the firstLSN + i it is now checked against.
+//
+// Both logs take extent from the filesystem in reserveChunk steps of
+// written zeros (extend), never as a sparse tail: a commit's fsync then
+// flushes data into blocks the file owns instead of allocating them.
 //
 // # Direct I/O
 //
@@ -88,11 +97,21 @@ const (
 // under batch load) and matches the write sizes storage stacks like.
 const spillChunk = 64 << 10
 
+// reserveChunk is the step in which a log takes extent from the
+// filesystem, and the granularity to which Reset shrinks a recycled
+// file: large enough that a commit wave's fsync almost never meets an
+// unallocated block, small enough that an idle log pins 1 MiB.
+const reserveChunk = 1 << 20
+
+// zeros is what extend writes. It is never modified, and its base is
+// aligned for O_DIRECT log fds (4096 covers every sector size).
+var zeros = iomodel.AlignedBuf(reserveChunk, 4096)
+
 // errCorruptHeader marks an existing log file whose header fails
 // validation. Within the crash model this only happens when a crash
 // tore the header write itself, and the protocol writes headers only at
 // points with zero live records (fresh creation, post-checkpoint
-// truncation) — so Open heals the log by resetting it rather than
+// recycling) — so Open heals the log by resetting it rather than
 // failing recovery.
 var errCorruptHeader = errors.New("wal: corrupt log header")
 
@@ -106,12 +125,12 @@ var errCorruptHeader = errors.New("wal: corrupt log header")
 type Log struct {
 	f        iomodel.BlockFile
 	buf      []byte
+	first    uint64 // firstLSN of the header on disk: this generation's
 	next     uint64 // LSN of the next append
 	size     int64  // bytes written to the file (header + records)
-	prealloc int64  // file extent reserved ahead of size via Truncate
+	prealloc int64  // file extent: behind size, reserved zeros or stale generations
 	spills   int64  // spill WriteAt syscalls issued
 	failed   error  // sticky first write failure
-	fsBlock  int64  // preallocation granularity: the filesystem block size
 	sector   int64  // >0: O_DIRECT fd, spills rewrite the tail sector
 	tail     []byte // direct mode: logical bytes past the last sector boundary
 	dbuf     []byte // direct mode: reusable aligned spill buffer
@@ -135,7 +154,10 @@ type Log struct {
 // interposes fault injection on the file. A torn trailing record is
 // discarded, and a missing or torn header resets the log to start at
 // firstLSN — the LSN after the owning checkpoint's last absorbed
-// operation, so healed logs stay aligned with the LSN filter.
+// operation, so healed logs stay aligned with the LSN filter. So does a
+// log whose valid prefix ends below firstLSN: the checkpoint absorbed
+// every record in it, and appending behind them would hand out LSNs the
+// replay filter skips.
 func Open(path string, crasher *iomodel.Crasher, firstLSN uint64) (*Log, []Record, error) {
 	return OpenIO(path, crasher, firstLSN, iomodel.IOOptions{})
 }
@@ -156,7 +178,7 @@ func OpenIO(path string, crasher *iomodel.Crasher, firstLSN uint64, opt iomodel.
 	if crasher != nil {
 		bf = crasher.WrapFile(bf)
 	}
-	l := &Log{f: bf, fsBlock: int64(iomodel.FsBlockSize(path))}
+	l := &Log{f: bf}
 	if direct {
 		if opt.Sector > 0 {
 			l.sector = int64(opt.Sector)
@@ -164,11 +186,14 @@ func OpenIO(path string, crasher *iomodel.Crasher, firstLSN uint64, opt iomodel.
 			l.sector = int64(iomodel.FsSectorSize(path))
 		}
 	}
-	recs, err := l.recover(firstLSN)
-	if errors.Is(err, errCorruptHeader) {
-		// A header torn by a crash: the protocol guarantees no live
-		// records behind it (headers are only written into empty logs).
-		recs, err = nil, l.reset(firstLSN)
+	recs, err := l.recover()
+	if errors.Is(err, errCorruptHeader) || err == nil && l.next < firstLSN {
+		// An empty file; a header torn by a crash, with no live records
+		// behind it (headers are only written at points with none); or a
+		// crash inside Reset that left the old header over a partly
+		// overwritten old generation. The file may hold records of the
+		// very generation about to start, so nothing of it is kept.
+		recs, err = nil, l.reset(firstLSN, false)
 	}
 	if err != nil {
 		bf.Close()
@@ -177,12 +202,15 @@ func OpenIO(path string, crasher *iomodel.Crasher, firstLSN uint64, opt iomodel.
 	return l, recs, nil
 }
 
-// recover scans the file: parse the header (writing a fresh one into an
-// empty file), then validate records until the first CRC failure or
-// short read. An O_DIRECT log scans through a short-lived buffered fd —
-// the record walk is unaligned by nature — and reloads the partial tail
-// sector into memory so appends can resume with the rewrite protocol.
-func (l *Log) recover(firstLSN uint64) ([]Record, error) {
+// recover scans the file: parse the header, then validate records until
+// the first CRC failure or short read, and cut the file there — whatever
+// lies behind the valid prefix (reserve, a stale generation, records a
+// crash persisted out of order) is dropped, so everything a later scan
+// can meet past the records of this run was written by this run. An
+// O_DIRECT log scans through a short-lived buffered fd — the record walk
+// is unaligned by nature — and reloads the partial tail sector into
+// memory so appends can resume with the rewrite protocol.
+func (l *Log) recover() ([]Record, error) {
 	var r io.ReaderAt = l.f
 	if l.sector > 0 {
 		sf, err := os.Open(l.f.Name())
@@ -192,53 +220,26 @@ func (l *Log) recover(firstLSN uint64) ([]Record, error) {
 		defer sf.Close()
 		r = sf
 	}
-	var hdr [headerBytes]byte
-	n, err := r.ReadAt(hdr[:], 0)
-	if err != nil && err != io.EOF {
-		return nil, fmt.Errorf("wal: read header: %w", err)
-	}
-	if n == 0 {
-		// Fresh log: write a header continuing the checkpoint's LSNs.
-		return nil, l.reset(firstLSN)
-	}
-	if n < headerBytes ||
-		binary.LittleEndian.Uint32(hdr[0:4]) != magic ||
-		binary.LittleEndian.Uint32(hdr[4:8]) != version ||
-		binary.LittleEndian.Uint32(hdr[16:20]) != crc32.ChecksumIEEE(hdr[:16]) {
-		return nil, fmt.Errorf("%w: %q", errCorruptHeader, l.f.Name())
-	}
-	first := binary.LittleEndian.Uint64(hdr[8:16])
-	l.next = first
-	l.size = headerBytes
-	var recs []Record
-	var rec [recordBytes]byte
-	for off := int64(headerBytes); ; off += recordBytes {
-		n, err := r.ReadAt(rec[:], off)
-		if err != nil && err != io.EOF {
-			return nil, fmt.Errorf("wal: read record: %w", err)
-		}
-		if n < recordBytes {
-			break // clean end, or a torn tail below record size
-		}
-		if !validate(rec[:], l.next) {
-			break // torn or stale record: drop it and everything after
-		}
-		recs = append(recs, Record{
-			LSN: l.next,
-			Op:  Op(rec[0]),
-			Key: binary.LittleEndian.Uint64(rec[1:9]),
-			Val: binary.LittleEndian.Uint64(rec[9:17]),
-		})
-		l.next++
-		l.size += recordBytes
-	}
-	// The physical file may extend past the valid prefix — a
-	// preallocated zero tail left by a crash. Record the real extent so
-	// Close's trim (and reserve's doubling) see the true file size.
-	l.prealloc = l.size
-	if info, err := os.Stat(l.f.Name()); err == nil && info.Size() > l.prealloc {
+	if info, err := os.Stat(l.f.Name()); err == nil {
 		l.prealloc = info.Size()
 	}
+	first, ok, err := readHeader(r, magic)
+	if err != nil {
+		return nil, fmt.Errorf("wal: read header: %w", err)
+	}
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", errCorruptHeader, l.f.Name())
+	}
+	var recs []Record
+	l.first = first
+	if l.next, err = scan(r, first, &recs); err != nil {
+		return nil, fmt.Errorf("wal: read record: %w", err)
+	}
+	l.size = headerBytes + int64(len(recs))*recordBytes
+	if err := l.cutTo(l.size); err != nil {
+		return nil, err
+	}
+	l.prealloc = l.size
 	if l.sector > 0 {
 		// Reload the partial tail sector: the next spill rewrites these
 		// bytes together with the new records.
@@ -253,6 +254,68 @@ func (l *Log) recover(firstLSN uint64) ([]Record, error) {
 		}
 	}
 	return recs, nil
+}
+
+// putHeader encodes a log header into hdr[:headerBytes].
+func putHeader(hdr []byte, magic uint32, firstLSN uint64) {
+	binary.LittleEndian.PutUint32(hdr[0:4], magic)
+	binary.LittleEndian.PutUint32(hdr[4:8], version)
+	binary.LittleEndian.PutUint64(hdr[8:16], firstLSN)
+	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[:16]))
+}
+
+// readHeader reads and validates the header of a log with the given
+// magic. ok is false for an empty, short or torn header.
+func readHeader(r io.ReaderAt, magic uint32) (firstLSN uint64, ok bool, err error) {
+	var hdr [headerBytes]byte
+	n, err := r.ReadAt(hdr[:], 0)
+	if err != nil && err != io.EOF {
+		return 0, false, err
+	}
+	ok = n == headerBytes &&
+		binary.LittleEndian.Uint32(hdr[0:4]) == magic &&
+		binary.LittleEndian.Uint32(hdr[4:8]) == version &&
+		binary.LittleEndian.Uint32(hdr[16:20]) == crc32.ChecksumIEEE(hdr[:16])
+	return binary.LittleEndian.Uint64(hdr[8:16]), ok, nil
+}
+
+// scan is the recovery walk of both logs: it reads the records behind
+// r's header in spillChunk reads, checks each against the next LSN from
+// lsn up, and stops at the first that fails — a torn append, reserved
+// zeros and a stale generation's record are all the same to the
+// positional CRC, and as cheap to stop at as the end of the file. The
+// valid records are appended to *dst when dst is non-nil; the LSN after
+// the last one is returned.
+func scan(r io.ReaderAt, lsn uint64, dst *[]Record) (uint64, error) {
+	buf := make([]byte, spillChunk)
+	for off := int64(headerBytes); ; {
+		n, err := r.ReadAt(buf, off)
+		if err != nil && err != io.EOF {
+			return lsn, err
+		}
+		valid := 0
+		for ; valid+recordBytes <= n && validate(buf[valid:valid+recordBytes], lsn); valid += recordBytes {
+			if dst != nil {
+				*dst = append(*dst, decodeRecord(buf[valid:], lsn))
+			}
+			lsn++
+		}
+		if valid+recordBytes <= n || n < len(buf) {
+			return lsn, nil // an invalid record, or the end of the file
+		}
+		off += int64(valid)
+	}
+}
+
+// decodeRecord reads the record frame at rec[:recordBytes], whose CRC
+// the caller has validated against lsn.
+func decodeRecord(rec []byte, lsn uint64) Record {
+	return Record{
+		LSN: lsn,
+		Op:  Op(rec[0]),
+		Key: binary.LittleEndian.Uint64(rec[1:9]),
+		Val: binary.LittleEndian.Uint64(rec[9:17]),
+	}
 }
 
 // recordCRC is the checksum of a record's 17 payload bytes (op, key,
@@ -329,9 +392,7 @@ func (l *Log) Rollback() {
 func (l *Log) spill() error { return l.spillN(len(l.buf)) }
 
 // spillN writes the first n buffered bytes at the end of the file
-// without fsyncing, preallocating file extent ahead of the write (in
-// doubling steps, so a growing log pays O(log size) truncates instead
-// of one implicit size extension per spill).
+// without fsyncing, into extent the file already owns (reserve).
 func (l *Log) spillN(n int) error {
 	if l.failed != nil {
 		return l.failed
@@ -400,33 +461,39 @@ func alignUp(n, align int64) int64 {
 	return (n + align - 1) &^ (align - 1)
 }
 
-// reserve extends the file to at least size bytes ahead of the writes
-// that need it. The reserved tail is zeros, which fail every record
-// CRC, so recovery cleanly ignores it. The preallocated extent is
-// rounded up to the filesystem block size (and the direct-mode
-// sector): the doubling start point comes from recovered file sizes,
-// which end mid-block, and an unrounded Truncate there makes every
-// later extension repay the partial-block tail.
+// extend grows a log file's extent from have to cover need, rounded up
+// to a whole reserveChunk, by writing zeros — which fail every record
+// CRC, so recovery ignores them — and returns the new extent. Written,
+// not a sparse Truncate: the blocks are allocated here, once per chunk,
+// and every later fsync over them only flushes data. The first write
+// starts at the align boundary at or above have (a power of two: the
+// sector of an O_DIRECT fd, else 1); the gap below it, if any, is less
+// than a sector of hole that the log's next write covers.
+func extend(f io.WriterAt, have, need, align int64) (int64, error) {
+	to := alignUp(need, reserveChunk)
+	for off := alignUp(have, align); off < to; {
+		n, err := f.WriteAt(zeros[:min(to-off, reserveChunk)], off)
+		if err != nil {
+			return have, err
+		}
+		off += int64(n)
+	}
+	return to, nil
+}
+
+// reserve makes the file own at least size bytes ahead of the write
+// that needs them.
 func (l *Log) reserve(size int64) error {
 	if size <= l.prealloc {
 		return nil
 	}
-	p := l.prealloc
-	if p < spillChunk {
-		p = spillChunk
-	}
-	for p < size {
-		p *= 2
-	}
-	if gran := max(l.fsBlock, l.sector); gran > 0 {
-		p = alignUp(p, gran)
-	}
-	if err := l.f.Truncate(p); err != nil {
+	p, err := extend(l.f, l.prealloc, size, max(l.sector, 1))
+	l.dirty.Store(true)
+	if err != nil {
 		l.failed = fmt.Errorf("wal: preallocate: %w", err)
 		return l.failed
 	}
 	l.prealloc = p
-	l.dirty.Store(true)
 	return nil
 }
 
@@ -487,58 +554,84 @@ func (l *Log) FsyncsElided() int64 { return l.elided.Load() }
 // Spills returns the number of spill WriteAt syscalls issued.
 func (l *Log) Spills() int64 { return l.spills }
 
-// Reset truncates the log after a checkpoint commit: all records are
-// discarded and the next append receives firstLSN. The truncation is
-// not fsynced — if a crash resurrects the old records, every one of
-// them carries an LSN at or below the new checkpoint's and is skipped
-// by the replay filter; the next Sync barrier makes the reset durable.
+// Reset recycles the log after a checkpoint commit: all records are
+// discarded and the next append receives firstLSN. Only the header is
+// rewritten; the file keeps its extent, cut down to the size the epoch
+// just finished reached (rounded up to a reserveChunk, so one bulk-load
+// epoch does not pin a large file), and the next epoch overwrites it.
+// The stale records behind the new header cannot validate: each was
+// summed with an older generation's firstLSN + position, and firstLSN
+// only grows — a Reset that does not raise it empties the file instead.
+//
+// Nothing here is fsynced; the next Sync barrier makes the reset
+// durable. A crash before then leaves some mix of the two generations'
+// pages. Behind the old header the scan accepts old records only, each
+// at or below the new checkpoint's LSN and skipped by the replay filter,
+// and Open starts the log afresh when they end short of firstLSN; behind
+// the new header it accepts a prefix of the new epoch's records, none of
+// them acknowledged, since no barrier completed.
 func (l *Log) Reset(firstLSN uint64) error {
 	if l.failed != nil {
 		return l.failed
 	}
 	l.buf = l.buf[:0]
 	// An empty log already at firstLSN is byte-identical to the reset
-	// result: skip the truncate + header rewrite so an idle checkpoint
-	// stays clean and its barrier fsync can be elided.
+	// result: skip the header rewrite so an idle checkpoint stays clean
+	// and its barrier fsync can be elided. Only extent beyond the first
+	// chunk, left by an earlier epoch, is given back.
 	if l.next == firstLSN && l.size == headerBytes {
-		return nil
+		return l.cutTo(reserveChunk)
 	}
-	return l.reset(firstLSN)
+	return l.reset(firstLSN, firstLSN > l.first)
 }
 
-func (l *Log) reset(firstLSN uint64) error {
-	if err := l.f.Truncate(0); err != nil {
+// cutTo gives the file's extent beyond cut back to the filesystem.
+func (l *Log) cutTo(cut int64) error {
+	if l.prealloc <= cut {
+		return nil
+	}
+	if err := l.f.Truncate(cut); err != nil {
 		l.failed = fmt.Errorf("wal: truncate: %w", err)
 		return l.failed
 	}
-	var hdr [headerBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], magic)
-	binary.LittleEndian.PutUint32(hdr[4:8], version)
-	binary.LittleEndian.PutUint64(hdr[8:16], firstLSN)
-	binary.LittleEndian.PutUint32(hdr[16:20], crc32.ChecksumIEEE(hdr[:16]))
+	l.prealloc = cut
+	l.dirty.Store(true)
+	return nil
+}
+
+// reset starts a generation at firstLSN. With keep the file's extent
+// survives, down to the finished epoch's size; the caller vouches that
+// firstLSN is above every earlier generation's. Otherwise the file is
+// emptied first.
+func (l *Log) reset(firstLSN uint64, keep bool) error {
+	cut := int64(0)
+	if keep {
+		cut = alignUp(l.size, reserveChunk)
+	}
+	if err := l.cutTo(cut); err != nil {
+		return err
+	}
+	var plain [headerBytes]byte
+	hdr := plain[:]
 	if l.sector > 0 {
 		// Direct fd: pad the header write to one sector and keep its
 		// bytes as the in-memory tail for the next spill's rewrite.
 		if cap(l.dbuf) < int(l.sector) {
 			l.dbuf = iomodel.AlignedBuf(int(l.sector), int(l.sector))
 		}
-		buf := l.dbuf[:l.sector]
-		copy(buf, hdr[:])
-		clear(buf[headerBytes:])
-		if _, err := l.f.WriteAt(buf, 0); err != nil {
-			l.failed = fmt.Errorf("wal: write header: %w", err)
-			return l.failed
-		}
-		l.tail = append(l.tail[:0], hdr[:]...)
-		l.prealloc = l.sector
-	} else {
-		if _, err := l.f.WriteAt(hdr[:], 0); err != nil {
-			l.failed = fmt.Errorf("wal: write header: %w", err)
-			return l.failed
-		}
-		l.prealloc = headerBytes
+		hdr = l.dbuf[:l.sector]
+		clear(hdr[headerBytes:])
 	}
-	l.next = firstLSN
+	putHeader(hdr, magic, firstLSN)
+	if _, err := l.f.WriteAt(hdr, 0); err != nil {
+		l.failed = fmt.Errorf("wal: write header: %w", err)
+		return l.failed
+	}
+	if l.sector > 0 {
+		l.tail = append(l.tail[:0], hdr[:headerBytes]...)
+	}
+	l.prealloc = max(l.prealloc, int64(len(hdr)))
+	l.first, l.next = firstLSN, firstLSN
 	l.size = headerBytes
 	l.dirty.Store(true)
 	return nil

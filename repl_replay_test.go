@@ -2,6 +2,7 @@ package extbuf_test
 
 import (
 	"context"
+	"fmt"
 	"io"
 	"net"
 	"net/http/httptest"
@@ -25,6 +26,38 @@ type replayNode struct {
 	eng      *extbuf.Sharded
 	addr     string
 	serveErr chan error
+
+	logMu sync.Mutex
+	logs  []string // every line the server logged
+}
+
+// logf is the node's server log: passed on to the test's, and kept for
+// waitLogged.
+func (n *replayNode) logf(t *testing.T) func(string, ...any) {
+	return func(format string, args ...any) {
+		t.Logf(format, args...)
+		n.logMu.Lock()
+		n.logs = append(n.logs, fmt.Sprintf(format, args...))
+		n.logMu.Unlock()
+	}
+}
+
+// waitLogged waits until the node has logged a line containing substr.
+func (n *replayNode) waitLogged(t *testing.T, substr string) {
+	t.Helper()
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(time.Millisecond) {
+		n.logMu.Lock()
+		for _, line := range n.logs {
+			if strings.Contains(line, substr) {
+				n.logMu.Unlock()
+				return
+			}
+		}
+		n.logMu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("node never logged %q", substr)
+		}
+	}
 }
 
 // startReplayNode boots a node on dir: a primary when follow is empty,
@@ -40,9 +73,10 @@ func startReplayNode(t *testing.T, dir, follow string, durable bool) *replayNode
 	if err != nil {
 		t.Fatal(err)
 	}
+	n := &replayNode{eng: eng, serveErr: make(chan error, 1)}
 	srv, err := server.NewServer(server.Config{
 		Engine: eng,
-		Logf:   t.Logf,
+		Logf:   n.logf(t),
 		Repl: &server.ReplConfig{
 			ShipPath:  filepath.Join(dir, "ship.log"),
 			StatePath: filepath.Join(dir, "repl.state"),
@@ -57,7 +91,7 @@ func startReplayNode(t *testing.T, dir, follow string, durable bool) *replayNode
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := &replayNode{srv: srv, eng: eng, addr: lis.Addr().String(), serveErr: make(chan error, 1)}
+	n.srv, n.addr = srv, lis.Addr().String()
 	go func() { n.serveErr <- srv.Serve(lis) }()
 	if follow != "" {
 		if _, err := srv.Follow(follow); err != nil {
@@ -344,6 +378,11 @@ func TestReplayFollowerAheadOfPrimaryStaysIdempotent(t *testing.T) {
 	defer fresh.stop(t)
 	follower = startReplayNode(t, dir, fresh.addr, true)
 	defer follower.stop(t)
+	// The follower judges itself ahead from the primary's applied LSN at
+	// the moment its stream starts. Hold the primary at lsn 0 until it
+	// has: were the dial to land after the primary passed lsn 300, the
+	// records above that would rightly replay as inserts.
+	follower.waitLogged(t, "replaying the whole stream as upserts")
 	insertBlocks(t, fresh.addr, 2<<20, 800)
 	waitCaughtUp(t, fresh, follower)
 	// The follower takes the primary's records from its own position on

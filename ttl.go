@@ -57,6 +57,7 @@ func (g *guard) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, error)
 	if g.closed {
 		return nil, nil, ScanDone, ErrClosed
 	}
+	g.arm()
 	nb := uint64(g.t.scanBuckets())
 	if cursor >= nb {
 		return nil, nil, ScanDone, nil
@@ -86,7 +87,10 @@ func (g *guard) SweepExpired(max int) (int, uint64, error) {
 	if g.closed {
 		return 0, 0, ErrClosed
 	}
-	g.sweepBuf = g.exp.PopDue(g.now(), g.sweepBuf[:0], max)
+	if g.arm(); !g.anyDue {
+		return 0, 0, nil
+	}
+	g.sweepBuf = g.exp.PopDue(g.callNow, g.sweepBuf[:0], max)
 	if len(g.sweepBuf) == 0 {
 		return 0, 0, nil
 	}

@@ -471,3 +471,94 @@ func TestTTLDurability(t *testing.T) {
 		t.Fatalf("key 2 = (%d,%v), want persistent 21 (upsert cleared TTL)", v, ok)
 	}
 }
+
+// TestTTLClockCrossesEarliestDeadline: an engine reads the clock once per
+// call and skips the per-key deadline probe while the earliest deadline
+// is ahead of it. The stream below moves the clock across the earliest
+// deadline between calls, installs a deadline already in the past in the
+// middle of a call, and leaves an abandoned early deadline behind — the
+// answers must be those of probing every key against the clock.
+func TestTTLClockCrossesEarliestDeadline(t *testing.T) {
+	clk := &testClock{}
+	cfg := extbuf.Config{BlockSize: 16, MemoryWords: 512, ExpectedItems: 4096, Seed: 7}.
+		WithClock(clk.fn())
+	single, err := extbuf.OpenEngine("buffered", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded, err := extbuf.NewSharded("buffered", cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, eng := range map[string]extbuf.Engine{"single": single, "sharded": sharded} {
+		clk.now.Store(1000)
+		const n = 64
+		keys, vals := make([]uint64, n), make([]uint64, n)
+		for i := range keys {
+			keys[i], vals[i] = uint64(i+1), uint64(i+1)*10
+		}
+		if err := eng.InsertBatch(keys, vals); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		visible := func(when string, want func(key uint64) bool) {
+			t.Helper()
+			_, found, err := eng.LookupBatch(keys)
+			if err != nil {
+				t.Fatalf("%s %s: %v", name, when, err)
+			}
+			for i, k := range keys {
+				if found[i] != want(k) {
+					t.Fatalf("%s %s: key %d visible = %v, want %v", name, when, k, found[i], want(k))
+				}
+				if _, ok := eng.Lookup(k); ok != want(k) {
+					t.Fatalf("%s %s: single lookup of key %d = %v, want %v", name, when, k, ok, want(k))
+				}
+			}
+		}
+		// Keys 1..8 expire at 2000, 9..16 at 3000; key 17 is set to 1500
+		// and then moved out to 5000, abandoning the earlier entry.
+		found := make([]bool, n)
+		dl := append(repeat(2000, 8), repeat(3000, 8)...)
+		if err := eng.ExpireBatch(keys[:16], dl, found[:16]); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, d := range []uint64{1500, 5000} {
+			if err := eng.ExpireBatch(keys[16:17], []uint64{d}, found[:1]); err != nil || !found[0] {
+				t.Fatalf("%s: expire key 17 at %d: %v %v", name, d, found[0], err)
+			}
+		}
+		visible("before any deadline", func(uint64) bool { return true })
+		clk.now.Store(1999)
+		visible("past the abandoned entry only", func(uint64) bool { return true })
+		clk.now.Store(2000)
+		visible("at the earliest deadline", func(k uint64) bool { return k > 8 })
+		// Deletes and CAS judge the same way, batch and single.
+		if eng.Delete(1) {
+			t.Fatalf("%s: delete of an expired key reported a hit", name)
+		}
+		if err := eng.DeleteBatchInto(keys[1:3], found[:2]); err != nil || found[0] || found[1] {
+			t.Fatalf("%s: batch delete of expired keys = %v, %v", name, found[:2], err)
+		}
+		if _, err := eng.CompareSwapBatchShip([]uint64{4, 9}, []uint64{40, 90}, []uint64{41, 91}, found[:2]); err != nil || found[0] || !found[1] {
+			t.Fatalf("%s: cas on (expired, live) = %v, %v; want [false true]", name, found[:2], err)
+		}
+		clk.now.Store(3000)
+		// Key 9's swap cleared its deadline (a plain write makes a key persistent).
+		visible("at the second deadline", func(k uint64) bool { return k == 9 || k > 16 })
+		// A deadline already due, installed mid-call: the second position
+		// of the same call must see key 20 gone.
+		if err := eng.ExpireBatch([]uint64{20, 20}, []uint64{2500, 9000}, found[:2]); err != nil || !found[0] || found[1] {
+			t.Fatalf("%s: expire (past, then again) = %v, %v; want [true false]", name, found[:2], err)
+		}
+		if n, _, err := eng.SweepExpired(1 << 20); err != nil || n != 13 {
+			// Keys 4..8 and 10..16 (1..3 were deleted, 9 was swapped) and 20.
+			t.Fatalf("%s: swept %d keys, %v; want 13", name, n, err)
+		}
+		if got, want := eng.Len(), n-3-13; got != want {
+			t.Fatalf("%s: Len = %d after the sweep, want %d", name, got, want)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
