@@ -26,6 +26,16 @@
 //
 // Benchmarks present in only one file are reported but excluded from
 // the geomeans, so adding or removing benchmarks never trips the gate.
+//
+// A second mode diffs two committed end-to-end records (scripts/bench.sh
+// writes one BENCH_pr<N>.json per perf PR):
+//
+//	benchdiff -e2e [-spec BENCHMARK.json] BENCH_prA.json BENCH_prB.json
+//
+// prints workload × end-to-end metric with the relative change and
+// marks anything that worsened by more than the bound BENCHMARK.json
+// fixes for that metric (or a workload whose failed share grew); it
+// exits nonzero when something is marked.
 package main
 
 import (
@@ -49,8 +59,24 @@ func main() {
 		newPath   = flag.String("new", "", "candidate `go test -bench` output (required)")
 		outPath   = flag.String("out", "", "write the JSON report here (default: stdout only)")
 		threshold = flag.Float64("threshold", 0.10, "fail when geomean ns/op or allocs/op grows by more than this fraction")
+		e2e       = flag.Bool("e2e", false, "diff two BENCH_pr<N>.json end-to-end records given as arguments (old, then new)")
+		specPath  = flag.String("spec", "BENCHMARK.json", "with -e2e: the benchmark declaration holding each metric's bound")
 	)
 	flag.Parse()
+	if *e2e {
+		if flag.NArg() != 2 {
+			flag.Usage()
+			os.Exit(2)
+		}
+		flagged, err := runE2E(os.Stdout, *specPath, flag.Arg(0), flag.Arg(1))
+		if err != nil {
+			log.Fatal(err)
+		}
+		if flagged {
+			log.Fatal("an end-to-end metric is past its bound")
+		}
+		return
+	}
 	if *oldPath == "" || *newPath == "" {
 		flag.Usage()
 		os.Exit(2)

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -154,5 +155,62 @@ BenchmarkNewlyInstrumented-8            	  200000	        60 ns/op	         1.00
 	}
 	if _, err := parseBench(writeBench(t, "bad.txt", "BenchmarkX-8 100 5 ns/op x.y ios/op\n")); err == nil {
 		t.Fatal("unparseable ios/op accepted")
+	}
+}
+
+// TestE2EDiff runs -e2e over two fixture records: a throughput drop past
+// its bound and a model-I/O rise past its (tight) bound are marked, a
+// CPU rise inside its bound and every improvement are not, a grown
+// failed share is reported, and a workload missing from one record is
+// skipped by name.
+func TestE2EDiff(t *testing.T) {
+	var out strings.Builder
+	flagged, err := runE2E(&out, "testdata/spec.json", "testdata/BENCH_prA.json", "testdata/BENCH_prB.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !flagged {
+		t.Fatal("a 20% throughput drop against a 15% bound was not flagged")
+	}
+	worse := map[string]bool{}
+	change := map[string]string{}
+	for _, line := range strings.Split(out.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) >= 7 && (f[0] == "mem_mix" || f[0] == "durable_write") {
+			worse[f[0]+"."+f[1]] = f[len(f)-1] == "WORSE"
+			change[f[0]+"."+f[1]] = f[5]
+		}
+	}
+	want := map[string]bool{
+		"mem_mix.ops_per_s":              true,  // -20% on a higher-is-better metric
+		"mem_mix.cpu_us_per_op":          false, // +10%: inside 15%
+		"mem_mix.model_ios_per_op":       false,
+		"durable_write.ops_per_s":        false, // +20%: better
+		"durable_write.cpu_us_per_op":    false, // -16.7%: better
+		"durable_write.model_ios_per_op": true,  // +2% against a 1% bound
+	}
+	for k, w := range want {
+		got, ok := worse[k]
+		if !ok || got != w {
+			t.Errorf("%s: flagged = %v (row present %v), want %v\n%s", k, got, ok, w, out.String())
+		}
+	}
+	if change["mem_mix.ops_per_s"] != "-20.0%" || change["durable_write.cpu_us_per_op"] != "-16.7%" {
+		t.Errorf("relative changes misprinted: %v", change)
+	}
+	if !strings.Contains(out.String(), "skipped (not in both records): only_in_old") {
+		t.Errorf("missing workload not named:\n%s", out.String())
+	}
+	if !strings.Contains(out.String(), "MORE FAILURES: durable_write: failed 2/2000 -> 3/2000") {
+		t.Errorf("grown failed share not reported:\n%s", out.String())
+	}
+
+	// The same record on both sides flags nothing.
+	out.Reset()
+	if flagged, err := runE2E(&out, "testdata/spec.json", "testdata/BENCH_prA.json", "testdata/BENCH_prA.json"); err != nil || flagged {
+		t.Fatalf("self-diff: flagged=%v err=%v", flagged, err)
+	}
+	if _, err := runE2E(&out, "testdata/spec.json", "testdata/BENCH_prA.json", "testdata/missing.json"); err == nil {
+		t.Fatal("missing record accepted")
 	}
 }

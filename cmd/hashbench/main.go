@@ -99,7 +99,7 @@ func main() {
 		workers   = flag.Int("workers", 0, "sharded engine: shard worker count (0 = classic single-structure mode)")
 		batch     = flag.Int("batch", 1, "sharded engine: operations per batch")
 		fpolicy   = flag.String("flush", extbuf.FlushSync, "sharded engine: flush policy (sync or async)")
-		wbWorkers = flag.Int("wbworkers", 0, "file backend: async writeback workers (0 = default, 1 = synchronous)")
+		wbWorkers = flag.Int("wbworkers", 0, "file backend: async writeback workers (0 = inline writes through the page cache, a pool only on an O_DIRECT fd; 1 = synchronous; n > 1 = pool of n)")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL file path (default: -path plus .wal)")
 		recovPar  = flag.Int("recoverypar", 0, "durable mode: recovery parallelism across shards and WAL replay (0 = GOMAXPROCS)")
 		reopen    = flag.Bool("reopen", false, "durability mode: build, flush and close a durable table, then measure reopen/recovery time (requires -backend file and -path)")
@@ -581,13 +581,7 @@ func openStore(backend string, b int, path string, cache int, ioMode string, see
 			fs, err = iomodel.NewFileStoreIO(path, b, cache, opt)
 		}
 		fatal(err)
-		n := wbWorkers
-		if n == 0 {
-			if n = runtime.GOMAXPROCS(0); n > 4 {
-				n = 4
-			}
-		}
-		fs.ConfigureSubmission(ioMode, n)
+		fs.ConfigureSubmission(ioMode, wbWorkers)
 		return fs
 	case "latency":
 		lcfg := iomodel.LatencyConfig{Seek: seek, Transfer: xfer}
@@ -613,9 +607,14 @@ func backendStatRows(store iomodel.BlockStore) []statRow {
 	switch s := store.(type) {
 	case *iomodel.FileStore:
 		st := s.Stats()
+		writes := "inline"
+		if s.AsyncWriteback() {
+			writes = "async submitter"
+		}
 		rows := []statRow{
 			{"file: path", s.Path()},
 			{"file: io mode (effective)", s.EffectiveIOMode()},
+			{"file: writes", writes},
 			{"file: pread syscalls", st.ReadSyscalls},
 			{"file: pwrite syscalls", st.WriteSyscalls},
 			{"file: cache hits", st.CacheHits},

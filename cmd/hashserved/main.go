@@ -77,7 +77,7 @@ func main() {
 		ioMode    = flag.String("iomode", "", "file backend: I/O mode (buffered, odirect or uring; default buffered, falls back where unsupported)")
 		fpolicy   = flag.String("flush", extbuf.FlushSync, "engine flush policy (sync or async)")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL device path (default: -path plus .wal)")
-		wbWorkers = flag.Int("wbworkers", 0, "file backend: async writeback workers (0 = default, 1 = synchronous)")
+		wbWorkers = flag.Int("wbworkers", 0, "file backend: async writeback workers (0 = inline writes through the page cache, a pool only on an O_DIRECT fd; 1 = synchronous; n > 1 = pool of n)")
 		recovPar  = flag.Int("recoverypar", 0, "startup recovery parallelism across shards and WAL replay (0 = GOMAXPROCS)")
 		expected  = flag.Int("expected", 1<<20, "expected items (pre-sizes fixed-capacity structures)")
 		seed      = flag.Uint64("seed", 1, "hash seed")

@@ -136,11 +136,12 @@ func openDurable(kind int, cfg Config, idx *expiry.Index) (*durableTable, error)
 	if err != nil {
 		return nil, err
 	}
-	// Asynchronous submission: the pwrite pool, or an io_uring ring under
-	// IOMode "uring"; forced synchronous buffered under crash injection
+	// Inline writes through the page cache; a pwrite pool, or an io_uring
+	// ring under IOMode "uring", where the fd is O_DIRECT or the config
+	// asks for workers; forced synchronous under crash injection
 	// (ConfigureSubmission refuses a crasher-wrapped store; the harness
 	// counts write syscalls).
-	store.ConfigureSubmission(cfg.IOMode, cfg.writebackWorkers())
+	store.ConfigureSubmission(cfg.IOMode, cfg.WritebackWorkers)
 	model := iomodel.NewModelOn(store, cfg.MemoryWords)
 	fn := hashfn.Family(cfg.HashFamily, cfg.Seed)
 

@@ -49,6 +49,13 @@ func PoolPinnedForTest(tab Table) (pinned int, ok bool) {
 	return 0, false
 }
 
+// AsyncWritebackForTest reports whether the durable table tab writes
+// its block file through an asynchronous submitter (pool or ring)
+// rather than inline.
+func AsyncWritebackForTest(tab Table) bool {
+	return tab.(*guard).t.(*durableTable).store.AsyncWriteback()
+}
+
 // CopiesForTest walks tab down to its Theorem 2 structure and returns
 // the number of live copies of key across H_0, Ĥ and the cascade levels
 // (a zero-I/O audit). First-hit Delete, Upsert and CAS are only correct

@@ -3,7 +3,6 @@ package extbuf
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"time"
 
 	"extbuf/internal/chainhash"
@@ -266,13 +265,19 @@ type Config struct {
 	// buffered and synchronous (the crash matrix counts write syscalls).
 	IOMode string
 	// WritebackWorkers sets the "file" backend's asynchronous writeback
-	// pool: flush-barrier and eviction writes are encoded on the table
-	// goroutine but submitted as concurrent pwrites by this many
-	// workers, keeping the device queue full. 0 (the default) selects
-	// min(4, GOMAXPROCS): enough concurrent submissions to keep a
-	// flash device's queue busy, degrading to fully synchronous writes
-	// on a single-CPU machine where the pool is pure overhead. 1
-	// forces synchronous writes.
+	// pool: flush-barrier and eviction writes are snapshotted on the
+	// table goroutine but issued as concurrent pwrites by this many
+	// workers. 0 (the default) lets the store decide from its file
+	// descriptor: a table whose block file goes through the kernel page
+	// cache — IOMode buffered, or a direct mode the filesystem refused
+	// — writes inline, because there a pwrite is a memcpy and the page
+	// cache is already the write-behind buffer; a table whose fd is
+	// O_DIRECT, where every pwrite waits for the device, gets
+	// min(4, GOMAXPROCS) workers (or the io_uring ring under "uring").
+	// 1 forces synchronous writes in every mode; n > 1 forces a pool of
+	// n in every mode — worth setting by hand only for a buffered table
+	// over a cold data set far larger than RAM, where a partial-page
+	// write to an uncached slot waits for a device read.
 	// Crash-injected tables (Crash != nil) always write synchronously —
 	// the crash harness counts write syscalls, so submission order must
 	// stay deterministic.
@@ -439,28 +444,6 @@ func (c Config) validateBlockSize() error {
 	return nil
 }
 
-// defaultWritebackWorkers is the asynchronous writeback pool size used
-// when Config.WritebackWorkers is zero: enough concurrent submissions
-// to keep a flash device's queue busy, few enough that a many-shard
-// engine does not drown in idle goroutines — and none at all on a
-// single-CPU machine, where every handoff to a worker is a context
-// switch on the only core and the pool can only slow the store down.
-func defaultWritebackWorkers() int {
-	if n := runtime.GOMAXPROCS(0); n < 4 {
-		return n
-	}
-	return 4
-}
-
-// writebackWorkers resolves the effective pool size (see the Config
-// field).
-func (c Config) writebackWorkers() int {
-	if c.WritebackWorkers == 0 {
-		return defaultWritebackWorkers()
-	}
-	return c.WritebackWorkers
-}
-
 // store builds the scratch (non-durable) block-store backend selected
 // by c.Backend; durable file stores are opened by openDurable.
 func (c Config) store() (iomodel.BlockStore, error) {
@@ -472,7 +455,7 @@ func (c Config) store() (iomodel.BlockStore, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.ConfigureSubmission(c.IOMode, c.writebackWorkers())
+		s.ConfigureSubmission(c.IOMode, c.WritebackWorkers)
 		return s, nil
 	case "latency":
 		lcfg := iomodel.LatencyConfig{Seek: c.SeekDelay, Transfer: c.TransferDelay}

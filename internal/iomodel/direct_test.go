@@ -340,9 +340,32 @@ func TestAlignmentHelpers(t *testing.T) {
 	if got := alignUp(512, 512); got != 512 {
 		t.Fatalf("alignUp(512, 512) = %d", got)
 	}
-	arena := alignedEntryArena(1000)
-	if uintptr(unsafe.Pointer(&arena[0]))%4096 != 0 {
-		t.Fatal("entry arena base not page-aligned")
+	// Slot images: page-aligned at least, sector-aligned under a direct
+	// layout, and each entry view starts right past its image's header.
+	for _, sector := range []int{0, 512, 8192} {
+		mode := IOModeBuffered
+		if sector > 0 {
+			mode = IOModeODirect
+		}
+		s, err := NewTempFileStoreIO(5, 3, IOOptions{Mode: mode, Sector: sector})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range s.frames {
+			fr := &s.frames[i]
+			base := uintptr(unsafe.Pointer(&fr.img[0]))
+			if i == 0 && base%uintptr(max(sector, 4096)) != 0 {
+				t.Fatalf("sector %d: arena base %#x misaligned", sector, base)
+			}
+			if sector > 0 && base%uintptr(sector) != 0 {
+				t.Fatalf("sector %d: frame %d image %#x not sector-aligned", sector, i, base)
+			}
+			if len(fr.img) != int(s.slotBytes) || cap(fr.entries) != 5 ||
+				uintptr(unsafe.Pointer(unsafe.SliceData(fr.entries))) != base+blockHeaderBytes {
+				t.Fatalf("sector %d: frame %d view is not its image's entry area", sector, i)
+			}
+		}
+		s.Close()
 	}
 	if !ValidIOMode("") || !ValidIOMode(IOModeUring) || ValidIOMode("mmap") {
 		t.Fatal("ValidIOMode misclassifies")

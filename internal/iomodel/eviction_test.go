@@ -2,6 +2,7 @@ package iomodel
 
 import (
 	"fmt"
+	"path/filepath"
 	"testing"
 )
 
@@ -145,5 +146,88 @@ func BenchmarkEvictionScan(b *testing.B) {
 	for n := 0; n < b.N; n++ {
 		buf = st.ReadBlock(ids[n%blocks], buf[:0])
 	}
+	_ = buf
+}
+
+// poolMissStore builds the store both pool-miss benchmarks run on: a
+// durable store as a table opens it (default submission), 16 k blocks
+// of 48 entries behind a 256-frame pool, checkpointed once so the loop
+// starts on a committed epoch. Nearly every access is a miss.
+func poolMissStore(b *testing.B) (*FileStore, []BlockID) {
+	const cacheCap, blocks = 256, 16 << 10
+	st, err := OpenFileStore(filepath.Join(b.TempDir(), "miss.blocks"), 64, cacheCap, nil)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { st.Close() })
+	st.ConfigureSubmission(IOModeBuffered, 0)
+	ids := make([]BlockID, blocks)
+	entries := make([]Entry, 48)
+	for i := range ids {
+		ids[i] = st.Alloc()
+		for j := range entries {
+			entries[j] = Entry{Key: uint64(i*64 + j), Val: uint64(j)}
+		}
+		st.WriteBlock(ids[i], entries)
+	}
+	if err := st.Sync(); err != nil {
+		b.Fatal(err)
+	}
+	st.EndEpoch()
+	return st, ids
+}
+
+// xorshift steps the benchmarks' block picker.
+func xorshift(x uint64) uint64 {
+	x ^= x << 13
+	x ^= x >> 7
+	return x ^ x<<17
+}
+
+// reportSyscalls adds the store's file syscalls per iteration since
+// before to the benchmark's columns.
+func reportSyscalls(b *testing.B, st *FileStore, before FileStats) {
+	after := st.Stats()
+	n := after.ReadSyscalls + after.WriteSyscalls - before.ReadSyscalls - before.WriteSyscalls
+	b.ReportMetric(float64(n)/float64(b.N), "syscalls/op")
+}
+
+// BenchmarkPoolMissRMW is the served engine's write path at the store:
+// read a random block, change one entry, write the block back. Each
+// iteration is one pread into a frame and — once the pool is dirty —
+// one dirty eviction out of one: 2 syscalls/op, 0 allocs/op.
+func BenchmarkPoolMissRMW(b *testing.B) {
+	st, ids := poolMissStore(b)
+	var buf []Entry
+	x := uint64(0x9e3779b97f4a7c15)
+	before := st.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		x = xorshift(x)
+		id := ids[x%uint64(len(ids))]
+		buf = st.ReadBlock(id, buf[:0])
+		buf[n%len(buf)].Val = uint64(n)
+		st.WriteBlock(id, buf)
+	}
+	b.StopTimer()
+	reportSyscalls(b, st, before)
+}
+
+// BenchmarkPoolMissRead is the lookup side: a random block read, one
+// pread and a clean eviction per iteration.
+func BenchmarkPoolMissRead(b *testing.B) {
+	st, ids := poolMissStore(b)
+	var buf []Entry
+	x := uint64(0x9e3779b97f4a7c15)
+	before := st.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n := 0; n < b.N; n++ {
+		x = xorshift(x)
+		buf = st.ReadBlock(ids[x%uint64(len(ids))], buf[:0])
+	}
+	b.StopTimer()
+	reportSyscalls(b, st, before)
 	_ = buf
 }

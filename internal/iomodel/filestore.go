@@ -1,11 +1,14 @@
 package iomodel
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
-	"sort"
+	"runtime"
+	"slices"
+	"unsafe"
 )
 
 // FileStore is a BlockStore persisting fixed-size blocks to a real file,
@@ -40,10 +43,15 @@ import (
 //
 // # Buffer pool
 //
-// The pool is a preallocated arena of cacheCap frames backed by one
-// contiguous entry array: faulting a block in recycles a frame from the
-// free list, so steady-state reads and writes allocate nothing. A cache
-// hit costs no syscall; a miss reads the block with one pread. Eviction
+// The pool is a preallocated arena of cacheCap frames, and a frame is
+// its slot image: slotBytes of the arena laid out exactly as the slot is
+// on disk, with the frame's entries a typed view over the bytes past
+// the header. Faulting a block in recycles a frame from the free list
+// and preads the slot straight into it; writing a frame back seals the
+// image (stamps the header, zeroes everything past the live entries)
+// and pwrites those same bytes. Nothing is decoded or encoded and
+// nothing is allocated: a miss is one transfer into the frame, a dirty
+// eviction one transfer out of it. A cache hit costs no syscall. Eviction
 // is CLOCK (second chance): each access sets the frame's reference bit,
 // and the sweep hand clears bits until it finds a cold frame, writing it
 // back first if dirty — no per-access list maintenance, unlike an LRU.
@@ -66,6 +74,9 @@ import (
 // table's Flush barrier surfaces it to the caller as an un-acknowledged
 // write.
 //
+// Writes are issued inline unless the fd is O_DIRECT or the caller asks
+// for a pool; ConfigureSubmission holds the rule and its reason.
+//
 // # Kernel-bypass tier
 //
 // Under the direct I/O modes (IOModeODirect, IOModeUring) the store
@@ -86,7 +97,7 @@ type FileStore struct {
 	f          BlockFile
 	osf        *os.File // underlying fd when known; io_uring needs it
 	b          int
-	frameBytes int64  // encoded frame: header + B() entries
+	frameBytes int64  // header + B() entries
 	slotBytes  int64  // on-disk stride: frameBytes, sector-padded under direct layout
 	sector     int64  // direct-layout alignment; 0 = buffered layout
 	ioMode     string // configured mode (IOMode constants)
@@ -96,13 +107,13 @@ type FileStore struct {
 	free       []BlockID
 	cacheCap   int
 
-	// Buffer pool: frames is the arena, arena the shared entry backing,
-	// resident the index from block ID to frame (block IDs are dense, so
-	// it is a slice grown with the allocator: the frame index, or -1 for
-	// a block not in the pool), freeFrames the recycle list, hand the
-	// CLOCK sweep position.
+	// Buffer pool: frames is the pool, arena the slot images behind it
+	// (cacheCap × slotBytes, aligned for direct I/O), resident the index
+	// from block ID to frame (block IDs are dense, so it is a slice grown
+	// with the allocator: the frame index, or -1 for a block not in the
+	// pool), freeFrames the recycle list, hand the CLOCK sweep position.
 	frames     []frame
-	arena      []Entry
+	arena      []byte
 	resident   []int32
 	freeFrames []int32
 	hand       int
@@ -116,7 +127,6 @@ type FileStore struct {
 	lastID  BlockID
 	lastIdx int32
 
-	scratch     []byte   // one-frame encode/decode buffer
 	runBuf      []byte   // coalesced flush buffer, grown on demand
 	dirtyList   []*frame // scratch list reused by FlushDirty
 	clusterList []*frame // scratch list reused by eviction clustering
@@ -124,6 +134,7 @@ type FileStore struct {
 	removeName  string // non-empty: unlink this path on Close (temp stores)
 	closed      bool
 	failed      error // sticky first write failure
+	swab        bool  // big-endian host: entry words are byte-swapped around every transfer
 
 	// Asynchronous writeback (nil = synchronous writes): the pwrite
 	// worker pool or, under IOModeUring, the io_uring ring. wrote
@@ -148,20 +159,30 @@ type FileStore struct {
 	ghostAt  []uint64
 	ghostSeq uint64
 
-	// Durable-mode placement state (nil mapping = direct mode).
+	// Durable-mode placement state (nil mapping = direct mode). A slot
+	// whose slotEpoch is the current epoch was first written in it: no
+	// checkpoint references it, so it may be overwritten in place and
+	// reused at once when retired.
 	durable     bool
-	mapping     []int64            // logical id -> physical slot; -1 = never written
-	physHigh    int64              // physical slots ever placed (file extent, in frames)
-	physFree    []int64            // reusable physical slots
-	pendingFree []int64            // slots superseded this epoch; free after checkpoint
-	epochSlots  map[int64]struct{} // physical slots written this epoch (safe to overwrite)
+	mapping     []int64  // logical id -> physical slot; -1 = never written
+	physHigh    int64    // physical slots ever placed (file extent, in frames)
+	physFree    []int64  // reusable physical slots
+	pendingFree []int64  // slots superseded this epoch; free after checkpoint
+	slotEpoch   []uint32 // per physical slot: the epoch that last assigned it (0: none)
+	epoch       uint32   // current epoch, never 0
 }
 
 var _ BlockStore = (*FileStore)(nil)
 
+// frame is one pool slot. img is the block's slot image — header, B()
+// entries, sector padding — and entries the live prefix of its entry
+// area viewed in place. img's header bytes are only meaningful on the
+// way in (load) and out (seal); in between, len(entries) and next are
+// the truth.
 type frame struct {
 	id      BlockID
-	entries []Entry // arena-backed; capacity is exactly B()
+	img     []byte  // arena-backed, slotBytes long
+	entries []Entry // view over img past the header; capacity is exactly B()
 	next    BlockID
 	dirty   bool
 	ref     bool  // CLOCK reference bit
@@ -221,6 +242,14 @@ const DefaultCacheBlocks = 512
 
 const blockHeaderBytes = 8
 const entryBytes = 16
+
+// The entry view over a slot image relies on Entry being the on-disk
+// entry: two 8-byte words, key then value, no padding.
+var _ [entryBytes]byte = [unsafe.Sizeof(Entry{})]byte{}
+
+// hostBigEndian: the file format is little-endian, so only there do an
+// image's entry words differ from the Entry values viewed over them.
+var hostBigEndian = binary.NativeEndian.Uint16([]byte{1, 0}) != 1
 
 // maxRunBytes bounds one coalesced flush pwrite (and therefore the
 // reusable run buffer): runs of adjacent dirty slots longer than this
@@ -305,6 +334,9 @@ func newFileStoreOn(f BlockFile, osf *os.File, b, cacheBlocks int, durable bool,
 		}
 		slot = alignUp(fb, sector)
 	}
+	// Slot images start sector-aligned (slotBytes is a sector multiple
+	// under the direct layout) and at least page-aligned.
+	align := max(sector, 4096)
 	s := &FileStore{
 		f:          f,
 		osf:        osf,
@@ -316,10 +348,11 @@ func newFileStoreOn(f BlockFile, osf *os.File, b, cacheBlocks int, durable bool,
 		direct:     direct,
 		cacheCap:   cacheBlocks,
 		frames:     make([]frame, cacheBlocks),
-		arena:      alignedEntryArena(cacheBlocks * b),
+		arena:      alignedBytes(cacheBlocks*int(slot), 0, int(align)),
 		freeFrames: make([]int32, cacheBlocks),
-		scratch:    alignedBytes(int(slot), int(slot), int(sector)),
+		swab:       hostBigEndian,
 		durable:    durable,
+		epoch:      1,
 	}
 	if direct {
 		s.stats.DirectIO = 1
@@ -328,13 +361,11 @@ func newFileStoreOn(f BlockFile, osf *os.File, b, cacheBlocks int, durable bool,
 	for i := range s.frames {
 		fr := &s.frames[i]
 		fr.id = NilBlock
-		fr.entries = s.arena[i*b : i*b : (i+1)*b]
+		fr.img = s.arena[i*int(slot) : (i+1)*int(slot) : (i+1)*int(slot)]
+		fr.entries = unsafe.Slice((*Entry)(unsafe.Pointer(&fr.img[blockHeaderBytes])), b)[:0]
 		// Hand frames out low-index-first: the free list is popped from
 		// the back.
 		s.freeFrames[cacheBlocks-1-i] = int32(i)
-	}
-	if durable {
-		s.epochSlots = make(map[int64]struct{})
 	}
 	return s
 }
@@ -349,22 +380,40 @@ func (s *FileStore) SetWritebackWorkers(n int) {
 	if n <= 1 || s.hasCrasher || s.wb != nil {
 		return
 	}
-	runBytes := int(maxRunBytes)
-	if sb := int(s.slotBytes); sb > runBytes {
-		runBytes = sb
-	}
-	s.wb = newWriteback(s.f, n, runBytes, int(s.sector))
+	s.wb = newWriteback(s.f, n, int(s.slotBytes), int(s.sector))
 }
 
-// ConfigureSubmission selects the store's asynchronous write backend
-// for the given I/O mode: an io_uring ring under IOModeUring (build
-// tag "iouring"; falls back to the pwrite pool, counted in
-// FileStats.UringFallbacks, when the tag is off or the kernel probe
-// fails), otherwise SetWritebackWorkers' pwrite pool. Crash-injected
-// stores stay synchronous either way. Must be called before any write
-// reaches the store.
+// ConfigureSubmission selects how the store's writes reach the file.
+// workers is Config.WritebackWorkers: 0 lets the store decide, 1 forces
+// synchronous writes, n > 1 asks for a pool of n (an io_uring ring
+// under IOModeUring). Crash-injected stores stay synchronous whatever
+// is asked. Must be called before any write reaches the store.
+//
+// What 0 selects rests on what a pwrite is on this fd. Through the page
+// cache it is a memcpy of one slot: the kernel's page cache is the
+// store's write-behind buffer, and a user-space pool in front of it is
+// a second one, paid for with a goroutine handoff per kilobyte
+// (EXPERIMENTS.md, PR 23). So a buffered fd — a direct-mode open that
+// fell back included — writes inline. On an O_DIRECT fd a pwrite waits
+// for the device and several in flight are the only overlap there is:
+// that store gets min(4, GOMAXPROCS) workers, or the ring. Asking for
+// workers by hand remains right for a buffered store over a cold data
+// set far larger than RAM, where a partial-page write to an uncached
+// slot waits for a device read.
 func (s *FileStore) ConfigureSubmission(mode string, workers int) {
-	if mode == IOModeUring && !s.hasCrasher && s.wb == nil {
+	if s.hasCrasher || s.wb != nil {
+		return
+	}
+	if workers == 0 {
+		if !s.direct {
+			return
+		}
+		workers = min(4, runtime.GOMAXPROCS(0))
+	}
+	if mode == IOModeUring {
+		// Build tag "iouring"; falls back to the pwrite pool, counted in
+		// FileStats.UringFallbacks, when the tag is off or the kernel
+		// probe fails.
 		if ur, err := newURing(s, uringDepth); err == nil {
 			s.wb = ur
 			s.uringOn = true
@@ -428,6 +477,11 @@ func (s *FileStore) EffectiveIOMode() string {
 	}
 	return IOModeBuffered
 }
+
+// AsyncWriteback reports whether writes leave through an asynchronous
+// submitter (the pwrite pool or the ring) rather than inline; see
+// ConfigureSubmission for which stores get one.
+func (s *FileStore) AsyncWriteback() bool { return s.wb != nil }
 
 // SectorSize returns the direct layout's alignment in bytes, 0 under
 // the buffered layout.
@@ -512,8 +566,7 @@ func (s *FileStore) retirePhys(phys int64) {
 	if phys < 0 {
 		return
 	}
-	if _, thisEpoch := s.epochSlots[phys]; thisEpoch {
-		delete(s.epochSlots, phys)
+	if s.slotEpoch[phys] == s.epoch {
 		s.physFree = append(s.physFree, phys)
 	} else {
 		s.pendingFree = append(s.pendingFree, phys)
@@ -529,6 +582,7 @@ func (s *FileStore) allocPhys() int64 {
 	}
 	p := s.physHigh
 	s.physHigh++
+	s.slotEpoch = append(s.slotEpoch, 0)
 	return p
 }
 
@@ -551,7 +605,8 @@ func (s *FileStore) ReadBlock(id BlockID, buf []Entry) []Entry {
 // ClearBlock and allocator reuse may change it.
 func (s *FileStore) WriteBlock(id BlockID, entries []Entry) {
 	fr := s.frameForWrite(id, true)
-	fr.entries = append(fr.entries[:0], entries...)
+	fr.entries = fr.entries[:len(entries)] // within the image: at most B()
+	copy(fr.entries, entries)
 }
 
 // ClearBlock empties block id and resets its next pointer.
@@ -641,13 +696,13 @@ func (s *FileStore) writeRuns(dirty []*frame) error {
 	if len(dirty) == 0 {
 		return nil
 	}
-	sort.Slice(dirty, func(i, j int) bool { return dirty[i].id < dirty[j].id })
+	slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(a.id, b.id) })
 	if s.durable {
 		for _, fr := range dirty {
 			s.assignSlot(fr)
 		}
 	}
-	sort.Slice(dirty, func(i, j int) bool { return s.physFor(dirty[i].id) < s.physFor(dirty[j].id) })
+	slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(s.physFor(a.id), s.physFor(b.id)) })
 	maxRun := int(maxRunBytes / s.slotBytes)
 	if maxRun < 1 {
 		maxRun = 1
@@ -669,17 +724,18 @@ func (s *FileStore) writeRuns(dirty []*frame) error {
 }
 
 // submitRun hands a run of frames occupying adjacent physical slots to
-// the writeback pool: the frames are encoded here, on the store's
-// goroutine, into a pool-owned buffer, then the pwrite is issued by a
-// worker. The frames are clean the moment the snapshot is taken — later
-// mutations re-dirty them and flush again — and write errors surface at
-// the next drain barrier (Fsync/Close). Counters are charged at submit,
-// so Stats reads stay deterministic at barriers.
+// the asynchronous submitter: the frames' sealed images are snapshotted
+// here, on the store's goroutine, into a submitter-owned buffer, then
+// the pwrite is issued off it. The frames are clean the moment the
+// snapshot is taken — later mutations re-dirty them and flush again —
+// and write errors surface at the next drain barrier (Fsync/Close).
+// Counters are charged at submit, so Stats reads stay deterministic at
+// barriers.
 func (s *FileStore) submitRun(run []*frame) {
 	n := len(run) * int(s.slotBytes)
 	buf := s.wb.getBuf(n)
-	for i, fr := range run {
-		s.encodeFrame(fr, buf[i*int(s.slotBytes):(i+1)*int(s.slotBytes)])
+	s.sealInto(buf, run)
+	for _, fr := range run {
 		fr.dirty = false
 	}
 	first := s.physFor(run[0].id)
@@ -699,18 +755,22 @@ func (s *FileStore) submitRun(run []*frame) {
 }
 
 // flushRun writes a run of frames occupying adjacent physical slots
-// with one pwrite and clears their dirty bits.
+// with one pwrite and clears their dirty bits. A run of one — every
+// eviction write-back that found no dirty neighbours — is written from
+// the frame's own image; longer runs are gathered into runBuf first.
 func (s *FileStore) flushRun(run []*frame) error {
-	n := len(run) * int(s.slotBytes)
-	if cap(s.runBuf) < n {
-		s.runBuf = alignedBytes(n, n, int(s.sector))
+	buf := run[0].img
+	if len(run) == 1 && !s.swab {
+		s.seal(run[0])
+	} else {
+		n := len(run) * int(s.slotBytes)
+		if cap(s.runBuf) < n {
+			s.runBuf = alignedBytes(n, n, int(s.sector))
+		}
+		buf = s.runBuf[:n]
+		s.sealInto(buf, run)
 	}
-	buf := s.runBuf[:n]
-	for i, fr := range run {
-		s.encodeFrame(fr, buf[i*int(s.slotBytes):(i+1)*int(s.slotBytes)])
-	}
-	off := s.physFor(run[0].id) * s.slotBytes
-	wn, err := s.f.WriteAt(buf, off)
+	wn, err := s.f.WriteAt(buf, s.physFor(run[0].id)*s.slotBytes)
 	s.stats.WriteSyscalls++
 	s.stats.FlushRuns++
 	s.stats.FlushedFrames += int64(len(run))
@@ -727,6 +787,39 @@ func (s *FileStore) flushRun(run []*frame) error {
 		fr.dirty = false
 	}
 	return nil
+}
+
+// seal makes fr's image the block's on-disk bytes: the header is
+// stamped from the frame and everything past the live entries — deleted
+// entries, what an earlier occupant of the frame left, the direct
+// layout's sector padding — is zeroed, so stale bytes never reach the
+// file. The live entries are already in place.
+func (s *FileStore) seal(fr *frame) {
+	binary.LittleEndian.PutUint32(fr.img[0:4], uint32(len(fr.entries)))
+	binary.LittleEndian.PutUint32(fr.img[4:8], uint32(int32(fr.next+1)))
+	clear(fr.img[blockHeaderBytes+len(fr.entries)*entryBytes:])
+}
+
+// sealInto seals every frame of run and copies its image into
+// consecutive slots of buf, in file byte order.
+func (s *FileStore) sealInto(buf []byte, run []*frame) {
+	for i, fr := range run {
+		s.seal(fr)
+		slot := buf[i*int(s.slotBytes) : (i+1)*int(s.slotBytes)]
+		copy(slot, fr.img)
+		if s.swab {
+			swapWords(slot[blockHeaderBytes : blockHeaderBytes+len(fr.entries)*entryBytes])
+		}
+	}
+}
+
+// swapWords reverses the bytes of each 8-byte word of b: the
+// conversion between the file's little-endian entry words and a
+// big-endian host's, in either direction.
+func swapWords(b []byte) {
+	for ; len(b) >= 8; b = b[8:] {
+		binary.BigEndian.PutUint64(b, binary.LittleEndian.Uint64(b))
+	}
 }
 
 // Fsync makes previously written frames durable with one fsync of the
@@ -798,26 +891,28 @@ func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int6
 	}
 	s.ghostAt = make([]uint64, nslots)
 	s.physHigh = 0
-	used := make(map[int64]struct{}, len(mapping))
 	for _, p := range mapping {
-		if p < 0 {
-			continue
-		}
-		used[p] = struct{}{}
 		if p >= s.physHigh {
 			s.physHigh = p + 1
 		}
 	}
+	used := make([]uint64, (s.physHigh+63)/64)
+	for _, p := range mapping {
+		if p >= 0 {
+			used[p/64] |= 1 << (p % 64)
+		}
+	}
+	// Highest first: the list is popped from the back, so low slots are
+	// reused first and the file extent stays tight after recovery.
 	s.physFree = s.physFree[:0]
-	for p := int64(0); p < s.physHigh; p++ {
-		if _, ok := used[p]; !ok {
+	for p := s.physHigh - 1; p >= 0; p-- {
+		if used[p/64]&(1<<(p%64)) == 0 {
 			s.physFree = append(s.physFree, p)
 		}
 	}
-	// Reuse low slots first: keeps the file extent tight after recovery.
-	sort.Slice(s.physFree, func(i, j int) bool { return s.physFree[i] > s.physFree[j] })
 	s.pendingFree = s.pendingFree[:0]
-	clear(s.epochSlots)
+	s.slotEpoch = make([]uint32, s.physHigh)
+	s.epoch = 1
 	return nil
 }
 
@@ -827,7 +922,11 @@ func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int6
 func (s *FileStore) EndEpoch() {
 	s.physFree = append(s.physFree, s.pendingFree...)
 	s.pendingFree = s.pendingFree[:0]
-	clear(s.epochSlots)
+	s.epoch++
+	if s.epoch == 0 { // wrapped: no stamp of an old epoch may match a new one
+		clear(s.slotEpoch)
+		s.epoch = 1
+	}
 }
 
 // Close flushes and closes the backing file, removing it if the store
@@ -1049,7 +1148,11 @@ func (s *FileStore) flushCluster(victim *frame) error {
 	}
 	var err error
 	if len(cluster) == 1 && s.wb == nil {
-		err = s.flushFrame(victim)
+		// The common case needs no sorting: one slot, one pwrite.
+		if s.durable {
+			s.assignSlot(victim)
+		}
+		err = s.flushRun(cluster)
 	} else {
 		err = s.writeRuns(cluster)
 	}
@@ -1060,11 +1163,11 @@ func (s *FileStore) flushCluster(victim *frame) error {
 // loadHeader fills only fr's header (the next pointer) from the file
 // with one small pread — 8 bytes buffered, one sector under O_DIRECT
 // (the minimum aligned read) — for whole-block overwrites that must
-// not lose the chain pointer. A slot past EOF — or never flushed in
-// durable mode — decodes as a nil pointer.
+// not lose the chain pointer. The bytes land in the head of the frame's
+// own image, which the caller is about to overwrite. A slot past EOF —
+// or never flushed in durable mode — decodes as a nil pointer.
 func (s *FileStore) loadHeader(fr *frame) {
 	phys := s.physFor(fr.id)
-	fr.next = NilBlock
 	if phys < 0 {
 		return
 	}
@@ -1075,23 +1178,22 @@ func (s *FileStore) loadHeader(fr *frame) {
 	if s.direct {
 		rd = s.sector
 	}
-	n, err := s.f.ReadAt(s.scratch[:rd], phys*s.slotBytes)
+	n, err := s.f.ReadAt(fr.img[:rd], phys*s.slotBytes)
 	if err != nil && err != io.EOF {
 		panic(fmt.Errorf("iomodel: read block %d header: %w", fr.id, err))
 	}
 	s.stats.ReadSyscalls++
 	s.stats.BytesRead += int64(n)
 	if n >= blockHeaderBytes {
-		fr.next = decodeNext(s.scratch[4:8])
+		fr.next = decodeNext(fr.img[4:8])
 	}
 }
 
-// load fills fr from the file with one pread. A slot past EOF (or never
-// flushed in durable mode) decodes as an empty block.
+// load fills fr — freshly installed, so empty with a nil pointer — from
+// the file with one pread into its image; the entries are then simply
+// the image's first count entry slots. A slot past EOF (or never
+// flushed in durable mode) reads as an empty block.
 func (s *FileStore) load(fr *frame) {
-	fr.entries = fr.entries[:0]
-	fr.next = NilBlock
-	fr.dirty = false
 	phys := s.physFor(fr.id)
 	if phys < 0 {
 		return
@@ -1099,7 +1201,7 @@ func (s *FileStore) load(fr *frame) {
 	if s.wb != nil {
 		s.wb.waitSlot(phys)
 	}
-	n, err := s.f.ReadAt(s.scratch, phys*s.slotBytes)
+	n, err := s.f.ReadAt(fr.img, phys*s.slotBytes)
 	if err != nil && err != io.EOF {
 		panic(fmt.Errorf("iomodel: read block %d: %w", fr.id, err))
 	}
@@ -1108,8 +1210,7 @@ func (s *FileStore) load(fr *frame) {
 	if n < blockHeaderBytes {
 		return
 	}
-	count := int(binary.LittleEndian.Uint32(s.scratch[0:4]))
-	fr.next = decodeNext(s.scratch[4:8])
+	count := int(binary.LittleEndian.Uint32(fr.img[0:4]))
 	if count > s.b || blockHeaderBytes+count*entryBytes > n {
 		if s.failed != nil {
 			// The bytes were torn by the failure the store already
@@ -1118,18 +1219,14 @@ func (s *FileStore) load(fr *frame) {
 			// instead of panicking. Recovery never reads such a slot:
 			// copy-on-write keeps torn epoch writes out of every slot
 			// the last checkpoint references.
-			fr.entries = fr.entries[:0]
-			fr.next = NilBlock
 			return
 		}
 		panic(fmt.Sprintf("iomodel: corrupt block %d: count %d exceeds capacity/extent", fr.id, count))
 	}
-	for i := 0; i < count; i++ {
-		off := blockHeaderBytes + i*entryBytes
-		fr.entries = append(fr.entries, Entry{
-			Key: binary.LittleEndian.Uint64(s.scratch[off : off+8]),
-			Val: binary.LittleEndian.Uint64(s.scratch[off+8 : off+16]),
-		})
+	fr.next = decodeNext(fr.img[4:8])
+	fr.entries = fr.entries[:count]
+	if s.swab {
+		swapWords(fr.img[blockHeaderBytes : blockHeaderBytes+count*entryBytes])
 	}
 }
 
@@ -1145,54 +1242,12 @@ func decodeNext(b []byte) BlockID {
 // only.
 func (s *FileStore) assignSlot(fr *frame) {
 	phys := s.mapping[fr.id]
-	if _, thisEpoch := s.epochSlots[phys]; phys < 0 || !thisEpoch {
+	if phys < 0 || s.slotEpoch[phys] != s.epoch {
 		s.retirePhys(phys)
 		phys = s.allocPhys()
-		s.epochSlots[phys] = struct{}{}
+		s.slotEpoch[phys] = s.epoch
 		s.mapping[fr.id] = phys
 	}
-}
-
-// encodeFrame serializes fr into buf, which must be slotBytes long.
-// The unused tail — including the direct layout's sector padding — is
-// zeroed so stale bytes never resurface as data.
-func (s *FileStore) encodeFrame(fr *frame, buf []byte) {
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(fr.entries)))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(int32(fr.next+1)))
-	for i, e := range fr.entries {
-		off := blockHeaderBytes + i*entryBytes
-		binary.LittleEndian.PutUint64(buf[off:off+8], e.Key)
-		binary.LittleEndian.PutUint64(buf[off+8:off+16], e.Val)
-	}
-	clear(buf[blockHeaderBytes+len(fr.entries)*entryBytes:])
-}
-
-// flushFrame writes one frame with one pwrite and clears its dirty bit:
-// the eviction write-back path. (Flush barriers go through FlushDirty,
-// which coalesces.) In durable mode the write is copy-on-write.
-func (s *FileStore) flushFrame(fr *frame) error {
-	if s.failed != nil {
-		return s.failed
-	}
-	if s.durable {
-		s.assignSlot(fr)
-	}
-	s.encodeFrame(fr, s.scratch)
-	n, err := s.f.WriteAt(s.scratch, s.physFor(fr.id)*s.slotBytes)
-	s.stats.WriteSyscalls++
-	s.stats.FlushRuns++
-	s.stats.FlushedFrames++
-	s.stats.BytesWritten += int64(n)
-	s.wrote = true
-	if err != nil {
-		err = fmt.Errorf("iomodel: write block %d: %w", fr.id, err)
-		if s.failed == nil {
-			s.failed = err
-		}
-		return err
-	}
-	fr.dirty = false
-	return nil
 }
 
 func (s *FileStore) checkID(id BlockID) {

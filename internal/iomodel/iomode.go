@@ -102,20 +102,6 @@ func alignedBytes(n, capHint, align int) []byte {
 	return raw[off : off+n : off+c]
 }
 
-// alignedEntryArena allocates the buffer pool's shared entry backing
-// page-aligned: the arena is byte-allocated at page alignment and
-// reinterpreted as entries (Entry is two uint64s, no pointers), so
-// frame backing starts on a page boundary regardless of allocator
-// placement — the alignment discipline the direct I/O tier applies to
-// every buffer it owns.
-func alignedEntryArena(n int) []Entry {
-	if n == 0 {
-		return nil
-	}
-	buf := alignedBytes(n*entryBytes, n*entryBytes, 4096)
-	return unsafe.Slice((*Entry)(unsafe.Pointer(&buf[0])), n)
-}
-
 // uringDepth is the submission-queue depth of a store's io_uring ring:
 // deep enough that a checkpoint's coalesced runs queue without
 // stalling, small enough that the rings of a many-shard engine stay
@@ -131,7 +117,7 @@ type ioSubmitter interface {
 	// getBuf returns an n-byte submission buffer (aligned when the
 	// store's layout demands it), recycled from completed jobs.
 	getBuf(n int) []byte
-	// submit queues one encoded run, blocking while an earlier
+	// submit queues one run of sealed images, blocking while an earlier
 	// in-flight write overlaps any of its physical slots.
 	submit(job wbJob)
 	// waitSlot blocks until no in-flight write covers slot phys.

@@ -1,8 +1,10 @@
 package iomodel
 
 import (
+	"cmp"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 )
@@ -345,4 +347,78 @@ func TestModelOnFileBackend(t *testing.T) {
 		}()
 		d.WriteBack(other, nil)
 	}()
+}
+
+// TestCopyOnWriteEpochStamps pins the placement rule the epoch stamps
+// carry: the first flush of a block in an epoch moves it to a fresh
+// slot, later flushes in that epoch overwrite in place, a slot retired
+// in the epoch that assigned it is reusable at once while one a
+// checkpoint may reference waits for EndEpoch — and all of it survives
+// the epoch counter wrapping and a RestoreAllocState.
+func TestCopyOnWriteEpochStamps(t *testing.T) {
+	s, err := OpenFileStore(filepath.Join(t.TempDir(), "cow.blocks"), 4, 8, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	id := s.Alloc()
+	flush := func(v uint64) int64 {
+		t.Helper()
+		s.WriteBlock(id, []Entry{{Key: 1, Val: v}})
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		return s.mapping[id]
+	}
+	epochs := func(label string) {
+		t.Helper()
+		before := s.mapping[id]
+		first := flush(1)
+		if first == before {
+			t.Fatalf("%s: first flush of the epoch overwrote slot %d a checkpoint references", label, before)
+		}
+		if again := flush(2); again != first {
+			t.Fatalf("%s: second flush moved %d -> %d, want in place", label, first, again)
+		}
+		if n := len(s.pendingFree); before >= 0 && (n == 0 || s.pendingFree[n-1] != before) {
+			t.Fatalf("%s: superseded slot %d not pending (pendingFree %v)", label, before, s.pendingFree)
+		}
+		// A block born and freed inside the epoch gives its slot straight back.
+		tmp := s.Alloc()
+		s.WriteBlock(tmp, []Entry{{Key: 9}})
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		slot := s.mapping[tmp]
+		s.Free(tmp)
+		if n := len(s.physFree); n == 0 || s.physFree[n-1] != slot {
+			t.Fatalf("%s: slot %d written and retired this epoch is not free (physFree %v)", label, slot, s.physFree)
+		}
+		s.EndEpoch()
+		if len(s.pendingFree) != 0 {
+			t.Fatalf("%s: EndEpoch left pending slots %v", label, s.pendingFree)
+		}
+	}
+	epochs("first epoch")
+	epochs("second epoch")
+	s.epoch = ^uint32(0)
+	epochs("last epoch before the counter wraps")
+	if s.epoch != 1 {
+		t.Fatalf("epoch after wrap = %d, want 1", s.epoch)
+	}
+	epochs("first epoch after the wrap")
+	nslots, free, mapping := s.AllocState()
+	if err := s.RestoreAllocState(nslots, free, mapping); err != nil {
+		t.Fatal(err)
+	}
+	for p := int64(0); p < s.physHigh; p++ {
+		inUse, isFree := slices.Contains(s.mapping, p), slices.Contains(s.physFree, p)
+		if inUse == isFree {
+			t.Fatalf("after restore: slot %d mapped=%v free=%v", p, inUse, isFree)
+		}
+	}
+	if !slices.IsSortedFunc(s.physFree, func(a, b int64) int { return cmp.Compare(b, a) }) {
+		t.Fatalf("after restore: physFree %v not highest-first", s.physFree)
+	}
+	epochs("first epoch after a restore")
 }

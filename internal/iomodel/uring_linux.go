@@ -101,9 +101,7 @@ type uring struct {
 	nextTok  uint64
 	firstErr error
 	dropped  int
-	bufs     [][]byte // run-buffer free list, as in writeback
-	bufBytes int
-	align    int
+	bufs     wbBufs // submission buffers, as in writeback
 }
 
 // newURing sets up a ring of the given depth against the store's raw
@@ -122,17 +120,13 @@ func newURing(s *FileStore, depth uint32) (ioSubmitter, error) {
 		return nil, fmt.Errorf("iomodel: io_uring_setup: %w", errno)
 	}
 	u := &uring{
-		s:        s,
-		ringFd:   int(rfd),
-		fileFd:   int32(s.osf.Fd()),
-		depth:    p.sqEntries,
-		ops:      make(map[uint64]wbJob, p.sqEntries),
-		slots:    make(map[int64]struct{}, 4*p.sqEntries),
-		bufBytes: int(maxRunBytes),
-		align:    int(s.sector),
-	}
-	if sb := int(s.slotBytes); sb > u.bufBytes {
-		u.bufBytes = sb
+		s:      s,
+		ringFd: int(rfd),
+		fileFd: int32(s.osf.Fd()),
+		depth:  p.sqEntries,
+		ops:    make(map[uint64]wbJob, p.sqEntries),
+		slots:  make(map[int64]struct{}, 4*p.sqEntries),
+		bufs:   wbBufs{slotBytes: int(s.slotBytes), align: int(s.sector)},
 	}
 	fail := func(err error) (ioSubmitter, error) {
 		u.unmap()
@@ -191,18 +185,9 @@ func (u *uring) unmap() {
 
 // getBuf returns an n-byte run buffer, recycled from a completed job
 // when one is free. Store-goroutine only.
-func (u *uring) getBuf(n int) []byte {
-	for k := len(u.bufs); k > 0; k-- {
-		buf := u.bufs[k-1]
-		u.bufs = u.bufs[:k-1]
-		if cap(buf) >= n {
-			return buf[:n]
-		}
-	}
-	return alignedBytes(n, u.bufBytes, u.align)
-}
+func (u *uring) getBuf(n int) []byte { return u.bufs.get(n) }
 
-// submit queues one encoded run on the ring. Per-slot ordering is the
+// submit queues one run on the ring. Per-slot ordering is the
 // pool's rule verbatim: while an earlier in-flight write overlaps any
 // of the run's slots, push the queue and reap completions until it no
 // longer does. A full ring likewise waits out one completion. The SQE
@@ -214,14 +199,14 @@ func (u *uring) submit(job wbJob) {
 		// Crash-loss semantics after a failure: the job is dropped
 		// unwritten, counted, and reported at the barrier.
 		u.dropped++
-		u.bufs = append(u.bufs, job.buf[:0])
+		u.bufs.put(job.buf)
 		return
 	}
 	for u.overlaps(job.first, job.n) || uint32(len(u.ops)) >= u.depth {
 		u.waitOne()
 		if u.firstErr != nil {
 			u.dropped++
-			u.bufs = append(u.bufs, job.buf[:0])
+			u.bufs.put(job.buf)
 			return
 		}
 	}
@@ -326,7 +311,7 @@ func (u *uring) reap() {
 			}
 		}
 		if job.buf != nil {
-			u.bufs = append(u.bufs, job.buf[:0])
+			u.bufs.put(job.buf)
 		}
 	}
 	atomic.StoreUint32(u.cqHead, head)

@@ -7,13 +7,15 @@ import (
 )
 
 // writeback is the asynchronous I/O submission engine behind a
-// FileStore: a bounded pool of workers that issue the store's encoded
-// flush runs as concurrent pwrites, keeping the device queue full
-// instead of serializing every run behind the previous one's
-// completion. The store remains single-threaded — encoding happens on
-// the store's goroutine at submit time into a pool-owned buffer, so
-// workers never touch frames — and the pool provides the two ordering
-// guarantees the store's correctness needs:
+// FileStore: a bounded pool of workers that issue the store's flush
+// runs as concurrent pwrites, keeping the device queue full instead of
+// serializing every run behind the previous one's completion. It
+// exists for fds on which a pwrite waits for the device (O_DIRECT; see
+// FileStore.ConfigureSubmission for who gets one). The store remains
+// single-threaded — the frames' sealed images are copied on the store's
+// goroutine at submit time into a pool-owned buffer, so workers never
+// touch frames — and the pool provides the two ordering guarantees the
+// store's correctness needs:
 //
 //   - per-slot write ordering: submit blocks while an earlier write to
 //     any of the run's physical slots is still in flight, so two writes
@@ -36,12 +38,57 @@ type writeback struct {
 	pending  atomic.Int64       // submitted jobs not yet completed; changed under mu, read lock-free by waitSlot
 	firstErr error              // first write failure, sticky
 	dropped  int                // jobs discarded unwritten after the first failure
-	bufs     [][]byte           // run-buffer free list, recycled across jobs
-	bufBytes int                // capacity of each pooled buffer
-	align    int                // buffer base alignment (0 = none; sector under O_DIRECT)
+	bufs     wbBufs             // submission buffers, recycled across jobs
 }
 
-// wbJob is one submitted pwrite: an encoded run of n frames occupying
+// wbBufs recycles submission buffers, sized to the job: one-slot
+// buffers (the steady state is single-frame eviction write-backs) on a
+// list never longer than the jobs that can be in flight, and a few run
+// buffers that grow to the run lengths actually seen instead of each
+// being allocated at the run bound.
+type wbBufs struct {
+	slot      [][]byte // buffers of capacity slotBytes
+	runs      [][]byte // larger buffers, at most maxPooledRuns kept
+	slotBytes int
+	align     int // buffer base alignment (0 = none; sector under O_DIRECT)
+}
+
+// maxPooledRuns bounds the run buffers a wbBufs keeps between jobs
+// (each at most the store's maxRunBytes).
+const maxPooledRuns = 4
+
+// get returns an n-byte buffer, recycled when one of its class is
+// free. A pooled run buffer shorter than n is dropped for one that
+// fits, so the kept ones grow on demand.
+func (p *wbBufs) get(n int) []byte {
+	if n <= p.slotBytes {
+		if k := len(p.slot); k > 0 {
+			buf := p.slot[k-1]
+			p.slot = p.slot[:k-1]
+			return buf[:n]
+		}
+		return alignedBytes(n, p.slotBytes, p.align)
+	}
+	if k := len(p.runs); k > 0 {
+		buf := p.runs[k-1]
+		p.runs = p.runs[:k-1]
+		if cap(buf) >= n {
+			return buf[:n]
+		}
+	}
+	return alignedBytes(n, n, p.align)
+}
+
+// put takes back a buffer whose job has completed.
+func (p *wbBufs) put(buf []byte) {
+	if cap(buf) <= p.slotBytes {
+		p.slot = append(p.slot, buf[:0])
+	} else if len(p.runs) < maxPooledRuns {
+		p.runs = append(p.runs, buf[:0])
+	}
+}
+
+// wbJob is one submitted pwrite: the sealed images of n frames occupying
 // adjacent physical slots [first, first+n), at byte offset off.
 type wbJob struct {
 	buf      []byte
@@ -52,15 +99,16 @@ type wbJob struct {
 }
 
 // newWriteback starts a pool of workers issuing writes against f.
-// bufBytes is the buffer capacity per job (the store's run bound);
-// align > 0 base-aligns every pooled buffer (O_DIRECT stores).
-func newWriteback(f BlockFile, workers, bufBytes, align int) *writeback {
+// slotBytes is the store's slot stride (the size class of one-frame
+// jobs); align > 0 base-aligns every pooled buffer (O_DIRECT stores).
+func newWriteback(f BlockFile, workers, slotBytes, align int) *writeback {
 	w := &writeback{
-		f:        f,
+		f: f,
+		// Two queued jobs per worker: a worker finishing a write finds
+		// the next one waiting while the store prepares a third.
 		jobs:     make(chan wbJob, 2*workers),
 		inflight: make(map[int64]struct{}, 4*workers),
-		bufBytes: bufBytes,
-		align:    align,
+		bufs:     wbBufs{slotBytes: slotBytes, align: align},
 	}
 	w.done.L = &w.mu
 	w.wg.Add(workers)
@@ -98,7 +146,7 @@ func (w *writeback) run() {
 			delete(w.inflight, job.first+int64(i))
 		}
 		w.pending.Add(-1)
-		w.bufs = append(w.bufs, job.buf[:0])
+		w.bufs.put(job.buf)
 		w.done.Broadcast()
 		w.mu.Unlock()
 	}
@@ -108,17 +156,11 @@ func (w *writeback) run() {
 // when one is free. Store-goroutine only.
 func (w *writeback) getBuf(n int) []byte {
 	w.mu.Lock()
-	if k := len(w.bufs); k > 0 {
-		buf := w.bufs[k-1]
-		w.bufs = w.bufs[:k-1]
-		w.mu.Unlock()
-		return buf[:n]
-	}
-	w.mu.Unlock()
-	return alignedBytes(n, w.bufBytes, w.align)
+	defer w.mu.Unlock()
+	return w.bufs.get(n)
 }
 
-// submit queues one encoded run for writing. It blocks while an earlier
+// submit queues one run for writing. It blocks while an earlier
 // in-flight write overlaps any of the run's slots (per-slot ordering),
 // and while the job queue is full (backpressure). Store-goroutine only.
 func (w *writeback) submit(job wbJob) {

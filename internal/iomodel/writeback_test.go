@@ -183,8 +183,8 @@ func TestWritebackDrainDropsQueuedAfterFailure(t *testing.T) {
 	if len(w.inflight) != 0 || w.pending.Load() != 0 {
 		t.Fatalf("pool not settled after drain: inflight=%d pending=%d", len(w.inflight), w.pending.Load())
 	}
-	if len(w.bufs) != 3 {
-		t.Fatalf("buffers not recycled: %d pooled, want 3", len(w.bufs))
+	if len(w.bufs.slot) != 3 {
+		t.Fatalf("buffers not recycled: %d pooled, want 3", len(w.bufs.slot))
 	}
 }
 
@@ -239,6 +239,59 @@ func TestWritebackWaitSlotAfterSubmit(t *testing.T) {
 		t.Fatalf("pending = %d after drain", n)
 	}
 	w.waitSlot(7)
+	if err := w.shutdown(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sinkFile is a BlockFile stub that accepts every write.
+type sinkFile struct{ gateFile }
+
+func (*sinkFile) WriteAt(p []byte, off int64) (int, error) { return len(p), nil }
+
+// TestWritebackBuffersSizedToJob: a pool that only ever sees one-frame
+// jobs holds a few slot-sized buffers, not a run bound's worth per job;
+// run buffers are sized to the runs seen and capped in number.
+func TestWritebackBuffersSizedToJob(t *testing.T) {
+	const slot = 1032 // b = 64 under the packed layout
+	w := newWriteback(&sinkFile{}, 4, slot, 0)
+	pooled := func() (n int) {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		for _, b := range w.bufs.slot {
+			n += cap(b)
+		}
+		for _, b := range w.bufs.runs {
+			n += cap(b)
+		}
+		return n
+	}
+	for i := 0; i < 10000; i++ {
+		w.submit(wbJob{buf: w.getBuf(slot), off: int64(i%512) * slot, first: int64(i % 512), n: 1})
+	}
+	if err := w.drain(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pooled(); got > 64<<10 {
+		t.Fatalf("10k single-frame submits left %d bytes of pooled buffers, want <= 64 KiB", got)
+	}
+	// Runs: every length from 2 to 40 slots, each job in its own slot range.
+	for n := 2; n <= 40; n++ {
+		first := int64(n * 64)
+		w.submit(wbJob{buf: w.getBuf(n * slot), off: first * slot, first: first, n: n})
+	}
+	if err := w.drain(); err != nil {
+		t.Fatal(err)
+	}
+	if k := len(w.bufs.runs); k == 0 || k > maxPooledRuns {
+		t.Fatalf("%d run buffers pooled, want 1..%d", k, maxPooledRuns)
+	}
+	if got := pooled(); got > 64<<10+maxPooledRuns*40*slot {
+		t.Fatalf("pooled buffers hold %d bytes after runs of at most 40 slots", got)
+	}
+	if buf := w.getBuf(64 * slot); len(buf) != 64*slot {
+		t.Fatalf("run buffer did not grow on demand: len %d", len(buf))
+	}
 	if err := w.shutdown(); err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"extbuf"
@@ -181,5 +182,44 @@ func TestIOModeShardedDurable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBufferedStoreWritesInline pins what a zero WritebackWorkers
+// selects: a table whose block file goes through the page cache writes
+// inline, one whose fd really is O_DIRECT gets a submitter, and an
+// explicit worker count is honoured whatever the mode. (The fourth
+// case — a direct mode whose O_DIRECT open fell back — needs the
+// store's open hook: iomodel's TestConfigureSubmissionPolicy.)
+func TestBufferedStoreWritesInline(t *testing.T) {
+	open := func(cfg extbuf.Config) extbuf.Table {
+		t.Helper()
+		cfg.Backend, cfg.Path = "file", filepath.Join(t.TempDir(), "t.blocks")
+		tbl, err := extbuf.Open("buffered", cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { tbl.Close() })
+		return tbl
+	}
+	if extbuf.AsyncWritebackForTest(open(extbuf.Config{})) {
+		t.Error("zero Config: a buffered table built a writeback submitter")
+	}
+	if !extbuf.AsyncWritebackForTest(open(extbuf.Config{WritebackWorkers: 4})) {
+		t.Error("WritebackWorkers: 4 under buffered I/O built no submitter")
+	}
+	if extbuf.AsyncWritebackForTest(open(extbuf.Config{IOMode: "odirect", WritebackWorkers: 1})) {
+		t.Error("WritebackWorkers: 1 under odirect built a submitter")
+	}
+	direct := open(extbuf.Config{IOMode: "odirect"})
+	switch {
+	case direct.StoreStats().DirectIO == 0:
+		if extbuf.AsyncWritebackForTest(direct) {
+			t.Error("odirect fell back to a buffered fd but built a submitter")
+		}
+	case runtime.GOMAXPROCS(0) > 1:
+		if !extbuf.AsyncWritebackForTest(direct) {
+			t.Error("IOMode odirect on a filesystem that grants it built no submitter")
+		}
 	}
 }
