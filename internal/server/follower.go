@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"extbuf"
 	"extbuf/internal/wal"
 	"extbuf/internal/wire"
 )
@@ -21,20 +22,33 @@ import (
 // replication itself after a promotion. The loop reconnects on any
 // error until Stop (or promotion) ends it.
 //
+// Replay is a two-stage pipeline, the shape a connection's applier has.
+// Stage one, the stream reader (read, start), cuts each REPLBATCH frame
+// into runs of same-op records and starts every run on the engine
+// without waiting for it; stage two (finish) takes the frames oldest
+// first — waits for the runs, appends them to the ship log, acknowledges
+// — with at most applyRing frames between the two. So a stream that
+// arrives shard by shard (the primary's workers ship their own shares)
+// still keeps every shard worker busy. What the overlap may not change
+// is stated where the code decides it: start (order), finish
+// (apply-then-append, acks, failure), stream (drain). DESIGN.md §2a.
+//
 // Replay has two regimes, split at the catch-up horizon: the primary's
 // applied LSN when this stream connected. Nothing above it can have
 // reached this node before, so those records replay exactly as the
 // primary ran them — an INSERT as an insert, at the structure's
 // buffered o(1) cost. At or below it a record may be one this node
 // already applied — a crash can lose the ship log's tail but not the
-// engine's, and the engine is then ahead of the position we subscribe
-// from — so there inserts replay as upserts, idempotent by the same
-// rule recovery uses (durable.go replayRecords), and converge instead
-// of leaving a second copy.
+// engine's, a stream can break with runs started and not yet appended,
+// and either way the engine is ahead of the position we subscribe from
+// — so there inserts replay as upserts, idempotent by the same rule
+// recovery uses (durable.go replayRecords), and converge instead of
+// leaving a second copy.
 type Follower struct {
-	srv  *Server
-	addr string
-	logf func(string, ...any)
+	srv     *Server
+	starter replayStarter // engine, when it can start a non-shipping batch; else nil
+	addr    string
+	logf    func(string, ...any)
 
 	mu      sync.Mutex
 	nc      net.Conn
@@ -47,13 +61,40 @@ type Follower struct {
 	// goroutine.
 	catchUp uint64
 
-	// replay scratch, reused across batches.
+	// free holds the applyRing frame slots no stage is using: the reader
+	// blocks on it when that many frames are outstanding.
+	free chan *replayFrame
+
+	// The reader's scratch, reused across frames.
 	recs  []wire.ReplRec
-	keys  []uint64
-	vals  []uint64
-	found []bool
 	pay   []byte
 	frame []byte
+}
+
+// replayStarter is the engine capability replay pipelines on
+// (extbuf.Sharded.StartBatchNoShip). Like batchStarter it is optional: an
+// engine without it is replayed through the same frames by calls that
+// are complete when they return.
+type replayStarter interface {
+	StartBatchNoShip(op extbuf.BatchOp, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error)
+}
+
+// replayRun is one engine call of a frame: a run of consecutive same-op
+// records, its operands slices of the frame's backing.
+type replayRun struct {
+	op         wal.Op
+	keys, vals []uint64
+	h          *extbuf.BatchCall // non-nil while the engine is applying the run
+	err        error             // of a run that completed (or was refused) at submission
+}
+
+// replayFrame is one slot of the replay ring: one REPLBATCH frame as the
+// runs started for it, and the operand and result backing the engine
+// uses from start until finish. A heartbeat is a frame without runs.
+type replayFrame struct {
+	runs       []replayRun
+	keys, vals []uint64
+	found      []bool
 }
 
 // Follow starts replaying from the primary at addr. The server must
@@ -62,7 +103,12 @@ func (s *Server) Follow(addr string) (*Follower, error) {
 	if s.repl == nil {
 		return nil, errors.New("server: replication is not enabled")
 	}
-	f := &Follower{srv: s, addr: addr, logf: s.logf, done: make(chan struct{})}
+	f := &Follower{srv: s, addr: addr, logf: s.logf, done: make(chan struct{}),
+		free: make(chan *replayFrame, applyRing)}
+	f.starter, _ = s.engine.(replayStarter)
+	for i := 0; i < applyRing; i++ {
+		f.free <- new(replayFrame)
+	}
 	s.mu.Lock()
 	if s.follower != nil {
 		s.mu.Unlock()
@@ -136,7 +182,16 @@ func (f *Follower) primaryInfo(nc net.Conn, r *wire.Reader) (wire.Info, error) {
 
 // stream runs one connection's worth of replication: learn the
 // primary's applied LSN (the catch-up horizon), subscribe from our own
-// applied horizon, then replay batches until the stream breaks.
+// applied horizon, then run the two replay stages until the stream
+// breaks.
+//
+// However it ends — Stop, Promote, CloseRepl, a dead primary, an error in
+// either stage — stream returns only after finish has taken every frame
+// the reader started: every started run waited for and, unless one
+// failed, appended; only the acks are skipped. So when Stop returns the
+// ship log covers exactly what replication applied to the engine (a
+// promoted node sources its own state) and nothing is still writing the
+// log CloseRepl is about to close.
 func (f *Follower) stream() error {
 	nc, err := net.DialTimeout("tcp", f.addr, 3*time.Second)
 	if err != nil {
@@ -153,7 +208,7 @@ func (f *Follower) stream() error {
 	if err != nil {
 		return err
 	}
-	from := repl.ship.NextLSN()
+	from := repl.ship.NextLSN() // no frame outlives its stream: the log's end is where this one starts
 	f.catchUp = info.AppliedLSN
 	if from-1 > info.AppliedLSN {
 		// Our log is longer than the primary's: the two disagree about
@@ -169,13 +224,29 @@ func (f *Follower) stream() error {
 	if _, err := nc.Write(f.frame); err != nil {
 		return err
 	}
+	// Sized to the ring: the reader blocks on a free slot, never here.
+	started := make(chan *replayFrame, applyRing)
+	finished := make(chan error, 1)
+	go func() { finished <- f.finish(nc, started) }()
+	err = f.read(nc, r, from, started)
+	close(started)
+	if ferr := <-finished; ferr != nil {
+		err = ferr // finish closed the connection under the reader: the cause
+	}
+	return err
+}
+
+// read is stage one: it decodes REPLBATCH frames, checks each against
+// next — the LSN of the first record not yet started; the ship log's end
+// trails it by the ring — and starts them, until the stream breaks.
+func (f *Follower) read(nc net.Conn, r *wire.Reader, next uint64, started chan<- *replayFrame) error {
+	repl := f.srv.repl
 	// The primary heartbeats idle streams; a silent connection for many
 	// heartbeat intervals means the primary (or the path to it) is dead.
 	readTimeout := 10 * repl.heartbeat
 	if readTimeout < 5*time.Second {
 		readTimeout = 5 * time.Second
 	}
-	lastSync := time.Now()
 	for {
 		nc.SetReadDeadline(time.Now().Add(readTimeout))
 		fr, err := r.Next()
@@ -192,7 +263,6 @@ func (f *Follower) stream() error {
 			if err := repl.adoptEpoch(epoch); err != nil {
 				return err
 			}
-			next := repl.ship.NextLSN()
 			if firstLSN > next {
 				return fmt.Errorf("replication gap: batch starts at lsn %d, applied through %d",
 					firstLSN, next-1)
@@ -206,41 +276,13 @@ func (f *Follower) stream() error {
 					batch = batch[skip:]
 				}
 			}
-			if len(batch) > 0 {
-				if err := f.apply(next, batch); err != nil {
-					return err
-				}
-				repl.addReplayed()
-			}
-			// Acknowledge the applied horizon — heartbeats too, so a
-			// primary that just connected us learns our position.
-			f.pay = wire.AppendLSN(f.pay[:0], repl.ship.NextLSN()-1)
-			f.frame = wire.AppendFrame(f.frame[:0], wire.OpReplAck, 1, f.pay)
-			if _, err := nc.Write(f.frame); err != nil {
-				return err
-			}
-			// Periodic local durability, off the ack path: semi-sync acks
-			// promise the follower APPLIED the ops; this bounds how much
-			// a crashed follower re-replays. With ShipRetain set, the
-			// just-synced engine now durably covers everything below the
-			// retained window, so this is also the safe point to drop the
-			// ship log's prefix and bound the replica's disk footprint.
-			if f.srv.durable && time.Since(lastSync) > repl.syncEvery {
-				if err := f.srv.engine.Sync(); err != nil {
-					return err
-				}
-				if err := repl.ship.Fsync(); err != nil {
-					return err
-				}
-				if retain := uint64(repl.shipRetain); retain > 0 {
-					if next := repl.ship.NextLSN(); next > retain {
-						if err := repl.ship.TruncateBefore(next - retain); err != nil {
-							return err
-						}
-					}
-				}
-				lastSync = time.Now()
-			}
+			// Heartbeats take a slot too: their ack tells a primary that just
+			// connected us our position, in order behind the frames ahead.
+			slot := <-f.free
+			f.start(slot, next, batch)
+			repl.replayInflight.Add(1)
+			started <- slot
+			next += uint64(len(batch))
 		case wire.OpErr:
 			return fmt.Errorf("primary rejected subscription: %s", fr.Payload)
 		default:
@@ -249,29 +291,39 @@ func (f *Follower) stream() error {
 	}
 }
 
-// apply replays one batch whose first record has LSN first: engine
-// first (so the applied horizon the ship log advertises never runs ahead
-// of readable state), then the ship log, in runs of consecutive same-op
-// records so the engine sees batch calls, not single ops. A run of
-// inserts is cut at the catch-up horizon: upserts up to it, inserts
-// beyond.
+// start cuts batch, whose first record has LSN first, into runs of
+// consecutive same-op records — so the engine sees batch calls, not
+// single ops; a run of inserts is also cut at the catch-up horizon,
+// upserts up to it, inserts beyond — and starts each on the engine,
+// leaving them outstanding in slot.
+//
+// This one goroutine starts every run, in stream order, on the engine's
+// FIFO shard queues: per key, apply order is the primary's whichever
+// runs are in flight together, and a live insert costs what the primary
+// paid for it.
 //
 // The replay deliberately does NOT go through the engine's ship seam
-// (the *BatchShip variants): the seam lets shard workers interleave a
-// batch's records into the log in apply order, which on the PRIMARY is
-// what creates the total order — but a follower must reproduce the
-// primary's log POSITION-IDENTICALLY, because LSNs are positions:
-// chained subscribers (a follower serving REPL_SUBSCRIBE from this very
-// log) and read tokens both address records by LSN, and a permuted copy
-// would hand them different records under the same LSNs. Stream-order
-// apply-then-append by this single goroutine preserves both the total
-// order (it IS the primary's order) and the positions.
-func (f *Follower) apply(first uint64, batch []wire.ReplRec) error {
+// (the *BatchShip variants, StartBatch): the seam lets shard workers
+// interleave a batch's records into the log in apply order, which on the
+// PRIMARY is what creates the total order — but a follower must
+// reproduce the primary's log POSITION-IDENTICALLY, because LSNs are
+// positions: chained subscribers and read tokens both address records
+// by LSN. So the runs do not ship, and finish appends them in the order
+// they were started here.
+func (f *Follower) start(slot *replayFrame, first uint64, batch []wire.ReplRec) {
 	repl := f.srv.repl
-	for i := 0; i < len(batch); {
+	n := len(batch)
+	slot.keys, slot.vals = growTo(slot.keys, n)[:0], growTo(slot.vals, n)[:0]
+	slot.found = growTo(slot.found, n)
+	for _, rec := range batch {
+		slot.keys = append(slot.keys, rec.Key)
+		slot.vals = append(slot.vals, rec.Val)
+	}
+	slot.runs = slot.runs[:0]
+	for i := 0; i < n; {
 		op := wal.Op(batch[i].Op)
 		j := i + 1
-		for j < len(batch) && wal.Op(batch[j].Op) == op {
+		for j < n && wal.Op(batch[j].Op) == op {
 			j++
 		}
 		lsn := first + uint64(i)
@@ -283,44 +335,153 @@ func (f *Follower) apply(first uint64, batch []wire.ReplRec) error {
 				j = i + int(below)
 			}
 		}
-		run := batch[i:j]
-		f.keys = f.keys[:0]
-		f.vals = f.vals[:0]
-		for _, rec := range run {
-			f.keys = append(f.keys, rec.Key)
-			f.vals = append(f.vals, rec.Val)
+		// Below the horizon an insert replays as an upsert; the ship log
+		// still gets the record as the primary wrote it.
+		as := op
+		if op == wal.OpInsert && !live {
+			as = wal.OpUpsert
 		}
-		var err error
-		switch op {
+		switch as {
 		case wal.OpInsert:
-			if live {
-				err = f.srv.engine.InsertBatch(f.keys, f.vals)
-				repl.replayInserts.Add(int64(len(run)))
-				break
-			}
-			fallthrough
+			repl.replayInserts.Add(int64(j - i))
 		case wal.OpUpsert:
-			err = f.srv.engine.UpsertBatch(f.keys, f.vals)
-			repl.replayUpserts.Add(int64(len(run)))
-		case wal.OpDelete:
-			f.found = growTo(f.found, len(f.keys))
-			err = f.srv.engine.DeleteBatchInto(f.keys, f.found[:len(f.keys)])
-		case wal.OpExpire:
-			// Deadlines ride the value field. Non-ship variant: the
-			// stream-order append below adds the record to our own ship
-			// log at the primary's position; the engine seam must not.
-			f.found = growTo(f.found, len(f.keys))
-			err = f.srv.engine.ExpireBatch(f.keys, f.vals, f.found[:len(f.keys)])
-		default:
-			err = fmt.Errorf("replicated record with unknown op %d", op)
+			repl.replayUpserts.Add(int64(j - i))
 		}
-		if err != nil {
-			return err
-		}
-		if _, err := repl.ship.Append(op, f.keys, f.vals); err != nil {
-			return err
-		}
+		run := replayRun{op: op, keys: slot.keys[i:j], vals: slot.vals[i:j]}
+		run.h, run.err = f.apply(as, run.keys, run.vals, slot.found[i:j])
+		slot.runs = append(slot.runs, run)
 		i = j
+	}
+}
+
+// apply starts one run on the engine, replayed as the given op. A run
+// that cannot be started — an expiry, or any run on an engine without
+// the capability — is applied by the synchronous call right here, which
+// on a sharded engine queues behind everything started before it, and
+// is complete on return (nil handle), its outcome the returned error.
+func (f *Follower) apply(as wal.Op, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
+	eng, st := f.srv.engine, f.starter
+	if st == nil || as == wal.OpExpire {
+		f.srv.repl.replaySyncRuns.Add(1)
+	}
+	switch as {
+	case wal.OpInsert:
+		if st != nil {
+			return st.StartBatchNoShip(extbuf.BatchInsert, keys, vals, found)
+		}
+		return nil, eng.InsertBatch(keys, vals)
+	case wal.OpUpsert:
+		if st != nil {
+			return st.StartBatchNoShip(extbuf.BatchUpsert, keys, vals, found)
+		}
+		return nil, eng.UpsertBatch(keys, vals)
+	case wal.OpDelete:
+		if st != nil {
+			return st.StartBatchNoShip(extbuf.BatchDelete, keys, vals, found)
+		}
+		return nil, eng.DeleteBatchInto(keys, found)
+	case wal.OpExpire:
+		// Deadlines ride the value field; ExpireBatch is the non-shipping
+		// form, and the engine has no started one.
+		return nil, eng.ExpireBatch(keys, vals, found)
+	}
+	return nil, fmt.Errorf("replicated record with unknown op %d", as)
+}
+
+// finish is stage two: it takes the started frames oldest first and, for
+// each, waits for every run, appends the runs to the ship log, sends one
+// REPL_ACK and runs the periodic local sync, until started is closed and
+// drained. It returns the error that ended the stream, if it met it.
+//
+// Apply-then-append: a record enters the ship log only after its run and
+// every run started before it completed, so the applied horizon the log
+// advertises (NextLSN()-1: what LOOKUP_AT waits for and chained
+// subscribers read up to) never runs ahead of the engine's state; and
+// the appends are made in start order, so the log is the primary's
+// position by position. Only the waits overlap. An ack names the log's
+// end when it is written and this one goroutine writes them all: acks
+// name only appended LSNs and leave in order.
+//
+// When a run (or an append) fails, nothing at or after it is appended —
+// the log cannot skip a position — yet every later handle is still
+// waited for, exactly once, as the frames drain. That leaves the engine
+// ahead of the log by at most the ring: what a crash between apply and
+// append also leaves, and what the next stream's catch-up horizon
+// replays idempotently. Any error here ends the stream: finish closes
+// the connection, which stops the reader, and from then on sends no acks
+// and runs no syncs — but still appends what applied.
+func (f *Follower) finish(nc net.Conn, started <-chan *replayFrame) error {
+	repl := f.srv.repl
+	var (
+		broken     error // a run or an append failed: the log ends before it
+		ended      error // why the stream is over, once it is
+		pay, frame []byte
+	)
+	lastSync := time.Now()
+	for slot := range started {
+		waitFrom := time.Now()
+		for i := range slot.runs {
+			if run := &slot.runs[i]; run.h != nil {
+				_, run.err = run.h.Wait()
+				run.h = nil
+			}
+		}
+		now := time.Now()
+		repl.replayWaitNs.Add(int64(now.Sub(waitFrom)))
+		records := 0
+		for i := 0; i < len(slot.runs) && broken == nil; i++ {
+			run := &slot.runs[i]
+			if broken = run.err; broken == nil {
+				_, broken = repl.ship.Append(run.op, run.keys, run.vals)
+			}
+			if broken == nil {
+				records += len(run.keys)
+			}
+		}
+		if records > 0 {
+			repl.replayRecords.Add(int64(records))
+			repl.addReplayed()
+		}
+		f.free <- slot
+		repl.replayInflight.Add(-1)
+		if ended != nil {
+			continue
+		}
+		if ended = broken; ended == nil {
+			// Acknowledge the applied horizon.
+			pay = wire.AppendLSN(pay[:0], repl.ship.NextLSN()-1)
+			frame = wire.AppendFrame(frame[:0], wire.OpReplAck, 1, pay)
+			_, ended = nc.Write(frame)
+		}
+		if ended == nil && f.srv.durable && now.Sub(lastSync) > repl.syncEvery {
+			ended = f.syncLocal()
+			lastSync = time.Now()
+		}
+		if ended != nil {
+			nc.Close()
+		}
+	}
+	return ended
+}
+
+// syncLocal is the follower's periodic local durability, off the ack
+// path: semi-sync acks promise the follower APPLIED the ops; this bounds
+// how much a crashed follower re-replays. The engine's Sync queues behind
+// every run started so far — more than the log holds — so engine-durable
+// covers what the fsync then makes ship-durable, and with ShipRetain set
+// this is the safe point to drop the ship log's prefix.
+func (f *Follower) syncLocal() error {
+	repl := f.srv.repl
+	if err := f.srv.engine.Sync(); err != nil {
+		return err
+	}
+	if err := repl.ship.Fsync(); err != nil {
+		return err
+	}
+	if retain := uint64(repl.shipRetain); retain > 0 {
+		if next := repl.ship.NextLSN(); next > retain {
+			return repl.ship.TruncateBefore(next - retain)
+		}
 	}
 	return nil
 }

@@ -26,6 +26,11 @@ func metric(buf *bytes.Buffer, name, typ, help string, v int64) {
 	fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s %s\n%s %d\n", name, help, name, typ, name, v)
 }
 
+// seconds emits a counter of elapsed time that is kept in nanoseconds.
+func seconds(buf *bytes.Buffer, name, help string, ns int64) {
+	fmt.Fprintf(buf, "# HELP %s %s\n# TYPE %s counter\n%s %.6f\n", name, help, name, name, float64(ns)/1e9)
+}
+
 func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	ops := s.engine.Stats()
 	st := s.engine.StoreStats()
@@ -83,12 +88,18 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_repl_follower_lag", "gauge", "Slowest subscribed follower's LSN lag.", repl.FollowerLag)
 	metric(buf, "extbuf_repl_frames_shipped_total", "counter", "Replication batches sent to followers.", repl.FramesShipped)
 	metric(buf, "extbuf_repl_frames_replayed_total", "counter", "Replication batches applied as a follower.", repl.FramesReplayed)
-	var replayInserts, replayUpserts int64
-	if s.repl != nil {
-		replayInserts, replayUpserts = s.repl.replayInserts.Load(), s.repl.replayUpserts.Load()
+	// The follower's replay pipeline: wait seconds per second near 1 means
+	// the replica is engine-bound, near 0 that the stream starves it.
+	r := s.repl
+	if r == nil {
+		r = new(replState)
 	}
-	metric(buf, "extbuf_repl_replay_inserts_total", "counter", "Records replayed as inserts (live region, above the catch-up horizon).", replayInserts)
-	metric(buf, "extbuf_repl_replay_upserts_total", "counter", "Insert and upsert records replayed as idempotent upserts.", replayUpserts)
+	metric(buf, "extbuf_repl_replay_inserts_total", "counter", "Records replayed as inserts (live region, above the catch-up horizon).", r.replayInserts.Load())
+	metric(buf, "extbuf_repl_replay_upserts_total", "counter", "Insert and upsert records replayed as idempotent upserts.", r.replayUpserts.Load())
+	metric(buf, "extbuf_repl_replay_records_total", "counter", "Records replayed into the engine and appended to this node's ship log.", r.replayRecords.Load())
+	metric(buf, "extbuf_repl_replay_inflight_frames", "gauge", "Replication batches started on the engine and not yet appended.", r.replayInflight.Load())
+	seconds(buf, "extbuf_repl_replay_wait_seconds_total", "Time replay's finishing stage spent waiting for started engine calls.", r.replayWaitNs.Load())
+	metric(buf, "extbuf_repl_replay_sync_runs_total", "counter", "Replayed runs applied by a synchronous engine call (expiries; engines that cannot start a batch).", r.replaySyncRuns.Load())
 
 	writable := int64(0)
 	if s.writableNow() {

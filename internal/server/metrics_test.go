@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -94,6 +95,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		"extbuf_engine_calls_outstanding":  "0",
 		"extbuf_repl_replay_inserts_total": "0",
 		"extbuf_repl_replay_upserts_total": "0",
+		// A node that replays nothing still exposes the pipeline's families.
+		"extbuf_repl_replay_records_total":      "0",
+		"extbuf_repl_replay_inflight_frames":    "0",
+		"extbuf_repl_replay_wait_seconds_total": "0.000000",
+		"extbuf_repl_replay_sync_runs_total":    "0",
 	} {
 		if samples[name] != want {
 			t.Fatalf("%s = %q, want %s", name, samples[name], want)
@@ -105,5 +111,95 @@ func TestMetricsEndpoint(t *testing.T) {
 		if _, ok := samples[want]; !ok {
 			t.Fatalf("metric %s missing from exposition", want)
 		}
+	}
+}
+
+// scrape renders srv's exposition and returns its samples by name.
+func scrape(t *testing.T, srv *server.Server) map[string]string {
+	t.Helper()
+	rec := httptest.NewRecorder()
+	srv.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	samples := make(map[string]string)
+	for _, line := range strings.Split(rec.Body.String(), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			samples[f[0]] = f[1]
+		}
+	}
+	return samples
+}
+
+// TestMetricsReplayPipeline reads the replay pipeline's counters off a
+// follower that is stopped (promoted) while the primary is still being
+// written: every record it appended was counted, the one expiry in the
+// stream was the only run applied synchronously, and the in-flight gauge
+// is back at 0 — Stop leaves no frame started and unfinished.
+func TestMetricsReplayPipeline(t *testing.T) {
+	primary := startReplNode(t, "", 0, 0)
+	defer primary.stop(t)
+	follower := startReplNode(t, primary.addr, 0, 0)
+	defer follower.stop(t)
+	if _, err := follower.srv.Follow(primary.addr); err != nil {
+		t.Fatal(err)
+	}
+	cl := dialNode(t, primary.addr)
+	ctx := context.Background()
+	if _, err := cl.Upsert(ctx, []uint64{1}, []uint64{1}); err != nil {
+		t.Fatal(err)
+	}
+	_, tok, err := cl.Expire(ctx, []uint64{1}, []uint64{1 << 62})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fc := dialNode(t, follower.addr)
+	if _, _, err := fc.Lookup(ctx, []uint64{1}, tok); err != nil {
+		t.Fatal(err)
+	}
+
+	writerDone := make(chan error, 1)
+	stop := make(chan struct{})
+	go func() {
+		keys, vals := make([]uint64, 64), make([]uint64, 64)
+		for i := uint64(0); ; i++ {
+			select {
+			case <-stop:
+				writerDone <- nil
+				return
+			default:
+			}
+			for j := range keys {
+				keys[j], vals[j] = 100+i*64+uint64(j), i
+			}
+			if _, err := cl.Upsert(ctx, keys, vals); err != nil {
+				writerDone <- err
+				return
+			}
+		}
+	}()
+	waitUntil(t, "the follower replaying the writer's stream", func() bool {
+		info, _ := follower.srv.Info()
+		return info.AppliedLSN > 1000
+	})
+	info, err := follower.srv.Promote()
+	close(stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-writerDone; err != nil {
+		t.Fatal(err)
+	}
+
+	m := scrape(t, follower.srv)
+	if got, want := m["extbuf_repl_replay_records_total"], strconv.FormatUint(info.AppliedLSN, 10); got != want {
+		t.Fatalf("extbuf_repl_replay_records_total = %s, want the applied lsn %s", got, want)
+	}
+	if m["extbuf_repl_replay_inflight_frames"] != "0" {
+		t.Fatalf("extbuf_repl_replay_inflight_frames = %s after Stop, want 0", m["extbuf_repl_replay_inflight_frames"])
+	}
+	if m["extbuf_repl_replay_sync_runs_total"] != "1" {
+		t.Fatalf("extbuf_repl_replay_sync_runs_total = %s, want 1 (the expiry)", m["extbuf_repl_replay_sync_runs_total"])
+	}
+	if w, err := strconv.ParseFloat(m["extbuf_repl_replay_wait_seconds_total"], 64); err != nil || w <= 0 {
+		t.Fatalf("extbuf_repl_replay_wait_seconds_total = %q (%v), want a positive number of seconds",
+			m["extbuf_repl_replay_wait_seconds_total"], err)
 	}
 }

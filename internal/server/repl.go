@@ -86,7 +86,8 @@ type replState struct {
 	writable bool
 	follower bool             // role for INFO: started with Follow
 	subs     map[*conn]uint64 // subscribed follower conns -> acked LSN
-	ackCh    chan struct{}    // closed+replaced when subs/acks change
+	ackCh    chan struct{}    // closed+replaced when subs/acks change under a waiter
+	ackWait  bool             // a waitFollowers call has taken ackCh since it was made
 	shipped  int64            // REPLBATCH frames sent
 	replayed int64            // REPLBATCH frames applied (follower)
 
@@ -94,6 +95,15 @@ type replState struct {
 	// (above the catch-up horizon) and as upserts (everything else).
 	replayInserts atomic.Int64
 	replayUpserts atomic.Int64
+
+	// The replay pipeline (Follower): records appended after replay,
+	// frames started and not yet finished, nanoseconds the finishing stage
+	// spent waiting for started runs, and runs that were applied by a
+	// synchronous call instead of started.
+	replayRecords  atomic.Int64
+	replayInflight atomic.Int64
+	replayWaitNs   atomic.Int64
+	replaySyncRuns atomic.Int64
 }
 
 // openRepl builds the replication state: open (or recover) the ship
@@ -237,10 +247,14 @@ func (r *replState) ackFrom(c *conn, lsn uint64) {
 	r.mu.Unlock()
 }
 
-// bumpAckLocked rotates the ack notification channel (callers hold mu).
+// bumpAckLocked wakes the semi-sync waiters by rotating the ack
+// notification channel, if one of them has taken it (callers hold mu).
 func (r *replState) bumpAckLocked() {
-	close(r.ackCh)
-	r.ackCh = make(chan struct{})
+	if r.ackWait {
+		close(r.ackCh)
+		r.ackCh = make(chan struct{})
+		r.ackWait = false
+	}
 }
 
 // ackedBy counts followers that have confirmed applying lsn.
@@ -286,6 +300,7 @@ func (r *replState) waitFollowers(lsn uint64) error {
 		}
 		r.mu.Lock()
 		ch := r.ackCh
+		r.ackWait = true
 		r.mu.Unlock()
 		if r.ackedBy(lsn) >= r.syncN {
 			return nil

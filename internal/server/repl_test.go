@@ -27,24 +27,36 @@ type replNode struct {
 // throughout so tests run fast.
 func startReplNode(t testing.TB, follow string, syncFollowers int, syncTimeout time.Duration) *replNode {
 	t.Helper()
+	return startReplNodeOn(t, follow, nil, func(rc *server.ReplConfig) {
+		rc.SyncFollowers, rc.SyncTimeout = syncFollowers, syncTimeout
+	})
+}
+
+// startReplNodeOn is startReplNode serving wrap's engine around the
+// node's Sharded (nil: the Sharded itself), with mut's changes to the
+// replication config.
+func startReplNodeOn(t testing.TB, follow string, wrap func(*extbuf.Sharded) server.Engine, mut func(*server.ReplConfig)) *replNode {
+	t.Helper()
 	dir := t.TempDir()
 	eng, err := extbuf.NewSharded("buffered", extbuf.Config{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := server.NewServer(server.Config{
-		Engine: eng,
-		Logf:   t.Logf,
-		Repl: &server.ReplConfig{
-			ShipPath:      filepath.Join(dir, "ship.log"),
-			StatePath:     filepath.Join(dir, "repl.state"),
-			Follow:        follow,
-			SyncFollowers: syncFollowers,
-			SyncTimeout:   syncTimeout,
-			Heartbeat:     50 * time.Millisecond,
-			TokenWait:     300 * time.Millisecond,
-		},
-	})
+	var served server.Engine = eng
+	if wrap != nil {
+		served = wrap(eng)
+	}
+	rc := &server.ReplConfig{
+		ShipPath:  filepath.Join(dir, "ship.log"),
+		StatePath: filepath.Join(dir, "repl.state"),
+		Follow:    follow,
+		Heartbeat: 50 * time.Millisecond,
+		TokenWait: 300 * time.Millisecond,
+	}
+	if mut != nil {
+		mut(rc)
+	}
+	srv, err := server.NewServer(server.Config{Engine: served, Logf: t.Logf, Repl: rc})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -546,5 +558,118 @@ func BenchmarkFollowerApply(b *testing.B) {
 	}
 	caughtUp()
 	b.StopTimer()
+	b.ReportMetric(float64(follower.eng.Stats().IOs()-base.IOs())/float64(b.N), "ios/op")
+}
+
+// BenchmarkFollowerApplyMixed is replay of the end-to-end benchmark's
+// write stream: two connections each keep 8 requests of 128 operations
+// in flight against a primary, cycling INSERT a fresh block, UPSERT it,
+// DELETE it, while a follower tails the ship log over loopback; the
+// clock stops when the follower has applied the last record. The
+// primary's shard workers ship their own shares, so the stream reaches
+// the follower as short runs of alternating kinds that mostly name one
+// shard each — the shape replay has to keep both of its shards busy on.
+// One iteration is one request; records/s is what the follower replayed
+// per second and ios/op the model I/Os its table spent per request.
+func BenchmarkFollowerApplyMixed(b *testing.B) {
+	primary := startReplNode(b, "", 0, 0)
+	defer primary.stop(b)
+	follower := startReplNode(b, primary.addr, 0, 0)
+	defer follower.stop(b)
+	if _, err := follower.srv.Follow(primary.addr); err != nil {
+		b.Fatal(err)
+	}
+	const conns, batch, depth = 2, 128, 8
+	ctx := context.Background()
+	var cls [conns]*client.Client
+	for w := range cls {
+		cl, err := client.Dial(primary.addr, client.Options{Conns: 1, Pipeline: depth})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cl.Close()
+		cls[w] = cl
+	}
+	// One record to bring the stream up, so every timed one is replayed
+	// in the live region.
+	if _, err := cls[0].Insert(ctx, []uint64{1}, []uint64{1}); err != nil {
+		b.Fatal(err)
+	}
+	caughtUp := func() {
+		info, _ := primary.srv.Info()
+		for {
+			if f, _ := follower.srv.Info(); f.AppliedLSN >= info.AppliedLSN {
+				return
+			}
+			time.Sleep(50 * time.Microsecond)
+		}
+	}
+	caughtUp()
+
+	base := follower.eng.Stats()
+	before, _ := follower.srv.Info()
+	b.ReportAllocs()
+	b.ResetTimer()
+	errs := make(chan error, conns)
+	for w := 0; w < conns; w++ {
+		go func(w int) {
+			cl := cls[w]
+			var keys, vals [depth][]uint64
+			for i := range keys {
+				keys[i], vals[i] = make([]uint64, batch), make([]uint64, batch)
+			}
+			var pendings [depth]*client.Pending
+			// A DELETE is answered with FOUNDS, the others with ACK.
+			var deletes [depth]bool
+			wait := func(slot int) error {
+				switch p := pendings[slot]; {
+				case p == nil:
+					return nil
+				case deletes[slot]:
+					_, err := p.Deleted(ctx)
+					return err
+				default:
+					return p.Wait(ctx)
+				}
+			}
+			var err error
+			// Connection w sends requests w, w+conns, ...: its i-th is step
+			// i%3 of the cycle on its block i/3.
+			for i := 0; w+i*conns < b.N && err == nil; i++ {
+				slot := i % depth
+				if err = wait(slot); err != nil {
+					break
+				}
+				for j := range keys[slot] {
+					keys[slot][j] = uint64(w+1)<<40 | uint64(i/3*batch+j)
+					vals[slot][j] = uint64(i)
+				}
+				deletes[slot] = i%3 == 2
+				switch i % 3 {
+				case 0:
+					pendings[slot], err = cl.GoInsert(keys[slot], vals[slot])
+				case 1:
+					pendings[slot], err = cl.GoUpsert(keys[slot], vals[slot])
+				case 2:
+					pendings[slot], err = cl.GoDelete(keys[slot])
+				}
+			}
+			for slot := range pendings {
+				if err == nil {
+					err = wait(slot)
+				}
+			}
+			errs <- err
+		}(w)
+	}
+	for w := 0; w < conns; w++ {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+	}
+	caughtUp()
+	b.StopTimer()
+	after, _ := follower.srv.Info()
+	b.ReportMetric(float64(after.AppliedLSN-before.AppliedLSN)/b.Elapsed().Seconds(), "records/s")
 	b.ReportMetric(float64(follower.eng.Stats().IOs()-base.IOs())/float64(b.N), "ios/op")
 }

@@ -40,7 +40,8 @@ type ShipLog struct {
 	path string
 
 	mu       sync.Mutex    // serializes appends, truncation and notify rotation
-	notify   chan struct{} // closed and replaced on every append
+	notify   chan struct{} // closed and replaced by the first append after Changed handed it out
+	watched  bool          // Changed has handed notify out since it was made
 	prealloc int64         // file extent reserved ahead of size
 
 	size  atomic.Int64  // committed bytes (header + records)
@@ -137,10 +138,13 @@ func (s *ShipLog) StartLSN() uint64 { return s.start.Load() }
 // Changed returns a channel that is closed once records are appended
 // after this call. The standard tail-follow loop is: read; if nothing
 // new, grab Changed(), re-check NextLSN (an append may have raced the
-// grab), then select on the channel.
+// grab), then select on the channel. Taking the channel is what makes
+// the next append rotate it: a log nobody is waiting on appends without
+// allocating one.
 func (s *ShipLog) Changed() <-chan struct{} {
 	s.mu.Lock()
 	ch := s.notify
+	s.watched = true
 	s.mu.Unlock()
 	return ch
 }
@@ -183,11 +187,14 @@ func (s *ShipLog) Append(op Op, keys, vals []uint64) (uint64, error) {
 	}
 	s.dirty.Store(true)
 	// Publish: size first (readers gate on it), then the LSN, then wake
-	// tail followers by rotating the notification channel.
+	// tail followers by rotating the notification channel, if any took it.
 	s.size.Store(size + int64(len(buf)))
 	s.next.Store(lsn)
-	close(s.notify)
-	s.notify = make(chan struct{})
+	if s.watched {
+		close(s.notify)
+		s.notify = make(chan struct{})
+		s.watched = false
+	}
 	return first, nil
 }
 

@@ -345,6 +345,48 @@ func TestShipConcurrentTailFollow(t *testing.T) {
 	wg.Wait()
 }
 
+// TestShipAppendRotatesOnlyForWaiters: an append wakes tail followers by
+// closing and replacing the notification channel, and pays for a new
+// channel only when someone took the current one. A log nobody follows
+// appends without allocating; a channel taken before an append — the
+// window between the grab and the select in the tail-follow protocol —
+// is closed by it; and one taken after it is not.
+func TestShipAppendRotatesOnlyForWaiters(t *testing.T) {
+	s, err := OpenShip(filepath.Join(t.TempDir(), "ship"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys, vals := []uint64{1, 2, 3, 4}, []uint64{5, 6, 7, 8}
+	appendOnce := func() {
+		if _, err := s.Append(OpUpsert, keys, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if allocs := testing.AllocsPerRun(10000, appendOnce); allocs != 0 {
+		t.Fatalf("an append nobody waits for allocates %v objects, want 0", allocs)
+	}
+
+	ch := s.Changed()
+	if s.NextLSN() != 4*10001+1 { // AllocsPerRun makes one warm-up call
+		t.Fatalf("NextLSN = %d after 10001 appends of 4", s.NextLSN())
+	}
+	appendOnce() // lands after the grab and the re-check, before the select
+	select {
+	case <-ch:
+	default:
+		t.Fatal("an append after Changed() did not close the channel it returned")
+	}
+	ch = s.Changed()
+	select {
+	case <-ch:
+		t.Fatal("a channel taken after the last append is already closed")
+	default:
+	}
+	appendOnce()
+	<-ch
+}
+
 // TestShipReserveTailIgnored: the ship log takes its extent as written
 // zeros, ahead of appends and again in TruncateBefore's rewritten file.
 // A crash leaves that tail in place; OpenShip must stop at the last

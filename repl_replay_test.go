@@ -2,21 +2,26 @@ package extbuf_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"extbuf"
 	"extbuf/client"
 	"extbuf/internal/server"
+	"extbuf/internal/wal"
 )
 
 // replayNode is one replication-enabled server over a two-shard
@@ -65,6 +70,13 @@ func (n *replayNode) waitLogged(t *testing.T, substr string) {
 // its engine under dir too.
 func startReplayNode(t *testing.T, dir, follow string, durable bool) *replayNode {
 	t.Helper()
+	return startReplayNodeOn(t, dir, follow, durable, nil)
+}
+
+// startReplayNodeOn is startReplayNode serving wrap's engine around the
+// node's Sharded (nil: the Sharded itself).
+func startReplayNodeOn(t *testing.T, dir, follow string, durable bool, wrap func(*extbuf.Sharded) server.Engine) *replayNode {
+	t.Helper()
 	cfg := extbuf.Config{BlockSize: 16, MemoryWords: 512, ExpectedItems: 1 << 14}
 	if durable {
 		cfg.Backend, cfg.Path, cfg.CacheBlocks = "file", filepath.Join(dir, "db"), 64
@@ -74,8 +86,12 @@ func startReplayNode(t *testing.T, dir, follow string, durable bool) *replayNode
 		t.Fatal(err)
 	}
 	n := &replayNode{eng: eng, serveErr: make(chan error, 1)}
+	var served server.Engine = eng
+	if wrap != nil {
+		served = wrap(eng)
+	}
 	srv, err := server.NewServer(server.Config{
-		Engine: eng,
+		Engine: served,
 		Logf:   n.logf(t),
 		Repl: &server.ReplConfig{
 			ShipPath:  filepath.Join(dir, "ship.log"),
@@ -151,6 +167,13 @@ func insertBlocks(t *testing.T, addr string, base uint64, count int) []uint64 {
 		t.Fatal(err)
 	}
 	defer cl.Close()
+	return writeBlocks(t, cl.Insert, base, count)
+}
+
+// writeBlocks sends count keys starting at base through write (a
+// client's Insert or Upsert), 128 per request, and returns them.
+func writeBlocks(t *testing.T, write func(context.Context, []uint64, []uint64) (client.ReadToken, error), base uint64, count int) []uint64 {
+	t.Helper()
 	keys := make([]uint64, count)
 	vals := make([]uint64, count)
 	for i := range keys {
@@ -158,7 +181,7 @@ func insertBlocks(t *testing.T, addr string, base uint64, count int) []uint64 {
 	}
 	for off := 0; off < count; off += 128 {
 		end := min(off+128, count)
-		if _, err := cl.Insert(context.Background(), keys[off:end], vals[off:end]); err != nil {
+		if _, err := write(context.Background(), keys[off:end], vals[off:end]); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -389,5 +412,240 @@ func TestReplayFollowerAheadOfPrimaryStaysIdempotent(t *testing.T) {
 	// (log matching is ROADMAP item 4a): 500 of them, none as an insert.
 	if ins, ups := follower.metric(t, "extbuf_repl_replay_inserts_total"), follower.metric(t, "extbuf_repl_replay_upserts_total"); ins != 0 || ups != 500 {
 		t.Fatalf("replayed %d inserts and %d upserts, want 0 and 500", ins, ups)
+	}
+}
+
+// poisonKey is the key poisonedStarter refuses while it is broken.
+const poisonKey = uint64(0xdead) << 40
+
+// poisonedStarter is a follower's engine that, while broken, refuses to
+// start a batch naming poisonKey: an engine call that fails in the
+// middle of the replay ring, with calls outstanding ahead of it and more
+// started behind it.
+type poisonedStarter struct {
+	*extbuf.Sharded
+	broken  atomic.Bool
+	refused atomic.Int64
+}
+
+func (e *poisonedStarter) StartBatchNoShip(op extbuf.BatchOp, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
+	if e.broken.Load() && slices.Contains(keys, poisonKey) {
+		e.refused.Add(1)
+		return nil, errors.New("boom: poisoned batch")
+	}
+	return e.Sharded.StartBatchNoShip(op, keys, vals, found)
+}
+
+// TestReplayEngineErrorMidRing: when an engine call of the replay ring
+// fails, the stream ends with that error and the ship log ends right
+// before the failing run — nothing at or after it is appended, though
+// the runs started behind it did apply — and stays there through every
+// reconnect that fails the same way. Once the engine heals, the
+// re-delivery lands below the new stream's catch-up horizon, so what was
+// applied twice is there once.
+func TestReplayEngineErrorMidRing(t *testing.T) {
+	primary := startReplayNode(t, t.TempDir(), "", false)
+	defer primary.stop(t)
+	eng := new(poisonedStarter)
+	eng.broken.Store(true)
+	follower := startReplayNodeOn(t, t.TempDir(), primary.addr, false, func(s *extbuf.Sharded) server.Engine {
+		eng.Sharded = s
+		return eng
+	})
+	defer follower.stop(t)
+
+	cl, err := client.Dial(primary.addr, client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	// Upserts, the poison as an insert, then upserts again: the insert is a
+	// run of its own, the failing call.
+	before := writeBlocks(t, cl.Upsert, 1<<20, 256)
+	poisoned := []uint64{poisonKey}
+	if _, err := cl.Insert(context.Background(), poisoned, poisoned); err != nil {
+		t.Fatal(err)
+	}
+	after := writeBlocks(t, cl.Upsert, 2<<20, 1024)
+
+	// Two refusals: the first stream's, and a reconnect's.
+	follower.waitLogged(t, "boom: poisoned batch")
+	for deadline := time.Now().Add(15 * time.Second); eng.refused.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the follower never retried the poisoned stream")
+		}
+	}
+	if got := follower.applied(); got != uint64(len(before)) {
+		t.Fatalf("applied lsn %d with the run at lsn %d failing, want exactly the %d records before it",
+			got, len(before)+1, len(before))
+	}
+	// The runs behind the failing one were started, and waited for: they
+	// are in the engine, ahead of the log.
+	for _, k := range []uint64{after[0], after[len(after)-1]} {
+		waitForKey(t, follower, k)
+	}
+	if _, ok := follower.eng.Lookup(poisonKey); ok {
+		t.Fatal("the refused run is in the engine")
+	}
+
+	eng.broken.Store(false)
+	waitCaughtUp(t, primary, follower)
+	all := append(append(before, poisoned...), after...)
+	auditOneCopy(t, follower, all, len(all))
+	if n := follower.metric(t, "extbuf_repl_replay_inflight_frames"); n != 0 {
+		t.Fatalf("%d frames in flight on a caught-up follower", n)
+	}
+}
+
+// waitForKey waits until key is in the node's engine.
+func waitForKey(t *testing.T, n *replayNode, key uint64) {
+	t.Helper()
+	for deadline := time.Now().Add(15 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := n.eng.Lookup(key); ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("key %d never reached the engine", key)
+		}
+	}
+}
+
+// scanAll pages through the whole engine.
+func scanAll(t *testing.T, eng extbuf.Engine) map[uint64]uint64 {
+	t.Helper()
+	out := make(map[uint64]uint64)
+	for cur := uint64(0); cur != extbuf.ScanDone; {
+		keys, vals, next, err := eng.Scan(cur, 1024)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, k := range keys {
+			out[k] = vals[i]
+		}
+		cur = next
+	}
+	return out
+}
+
+// TestReplayPromoteMidStreamLogCoversEngine promotes a follower in the
+// middle of a hammered stream — runs started on its engine, frames not
+// yet appended — and checks what Stop promises a promotion: the node's
+// ship log covers exactly what replication applied to its engine.
+// Replaying that log from LSN 1 into a fresh engine reproduces the
+// promoted node's contents, and no key is there twice. A replay that
+// dropped the started-but-unappended runs would leave the engine ahead
+// of the log the node now serves to its own followers.
+func TestReplayPromoteMidStreamLogCoversEngine(t *testing.T) {
+	primary := startReplayNode(t, t.TempDir(), "", false)
+	defer primary.stop(t)
+	dir := t.TempDir()
+	follower := startReplayNode(t, dir, primary.addr, false)
+
+	const (
+		hotKey  = uint64(77)
+		writers = 8
+	)
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			cl, err := client.Dial(primary.addr, client.Options{Conns: 1})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer cl.Close()
+			for i := uint64(1); ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				// The hot key and a writer-private one, upserted; then a
+				// fresh key, inserted: both replay regimes' operations, on
+				// both shards, racing in the primary's ship order.
+				val := uint64(w)<<32 | i
+				if _, err := cl.Upsert(ctx, []uint64{hotKey, uint64(1000 + w)}, []uint64{val, val}); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+				if _, err := cl.Insert(ctx, []uint64{uint64(w+1)<<40 | i}, []uint64{i}); err != nil {
+					t.Errorf("writer %d: %v", w, err)
+					return
+				}
+			}
+		}(w)
+	}
+	for deadline := time.Now().Add(15 * time.Second); follower.applied() < 2000; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("follower stuck at lsn %d", follower.applied())
+		}
+	}
+	info, err := follower.srv.Promote()
+	close(stop)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if t.Failed() {
+		t.FailNow()
+	}
+
+	got := scanAll(t, follower.eng)
+	for k := range got {
+		if c, ok := extbuf.CopiesForTest(follower.eng, k); !ok || c != 1 {
+			t.Fatalf("key %d has %d copies on the promoted node (audited: %v), want 1", k, c, ok)
+		}
+	}
+	follower.stop(t)
+
+	ship, err := wal.OpenShip(filepath.Join(dir, "ship.log"), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ship.Close()
+	if ship.StartLSN() != 1 || ship.NextLSN()-1 != info.AppliedLSN {
+		t.Fatalf("the promoted node's log spans lsn %d..%d, promotion reported %d", ship.StartLSN(), ship.NextLSN()-1, info.AppliedLSN)
+	}
+	fresh, err := extbuf.NewSharded("buffered", extbuf.Config{BlockSize: 16, MemoryWords: 512, ExpectedItems: 1 << 14}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fresh.Close()
+	recs := make([]wal.Record, 512)
+	for cur := uint64(1); ; {
+		n, err := ship.Read(cur, recs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n == 0 {
+			break
+		}
+		for _, rec := range recs[:n] {
+			switch rec.Op {
+			case wal.OpInsert:
+				err = fresh.Insert(rec.Key, rec.Val)
+			case wal.OpUpsert:
+				err = fresh.Upsert(rec.Key, rec.Val)
+			default:
+				t.Fatalf("unexpected %v record at lsn %d", rec.Op, rec.LSN)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		cur += uint64(n)
+	}
+	if want := scanAll(t, fresh); !maps.Equal(got, want) {
+		for k, v := range got {
+			if w, ok := want[k]; !ok || w != v {
+				t.Errorf("key %d = %d in the promoted engine, %d (present: %v) replaying its log", k, v, w, ok)
+				break
+			}
+		}
+		t.Fatalf("the promoted engine holds %d keys, its log replays to %d: they differ", len(got), len(want))
 	}
 }

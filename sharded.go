@@ -565,6 +565,38 @@ func (s *Sharded) StartBatch(op BatchOp, keys, vals []uint64, found []bool) (*Ba
 	return c, nil
 }
 
+// StartBatchNoShip is StartBatch for a caller that keeps the ship log
+// itself: the started form of InsertBatch, UpsertBatch and
+// DeleteBatchInto, which apply without emitting to the ship sink (a
+// lookup never ships: StartBatch is its started form). A replication
+// follower replays with it — it must copy the primary's log position by
+// position, so it appends the records itself, in stream order, once the
+// calls it started have completed — and everything StartBatch promises
+// about handles and per-key start order holds.
+//
+// One difference, the one InsertBatch has from InsertBatchShip: under
+// FlushAsync a BatchInsert or BatchUpsert goes write-behind. It is
+// complete at submission — the handle is nil, there is nothing to wait
+// for, the operands were copied — and its error surfaces at the next
+// Sync, Flush or Close.
+func (s *Sharded) StartBatchNoShip(op BatchOp, keys, vals []uint64, found []bool) (*BatchCall, error) {
+	v := opVec{kind: op, keys: keys, vals: vals}
+	switch {
+	case op > BatchDelete:
+		return nil, fmt.Errorf("extbuf: batch op %d has no non-shipping start", op)
+	case op == BatchDelete:
+		v.vals, v.outOK = nil, found
+	}
+	if err := v.check(); err != nil {
+		return nil, err
+	}
+	c := s.getCall()
+	if writeBehind, err := s.startBatch(c, &v); err != nil || writeBehind {
+		return nil, err
+	}
+	return c, nil
+}
+
 // Wait joins a batch started by StartBatch: it returns once every shard
 // has applied its share, with the batch's highest ship LSN (0 when
 // nothing shipped) and the joined per-shard errors — what the

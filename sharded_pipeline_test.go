@@ -273,3 +273,51 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 		t.Fatalf("Len+StoreStats+ExpiryStats+Sync: %.2f allocs, want 0", allocs)
 	}
 }
+
+// TestStartWaitNoShip: StartBatchNoShip is StartBatch without the ship
+// seam — the batch applies and the sink hears nothing — and, as
+// InsertBatch does, goes write-behind under FlushAsync: no handle, the
+// operands copied, the write visible to whatever queues behind it.
+func TestStartWaitNoShip(t *testing.T) {
+	for _, policy := range []string{extbuf.FlushSync, extbuf.FlushAsync} {
+		t.Run(policy, func(t *testing.T) {
+			s, err := extbuf.NewSharded("buffered", extbuf.Config{FlushPolicy: policy}, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			rec := newShipRecorder()
+			s.SetShip(rec.ship)
+			keys, vals := []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40}
+			h, err := s.StartBatchNoShip(extbuf.BatchInsert, keys, vals, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (h == nil) != (policy == extbuf.FlushAsync) {
+				t.Fatalf("handle %v under flush policy %s", h, policy)
+			}
+			if h == nil {
+				keys[0], vals[0] = 99, 99 // the call owns copies
+			} else if lsn, err := h.Wait(); err != nil || lsn != 0 {
+				t.Fatalf("Wait = lsn %d, %v; want 0, nil", lsn, err)
+			}
+			found := make([]bool, 2)
+			h, err = s.StartBatchNoShip(extbuf.BatchDelete, []uint64{4, 5}, nil, found)
+			if err != nil || h == nil {
+				t.Fatalf("a delete never goes write-behind: handle %v, %v", h, err)
+			}
+			if _, err := h.Wait(); err != nil || !found[0] || found[1] {
+				t.Fatalf("delete of {4, 5}: found %v, %v", found, err)
+			}
+			if v, ok := s.Lookup(1); !ok || v != 10 {
+				t.Fatalf("key 1 = %d, %v; want 10", v, ok)
+			}
+			if n := s.Len(); n != 3 {
+				t.Fatalf("Len = %d, want 3", n)
+			}
+			if rec.next != 1 {
+				t.Fatalf("%d records reached the ship sink", rec.next-1)
+			}
+		})
+	}
+}
