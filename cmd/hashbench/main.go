@@ -28,18 +28,11 @@
 //	hashbench -structure core [-b 64] [-m 1024] [-n 50000] [-beta 8]
 //	          [-gamma 2] [-delta 0.1] [-q 4000] [-seed 42] [-hash ideal]
 //	          [-backend mem|file|latency] [-path FILE] [-cache 512]
-//	          [-iomode buffered|odirect|uring]
 //	          [-seek 4ms] [-xfer 100us] [-profile nvme|ssd|hdd]
 //	          [-workers 8] [-batch 256] [-flush sync|async]
-//	          [-wbworkers 8] [-walpath FILE] [-recoverypar 8]
+//	          [-walpath FILE] [-recoverypar 8]
 //	          [-reopen [-crashtail 100000]]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
-//
-// -iomode selects the file backend's kernel-bypass tier: odirect opens
-// the block file (and WAL) O_DIRECT with sector-aligned buffers, uring
-// adds an io_uring submission queue (Linux, build tag "iouring"). Each
-// rung falls back one step where unsupported; the effective mode and
-// any fallbacks are reported in the stat rows.
 //
 // Every mode reports an allocs/op column (runtime allocation counters
 // around the measured loops), and -cpuprofile/-memprofile write pprof
@@ -92,14 +85,12 @@ func main() {
 		backend   = flag.String("backend", "mem", "block store: mem, file or latency")
 		path      = flag.String("path", "", "file backend: backing file (default: temp file)")
 		cache     = flag.Int("cache", iomodel.DefaultCacheBlocks, "file backend: page-cache capacity in blocks")
-		ioMode    = flag.String("iomode", "", "file backend: I/O mode (buffered, odirect or uring; default buffered)")
 		seek      = flag.Duration("seek", 100*time.Microsecond, "latency backend: per-transfer seek delay")
 		xfer      = flag.Duration("xfer", 25*time.Microsecond, "latency backend: per-transfer data delay")
 		profile   = flag.String("profile", "", "latency backend: fio-style device profile (nvme, ssd or hdd; overrides -seek/-xfer)")
 		workers   = flag.Int("workers", 0, "sharded engine: shard worker count (0 = classic single-structure mode)")
 		batch     = flag.Int("batch", 1, "sharded engine: operations per batch")
 		fpolicy   = flag.String("flush", extbuf.FlushSync, "sharded engine: flush policy (sync or async)")
-		wbWorkers = flag.Int("wbworkers", 0, "file backend: async writeback workers (0 = inline writes through the page cache, a pool only on an O_DIRECT fd; 1 = synchronous; n > 1 = pool of n)")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL file path (default: -path plus .wal)")
 		recovPar  = flag.Int("recoverypar", 0, "durable mode: recovery parallelism across shards and WAL replay (0 = GOMAXPROCS)")
 		reopen    = flag.Bool("reopen", false, "durability mode: build, flush and close a durable table, then measure reopen/recovery time (requires -backend file and -path)")
@@ -127,9 +118,7 @@ func main() {
 			Path:                *path,
 			WALPath:             *walPath,
 			CacheBlocks:         *cache,
-			IOMode:              *ioMode,
 			FlushPolicy:         *fpolicy,
-			WritebackWorkers:    *wbWorkers,
 			RecoveryParallelism: *recovPar,
 		}, *workers, *batch, *n, *q, *crashtail)
 		return
@@ -148,12 +137,10 @@ func main() {
 			Path:                *path,
 			WALPath:             *walPath,
 			CacheBlocks:         *cache,
-			IOMode:              *ioMode,
 			SeekDelay:           *seek,
 			TransferDelay:       *xfer,
 			DeviceProfile:       *profile,
 			FlushPolicy:         *fpolicy,
-			WritebackWorkers:    *wbWorkers,
 			RecoveryParallelism: *recovPar,
 		}, *workers, *batch, *n, *q)
 		return
@@ -166,7 +153,7 @@ func main() {
 		words += int64(8 * *n / *b)
 	}
 
-	store := openStore(*backend, *b, *path, *cache, *ioMode, *seek, *xfer, *profile, *wbWorkers)
+	store := openStore(*backend, *b, *path, *cache, *seek, *xfer, *profile)
 	model := iomodel.NewModelOn(store, words)
 	// log.Fatal exits without running defers, so fatal() also routes
 	// through this cleanup: a temp-file store must not outlive a failed
@@ -405,17 +392,8 @@ func runEngine(structure string, cfg extbuf.Config, workers, batch, n, q int) {
 		addMergeRows(t, s.MergeStats())
 	}
 	if cfg.Backend == "file" {
-		st := s.StoreStats()
-		t.AddRow("store: io mode (effective)", effectiveIOMode(st, cfg.IOMode))
-		if st.WriteSyscalls > 0 {
+		if st := s.StoreStats(); st.WriteSyscalls > 0 {
 			t.AddRow("store: mean KiB/pwrite", float64(st.BytesWritten)/float64(st.WriteSyscalls)/1024)
-		}
-		if st.UringEnters > 0 {
-			t.AddRow("store: uring mean batch", float64(st.UringSQEs)/float64(st.UringEnters))
-		}
-		if st.ODirectFallbacks > 0 || st.UringFallbacks > 0 {
-			t.AddRow("store: bypass fallbacks (odirect/uring)",
-				fmt.Sprintf("%d/%d", st.ODirectFallbacks, st.UringFallbacks))
 		}
 	}
 	t.Render(os.Stdout)
@@ -535,28 +513,6 @@ func sub(a, b extbuf.Stats) extbuf.Stats {
 	}
 }
 
-// effectiveIOMode derives the engine-wide syscall path from the
-// aggregated store counters (every shard is configured identically):
-// any ring submission means uring, any direct fd means odirect, else
-// buffered — annotated when the fallback ladder moved off the
-// configured mode.
-func effectiveIOMode(st extbuf.StoreStats, configured string) string {
-	mode := "buffered"
-	if st.DirectIO > 0 {
-		mode = "odirect"
-	}
-	if st.UringSQEs > 0 {
-		mode = "uring"
-	}
-	if configured == "" {
-		configured = "buffered"
-	}
-	if mode != configured {
-		return fmt.Sprintf("%s (configured %s)", mode, configured)
-	}
-	return mode
-}
-
 func orDefault(s, def string) string {
 	if s == "" {
 		return def
@@ -565,7 +521,7 @@ func orDefault(s, def string) string {
 }
 
 // openStore builds the block store selected by -backend.
-func openStore(backend string, b int, path string, cache int, ioMode string, seek, xfer time.Duration, profile string, wbWorkers int) iomodel.BlockStore {
+func openStore(backend string, b int, path string, cache int, seek, xfer time.Duration, profile string) iomodel.BlockStore {
 	switch backend {
 	case "mem":
 		return iomodel.NewMemStore(b)
@@ -574,20 +530,18 @@ func openStore(backend string, b int, path string, cache int, ioMode string, see
 			fs  *iomodel.FileStore
 			err error
 		)
-		opt := iomodel.IOOptions{Mode: ioMode}
 		if path == "" {
-			fs, err = iomodel.NewTempFileStoreIO(b, cache, opt)
+			fs, err = iomodel.NewTempFileStore(b, cache)
 		} else {
-			fs, err = iomodel.NewFileStoreIO(path, b, cache, opt)
+			fs, err = iomodel.NewFileStore(path, b, cache)
 		}
 		fatal(err)
-		fs.ConfigureSubmission(ioMode, wbWorkers)
 		return fs
 	case "latency":
 		lcfg := iomodel.LatencyConfig{Seek: seek, Transfer: xfer}
 		if profile != "" {
 			var err error
-			lcfg, err = iomodel.DeviceProfileIO(profile, ioMode)
+			lcfg, err = iomodel.DeviceProfile(profile)
 			fatal(err)
 		}
 		return iomodel.NewLatencyStore(iomodel.NewMemStore(b), lcfg)
@@ -607,14 +561,8 @@ func backendStatRows(store iomodel.BlockStore) []statRow {
 	switch s := store.(type) {
 	case *iomodel.FileStore:
 		st := s.Stats()
-		writes := "inline"
-		if s.AsyncWriteback() {
-			writes = "async submitter"
-		}
 		rows := []statRow{
 			{"file: path", s.Path()},
-			{"file: io mode (effective)", s.EffectiveIOMode()},
-			{"file: writes", writes},
 			{"file: pread syscalls", st.ReadSyscalls},
 			{"file: pwrite syscalls", st.WriteSyscalls},
 			{"file: cache hits", st.CacheHits},
@@ -632,16 +580,6 @@ func backendStatRows(store iomodel.BlockStore) []statRow {
 		if st.WriteSyscalls > 0 {
 			rows = append(rows, statRow{"file: mean KiB/pwrite",
 				float64(st.BytesWritten) / float64(st.WriteSyscalls) / 1024})
-		}
-		if st.ODirectFallbacks > 0 || st.UringFallbacks > 0 {
-			rows = append(rows, statRow{"file: bypass fallbacks (odirect/uring)",
-				fmt.Sprintf("%d/%d", st.ODirectFallbacks, st.UringFallbacks)})
-		}
-		if st.UringEnters > 0 {
-			rows = append(rows,
-				statRow{"file: uring SQEs", st.UringSQEs},
-				statRow{"file: uring enters", st.UringEnters},
-				statRow{"file: uring mean batch", float64(st.UringSQEs) / float64(st.UringEnters)})
 		}
 		return rows
 	case *iomodel.LatencyStore:

@@ -74,10 +74,8 @@ func main() {
 		backend   = flag.String("backend", "mem", "block store: mem, file or latency")
 		path      = flag.String("path", "", "file backend: backing path (named path = durable)")
 		cache     = flag.Int("cache", 0, "file backend: page-cache capacity in blocks (0 = default)")
-		ioMode    = flag.String("iomode", "", "file backend: I/O mode (buffered, odirect or uring; default buffered, falls back where unsupported)")
 		fpolicy   = flag.String("flush", extbuf.FlushSync, "engine flush policy (sync or async)")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL device path (default: -path plus .wal)")
-		wbWorkers = flag.Int("wbworkers", 0, "file backend: async writeback workers (0 = inline writes through the page cache, a pool only on an O_DIRECT fd; 1 = synchronous; n > 1 = pool of n)")
 		recovPar  = flag.Int("recoverypar", 0, "startup recovery parallelism across shards and WAL replay (0 = GOMAXPROCS)")
 		expected  = flag.Int("expected", 1<<20, "expected items (pre-sizes fixed-capacity structures)")
 		seed      = flag.Uint64("seed", 1, "hash seed")
@@ -111,9 +109,7 @@ func main() {
 		Path:                *path,
 		WALPath:             *walPath,
 		CacheBlocks:         *cache,
-		IOMode:              *ioMode,
 		FlushPolicy:         *fpolicy,
-		WritebackWorkers:    *wbWorkers,
 		RecoveryParallelism: *recovPar,
 	}, *shards)
 	if err != nil {

@@ -44,11 +44,19 @@ import (
 // Superblock payload (framed by ckpt.Frame, version 4): structure name,
 // construction parameters, shard layout, last-applied LSN, the block
 // allocator + logical→physical placement state, the configured WAL
-// path, the I/O mode with its layout sector size, the expiry deadline
-// map (key → unix ms), and the structure's serialized directory state.
-// Version 1 (no WAL path), version 2 (no I/O mode) and version 3 (no
-// expiry map) files are still read; new checkpoints are written as
-// version 4.
+// path, the block file's slot layout (a mode name and a sector size),
+// the expiry deadline map (key → unix ms), and the structure's
+// serialized directory state. Version 1 (no WAL path), version 2 (no
+// slot layout) and version 3 (no expiry map) files are still read; new
+// checkpoints are written as version 4.
+//
+// The slot layout fields were written as Config.IOMode and the store's
+// sector size while the O_DIRECT tier existed (PRs 9–24). They now only
+// carry the layout: a new table records "buffered" and 0, packed slots;
+// a table created under "odirect" or "uring" recorded its filesystem's
+// sector, keeps slots padded to it through plain buffered I/O for life,
+// and writes both fields back unchanged, so the code that wrote it
+// still opens it.
 
 // superblockVersion is the on-disk checkpoint format version.
 const superblockVersion = 4
@@ -79,8 +87,8 @@ type superblock struct {
 	free          []iomodel.BlockID
 	mapping       []int64
 	walPath       string            // configured Config.WALPath ("" = beside the block file)
-	ioMode        string            // configured Config.IOMode ("" = buffered, pre-v3 files)
-	sector        int               // direct-layout slot alignment the block file was written with
+	layout        string            // mode name the table was created under ("" on pre-v3 files)
+	sector        int               // slot alignment the block file was written with (0 = packed)
 	expiry        map[uint64]uint64 // key → expiry deadline (unix ms); nil on pre-v4 files
 }
 
@@ -92,6 +100,8 @@ type durableTable struct {
 	log       *wal.Log
 	cfg       Config // effective configuration (post-merge, post-defaults)
 	structure string
+	layout    string // slot layout, recorded in every checkpoint as read
+	sector    int
 	crasher   *iomodel.Crasher
 	committer *wal.Committer // shared across shards by NewSharded
 	enc       ckpt.Encoder   // reused checkpoint encode buffer
@@ -126,22 +136,15 @@ func openDurable(kind int, cfg Config, idx *expiry.Index) (*durableTable, error)
 	if err := cfg.validateFor(structure); err != nil {
 		return nil, err
 	}
-	ioOpt := iomodel.IOOptions{Mode: cfg.IOMode}
-	if sb != nil {
-		// Reopen with the stride the file was written with, not a fresh
-		// probe: the layout must survive a move across filesystems.
-		ioOpt.Sector = sb.sector
+	// The slot layout is the superblock's for life; new tables are packed.
+	layout, sector := "buffered", 0
+	if sb != nil && sb.layout != "" {
+		layout, sector = sb.layout, sb.sector
 	}
-	store, err := iomodel.OpenFileStoreIO(cfg.Path, cfg.BlockSize, cfg.CacheBlocks, crasher, ioOpt)
+	store, err := iomodel.OpenFileStore(cfg.Path, cfg.BlockSize, cfg.CacheBlocks, crasher, sector)
 	if err != nil {
 		return nil, err
 	}
-	// Inline writes through the page cache; a pwrite pool, or an io_uring
-	// ring under IOMode "uring", where the fd is O_DIRECT or the config
-	// asks for workers; forced synchronous under crash injection
-	// (ConfigureSubmission refuses a crasher-wrapped store; the harness
-	// counts write syscalls).
-	store.ConfigureSubmission(cfg.IOMode, cfg.WritebackWorkers)
 	model := iomodel.NewModelOn(store, cfg.MemoryWords)
 	fn := hashfn.Family(cfg.HashFamily, cfg.Seed)
 
@@ -161,7 +164,7 @@ func openDurable(kind int, cfg Config, idx *expiry.Index) (*durableTable, error)
 		return nil, err
 	}
 
-	log, records, err := wal.OpenIO(cfg.walPath(), crasher, lastLSN+1, iomodel.IOOptions{Mode: cfg.IOMode})
+	log, records, err := wal.Open(cfg.walPath(), crasher, lastLSN+1)
 	if err != nil {
 		inner.Close()
 		return nil, err
@@ -181,6 +184,8 @@ func openDurable(kind int, cfg Config, idx *expiry.Index) (*durableTable, error)
 		log:       log,
 		cfg:       cfg,
 		structure: structure,
+		layout:    layout,
+		sector:    sector,
 		crasher:   crasher,
 		committer: committer,
 		exp:       idx,
@@ -382,7 +387,7 @@ func readSuperblock(path string) (*superblock, *ckpt.Decoder, error) {
 		sb.walPath = d.String()
 	}
 	if version >= 3 {
-		sb.ioMode = d.String()
+		sb.layout = d.String()
 		sb.sector = d.Int()
 	}
 	if version >= 4 {
@@ -462,23 +467,6 @@ func (sb *superblock) mergeConfig(structure string, cfg Config) (Config, error) 
 		cfg.WALPath = sb.walPath
 	default:
 		return cfg, mismatch("WALPath", sb.walPath, cfg.WALPath)
-	}
-	// The I/O mode fixes the block file's slot layout. An empty request
-	// adopts the stored mode; the two direct modes share one layout, so
-	// either may reopen the other's files (the syscall path changes, the
-	// stride does not); a buffered/direct conflict would misread every
-	// slot and is rejected.
-	stored := sb.ioMode
-	if stored == "" {
-		stored = iomodel.IOModeBuffered
-	}
-	switch {
-	case cfg.IOMode == "" || cfg.IOMode == stored:
-		cfg.IOMode = stored
-	case iomodel.DirectLayout(cfg.IOMode) && iomodel.DirectLayout(stored):
-		// odirect <-> uring: layout-compatible override.
-	default:
-		return cfg, mismatch("IOMode", stored, cfg.IOMode)
 	}
 	return cfg, nil
 }
@@ -591,8 +579,7 @@ func (d *durableTable) Sync() error { return d.log.Sync() }
 // mutating the table (wal.Log.FsyncDetached). It returns a nil fsync
 // when the barrier already ran to completion on the owner: the spill
 // failed, or the table is crash-injected — the crash harness counts
-// syscalls in order, so it stays synchronous like every other
-// asynchronous tier does under it.
+// syscalls in order, so it stays synchronous.
 func (d *durableTable) beginSync() (fsync func() error, err error) {
 	if d.crasher != nil {
 		return nil, d.log.Sync()
@@ -660,8 +647,8 @@ func (d *durableTable) checkpoint() error {
 	e.BlockIDs(free)
 	e.I64s(mapping)
 	e.String(d.cfg.WALPath)
-	e.String(d.cfg.IOMode)
-	e.Int(d.store.SectorSize())
+	e.String(d.layout)
+	e.Int(d.sector)
 	// The expiry index, in the format Decoder.PairMap reads back on
 	// reopen: count, then pairs.
 	e.U32(uint32(d.exp.Len()))

@@ -49,11 +49,15 @@ func PoolPinnedForTest(tab Table) (pinned int, ok bool) {
 	return 0, false
 }
 
-// AsyncWritebackForTest reports whether the durable table tab writes
-// its block file through an asynchronous submitter (pool or ring)
-// rather than inline.
-func AsyncWritebackForTest(tab Table) bool {
-	return tab.(*guard).t.(*durableTable).store.AsyncWriteback()
+// SlotLayoutForTest reads the slot layout the superblock beside the
+// durable table at path records: the mode name it was created under and
+// its slot alignment.
+func SlotLayoutForTest(path string) (layout string, sector int, err error) {
+	sb, _, err := readSuperblock(path + ckptSuffix)
+	if err != nil || sb == nil {
+		return "", 0, err
+	}
+	return sb.layout, sb.sector, nil
 }
 
 // CopiesForTest walks tab down to its Theorem 2 structure and returns

@@ -56,14 +56,6 @@ type StoreStats struct {
 	WALSpills       int64 // write-ahead log spill writes (durable tables)
 	WALFsyncs       int64 // write-ahead log fsyncs (durable tables)
 	WALFsyncsElided int64 // write-ahead log barrier fsyncs skipped (durable tables)
-
-	// Kernel-bypass tier counters (zero under IOMode "buffered"). The
-	// fields are appended so older STATS wire peers keep decoding.
-	DirectIO         int64 // stores (shards) whose block fd is open O_DIRECT
-	ODirectFallbacks int64 // O_DIRECT opens refused by the filesystem (buffered fallback)
-	UringEnters      int64 // io_uring_enter syscalls issued
-	UringSQEs        int64 // submission-queue entries placed (writes through the ring)
-	UringFallbacks   int64 // io_uring rings refused (tag off or kernel probe failed)
 }
 
 // Add returns s + o field-wise, for aggregating shards.
@@ -84,11 +76,6 @@ func (s StoreStats) Add(o StoreStats) StoreStats {
 	s.WALSpills += o.WALSpills
 	s.WALFsyncs += o.WALFsyncs
 	s.WALFsyncsElided += o.WALFsyncsElided
-	s.DirectIO += o.DirectIO
-	s.ODirectFallbacks += o.ODirectFallbacks
-	s.UringEnters += o.UringEnters
-	s.UringSQEs += o.UringSQEs
-	s.UringFallbacks += o.UringFallbacks
 	return s
 }
 
@@ -116,24 +103,19 @@ func (s MergeStats) Add(o MergeStats) MergeStats {
 // one.
 func fromFileStats(st iomodel.FileStats) StoreStats {
 	return StoreStats{
-		ReadSyscalls:     st.ReadSyscalls,
-		WriteSyscalls:    st.WriteSyscalls,
-		CacheHits:        st.CacheHits,
-		CacheMisses:      st.CacheMisses,
-		BytesRead:        st.BytesRead,
-		BytesWritten:     st.BytesWritten,
-		Evictions:        st.Evictions,
-		DirtyWritebacks:  st.DirtyWritebacks,
-		FlushedFrames:    st.FlushedFrames,
-		FlushRuns:        st.FlushRuns,
-		Fsyncs:           st.Fsyncs,
-		FsyncsElided:     st.FsyncsElided,
-		GhostHits:        st.GhostHits,
-		DirectIO:         st.DirectIO,
-		ODirectFallbacks: st.ODirectFallbacks,
-		UringEnters:      st.UringEnters,
-		UringSQEs:        st.UringSQEs,
-		UringFallbacks:   st.UringFallbacks,
+		ReadSyscalls:    st.ReadSyscalls,
+		WriteSyscalls:   st.WriteSyscalls,
+		CacheHits:       st.CacheHits,
+		CacheMisses:     st.CacheMisses,
+		BytesRead:       st.BytesRead,
+		BytesWritten:    st.BytesWritten,
+		Evictions:       st.Evictions,
+		DirtyWritebacks: st.DirtyWritebacks,
+		FlushedFrames:   st.FlushedFrames,
+		FlushRuns:       st.FlushRuns,
+		Fsyncs:          st.Fsyncs,
+		FsyncsElided:    st.FsyncsElided,
+		GhostHits:       st.GhostHits,
 	}
 }
 
@@ -248,40 +230,6 @@ type Config struct {
 	// CacheBlocks is the "file" backend's page-cache capacity in blocks
 	// (default iomodel.DefaultCacheBlocks).
 	CacheBlocks int
-	// IOMode selects the "file" backend's kernel-bypass tier: "buffered"
-	// (the default) routes block and WAL I/O through the kernel page
-	// cache; "odirect" opens both files O_DIRECT with sector-aligned
-	// buffers and slot layout, making the table's own pool the only
-	// cache; "uring" is odirect plus an io_uring submission queue in
-	// place of the pwrite writeback pool (Linux, build tag "iouring").
-	// Each rung falls back one step where unsupported — filesystems
-	// without O_DIRECT, kernels without io_uring, binaries without the
-	// tag — recorded in StoreStats.ODirectFallbacks/UringFallbacks; the
-	// fallback changes only the syscall path, never the file layout. The
-	// mode is recorded in the superblock: reopening with an empty IOMode
-	// adopts the stored one, the two direct modes (which share a layout)
-	// reopen each other's files, and a buffered/direct conflict fails
-	// with ErrSuperblockMismatch. Crash-injected tables always run
-	// buffered and synchronous (the crash matrix counts write syscalls).
-	IOMode string
-	// WritebackWorkers sets the "file" backend's asynchronous writeback
-	// pool: flush-barrier and eviction writes are snapshotted on the
-	// table goroutine but issued as concurrent pwrites by this many
-	// workers. 0 (the default) lets the store decide from its file
-	// descriptor: a table whose block file goes through the kernel page
-	// cache — IOMode buffered, or a direct mode the filesystem refused
-	// — writes inline, because there a pwrite is a memcpy and the page
-	// cache is already the write-behind buffer; a table whose fd is
-	// O_DIRECT, where every pwrite waits for the device, gets
-	// min(4, GOMAXPROCS) workers (or the io_uring ring under "uring").
-	// 1 forces synchronous writes in every mode; n > 1 forces a pool of
-	// n in every mode — worth setting by hand only for a buffered table
-	// over a cold data set far larger than RAM, where a partial-page
-	// write to an uncached slot waits for a device read.
-	// Crash-injected tables (Crash != nil) always write synchronously —
-	// the crash harness counts write syscalls, so submission order must
-	// stay deterministic.
-	WritebackWorkers int
 	// RecoveryParallelism bounds the concurrency of the recovery cold
 	// path: NewSharded opens (and replays) this many shards at once,
 	// and within each shard the WAL replay pipeline partitions records
@@ -387,9 +335,6 @@ func (c Config) withDefaults() Config {
 	if c.FlushPolicy == "" {
 		c.FlushPolicy = FlushSync
 	}
-	if c.IOMode == "" {
-		c.IOMode = iomodel.IOModeBuffered
-	}
 	return c
 }
 
@@ -415,10 +360,6 @@ var ErrUnknownBackend = errors.New("extbuf: unknown backend")
 // ErrUnknownFlushPolicy is returned for FlushPolicy values other than
 // FlushSync and FlushAsync.
 var ErrUnknownFlushPolicy = errors.New("extbuf: unknown flush policy")
-
-// ErrUnknownIOMode is returned for IOMode values other than "buffered",
-// "odirect" and "uring".
-var ErrUnknownIOMode = errors.New("extbuf: unknown IO mode")
 
 // ErrBatchLength is returned by batch operations whose key and value
 // slices differ in length.
@@ -451,17 +392,16 @@ func (c Config) store() (iomodel.BlockStore, error) {
 	case "", "mem":
 		return iomodel.NewMemStore(c.BlockSize), nil
 	case "file":
-		s, err := iomodel.NewTempFileStoreIO(c.BlockSize, c.CacheBlocks, iomodel.IOOptions{Mode: c.IOMode})
+		s, err := iomodel.NewTempFileStore(c.BlockSize, c.CacheBlocks)
 		if err != nil {
-			return nil, err
+			return nil, err // not a typed-nil BlockStore
 		}
-		s.ConfigureSubmission(c.IOMode, c.WritebackWorkers)
 		return s, nil
 	case "latency":
 		lcfg := iomodel.LatencyConfig{Seek: c.SeekDelay, Transfer: c.TransferDelay}
 		if c.DeviceProfile != "" {
 			var err error
-			if lcfg, err = iomodel.DeviceProfileIO(c.DeviceProfile, c.IOMode); err != nil {
+			if lcfg, err = iomodel.DeviceProfile(c.DeviceProfile); err != nil {
 				return nil, err
 			}
 		}
@@ -492,9 +432,6 @@ func (c Config) validateGamma() error {
 func (c Config) validateFor(structure string) error {
 	if err := c.validateBlockSize(); err != nil {
 		return err
-	}
-	if !iomodel.ValidIOMode(c.IOMode) {
-		return fmt.Errorf("%w %q (want buffered, odirect or uring)", ErrUnknownIOMode, c.IOMode)
 	}
 	switch structure {
 	case "buffered":

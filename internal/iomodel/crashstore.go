@@ -169,7 +169,7 @@ type CrashStore struct {
 // NewCrashStore opens a durable FileStore at path with faults injected
 // by crasher.
 func NewCrashStore(path string, b, cacheBlocks int, crasher *Crasher) (*CrashStore, error) {
-	fs, err := OpenFileStore(path, b, cacheBlocks, crasher)
+	fs, err := OpenFileStore(path, b, cacheBlocks, crasher, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,6 @@
 package iomodel
 
 import (
-	"fmt"
 	"path/filepath"
 	"testing"
 )
@@ -90,38 +89,6 @@ func TestScanResistantEviction(t *testing.T) {
 	}
 }
 
-// BenchmarkWriteback measures a flush barrier over fresh dirty blocks
-// with synchronous vs pooled writeback submission.
-func BenchmarkWriteback(b *testing.B) {
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			const blocks = 2048
-			st, err := NewTempFileStore(64, blocks+16)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer st.Close()
-			st.SetWritebackWorkers(workers)
-			ids := make([]BlockID, blocks)
-			entries := make([]Entry, 32)
-			for i := range ids {
-				ids[i] = st.Alloc()
-			}
-			b.ResetTimer()
-			for n := 0; n < b.N; n++ {
-				for i, id := range ids {
-					entries[0] = Entry{Key: uint64(i), Val: uint64(n)}
-					st.WriteBlock(id, entries)
-				}
-				if err := st.Sync(); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(blocks), "blocks/op")
-		})
-	}
-}
-
 // BenchmarkEvictionScan measures steady-state eviction traffic: a
 // working set far larger than the pool read sequentially, with the
 // scan-resistant sweep and write clustering on the miss path.
@@ -150,17 +117,16 @@ func BenchmarkEvictionScan(b *testing.B) {
 }
 
 // poolMissStore builds the store both pool-miss benchmarks run on: a
-// durable store as a table opens it (default submission), 16 k blocks
+// durable store as a table opens it, 16 k blocks
 // of 48 entries behind a 256-frame pool, checkpointed once so the loop
 // starts on a committed epoch. Nearly every access is a miss.
 func poolMissStore(b *testing.B) (*FileStore, []BlockID) {
 	const cacheCap, blocks = 256, 16 << 10
-	st, err := OpenFileStore(filepath.Join(b.TempDir(), "miss.blocks"), 64, cacheCap, nil)
+	st, err := OpenFileStore(filepath.Join(b.TempDir(), "miss.blocks"), 64, cacheCap, nil, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { st.Close() })
-	st.ConfigureSubmission(IOModeBuffered, 0)
 	ids := make([]BlockID, blocks)
 	entries := make([]Entry, 48)
 	for i := range ids {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"slices"
 	"unsafe"
 )
@@ -24,7 +23,7 @@ import (
 // writes — decode as an empty block with a nil chain pointer, which is
 // exactly the state of an allocated-but-never-written block.
 //
-// # Placement: direct vs durable
+// # Placement: scratch vs durable
 //
 // A store built with NewFileStore truncates its file and places block
 // id at byte offset id*slotBytes — a fresh scratch store, not a
@@ -74,44 +73,32 @@ import (
 // table's Flush barrier surfaces it to the caller as an un-acknowledged
 // write.
 //
-// Writes are issued inline unless the fd is O_DIRECT or the caller asks
-// for a pool; ConfigureSubmission holds the rule and its reason.
+// Every transfer is one synchronous pread or pwrite through the kernel
+// page cache, issued on the caller's goroutine: there a pwrite is a
+// memcpy of one slot, and the page cache is already the write-behind
+// buffer (DESIGN.md §1d).
 //
-// # Kernel-bypass tier
+// # Slot stride
 //
-// Under the direct I/O modes (IOModeODirect, IOModeUring) the store
-// bypasses the kernel page cache: the buffer pool above is the only
-// cache between the tables and the device. Slots are padded from
-// frameBytes to slotBytes (the next multiple of the filesystem's
-// logical sector size) and every I/O buffer is sector-aligned, so all
-// pread/pwrite offsets, lengths and addresses satisfy O_DIRECT's
-// alignment rules. The fallback ladder is: io_uring submission →
-// pwrite worker pool (tag off or kernel probe failed, UringFallbacks);
-// O_DIRECT fd → buffered fd (filesystem refused the flag,
-// ODirectFallbacks); and crash-injected stores always take the
-// synchronous buffered syscall path — the crash harness counts write
-// syscalls, so write order must stay deterministic — while keeping the
-// mode's slot layout, so crash tests and production stores read the
-// same files.
+// Slots are packed: slotBytes is frameBytes. The one exception is a
+// table created under the O_DIRECT tier that PR 25 deleted, whose
+// superblock recorded its filesystem's sector size: OpenFileStore takes
+// that value and pads every slot to a multiple of it for the table's
+// life. The padding is written as zeros and never read as entries.
 type FileStore struct {
 	f          BlockFile
-	osf        *os.File // underlying fd when known; io_uring needs it
 	b          int
-	frameBytes int64  // header + B() entries
-	slotBytes  int64  // on-disk stride: frameBytes, sector-padded under direct layout
-	sector     int64  // direct-layout alignment; 0 = buffered layout
-	ioMode     string // configured mode (IOMode constants)
-	direct     bool   // fd is open O_DIRECT
-	uringOn    bool   // submissions ride an io_uring ring
-	nslots     int    // allocated slots, including freed ones
+	frameBytes int64 // header + B() entries
+	slotBytes  int64 // on-disk stride: frameBytes, or sector-padded for a legacy table
+	nslots     int   // allocated slots, including freed ones
 	free       []BlockID
 	cacheCap   int
 
 	// Buffer pool: frames is the pool, arena the slot images behind it
-	// (cacheCap × slotBytes, aligned for direct I/O), resident the index
-	// from block ID to frame (block IDs are dense, so it is a slice grown
-	// with the allocator: the frame index, or -1 for a block not in the
-	// pool), freeFrames the recycle list, hand the CLOCK sweep position.
+	// (cacheCap × slotBytes), resident the index from block ID to frame
+	// (block IDs are dense, so it is a slice grown with the allocator:
+	// the frame index, or -1 for a block not in the pool), freeFrames the
+	// recycle list, hand the CLOCK sweep position.
 	frames     []frame
 	arena      []byte
 	resident   []int32
@@ -135,15 +122,10 @@ type FileStore struct {
 	closed      bool
 	failed      error // sticky first write failure
 	swab        bool  // big-endian host: entry words are byte-swapped around every transfer
-
-	// Asynchronous writeback (nil = synchronous writes): the pwrite
-	// worker pool or, under IOModeUring, the io_uring ring. wrote
-	// tracks whether any bytes reached (or were submitted to) the file
-	// since the last fsync, so a barrier with nothing new to harden
-	// elides its fsync instead of queueing a no-op behind the device.
-	wb         ioSubmitter
-	wrote      bool
-	hasCrasher bool // write order must stay deterministic: no async pool
+	// wrote tracks whether any bytes reached the file since the last
+	// fsync, so a barrier with nothing new to harden elides its fsync
+	// instead of queueing a no-op behind the device.
+	wrote bool
 
 	// Scan-resistant eviction (2Q/CLOCK-Pro-lite): a bounded ghost list
 	// remembers recently evicted block IDs; a block faulting back in
@@ -159,7 +141,7 @@ type FileStore struct {
 	ghostAt  []uint64
 	ghostSeq uint64
 
-	// Durable-mode placement state (nil mapping = direct mode). A slot
+	// Durable-mode placement state (nil mapping = scratch mode). A slot
 	// whose slotEpoch is the current epoch was first written in it: no
 	// checkpoint references it, so it may be overwritten in place and
 	// reused at once when retired.
@@ -175,10 +157,10 @@ type FileStore struct {
 var _ BlockStore = (*FileStore)(nil)
 
 // frame is one pool slot. img is the block's slot image — header, B()
-// entries, sector padding — and entries the live prefix of its entry
-// area viewed in place. img's header bytes are only meaningful on the
-// way in (load) and out (seal); in between, len(entries) and next are
-// the truth.
+// entries, a legacy table's padding — and entries the live prefix of
+// its entry area viewed in place. img's header bytes are only
+// meaningful on the way in (load) and out (seal); in between,
+// len(entries) and next are the truth.
 type frame struct {
 	id      BlockID
 	img     []byte  // arena-backed, slotBytes long
@@ -217,19 +199,6 @@ type FileStats struct {
 	// GhostHits counts faults of blocks found on the eviction ghost
 	// list: re-references the scan-resistant policy promoted to hot.
 	GhostHits int64
-
-	// Kernel-bypass tier. DirectIO is 1 while the block fd is open
-	// O_DIRECT; ODirectFallbacks counts direct-mode opens that fell
-	// back to buffered syscalls (filesystem refused the flag);
-	// UringFallbacks counts uring-mode stores that fell back to the
-	// pwrite pool (tag off or kernel probe failed). UringEnters and
-	// UringSQEs meter the ring: SQEs per enter is the realized
-	// submission batch size.
-	DirectIO         int64
-	ODirectFallbacks int64
-	UringEnters      int64
-	UringSQEs        int64
-	UringFallbacks   int64
 }
 
 // DefaultCacheBlocks is the page-cache capacity used when none is
@@ -256,45 +225,34 @@ var hostBigEndian = binary.NativeEndian.Uint16([]byte{1, 0}) != 1
 // split into multiple syscalls.
 const maxRunBytes = 1 << 20
 
-// NewFileStore creates (or truncates) the file at path and returns a
-// direct-placement store with blocks of capacity b entries and a page
-// cache of cacheBlocks frames (DefaultCacheBlocks if cacheBlocks <= 0).
-func NewFileStore(path string, b, cacheBlocks int) (*FileStore, error) {
-	return NewFileStoreIO(path, b, cacheBlocks, IOOptions{})
+// alignUp rounds n up to the next multiple of align (a power of two).
+func alignUp(n, align int64) int64 {
+	return (n + align - 1) &^ (align - 1)
 }
 
-// NewFileStoreIO is NewFileStore with an explicit I/O mode (see the
-// IOMode constants). A direct mode that the filesystem refuses falls
-// back to buffered syscalls, recorded in FileStats.ODirectFallbacks;
-// the sector-padded layout is kept either way.
-func NewFileStoreIO(path string, b, cacheBlocks int, io IOOptions) (*FileStore, error) {
-	f, direct, err := openBlockFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, directLayout(io.Mode))
+// NewFileStore creates (or truncates) the file at path and returns a
+// scratch-placement store with blocks of capacity b entries and a page
+// cache of cacheBlocks frames (DefaultCacheBlocks if cacheBlocks <= 0).
+func NewFileStore(path string, b, cacheBlocks int) (*FileStore, error) {
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("iomodel: open block store: %w", err)
 	}
-	s := newFileStoreOn(f, f, b, cacheBlocks, false, io, direct)
-	if directLayout(io.Mode) && !direct {
-		s.stats.ODirectFallbacks++
-	}
-	return s, nil
+	return newFileStoreOn(f, b, cacheBlocks, false, 0), nil
 }
 
 // OpenFileStore opens (creating if absent, never truncating) the file
 // at path as a durable-mode store: copy-on-write placement behind a
 // logical→physical indirection table, ready for checkpoint/recovery.
 // A non-nil crasher interposes fault injection on every file write.
-func OpenFileStore(path string, b, cacheBlocks int, crasher *Crasher) (*FileStore, error) {
-	return OpenFileStoreIO(path, b, cacheBlocks, crasher, IOOptions{})
-}
-
-// OpenFileStoreIO is OpenFileStore with an explicit I/O mode. A
-// crash-injected store refuses the kernel-bypass syscall paths (same
-// rule as SetWritebackWorkers) but keeps the mode's slot layout, so
-// the crash matrix replays deterministically against the same files a
-// production store writes.
-func OpenFileStoreIO(path string, b, cacheBlocks int, crasher *Crasher, io IOOptions) (*FileStore, error) {
-	wantDirect := directLayout(io.Mode) && crasher == nil
-	f, direct, err := openBlockFile(path, os.O_RDWR|os.O_CREATE, wantDirect)
+// sector is the slot alignment the table's superblock records: 0 packs
+// the slots, anything else (a power of two) pads them to a multiple of
+// it, as a table written under the deleted O_DIRECT tier is laid out.
+func OpenFileStore(path string, b, cacheBlocks int, crasher *Crasher, sector int) (*FileStore, error) {
+	if sector < 0 || sector&(sector-1) != 0 {
+		return nil, fmt.Errorf("iomodel: slot alignment %d is not a power of two", sector)
+	}
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("iomodel: open block store: %w", err)
 	}
@@ -302,60 +260,33 @@ func OpenFileStoreIO(path string, b, cacheBlocks int, crasher *Crasher, io IOOpt
 	if crasher != nil {
 		bf = crasher.WrapFile(bf)
 	}
-	s := newFileStoreOn(bf, f, b, cacheBlocks, true, io, direct)
-	s.hasCrasher = crasher != nil
-	if wantDirect && !direct {
-		s.stats.ODirectFallbacks++
-	}
-	return s, nil
+	return newFileStoreOn(bf, b, cacheBlocks, true, int64(sector)), nil
 }
 
-func newFileStoreOn(f BlockFile, osf *os.File, b, cacheBlocks int, durable bool, io IOOptions, direct bool) *FileStore {
+func newFileStoreOn(f BlockFile, b, cacheBlocks int, durable bool, sector int64) *FileStore {
 	if b < 1 {
 		panic("iomodel: block size must be >= 1")
 	}
 	if cacheBlocks <= 0 {
 		cacheBlocks = DefaultCacheBlocks
 	}
-	mode := io.Mode
-	if mode == "" {
-		mode = IOModeBuffered
-	}
 	fb := int64(blockHeaderBytes + b*entryBytes)
 	slot := fb
-	var sector int64
-	if directLayout(mode) {
-		sector = int64(io.Sector)
-		if sector <= 0 && osf != nil {
-			sector = int64(fsSectorSize(osf.Name()))
-		}
-		if sector <= 0 {
-			sector = 4096
-		}
+	if sector > 0 {
 		slot = alignUp(fb, sector)
 	}
-	// Slot images start sector-aligned (slotBytes is a sector multiple
-	// under the direct layout) and at least page-aligned.
-	align := max(sector, 4096)
 	s := &FileStore{
 		f:          f,
-		osf:        osf,
 		b:          b,
 		frameBytes: fb,
 		slotBytes:  slot,
-		sector:     sector,
-		ioMode:     mode,
-		direct:     direct,
 		cacheCap:   cacheBlocks,
 		frames:     make([]frame, cacheBlocks),
-		arena:      alignedBytes(cacheBlocks*int(slot), 0, int(align)),
+		arena:      make([]byte, cacheBlocks*int(slot)),
 		freeFrames: make([]int32, cacheBlocks),
 		swab:       hostBigEndian,
 		durable:    durable,
 		epoch:      1,
-	}
-	if direct {
-		s.stats.DirectIO = 1
 	}
 	s.lastID = NilBlock
 	for i := range s.frames {
@@ -370,76 +301,16 @@ func newFileStoreOn(f BlockFile, osf *os.File, b, cacheBlocks int, durable bool,
 	return s
 }
 
-// SetWritebackWorkers switches the store's flush-barrier and eviction
-// writeback from synchronous pwrites to a pool of n concurrent
-// submission workers (see writeback). n <= 1 keeps writes synchronous.
-// The call is ignored on a crash-injected store — the crash harness
-// kills the process at the Nth write syscall, so write order must stay
-// deterministic — and must be made before any write reaches the store.
-func (s *FileStore) SetWritebackWorkers(n int) {
-	if n <= 1 || s.hasCrasher || s.wb != nil {
-		return
-	}
-	s.wb = newWriteback(s.f, n, int(s.slotBytes), int(s.sector))
-}
-
-// ConfigureSubmission selects how the store's writes reach the file.
-// workers is Config.WritebackWorkers: 0 lets the store decide, 1 forces
-// synchronous writes, n > 1 asks for a pool of n (an io_uring ring
-// under IOModeUring). Crash-injected stores stay synchronous whatever
-// is asked. Must be called before any write reaches the store.
-//
-// What 0 selects rests on what a pwrite is on this fd. Through the page
-// cache it is a memcpy of one slot: the kernel's page cache is the
-// store's write-behind buffer, and a user-space pool in front of it is
-// a second one, paid for with a goroutine handoff per kilobyte
-// (EXPERIMENTS.md, PR 23). So a buffered fd — a direct-mode open that
-// fell back included — writes inline. On an O_DIRECT fd a pwrite waits
-// for the device and several in flight are the only overlap there is:
-// that store gets min(4, GOMAXPROCS) workers, or the ring. Asking for
-// workers by hand remains right for a buffered store over a cold data
-// set far larger than RAM, where a partial-page write to an uncached
-// slot waits for a device read.
-func (s *FileStore) ConfigureSubmission(mode string, workers int) {
-	if s.hasCrasher || s.wb != nil {
-		return
-	}
-	if workers == 0 {
-		if !s.direct {
-			return
-		}
-		workers = min(4, runtime.GOMAXPROCS(0))
-	}
-	if mode == IOModeUring {
-		// Build tag "iouring"; falls back to the pwrite pool, counted in
-		// FileStats.UringFallbacks, when the tag is off or the kernel
-		// probe fails.
-		if ur, err := newURing(s, uringDepth); err == nil {
-			s.wb = ur
-			s.uringOn = true
-			return
-		}
-		s.stats.UringFallbacks++
-	}
-	s.SetWritebackWorkers(workers)
-}
-
 // NewTempFileStore is NewFileStore on a fresh temporary file that is
 // removed when the store is closed.
 func NewTempFileStore(b, cacheBlocks int) (*FileStore, error) {
-	return NewTempFileStoreIO(b, cacheBlocks, IOOptions{})
-}
-
-// NewTempFileStoreIO is NewFileStoreIO on a fresh temporary file that
-// is removed when the store is closed.
-func NewTempFileStoreIO(b, cacheBlocks int, io IOOptions) (*FileStore, error) {
 	f, err := os.CreateTemp("", "extbuf-*.blocks")
 	if err != nil {
 		return nil, fmt.Errorf("iomodel: temp block store: %w", err)
 	}
 	name := f.Name()
 	f.Close()
-	s, err := NewFileStoreIO(name, b, cacheBlocks, io)
+	s, err := NewFileStore(name, b, cacheBlocks)
 	if err != nil {
 		os.Remove(name)
 		return nil, err
@@ -460,32 +331,6 @@ func (s *FileStore) B() int { return s.b }
 // Durable reports whether the store runs in durable (copy-on-write)
 // mode.
 func (s *FileStore) Durable() bool { return s.durable }
-
-// IOMode returns the store's configured I/O mode, which fixes the slot
-// layout (see the IOMode constants).
-func (s *FileStore) IOMode() string { return s.ioMode }
-
-// EffectiveIOMode returns the syscall path actually in use after the
-// fallback ladder: "uring" when submissions ride an io_uring ring,
-// else "odirect" when the fd is open O_DIRECT, else "buffered".
-func (s *FileStore) EffectiveIOMode() string {
-	if s.uringOn {
-		return IOModeUring
-	}
-	if s.direct {
-		return IOModeODirect
-	}
-	return IOModeBuffered
-}
-
-// AsyncWriteback reports whether writes leave through an asynchronous
-// submitter (the pwrite pool or the ring) rather than inline; see
-// ConfigureSubmission for which stores get one.
-func (s *FileStore) AsyncWriteback() bool { return s.wb != nil }
-
-// SectorSize returns the direct layout's alignment in bytes, 0 under
-// the buffered layout.
-func (s *FileStore) SectorSize() int { return int(s.sector) }
 
 // Failed returns the sticky first write failure, or nil. A failed store
 // has lost writes; its in-memory cache no longer reflects the file.
@@ -515,7 +360,7 @@ func (s *FileStore) Alloc() BlockID {
 		s.mapping = append(s.mapping, -1)
 	}
 	// Nothing is written yet: a read of a never-written slot hits EOF
-	// (direct mode) or an unmapped slot (durable mode) and decodes as an
+	// (scratch mode) or an unmapped slot (durable mode) and decodes as an
 	// empty block, so allocation alone costs no syscall.
 	return id
 }
@@ -587,7 +432,7 @@ func (s *FileStore) allocPhys() int64 {
 }
 
 // physFor returns the file slot holding block id, or -1 if the block
-// has never been flushed (durable mode only; direct mode is identity).
+// has never been flushed (durable mode only; scratch mode is identity).
 func (s *FileStore) physFor(id BlockID) int64 {
 	if !s.durable {
 		return int64(id)
@@ -713,45 +558,12 @@ func (s *FileStore) writeRuns(dirty []*frame) error {
 			s.physFor(dirty[end].id) == s.physFor(dirty[end-1].id)+1 {
 			end++
 		}
-		if s.wb != nil {
-			s.submitRun(dirty[start:end])
-		} else if err := s.flushRun(dirty[start:end]); err != nil {
+		if err := s.flushRun(dirty[start:end]); err != nil {
 			return err
 		}
 		start = end
 	}
 	return nil
-}
-
-// submitRun hands a run of frames occupying adjacent physical slots to
-// the asynchronous submitter: the frames' sealed images are snapshotted
-// here, on the store's goroutine, into a submitter-owned buffer, then
-// the pwrite is issued off it. The frames are clean the moment the
-// snapshot is taken — later mutations re-dirty them and flush again —
-// and write errors surface at the next drain barrier (Fsync/Close).
-// Counters are charged at submit, so Stats reads stay deterministic at
-// barriers.
-func (s *FileStore) submitRun(run []*frame) {
-	n := len(run) * int(s.slotBytes)
-	buf := s.wb.getBuf(n)
-	s.sealInto(buf, run)
-	for _, fr := range run {
-		fr.dirty = false
-	}
-	first := s.physFor(run[0].id)
-	s.stats.WriteSyscalls++
-	s.stats.FlushRuns++
-	s.stats.FlushedFrames += int64(len(run))
-	s.stats.BytesWritten += int64(n)
-	s.wrote = true
-	s.wb.submit(wbJob{
-		buf:   buf,
-		off:   first * s.slotBytes,
-		first: first,
-		n:     len(run),
-		id0:   run[0].id,
-		id1:   run[len(run)-1].id,
-	})
 }
 
 // flushRun writes a run of frames occupying adjacent physical slots
@@ -765,7 +577,7 @@ func (s *FileStore) flushRun(run []*frame) error {
 	} else {
 		n := len(run) * int(s.slotBytes)
 		if cap(s.runBuf) < n {
-			s.runBuf = alignedBytes(n, n, int(s.sector))
+			s.runBuf = make([]byte, n)
 		}
 		buf = s.runBuf[:n]
 		s.sealInto(buf, run)
@@ -791,8 +603,8 @@ func (s *FileStore) flushRun(run []*frame) error {
 
 // seal makes fr's image the block's on-disk bytes: the header is
 // stamped from the frame and everything past the live entries — deleted
-// entries, what an earlier occupant of the frame left, the direct
-// layout's sector padding — is zeroed, so stale bytes never reach the
+// entries, what an earlier occupant of the frame left, a legacy
+// table's sector padding — is zeroed, so stale bytes never reach the
 // file. The live entries are already in place.
 func (s *FileStore) seal(fr *frame) {
 	binary.LittleEndian.PutUint32(fr.img[0:4], uint32(len(fr.entries)))
@@ -823,17 +635,10 @@ func swapWords(b []byte) {
 }
 
 // Fsync makes previously written frames durable with one fsync of the
-// block file. It is the drain barrier for asynchronous writeback: every
-// submitted write completes (and joins its error) before the fsync is
-// issued. A barrier with nothing written since the last fsync elides
-// the syscall — the one-fsync-per-fd-per-barrier dedupe — and counts
-// the elision in FsyncsElided.
+// block file. A barrier with nothing written since the last fsync
+// elides the syscall — the one-fsync-per-fd-per-barrier dedupe — and
+// counts the elision in FsyncsElided.
 func (s *FileStore) Fsync() error {
-	if s.wb != nil {
-		if err := s.wb.drain(); err != nil && s.failed == nil {
-			s.failed = err
-		}
-	}
 	if s.failed != nil {
 		return s.failed
 	}
@@ -877,7 +682,7 @@ func (s *FileStore) AllocState() (nslots int, free []BlockID, mapping []int64) {
 // block access).
 func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int64) error {
 	if !s.durable {
-		return fmt.Errorf("iomodel: RestoreAllocState on a direct-mode store")
+		return fmt.Errorf("iomodel: RestoreAllocState on a scratch-mode store")
 	}
 	if len(mapping) != nslots {
 		return fmt.Errorf("iomodel: mapping covers %d slots, allocator has %d", len(mapping), nslots)
@@ -937,12 +742,6 @@ func (s *FileStore) Close() error {
 	}
 	s.closed = true
 	err := s.Sync()
-	if s.wb != nil {
-		if werr := s.wb.shutdown(); werr != nil && err == nil {
-			err = werr
-		}
-		s.wb = nil
-	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}
@@ -1147,7 +946,7 @@ func (s *FileStore) flushCluster(victim *frame) error {
 		cluster = append(cluster, &s.frames[idx])
 	}
 	var err error
-	if len(cluster) == 1 && s.wb == nil {
+	if len(cluster) == 1 {
 		// The common case needs no sorting: one slot, one pwrite.
 		if s.durable {
 			s.assignSlot(victim)
@@ -1161,24 +960,16 @@ func (s *FileStore) flushCluster(victim *frame) error {
 }
 
 // loadHeader fills only fr's header (the next pointer) from the file
-// with one small pread — 8 bytes buffered, one sector under O_DIRECT
-// (the minimum aligned read) — for whole-block overwrites that must
-// not lose the chain pointer. The bytes land in the head of the frame's
-// own image, which the caller is about to overwrite. A slot past EOF —
-// or never flushed in durable mode — decodes as a nil pointer.
+// with one 8-byte pread, for whole-block overwrites that must not lose
+// the chain pointer. The bytes land in the head of the frame's own
+// image, which the caller is about to overwrite. A slot past EOF — or
+// never flushed in durable mode — decodes as a nil pointer.
 func (s *FileStore) loadHeader(fr *frame) {
 	phys := s.physFor(fr.id)
 	if phys < 0 {
 		return
 	}
-	if s.wb != nil {
-		s.wb.waitSlot(phys)
-	}
-	rd := int64(blockHeaderBytes)
-	if s.direct {
-		rd = s.sector
-	}
-	n, err := s.f.ReadAt(fr.img[:rd], phys*s.slotBytes)
+	n, err := s.f.ReadAt(fr.img[:blockHeaderBytes], phys*s.slotBytes)
 	if err != nil && err != io.EOF {
 		panic(fmt.Errorf("iomodel: read block %d header: %w", fr.id, err))
 	}
@@ -1197,9 +988,6 @@ func (s *FileStore) load(fr *frame) {
 	phys := s.physFor(fr.id)
 	if phys < 0 {
 		return
-	}
-	if s.wb != nil {
-		s.wb.waitSlot(phys)
 	}
 	n, err := s.f.ReadAt(fr.img, phys*s.slotBytes)
 	if err != nil && err != io.EOF {

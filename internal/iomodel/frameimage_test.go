@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"testing"
 )
@@ -31,14 +30,6 @@ func referenceEncode(entries []Entry, next BlockID, slotBytes int) []byte {
 	return buf
 }
 
-// layouts are the slot layouts a file can have: packed, and padded to
-// either sector size in use.
-var layouts = []IOOptions{
-	{},
-	{Mode: IOModeODirect, Sector: 512},
-	{Mode: IOModeODirect, Sector: 4096},
-}
-
 // readSlot returns the raw bytes of physical slot phys of s's file.
 func readSlot(t testing.TB, s *FileStore, phys int64) []byte {
 	t.Helper()
@@ -59,14 +50,9 @@ func readSlot(t testing.TB, s *FileStore, phys int64) []byte {
 // the slot on disk to be byte-equal to the reference encoding; then it
 // plants the reference bytes in another slot and requires a fault of
 // that slot to return the same entries and pointer.
-func checkFrameImage(t testing.TB, b int, opt IOOptions, entries []Entry, next BlockID) {
+func checkFrameImage(t testing.TB, b int, sector int64, entries []Entry, next BlockID) {
 	t.Helper()
-	forceNoDirect = true // layout under test, not the fd: plain reads of the file must see the writes
-	defer func() { forceNoDirect = false }()
-	s, err := NewFileStoreIO(filepath.Join(t.TempDir(), "img.blocks"), b, 1, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newScratchStore(t, filepath.Join(t.TempDir(), "img.blocks"), b, 1, sector)
 	defer s.Close()
 	full := make([]Entry, b)
 	for i := range full {
@@ -81,23 +67,23 @@ func checkFrameImage(t testing.TB, b int, opt IOOptions, entries []Entry, next B
 	}
 	want := referenceEncode(entries, next, int(s.slotBytes))
 	if got := readSlot(t, s, int64(id)); !bytes.Equal(got, want) {
-		t.Fatalf("b=%d layout %+v: slot image differs from the reference encoding\n got %x\nwant %x", b, opt, got, want)
+		t.Fatalf("b=%d sector %d: slot image differs from the reference encoding\n got %x\nwant %x", b, sector, got, want)
 	}
 
 	if _, err := s.f.WriteAt(want, int64(planted)*s.slotBytes); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ReadBlock(planted, nil); !slices.Equal(got, entries) {
-		t.Fatalf("b=%d layout %+v: load of reference bytes = %v, want %v", b, opt, got, entries)
+		t.Fatalf("b=%d sector %d: load of reference bytes = %v, want %v", b, sector, got, entries)
 	}
 	if got := s.Next(planted); got != next {
-		t.Fatalf("b=%d layout %+v: load of reference bytes: next = %d, want %d", b, opt, got, next)
+		t.Fatalf("b=%d sector %d: load of reference bytes: next = %d, want %d", b, sector, got, next)
 	}
 }
 
 func TestFrameImageMatchesReferenceEncoding(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, opt := range layouts {
+	for _, sector := range sectors {
 		for _, b := range []int{1, 7, 64} {
 			for round := 0; round < 20; round++ {
 				entries := make([]Entry, rng.Intn(b+1))
@@ -105,7 +91,7 @@ func TestFrameImageMatchesReferenceEncoding(t *testing.T) {
 					entries[i] = Entry{Key: rng.Uint64(), Val: rng.Uint64()}
 				}
 				next := BlockID(rng.Int31()) - 1 // NilBlock included
-				checkFrameImage(t, b, opt, entries, next)
+				checkFrameImage(t, b, sector, entries, next)
 			}
 		}
 	}
@@ -126,7 +112,7 @@ func FuzzFrameImage(f *testing.F) {
 				Val: binary.BigEndian.Uint64(data[8:16]),
 			})
 		}
-		checkFrameImage(t, b, layouts[int(layout)%len(layouts)], entries, BlockID(next))
+		checkFrameImage(t, b, sectors[int(layout)%len(sectors)], entries, BlockID(next))
 	})
 }
 
@@ -140,23 +126,18 @@ func TestSealZeroesStaleTail(t *testing.T) {
 	for i := range full {
 		full[i] = Entry{Key: 0xa5a5a5a5a5a5a5a5, Val: 0x5a5a5a5a5a5a5a5a}
 	}
-	for _, opt := range layouts {
-		forceNoDirect = true
-		s, err := NewFileStoreIO(filepath.Join(t.TempDir(), "tail.blocks"), b, 1, opt)
-		forceNoDirect = false
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, sector := range sectors {
+		s := newScratchStore(t, filepath.Join(t.TempDir(), "tail.blocks"), b, 1, sector)
 		other := s.Alloc()
 		tailIsZero := func(id BlockID, live int, what string) {
 			t.Helper()
 			img := readSlot(t, s, int64(id))
 			if n := binary.LittleEndian.Uint32(img[0:4]); int(n) != live {
-				t.Fatalf("layout %+v, %s: count on disk = %d, want %d", opt, what, n, live)
+				t.Fatalf("sector %d, %s: count on disk = %d, want %d", sector, what, n, live)
 			}
 			tail := img[blockHeaderBytes+live*entryBytes:]
 			if !bytes.Equal(tail, make([]byte, len(tail))) {
-				t.Fatalf("layout %+v, %s: stale bytes past entry %d reached the file: %x", opt, what, live, tail)
+				t.Fatalf("sector %d, %s: stale bytes past entry %d reached the file: %x", sector, what, live, tail)
 			}
 		}
 
@@ -166,7 +147,7 @@ func TestSealZeroesStaleTail(t *testing.T) {
 		s.ReadBlock(other, nil)
 		got := s.ReadBlock(id, nil)
 		if len(got) != b {
-			t.Fatalf("layout %+v: full block read back %d entries", opt, len(got))
+			t.Fatalf("sector %d: full block read back %d entries", sector, len(got))
 		}
 		s.WriteBlock(id, got[:3])
 		s.ReadBlock(other, nil)
@@ -187,100 +168,43 @@ func TestSealZeroesStaleTail(t *testing.T) {
 
 // TestBigEndianSwapRoundTrips forces the big-endian host's path on this
 // host: entry words are swapped around every transfer, so blocks
-// round-trip through single-frame write-backs, gathered runs and the
-// asynchronous pool, and the file holds each word byte-reversed from
-// what this host's native path would have written — which on a real
-// big-endian host is exactly the little-endian format.
+// round-trip through single-frame write-backs and gathered runs, and
+// the file holds each word byte-reversed from what this host's native
+// path would have written — which on a real big-endian host is exactly
+// the little-endian format.
 func TestBigEndianSwapRoundTrips(t *testing.T) {
-	for _, workers := range []int{1, 3} {
-		s, err := NewFileStore(filepath.Join(t.TempDir(), "swab.blocks"), 8, 4)
-		if err != nil {
-			t.Fatal(err)
+	s, err := NewFileStore(filepath.Join(t.TempDir(), "swab.blocks"), 8, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.swab = !hostBigEndian
+	const blocks = 64
+	block := func(i int) []Entry {
+		es := make([]Entry, 1+i%8)
+		for j := range es {
+			es[j] = Entry{Key: 0x0102030405060708 + uint64(i), Val: uint64(j)<<56 | uint64(i)}
 		}
-		s.swab = !hostBigEndian
-		s.SetWritebackWorkers(workers)
-		const blocks = 64
-		block := func(i int) []Entry {
-			es := make([]Entry, 1+i%8)
-			for j := range es {
-				es[j] = Entry{Key: 0x0102030405060708 + uint64(i), Val: uint64(j)<<56 | uint64(i)}
-			}
-			return es
-		}
-		for i := 0; i < blocks; i++ {
-			s.WriteBlock(s.Alloc(), block(i)) // evictions: single-frame writes
-			if i%16 == 15 {
-				if err := s.Sync(); err != nil { // barrier: gathered runs
-					t.Fatal(err)
-				}
+		return es
+	}
+	for i := 0; i < blocks; i++ {
+		s.WriteBlock(s.Alloc(), block(i)) // evictions: single-frame writes
+		if i%16 == 15 {
+			if err := s.Sync(); err != nil { // barrier: gathered runs
+				t.Fatal(err)
 			}
 		}
-		for i := 0; i < blocks; i++ {
-			if got := s.ReadBlock(BlockID(i), nil); !slices.Equal(got, block(i)) {
-				t.Fatalf("workers=%d: block %d = %v, want %v", workers, i, got, block(i))
-			}
-		}
-		native := referenceEncode(block(5), NilBlock, int(s.slotBytes))
-		swapWords(native[blockHeaderBytes : blockHeaderBytes+len(block(5))*entryBytes])
-		if got := readSlot(t, s, 5); !bytes.Equal(got, native) {
-			t.Fatalf("workers=%d: swapped image\n got %x\nwant %x", workers, got, native)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
+	}
+	for i := 0; i < blocks; i++ {
+		if got := s.ReadBlock(BlockID(i), nil); !slices.Equal(got, block(i)) {
+			t.Fatalf("block %d = %v, want %v", i, got, block(i))
 		}
 	}
-}
-
-// TestConfigureSubmissionPolicy pins who gets an asynchronous
-// submitter when nobody asks for one by number: only a store whose fd
-// really is O_DIRECT.
-func TestConfigureSubmissionPolicy(t *testing.T) {
-	open := func(mode string, noDirect bool, crasher *Crasher) *FileStore {
-		t.Helper()
-		forceNoDirect = noDirect
-		defer func() { forceNoDirect = false }()
-		s, err := OpenFileStoreIO(filepath.Join(t.TempDir(), "p.blocks"), 4, 8, crasher, IOOptions{Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
+	native := referenceEncode(block(5), NilBlock, int(s.slotBytes))
+	swapWords(native[blockHeaderBytes : blockHeaderBytes+len(block(5))*entryBytes])
+	if got := readSlot(t, s, 5); !bytes.Equal(got, native) {
+		t.Fatalf("swapped image\n got %x\nwant %x", got, native)
 	}
-	cases := []struct {
-		name     string
-		mode     string
-		noDirect bool
-		workers  int
-		async    bool
-	}{
-		{"buffered default", IOModeBuffered, false, 0, false},
-		{"buffered explicit pool", IOModeBuffered, false, 4, true},
-		{"buffered explicit sync", IOModeBuffered, false, 1, false},
-		{"odirect fell back", IOModeODirect, true, 0, false},
-		{"uring fell back to buffered fd", IOModeUring, true, 0, false},
-		{"odirect fell back, explicit pool", IOModeODirect, true, 2, true},
-	}
-	for _, c := range cases {
-		s := open(c.mode, c.noDirect, nil)
-		s.ConfigureSubmission(c.mode, c.workers)
-		if s.AsyncWriteback() != c.async {
-			t.Errorf("%s: async submitter = %v, want %v", c.name, s.AsyncWriteback(), c.async)
-		}
-		if c.noDirect && c.workers == 0 && s.Stats().UringFallbacks != 0 {
-			t.Errorf("%s: counted a ring fallback for a ring nobody tried to build", c.name)
-		}
-	}
-	// Granted O_DIRECT: the default builds a submitter (on a multi-CPU
-	// host; one CPU keeps even that synchronous, as before).
-	if s := open(IOModeODirect, false, nil); s.direct {
-		s.ConfigureSubmission(IOModeODirect, 0)
-		if want := runtime.GOMAXPROCS(0) > 1; s.AsyncWriteback() != want {
-			t.Errorf("granted odirect default: async submitter = %v, want %v", s.AsyncWriteback(), want)
-		}
-	}
-	s := open(IOModeODirect, false, NewCrasher(CrashPlan{FailAfterWrites: 1 << 30}))
-	s.ConfigureSubmission(IOModeODirect, 4)
-	if s.AsyncWriteback() {
-		t.Error("crash-injected store accepted a submitter")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -59,42 +59,6 @@ func DeviceProfile(name string) (LatencyConfig, error) {
 	return cfg, nil
 }
 
-// DeviceProfileIO returns the named preset priced for an I/O mode. The
-// kernel-bypass tier does not change the device, only the per-transfer
-// software overhead in front of it: the direct modes shave the
-// page-cache copy + buffered-syscall component (4 µs, floored at 1 µs)
-// off both transfer rates, and "uring" additionally doubles the
-// absorbed queue depth — batched SQE submission keeps the device queue
-// full without one syscall per write. "" and "buffered" return the
-// preset unchanged.
-func DeviceProfileIO(name, mode string) (LatencyConfig, error) {
-	cfg, err := DeviceProfile(name)
-	if err != nil {
-		return cfg, err
-	}
-	if !ValidIOMode(mode) {
-		return LatencyConfig{}, fmt.Errorf("iomodel: unknown io mode %q", mode)
-	}
-	if !directLayout(mode) {
-		return cfg, nil
-	}
-	shave := func(d time.Duration) time.Duration {
-		const overhead = 4 * time.Microsecond
-		if d -= overhead; d < time.Microsecond {
-			return time.Microsecond
-		}
-		return d
-	}
-	cfg.Transfer = shave(cfg.Transfer)
-	if cfg.SeqTransfer > 0 {
-		cfg.SeqTransfer = shave(cfg.SeqTransfer)
-	}
-	if mode == IOModeUring && cfg.QueueDepth > 0 {
-		cfg.QueueDepth *= 2
-	}
-	return cfg, nil
-}
-
 // DeviceProfileNames returns the built-in profile names, sorted.
 func DeviceProfileNames() []string {
 	names := make([]string, 0, len(deviceProfiles))

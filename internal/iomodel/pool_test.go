@@ -146,7 +146,7 @@ func TestMemStorePinBalance(t *testing.T) {
 // per block — and that a reopened durable store reads every block back.
 func TestCoalescedFlush(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coalesce.blocks")
-	s, err := OpenFileStore(path, 8, 64, nil)
+	s, err := OpenFileStore(path, 8, 64, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +199,7 @@ func TestCoalescedFlush(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := OpenFileStore(path, 8, 4, nil) // tiny pool: force faults
+	s2, err := OpenFileStore(path, 8, 4, nil, 0) // tiny pool: force faults
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -356,7 +356,7 @@ func TestModelOnFileBackend(t *testing.T) {
 // checkpoint may reference waits for EndEpoch — and all of it survives
 // the epoch counter wrapping and a RestoreAllocState.
 func TestCopyOnWriteEpochStamps(t *testing.T) {
-	s, err := OpenFileStore(filepath.Join(t.TempDir(), "cow.blocks"), 4, 8, nil)
+	s, err := OpenFileStore(filepath.Join(t.TempDir(), "cow.blocks"), 4, 8, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,4 +421,104 @@ func TestCopyOnWriteEpochStamps(t *testing.T) {
 		t.Fatalf("after restore: physFree %v not highest-first", s.physFree)
 	}
 	epochs("first epoch after a restore")
+}
+
+// fillStore writes n fresh blocks of distinct content through st.
+func fillStore(t *testing.T, st *FileStore, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		id := st.Alloc()
+		st.WriteBlock(id, []Entry{{Key: uint64(i), Val: uint64(i) * 3}})
+	}
+}
+
+// TestFsyncElided asserts the one-fsync-per-fd-per-barrier dedupe: a
+// barrier with nothing written since the last fsync skips the syscall
+// and counts the elision.
+func TestFsyncElided(t *testing.T) {
+	st, err := NewTempFileStore(4, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	fillStore(t, st, 4)
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	base := st.Stats()
+	if base.Fsyncs != 1 || base.FsyncsElided != 0 {
+		t.Fatalf("first barrier: Fsyncs=%d FsyncsElided=%d, want 1/0", base.Fsyncs, base.FsyncsElided)
+	}
+	// Nothing written since: the second and third barrier fsyncs are
+	// deduped away.
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Fsync(); err != nil {
+		t.Fatal(err)
+	}
+	got := st.Stats()
+	if got.Fsyncs != 1 || got.FsyncsElided != 2 {
+		t.Fatalf("idle barriers: Fsyncs=%d FsyncsElided=%d, want 1/2", got.Fsyncs, got.FsyncsElided)
+	}
+	// New bytes re-arm the fsync.
+	st.WriteBlock(0, []Entry{{Key: 9, Val: 9}})
+	if err := st.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	got = st.Stats()
+	if got.Fsyncs != 2 {
+		t.Fatalf("dirty barrier: Fsyncs=%d, want 2", got.Fsyncs)
+	}
+}
+
+// TestDeviceProfiles checks the fio-style presets: lookup, unknown
+// names, and that sequential access is priced below seek-heavy access.
+func TestDeviceProfiles(t *testing.T) {
+	for _, name := range DeviceProfileNames() {
+		cfg, err := DeviceProfile(name)
+		if err != nil {
+			t.Fatalf("profile %s: %v", name, err)
+		}
+		if cfg.Seek <= 0 || cfg.Transfer <= 0 || cfg.SeqTransfer <= 0 || cfg.QueueDepth <= 0 {
+			t.Fatalf("profile %s is not fully specified: %+v", name, cfg)
+		}
+		if cfg.SeqTransfer > cfg.Seek+cfg.Transfer {
+			t.Fatalf("profile %s prices sequential above random: %+v", name, cfg)
+		}
+	}
+	if _, err := DeviceProfile("floppy"); err == nil {
+		t.Fatal("unknown profile accepted")
+	}
+}
+
+// TestLatencyStoreSequentialPricing checks that adjacent-block access
+// hits the sequential rate and is counted.
+func TestLatencyStoreSequentialPricing(t *testing.T) {
+	ls := NewLatencyStore(NewMemStore(4), LatencyConfig{
+		Seek: 2 * time.Millisecond, Transfer: time.Millisecond,
+		SeqTransfer: 10 * time.Microsecond, QueueDepth: 2,
+	})
+	d := NewDiskOn(ls)
+	ids := make([]BlockID, 8)
+	for i := range ids {
+		ids[i] = d.Alloc()
+	}
+	for _, id := range ids {
+		d.Write(id, []Entry{{Key: uint64(id)}})
+	}
+	seq := ls.SeqOps()
+	if seq < int64(len(ids)-1) {
+		t.Fatalf("sequential writes priced sequentially: SeqOps=%d, want >= %d", seq, len(ids)-1)
+	}
+	// A strided pass breaks adjacency: no new sequential ops.
+	for i := len(ids) - 1; i >= 0; i -= 2 {
+		d.Read(ids[i], nil)
+	}
+	if got := ls.SeqOps(); got != seq {
+		t.Fatalf("strided reads counted as sequential: SeqOps=%d, want %d", got, seq)
+	}
+	if ls.Waited() == 0 || ls.DelayedOps() == 0 {
+		t.Fatal("latency store injected no delay")
+	}
 }

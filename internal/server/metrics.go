@@ -45,7 +45,7 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_model_writes_total", "counter", "Model block writes.", ops.Writes)
 	metric(buf, "extbuf_model_writebacks_total", "counter", "Model buffer write-backs.", ops.WriteBacks)
 
-	// Real storage costs (buffer pool, WAL, kernel-bypass tier).
+	// Real storage costs (buffer pool, WAL).
 	metric(buf, "extbuf_store_read_syscalls_total", "counter", "preads issued by the buffer pool.", st.ReadSyscalls)
 	metric(buf, "extbuf_store_write_syscalls_total", "counter", "pwrites issued by the buffer pool.", st.WriteSyscalls)
 	metric(buf, "extbuf_store_cache_hits_total", "counter", "Block accesses served from the pool.", st.CacheHits)
@@ -60,9 +60,6 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_store_ghost_hits_total", "counter", "Faults of recently evicted blocks.", st.GhostHits)
 	metric(buf, "extbuf_wal_spills_total", "counter", "Write-ahead-log spill writes.", st.WALSpills)
 	metric(buf, "extbuf_wal_fsyncs_total", "counter", "Write-ahead-log fsyncs.", st.WALFsyncs)
-	metric(buf, "extbuf_uring_enters_total", "counter", "io_uring_enter syscalls.", st.UringEnters)
-	metric(buf, "extbuf_uring_sqes_total", "counter", "io_uring submission-queue entries placed.", st.UringSQEs)
-	metric(buf, "extbuf_directio_stores", "gauge", "Stores whose block fd is open O_DIRECT.", st.DirectIO)
 
 	// The ack barrier: operations per wave is how well group commit and
 	// the ack stage amortise the fsyncs above.

@@ -105,12 +105,40 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("%s = %q, want %s", name, samples[name], want)
 		}
 	}
-	for _, want := range []string{"extbuf_expiry_tracked", "extbuf_expiry_swept_total",
-		"extbuf_store_cache_hits_total", "extbuf_repl_current_lsn", "go_goroutines",
-		"extbuf_commit_waves_total", "extbuf_commit_wave_ops_total"} {
-		if _, ok := samples[want]; !ok {
-			t.Fatalf("metric %s missing from exposition", want)
+	// The exposition is exactly these families: PR 24's, less the three
+	// the deleted kernel-bypass tier fed.
+	want := []string{
+		"extbuf_keys", "extbuf_memory_bytes",
+		"extbuf_model_reads_total", "extbuf_model_writes_total", "extbuf_model_writebacks_total",
+		"extbuf_store_read_syscalls_total", "extbuf_store_write_syscalls_total",
+		"extbuf_store_cache_hits_total", "extbuf_store_cache_misses_total",
+		"extbuf_store_bytes_read_total", "extbuf_store_bytes_written_total",
+		"extbuf_store_evictions_total", "extbuf_store_dirty_writebacks_total",
+		"extbuf_store_flushed_frames_total", "extbuf_store_flush_runs_total",
+		"extbuf_store_fsyncs_total", "extbuf_store_ghost_hits_total",
+		"extbuf_wal_spills_total", "extbuf_wal_fsyncs_total",
+		"extbuf_commit_waves_total", "extbuf_commit_wave_ops_total",
+		"extbuf_engine_calls_total", "extbuf_engine_call_ops_total", "extbuf_engine_calls_outstanding",
+		"extbuf_expiry_tracked", "extbuf_expiry_lazy_hits_total", "extbuf_expiry_swept_total",
+		"extbuf_repl_epoch", "extbuf_repl_current_lsn", "extbuf_repl_follower_lag",
+		"extbuf_repl_frames_shipped_total", "extbuf_repl_frames_replayed_total",
+		"extbuf_repl_replay_inserts_total", "extbuf_repl_replay_upserts_total",
+		"extbuf_repl_replay_records_total", "extbuf_repl_replay_inflight_frames",
+		"extbuf_repl_replay_wait_seconds_total", "extbuf_repl_replay_sync_runs_total",
+		"extbuf_writable", "go_goroutines",
+	}
+	for _, name := range want {
+		if _, ok := samples[name]; !ok {
+			t.Fatalf("metric %s missing from exposition", name)
 		}
+	}
+	for _, gone := range []string{"extbuf_uring_enters_total", "extbuf_uring_sqes_total", "extbuf_directio_stores"} {
+		if _, ok := samples[gone]; ok {
+			t.Fatalf("metric %s of the deleted kernel-bypass tier is still exposed", gone)
+		}
+	}
+	if len(samples) != len(want) {
+		t.Fatalf("%d metric families exposed, want %d", len(samples), len(want))
 	}
 }
 

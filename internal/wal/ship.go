@@ -175,7 +175,7 @@ func (s *ShipLog) Append(op Op, keys, vals []uint64) (uint64, error) {
 	size := s.size.Load()
 	if need := size + int64(len(buf)); need > s.prealloc {
 		// The log is never recycled, so every block is taken here once.
-		p, err := extend(s.f, s.prealloc, need, 1)
+		p, err := extend(s.f, s.prealloc, need)
 		s.dirty.Store(true)
 		if err != nil {
 			return 0, fmt.Errorf("wal: ship preallocate: %w", err)
@@ -311,7 +311,7 @@ func (s *ShipLog) TruncateBefore(lsn uint64) error {
 		return fmt.Errorf("wal: ship truncate copy: %w", err)
 	}
 	// The new file starts with its reserve, synced with the copy.
-	prealloc, err := extend(tmp, headerBytes+retained, headerBytes+retained, 1)
+	prealloc, err := extend(tmp, headerBytes+retained, headerBytes+retained)
 	if err != nil {
 		tmp.Close()
 		os.Remove(tmpPath)

@@ -31,23 +31,10 @@
 // written zeros (extend), never as a sparse tail: a commit's fsync then
 // flushes data into blocks the file owns instead of allocating them.
 //
-// # Direct I/O
-//
-// Under the kernel-bypass tier (OpenIO with an odirect/uring mode) the
-// log fd is O_DIRECT, so every spill must start and end on a sector
-// boundary. The on-disk format does not change: a spill rewrites the
-// partial tail sector — the bytes past the last sector boundary, kept
-// in memory — together with the new records, zero-padded to a sector
-// multiple. Recovery reads through a separate buffered fd (O_DIRECT
-// constrains this fd's reads, and the scan is unaligned by nature) and
-// reloads the tail bytes so appends can resume. Zero padding fails
-// every record CRC, so a pad tail is indistinguishable from
-// preallocated extent and the next spill simply overwrites it. The
-// rewrite assumes sector writes are atomic (the standard WAL
-// assumption); a torn tail sector can lose at most records that were
-// never fsync-acknowledged. Crash-injected logs always stay buffered —
-// the crash matrix counts write syscalls, and the tail rewrite would
-// change the count.
+// A log written under the O_DIRECT tier that PR 25 deleted has its
+// records zero-padded to a sector boundary. Zeros fail every record
+// CRC, so the scan ends there as it ends at reserved extent, and the
+// next spill overwrites the pad: such a log needs no path of its own.
 package wal
 
 import (
@@ -103,9 +90,8 @@ const spillChunk = 64 << 10
 // unallocated block, small enough that an idle log pins 1 MiB.
 const reserveChunk = 1 << 20
 
-// zeros is what extend writes. It is never modified, and its base is
-// aligned for O_DIRECT log fds (4096 covers every sector size).
-var zeros = iomodel.AlignedBuf(reserveChunk, 4096)
+// zeros is what extend writes. It is never modified.
+var zeros = make([]byte, reserveChunk)
 
 // errCorruptHeader marks an existing log file whose header fails
 // validation. Within the crash model this only happens when a crash
@@ -131,9 +117,6 @@ type Log struct {
 	prealloc int64  // file extent: behind size, reserved zeros or stale generations
 	spills   int64  // spill WriteAt syscalls issued
 	failed   error  // sticky first write failure
-	sector   int64  // >0: O_DIRECT fd, spills rewrite the tail sector
-	tail     []byte // direct mode: logical bytes past the last sector boundary
-	dbuf     []byte // direct mode: reusable aligned spill buffer
 
 	// The fsync half, shared with detached fsyncs. fsMu is held across
 	// the syscall, so a barrier arriving while another fsync is in
@@ -159,18 +142,7 @@ type Log struct {
 // every record in it, and appending behind them would hand out LSNs the
 // replay filter skips.
 func Open(path string, crasher *iomodel.Crasher, firstLSN uint64) (*Log, []Record, error) {
-	return OpenIO(path, crasher, firstLSN, iomodel.IOOptions{})
-}
-
-// OpenIO is Open with an I/O mode: under the direct modes (and no
-// crasher — fault injection counts syscalls, so it pins the buffered
-// path) the log fd is opened O_DIRECT and spills use the tail-sector
-// rewrite described in the package comment. Where the filesystem
-// refuses O_DIRECT the log falls back to buffered syscalls, reported
-// by Direct().
-func OpenIO(path string, crasher *iomodel.Crasher, firstLSN uint64, opt iomodel.IOOptions) (*Log, []Record, error) {
-	wantDirect := iomodel.DirectLayout(opt.Mode) && crasher == nil
-	f, direct, err := iomodel.OpenDirectFile(path, os.O_RDWR|os.O_CREATE, wantDirect)
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wal: open: %w", err)
 	}
@@ -179,13 +151,6 @@ func OpenIO(path string, crasher *iomodel.Crasher, firstLSN uint64, opt iomodel.
 		bf = crasher.WrapFile(bf)
 	}
 	l := &Log{f: bf}
-	if direct {
-		if opt.Sector > 0 {
-			l.sector = int64(opt.Sector)
-		} else {
-			l.sector = int64(iomodel.FsSectorSize(path))
-		}
-	}
 	recs, err := l.recover()
 	if errors.Is(err, errCorruptHeader) || err == nil && l.next < firstLSN {
 		// An empty file; a header torn by a crash, with no live records
@@ -206,24 +171,12 @@ func OpenIO(path string, crasher *iomodel.Crasher, firstLSN uint64, opt iomodel.
 // the first CRC failure or short read, and cut the file there — whatever
 // lies behind the valid prefix (reserve, a stale generation, records a
 // crash persisted out of order) is dropped, so everything a later scan
-// can meet past the records of this run was written by this run. An
-// O_DIRECT log scans through a short-lived buffered fd — the record walk
-// is unaligned by nature — and reloads the partial tail sector into
-// memory so appends can resume with the rewrite protocol.
+// can meet past the records of this run was written by this run.
 func (l *Log) recover() ([]Record, error) {
-	var r io.ReaderAt = l.f
-	if l.sector > 0 {
-		sf, err := os.Open(l.f.Name())
-		if err != nil {
-			return nil, fmt.Errorf("wal: open recovery fd: %w", err)
-		}
-		defer sf.Close()
-		r = sf
-	}
 	if info, err := os.Stat(l.f.Name()); err == nil {
 		l.prealloc = info.Size()
 	}
-	first, ok, err := readHeader(r, magic)
+	first, ok, err := readHeader(l.f, magic)
 	if err != nil {
 		return nil, fmt.Errorf("wal: read header: %w", err)
 	}
@@ -232,7 +185,7 @@ func (l *Log) recover() ([]Record, error) {
 	}
 	var recs []Record
 	l.first = first
-	if l.next, err = scan(r, first, &recs); err != nil {
+	if l.next, err = scan(l.f, first, &recs); err != nil {
 		return nil, fmt.Errorf("wal: read record: %w", err)
 	}
 	l.size = headerBytes + int64(len(recs))*recordBytes
@@ -240,19 +193,6 @@ func (l *Log) recover() ([]Record, error) {
 		return nil, err
 	}
 	l.prealloc = l.size
-	if l.sector > 0 {
-		// Reload the partial tail sector: the next spill rewrites these
-		// bytes together with the new records.
-		off := l.size &^ (l.sector - 1)
-		l.tail = l.tail[:0]
-		if rem := l.size - off; rem > 0 {
-			t := make([]byte, rem)
-			if _, err := r.ReadAt(t, off); err != nil {
-				return nil, fmt.Errorf("wal: read tail sector: %w", err)
-			}
-			l.tail = t
-		}
-	}
 	return recs, nil
 }
 
@@ -400,9 +340,6 @@ func (l *Log) spillN(n int) error {
 	if n == 0 {
 		return nil
 	}
-	if l.sector > 0 {
-		return l.spillDirect(n)
-	}
 	if err := l.reserve(l.size + int64(n)); err != nil {
 		return err
 	}
@@ -418,44 +355,6 @@ func (l *Log) spillN(n int) error {
 	return nil
 }
 
-// spillDirect writes the first n buffered bytes with one sector-aligned
-// WriteAt: the write starts at the last sector boundary at or below the
-// logical size (rewriting the tail bytes already on disk with identical
-// content), covers the new records, and is zero-padded up to the next
-// sector boundary. See the package comment for the crash-safety
-// argument.
-func (l *Log) spillDirect(n int) error {
-	writeOff := l.size &^ (l.sector - 1)
-	prefix := int(l.size - writeOff) // == len(l.tail)
-	total := prefix + n
-	padded := int(alignUp(int64(total), l.sector))
-	if err := l.reserve(writeOff + int64(padded)); err != nil {
-		return err
-	}
-	if cap(l.dbuf) < padded {
-		l.dbuf = iomodel.AlignedBuf(padded, int(l.sector))
-	}
-	buf := l.dbuf[:padded]
-	copy(buf, l.tail)
-	copy(buf[prefix:], l.buf[:n])
-	clear(buf[total:])
-	wn, err := l.f.WriteAt(buf, writeOff)
-	l.spills++
-	l.dirty.Store(true)
-	if err == nil && wn < padded {
-		err = io.ErrShortWrite
-	}
-	if err != nil {
-		l.failed = fmt.Errorf("wal: append: %w", err)
-		return l.failed
-	}
-	l.size += int64(n)
-	newOff := l.size &^ (l.sector - 1)
-	l.tail = append(l.tail[:0], buf[newOff-writeOff:total]...)
-	l.buf = append(l.buf[:0], l.buf[n:]...)
-	return nil
-}
-
 // alignUp rounds n up to the next multiple of align (a power of two).
 func alignUp(n, align int64) int64 {
 	return (n + align - 1) &^ (align - 1)
@@ -465,13 +364,10 @@ func alignUp(n, align int64) int64 {
 // to a whole reserveChunk, by writing zeros — which fail every record
 // CRC, so recovery ignores them — and returns the new extent. Written,
 // not a sparse Truncate: the blocks are allocated here, once per chunk,
-// and every later fsync over them only flushes data. The first write
-// starts at the align boundary at or above have (a power of two: the
-// sector of an O_DIRECT fd, else 1); the gap below it, if any, is less
-// than a sector of hole that the log's next write covers.
-func extend(f io.WriterAt, have, need, align int64) (int64, error) {
+// and every later fsync over them only flushes data.
+func extend(f io.WriterAt, have, need int64) (int64, error) {
 	to := alignUp(need, reserveChunk)
-	for off := alignUp(have, align); off < to; {
+	for off := have; off < to; {
 		n, err := f.WriteAt(zeros[:min(to-off, reserveChunk)], off)
 		if err != nil {
 			return have, err
@@ -487,7 +383,7 @@ func (l *Log) reserve(size int64) error {
 	if size <= l.prealloc {
 		return nil
 	}
-	p, err := extend(l.f, l.prealloc, size, max(l.sector, 1))
+	p, err := extend(l.f, l.prealloc, size)
 	l.dirty.Store(true)
 	if err != nil {
 		l.failed = fmt.Errorf("wal: preallocate: %w", err)
@@ -611,39 +507,18 @@ func (l *Log) reset(firstLSN uint64, keep bool) error {
 	if err := l.cutTo(cut); err != nil {
 		return err
 	}
-	var plain [headerBytes]byte
-	hdr := plain[:]
-	if l.sector > 0 {
-		// Direct fd: pad the header write to one sector and keep its
-		// bytes as the in-memory tail for the next spill's rewrite.
-		if cap(l.dbuf) < int(l.sector) {
-			l.dbuf = iomodel.AlignedBuf(int(l.sector), int(l.sector))
-		}
-		hdr = l.dbuf[:l.sector]
-		clear(hdr[headerBytes:])
-	}
-	putHeader(hdr, magic, firstLSN)
-	if _, err := l.f.WriteAt(hdr, 0); err != nil {
+	var hdr [headerBytes]byte
+	putHeader(hdr[:], magic, firstLSN)
+	if _, err := l.f.WriteAt(hdr[:], 0); err != nil {
 		l.failed = fmt.Errorf("wal: write header: %w", err)
 		return l.failed
 	}
-	if l.sector > 0 {
-		l.tail = append(l.tail[:0], hdr[:headerBytes]...)
-	}
-	l.prealloc = max(l.prealloc, int64(len(hdr)))
+	l.prealloc = max(l.prealloc, headerBytes)
 	l.first, l.next = firstLSN, firstLSN
 	l.size = headerBytes
 	l.dirty.Store(true)
 	return nil
 }
-
-// Direct reports whether the log fd is O_DIRECT — false when OpenIO
-// was asked for a direct mode but the filesystem refused the flag (the
-// buffered fallback) or a crasher pinned the buffered path.
-func (l *Log) Direct() bool { return l.sector > 0 }
-
-// SectorSize returns the direct-mode spill alignment, 0 when buffered.
-func (l *Log) SectorSize() int { return int(l.sector) }
 
 // Interpose replaces the log's file with wrap(file): the seam tests use
 // to observe or stall the log's syscalls. Call it before the log is

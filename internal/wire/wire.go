@@ -717,6 +717,13 @@ type Stats struct {
 	Store      extbuf.StoreStats
 	Repl       extbuf.ReplStats
 	Expiry     extbuf.ExpiryStats
+
+	// retired keeps the five positions of the kernel-bypass tier's
+	// counters (PR 9; the tier was deleted in PR 25): DecodeStats drops
+	// what a peer sends there, so they are always encoded as zero, and
+	// peers on either side of the deletion still agree on where every
+	// later field sits.
+	retired [5]int64
 }
 
 // statsFields lists the encoded fields in wire order. The order is the
@@ -734,9 +741,8 @@ func (s *Stats) statsFields() []*int64 {
 		// extension above — old decoders ignore it, old encoders leave
 		// it zero).
 		&s.Repl.ShipStartLSN,
-		// PR 9: kernel-bypass I/O tier counters.
-		&s.Store.DirectIO, &s.Store.ODirectFallbacks,
-		&s.Store.UringEnters, &s.Store.UringSQEs, &s.Store.UringFallbacks,
+		// PR 9: kernel-bypass I/O tier counters, retired.
+		&s.retired[0], &s.retired[1], &s.retired[2], &s.retired[3], &s.retired[4],
 		// PR 10: TTL expiry counters.
 		&s.Expiry.Tracked, &s.Expiry.LazyHits, &s.Expiry.Swept,
 	}
@@ -771,5 +777,6 @@ func DecodeStats(p []byte) (Stats, error) {
 	for i := 0; i < n && i < len(fields); i++ {
 		*fields[i] = int64(binary.LittleEndian.Uint64(p[4+i*8:]))
 	}
+	s.retired = [5]int64{}
 	return s, nil
 }

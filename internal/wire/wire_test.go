@@ -186,6 +186,44 @@ func TestStatsForwardCompat(t *testing.T) {
 	}
 }
 
+// TestStatsRetiredPositions: the kernel-bypass tier's five STATS fields
+// (positions 27–31, PR 9) are retired, not removed. A payload in PR 24's
+// layout — 35 fields, the tier's counters nonzero — decodes every
+// surviving counter from its old position, and a fresh encoding still
+// has 35 fields, the retired ones zero and the rest where a PR 24 peer
+// reads them.
+func TestStatsRetiredPositions(t *testing.T) {
+	const fields, retired = 35, 27
+	old := binary.LittleEndian.AppendUint32(nil, fields)
+	for i := 0; i < fields; i++ {
+		old = binary.LittleEndian.AppendUint64(old, uint64(100+i))
+	}
+	got, err := DecodeStats(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Len != 100 || got.Store.WALFsyncsElided != 120 || got.Repl.ShipStartLSN != 126 {
+		t.Fatalf("PR 24 payload decoded as %+v", got)
+	}
+	if want := (extbuf.ExpiryStats{Tracked: 132, LazyHits: 133, Swept: 134}); got.Expiry != want {
+		t.Fatalf("expiry counters = %+v, want %+v", got.Expiry, want)
+	}
+	fresh := AppendStats(nil, got)
+	if n := binary.LittleEndian.Uint32(fresh); n != fields {
+		t.Fatalf("fresh encoding has %d fields, want %d", n, fields)
+	}
+	for i := 0; i < fields; i++ {
+		v := binary.LittleEndian.Uint64(fresh[4+i*8:])
+		want := uint64(100 + i)
+		if i >= retired && i < retired+5 {
+			want = 0
+		}
+		if v != want {
+			t.Fatalf("fresh encoding: field %d = %d, want %d", i, v, want)
+		}
+	}
+}
+
 // FuzzWireFrame throws arbitrary bytes at the frame reader and the
 // batch decoders: nothing may panic, allocate unboundedly, or accept a
 // frame that fails to re-encode to the same bytes.

@@ -41,12 +41,6 @@
 # on BOTH survivors, and — the §2a gate — a full convergence diff
 # between F1 and F2 over the contended keyspace with zero differences.
 #
-# Phase 6 (O_DIRECT kill -9): phase 2 again but with -iomode=odirect —
-# the kernel-bypass block tier plus the sector-aligned WAL spill path
-# under mid-traffic kill -9 and recovery. Set E2E_ODIRECT=0 to skip on
-# filesystems without O_DIRECT support (the engine itself would fall
-# back to buffered there, so the phase would not test what it claims).
-#
 # Usage: scripts/e2e.sh [bindir]   (defaults to ./bin; binaries are
 # built if missing)
 set -euo pipefail
@@ -327,51 +321,6 @@ kill -TERM "$FOLLOWER_PID"
 wait "$FOLLOWER_PID"
 FOLLOWER_PID=
 grep checkpointed "$WORK/srv-cf1.log"
-
-if [ "${E2E_ODIRECT:-1}" = 1 ]; then
-  echo "=== e2e phase 6: O_DIRECT durable backend, kill -9 mid-traffic, verify acked writes ==="
-  ODATA="$WORK/odirect"
-  mkdir -p "$ODATA"
-  "$BIN/hashserved" -addr 127.0.0.1:0 -backend file -path "$ODATA/t" -shards 4 \
-    -iomode odirect -addrfile "$WORK/addr6" -quiet >"$WORK/srv6.log" 2>&1 &
-  SRV_PID=$!
-  ADDR=$(wait_addr "$WORK/addr6")
-  "$BIN/hashload" -addr "$ADDR" -duration "$KILL_SECS" -conns 4 -workers 8 \
-    -batch 128 -lookupfrac 0.3 -ttlfrac 0.25 -casfrac 0.10 \
-    -acklog "$WORK/acks6.log" \
-    -summary "$WORK/kill6.json" >"$WORK/load6.log" 2>&1 &
-  LOAD_PID=$!
-  sleep 4
-  echo "kill -9 $SRV_PID (O_DIRECT server, mid-traffic)"
-  kill -9 "$SRV_PID"
-  SRV_PID=
-  wait "$LOAD_PID" || { echo "FAIL: hashload did not tolerate the O_DIRECT server dying" >&2; cat "$WORK/load6.log" >&2; exit 1; }
-  grep '^SUMMARY ' "$WORK/load6.log"
-  ACKED=$(wc -l <"$WORK/acks6.log")
-  echo "acked mutations logged: $ACKED"
-  if [ "$ACKED" -eq 0 ]; then
-    echo "FAIL: no acked writes before the kill — gate proved nothing" >&2
-    exit 1
-  fi
-
-  echo "--- restarting the O_DIRECT server on the same path (crash recovery) ---"
-  # The superblock carries the I/O mode, so the restart passes no -iomode
-  # at all: adoption on reopen is part of what the phase verifies.
-  "$BIN/hashserved" -addr 127.0.0.1:0 -backend file -path "$ODATA/t" -shards 4 \
-    -addrfile "$WORK/addr7" -quiet >"$WORK/srv7.log" 2>&1 &
-  SRV_PID=$!
-  ADDR=$(wait_addr "$WORK/addr7")
-  grep recovered_len "$WORK/srv7.log" || true
-  "$BIN/hashload" -addr "$ADDR" -verify "$WORK/acks6.log"
-
-  echo "--- graceful SIGTERM drain of the recovered O_DIRECT server ---"
-  kill -TERM "$SRV_PID"
-  wait "$SRV_PID"
-  SRV_PID=
-  grep checkpointed "$WORK/srv7.log"
-else
-  echo "=== e2e phase 6: skipped (E2E_ODIRECT=0) ==="
-fi
 
 OK=1
 echo "=== e2e OK ==="

@@ -1,6 +1,7 @@
 package extbuf_test
 
 import (
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -131,4 +132,40 @@ func TestShardedBalance(t *testing.T) {
 	if perOp > 1.2 {
 		t.Fatalf("per-op I/O %.3f suggests shard imbalance", perOp)
 	}
+}
+
+// TestIOModeShardedDurable drives the full engine (sharded, durable,
+// group commit) through insert/flush/reopen. It ran once per I/O mode
+// while there were several; buffered is the one left.
+func TestIOModeShardedDurable(t *testing.T) {
+	t.Run("buffered", func(t *testing.T) {
+		cfg := extbuf.Config{Backend: "file", Path: filepath.Join(t.TempDir(), "eng.blocks"), BlockSize: 16}
+		eng, err := extbuf.NewSharded("buffered", cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const n = 5000
+		for i := uint64(1); i <= n; i++ {
+			if err := eng.Insert(i, i^0xabc); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := eng.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		eng2, err := extbuf.NewSharded("buffered", cfg, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer eng2.Close()
+		for i := uint64(1); i <= n; i += 131 {
+			if v, ok := eng2.Lookup(i); !ok || v != i^0xabc {
+				t.Fatalf("Lookup(%d) = %d, %v after reopen", i, v, ok)
+			}
+		}
+	})
 }

@@ -23,13 +23,9 @@ func TestWALPathDedicatedDevice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// WritebackWorkers forced on so the table-level round trip exercises
-	// the async pool even on a single-CPU machine (where the adaptive
-	// default degrades to synchronous writes).
 	cfg := extbuf.Config{
 		BlockSize: 16, MemoryWords: 512, Seed: 11,
 		Backend: "file", Path: blocks, WALPath: walDev, CacheBlocks: 8,
-		WritebackWorkers: 4,
 	}
 	tab, err := extbuf.Open("knuth", cfg)
 	if err != nil {
@@ -100,7 +96,6 @@ func TestShardedWALPathPerShard(t *testing.T) {
 		BlockSize: 16, MemoryWords: 512, Seed: 5,
 		Backend: "file", Path: filepath.Join(dir, "tbl"),
 		WALPath: filepath.Join(dir, "wal"), CacheBlocks: 8,
-		WritebackWorkers: 4,
 	}
 	s, err := extbuf.NewSharded("knuth", cfg, 4)
 	if err != nil {
