@@ -281,7 +281,7 @@ func TestShardedReopenRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "spindles")
 	cfg := extbuf.Config{
 		BlockSize: 16, MemoryWords: 512, ExpectedItems: 4096, Seed: 9,
-		Backend: "file", Path: path, CacheBlocks: 8, FlushPolicy: extbuf.FlushAsync,
+		Backend: "file", Path: path, CacheBlocks: 8,
 	}
 	s, err := extbuf.NewSharded("knuth", cfg, 4)
 	if err != nil {

@@ -18,10 +18,9 @@
 //
 // With -workers >= 1 it instead drives the sharded pipelined engine:
 // the workload is partitioned over that many shard workers and fed
-// through the batch APIs in batches of -batch operations, with the
-// write path selected by -flush (sync or async write-behind; async
-// runs a Flush barrier before the clock stops). This mode reports
-// throughput (ops/sec) columns next to the model's I/O counters.
+// through the batch APIs in batches of -batch operations, with a Flush
+// barrier before the insert clock stops. This mode reports throughput
+// (ops/sec) columns next to the model's I/O counters.
 //
 // Usage:
 //
@@ -29,7 +28,7 @@
 //	          [-gamma 2] [-delta 0.1] [-q 4000] [-seed 42] [-hash ideal]
 //	          [-backend mem|file|latency] [-path FILE] [-cache 512]
 //	          [-seek 4ms] [-xfer 100us] [-profile nvme|ssd|hdd]
-//	          [-workers 8] [-batch 256] [-flush sync|async]
+//	          [-workers 8] [-batch 256]
 //	          [-walpath FILE] [-recoverypar 8]
 //	          [-reopen [-crashtail 100000]]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
@@ -90,7 +89,6 @@ func main() {
 		profile   = flag.String("profile", "", "latency backend: fio-style device profile (nvme, ssd or hdd; overrides -seek/-xfer)")
 		workers   = flag.Int("workers", 0, "sharded engine: shard worker count (0 = classic single-structure mode)")
 		batch     = flag.Int("batch", 1, "sharded engine: operations per batch")
-		fpolicy   = flag.String("flush", extbuf.FlushSync, "sharded engine: flush policy (sync or async)")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL file path (default: -path plus .wal)")
 		recovPar  = flag.Int("recoverypar", 0, "durable mode: recovery parallelism across shards and WAL replay (0 = GOMAXPROCS)")
 		reopen    = flag.Bool("reopen", false, "durability mode: build, flush and close a durable table, then measure reopen/recovery time (requires -backend file and -path)")
@@ -118,7 +116,6 @@ func main() {
 			Path:                *path,
 			WALPath:             *walPath,
 			CacheBlocks:         *cache,
-			FlushPolicy:         *fpolicy,
 			RecoveryParallelism: *recovPar,
 		}, *workers, *batch, *n, *q, *crashtail)
 		return
@@ -140,7 +137,6 @@ func main() {
 			SeekDelay:           *seek,
 			TransferDelay:       *xfer,
 			DeviceProfile:       *profile,
-			FlushPolicy:         *fpolicy,
 			RecoveryParallelism: *recovPar,
 		}, *workers, *batch, *n, *q)
 		return
@@ -340,8 +336,8 @@ func runEngine(structure string, cfg extbuf.Config, workers, batch, n, q int) {
 			fatalf("insert batch %d: %v", i, err)
 		}
 	}
-	// Under async write-behind the inserts may still be in flight;
-	// Flush is the completion barrier, so it belongs inside the clock.
+	// Flush, the checkpoint barrier, belongs inside the clock: on the
+	// file backend it is where the inserts reach the file.
 	if err := s.Flush(); err != nil {
 		fatalf("flush: %v", err)
 	}
@@ -372,9 +368,9 @@ func runEngine(structure string, cfg extbuf.Config, workers, batch, n, q int) {
 		fatalf("Len = %d, want %d", got, n)
 	}
 
-	t := tablefmt.New(fmt.Sprintf("%s: b=%d m=%d n=%d backend=%s workers=%d batch=%d flush=%s",
+	t := tablefmt.New(fmt.Sprintf("%s: b=%d m=%d n=%d backend=%s workers=%d batch=%d",
 		structure, cfg.BlockSize, cfg.MemoryWords, n, orDefault(cfg.Backend, "mem"),
-		s.NumShards(), batch, orDefault(cfg.FlushPolicy, extbuf.FlushSync)),
+		s.NumShards(), batch),
 		"metric", "value")
 	t.AddRow("insert throughput ops/s", float64(n)/insWall.Seconds())
 	t.AddRow("lookup throughput ops/s", float64(len(qs))/qryWall.Seconds())

@@ -3,7 +3,7 @@
 // a network key/value service.
 //
 // The engine configuration mirrors hashbench: structure, block size,
-// memory budget, backend, shard count and flush policy. With
+// memory budget, backend and shard count. With
 // -backend file and a named -path the store is durable — mutations are
 // only acked to clients after a group-committed write-ahead-log fsync,
 // and restarting the server on the same path recovers every
@@ -18,8 +18,8 @@
 //
 //	hashserved -addr 127.0.0.1:4090 -structure buffered -shards 4
 //	           [-backend mem|file|latency] [-path FILE] [-b 64] [-m 1024]
-//	           [-cache 512] [-flush sync|async] [-maxbatch 4096]
-//	           [-pipeline 64] [-addrfile FILE] [-drain 30s] [-leakcheck]
+//	           [-cache 512] [-maxbatch 4096] [-pipeline 64]
+//	           [-addrfile FILE] [-drain 30s] [-leakcheck]
 //	           [-repl] [-follow ADDR] [-syncfollowers N] [-synctimeout 5s]
 //	           [-shipretain N] [-metrics HOST:PORT] [-sweep 1s] [-sweepmax N]
 //
@@ -74,7 +74,6 @@ func main() {
 		backend   = flag.String("backend", "mem", "block store: mem, file or latency")
 		path      = flag.String("path", "", "file backend: backing path (named path = durable)")
 		cache     = flag.Int("cache", 0, "file backend: page-cache capacity in blocks (0 = default)")
-		fpolicy   = flag.String("flush", extbuf.FlushSync, "engine flush policy (sync or async)")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL device path (default: -path plus .wal)")
 		recovPar  = flag.Int("recoverypar", 0, "startup recovery parallelism across shards and WAL replay (0 = GOMAXPROCS)")
 		expected  = flag.Int("expected", 1<<20, "expected items (pre-sizes fixed-capacity structures)")
@@ -109,7 +108,6 @@ func main() {
 		Path:                *path,
 		WALPath:             *walPath,
 		CacheBlocks:         *cache,
-		FlushPolicy:         *fpolicy,
 		RecoveryParallelism: *recovPar,
 	}, *shards)
 	if err != nil {

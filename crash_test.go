@@ -343,19 +343,20 @@ func TestCrashFailedSync(t *testing.T) {
 	verifyRecovered(t, "knuth", cfg, "failed-sync", snapshots)
 }
 
-// TestCrashShardedAsyncRecovers is the acceptance scenario: a sharded
-// engine under FlushAsync write-behind, crashed at an arbitrary write
-// in each shard, reopened, and checked per key — every key holds its
-// acknowledged value or the value of a later submitted operation on it,
-// and keys never submitted stay absent.
-func TestCrashShardedAsyncRecovers(t *testing.T) {
+// TestCrashShardedPipelinedRecovers is the acceptance scenario: a
+// sharded engine with several started upserts outstanding on its shard
+// queues, crashed at an arbitrary write in each shard, reopened, and
+// checked per key — every key holds its acknowledged value or the value
+// of a later submitted operation on it, and keys never submitted stay
+// absent.
+func TestCrashShardedPipelinedRecovers(t *testing.T) {
 	for _, k := range []int64{3, 9, 17, 40, 90} {
 		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
 			cfg := extbuf.Config{
 				BlockSize: 16, MemoryWords: 512, ExpectedItems: 2048, Seed: 11,
 				Backend: "file", Path: filepath.Join(t.TempDir(), "shards"),
-				CacheBlocks: 8, FlushPolicy: extbuf.FlushAsync,
-				Crash: &extbuf.CrashPlan{FailAfterWrites: k, TornWrite: true, Seed: 13},
+				CacheBlocks: 8,
+				Crash:       &extbuf.CrashPlan{FailAfterWrites: k, TornWrite: true, Seed: 13},
 			}
 			s, err := extbuf.NewSharded("knuth", cfg, 4)
 			if err != nil {
@@ -375,22 +376,29 @@ func TestCrashShardedAsyncRecovers(t *testing.T) {
 			}
 			crashed := false
 			for round := 0; round < 6 && !crashed; round++ {
-				keys := make([]uint64, 0, 64)
-				vals := make([]uint64, 0, 64)
-				for i := 0; i < 64; i++ {
-					key := uint64(round*64+i) % 160
-					val := uint64(round)<<32 | key
-					keys = append(keys, key)
-					vals = append(vals, val)
+				// Four batches of 16 upserts, every one started before the
+				// first is waited for.
+				var calls []*extbuf.BatchCall
+				for b := 0; b < 4; b++ {
+					keys, vals := make([]uint64, 16), make([]uint64, 16)
+					for i := range keys {
+						keys[i] = uint64(round*64+b*16+i) % 160
+						vals[i] = uint64(round)<<32 | keys[i]
+						submit(keys[i], vals[i])
+					}
+					c, err := s.StartBatch(extbuf.BatchUpsert, false, keys, vals, nil)
+					if err != nil {
+						crashed = true
+						break
+					}
+					calls = append(calls, c)
 				}
-				if err := s.UpsertBatch(keys, vals); err != nil {
-					crashed = true
-					break
+				for _, c := range calls {
+					if _, err := c.Wait(); err != nil {
+						crashed = true
+					}
 				}
-				for i := range keys {
-					submit(keys[i], vals[i])
-				}
-				if round%2 == 1 {
+				if !crashed && round%2 == 1 {
 					if err := s.Flush(); err != nil {
 						crashed = true
 						break

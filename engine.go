@@ -2,6 +2,7 @@ package extbuf
 
 import (
 	"fmt"
+	"sync"
 
 	"extbuf/internal/expiry"
 	"extbuf/internal/iomodel"
@@ -49,6 +50,20 @@ type Engine interface {
 	// file backend). Serving layers skip the commit barrier when false.
 	Durable() bool
 
+	// StartBatch submits one keyed batch without waiting for it: the
+	// started form of the batch methods of op (BatchInsert, BatchUpsert,
+	// BatchDelete, BatchLookup, BatchExpire), with their length contract
+	// and, when ship is set, the shipping contract of their Ship forms (a
+	// lookup ships nothing either way). vals carries the payloads of
+	// inserts and upserts and the deadlines of expiries, and receives a
+	// lookup's values; found receives the hits of lookups, deletes and
+	// expiries. The caller calls Wait on the handle exactly once and
+	// leaves keys, vals and found alone until it returns. Batches one
+	// goroutine starts apply per key in start order, waited for or not.
+	// Sharded returns while its workers apply; a single table applies
+	// the batch first and returns a handle that is already complete.
+	StartBatch(op BatchOp, ship bool, keys, vals []uint64, found []bool) (*BatchCall, error)
+
 	// SetShip installs (or, with nil, removes) the ship sink the
 	// *BatchShip variants emit applied mutations to. It must be called
 	// before any Ship-variant mutation is submitted and must not run
@@ -76,8 +91,7 @@ type Engine interface {
 	// expiry deadline, for keys that are present and unexpired
 	// (found[i] reports which). Expired keys are invisible to reads
 	// immediately and physically deleted by SweepExpired. A plain
-	// Insert/Upsert/CAS on a key clears its deadline. Follower replay
-	// uses this non-shipping variant.
+	// Insert/Upsert/CAS on a key clears its deadline.
 	ExpireBatch(keys, deadlines []uint64, found []bool) error
 	// ExpireBatchShip is ExpireBatch with the shipping contract: the
 	// found subset ships as expire records, so replicas adopt the
@@ -175,8 +189,8 @@ type ReplStats struct {
 	ShipStartLSN int64
 }
 
-// BatchOp names an operation kind. The four exported values are the
-// batches Sharded.StartBatch accepts; the rest of the enum is the
+// BatchOp names an operation kind. The five exported values are the
+// batches Engine.StartBatch accepts; the rest of the enum is the
 // engine's own: the remaining keyed kinds, then the unkeyed requests a
 // Sharded engine broadcasts to its shard workers.
 type BatchOp uint8
@@ -186,7 +200,7 @@ const (
 	BatchUpsert                // UpsertBatch, UpsertBatchShip
 	BatchDelete                // DeleteBatchInto, DeleteBatchShipInto
 	BatchLookup                // LookupBatchInto
-	opExpire                   // vals carries the deadlines
+	BatchExpire                // ExpireBatch, ExpireBatchShip; vals carries the deadlines
 	opUpsertTTL                // vals2 carries the deadlines
 	opCAS                      // vals carries the expected values, vals2 the new ones
 
@@ -221,7 +235,7 @@ var keyedOps = [...]struct {
 	BatchUpsert: {"upsert", true, false, false, false},
 	BatchDelete: {"delete", false, false, false, true},
 	BatchLookup: {"lookup", false, false, true, true},
-	opExpire:    {"expire", true, false, false, true},
+	BatchExpire: {"expire", true, false, false, true},
 	opUpsertTTL: {"upsert-ttl", true, true, false, false},
 	opCAS:       {"compare-swap", true, true, false, true},
 }
@@ -297,12 +311,12 @@ func (b batchAPI) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, erro
 }
 
 func (b batchAPI) ExpireBatch(keys, deadlines []uint64, found []bool) error {
-	_, err := b.run(&opVec{kind: opExpire, keys: keys, vals: deadlines, outOK: found})
+	_, err := b.run(&opVec{kind: BatchExpire, keys: keys, vals: deadlines, outOK: found})
 	return err
 }
 
 func (b batchAPI) ExpireBatchShip(keys, deadlines []uint64, found []bool) (uint64, error) {
-	return b.run(&opVec{kind: opExpire, ship: true, keys: keys, vals: deadlines, outOK: found})
+	return b.run(&opVec{kind: BatchExpire, ship: true, keys: keys, vals: deadlines, outOK: found})
 }
 
 func (b batchAPI) UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error) {
@@ -350,6 +364,11 @@ type guard struct {
 	// the subset of a batch that ships.
 	ship                ShipFunc
 	shipK, shipV, shipW []uint64
+
+	// calls recycles the completed handles StartBatch returns. A pool,
+	// not a slice: follower replay waits on another goroutine than the
+	// one that started the call.
+	calls sync.Pool
 
 	// TTL sidecar (see ttl.go): the expiry index, the millisecond clock
 	// it is read against, reusable sweep/scan scratch, and counters.
@@ -452,7 +471,7 @@ func (g *guard) apply(v *opVec, idx []int) (uint64, error) {
 		lsn, err = g.emit(ShipUpsert, sk, sv)
 	case BatchDelete:
 		lsn, err = g.emit(ShipDelete, sk, nil)
-	case opExpire:
+	case BatchExpire:
 		lsn, err = g.emit(ShipExpire, sk, sv)
 	case opUpsertTTL:
 		// Values before deadlines, so the covering (higher) LSNs belong
@@ -490,7 +509,7 @@ func (g *guard) applyOne(kind BatchOp, key, a, b uint64) (val uint64, ok bool, e
 		ok = g.t.Delete(key) && !expired
 		g.exp.Clear(key)
 		return 0, ok, nil
-	case opExpire:
+	case BatchExpire:
 		if _, ok = g.live(key); ok {
 			err = g.setDeadline(key, a)
 		}
@@ -571,6 +590,47 @@ func (g *guard) setDeadline(key, deadline uint64) error {
 		g.anyDue = true
 	}
 	return nil
+}
+
+// StartBatch is Engine.StartBatch on one table: apply runs before it
+// returns, and the handle holds its outcome for Wait. Each call has a
+// handle of its own, since a caller may hold several (the server's
+// applier keeps a ring of them); Wait recycles it.
+func (g *guard) StartBatch(op BatchOp, ship bool, keys, vals []uint64, found []bool) (*BatchCall, error) {
+	if op > BatchExpire {
+		return nil, fmt.Errorf("extbuf: unknown batch op %d", op)
+	}
+	v := opVec{kind: op, ship: ship, keys: keys}
+	switch op {
+	case BatchLookup:
+		v.outV, v.outOK = vals, found
+	case BatchDelete:
+		v.outOK = found
+	case BatchExpire:
+		v.vals, v.outOK = vals, found
+	default:
+		v.vals = vals
+	}
+	if err := v.check(); err != nil {
+		return nil, err
+	}
+	if g.closed {
+		return nil, ErrClosed
+	}
+	c, _ := g.calls.Get().(*BatchCall)
+	if c == nil {
+		c = &BatchCall{g: g}
+	}
+	c.doneLSN, c.doneErr = g.apply(&v, nil)
+	return c, nil
+}
+
+// finish is Wait on a handle StartBatch returned.
+func (g *guard) finish(c *BatchCall) (uint64, error) {
+	lsn, err := c.doneLSN, c.doneErr
+	c.doneErr = nil
+	g.calls.Put(c)
+	return lsn, err
 }
 
 // one is a single-key operation, which never ships.

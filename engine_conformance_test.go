@@ -14,11 +14,12 @@ import (
 // of one and of four shards must be the same engine. One scripted op
 // stream — every keyed kind, shipping and not, with duplicate keys,
 // absent keys, keys that expire mid-script and writes that fail — runs
-// against each, and each must agree with a model of the kind table in
-// guard.apply's comment on: every result, the first error, what the ship
-// sink saw (per key in apply order; in exactly the model's order on one
-// shard), the LSN returned, the final contents, and — between the single
-// table and the one-shard engine — the model I/O counters.
+// against each, once through the synchronous methods and once through
+// StartBatch and Wait, and each run must agree with a model of the kind
+// table in guard.apply's comment on: every result, the first error, what
+// the ship sink saw (per key in apply order; in exactly the model's order
+// on one shard), the LSN returned, the final contents, and — between the
+// single table and the one-shard engine — the model I/O counters.
 
 type shipRec struct {
 	op       uint8
@@ -92,14 +93,24 @@ type confResult struct {
 // engines must leave the tail alone.
 const resultPad = 2
 
-// runStep issues st through the exported Engine method for its kind.
-func runStep(e Engine, st confStep) confResult {
+// runStep issues st through the exported Engine method for its kind or,
+// started set, through StartBatch and Wait where the kind has a start.
+func runStep(e Engine, st confStep, started bool) confResult {
 	n := len(st.keys)
 	r := confResult{outV: make([]uint64, n+resultPad), outOK: make([]bool, n+resultPad)}
 	for i := n; i < n+resultPad; i++ {
 		r.outV[i], r.outOK[i] = ^uint64(0), true
 	}
 	switch {
+	case started && st.kind <= BatchExpire:
+		vals := st.vals
+		if st.kind == BatchLookup {
+			vals = r.outV
+		}
+		var c *BatchCall
+		if c, r.err = e.StartBatch(st.kind, st.ship, st.keys, vals, r.outOK); r.err == nil {
+			r.lsn, r.err = c.Wait()
+		}
 	case st.kind == BatchInsert && st.ship:
 		r.lsn, r.err = e.InsertBatchShip(st.keys, st.vals)
 	case st.kind == BatchInsert:
@@ -114,9 +125,9 @@ func runStep(e Engine, st confStep) confResult {
 		r.lsn, r.err = e.DeleteBatchShipInto(st.keys, r.outOK)
 	case st.kind == BatchDelete:
 		r.err = e.DeleteBatchInto(st.keys, r.outOK)
-	case st.kind == opExpire && st.ship:
+	case st.kind == BatchExpire && st.ship:
 		r.lsn, r.err = e.ExpireBatchShip(st.keys, st.vals, r.outOK)
-	case st.kind == opExpire:
+	case st.kind == BatchExpire:
 		r.err = e.ExpireBatch(st.keys, st.vals, r.outOK)
 	case st.kind == opUpsertTTL:
 		r.lsn, r.err = e.UpsertTTLBatchShip(st.keys, st.vals, st.vals2)
@@ -177,7 +188,7 @@ func (m *confModel) step(st confStep) (outV []uint64, outOK []bool, failed bool,
 			_, outOK[i] = m.live(k)
 			delete(m.m, k)
 			ships = append(ships, shipRec{ShipDelete, k, 0})
-		case opExpire:
+		case BatchExpire:
 			if _, outOK[i] = m.live(k); outOK[i] {
 				e := m.m[k]
 				e.ttl, e.deadline = true, st.vals[i]
@@ -244,6 +255,7 @@ func confScript() (steps []confStep, bad map[uint64]bool) {
 		{name: "insert", kind: BatchInsert, keys: cat(a, badKeys[:1]), vals: vals(cat(a, badKeys[:1]), 1)},
 		{name: "insert ship", kind: BatchInsert, ship: true, keys: b, vals: vals(b, 1)},
 		{name: "lookup", kind: BatchLookup, keys: cat(a, absent, b)},
+		{name: "lookup ship ships nothing", kind: BatchLookup, ship: true, keys: cat(b[:4], absent[:2])},
 		{name: "upsert", kind: BatchUpsert, keys: cat(a[:16], c), vals: vals(cat(a[:16], c), 2)},
 		{name: "upsert ship, repeated keys", kind: BatchUpsert, ship: true, keys: dupK, vals: dupV},
 		{name: "upsert, refused write mid-batch", kind: BatchUpsert, keys: mid(a[16:24], badKeys[0]), vals: fill(9, 77)},
@@ -252,8 +264,8 @@ func confScript() (steps []confStep, bad map[uint64]bool) {
 		{name: "lookup after refusals", kind: BatchLookup, keys: cat(a[16:24], b[16:24], group(600, 8), badKeys)},
 		{name: "delete", kind: BatchDelete, keys: cat(a[40:], absent[:4])},
 		{name: "delete ship, misses included", kind: BatchDelete, ship: true, keys: cat(b[40:], absent[4:8], a[40:44])},
-		{name: "expire", kind: opExpire, keys: cat(a[:8], absent[:2]), vals: fill(10, t0+100)},
-		{name: "expire ship, only the found", kind: opExpire, ship: true, keys: cat(b[:8], absent[:2], a[40:42]), vals: fill(12, t0+100)},
+		{name: "expire", kind: BatchExpire, keys: cat(a[:8], absent[:2]), vals: fill(10, t0+100)},
+		{name: "expire ship, only the found", kind: BatchExpire, ship: true, keys: cat(b[:8], absent[:2], a[40:42]), vals: fill(12, t0+100)},
 		{name: "upsert-ttl", kind: opUpsertTTL, ship: true, keys: cat(d, a[8:12], d[:2]), vals: vals(cat(d, a[8:12], d[:2]), 6),
 			vals2: cat(fill(32, t0+100), fill(4, t0+500), fill(2, t0+500))},
 		{name: "upsert-ttl, refused write mid-batch", kind: opUpsertTTL, ship: true, keys: mid(b[24:28], badKeys[0]), vals: fill(5, 80), vals2: fill(5, t0+500)},
@@ -264,7 +276,7 @@ func confScript() (steps []confStep, bad map[uint64]bool) {
 		// t0+100 passes: a[2:8], b[2:8] and d[2:] are dead but unswept.
 		{name: "lookup past the deadline", kind: BatchLookup, advance: 150, keys: cat(a[:12], b[:8], d)},
 		{name: "cas on expired keys", kind: opCAS, ship: true, keys: cat(a[2:4], d[:4]), vals: cat(vals(a[2:4], 2), vals(d[:2], 6), vals(d[2:4], 6)), vals2: fill(6, 11)},
-		{name: "expire on expired keys", kind: opExpire, ship: true, keys: cat(b[2:4], d[4:6], a[8:10]), vals: fill(6, t0+900)},
+		{name: "expire on expired keys", kind: BatchExpire, ship: true, keys: cat(b[2:4], d[4:6], a[8:10]), vals: fill(6, t0+900)},
 		{name: "delete ship on expired keys", kind: BatchDelete, ship: true, keys: cat(a[4:6], d[6:8], b[8:10])},
 		{name: "upsert revives an expired key", kind: BatchUpsert, keys: b[4:6], vals: fill(2, 12)},
 		{name: "lookup at the end", kind: BatchLookup, keys: cat(a, b, c, d, absent, badKeys)},
@@ -341,8 +353,15 @@ func TestEngineConformance(t *testing.T) {
 			steps, bad := confScript()
 			var single Stats // OpenEngine's model I/Os, for the one-shard comparison
 			lengthErrs := map[string]string{}
-			for _, shards := range []int{0, 1, 4} {
+			for _, run := range []struct {
+				shards  int
+				started bool
+			}{{0, false}, {0, true}, {1, false}, {1, true}, {4, false}, {4, true}} {
+				shards := run.shards
 				ce, arm := openConf(t, structure, shards)
+				if run.started {
+					ce.name += " started"
+				}
 				model := &confModel{now: ce.clock.Load(), m: map[uint64]confEntry{}}
 				for i, st := range steps {
 					if i == 1 {
@@ -351,7 +370,7 @@ func TestEngineConformance(t *testing.T) {
 					}
 					ce.clock.Add(st.advance)
 					before := len(ce.sink.recs)
-					got := runStep(ce.eng, st)
+					got := runStep(ce.eng, st, run.started)
 					wantV, wantOK, wantFail, wantShips := model.step(st)
 					at := fmt.Sprintf("%s, step %d (%s)", ce.name, i, st.name)
 
@@ -396,15 +415,16 @@ func TestEngineConformance(t *testing.T) {
 				if got := scanAll(t, ce.eng); !maps.Equal(got, wantFinal) {
 					t.Fatalf("%s: final Scan has %d entries, the model %d", ce.name, len(got), len(wantFinal))
 				}
-				switch shards {
-				case 0:
+				switch {
+				case shards == 0 && !run.started:
 					single = ce.eng.Stats()
-				case 1:
+				case shards <= 1:
 					if st := ce.eng.Stats(); st != single {
-						t.Fatalf("one shard paid %+v model I/Os, the single table %+v", st, single)
+						t.Fatalf("%s paid %+v model I/Os, the single table %+v", ce.name, st, single)
 					}
 				}
 
+				checkStartedOutstanding(t, ce)
 				checkLengthContract(t, ce, lengthErrs)
 				checkFailingSink(t, ce, steps[1].keys[:4])
 				checkClosed(t, ce, steps[1].keys[:4])
@@ -432,6 +452,10 @@ func checkLengthContract(t *testing.T, ce confEngine, seen map[string]string) {
 		"upsert-ttl short ttls":   second(ce.eng.UpsertTTLBatchShip(k, two, one)),
 		"cas short news":          second(ce.eng.CompareSwapBatchShip(k, two, one, ok2)),
 		"cas short swapped":       second(ce.eng.CompareSwapBatchShip(k, two, two, ok1)),
+		"start insert short vals": startErr(ce.eng.StartBatch(BatchInsert, true, k, one, nil)),
+		"start lookup short vals": startErr(ce.eng.StartBatch(BatchLookup, false, k, one, ok2)),
+		"start delete short":      startErr(ce.eng.StartBatch(BatchDelete, true, k, nil, ok1)),
+		"start expire short":      startErr(ce.eng.StartBatch(BatchExpire, false, k, two, ok1)),
 	}
 	for name, err := range cases {
 		if !errors.Is(err, ErrBatchLength) {
@@ -442,26 +466,106 @@ func checkLengthContract(t *testing.T, ce confEngine, seen map[string]string) {
 		}
 		seen[name] = err.Error()
 	}
+	// The kinds without a start are refused by name, the same way.
+	err := startErr(ce.eng.StartBatch(opUpsertTTL, true, k, two, ok2))
+	if err == nil || errors.Is(err, ErrBatchLength) {
+		t.Fatalf("%s: StartBatch of an upsert-ttl: %v, want an unknown op", ce.name, err)
+	}
+	if first, ok := seen["start unknown op"]; ok && first != err.Error() {
+		t.Fatalf("%s: unknown op: %q, another engine said %q", ce.name, err, first)
+	}
+	seen["start unknown op"] = err.Error()
 	if _, found, _ := ce.eng.LookupBatch(k); found[0] || found[1] {
 		t.Fatalf("%s: a batch refused for its lengths applied", ce.name)
 	}
 	// StartBatch takes one found slice whatever the op (the server lends
 	// the request's): a write neither needs it nor touches it.
-	if s, sharded := ce.eng.(*Sharded); sharded {
-		c, err := s.StartBatch(BatchUpsert, k, two, ok1)
-		if err == nil {
-			_, err = c.Wait()
-		}
-		if err != nil || ok1[0] {
-			t.Fatalf("%s: StartBatch upsert with a short found slice: err %v, found %v", ce.name, err, ok1)
-		}
-		if err := s.DeleteBatchInto(k, ok2); err != nil {
-			t.Fatal(err)
-		}
+	c, err := ce.eng.StartBatch(BatchUpsert, true, k, two, ok1)
+	if err == nil {
+		_, err = c.Wait()
+	}
+	if err != nil || ok1[0] {
+		t.Fatalf("%s: StartBatch upsert with a short found slice: err %v, found %v", ce.name, err, ok1)
+	}
+	if err := ce.eng.DeleteBatchInto(k, ok2); err != nil {
+		t.Fatal(err)
 	}
 }
 
 func second(_ uint64, err error) error { return err }
+
+func startErr(_ *BatchCall, err error) error { return err }
+
+// checkStartedOutstanding starts a chain of batches on fresh keys —
+// insert, lookup, upsert, expire, delete, lookup, each depending on the
+// ones before — all before the first Wait, then waits oldest first. Each
+// must see the ones started before it applied, and each shipping start
+// must return the LSN covering its records.
+func checkStartedOutstanding(t *testing.T, ce confEngine) {
+	t.Helper()
+	keys := []uint64{6, 8, 10, 12} // even: not in the script
+	far := slices.Repeat([]uint64{^uint64(0)}, len(keys))
+	got1, got2 := make([]uint64, 4), make([]uint64, 4)
+	hit1, hit2, expired, deleted := make([]bool, 4), make([]bool, 4), make([]bool, 4), make([]bool, 2)
+	steps := []struct {
+		op         BatchOp
+		ship       bool
+		keys, vals []uint64
+		found      []bool
+	}{
+		{BatchInsert, true, keys, []uint64{1, 2, 3, 4}, nil},
+		{BatchLookup, false, keys, got1, hit1},
+		{BatchUpsert, false, keys, []uint64{5, 6, 7, 8}, nil},
+		{BatchExpire, true, keys, far, expired},
+		{BatchDelete, true, keys[:2], nil, deleted},
+		{BatchLookup, true, keys, got2, hit2},
+	}
+	before := len(ce.sink.recs)
+	calls := make([]*BatchCall, len(steps))
+	for i, st := range steps {
+		var err error
+		if calls[i], err = ce.eng.StartBatch(st.op, st.ship, st.keys, st.vals, st.found); err != nil {
+			t.Fatalf("%s: start %d: %v", ce.name, i, err)
+		}
+	}
+	lsns := make([]uint64, len(steps))
+	for i, c := range calls {
+		var err error
+		if lsns[i], err = c.Wait(); err != nil {
+			t.Fatalf("%s: wait %d: %v", ce.name, i, err)
+		}
+	}
+	if fmt.Sprint(got1, hit1, expired, deleted, got2, hit2) !=
+		"[1 2 3 4] [true true true true] [true true true true] [true true] [0 0 7 8] [false false true true]" {
+		t.Fatalf("%s: outstanding starts saw %v %v, expired %v, deleted %v, then %v %v",
+			ce.name, got1, hit1, expired, deleted, got2, hit2)
+	}
+	// Per key: insert, expire, then (for the deleted half) delete; each
+	// shipping call's LSN is its last record's.
+	recs := ce.sink.recs[before:]
+	var want []shipRec
+	for i, k := range keys {
+		want = append(want, shipRec{ShipInsert, k, uint64(i + 1)}, shipRec{ShipExpire, k, far[i]})
+		if i < 2 {
+			want = append(want, shipRec{ShipDelete, k, 0})
+		}
+	}
+	if !maps.EqualFunc(byKey(recs), byKey(want), slices.Equal[[]shipRec]) {
+		t.Fatalf("%s: outstanding starts shipped %v, want per key %v", ce.name, recs, want)
+	}
+	last := map[uint8]uint64{}
+	for i, r := range recs {
+		last[r.op] = uint64(before + i + 1)
+	}
+	if lsns[0] != last[ShipInsert] || lsns[3] != last[ShipExpire] || lsns[4] != last[ShipDelete] ||
+		lsns[1]|lsns[2]|lsns[5] != 0 {
+		t.Fatalf("%s: outstanding starts returned LSNs %v; last insert, expire, delete records at %v",
+			ce.name, lsns, last)
+	}
+	if err := ce.eng.DeleteBatchInto(keys, make([]bool, len(keys))); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // checkFailingSink: when the sink refuses the append the ship forms
 // return its error and LSN 0 — after applying.
@@ -515,6 +619,7 @@ func checkClosed(t *testing.T, ce confEngine, keys []uint64) {
 		"ExpireBatchShip":      second(e.ExpireBatchShip(keys, vals, outOK)),
 		"UpsertTTLBatchShip":   second(e.UpsertTTLBatchShip(keys, vals, vals)),
 		"CompareSwapBatchShip": second(e.CompareSwapBatchShip(keys, vals, vals, outOK)),
+		"StartBatch":           startErr(e.StartBatch(BatchLookup, false, keys, outV, outOK)),
 		"Insert":               e.Insert(keys[0], 1),
 		"Upsert":               e.Upsert(keys[0], 1),
 		"Sync":                 e.Sync(),

@@ -247,16 +247,6 @@ type Config struct {
 	// transfer cost and a device queue depth), overriding SeekDelay and
 	// TransferDelay. Empty uses the explicit delays.
 	DeviceProfile string
-	// FlushPolicy selects when mutations submitted to the Sharded
-	// engine complete: FlushSync (default) makes every Insert/Upsert
-	// call — single or batch — return only after its shard workers have
-	// applied it, while FlushAsync enqueues mutations and returns
-	// immediately (write-behind), deferring application errors and
-	// durability to the next Flush or Close barrier. Lookups, deletes
-	// and Len always synchronize behind queued writes of their shard,
-	// so read-your-writes holds under both policies. Single (unsharded)
-	// tables ignore the field.
-	FlushPolicy string
 	// Crash injects deterministic faults into a durable table's files
 	// (block file, write-ahead log, checkpoint writes) for recovery
 	// testing: a simulated process death at the Nth write syscall,
@@ -297,15 +287,6 @@ type CrashPlan struct {
 	Seed uint64
 }
 
-// FlushPolicy values accepted by Config.FlushPolicy.
-const (
-	// FlushSync completes every mutation before its call returns.
-	FlushSync = "sync"
-	// FlushAsync queues mutations (write-behind) until a Flush or
-	// Close barrier.
-	FlushAsync = "async"
-)
-
 func (c Config) withDefaults() Config {
 	if c.BlockSize == 0 {
 		c.BlockSize = 64
@@ -332,9 +313,6 @@ func (c Config) withDefaults() Config {
 		c.SeekDelay = 100 * time.Microsecond
 		c.TransferDelay = 25 * time.Microsecond
 	}
-	if c.FlushPolicy == "" {
-		c.FlushPolicy = FlushSync
-	}
 	return c
 }
 
@@ -356,10 +334,6 @@ var ErrGammaRange = errors.New("extbuf: Gamma must be >= 2")
 // ErrUnknownBackend is returned for Backend values other than "mem",
 // "file" and "latency".
 var ErrUnknownBackend = errors.New("extbuf: unknown backend")
-
-// ErrUnknownFlushPolicy is returned for FlushPolicy values other than
-// FlushSync and FlushAsync.
-var ErrUnknownFlushPolicy = errors.New("extbuf: unknown flush policy")
 
 // ErrBatchLength is returned by batch operations whose key and value
 // slices differ in length.

@@ -17,8 +17,9 @@ import (
 // gatedEngine is countingEngine with a Sync the test holds: every call
 // blocks until the test hands it a result on gate, or calls open to let
 // this and all further ones through. applied counts the mutation calls
-// the applier has finished, which is how a test sees apply running
-// ahead of the barrier.
+// the engine has applied — its ship sink hears each from the shard
+// worker that applied it — which is how a test sees apply running ahead
+// of the barrier.
 type gatedEngine struct {
 	countingEngine
 	gate     chan error
@@ -31,21 +32,6 @@ func (e *gatedEngine) open() { e.openOnce.Do(func() { close(e.gate) }) }
 func (e *gatedEngine) Sync() error {
 	e.syncs.Add(1)
 	return <-e.gate
-}
-
-func (e *gatedEngine) InsertBatchShip(keys, vals []uint64) (uint64, error) {
-	defer e.applied.Add(1)
-	return e.countingEngine.InsertBatchShip(keys, vals)
-}
-
-func (e *gatedEngine) UpsertBatchShip(keys, vals []uint64) (uint64, error) {
-	defer e.applied.Add(1)
-	return e.countingEngine.UpsertBatchShip(keys, vals)
-}
-
-func (e *gatedEngine) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error) {
-	defer e.applied.Add(1)
-	return e.countingEngine.DeleteBatchShipInto(keys, found)
 }
 
 // rawConn speaks the wire protocol without the client, so a test sees
@@ -133,7 +119,12 @@ func (c *rawConn) expectValue(t *testing.T, id uint32, val uint64, found bool) {
 // the gate and drains the server.
 func startGated(t *testing.T) (*gatedEngine, *server.Server, string) {
 	t.Helper()
-	eng := &gatedEngine{gate: make(chan error)}
+	eng := &gatedEngine{countingEngine: countingEngine{Sharded: newSharded(t)}, gate: make(chan error)}
+	// The tests' mutations name one key each: one shard, one sink call.
+	eng.Sharded.SetShip(func(op uint8, keys, vals []uint64) (uint64, error) {
+		eng.applied.Add(1)
+		return 0, nil
+	})
 	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

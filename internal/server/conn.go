@@ -52,15 +52,6 @@ type ackItem struct {
 // gain levels off (EXPERIMENTS.md, "Pipelined apply").
 const applyRing = 8
 
-// batchStarter is the engine capability the applier pipelines on:
-// submit a batch without waiting for it (extbuf.Sharded.StartBatch). It
-// is optional — extbuf.Engine does not have it — and an engine without
-// it (a single guarded table, a decorator, a test stub) is driven by the
-// synchronous calls instead, through the same ring and finish routine.
-type batchStarter interface {
-	StartBatch(op extbuf.BatchOp, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error)
-}
-
 // call is one slot of the applier's ring: one engine batch call and the
 // run of same-kind requests it answers. The slot owns the requests, the
 // operand slices the engine reads and the result slices it writes from
@@ -71,9 +62,8 @@ type call struct {
 	reqs  []*request
 	vals  []uint64          // lookup results, parallel to the run's keys
 	found []bool            // lookup/delete results
-	h     *extbuf.BatchCall // non-nil while the engine is applying the call
-	last  uint64            // highest ship LSN and error of a call that
-	err   error             // completed (or was refused) at submission
+	h     *extbuf.BatchCall // the started call, until finish waits for it
+	err   error             // why the engine refused the submission (h nil)
 
 	keyBuf, valBuf []uint64
 	foundBuf       []bool
@@ -352,8 +342,8 @@ func (c *conn) applier() {
 			c.startCall(cl)
 			c.ringLen++
 			if cl.h == nil {
-				// Already complete — an engine without StartBatch, or a
-				// refused submission: nothing to overlap with.
+				// A refused submission is complete on arrival: nothing to
+				// overlap with, and its ERR must keep its place.
 				c.drainRing()
 			}
 			continue
@@ -375,9 +365,9 @@ func (c *conn) applier() {
 }
 
 // startCall submits the run of same-kind requests in cl.reqs as one
-// engine call. With a batchStarter engine the call is left outstanding
-// (cl.h); otherwise — or when the submission is refused — it is complete
-// on return, its outcome in cl.last and cl.err.
+// engine call and leaves it outstanding (cl.h). A refused submission —
+// the node is not writable, the engine is closed, a column has the wrong
+// length — leaves no handle, its error in cl.err.
 func (c *conn) startCall(cl *call) {
 	// Concatenate the requests' operands. A run of one request uses its
 	// slices directly — the common case when the client is not
@@ -393,7 +383,7 @@ func (c *conn) startCall(cl *call) {
 		keys, vals = cl.keyBuf, cl.valBuf
 	}
 	n := len(keys)
-	cl.h, cl.last, cl.err = nil, 0, nil
+	cl.h, cl.err = nil, nil
 	cl.vals, cl.found = nil, nil
 	var op extbuf.BatchOp
 	switch cl.op {
@@ -424,21 +414,8 @@ func (c *conn) startCall(cl *call) {
 	// even across racing connections (the replication total order,
 	// DESIGN.md §2a). With replication off the sink is nil and the LSN
 	// stays 0.
-	if st := c.srv.starter; st != nil {
-		if cl.h, cl.err = st.StartBatch(op, keys, vals, cl.found); cl.h != nil {
-			c.srv.callsOutstanding.Add(1)
-		}
-		return
-	}
-	switch op {
-	case extbuf.BatchInsert:
-		cl.last, cl.err = c.srv.engine.InsertBatchShip(keys, vals)
-	case extbuf.BatchUpsert:
-		cl.last, cl.err = c.srv.engine.UpsertBatchShip(keys, vals)
-	case extbuf.BatchDelete:
-		cl.last, cl.err = c.srv.engine.DeleteBatchShipInto(keys, cl.found)
-	case extbuf.BatchLookup:
-		cl.err = c.srv.engine.LookupBatchInto(keys, cl.vals, cl.found)
+	if cl.h, cl.err = c.srv.engine.StartBatch(op, true, keys, vals, cl.found); cl.h != nil {
+		c.srv.callsOutstanding.Add(1)
 	}
 }
 
@@ -449,8 +426,8 @@ func (c *conn) drainRing() {
 	}
 }
 
-// finishOldest waits for the oldest outstanding call (if the engine is
-// still applying it) and answers every request in it, in request order.
+// finishOldest waits for the oldest outstanding call (unless the engine
+// refused it) and answers every request in it, in request order.
 // A mutation's ack is encoded here but goes out through the ack stage,
 // which holds it until the operations are crash-durable (and, under
 // semi-sync, follower-applied) while this goroutine moves on; it is
@@ -460,7 +437,8 @@ func (c *conn) finishOldest() {
 	cl := &c.ring[c.ringHead]
 	c.ringHead = (c.ringHead + 1) % applyRing
 	c.ringLen--
-	last, err := cl.last, cl.err
+	var last uint64
+	err := cl.err
 	if cl.h != nil {
 		last, err = cl.h.Wait()
 		cl.h = nil

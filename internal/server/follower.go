@@ -45,10 +45,9 @@ import (
 // recovery uses (durable.go replayRecords), and converge instead of
 // leaving a second copy.
 type Follower struct {
-	srv     *Server
-	starter replayStarter // engine, when it can start a non-shipping batch; else nil
-	addr    string
-	logf    func(string, ...any)
+	srv  *Server
+	addr string
+	logf func(string, ...any)
 
 	mu      sync.Mutex
 	nc      net.Conn
@@ -71,21 +70,13 @@ type Follower struct {
 	frame []byte
 }
 
-// replayStarter is the engine capability replay pipelines on
-// (extbuf.Sharded.StartBatchNoShip). Like batchStarter it is optional: an
-// engine without it is replayed through the same frames by calls that
-// are complete when they return.
-type replayStarter interface {
-	StartBatchNoShip(op extbuf.BatchOp, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error)
-}
-
 // replayRun is one engine call of a frame: a run of consecutive same-op
 // records, its operands slices of the frame's backing.
 type replayRun struct {
 	op         wal.Op
 	keys, vals []uint64
-	h          *extbuf.BatchCall // non-nil while the engine is applying the run
-	err        error             // of a run that completed (or was refused) at submission
+	h          *extbuf.BatchCall // the started run, until finish waits for it
+	err        error             // why the engine refused the run (h nil)
 }
 
 // replayFrame is one slot of the replay ring: one REPLBATCH frame as the
@@ -105,7 +96,6 @@ func (s *Server) Follow(addr string) (*Follower, error) {
 	}
 	f := &Follower{srv: s, addr: addr, logf: s.logf, done: make(chan struct{}),
 		free: make(chan *replayFrame, applyRing)}
-	f.starter, _ = s.engine.(replayStarter)
 	for i := 0; i < applyRing; i++ {
 		f.free <- new(replayFrame)
 	}
@@ -303,7 +293,7 @@ func (f *Follower) read(nc net.Conn, r *wire.Reader, next uint64, started chan<-
 // paid for it.
 //
 // The replay deliberately does NOT go through the engine's ship seam
-// (the *BatchShip variants, StartBatch): the seam lets shard workers
+// (the *BatchShip variants, a shipping start): the seam lets shard workers
 // interleave a batch's records into the log in apply order, which on the
 // PRIMARY is what creates the total order — but a follower must
 // reproduce the primary's log POSITION-IDENTICALLY, because LSNs are
@@ -354,38 +344,25 @@ func (f *Follower) start(slot *replayFrame, first uint64, batch []wire.ReplRec) 
 	}
 }
 
-// apply starts one run on the engine, replayed as the given op. A run
-// that cannot be started — an expiry, or any run on an engine without
-// the capability — is applied by the synchronous call right here, which
-// on a sharded engine queues behind everything started before it, and
-// is complete on return (nil handle), its outcome the returned error.
+// apply starts one run on the engine, replayed as the given op, without
+// shipping; an expire record's deadline rides its value field, as
+// BatchExpire takes it. A run the engine refuses has no handle, its
+// error returned.
 func (f *Follower) apply(as wal.Op, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
-	eng, st := f.srv.engine, f.starter
-	if st == nil || as == wal.OpExpire {
-		f.srv.repl.replaySyncRuns.Add(1)
-	}
+	var op extbuf.BatchOp
 	switch as {
 	case wal.OpInsert:
-		if st != nil {
-			return st.StartBatchNoShip(extbuf.BatchInsert, keys, vals, found)
-		}
-		return nil, eng.InsertBatch(keys, vals)
+		op = extbuf.BatchInsert
 	case wal.OpUpsert:
-		if st != nil {
-			return st.StartBatchNoShip(extbuf.BatchUpsert, keys, vals, found)
-		}
-		return nil, eng.UpsertBatch(keys, vals)
+		op = extbuf.BatchUpsert
 	case wal.OpDelete:
-		if st != nil {
-			return st.StartBatchNoShip(extbuf.BatchDelete, keys, vals, found)
-		}
-		return nil, eng.DeleteBatchInto(keys, found)
+		op = extbuf.BatchDelete
 	case wal.OpExpire:
-		// Deadlines ride the value field; ExpireBatch is the non-shipping
-		// form, and the engine has no started one.
-		return nil, eng.ExpireBatch(keys, vals, found)
+		op = extbuf.BatchExpire
+	default:
+		return nil, fmt.Errorf("replicated record with unknown op %d", as)
 	}
-	return nil, fmt.Errorf("replicated record with unknown op %d", as)
+	return f.srv.engine.StartBatch(op, false, keys, vals, found)
 }
 
 // finish is stage two: it takes the started frames oldest first and, for

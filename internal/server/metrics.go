@@ -96,7 +96,6 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_repl_replay_records_total", "counter", "Records replayed into the engine and appended to this node's ship log.", r.replayRecords.Load())
 	metric(buf, "extbuf_repl_replay_inflight_frames", "gauge", "Replication batches started on the engine and not yet appended.", r.replayInflight.Load())
 	seconds(buf, "extbuf_repl_replay_wait_seconds_total", "Time replay's finishing stage spent waiting for started engine calls.", r.replayWaitNs.Load())
-	metric(buf, "extbuf_repl_replay_sync_runs_total", "counter", "Replayed runs applied by a synchronous engine call (expiries; engines that cannot start a batch).", r.replaySyncRuns.Load())
 
 	writable := int64(0)
 	if s.writableNow() {

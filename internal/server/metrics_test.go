@@ -99,14 +99,14 @@ func TestMetricsEndpoint(t *testing.T) {
 		"extbuf_repl_replay_records_total":      "0",
 		"extbuf_repl_replay_inflight_frames":    "0",
 		"extbuf_repl_replay_wait_seconds_total": "0.000000",
-		"extbuf_repl_replay_sync_runs_total":    "0",
 	} {
 		if samples[name] != want {
 			t.Fatalf("%s = %q, want %s", name, samples[name], want)
 		}
 	}
 	// The exposition is exactly these families: PR 24's, less the three
-	// the deleted kernel-bypass tier fed.
+	// the deleted kernel-bypass tier fed and the count of replayed runs
+	// applied synchronously (replay starts every run).
 	want := []string{
 		"extbuf_keys", "extbuf_memory_bytes",
 		"extbuf_model_reads_total", "extbuf_model_writes_total", "extbuf_model_writebacks_total",
@@ -124,7 +124,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"extbuf_repl_frames_shipped_total", "extbuf_repl_frames_replayed_total",
 		"extbuf_repl_replay_inserts_total", "extbuf_repl_replay_upserts_total",
 		"extbuf_repl_replay_records_total", "extbuf_repl_replay_inflight_frames",
-		"extbuf_repl_replay_wait_seconds_total", "extbuf_repl_replay_sync_runs_total",
+		"extbuf_repl_replay_wait_seconds_total",
 		"extbuf_writable", "go_goroutines",
 	}
 	for _, name := range want {
@@ -132,9 +132,10 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Fatalf("metric %s missing from exposition", name)
 		}
 	}
-	for _, gone := range []string{"extbuf_uring_enters_total", "extbuf_uring_sqes_total", "extbuf_directio_stores"} {
+	for _, gone := range []string{"extbuf_uring_enters_total", "extbuf_uring_sqes_total", "extbuf_directio_stores",
+		"extbuf_repl_replay_sync_runs_total"} {
 		if _, ok := samples[gone]; ok {
-			t.Fatalf("metric %s of the deleted kernel-bypass tier is still exposed", gone)
+			t.Fatalf("deleted metric %s is still exposed", gone)
 		}
 	}
 	if len(samples) != len(want) {
@@ -158,8 +159,7 @@ func scrape(t *testing.T, srv *server.Server) map[string]string {
 
 // TestMetricsReplayPipeline reads the replay pipeline's counters off a
 // follower that is stopped (promoted) while the primary is still being
-// written: every record it appended was counted, the one expiry in the
-// stream was the only run applied synchronously, and the in-flight gauge
+// written: every record it appended was counted, and the in-flight gauge
 // is back at 0 — Stop leaves no frame started and unfinished.
 func TestMetricsReplayPipeline(t *testing.T) {
 	primary := startReplNode(t, "", 0, 0)
@@ -222,9 +222,6 @@ func TestMetricsReplayPipeline(t *testing.T) {
 	}
 	if m["extbuf_repl_replay_inflight_frames"] != "0" {
 		t.Fatalf("extbuf_repl_replay_inflight_frames = %s after Stop, want 0", m["extbuf_repl_replay_inflight_frames"])
-	}
-	if m["extbuf_repl_replay_sync_runs_total"] != "1" {
-		t.Fatalf("extbuf_repl_replay_sync_runs_total = %s, want 1 (the expiry)", m["extbuf_repl_replay_sync_runs_total"])
 	}
 	if w, err := strconv.ParseFloat(m["extbuf_repl_replay_wait_seconds_total"], 64); err != nil || w <= 0 {
 		t.Fatalf("extbuf_repl_replay_wait_seconds_total = %q (%v), want a positive number of seconds",

@@ -232,35 +232,25 @@ func serveGated(t *testing.T, wrap func(*extbuf.Sharded) server.Engine, logf fun
 
 const poisonKey = 0xdead
 
-// refusingStarter is a Sharded whose StartBatch refuses batches naming
-// the poison key: a submission that fails with calls outstanding.
-type refusingStarter struct{ *extbuf.Sharded }
+// refusingStarter is an engine whose StartBatch refuses batches naming
+// the poison key: a submission that fails, with calls outstanding ahead
+// of it or not.
+type refusingStarter struct{ extbuf.Engine }
 
 var errPoison = errors.New("boom: poisoned batch")
 
-func (e refusingStarter) StartBatch(op extbuf.BatchOp, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
+func (e refusingStarter) StartBatch(op extbuf.BatchOp, ship bool, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
 	if len(keys) > 0 && keys[0] == poisonKey {
 		return nil, errPoison
 	}
-	return e.Sharded.StartBatch(op, keys, vals, found)
-}
-
-// failingEngine is the synchronous-path counterpart: no StartBatch, and
-// an InsertBatchShip that fails on the poison key.
-type failingEngine struct{ countingEngine }
-
-func (e *failingEngine) InsertBatchShip(keys, vals []uint64) (uint64, error) {
-	if len(keys) > 0 && keys[0] == poisonKey {
-		return 0, errPoison
-	}
-	return e.countingEngine.InsertBatchShip(keys, vals)
+	return e.Engine.StartBatch(op, ship, keys, vals, found)
 }
 
 // TestPipelinedApplyErrorInTheMiddle: an engine error answers ERR to the
 // request it hit and to no other, and the responses still leave in
-// request order — on the pipelined path, where the failing request
-// arrives while an earlier call is outstanding, and on the synchronous
-// one.
+// request order — on a Sharded engine, where the failing request arrives
+// while an earlier call is outstanding, and on a single table, whose
+// calls are complete at submission.
 func TestPipelinedApplyErrorInTheMiddle(t *testing.T) {
 	script := func(t *testing.T, c *rawConn, release func()) {
 		c.send(t, wire.OpUpsert, 1, kv(1, 10))
@@ -293,8 +283,12 @@ func TestPipelinedApplyErrorInTheMiddle(t *testing.T) {
 		})
 	})
 	t.Run("synchronous", func(t *testing.T) {
-		eng := &failingEngine{}
-		_, addr := serveEngine(t, eng, nil)
+		single, err := extbuf.OpenEngine("buffered", extbuf.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { single.Close() })
+		_, addr := serveEngine(t, refusingStarter{single}, nil)
 		script(t, dialRaw(t, addr), func() {})
 	})
 }

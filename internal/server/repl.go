@@ -97,13 +97,11 @@ type replState struct {
 	replayUpserts atomic.Int64
 
 	// The replay pipeline (Follower): records appended after replay,
-	// frames started and not yet finished, nanoseconds the finishing stage
-	// spent waiting for started runs, and runs that were applied by a
-	// synchronous call instead of started.
+	// frames started and not yet finished, and nanoseconds the finishing
+	// stage spent waiting for started runs.
 	replayRecords  atomic.Int64
 	replayInflight atomic.Int64
 	replayWaitNs   atomic.Int64
-	replaySyncRuns atomic.Int64
 }
 
 // openRepl builds the replication state: open (or recover) the ship

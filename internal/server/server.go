@@ -5,16 +5,14 @@
 // Each connection runs four goroutines — reader, applier, ack stage,
 // writer — so a client that pipelines requests gets them aggregated:
 // the applier coalesces consecutive same-kind requests into single
-// engine batch calls (InsertBatch/UpsertBatch/LookupBatchInto/
-// DeleteBatchInto), which fan out across the engine's shard workers
+// engine batch calls, which fan out across the engine's shard workers
 // exactly like any other batch. The calls themselves are pipelined too:
-// on an engine that can start a batch without waiting for it
-// (extbuf.Sharded.StartBatch) the applier keeps a small ring of calls
-// outstanding and submits the next run while the workers apply the
-// last, so requests that do not aggregate — neighbours of different
-// kinds — still keep every shard busy. Responses stream back strictly
-// in request order, so the id-matching on the client side never
-// reorders.
+// the applier starts each without waiting for it (Engine.StartBatch),
+// keeps a small ring of calls outstanding and submits the next run
+// while the workers apply the last, so requests that do not aggregate —
+// neighbours of different kinds — still keep every shard busy.
+// Responses stream back strictly in request order, so the id-matching
+// on the client side never reorders.
 //
 // Durability of acks: a mutation is acknowledged only after an engine
 // Sync barrier (write-ahead-log fsync on durable backends) that started
@@ -103,7 +101,6 @@ const DefaultPipeline = 64
 // Server serves the wire protocol over any net.Listener.
 type Server struct {
 	engine   Engine
-	starter  batchStarter // engine, when it can start a batch without waiting; else nil
 	maxBatch int
 	pipeline int
 	logf     func(string, ...any)
@@ -174,7 +171,6 @@ func NewServer(cfg Config) (*Server, error) {
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
 	}
-	s.starter, _ = cfg.Engine.(batchStarter)
 	if cfg.Repl != nil {
 		repl, err := openRepl(*cfg.Repl)
 		if err != nil {
@@ -491,9 +487,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 //
 // Errors are tracked per sync wave, not in a single last-error slot: a
 // waiter must see the error of ITS covering wave even if a later wave
-// completed cleanly in between — a Sync that consumed a deferred
-// write-behind apply error reports it exactly once, and dropping it
-// would ack a write that never applied.
+// completed cleanly in between. A wave's fsync can fail, and a later
+// wave's success says nothing about the records only the failed one
+// covered: acking them would ack writes that may not survive a crash.
 type groupCommitter struct {
 	sync func() error
 

@@ -131,7 +131,7 @@ func TestServeRoundTrip(t *testing.T) {
 // engine call counter proves the server coalesced pipelined requests
 // into fewer engine batches.
 func TestPipelinedAggregation(t *testing.T) {
-	eng := &countingEngine{}
+	eng := &countingEngine{Sharded: newSharded(t)}
 	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -168,7 +168,7 @@ func TestPipelinedAggregation(t *testing.T) {
 	}
 	calls := eng.insertCalls.Load()
 	if calls >= requests {
-		t.Fatalf("engine saw %d InsertBatch calls for %d pipelined requests — no aggregation", calls, requests)
+		t.Fatalf("engine saw %d insert calls for %d pipelined requests — no aggregation", calls, requests)
 	}
 	t.Logf("aggregation: %d requests -> %d engine calls, %d syncs", requests, calls, eng.syncs.Load())
 	if eng.syncs.Load() == 0 {
@@ -176,200 +176,32 @@ func TestPipelinedAggregation(t *testing.T) {
 	}
 }
 
-// countingEngine fakes the engine to observe aggregation and the
-// ack-after-Sync discipline.
+// countingEngine is a mem Sharded that counts what the server asks of
+// it — insert calls and their operations, Syncs — and claims durability,
+// so the server runs its group-commit ack barrier. Each Sync takes a
+// believable fsync's time, so commits pile up.
 type countingEngine struct {
-	mu          sync.Mutex
-	m           map[uint64]uint64
-	ttl         map[uint64]uint64
-	ship        extbuf.ShipFunc
+	*extbuf.Sharded
 	insertCalls atomic.Int64
 	inserted    atomic.Int64
 	syncs       atomic.Int64
-	unsynced    atomic.Int64 // ops applied since the last Sync
 }
 
-func (e *countingEngine) InsertBatch(keys, vals []uint64) error {
-	e.insertCalls.Add(1)
-	e.inserted.Add(int64(len(keys)))
-	e.unsynced.Add(int64(len(keys)))
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.m == nil {
-		e.m = make(map[uint64]uint64)
+func (e *countingEngine) StartBatch(op extbuf.BatchOp, ship bool, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
+	if op == extbuf.BatchInsert {
+		e.insertCalls.Add(1)
+		e.inserted.Add(int64(len(keys)))
 	}
-	for i := range keys {
-		e.m[keys[i]] = vals[i]
-	}
-	return nil
+	return e.Sharded.StartBatch(op, ship, keys, vals, found)
 }
-func (e *countingEngine) UpsertBatch(keys, vals []uint64) error { return e.InsertBatch(keys, vals) }
-func (e *countingEngine) LookupBatchInto(keys, vals []uint64, found []bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, k := range keys {
-		vals[i], found[i] = e.m[k], false
-		if _, ok := e.m[k]; ok {
-			found[i] = true
-		}
-	}
-	return nil
-}
-func (e *countingEngine) DeleteBatchInto(keys []uint64, found []bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i, k := range keys {
-		_, found[i] = e.m[k]
-		delete(e.m, k)
-	}
-	return nil
-}
-func (e *countingEngine) Len() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.m)
-}
-func (e *countingEngine) MemoryUsed() int64             { return 0 }
-func (e *countingEngine) Stats() extbuf.Stats           { return extbuf.Stats{} }
-func (e *countingEngine) StoreStats() extbuf.StoreStats { return extbuf.StoreStats{} }
+
 func (e *countingEngine) Sync() error {
 	e.syncs.Add(1)
-	e.unsynced.Store(0)
-	time.Sleep(200 * time.Microsecond) // a believable fsync, so commits pile up
-	return nil
+	time.Sleep(200 * time.Microsecond)
+	return e.Sharded.Sync()
 }
-func (e *countingEngine) Flush() error { return e.Sync() }
 
-// Durable: the fake claims durability so the tests exercise the
-// group-commit ack barrier.
 func (e *countingEngine) Durable() bool { return true }
-func (e *countingEngine) Close() error  { return nil }
-
-// Ship seam (Engine): the fake is single-map-serialized, so apply-then-
-// ship under the mutex trivially satisfies the total-order contract.
-func (e *countingEngine) SetShip(fn extbuf.ShipFunc) { e.ship = fn }
-func (e *countingEngine) InsertBatchShip(keys, vals []uint64) (uint64, error) {
-	if err := e.InsertBatch(keys, vals); err != nil {
-		return 0, err
-	}
-	return e.shipAll(extbuf.ShipInsert, keys, vals)
-}
-func (e *countingEngine) UpsertBatchShip(keys, vals []uint64) (uint64, error) {
-	if err := e.UpsertBatch(keys, vals); err != nil {
-		return 0, err
-	}
-	return e.shipAll(extbuf.ShipUpsert, keys, vals)
-}
-func (e *countingEngine) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error) {
-	if err := e.DeleteBatchInto(keys, found); err != nil {
-		return 0, err
-	}
-	return e.shipAll(extbuf.ShipDelete, keys, nil)
-}
-func (e *countingEngine) shipAll(op uint8, keys, vals []uint64) (uint64, error) {
-	if e.ship == nil || len(keys) == 0 {
-		return 0, nil
-	}
-	first, err := e.ship(op, keys, vals)
-	if err != nil {
-		return 0, err
-	}
-	return first + uint64(len(keys)) - 1, nil
-}
-
-// Single-key and allocating-batch methods complete the extbuf.Engine
-// surface; the server's hot path never calls them, but the follower
-// apply loop and Engine consumers may.
-func (e *countingEngine) Insert(key, val uint64) error {
-	return e.InsertBatch([]uint64{key}, []uint64{val})
-}
-func (e *countingEngine) Upsert(key, val uint64) error { return e.Insert(key, val) }
-func (e *countingEngine) Lookup(key uint64) (uint64, bool) {
-	var v [1]uint64
-	var f [1]bool
-	e.LookupBatchInto([]uint64{key}, v[:], f[:])
-	return v[0], f[0]
-}
-func (e *countingEngine) Delete(key uint64) bool {
-	var f [1]bool
-	e.DeleteBatchInto([]uint64{key}, f[:])
-	return f[0]
-}
-func (e *countingEngine) LookupBatch(keys []uint64) ([]uint64, []bool, error) {
-	vals := make([]uint64, len(keys))
-	found := make([]bool, len(keys))
-	err := e.LookupBatchInto(keys, vals, found)
-	return vals, found, err
-}
-func (e *countingEngine) DeleteBatch(keys []uint64) ([]bool, error) {
-	found := make([]bool, len(keys))
-	err := e.DeleteBatchInto(keys, found)
-	return found, err
-}
-
-// TTL/CAS/scan surface: the fake tracks deadlines in a second map so
-// server-level round-trips have something to observe.
-func (e *countingEngine) ExpireBatch(keys, deadlines []uint64, found []bool) error {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ttl == nil {
-		e.ttl = make(map[uint64]uint64)
-	}
-	for i, k := range keys {
-		_, found[i] = e.m[k]
-		if found[i] {
-			e.ttl[k] = deadlines[i]
-		}
-	}
-	return nil
-}
-func (e *countingEngine) ExpireBatchShip(keys, deadlines []uint64, found []bool) (uint64, error) {
-	if err := e.ExpireBatch(keys, deadlines, found); err != nil {
-		return 0, err
-	}
-	return e.shipAll(extbuf.ShipExpire, keys, deadlines)
-}
-func (e *countingEngine) UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error) {
-	if err := e.UpsertBatch(keys, vals); err != nil {
-		return 0, err
-	}
-	found := make([]bool, len(keys))
-	return e.ExpireBatchShip(keys, deadlines, found)
-}
-func (e *countingEngine) CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) (uint64, error) {
-	e.mu.Lock()
-	var sk, sv []uint64
-	for i, k := range keys {
-		v, ok := e.m[k]
-		swapped[i] = ok && v == olds[i]
-		if swapped[i] {
-			e.m[k] = news[i]
-			sk = append(sk, k)
-			sv = append(sv, news[i])
-		}
-	}
-	e.mu.Unlock()
-	return e.shipAll(extbuf.ShipUpsert, sk, sv)
-}
-func (e *countingEngine) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if cursor != 0 {
-		return nil, nil, extbuf.ScanDone, nil
-	}
-	var keys, vals []uint64
-	for k, v := range e.m {
-		keys = append(keys, k)
-		vals = append(vals, v)
-	}
-	return keys, vals, extbuf.ScanDone, nil
-}
-func (e *countingEngine) SweepExpired(max int) (int, uint64, error) { return 0, 0, nil }
-func (e *countingEngine) ExpiryStats() extbuf.ExpiryStats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return extbuf.ExpiryStats{Tracked: int64(len(e.ttl))}
-}
 
 // TestOversizedBatchRejected sends a well-framed request above the
 // server's MaxBatch and expects an ERR response — with the connection

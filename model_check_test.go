@@ -251,27 +251,23 @@ func TestModelCheckMemBackend(t *testing.T) {
 	}
 }
 
-// TestModelCheckSharded model-checks the sharded pipelined engine under
-// both flush policies, with close/reopen of the whole engine (one
-// durable file per shard).
+// TestModelCheckSharded model-checks the sharded pipelined engine, with
+// close/reopen of the whole engine (one durable file per shard).
 func TestModelCheckSharded(t *testing.T) {
-	for _, policy := range []string{extbuf.FlushSync, extbuf.FlushAsync} {
-		for _, seed := range modelCheckSeeds {
-			t.Run(fmt.Sprintf("%s/seed=%#x", policy, seed), func(t *testing.T) {
-				path := filepath.Join(t.TempDir(), "shards")
-				cfg := extbuf.Config{
-					BlockSize: 16, MemoryWords: 512, ExpectedItems: 2048,
-					Seed: seed | 1, Backend: "file", Path: path, CacheBlocks: 8,
-					FlushPolicy: policy,
-				}
-				s, err := extbuf.NewSharded("knuth", cfg, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
-				reopen := func() (checkedTable, error) { return extbuf.NewSharded("knuth", cfg, 4) }
-				runModelCheck(t, "sharded/"+policy, seed, s, reopen)
-			})
-		}
+	for _, seed := range modelCheckSeeds {
+		t.Run(fmt.Sprintf("seed=%#x", seed), func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "shards")
+			cfg := extbuf.Config{
+				BlockSize: 16, MemoryWords: 512, ExpectedItems: 2048,
+				Seed: seed | 1, Backend: "file", Path: path, CacheBlocks: 8,
+			}
+			s, err := extbuf.NewSharded("knuth", cfg, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reopen := func() (checkedTable, error) { return extbuf.NewSharded("knuth", cfg, 4) }
+			runModelCheck(t, "sharded", seed, s, reopen)
+		})
 	}
 }
 

@@ -162,7 +162,7 @@ echo "=== e2e phase 3: 10M-item recovery time (gate: reopen <= ${REOPEN_MAX_MS} 
 RDATA="$WORK/reopen"
 mkdir -p "$RDATA"
 "$BIN/hashbench" -structure knuth -backend file -path "$RDATA/t" \
-  -reopen -workers 4 -batch 256 -flush async \
+  -reopen -workers 4 -batch 256 \
   -n "$REOPEN_N" -q 10000 -crashtail "$REOPEN_TAIL" \
   -walpath "$RDATA/wal" | tee "$WORK/reopen.out"
 REOPEN_MS=$(awk '/reopen \(recovery\) wall ms/ { printf "%d\n", $NF }' "$WORK/reopen.out")

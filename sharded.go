@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"extbuf/internal/wal"
 	"extbuf/internal/xrand"
@@ -37,16 +36,11 @@ const shardQueueDepth = 64
 // Everything unkeyed (Len, StoreStats, ExpiryStats, SweepExpired, Scan,
 // Sync, Flush, Close) is the other choreography: broadcast.
 //
-// Config.FlushPolicy selects the write path: under FlushSync (default)
-// a mutation call returns once every shard has applied its share — with
-// the join of the shards' first errors — and under FlushAsync Insert,
-// Upsert, InsertBatch and UpsertBatch enqueue and return immediately
-// (write-behind); their errors surface at the next Sync, Flush or
-// Close. Flush and Close are the completion barriers that also drive all
-// shards' backend syncs in parallel. Everything else — reads, deletes,
-// the shipping and TTL/CAS forms, Len — always waits, queued behind the
-// prior writes of its shard, so read-your-writes holds under both
-// policies. A closed engine returns ErrClosed (zero results from
+// A call returns once every shard has applied its share, with the join
+// of the shards' first errors, and it queues behind the prior calls of
+// its shards, so read-your-writes holds. Flush and Close are the
+// checkpoint barriers that also drive all shards' backend syncs in
+// parallel. A closed engine returns ErrClosed (zero results from
 // Lookup/Delete/Len), never a miss mistaken for one.
 //
 // The external memory model is per-shard: each shard owns a disk and an
@@ -59,11 +53,9 @@ type Sharded struct {
 	batchAPI
 	shards   []*guard
 	reqs     []chan *BatchCall
-	deferred [][]error // per-shard write-behind errors; owned by the worker between barriers
 	workerWG sync.WaitGroup
 	salt     uint64
 	bits     uint
-	async    bool
 	durable  bool
 
 	// committer is the fsync pool every durable shard shares. A Sync
@@ -95,7 +87,7 @@ type Sharded struct {
 // each worker writes only its own shard's result slots (and, of the
 // caller's result slices, only its own positions), so they never
 // contend. Handles are pooled, and carry their own storage for
-// single-key and write-behind operands.
+// single-key operands.
 type BatchCall struct {
 	s *Sharded
 
@@ -107,12 +99,14 @@ type BatchCall struct {
 	cursor uint64 // opScan: in-shard bucket cursor
 	maxN   int    // opScan page size; opSweep per-shard budget
 
-	// Completion: the workers signal wg. Nobody waits for a write-behind
-	// call; it is counted in refs instead, and whoever drops the last
-	// reference recycles it.
-	wg          sync.WaitGroup
-	writeBehind bool
-	refs        atomic.Int32
+	// Completion: the workers signal wg.
+	wg sync.WaitGroup
+
+	// A single table's call (guard.StartBatch), complete at submission:
+	// its guard, and the outcome Wait returns.
+	g       *guard
+	doneLSN uint64
+	doneErr error
 
 	// Results, one slot per shard, and the page of an opScan.
 	errs         []error
@@ -125,10 +119,9 @@ type BatchCall struct {
 	scanNext     uint64
 
 	// Operand storage of single-key calls (v1 also takes the looked-up
-	// value) and of write-behind calls, which outlive their caller.
-	k1, v1     [1]uint64
-	ok1        [1]bool
-	ownK, ownV []uint64
+	// value).
+	k1, v1 [1]uint64
+	ok1    [1]bool
 }
 
 func (s *Sharded) getCall() *BatchCall { return s.callPool.Get().(*BatchCall) }
@@ -142,13 +135,6 @@ func (s *Sharded) putCall(c *BatchCall) {
 	c.opVec = opVec{}
 	c.scanK, c.scanV = nil, nil
 	s.callPool.Put(c)
-}
-
-// unref drops one reference to a write-behind call.
-func (s *Sharded) unref(c *BatchCall) {
-	if c.refs.Add(-1) == 0 {
-		s.putCall(c)
-	}
 }
 
 // NewSharded builds a sharded table of the given structure ("buffered",
@@ -172,10 +158,6 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 		return nil, fmt.Errorf("extbuf: shards must be >= 1, got %d", shards)
 	}
 	cfg = cfg.withDefaults()
-	if cfg.FlushPolicy != FlushSync && cfg.FlushPolicy != FlushAsync {
-		return nil, fmt.Errorf("%w %q (want %q or %q)",
-			ErrUnknownFlushPolicy, cfg.FlushPolicy, FlushSync, FlushAsync)
-	}
 	n := 1
 	bits := uint(0)
 	for n < shards {
@@ -183,13 +165,11 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 		bits++
 	}
 	s := &Sharded{
-		shards:   make([]*guard, n),
-		reqs:     make([]chan *BatchCall, n),
-		deferred: make([][]error, n),
-		salt:     xrand.Mix64(cfg.Seed ^ 0xa5a5a5a5a5a5a5a5),
-		bits:     bits,
-		async:    cfg.FlushPolicy == FlushAsync,
-		durable:  cfg.durable(),
+		shards:  make([]*guard, n),
+		reqs:    make([]chan *BatchCall, n),
+		salt:    xrand.Mix64(cfg.Seed ^ 0xa5a5a5a5a5a5a5a5),
+		bits:    bits,
+		durable: cfg.durable(),
 	}
 	s.do = s.runBatch
 	s.callPool.New = func() any {
@@ -301,66 +281,35 @@ func (s *Sharded) serve(i int, g *guard, c *BatchCall) {
 	case opScan:
 		c.scanK, c.scanV, c.scanNext, c.errs[i] = g.Scan(c.cursor, c.maxN)
 	case opSync:
-		// An acknowledgement barrier must surface every deferred
-		// write-behind error — but it reports them WITHOUT consuming
-		// them. Concurrent Sync barriers race with write-behind applies
-		// in the shard queue, so a barrier cannot know whose operations
-		// a parked error belongs to; if the first barrier swallowed it,
-		// a later waiter whose own apply failed could be told "durable".
-		// Instead every Sync until the next Flush/Close keeps failing —
-		// conservative, and sound: after an unacknowledged apply failure
-		// no clean ack may cover this shard. Flush remains the consuming
-		// barrier.
-		//
 		// Only the spill half of a durable shard's barrier runs here. The
 		// fsync is handed to the committer pool and the worker goes back
 		// to its queue: applies (and lookups) queued behind the barrier
 		// overlap the fsync instead of waiting out its ~250 µs, and the
 		// barrier completes whenever the fsync does.
-		errs := append([]error(nil), s.deferred[i]...)
 		fsync, err := g.beginSync()
-		if err != nil {
-			errs = append(errs, err)
-		}
 		if fsync != nil {
 			s.fsyncWG.Add(1)
-			go s.finishSync(c, i, fsync, errs)
+			go s.finishSync(c, i, fsync)
 			return
 		}
-		c.errs[i] = errors.Join(errs...)
+		c.errs[i] = err
 	case opFlush, opClose:
-		errs := s.deferred[i]
-		s.deferred[i] = nil
-		if err := g.Flush(); err != nil {
-			errs = append(errs, err)
-		}
-		c.errs[i] = errors.Join(errs...)
+		c.errs[i] = g.Flush()
 	default:
 		// Every keyed kind: the worker owns the shard's apply order, and
 		// apply ships from this goroutine. The sink's own append mutex
 		// merges the shards into one contiguous LSN sequence, so per key
 		// (a key hashes to exactly one shard) ship order == apply order.
-		lsn, err := g.apply(&c.opVec, c.parts[i])
-		if c.writeBehind { // park the error until a barrier
-			if err != nil {
-				s.deferred[i] = append(s.deferred[i], err)
-			}
-			s.unref(c)
-			return
-		}
-		c.lsns[i], c.errs[i] = lsn, err
+		c.lsns[i], c.errs[i] = g.apply(&c.opVec, c.parts[i])
 	}
 	c.wg.Done()
 }
 
 // finishSync is the detached half of shard i's opSync: the fsync, then
 // the barrier's completion.
-func (s *Sharded) finishSync(c *BatchCall, i int, fsync func() error, errs []error) {
+func (s *Sharded) finishSync(c *BatchCall, i int, fsync func() error) {
 	defer s.fsyncWG.Done()
-	if err := s.committer.Commit(fsync); err != nil {
-		errs = append(errs, err)
-	}
-	c.errs[i] = errors.Join(errs...)
+	c.errs[i] = s.committer.Commit(fsync)
 	c.wg.Done()
 }
 
@@ -399,46 +348,30 @@ func (s *Sharded) partitionInto(keys []uint64, parts [][]int) {
 // backpressure). It returns without waiting for any worker. On ErrClosed
 // the handle has been recycled; otherwise the caller passes it to
 // waitBatch exactly once and leaves the operand and result slices alone
-// until that returns — unless the call went write-behind (a non-shipping
-// insert or upsert under FlushAsync), in which case it took copies of
-// the operands and now belongs to the workers.
+// until that returns.
 //
 // A goroutine that starts several batches before waiting on the first
 // keeps per-key order — every shard queue receives its shares in start
 // order — which is what lets a connection keep the workers busy instead
 // of idling them behind one fork-join per request.
-func (s *Sharded) startBatch(c *BatchCall, v *opVec) (writeBehind bool, err error) {
-	writeBehind = s.async && !v.ship && (v.kind == BatchInsert || v.kind == BatchUpsert)
-	c.opVec, c.writeBehind = *v, writeBehind
-	if writeBehind {
-		c.ownK = append(c.ownK[:0], v.keys...)
-		c.ownV = append(c.ownV[:0], v.vals...)
-		c.keys, c.vals = c.ownK, c.ownV
-		c.refs.Store(1) // the submitter's, so the count cannot reach zero mid-loop
-	}
+func (s *Sharded) startBatch(c *BatchCall, v *opVec) error {
+	c.opVec = *v
 	s.partitionInto(c.keys, c.parts)
 	s.stateMu.RLock()
 	if s.closed {
 		s.stateMu.RUnlock()
 		s.putCall(c)
-		return false, ErrClosed
+		return ErrClosed
 	}
 	for sh, idx := range c.parts {
 		if len(idx) == 0 {
 			continue
 		}
-		if writeBehind {
-			c.refs.Add(1)
-		} else {
-			c.wg.Add(1)
-		}
+		c.wg.Add(1)
 		s.reqs[sh] <- c
 	}
 	s.stateMu.RUnlock()
-	if writeBehind {
-		s.unref(c)
-	}
-	return writeBehind, nil
+	return nil
 }
 
 // join waits for every shard to finish its share of c and returns the
@@ -463,12 +396,11 @@ func (s *Sharded) waitBatch(c *BatchCall) (uint64, error) {
 	return lsn, err
 }
 
-// runBatch is a whole keyed batch — start, then wait unless it went
-// write-behind: the do behind every batchAPI method.
+// runBatch is a whole keyed batch — start, then wait: the do behind
+// every batchAPI method.
 func (s *Sharded) runBatch(v opVec) (uint64, error) {
 	c := s.getCall()
-	writeBehind, err := s.startBatch(c, &v)
-	if err != nil || writeBehind {
+	if err := s.startBatch(c, &v); err != nil {
 		return 0, err
 	}
 	return s.waitBatch(c)
@@ -479,8 +411,8 @@ func (s *Sharded) runBatch(v opVec) (uint64, error) {
 func (s *Sharded) one(kind BatchOp, key, val uint64) (uint64, bool, error) {
 	c := s.getCall()
 	c.k1[0], c.v1[0], c.ok1[0] = key, val, false
-	writeBehind, err := s.startBatch(c, &opVec{kind: kind, keys: c.k1[:], vals: c.v1[:], outV: c.v1[:], outOK: c.ok1[:]})
-	if err != nil || writeBehind {
+	err := s.startBatch(c, &opVec{kind: kind, keys: c.k1[:], vals: c.v1[:], outV: c.v1[:], outOK: c.ok1[:]})
+	if err != nil {
 		return 0, false, err
 	}
 	_, err = s.join(c)
@@ -528,30 +460,27 @@ func (s *Sharded) SetShip(fn ShipFunc) {
 	}
 }
 
-// StartBatch submits the batch the serving layer would otherwise run
-// with InsertBatchShip, UpsertBatchShip, DeleteBatchShipInto or
-// LookupBatchInto — same length contract, same shipping — and returns
-// once every shard's share is queued, without waiting for the workers.
-// vals carries the payloads of BatchInsert/BatchUpsert and receives the
-// values of BatchLookup; found receives the hit flags of BatchLookup and
-// BatchDelete. The caller must call Wait on the returned handle exactly
-// once and must not touch keys, vals or found until it returns.
-//
-// Batches started by one goroutine apply per key in start order, whether
-// or not earlier ones have been waited for: a later batch's share
-// queues behind the earlier one's on the same shard. So a caller may
-// keep several calls outstanding and wait for them oldest-first; that
-// is how the network server pipelines a connection's requests.
-func (s *Sharded) StartBatch(op BatchOp, keys, vals []uint64, found []bool) (*BatchCall, error) {
-	if op > BatchLookup {
+// StartBatch is Engine.StartBatch: it returns once every shard's share
+// is queued, without waiting for the workers. Batches started by one
+// goroutine apply per key in start order, whether or not earlier ones
+// have been waited for: a later batch's share queues behind the earlier
+// one's on the same shard. So a caller may keep several calls
+// outstanding and wait for them oldest-first; that is how the network
+// server pipelines a connection's requests, and how a replication
+// follower (ship false: it appends the records to its own log, in
+// stream order, once the calls have completed) replays a stream.
+func (s *Sharded) StartBatch(op BatchOp, ship bool, keys, vals []uint64, found []bool) (*BatchCall, error) {
+	if op > BatchExpire {
 		return nil, fmt.Errorf("extbuf: unknown batch op %d", op)
 	}
-	v := opVec{kind: op, ship: true, keys: keys}
+	v := opVec{kind: op, ship: ship, keys: keys}
 	switch op {
 	case BatchLookup:
 		v.outV, v.outOK = vals, found
 	case BatchDelete:
 		v.outOK = found
+	case BatchExpire:
+		v.vals, v.outOK = vals, found
 	default:
 		v.vals = vals
 	}
@@ -559,55 +488,27 @@ func (s *Sharded) StartBatch(op BatchOp, keys, vals []uint64, found []bool) (*Ba
 		return nil, err
 	}
 	c := s.getCall()
-	if _, err := s.startBatch(c, &v); err != nil {
+	if err := s.startBatch(c, &v); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
-// StartBatchNoShip is StartBatch for a caller that keeps the ship log
-// itself: the started form of InsertBatch, UpsertBatch and
-// DeleteBatchInto, which apply without emitting to the ship sink (a
-// lookup never ships: StartBatch is its started form). A replication
-// follower replays with it — it must copy the primary's log position by
-// position, so it appends the records itself, in stream order, once the
-// calls it started have completed — and everything StartBatch promises
-// about handles and per-key start order holds.
-//
-// One difference, the one InsertBatch has from InsertBatchShip: under
-// FlushAsync a BatchInsert or BatchUpsert goes write-behind. It is
-// complete at submission — the handle is nil, there is nothing to wait
-// for, the operands were copied — and its error surfaces at the next
-// Sync, Flush or Close.
-func (s *Sharded) StartBatchNoShip(op BatchOp, keys, vals []uint64, found []bool) (*BatchCall, error) {
-	v := opVec{kind: op, keys: keys, vals: vals}
-	switch {
-	case op > BatchDelete:
-		return nil, fmt.Errorf("extbuf: batch op %d has no non-shipping start", op)
-	case op == BatchDelete:
-		v.vals, v.outOK = nil, found
+// Wait joins a started batch: it returns once every shard has applied
+// its share, with the batch's highest ship LSN (0 when nothing shipped)
+// and the joined per-shard errors — what the synchronous call would have
+// returned. The handle is recycled; it must not be used again.
+func (c *BatchCall) Wait() (uint64, error) {
+	if c.g != nil {
+		return c.g.finish(c)
 	}
-	if err := v.check(); err != nil {
-		return nil, err
-	}
-	c := s.getCall()
-	if writeBehind, err := s.startBatch(c, &v); err != nil || writeBehind {
-		return nil, err
-	}
-	return c, nil
+	return c.s.waitBatch(c)
 }
-
-// Wait joins a batch started by StartBatch: it returns once every shard
-// has applied its share, with the batch's highest ship LSN (0 when
-// nothing shipped) and the joined per-shard errors — what the
-// synchronous call would have returned. The handle is recycled; it must
-// not be used again.
-func (c *BatchCall) Wait() (uint64, error) { return c.s.waitBatch(c) }
 
 // broadcast is the unkeyed choreography: it hands c, as a request of the
 // given kind, to the workers of shards lo..hi-1 — behind everything
 // already queued there, so the answer reflects every operation submitted
-// before it, write-behind mutations included — waits for them, and
+// before it — waits for them, and
 // returns the joined per-shard errors. The caller owns c before and
 // after (it sets the kind's argument, reads the result slots, recycles
 // it). A closed engine returns ErrClosed without touching c's slots.
@@ -773,12 +674,9 @@ func (s *Sharded) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, erro
 // write-ahead log and hands the fsync to the shared committer pool, so
 // the per-shard fsyncs overlap each other AND the operations queued
 // behind the barrier, which the workers go straight back to applying.
-// Once Sync returns nil, every operation submitted before it (including
-// write-behind mutations) survives a crash. Errors deferred by
-// write-behind mutations are reported here but NOT consumed: every Sync
-// fails until a Flush or Close clears them, so concurrent
-// acknowledgement barriers can never race a failed apply out of view.
-// The serving layer group-commits client acks behind this barrier.
+// Once Sync returns nil, every operation submitted before it survives a
+// crash. The serving layer group-commits client acks behind this
+// barrier.
 func (s *Sharded) Sync() error {
 	c := s.getCall()
 	defer s.putCall(c)
@@ -788,8 +686,7 @@ func (s *Sharded) Sync() error {
 // Flush is the engine's checkpoint barrier: it waits for every shard to
 // drain the requests queued before it, syncs all shards' storage
 // backends in parallel (overlapping their syscalls; durable shards
-// commit a full checkpoint), and returns the join of any errors
-// deferred by write-behind mutations since the last barrier.
+// commit a full checkpoint), and returns the join of their errors.
 func (s *Sharded) Flush() error {
 	c := s.getCall()
 	defer s.putCall(c)
@@ -821,10 +718,9 @@ func (s *Sharded) MemoryUsed() int64 {
 	return total
 }
 
-// Close drains the pipeline (a Flush barrier, so write-behind mutations
-// complete and reach the backends), stops every worker, and releases
-// every shard, returning the join of deferred write-behind errors and
-// the shards' flush and close errors. Close is idempotent, and safe
+// Close drains the pipeline (a Flush barrier), stops every worker, and
+// releases every shard, returning the join of the shards' flush and
+// close errors. Close is idempotent, and safe
 // against concurrent operations: anything submitted before the closing
 // point (see broadcast) completes normally, anything after it is
 // rejected with ErrClosed (or zero results from Lookup/Delete/Len).

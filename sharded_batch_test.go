@@ -156,91 +156,83 @@ func TestBatchErrors(t *testing.T) {
 	if _, err := s.DeleteBatch([]uint64{1}); !errors.Is(err, extbuf.ErrClosed) {
 		t.Fatalf("delete after close = %v, want ErrClosed", err)
 	}
-
-	if _, err := extbuf.NewSharded("buffered", extbuf.Config{FlushPolicy: "later"}, 2); !errors.Is(err, extbuf.ErrUnknownFlushPolicy) {
-		t.Fatalf("bad flush policy err = %v, want ErrUnknownFlushPolicy", err)
-	}
 }
 
 // TestBatchConcurrentStress hammers the engine with concurrent batch
 // mutators, batch readers and non-blocking monitors; run under -race it
 // is the pipeline's soundness test (disjoint result slots, atomic
-// counter reads, channel discipline).
+// counter reads, channel discipline). The subtest is "sync" because every
+// batch call applies before it returns — there is no write-behind path.
 func TestBatchConcurrentStress(t *testing.T) {
-	for _, policy := range []string{extbuf.FlushSync, extbuf.FlushAsync} {
-		t.Run(policy, func(t *testing.T) {
-			s, err := extbuf.NewSharded("buffered", extbuf.Config{
-				BlockSize: 16, MemoryWords: 512, Seed: 7, FlushPolicy: policy,
-			}, 8)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+	t.Run("sync", func(t *testing.T) {
+		s, err := extbuf.NewSharded("buffered", extbuf.Config{
+			BlockSize: 16, MemoryWords: 512, Seed: 7,
+		}, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
 
-			workers, perWorker, batch := 6, 1200, 48
-			if testing.Short() {
-				perWorker = 300
-			}
-			var wg sync.WaitGroup
-			errs := make(chan error, workers)
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					base := uint64(w+1) << 40
-					for at := 0; at < perWorker; at += batch {
-						end := min(at+batch, perWorker)
-						keys := make([]uint64, 0, batch)
-						vals := make([]uint64, 0, batch)
-						for i := at; i < end; i++ {
-							keys = append(keys, base+uint64(i))
-							vals = append(vals, uint64(i))
-						}
-						if err := s.InsertBatch(keys, vals); err != nil {
-							errs <- fmt.Errorf("worker %d insert: %w", w, err)
-							return
-						}
-						got, found, err := s.LookupBatch(keys)
-						if err != nil {
-							errs <- fmt.Errorf("worker %d lookup: %w", w, err)
-							return
-						}
-						for i := range keys {
-							// Under FlushAsync a lookup may race a
-							// write-behind batch from another call, but
-							// this worker's own batch was enqueued
-							// before the lookup on every shard, so
-							// read-your-writes must hold.
-							if !found[i] || got[i] != vals[i] {
-								errs <- fmt.Errorf("worker %d: key %d not visible after insert", w, keys[i])
-								return
-							}
-						}
-						st := s.Stats() // non-blocking monitor path
-						if st.Reads < 0 || st.Writes < 0 {
-							errs <- fmt.Errorf("worker %d: negative counters %+v", w, st)
-							return
-						}
-						if s.MemoryUsed() < 0 {
-							errs <- fmt.Errorf("worker %d: negative memory", w)
+		workers, perWorker, batch := 6, 1200, 48
+		if testing.Short() {
+			perWorker = 300
+		}
+		var wg sync.WaitGroup
+		errs := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				base := uint64(w+1) << 40
+				for at := 0; at < perWorker; at += batch {
+					end := min(at+batch, perWorker)
+					keys := make([]uint64, 0, batch)
+					vals := make([]uint64, 0, batch)
+					for i := at; i < end; i++ {
+						keys = append(keys, base+uint64(i))
+						vals = append(vals, uint64(i))
+					}
+					if err := s.InsertBatch(keys, vals); err != nil {
+						errs <- fmt.Errorf("worker %d insert: %w", w, err)
+						return
+					}
+					got, found, err := s.LookupBatch(keys)
+					if err != nil {
+						errs <- fmt.Errorf("worker %d lookup: %w", w, err)
+						return
+					}
+					for i := range keys {
+						// This worker's own batch applied before the
+						// lookup on every shard: read-your-writes.
+						if !found[i] || got[i] != vals[i] {
+							errs <- fmt.Errorf("worker %d: key %d not visible after insert", w, keys[i])
 							return
 						}
 					}
-				}(w)
-			}
-			wg.Wait()
-			close(errs)
-			for err := range errs {
-				t.Fatal(err)
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatalf("flush: %v", err)
-			}
-			if got, want := s.Len(), workers*perWorker; got != want {
-				t.Fatalf("Len = %d, want %d", got, want)
-			}
-		})
-	}
+					st := s.Stats() // non-blocking monitor path
+					if st.Reads < 0 || st.Writes < 0 {
+						errs <- fmt.Errorf("worker %d: negative counters %+v", w, st)
+						return
+					}
+					if s.MemoryUsed() < 0 {
+						errs <- fmt.Errorf("worker %d: negative memory", w)
+						return
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(errs)
+		for err := range errs {
+			t.Fatal(err)
+		}
+		if err := s.Flush(); err != nil {
+			t.Fatalf("flush: %v", err)
+		}
+		if got, want := s.Len(), workers*perWorker; got != want {
+			t.Fatalf("Len = %d, want %d", got, want)
+		}
+	})
 }
 
 // TestCloseRacesOperations closes the engine while other goroutines
@@ -293,17 +285,15 @@ func TestCloseRacesOperations(t *testing.T) {
 	}
 }
 
-// TestAsyncFlushBarrierFileBackend checks the write-behind barrier on
-// the file backend: InsertBatch returns before durability, and Flush is
-// the point at which every shard's queued mutations have been applied
-// and synced to its backing file.
-func TestAsyncFlushBarrierFileBackend(t *testing.T) {
+// TestFlushBarrierFileBackend checks the checkpoint barrier on the file
+// backend: Flush is the point at which every shard's mutations have been
+// applied and synced to its backing file.
+func TestFlushBarrierFileBackend(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "wb")
 	s, err := extbuf.NewSharded("knuth", extbuf.Config{
 		BlockSize: 16, MemoryWords: 512, ExpectedItems: 4096, Seed: 5,
 		Backend: "file", Path: path, CacheBlocks: 8,
-		FlushPolicy: extbuf.FlushAsync,
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -320,7 +310,7 @@ func TestAsyncFlushBarrierFileBackend(t *testing.T) {
 	for at := 0; at < n; at += 128 {
 		end := min(at+128, n)
 		if err := s.InsertBatch(keys[at:end], vals[at:end]); err != nil {
-			t.Fatalf("async insert returned error directly: %v", err)
+			t.Fatalf("insert: %v", err)
 		}
 	}
 	if err := s.Flush(); err != nil {

@@ -123,7 +123,7 @@ func runStarted(t *testing.T, s *extbuf.Sharded, steps []pipelineStep, depth int
 			vals = res.vals
 		}
 		var err error
-		if calls[i], err = s.StartBatch(st.op, st.keys, vals, res.found); err != nil {
+		if calls[i], err = s.StartBatch(st.op, true, st.keys, vals, res.found); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestStartWaitMatchesSynchronous(t *testing.T) {
 			t.Fatal(err)
 		}
 		found := make([]bool, 1)
-		if _, err := s.StartBatch(extbuf.BatchDelete, []uint64{1}, nil, found); !errors.Is(err, extbuf.ErrClosed) {
+		if _, err := s.StartBatch(extbuf.BatchDelete, true, []uint64{1}, nil, found); !errors.Is(err, extbuf.ErrClosed) {
 			t.Fatalf("StartBatch after Close: %v, want ErrClosed", err)
 		}
 		if _, err := s.DeleteBatchShipInto([]uint64{1, 2}, make([]bool, 2)); !errors.Is(err, extbuf.ErrClosed) {
@@ -197,17 +197,18 @@ func TestStartWaitMatchesSynchronous(t *testing.T) {
 		}
 	}
 
-	if _, err := ref.StartBatch(extbuf.BatchInsert, []uint64{1, 2}, []uint64{1}, nil); !errors.Is(err, extbuf.ErrBatchLength) {
+	if _, err := ref.StartBatch(extbuf.BatchInsert, true, []uint64{1, 2}, []uint64{1}, nil); !errors.Is(err, extbuf.ErrBatchLength) {
 		t.Fatalf("short vals: %v, want ErrBatchLength", err)
 	}
-	if _, err := ref.StartBatch(extbuf.BatchLookup, []uint64{1, 2}, make([]uint64, 2), make([]bool, 1)); !errors.Is(err, extbuf.ErrBatchLength) {
+	if _, err := ref.StartBatch(extbuf.BatchLookup, false, []uint64{1, 2}, make([]uint64, 2), make([]bool, 1)); !errors.Is(err, extbuf.ErrBatchLength) {
 		t.Fatalf("short found: %v, want ErrBatchLength", err)
 	}
 }
 
 // TestStartWaitZeroAllocs: the handle is the request and is pooled with
 // its barrier, so a warmed start+wait allocates nothing — with one call
-// at a time or several outstanding — and neither does a broadcast.
+// at a time or several outstanding — and neither does a broadcast. A
+// single table's completed handles are recycled too.
 func TestStartWaitZeroAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, set := range bi.Settings {
@@ -216,13 +217,17 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 			}
 		}
 	}
-	s, err := extbuf.NewSharded("knuth", extbuf.Config{
-		BlockSize: 64, MemoryWords: 1024, ExpectedItems: 20000, Seed: 29,
-	}, 2)
+	cfg := extbuf.Config{BlockSize: 64, MemoryWords: 1024, ExpectedItems: 20000, Seed: 29}
+	s, err := extbuf.NewSharded("knuth", cfg, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	single, err := extbuf.OpenEngine("knuth", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer single.Close()
 	const batch, depth = 128, 4
 	var keys, vals [depth][]uint64
 	var found [depth][]bool
@@ -232,31 +237,37 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 		for j := range keys[i] {
 			keys[i][j] = rng.Uint64()
 		}
-		if err := s.UpsertBatch(keys[i], vals[i]); err != nil {
-			t.Fatal(err)
+		for _, e := range []extbuf.Engine{s, single} {
+			if err := e.UpsertBatch(keys[i], vals[i]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	var calls [depth]*extbuf.BatchCall
-	run := func() {
-		for i := range calls {
-			op := extbuf.BatchUpsert
-			if i%2 == 1 {
-				op = extbuf.BatchLookup
+	run := func(e extbuf.Engine) func() {
+		return func() {
+			for i := range calls {
+				op := extbuf.BatchUpsert
+				if i%2 == 1 {
+					op = extbuf.BatchLookup
+				}
+				var err error
+				if calls[i], err = e.StartBatch(op, true, keys[i], vals[i], found[i]); err != nil {
+					t.Fatal(err)
+				}
 			}
-			var err error
-			if calls[i], err = s.StartBatch(op, keys[i], vals[i], found[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, c := range calls {
-			if _, err := c.Wait(); err != nil {
-				t.Fatal(err)
+			for _, c := range calls {
+				if _, err := c.Wait(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 	}
-	run() // warm the handle pool
-	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
-		t.Fatalf("steady-state start+wait: %.2f allocs per %d calls, want 0", allocs, depth)
+	for name, e := range map[string]extbuf.Engine{"sharded": s, "single table": single} {
+		run(e)() // warm the handle pool
+		if allocs := testing.AllocsPerRun(200, run(e)); allocs != 0 {
+			t.Fatalf("%s: steady-state start+wait: %.2f allocs per %d calls, want 0", name, allocs, depth)
+		}
 	}
 	// The broadcasts use the same pooled handle: no request per shard,
 	// no error slice per barrier.
@@ -274,50 +285,53 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestStartWaitNoShip: StartBatchNoShip is StartBatch without the ship
-// seam — the batch applies and the sink hears nothing — and, as
-// InsertBatch does, goes write-behind under FlushAsync: no handle, the
-// operands copied, the write visible to whatever queues behind it.
+// TestStartWaitNoShip: a start with ship false applies and the sink
+// hears nothing, on either engine; and a lookup ships nothing even with
+// ship set. The subtest is "sync" because every start returns a handle
+// whose Wait reports the batch applied — there is no write-behind path.
 func TestStartWaitNoShip(t *testing.T) {
-	for _, policy := range []string{extbuf.FlushSync, extbuf.FlushAsync} {
-		t.Run(policy, func(t *testing.T) {
-			s, err := extbuf.NewSharded("buffered", extbuf.Config{FlushPolicy: policy}, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
+	t.Run("sync", func(t *testing.T) {
+		sharded, err := extbuf.NewSharded("buffered", extbuf.Config{}, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single, err := extbuf.OpenEngine("buffered", extbuf.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, e := range map[string]extbuf.Engine{"sharded": sharded, "single table": single} {
+			defer e.Close()
 			rec := newShipRecorder()
-			s.SetShip(rec.ship)
-			keys, vals := []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40}
-			h, err := s.StartBatchNoShip(extbuf.BatchInsert, keys, vals, nil)
-			if err != nil {
-				t.Fatal(err)
+			e.SetShip(rec.ship)
+			wait := func(what string, h *extbuf.BatchCall, err error) {
+				t.Helper()
+				if err != nil {
+					t.Fatalf("%s: %s: %v", name, what, err)
+				}
+				if lsn, err := h.Wait(); err != nil || lsn != 0 {
+					t.Fatalf("%s: %s: Wait = lsn %d, %v; want 0, nil", name, what, lsn, err)
+				}
 			}
-			if (h == nil) != (policy == extbuf.FlushAsync) {
-				t.Fatalf("handle %v under flush policy %s", h, policy)
-			}
-			if h == nil {
-				keys[0], vals[0] = 99, 99 // the call owns copies
-			} else if lsn, err := h.Wait(); err != nil || lsn != 0 {
-				t.Fatalf("Wait = lsn %d, %v; want 0, nil", lsn, err)
-			}
+			h, err := e.StartBatch(extbuf.BatchInsert, false, []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40}, nil)
+			wait("insert", h, err)
 			found := make([]bool, 2)
-			h, err = s.StartBatchNoShip(extbuf.BatchDelete, []uint64{4, 5}, nil, found)
-			if err != nil || h == nil {
-				t.Fatalf("a delete never goes write-behind: handle %v, %v", h, err)
+			h, err = e.StartBatch(extbuf.BatchDelete, false, []uint64{4, 5}, nil, found)
+			wait("delete", h, err)
+			if !found[0] || found[1] {
+				t.Fatalf("%s: delete of {4, 5}: found %v", name, found)
 			}
-			if _, err := h.Wait(); err != nil || !found[0] || found[1] {
-				t.Fatalf("delete of {4, 5}: found %v, %v", found, err)
+			got, hit := make([]uint64, 2), make([]bool, 2)
+			h, err = e.StartBatch(extbuf.BatchLookup, true, []uint64{1, 4}, got, hit)
+			wait("lookup", h, err)
+			if got[0] != 10 || !hit[0] || hit[1] {
+				t.Fatalf("%s: lookup of {1, 4}: %v %v", name, got, hit)
 			}
-			if v, ok := s.Lookup(1); !ok || v != 10 {
-				t.Fatalf("key 1 = %d, %v; want 10", v, ok)
-			}
-			if n := s.Len(); n != 3 {
-				t.Fatalf("Len = %d, want 3", n)
+			if n := e.Len(); n != 3 {
+				t.Fatalf("%s: Len = %d, want 3", name, n)
 			}
 			if rec.next != 1 {
-				t.Fatalf("%d records reached the ship sink", rec.next-1)
+				t.Fatalf("%s: %d records reached the ship sink", name, rec.next-1)
 			}
-		})
-	}
+		}
+	})
 }

@@ -96,10 +96,9 @@ func TestShardedSyncMakesAcksDurable(t *testing.T) {
 func TestShardedSyncSurfacesStorageFailure(t *testing.T) {
 	dir := t.TempDir()
 	s, err := extbuf.NewSharded("knuth", extbuf.Config{
-		Backend:     "file",
-		Path:        filepath.Join(dir, "t"),
-		FlushPolicy: extbuf.FlushAsync,
-		Crash:       &extbuf.CrashPlan{FailSync: true},
+		Backend: "file",
+		Path:    filepath.Join(dir, "t"),
+		Crash:   &extbuf.CrashPlan{FailSync: true},
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
