@@ -6,7 +6,6 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-	"time"
 
 	"extbuf"
 	"extbuf/internal/workload"
@@ -49,13 +48,6 @@ func TestBackendCountersIdentical(t *testing.T) {
 	file.CacheBlocks = 4 // force real evictions and preads
 	if got := run(file); got != want {
 		t.Fatalf("file backend counters %+v, mem %+v", got, want)
-	}
-
-	lat := base
-	lat.Backend = "latency"
-	lat.SeekDelay = time.Nanosecond
-	if got := run(lat); got != want {
-		t.Fatalf("latency backend counters %+v, mem %+v", got, want)
 	}
 
 	// The durability machinery (WAL appends, copy-on-write placement,

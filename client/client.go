@@ -238,28 +238,49 @@ func (c *Client) pick() (*poolConn, error) {
 	return pc, nil
 }
 
-// GoInsert pipelines an INSERT batch and returns its Pending. The key
-// and value slices are encoded before return; the caller may reuse
+// GoInsert pipelines an INSERT batch and returns its Pending; collect
+// the ack with Pending.Wait or its read token with Pending.Token. The
+// key and value slices are encoded before return; the caller may reuse
 // them immediately.
 func (c *Client) GoInsert(keys, vals []uint64) (*Pending, error) {
 	return c.goKV(wire.OpInsert, keys, vals)
 }
 
-// GoUpsert pipelines an UPSERT batch.
+// GoUpsert pipelines an UPSERT batch, collected like GoInsert's.
 func (c *Client) GoUpsert(keys, vals []uint64) (*Pending, error) {
 	return c.goKV(wire.OpUpsert, keys, vals)
 }
 
-// GoLookup pipelines a LOOKUP batch; collect results with
+// GoLookup pipelines an unconstrained LOOKUP batch; collect results with
 // Pending.Lookup.
 func (c *Client) GoLookup(keys []uint64) (*Pending, error) {
-	return c.goKeys(wire.OpLookup, keys)
+	return c.goLookup(keys, ReadToken{})
 }
 
 // GoDelete pipelines a DELETE batch; collect results with
-// Pending.Deleted.
+// Pending.Deleted, or with Pending.FoundsT for the read token too.
 func (c *Client) GoDelete(keys []uint64) (*Pending, error) {
-	return c.goKeys(wire.OpDelete, keys)
+	if len(keys) > wire.MaxBatch {
+		return nil, ErrTooLarge
+	}
+	pc, err := c.pick()
+	if err != nil {
+		return nil, err
+	}
+	return pc.send(wire.OpDelete, func(dst []byte) []byte { return wire.AppendKeys(dst, keys) })
+}
+
+// goLookup pipelines a LOOKUP that the serving node answers only once
+// it has applied at.LSN.
+func (c *Client) goLookup(keys []uint64, at ReadToken) (*Pending, error) {
+	if len(keys) > wire.MaxBatch {
+		return nil, ErrTooLarge
+	}
+	pc, err := c.pick()
+	if err != nil {
+		return nil, err
+	}
+	return pc.send(wire.OpLookup, func(dst []byte) []byte { return wire.AppendLookup(dst, at.LSN, keys) })
 }
 
 func (c *Client) goKV(op wire.Op, keys, vals []uint64) (*Pending, error) {
@@ -276,17 +297,6 @@ func (c *Client) goKV(op wire.Op, keys, vals []uint64) (*Pending, error) {
 	return pc.send(op, func(dst []byte) []byte { return wire.AppendKV(dst, keys, vals) })
 }
 
-func (c *Client) goKeys(op wire.Op, keys []uint64) (*Pending, error) {
-	if len(keys) > wire.MaxBatch {
-		return nil, ErrTooLarge
-	}
-	pc, err := c.pick()
-	if err != nil {
-		return nil, err
-	}
-	return pc.send(op, func(dst []byte) []byte { return wire.AppendKeys(dst, keys) })
-}
-
 func (c *Client) goEmpty(op wire.Op) (*Pending, error) {
 	pc, err := c.pick()
 	if err != nil {
@@ -295,44 +305,12 @@ func (c *Client) goEmpty(op wire.Op) (*Pending, error) {
 	return pc.send(op, nil)
 }
 
-// GoInsertT pipelines a token-returning INSERT batch; collect the
-// token with Pending.Token.
-func (c *Client) GoInsertT(keys, vals []uint64) (*Pending, error) {
-	return c.goKV(wire.OpInsertAt, keys, vals)
-}
-
-// GoUpsertT pipelines a token-returning UPSERT batch.
-func (c *Client) GoUpsertT(keys, vals []uint64) (*Pending, error) {
-	return c.goKV(wire.OpUpsertAt, keys, vals)
-}
-
-// GoDeleteT pipelines a token-returning DELETE batch; collect results
-// with Pending.DeletedT.
-func (c *Client) GoDeleteT(keys []uint64) (*Pending, error) {
-	return c.goKeys(wire.OpDeleteAt, keys)
-}
-
-// GoLookupAt pipelines a LOOKUP constrained by a read token; collect
-// results with Pending.Lookup.
-func (c *Client) GoLookupAt(keys []uint64, at ReadToken) (*Pending, error) {
-	if len(keys) > wire.MaxBatch {
-		return nil, ErrTooLarge
-	}
-	pc, err := c.pick()
-	if err != nil {
-		return nil, err
-	}
-	return pc.send(wire.OpLookupAt, func(dst []byte) []byte {
-		return wire.AppendLookupAt(dst, at.LSN, keys)
-	})
-}
-
 // Insert stores (keys[i], vals[i]) for every i; a nil error means the
 // server acked the batch as applied, WAL-durable, and (under semi-sync
 // replication) applied by the required followers. The returned token
 // makes the batch visible to any Lookup that carries it.
 func (c *Client) Insert(ctx context.Context, keys, vals []uint64) (ReadToken, error) {
-	p, err := c.GoInsertT(keys, vals)
+	p, err := c.GoInsert(keys, vals)
 	if err != nil {
 		return ReadToken{}, err
 	}
@@ -342,7 +320,7 @@ func (c *Client) Insert(ctx context.Context, keys, vals []uint64) (ReadToken, er
 // Upsert stores (keys[i], vals[i]) whether or not the keys are
 // present, returning the batch's read token.
 func (c *Client) Upsert(ctx context.Context, keys, vals []uint64) (ReadToken, error) {
-	p, err := c.GoUpsertT(keys, vals)
+	p, err := c.GoUpsert(keys, vals)
 	if err != nil {
 		return ReadToken{}, err
 	}
@@ -352,11 +330,11 @@ func (c *Client) Upsert(ctx context.Context, keys, vals []uint64) (ReadToken, er
 // Delete removes every key, reporting per key whether it was present,
 // plus the batch's read token.
 func (c *Client) Delete(ctx context.Context, keys []uint64) ([]bool, ReadToken, error) {
-	p, err := c.GoDeleteT(keys)
+	p, err := c.GoDelete(keys)
 	if err != nil {
 		return nil, ReadToken{}, err
 	}
-	return p.DeletedT(ctx)
+	return p.FoundsT(ctx)
 }
 
 // Lookup returns the value and presence of every key, in input order,
@@ -364,7 +342,7 @@ func (c *Client) Delete(ctx context.Context, keys []uint64) ([]bool, ReadToken, 
 // has not applied at.LSN yet waits for it (or fails BEHIND — see
 // IsBehind). The zero token reads whatever state the node has.
 func (c *Client) Lookup(ctx context.Context, keys []uint64, at ReadToken) ([]uint64, []bool, error) {
-	p, err := c.GoLookupAt(keys, at)
+	p, err := c.goLookup(keys, at)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -451,14 +429,14 @@ type Pending struct {
 	err     error  // connection-level failure
 }
 
-// Wait blocks for the response of a mutation, SYNC, FLUSH or PING
-// request. A nil return means the server acked it (for mutations on a
-// durable backend: applied and WAL-fsynced).
+// Wait blocks for the response of an INSERT, UPSERT, SYNC, FLUSH or
+// PING request. A nil return means the server acked it (for mutations
+// on a durable backend: applied and WAL-fsynced).
 func (p *Pending) Wait(ctx context.Context) error {
 	if err := p.wait(ctx); err != nil {
 		return err
 	}
-	if p.op != wire.OpAck {
+	if p.op != wire.OpAck && p.op != wire.OpAckT {
 		return fmt.Errorf("client: unexpected %v response", p.op)
 	}
 	return nil
@@ -475,19 +453,14 @@ func (p *Pending) Lookup(ctx context.Context) ([]uint64, []bool, error) {
 	return wire.DecodeValuesInto(p.payload, nil, nil)
 }
 
-// Deleted blocks for a DELETE response and decodes it.
+// Deleted blocks for a DELETE response and decodes its per-key flags.
 func (p *Pending) Deleted(ctx context.Context) ([]bool, error) {
-	if err := p.wait(ctx); err != nil {
-		return nil, err
-	}
-	if p.op != wire.OpFounds {
-		return nil, fmt.Errorf("client: unexpected %v response", p.op)
-	}
-	return wire.DecodeFoundsInto(p.payload, nil)
+	found, _, err := p.FoundsT(ctx)
+	return found, err
 }
 
-// Token blocks for the response of a token-returning mutation
-// (GoInsertT, GoUpsertT) and decodes its ReadToken.
+// Token blocks for the response of an INSERT, UPSERT or UPSERTTTL and
+// decodes its ReadToken.
 func (p *Pending) Token(ctx context.Context) (ReadToken, error) {
 	if err := p.wait(ctx); err != nil {
 		return ReadToken{}, err
@@ -497,18 +470,6 @@ func (p *Pending) Token(ctx context.Context) (ReadToken, error) {
 	}
 	lsn, epoch, err := wire.DecodeAckT(p.payload)
 	return ReadToken{LSN: lsn, Epoch: epoch}, err
-}
-
-// DeletedT blocks for a GoDeleteT response and decodes it.
-func (p *Pending) DeletedT(ctx context.Context) ([]bool, ReadToken, error) {
-	if err := p.wait(ctx); err != nil {
-		return nil, ReadToken{}, err
-	}
-	if p.op != wire.OpFoundsT {
-		return nil, ReadToken{}, fmt.Errorf("client: unexpected %v response", p.op)
-	}
-	lsn, epoch, founds, err := wire.DecodeFoundsTInto(p.payload, nil)
-	return founds, ReadToken{LSN: lsn, Epoch: epoch}, err
 }
 
 // info blocks for an INFO-shaped response and decodes it.

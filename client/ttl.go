@@ -114,7 +114,7 @@ func (c *Client) Scan(ctx context.Context, cursor uint64, max int) (keys, vals [
 	return p.ScanPage(ctx)
 }
 
-// FoundsT blocks for a FOUNDST-shaped response (GoDeleteT, GoExpire,
+// FoundsT blocks for a FOUNDST-shaped response (GoDelete, GoExpire,
 // GoCompareSwap) and decodes its per-key flags and covering token.
 func (p *Pending) FoundsT(ctx context.Context) ([]bool, ReadToken, error) {
 	if err := p.wait(ctx); err != nil {

@@ -10,8 +10,6 @@
 //	-backend=file     blocks persisted to an on-disk file behind a page
 //	                  cache (-path, -cache); reports syscall and cache
 //	                  columns alongside the model's I/O counters
-//	-backend=latency  in-memory store with injected per-transfer delays
-//	                  (-seek, -xfer)
 //
 // The I/O counters are identical across backends; only the real price
 // of the bytes differs.
@@ -26,8 +24,7 @@
 //
 //	hashbench -structure core [-b 64] [-m 1024] [-n 50000] [-beta 8]
 //	          [-gamma 2] [-delta 0.1] [-q 4000] [-seed 42] [-hash ideal]
-//	          [-backend mem|file|latency] [-path FILE] [-cache 512]
-//	          [-seek 4ms] [-xfer 100us] [-profile nvme|ssd|hdd]
+//	          [-backend mem|file] [-path FILE] [-cache 512]
 //	          [-workers 8] [-batch 256]
 //	          [-walpath FILE] [-recoverypar 8]
 //	          [-reopen [-crashtail 100000]]
@@ -81,12 +78,9 @@ func main() {
 		q         = flag.Int("q", 4000, "successful lookups sampled")
 		seed      = flag.Uint64("seed", 42, "seed")
 		family    = flag.String("hash", "ideal", "hash family")
-		backend   = flag.String("backend", "mem", "block store: mem, file or latency")
+		backend   = flag.String("backend", "mem", "block store: mem or file")
 		path      = flag.String("path", "", "file backend: backing file (default: temp file)")
 		cache     = flag.Int("cache", iomodel.DefaultCacheBlocks, "file backend: page-cache capacity in blocks")
-		seek      = flag.Duration("seek", 100*time.Microsecond, "latency backend: per-transfer seek delay")
-		xfer      = flag.Duration("xfer", 25*time.Microsecond, "latency backend: per-transfer data delay")
-		profile   = flag.String("profile", "", "latency backend: fio-style device profile (nvme, ssd or hdd; overrides -seek/-xfer)")
 		workers   = flag.Int("workers", 0, "sharded engine: shard worker count (0 = classic single-structure mode)")
 		batch     = flag.Int("batch", 1, "sharded engine: operations per batch")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL file path (default: -path plus .wal)")
@@ -134,9 +128,6 @@ func main() {
 			Path:                *path,
 			WALPath:             *walPath,
 			CacheBlocks:         *cache,
-			SeekDelay:           *seek,
-			TransferDelay:       *xfer,
-			DeviceProfile:       *profile,
 			RecoveryParallelism: *recovPar,
 		}, *workers, *batch, *n, *q)
 		return
@@ -149,7 +140,7 @@ func main() {
 		words += int64(8 * *n / *b)
 	}
 
-	store := openStore(*backend, *b, *path, *cache, *seek, *xfer, *profile)
+	store := openStore(*backend, *b, *path, *cache)
 	model := iomodel.NewModelOn(store, words)
 	// log.Fatal exits without running defers, so fatal() also routes
 	// through this cleanup: a temp-file store must not outlive a failed
@@ -517,7 +508,7 @@ func orDefault(s, def string) string {
 }
 
 // openStore builds the block store selected by -backend.
-func openStore(backend string, b int, path string, cache int, seek, xfer time.Duration, profile string) iomodel.BlockStore {
+func openStore(backend string, b int, path string, cache int) iomodel.BlockStore {
 	switch backend {
 	case "mem":
 		return iomodel.NewMemStore(b)
@@ -533,16 +524,8 @@ func openStore(backend string, b int, path string, cache int, seek, xfer time.Du
 		}
 		fatal(err)
 		return fs
-	case "latency":
-		lcfg := iomodel.LatencyConfig{Seek: seek, Transfer: xfer}
-		if profile != "" {
-			var err error
-			lcfg, err = iomodel.DeviceProfile(profile)
-			fatal(err)
-		}
-		return iomodel.NewLatencyStore(iomodel.NewMemStore(b), lcfg)
 	default:
-		fatalf("unknown backend %q (want mem, file or latency)", backend)
+		fatalf("unknown backend %q (want mem or file)", backend)
 		return nil
 	}
 }
@@ -554,8 +537,7 @@ type statRow struct {
 
 // backendStatRows snapshots the real-cost columns a backend exposes.
 func backendStatRows(store iomodel.BlockStore) []statRow {
-	switch s := store.(type) {
-	case *iomodel.FileStore:
+	if s, ok := store.(*iomodel.FileStore); ok {
 		st := s.Stats()
 		rows := []statRow{
 			{"file: path", s.Path()},
@@ -578,12 +560,6 @@ func backendStatRows(store iomodel.BlockStore) []statRow {
 				float64(st.BytesWritten) / float64(st.WriteSyscalls) / 1024})
 		}
 		return rows
-	case *iomodel.LatencyStore:
-		return []statRow{
-			{"latency: delayed transfers", s.DelayedOps()},
-			{"latency: sequential transfers", s.SeqOps()},
-			{"latency: injected wait", s.Waited().String()},
-		}
 	}
 	return nil
 }

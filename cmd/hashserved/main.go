@@ -17,7 +17,7 @@
 // Usage:
 //
 //	hashserved -addr 127.0.0.1:4090 -structure buffered -shards 4
-//	           [-backend mem|file|latency] [-path FILE] [-b 64] [-m 1024]
+//	           [-backend mem|file] [-path FILE] [-b 64] [-m 1024]
 //	           [-cache 512] [-maxbatch 4096] [-pipeline 64]
 //	           [-addrfile FILE] [-drain 30s] [-leakcheck]
 //	           [-repl] [-follow ADDR] [-syncfollowers N] [-synctimeout 5s]
@@ -71,7 +71,7 @@ func main() {
 		shards    = flag.Int("shards", 4, "shard worker count")
 		b         = flag.Int("b", 64, "block size in items")
 		mWords    = flag.Int64("m", 1024, "per-shard memory budget in words")
-		backend   = flag.String("backend", "mem", "block store: mem, file or latency")
+		backend   = flag.String("backend", "mem", "block store: mem or file")
 		path      = flag.String("path", "", "file backend: backing path (named path = durable)")
 		cache     = flag.Int("cache", 0, "file backend: page-cache capacity in blocks (0 = default)")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL device path (default: -path plus .wal)")

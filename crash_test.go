@@ -386,7 +386,7 @@ func TestCrashShardedPipelinedRecovers(t *testing.T) {
 						vals[i] = uint64(round)<<32 | keys[i]
 						submit(keys[i], vals[i])
 					}
-					c, err := s.StartBatch(extbuf.BatchUpsert, false, keys, vals, nil)
+					c, err := s.StartBatch(extbuf.BatchUpsert, false, keys, vals, nil, nil)
 					if err != nil {
 						crashed = true
 						break

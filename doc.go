@@ -25,8 +25,8 @@
 //     cost-accounting Disk that counts block transfers exactly as the
 //     paper does, including the write-back-after-read-is-free
 //     convention, over pluggable BlockStore backends — the default
-//     in-memory simulated store, a file-backed store with a real page
-//     cache, and a latency-injecting store (Config.Backend selects);
+//     in-memory simulated store and a file-backed store with a real
+//     page cache (Config.Backend selects);
 //   - a durability subsystem for the file backend: naming Config.Path
 //     adds a write-ahead log and checkpointed superblock beside the
 //     block file, so Open on an existing path reopens the table —

@@ -51,18 +51,21 @@ type Engine interface {
 	Durable() bool
 
 	// StartBatch submits one keyed batch without waiting for it: the
-	// started form of the batch methods of op (BatchInsert, BatchUpsert,
-	// BatchDelete, BatchLookup, BatchExpire), with their length contract
-	// and, when ship is set, the shipping contract of their Ship forms (a
-	// lookup ships nothing either way). vals carries the payloads of
-	// inserts and upserts and the deadlines of expiries, and receives a
-	// lookup's values; found receives the hits of lookups, deletes and
-	// expiries. The caller calls Wait on the handle exactly once and
-	// leaves keys, vals and found alone until it returns. Batches one
-	// goroutine starts apply per key in start order, waited for or not.
-	// Sharded returns while its workers apply; a single table applies
-	// the batch first and returns a handle that is already complete.
-	StartBatch(op BatchOp, ship bool, keys, vals []uint64, found []bool) (*BatchCall, error)
+	// started form of the batch methods of op (any of the seven BatchOp
+	// kinds), with their length contract and, when ship is set, the
+	// shipping contract of their Ship forms (a lookup ships nothing
+	// either way). vals carries the payloads of inserts, upserts and
+	// upsert-ttls, the deadlines of expiries and the expected values of
+	// compare-swaps, and receives a lookup's values; vals2 carries the
+	// deadlines of upsert-ttls and the new values of compare-swaps (nil
+	// for the other kinds); found receives the hits of lookups, deletes
+	// and expiries and the outcomes of compare-swaps. The caller calls
+	// Wait on the handle exactly once and leaves the slices alone until
+	// it returns. Batches one goroutine starts apply per key in start
+	// order, waited for or not. Sharded returns while its workers apply;
+	// a single table applies the batch first and returns a handle that is
+	// already complete.
+	StartBatch(op BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*BatchCall, error)
 
 	// SetShip installs (or, with nil, removes) the ship sink the
 	// *BatchShip variants emit applied mutations to. It must be called
@@ -189,20 +192,20 @@ type ReplStats struct {
 	ShipStartLSN int64
 }
 
-// BatchOp names an operation kind. The five exported values are the
-// batches Engine.StartBatch accepts; the rest of the enum is the
-// engine's own: the remaining keyed kinds, then the unkeyed requests a
-// Sharded engine broadcasts to its shard workers.
+// BatchOp names an operation kind. The seven exported values are the
+// keyed batches Engine.StartBatch accepts; the rest of the enum is the
+// engine's own: the unkeyed requests a Sharded engine broadcasts to its
+// shard workers.
 type BatchOp uint8
 
 const (
-	BatchInsert BatchOp = iota // InsertBatch, InsertBatchShip
-	BatchUpsert                // UpsertBatch, UpsertBatchShip
-	BatchDelete                // DeleteBatchInto, DeleteBatchShipInto
-	BatchLookup                // LookupBatchInto
-	BatchExpire                // ExpireBatch, ExpireBatchShip; vals carries the deadlines
-	opUpsertTTL                // vals2 carries the deadlines
-	opCAS                      // vals carries the expected values, vals2 the new ones
+	BatchInsert      BatchOp = iota // InsertBatch, InsertBatchShip
+	BatchUpsert                     // UpsertBatch, UpsertBatchShip
+	BatchDelete                     // DeleteBatchInto, DeleteBatchShipInto
+	BatchLookup                     // LookupBatchInto
+	BatchExpire                     // ExpireBatch, ExpireBatchShip; vals carries the deadlines
+	BatchUpsertTTL                  // UpsertTTLBatchShip; vals2 carries the deadlines
+	BatchCompareSwap                // CompareSwapBatchShip; vals carries the expected values, vals2 the new ones
 
 	opLen
 	opStats
@@ -231,13 +234,13 @@ var keyedOps = [...]struct {
 	name                     string
 	vals, vals2, outV, outOK bool
 }{
-	BatchInsert: {"insert", true, false, false, false},
-	BatchUpsert: {"upsert", true, false, false, false},
-	BatchDelete: {"delete", false, false, false, true},
-	BatchLookup: {"lookup", false, false, true, true},
-	BatchExpire: {"expire", true, false, false, true},
-	opUpsertTTL: {"upsert-ttl", true, true, false, false},
-	opCAS:       {"compare-swap", true, true, false, true},
+	BatchInsert:      {"insert", true, false, false, false},
+	BatchUpsert:      {"upsert", true, false, false, false},
+	BatchDelete:      {"delete", false, false, false, true},
+	BatchLookup:      {"lookup", false, false, true, true},
+	BatchExpire:      {"expire", true, false, false, true},
+	BatchUpsertTTL:   {"upsert-ttl", true, true, false, false},
+	BatchCompareSwap: {"compare-swap", true, true, false, true},
 }
 
 // check is the one length contract of every keyed batch (see Engine):
@@ -320,11 +323,11 @@ func (b batchAPI) ExpireBatchShip(keys, deadlines []uint64, found []bool) (uint6
 }
 
 func (b batchAPI) UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error) {
-	return b.run(&opVec{kind: opUpsertTTL, ship: true, keys: keys, vals: vals, vals2: deadlines})
+	return b.run(&opVec{kind: BatchUpsertTTL, ship: true, keys: keys, vals: vals, vals2: deadlines})
 }
 
 func (b batchAPI) CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) (uint64, error) {
-	return b.run(&opVec{kind: opCAS, ship: true, keys: keys, vals: olds, vals2: news, outOK: swapped})
+	return b.run(&opVec{kind: BatchCompareSwap, ship: true, keys: keys, vals: olds, vals2: news, outOK: swapped})
 }
 
 // innerTable is what a guard drives: a bare structure adapter, or the
@@ -473,13 +476,13 @@ func (g *guard) apply(v *opVec, idx []int) (uint64, error) {
 		lsn, err = g.emit(ShipDelete, sk, nil)
 	case BatchExpire:
 		lsn, err = g.emit(ShipExpire, sk, sv)
-	case opUpsertTTL:
+	case BatchUpsertTTL:
 		// Values before deadlines, so the covering (higher) LSNs belong
 		// to the expires and a follower at the returned LSN has both.
 		if _, err = g.emit(ShipUpsert, sk, sv); err == nil {
 			lsn, err = g.emit(ShipExpire, sk, sw)
 		}
-	case opCAS:
+	case BatchCompareSwap:
 		lsn, err = g.emit(ShipUpsert, sk, sw)
 	}
 	if first == nil {
@@ -496,7 +499,7 @@ func (g *guard) applyOne(kind BatchOp, key, a, b uint64) (val uint64, ok bool, e
 	switch kind {
 	case BatchInsert:
 		err = g.t.Insert(key, a)
-	case BatchUpsert, opUpsertTTL:
+	case BatchUpsert, BatchUpsertTTL:
 		err = g.t.Upsert(key, a)
 	case BatchLookup:
 		val, ok = g.live(key)
@@ -514,7 +517,7 @@ func (g *guard) applyOne(kind BatchOp, key, a, b uint64) (val uint64, ok bool, e
 			err = g.setDeadline(key, a)
 		}
 		return 0, ok && err == nil, err
-	case opCAS:
+	case BatchCompareSwap:
 		if g.expired(key) {
 			g.expStats.LazyHits++
 			return 0, false, nil
@@ -529,7 +532,7 @@ func (g *guard) applyOne(kind BatchOp, key, a, b uint64) (val uint64, ok bool, e
 		return 0, false, err
 	}
 	g.exp.Clear(key)
-	if kind == opUpsertTTL {
+	if kind == BatchUpsertTTL {
 		// The WAL, like the ship log, sees the upsert record before the
 		// expire record: replay converges to value + deadline.
 		err = g.setDeadline(key, b)
@@ -596,8 +599,8 @@ func (g *guard) setDeadline(key, deadline uint64) error {
 // returns, and the handle holds its outcome for Wait. Each call has a
 // handle of its own, since a caller may hold several (the server's
 // applier keeps a ring of them); Wait recycles it.
-func (g *guard) StartBatch(op BatchOp, ship bool, keys, vals []uint64, found []bool) (*BatchCall, error) {
-	if op > BatchExpire {
+func (g *guard) StartBatch(op BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*BatchCall, error) {
+	if op > BatchCompareSwap {
 		return nil, fmt.Errorf("extbuf: unknown batch op %d", op)
 	}
 	v := opVec{kind: op, ship: ship, keys: keys}
@@ -608,6 +611,10 @@ func (g *guard) StartBatch(op BatchOp, ship bool, keys, vals []uint64, found []b
 		v.outOK = found
 	case BatchExpire:
 		v.vals, v.outOK = vals, found
+	case BatchUpsertTTL:
+		v.vals, v.vals2 = vals, vals2
+	case BatchCompareSwap:
+		v.vals, v.vals2, v.outOK = vals, vals2, found
 	default:
 		v.vals = vals
 	}

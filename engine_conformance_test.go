@@ -94,7 +94,7 @@ type confResult struct {
 const resultPad = 2
 
 // runStep issues st through the exported Engine method for its kind or,
-// started set, through StartBatch and Wait where the kind has a start.
+// started set, through StartBatch and Wait.
 func runStep(e Engine, st confStep, started bool) confResult {
 	n := len(st.keys)
 	r := confResult{outV: make([]uint64, n+resultPad), outOK: make([]bool, n+resultPad)}
@@ -102,13 +102,13 @@ func runStep(e Engine, st confStep, started bool) confResult {
 		r.outV[i], r.outOK[i] = ^uint64(0), true
 	}
 	switch {
-	case started && st.kind <= BatchExpire:
+	case started:
 		vals := st.vals
 		if st.kind == BatchLookup {
 			vals = r.outV
 		}
 		var c *BatchCall
-		if c, r.err = e.StartBatch(st.kind, st.ship, st.keys, vals, r.outOK); r.err == nil {
+		if c, r.err = e.StartBatch(st.kind, st.ship, st.keys, vals, st.vals2, r.outOK); r.err == nil {
 			r.lsn, r.err = c.Wait()
 		}
 	case st.kind == BatchInsert && st.ship:
@@ -129,9 +129,9 @@ func runStep(e Engine, st confStep, started bool) confResult {
 		r.lsn, r.err = e.ExpireBatchShip(st.keys, st.vals, r.outOK)
 	case st.kind == BatchExpire:
 		r.err = e.ExpireBatch(st.keys, st.vals, r.outOK)
-	case st.kind == opUpsertTTL:
+	case st.kind == BatchUpsertTTL:
 		r.lsn, r.err = e.UpsertTTLBatchShip(st.keys, st.vals, st.vals2)
-	case st.kind == opCAS:
+	case st.kind == BatchCompareSwap:
 		r.lsn, r.err = e.CompareSwapBatchShip(st.keys, st.vals, st.vals2, r.outOK)
 	}
 	return r
@@ -166,7 +166,7 @@ func (m *confModel) step(st confStep) (outV []uint64, outOK []bool, failed bool,
 	var expires []shipRec // upsert-ttl: shipped after all the upserts
 	for i, k := range st.keys {
 		switch st.kind {
-		case BatchInsert, BatchUpsert, opUpsertTTL:
+		case BatchInsert, BatchUpsert, BatchUpsertTTL:
 			if m.bad[k] {
 				failed = true
 				continue
@@ -177,7 +177,7 @@ func (m *confModel) step(st confStep) (outV []uint64, outOK []bool, failed bool,
 				op = ShipInsert
 			}
 			ships = append(ships, shipRec{op, k, st.vals[i]})
-			if st.kind == opUpsertTTL {
+			if st.kind == BatchUpsertTTL {
 				e.ttl, e.deadline = true, st.vals2[i]
 				expires = append(expires, shipRec{ShipExpire, k, st.vals2[i]})
 			}
@@ -195,7 +195,7 @@ func (m *confModel) step(st confStep) (outV []uint64, outOK []bool, failed bool,
 				m.m[k] = e
 				ships = append(ships, shipRec{ShipExpire, k, st.vals[i]})
 			}
-		case opCAS:
+		case BatchCompareSwap:
 			if v, ok := m.live(k); ok && v == st.vals[i] {
 				outOK[i] = true
 				m.m[k] = confEntry{val: st.vals2[i]}
@@ -266,16 +266,16 @@ func confScript() (steps []confStep, bad map[uint64]bool) {
 		{name: "delete ship, misses included", kind: BatchDelete, ship: true, keys: cat(b[40:], absent[4:8], a[40:44])},
 		{name: "expire", kind: BatchExpire, keys: cat(a[:8], absent[:2]), vals: fill(10, t0+100)},
 		{name: "expire ship, only the found", kind: BatchExpire, ship: true, keys: cat(b[:8], absent[:2], a[40:42]), vals: fill(12, t0+100)},
-		{name: "upsert-ttl", kind: opUpsertTTL, ship: true, keys: cat(d, a[8:12], d[:2]), vals: vals(cat(d, a[8:12], d[:2]), 6),
+		{name: "upsert-ttl", kind: BatchUpsertTTL, ship: true, keys: cat(d, a[8:12], d[:2]), vals: vals(cat(d, a[8:12], d[:2]), 6),
 			vals2: cat(fill(32, t0+100), fill(4, t0+500), fill(2, t0+500))},
-		{name: "upsert-ttl, refused write mid-batch", kind: opUpsertTTL, ship: true, keys: mid(b[24:28], badKeys[0]), vals: fill(5, 80), vals2: fill(5, t0+500)},
-		{name: "cas: match, mismatch, absent", kind: opCAS, ship: true, keys: cat(c[8:12], c[12:16], absent[:2]),
+		{name: "upsert-ttl, refused write mid-batch", kind: BatchUpsertTTL, ship: true, keys: mid(b[24:28], badKeys[0]), vals: fill(5, 80), vals2: fill(5, t0+500)},
+		{name: "cas: match, mismatch, absent", kind: BatchCompareSwap, ship: true, keys: cat(c[8:12], c[12:16], absent[:2]),
 			vals: cat(vals(c[8:12], 2), fill(4, 12345), fill(2, 0)), vals2: fill(10, 4242)},
 		{name: "upsert clears a deadline", kind: BatchUpsert, ship: true, keys: a[:2], vals: fill(2, 9)},
-		{name: "cas clears a deadline", kind: opCAS, ship: true, keys: b[:2], vals: vals(b[:2], 1), vals2: fill(2, 10)},
+		{name: "cas clears a deadline", kind: BatchCompareSwap, ship: true, keys: b[:2], vals: vals(b[:2], 1), vals2: fill(2, 10)},
 		// t0+100 passes: a[2:8], b[2:8] and d[2:] are dead but unswept.
 		{name: "lookup past the deadline", kind: BatchLookup, advance: 150, keys: cat(a[:12], b[:8], d)},
-		{name: "cas on expired keys", kind: opCAS, ship: true, keys: cat(a[2:4], d[:4]), vals: cat(vals(a[2:4], 2), vals(d[:2], 6), vals(d[2:4], 6)), vals2: fill(6, 11)},
+		{name: "cas on expired keys", kind: BatchCompareSwap, ship: true, keys: cat(a[2:4], d[:4]), vals: cat(vals(a[2:4], 2), vals(d[:2], 6), vals(d[2:4], 6)), vals2: fill(6, 11)},
 		{name: "expire on expired keys", kind: BatchExpire, ship: true, keys: cat(b[2:4], d[4:6], a[8:10]), vals: fill(6, t0+900)},
 		{name: "delete ship on expired keys", kind: BatchDelete, ship: true, keys: cat(a[4:6], d[6:8], b[8:10])},
 		{name: "upsert revives an expired key", kind: BatchUpsert, keys: b[4:6], vals: fill(2, 12)},
@@ -401,7 +401,7 @@ func TestEngineConformance(t *testing.T) {
 					if got.lsn != wantLSN {
 						t.Fatalf("%s: LSN %d, want %d", at, got.lsn, wantLSN)
 					}
-					if st.kind == opUpsertTTL && wantLSN > 0 && ce.sink.recs[wantLSN-1].op != ShipExpire {
+					if st.kind == BatchUpsertTTL && wantLSN > 0 && ce.sink.recs[wantLSN-1].op != ShipExpire {
 						t.Fatalf("%s: the covering LSN %d is not an expire record", at, wantLSN)
 					}
 				}
@@ -452,10 +452,13 @@ func checkLengthContract(t *testing.T, ce confEngine, seen map[string]string) {
 		"upsert-ttl short ttls":   second(ce.eng.UpsertTTLBatchShip(k, two, one)),
 		"cas short news":          second(ce.eng.CompareSwapBatchShip(k, two, one, ok2)),
 		"cas short swapped":       second(ce.eng.CompareSwapBatchShip(k, two, two, ok1)),
-		"start insert short vals": startErr(ce.eng.StartBatch(BatchInsert, true, k, one, nil)),
-		"start lookup short vals": startErr(ce.eng.StartBatch(BatchLookup, false, k, one, ok2)),
-		"start delete short":      startErr(ce.eng.StartBatch(BatchDelete, true, k, nil, ok1)),
-		"start expire short":      startErr(ce.eng.StartBatch(BatchExpire, false, k, two, ok1)),
+		"start insert short vals": startErr(ce.eng.StartBatch(BatchInsert, true, k, one, nil, nil)),
+		"start lookup short vals": startErr(ce.eng.StartBatch(BatchLookup, false, k, one, nil, ok2)),
+		"start delete short":      startErr(ce.eng.StartBatch(BatchDelete, true, k, nil, nil, ok1)),
+		"start expire short":      startErr(ce.eng.StartBatch(BatchExpire, false, k, two, nil, ok1)),
+		"start upsert-ttl short":  startErr(ce.eng.StartBatch(BatchUpsertTTL, true, k, two, one, nil)),
+		"start cas short news":    startErr(ce.eng.StartBatch(BatchCompareSwap, true, k, two, one, ok2)),
+		"start cas short swapped": startErr(ce.eng.StartBatch(BatchCompareSwap, true, k, two, two, ok1)),
 	}
 	for name, err := range cases {
 		if !errors.Is(err, ErrBatchLength) {
@@ -466,10 +469,10 @@ func checkLengthContract(t *testing.T, ce confEngine, seen map[string]string) {
 		}
 		seen[name] = err.Error()
 	}
-	// The kinds without a start are refused by name, the same way.
-	err := startErr(ce.eng.StartBatch(opUpsertTTL, true, k, two, ok2))
+	// A kind past the keyed ones is refused by name, the same way.
+	err := startErr(ce.eng.StartBatch(BatchCompareSwap+1, true, k, two, two, ok2))
 	if err == nil || errors.Is(err, ErrBatchLength) {
-		t.Fatalf("%s: StartBatch of an upsert-ttl: %v, want an unknown op", ce.name, err)
+		t.Fatalf("%s: StartBatch of an unkeyed kind: %v, want an unknown op", ce.name, err)
 	}
 	if first, ok := seen["start unknown op"]; ok && first != err.Error() {
 		t.Fatalf("%s: unknown op: %q, another engine said %q", ce.name, err, first)
@@ -478,9 +481,9 @@ func checkLengthContract(t *testing.T, ce confEngine, seen map[string]string) {
 	if _, found, _ := ce.eng.LookupBatch(k); found[0] || found[1] {
 		t.Fatalf("%s: a batch refused for its lengths applied", ce.name)
 	}
-	// StartBatch takes one found slice whatever the op (the server lends
-	// the request's): a write neither needs it nor touches it.
-	c, err := ce.eng.StartBatch(BatchUpsert, true, k, two, ok1)
+	// StartBatch takes all the columns whatever the op (the server lends
+	// its ring slot's): a write neither needs found nor touches it.
+	c, err := ce.eng.StartBatch(BatchUpsert, true, k, two, one, ok1)
 	if err == nil {
 		_, err = c.Wait()
 	}
@@ -497,34 +500,38 @@ func second(_ uint64, err error) error { return err }
 func startErr(_ *BatchCall, err error) error { return err }
 
 // checkStartedOutstanding starts a chain of batches on fresh keys —
-// insert, lookup, upsert, expire, delete, lookup, each depending on the
-// ones before — all before the first Wait, then waits oldest first. Each
-// must see the ones started before it applied, and each shipping start
-// must return the LSN covering its records.
+// insert, lookup, upsert, compare-swap, upsert-ttl, expire, delete,
+// lookup, each depending on the ones before — all before the first Wait,
+// then waits oldest first. Each must see the ones started before it
+// applied, and each shipping start must return the LSN covering its
+// records.
 func checkStartedOutstanding(t *testing.T, ce confEngine) {
 	t.Helper()
 	keys := []uint64{6, 8, 10, 12} // even: not in the script
 	far := slices.Repeat([]uint64{^uint64(0)}, len(keys))
+	farTTL := ^uint64(0) - 1
 	got1, got2 := make([]uint64, 4), make([]uint64, 4)
-	hit1, hit2, expired, deleted := make([]bool, 4), make([]bool, 4), make([]bool, 4), make([]bool, 2)
+	hit1, hit2, swapped, expired, deleted := make([]bool, 4), make([]bool, 4), make([]bool, 4), make([]bool, 4), make([]bool, 2)
 	steps := []struct {
-		op         BatchOp
-		ship       bool
-		keys, vals []uint64
-		found      []bool
+		op                BatchOp
+		ship              bool
+		keys, vals, vals2 []uint64
+		found             []bool
 	}{
-		{BatchInsert, true, keys, []uint64{1, 2, 3, 4}, nil},
-		{BatchLookup, false, keys, got1, hit1},
-		{BatchUpsert, false, keys, []uint64{5, 6, 7, 8}, nil},
-		{BatchExpire, true, keys, far, expired},
-		{BatchDelete, true, keys[:2], nil, deleted},
-		{BatchLookup, true, keys, got2, hit2},
+		{BatchInsert, true, keys, []uint64{1, 2, 3, 4}, nil, nil},
+		{BatchLookup, false, keys, got1, nil, hit1},
+		{BatchUpsert, false, keys, []uint64{5, 6, 7, 8}, nil, nil},
+		{BatchCompareSwap, true, keys, []uint64{5, 6, 0, 0}, []uint64{15, 16, 17, 18}, swapped},
+		{BatchUpsertTTL, true, keys[2:], []uint64{27, 28}, []uint64{farTTL, farTTL}, nil},
+		{BatchExpire, true, keys, far, nil, expired},
+		{BatchDelete, true, keys[:2], nil, nil, deleted},
+		{BatchLookup, true, keys, got2, nil, hit2},
 	}
 	before := len(ce.sink.recs)
 	calls := make([]*BatchCall, len(steps))
 	for i, st := range steps {
 		var err error
-		if calls[i], err = ce.eng.StartBatch(st.op, st.ship, st.keys, st.vals, st.found); err != nil {
+		if calls[i], err = ce.eng.StartBatch(st.op, st.ship, st.keys, st.vals, st.vals2, st.found); err != nil {
 			t.Fatalf("%s: start %d: %v", ce.name, i, err)
 		}
 	}
@@ -535,32 +542,46 @@ func checkStartedOutstanding(t *testing.T, ce confEngine) {
 			t.Fatalf("%s: wait %d: %v", ce.name, i, err)
 		}
 	}
-	if fmt.Sprint(got1, hit1, expired, deleted, got2, hit2) !=
-		"[1 2 3 4] [true true true true] [true true true true] [true true] [0 0 7 8] [false false true true]" {
-		t.Fatalf("%s: outstanding starts saw %v %v, expired %v, deleted %v, then %v %v",
-			ce.name, got1, hit1, expired, deleted, got2, hit2)
+	if fmt.Sprint(got1, hit1, swapped, expired, deleted, got2, hit2) != "[1 2 3 4] [true true true true] "+
+		"[true true false false] [true true true true] [true true] [0 0 27 28] [false false true true]" {
+		t.Fatalf("%s: outstanding starts saw %v %v, swapped %v, expired %v, deleted %v, then %v %v",
+			ce.name, got1, hit1, swapped, expired, deleted, got2, hit2)
 	}
-	// Per key: insert, expire, then (for the deleted half) delete; each
-	// shipping call's LSN is its last record's.
+	// Per key: insert, the swap's or the upsert-ttl's records, expire,
+	// then (for the deleted half) delete.
 	recs := ce.sink.recs[before:]
 	var want []shipRec
 	for i, k := range keys {
-		want = append(want, shipRec{ShipInsert, k, uint64(i + 1)}, shipRec{ShipExpire, k, far[i]})
+		want = append(want, shipRec{ShipInsert, k, uint64(i + 1)})
 		if i < 2 {
-			want = append(want, shipRec{ShipDelete, k, 0})
+			want = append(want, shipRec{ShipUpsert, k, uint64(15 + i)}, shipRec{ShipExpire, k, far[i]}, shipRec{ShipDelete, k, 0})
+		} else {
+			want = append(want, shipRec{ShipUpsert, k, uint64(25 + i)}, shipRec{ShipExpire, k, farTTL}, shipRec{ShipExpire, k, far[i]})
 		}
 	}
 	if !maps.EqualFunc(byKey(recs), byKey(want), slices.Equal[[]shipRec]) {
 		t.Fatalf("%s: outstanding starts shipped %v, want per key %v", ce.name, recs, want)
 	}
-	last := map[uint8]uint64{}
-	for i, r := range recs {
-		last[r.op] = uint64(before + i + 1)
+	// A shipping call's LSN is its last record's, wherever the shards
+	// interleaved it with the calls around it.
+	lastOf := func(match func(shipRec) bool) uint64 {
+		var lsn uint64
+		for i, r := range recs {
+			if match(r) {
+				lsn = uint64(before + i + 1)
+			}
+		}
+		return lsn
 	}
-	if lsns[0] != last[ShipInsert] || lsns[3] != last[ShipExpire] || lsns[4] != last[ShipDelete] ||
-		lsns[1]|lsns[2]|lsns[5] != 0 {
-		t.Fatalf("%s: outstanding starts returned LSNs %v; last insert, expire, delete records at %v",
-			ce.name, lsns, last)
+	wantLSNs := []uint64{
+		lastOf(func(r shipRec) bool { return r.op == ShipInsert }), 0, 0,
+		lastOf(func(r shipRec) bool { return r.op == ShipUpsert && r.val < 20 }),
+		lastOf(func(r shipRec) bool { return r.op == ShipExpire && r.val == farTTL }),
+		lastOf(func(r shipRec) bool { return r.op == ShipExpire && r.val == far[0] }),
+		lastOf(func(r shipRec) bool { return r.op == ShipDelete }), 0,
+	}
+	if !slices.Equal(lsns, wantLSNs) {
+		t.Fatalf("%s: outstanding starts returned LSNs %v, want %v", ce.name, lsns, wantLSNs)
 	}
 	if err := ce.eng.DeleteBatchInto(keys, make([]bool, len(keys))); err != nil {
 		t.Fatal(err)
@@ -619,7 +640,7 @@ func checkClosed(t *testing.T, ce confEngine, keys []uint64) {
 		"ExpireBatchShip":      second(e.ExpireBatchShip(keys, vals, outOK)),
 		"UpsertTTLBatchShip":   second(e.UpsertTTLBatchShip(keys, vals, vals)),
 		"CompareSwapBatchShip": second(e.CompareSwapBatchShip(keys, vals, vals, outOK)),
-		"StartBatch":           startErr(e.StartBatch(BatchLookup, false, keys, outV, outOK)),
+		"StartBatch":           startErr(e.StartBatch(BatchLookup, false, keys, outV, nil, outOK)),
 		"Insert":               e.Insert(keys[0], 1),
 		"Upsert":               e.Upsert(keys[0], 1),
 		"Sync":                 e.Sync(),

@@ -17,10 +17,6 @@ func (a *adapter) poolPinned() (int, bool) {
 		return st.PinnedFrames(), true
 	case *iomodel.MemStore:
 		return st.PinnedBlocks(), true
-	case *iomodel.LatencyStore:
-		if inner, ok := st.Inner().(*iomodel.MemStore); ok {
-			return inner.PinnedBlocks(), true
-		}
 	}
 	return 0, false
 }

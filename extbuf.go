@@ -3,7 +3,6 @@ package extbuf
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"extbuf/internal/chainhash"
 	"extbuf/internal/ckpt"
@@ -36,8 +35,8 @@ func (s Stats) IOs() int64 { return s.Reads + s.Writes }
 // bytes actually cost, next to the model counters of Stats. On the file
 // backend these are the buffer pool's syscall, cache and coalescing
 // counters (iomodel.FileStats); a durable table adds its write-ahead
-// log's spill and fsync counts. Scratch backends (mem, latency) have no
-// real costs and report zeros. The serving layer exposes this struct
+// log's spill and fsync counts. The mem backend has no real costs and
+// reports zeros. The serving layer exposes this struct
 // over the wire via the STATS request.
 type StoreStats struct {
 	ReadSyscalls    int64 // preads issued (cache misses that touched the file)
@@ -169,7 +168,7 @@ type Table interface {
 	// StoreStats returns the real-cost counters of the table's storage
 	// backend: the file backend's buffer-pool and syscall counters plus,
 	// for a durable table, the write-ahead log's spill and fsync counts.
-	// Backends without real costs (mem, latency) report zeros. Like
+	// The mem backend, which has no real costs, reports zeros. Like
 	// Stats, it stays readable after Close.
 	StoreStats() StoreStats
 	// Close flushes (checkpointing a durable table), releases the
@@ -202,8 +201,7 @@ type Config struct {
 	HashFamily string
 	// Backend selects the block-store backend: "mem" (default) is the
 	// paper's free in-memory simulated store, "file" persists blocks to
-	// a real file behind a page cache, "latency" injects seek/transfer
-	// delays into an in-memory store. I/O counters are identical across
+	// a real file behind a page cache. I/O counters are identical across
 	// backends; only the real cost of the bytes differs.
 	Backend string
 	// Path names the backing file of the "file" backend and switches it
@@ -237,16 +235,6 @@ type Config struct {
 	// in bucket order. 0 (the default) uses GOMAXPROCS; 1 recovers
 	// serially.
 	RecoveryParallelism int
-	// SeekDelay and TransferDelay are the "latency" backend's per-block
-	// delays. If both are zero the backend defaults to a 100µs seek and
-	// 25µs transfer.
-	SeekDelay     time.Duration
-	TransferDelay time.Duration
-	// DeviceProfile selects a built-in fio-style preset for the
-	// "latency" backend ("nvme", "ssd" or "hdd": seek vs sequential
-	// transfer cost and a device queue depth), overriding SeekDelay and
-	// TransferDelay. Empty uses the explicit delays.
-	DeviceProfile string
 	// Crash injects deterministic faults into a durable table's files
 	// (block file, write-ahead log, checkpoint writes) for recovery
 	// testing: a simulated process death at the Nth write syscall,
@@ -309,10 +297,6 @@ func (c Config) withDefaults() Config {
 	if c.Backend == "" {
 		c.Backend = "mem"
 	}
-	if c.Backend == "latency" && c.SeekDelay == 0 && c.TransferDelay == 0 {
-		c.SeekDelay = 100 * time.Microsecond
-		c.TransferDelay = 25 * time.Microsecond
-	}
 	return c
 }
 
@@ -331,8 +315,8 @@ var ErrBetaRange = errors.New("extbuf: Beta must satisfy 2 <= Beta <= BlockSize"
 // method's minimum growth factor of 2.
 var ErrGammaRange = errors.New("extbuf: Gamma must be >= 2")
 
-// ErrUnknownBackend is returned for Backend values other than "mem",
-// "file" and "latency".
+// ErrUnknownBackend is returned for Backend values other than "mem" and
+// "file".
 var ErrUnknownBackend = errors.New("extbuf: unknown backend")
 
 // ErrBatchLength is returned by batch operations whose key and value
@@ -371,17 +355,8 @@ func (c Config) store() (iomodel.BlockStore, error) {
 			return nil, err // not a typed-nil BlockStore
 		}
 		return s, nil
-	case "latency":
-		lcfg := iomodel.LatencyConfig{Seek: c.SeekDelay, Transfer: c.TransferDelay}
-		if c.DeviceProfile != "" {
-			var err error
-			if lcfg, err = iomodel.DeviceProfile(c.DeviceProfile); err != nil {
-				return nil, err
-			}
-		}
-		return iomodel.NewLatencyStore(iomodel.NewMemStore(c.BlockSize), lcfg), nil
 	default:
-		return nil, fmt.Errorf("%w %q (want mem, file or latency)", ErrUnknownBackend, c.Backend)
+		return nil, fmt.Errorf("%w %q (want mem or file)", ErrUnknownBackend, c.Backend)
 	}
 }
 

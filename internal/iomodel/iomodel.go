@@ -9,9 +9,8 @@
 //
 //   - BlockStore is the storage backend — a flat space of fixed-capacity
 //     blocks with per-block overflow-chain headers. MemStore keeps blocks
-//     in memory (the paper's simulator), FileStore persists them to a
-//     real file behind a page cache, and LatencyStore injects seek and
-//     transfer delays into any inner store.
+//     in memory (the paper's simulator), and FileStore persists them to
+//     a real file behind a page cache.
 //   - Disk is the cost-accounting layer every table operates through: it
 //     charges the paper's I/O counters, enforces the footnote-2
 //     write-back rule and block capacity, and delegates the bytes to

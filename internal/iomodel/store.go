@@ -5,8 +5,7 @@ package iomodel
 // pointer. Disk layers the paper's cost accounting (I/O counters,
 // footnote-2 write-back legality, strict-mode checks) on top of any
 // BlockStore, so the same table code runs against an in-memory simulated
-// store (MemStore), a real file (FileStore), or a delay-injecting wrapper
-// (LatencyStore) without change.
+// store (MemStore) or a real file (FileStore) without change.
 //
 // Stores perform no cost accounting of their own: reading, writing,
 // clearing and header access are raw storage operations. All model-level

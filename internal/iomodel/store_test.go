@@ -6,7 +6,6 @@ import (
 	"path/filepath"
 	"slices"
 	"testing"
-	"time"
 )
 
 // lcg is a tiny deterministic generator so backend runs see identical
@@ -103,9 +102,6 @@ func TestBackendConformance(t *testing.T) {
 				t.Fatal(err)
 			}
 			return fs
-		},
-		"latency-over-mem": func(t *testing.T) BlockStore {
-			return NewLatencyStore(NewMemStore(b), LatencyConfig{})
 		},
 	}
 	for name, mk := range backends {
@@ -291,32 +287,6 @@ func TestTempFileStoreRemovedOnClose(t *testing.T) {
 	}
 }
 
-func TestLatencyStoreWaits(t *testing.T) {
-	ls := NewLatencyStore(NewMemStore(4), LatencyConfig{Seek: time.Millisecond})
-	d := NewDiskOn(ls)
-	id := d.Alloc()
-	start := time.Now()
-	d.Write(id, []Entry{{1, 1}})
-	d.Read(id, nil)
-	d.Read(id, nil)
-	elapsed := time.Since(start)
-	if ls.DelayedOps() != 3 {
-		t.Fatalf("DelayedOps = %d, want 3", ls.DelayedOps())
-	}
-	if ls.Waited() != 3*time.Millisecond {
-		t.Fatalf("Waited = %v, want 3ms", ls.Waited())
-	}
-	if elapsed < 3*time.Millisecond {
-		t.Fatalf("elapsed %v < injected 3ms", elapsed)
-	}
-	// Header and allocator operations stay free.
-	d.Next(id)
-	d.Free(id)
-	if ls.DelayedOps() != 3 {
-		t.Fatalf("free operations were delayed: %d", ls.DelayedOps())
-	}
-}
-
 // TestModelOnFileBackend runs the Disk invariants that the simulated
 // backend's tests cover — write-back legality, capacity, counter math —
 // over the file backend, confirming Disk semantics are backend-independent.
@@ -469,56 +439,5 @@ func TestFsyncElided(t *testing.T) {
 	got = st.Stats()
 	if got.Fsyncs != 2 {
 		t.Fatalf("dirty barrier: Fsyncs=%d, want 2", got.Fsyncs)
-	}
-}
-
-// TestDeviceProfiles checks the fio-style presets: lookup, unknown
-// names, and that sequential access is priced below seek-heavy access.
-func TestDeviceProfiles(t *testing.T) {
-	for _, name := range DeviceProfileNames() {
-		cfg, err := DeviceProfile(name)
-		if err != nil {
-			t.Fatalf("profile %s: %v", name, err)
-		}
-		if cfg.Seek <= 0 || cfg.Transfer <= 0 || cfg.SeqTransfer <= 0 || cfg.QueueDepth <= 0 {
-			t.Fatalf("profile %s is not fully specified: %+v", name, cfg)
-		}
-		if cfg.SeqTransfer > cfg.Seek+cfg.Transfer {
-			t.Fatalf("profile %s prices sequential above random: %+v", name, cfg)
-		}
-	}
-	if _, err := DeviceProfile("floppy"); err == nil {
-		t.Fatal("unknown profile accepted")
-	}
-}
-
-// TestLatencyStoreSequentialPricing checks that adjacent-block access
-// hits the sequential rate and is counted.
-func TestLatencyStoreSequentialPricing(t *testing.T) {
-	ls := NewLatencyStore(NewMemStore(4), LatencyConfig{
-		Seek: 2 * time.Millisecond, Transfer: time.Millisecond,
-		SeqTransfer: 10 * time.Microsecond, QueueDepth: 2,
-	})
-	d := NewDiskOn(ls)
-	ids := make([]BlockID, 8)
-	for i := range ids {
-		ids[i] = d.Alloc()
-	}
-	for _, id := range ids {
-		d.Write(id, []Entry{{Key: uint64(id)}})
-	}
-	seq := ls.SeqOps()
-	if seq < int64(len(ids)-1) {
-		t.Fatalf("sequential writes priced sequentially: SeqOps=%d, want >= %d", seq, len(ids)-1)
-	}
-	// A strided pass breaks adjacency: no new sequential ops.
-	for i := len(ids) - 1; i >= 0; i -= 2 {
-		d.Read(ids[i], nil)
-	}
-	if got := ls.SeqOps(); got != seq {
-		t.Fatalf("strided reads counted as sequential: SeqOps=%d, want %d", got, seq)
-	}
-	if ls.Waited() == 0 || ls.DelayedOps() == 0 {
-		t.Fatal("latency store injected no delay")
 	}
 }

@@ -105,6 +105,9 @@ func (c *rawConn) quiet(t *testing.T, why string) {
 func kv(key, val uint64) []byte { return wire.AppendKV(nil, []uint64{key}, []uint64{val}) }
 func keyOf(key uint64) []byte   { return wire.AppendKeys(nil, []uint64{key}) }
 
+// lookupOf is the payload of a plain (token 0) one-key LOOKUP.
+func lookupOf(key uint64) []byte { return wire.AppendLookup(nil, 0, []uint64{key}) }
+
 // expectValue checks a one-key VALUES response.
 func (c *rawConn) expectValue(t *testing.T, id uint32, val uint64, found bool) {
 	t.Helper()
@@ -172,7 +175,7 @@ func TestAckStageOverlapsApplyWithSync(t *testing.T) {
 	// (b) Request 2 is a different kind, so it is its own engine call:
 	// it must complete with request 1's Sync still held.
 	c.send(t, wire.OpUpsert, 2, kv(2, 20))
-	c.send(t, wire.OpLookup, 3, keyOf(2))
+	c.send(t, wire.OpLookup, 3, lookupOf(2))
 	waitUntil(t, "request 2 applied during request 1's Sync", func() bool { return eng.applied.Load() == 2 })
 	if n := eng.syncs.Load(); n != 1 {
 		t.Fatalf("%d Syncs started while the first is held, want 1", n)
@@ -184,11 +187,11 @@ func TestAckStageOverlapsApplyWithSync(t *testing.T) {
 	c.quiet(t, "before the covering Sync returned")
 
 	eng.gate <- nil // wave 1 covers request 1 only: request 2 was applied after it started
-	c.expect(t, wire.OpAck, 1)
+	c.expect(t, wire.OpAckT, 1)
 	waitUntil(t, "Sync for request 2 started", func() bool { return eng.syncs.Load() == 2 })
 	c.quiet(t, "before request 2's covering Sync returned")
 	eng.gate <- nil
-	c.expect(t, wire.OpAck, 2)
+	c.expect(t, wire.OpAckT, 2)
 	c.expectValue(t, 3, 20, true)
 }
 
@@ -206,9 +209,9 @@ func TestAckStageFailedWave(t *testing.T) {
 		// during it and ride later waves, which succeed.
 		c.send(t, wire.OpInsert, 1, kv(1, 10))
 		waitUntil(t, "wave 1 started", func() bool { return eng.syncs.Load() == 1 })
-		c.send(t, wire.OpLookup, 2, keyOf(1))
+		c.send(t, wire.OpLookup, 2, lookupOf(1))
 		c.send(t, wire.OpUpsert, 3, kv(3, 30))
-		c.send(t, wire.OpLookup, 4, keyOf(3))
+		c.send(t, wire.OpLookup, 4, lookupOf(3))
 		c.send(t, wire.OpDelete, 5, keyOf(1))
 		waitUntil(t, "requests 3 and 5 applied", func() bool { return eng.applied.Load() == 3 })
 		eng.gate <- boom
@@ -217,9 +220,9 @@ func TestAckStageFailedWave(t *testing.T) {
 			t.Fatalf("ERR text %q does not carry the wave's error", f.Payload)
 		}
 		c.expectValue(t, 2, 10, true) // a refused ack leaves the insert applied
-		c.expect(t, wire.OpAck, 3)
+		c.expect(t, wire.OpAckT, 3)
 		c.expectValue(t, 4, 30, true)
-		c.expect(t, wire.OpFounds, 5)
+		c.expect(t, wire.OpFoundsT, 5)
 	})
 
 	t.Run("lookups inside the failed wave", func(t *testing.T) {
@@ -227,12 +230,12 @@ func TestAckStageFailedWave(t *testing.T) {
 		c := dialRaw(t, addr)
 		c.send(t, wire.OpUpsert, 6, kv(6, 60))
 		waitUntil(t, "wave 1 started", func() bool { return eng.syncs.Load() == 1 })
-		c.send(t, wire.OpLookup, 7, keyOf(6))
+		c.send(t, wire.OpLookup, 7, lookupOf(6))
 		c.send(t, wire.OpInsert, 8, kv(8, 80))
-		c.send(t, wire.OpLookup, 9, keyOf(8))
+		c.send(t, wire.OpLookup, 9, lookupOf(8))
 		waitUntil(t, "request 8 applied", func() bool { return eng.applied.Load() == 2 })
 		eng.gate <- nil
-		c.expect(t, wire.OpAck, 6)
+		c.expect(t, wire.OpAckT, 6)
 		// The next Sync is request 8's, wherever the burst boundaries fell:
 		// a burst of lookups alone runs no barrier.
 		eng.gate <- boom
@@ -270,9 +273,9 @@ func TestAckStageShutdownAnswersApplied(t *testing.T) {
 	default:
 	}
 	eng.open()
-	c.expect(t, wire.OpAck, 1)
-	c.expect(t, wire.OpAck, 2)
-	c.expect(t, wire.OpFounds, 3)
+	c.expect(t, wire.OpAckT, 1)
+	c.expect(t, wire.OpAckT, 2)
+	c.expect(t, wire.OpFoundsT, 3)
 	if err := <-done; err != nil {
 		t.Fatalf("Shutdown: %v", err)
 	}
@@ -291,7 +294,7 @@ func TestAckStageSemiSyncTimeout(t *testing.T) {
 	c := dialRaw(t, primary.addr)
 
 	c.send(t, wire.OpInsert, 1, kv(1, 10))
-	c.send(t, wire.OpLookup, 2, keyOf(1))
+	c.send(t, wire.OpLookup, 2, lookupOf(1))
 	c.quiet(t, "before any follower confirmed the write")
 	if f := c.expect(t, wire.OpErr, 1); !strings.Contains(string(f.Payload), "follower") {
 		t.Fatalf("ERR text %q, want the semi-sync timeout", f.Payload)
@@ -299,6 +302,6 @@ func TestAckStageSemiSyncTimeout(t *testing.T) {
 	c.expectValue(t, 2, 10, true)
 
 	// A connection that only reads is not held up by anyone's barrier.
-	c.send(t, wire.OpLookup, 3, keyOf(1))
+	c.send(t, wire.OpLookup, 3, lookupOf(1))
 	c.expectValue(t, 3, 10, true)
 }

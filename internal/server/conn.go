@@ -27,7 +27,7 @@ type request struct {
 	keys    []uint64
 	vals    []uint64
 	vals2   []uint64 // UPSERTTTL's deadlines / CAS's new values
-	lsn     uint64   // LOOKUPAT's read token / REPL_SUBSCRIBE's start / SCAN's cursor
+	lsn     uint64   // LOOKUP's read token / REPL_SUBSCRIBE's start / SCAN's cursor
 	maxN    uint32   // SCAN's requested page size
 	errText string   // set when the reader rejected the frame (op == wire.OpErr)
 }
@@ -55,18 +55,18 @@ const applyRing = 8
 // call is one slot of the applier's ring: one engine batch call and the
 // run of same-kind requests it answers. The slot owns the requests, the
 // operand slices the engine reads and the result slices it writes from
-// start until finish; keyBuf, valBuf and foundBuf are the slot's own
-// backing for them, reused across calls.
+// start until finish; keyBuf, valBuf, val2Buf and foundBuf are the
+// slot's own backing for them, reused across calls.
 type call struct {
 	op    wire.Op
 	reqs  []*request
 	vals  []uint64          // lookup results, parallel to the run's keys
-	found []bool            // lookup/delete results
+	found []bool            // per-key results: hits, deletes, expiries, swaps
 	h     *extbuf.BatchCall // the started call, until finish waits for it
-	err   error             // why the engine refused the submission (h nil)
+	err   error             // why the submission was refused (h nil)
 
-	keyBuf, valBuf []uint64
-	foundBuf       []bool
+	keyBuf, valBuf, val2Buf []uint64
+	foundBuf                []bool
 }
 
 // conn is one client connection, a four-stage pipeline: a reader
@@ -108,11 +108,8 @@ type conn struct {
 	ringHead int
 	ringLen  int
 
-	// applier scratch: result buffers of the unpipelined ops, and the
-	// response payload being encoded.
-	vals  []uint64
-	found []bool
-	pay   []byte
+	// applier scratch: the response payload being encoded.
+	pay []byte
 
 	// ack stage scratch: the burst being committed.
 	burst []ackItem
@@ -187,30 +184,22 @@ func (c *conn) reader() {
 		req.op, req.id = f.Op, f.ID
 		var derr error
 		switch f.Op {
-		case wire.OpInsert, wire.OpUpsert, wire.OpInsertAt, wire.OpUpsertAt:
-			if derr = c.checkBatch(f.Payload); derr == nil {
+		case wire.OpInsert, wire.OpUpsert, wire.OpExpire:
+			// EXPIRE's deadlines ride the value column of the KV codec.
+			if derr = c.checkBatch(f.Payload, 0); derr == nil {
 				req.keys, req.vals, derr = wire.DecodeKVInto(f.Payload, req.keys, req.vals)
 			}
-		case wire.OpLookup, wire.OpDelete, wire.OpDeleteAt:
-			if derr = c.checkBatch(f.Payload); derr == nil {
+		case wire.OpDelete:
+			if derr = c.checkBatch(f.Payload, 0); derr == nil {
 				req.keys, derr = wire.DecodeKeysInto(f.Payload, req.keys)
 			}
-		case wire.OpLookupAt:
-			if len(f.Payload) < 8 {
-				derr = fmt.Errorf("%w: %d-byte LOOKUPAT payload", wire.ErrFrame, len(f.Payload))
-			} else {
-				req.lsn = binary.LittleEndian.Uint64(f.Payload)
-				if derr = c.checkBatch(f.Payload[8:]); derr == nil {
-					req.keys, derr = wire.DecodeKeysInto(f.Payload[8:], req.keys)
-				}
-			}
-		case wire.OpExpire:
-			// Deadlines ride the value column of the KV codec.
-			if derr = c.checkBatch(f.Payload); derr == nil {
-				req.keys, req.vals, derr = wire.DecodeKVInto(f.Payload, req.keys, req.vals)
+		case wire.OpLookup:
+			// The read token leads the key batch.
+			if derr = c.checkBatch(f.Payload, 8); derr == nil {
+				req.lsn, req.keys, derr = wire.DecodeLookupInto(f.Payload, req.keys)
 			}
 		case wire.OpUpsertTTL, wire.OpCAS:
-			if derr = c.checkBatch(f.Payload); derr == nil {
+			if derr = c.checkBatch(f.Payload, 0); derr == nil {
 				req.keys, req.vals, req.vals2, derr = wire.DecodeTriplesInto(f.Payload, req.keys, req.vals, req.vals2)
 			}
 		case wire.OpScan:
@@ -247,31 +236,32 @@ func (c *conn) reader() {
 	}
 }
 
-// checkBatch rejects a batch request whose count prefix exceeds the
-// server's limit BEFORE any entries are decoded, so the per-connection
-// memory bound really is Pipeline x MaxBatch — not Pipeline times the
-// protocol's absolute wire.MaxBatch.
-func (c *conn) checkBatch(payload []byte) error {
-	if len(payload) < 4 {
+// checkBatch rejects a batch request whose count prefix (at offset off)
+// exceeds the server's limit BEFORE any entries are decoded, so the
+// per-connection memory bound really is Pipeline x MaxBatch — not
+// Pipeline times the protocol's absolute wire.MaxBatch.
+func (c *conn) checkBatch(payload []byte, off int) error {
+	if len(payload) < off+4 {
 		return fmt.Errorf("%w: %d-byte batch payload", wire.ErrFrame, len(payload))
 	}
-	if n := binary.LittleEndian.Uint32(payload); int64(n) > int64(c.srv.maxBatch) {
+	if n := binary.LittleEndian.Uint32(payload[off:]); int64(n) > int64(c.srv.maxBatch) {
 		return fmt.Errorf("batch of %d operations exceeds server limit %d", n, c.srv.maxBatch)
 	}
 	return nil
 }
 
-// applier drains the apply queue, coalescing runs of same-kind batch
+// applier drains the apply queue, coalescing runs of same-kind keyed
 // requests into one engine call each, and emits responses in request
-// order. Batch calls are pipelined: the applier starts the run it just
-// aggregated and goes back to the queue, finishing the oldest
-// outstanding call only when the ring is full or the queue is empty, so
-// the shard workers are handed the next request's share while they are
-// still applying this one's. Per-key order is the order of submission:
-// this one goroutine enqueues the connection's calls, in request order,
-// on the engine's FIFO shard queues. Every other op — and exit — first
-// drains the ring, so it observes every earlier request applied and its
-// response follows theirs.
+// order. Every keyed request — the seven kinds StartBatch takes — is
+// pipelined: the applier starts the run it just aggregated and goes
+// back to the queue, finishing the oldest outstanding call only when the
+// ring is full or the queue is empty, so the shard workers are handed
+// the next request's share while they are still applying this one's.
+// Per-key order is the order of submission: this one goroutine enqueues
+// the connection's calls, in request order, on the engine's FIFO shard
+// queues. SCAN, the unkeyed requests and exit first drain the ring, so
+// they observe every earlier request applied and their responses follow
+// theirs.
 func (c *conn) applier() {
 	defer close(c.ackCh)
 	var pending *request
@@ -316,13 +306,14 @@ func (c *conn) applier() {
 		}
 		switch first.op {
 		case wire.OpInsert, wire.OpUpsert, wire.OpLookup, wire.OpDelete,
-			wire.OpInsertAt, wire.OpUpsertAt, wire.OpDeleteAt:
+			wire.OpExpire, wire.OpUpsertTTL, wire.OpCAS:
 			if c.ringLen == applyRing {
 				c.finishOldest()
 			}
 			// Aggregate the pipelined run of same-kind requests into one
 			// engine batch — this is what maps client pipelining 1:1 onto
-			// the engine's shard fan-out.
+			// the engine's shard fan-out. A run is cut where the op or the
+			// read token changes, so one wait covers every lookup in it.
 			cl := &c.ring[(c.ringHead+c.ringLen)%applyRing]
 			cl.op = first.op
 			cl.reqs = append(cl.reqs[:0], first)
@@ -332,7 +323,7 @@ func (c *conn) applier() {
 				if r2 == nil {
 					break
 				}
-				if r2.op != first.op || ops+len(r2.keys) > c.srv.maxBatch {
+				if r2.op != first.op || r2.lsn != first.lsn || ops+len(r2.keys) > c.srv.maxBatch {
 					pending = r2
 					break
 				}
@@ -350,10 +341,6 @@ func (c *conn) applier() {
 		}
 		c.drainRing()
 		switch first.op {
-		case wire.OpLookupAt:
-			c.serveLookupAt(first)
-		case wire.OpExpire, wire.OpUpsertTTL, wire.OpCAS:
-			c.serveTTL(first)
 		case wire.OpScan:
 			c.serveScan(first)
 		case wire.OpReplSubscribe:
@@ -366,43 +353,59 @@ func (c *conn) applier() {
 
 // startCall submits the run of same-kind requests in cl.reqs as one
 // engine call and leaves it outstanding (cl.h). A refused submission —
-// the node is not writable, the engine is closed, a column has the wrong
-// length — leaves no handle, its error in cl.err.
+// the node is not writable or is behind a lookup's read token, the
+// engine is closed, a column has the wrong length — leaves no handle,
+// its error in cl.err.
 func (c *conn) startCall(cl *call) {
 	// Concatenate the requests' operands. A run of one request uses its
 	// slices directly — the common case when the client is not
 	// pipelining same-kind requests — so aggregation costs nothing when
 	// it buys nothing.
-	keys, vals := cl.reqs[0].keys, cl.reqs[0].vals
+	r0 := cl.reqs[0]
+	keys, vals, vals2 := r0.keys, r0.vals, r0.vals2
 	if len(cl.reqs) > 1 {
-		cl.keyBuf, cl.valBuf = cl.keyBuf[:0], cl.valBuf[:0]
+		cl.keyBuf, cl.valBuf, cl.val2Buf = cl.keyBuf[:0], cl.valBuf[:0], cl.val2Buf[:0]
 		for _, r := range cl.reqs {
 			cl.keyBuf = append(cl.keyBuf, r.keys...)
 			cl.valBuf = append(cl.valBuf, r.vals...)
+			cl.val2Buf = append(cl.val2Buf, r.vals2...)
 		}
-		keys, vals = cl.keyBuf, cl.valBuf
+		keys, vals, vals2 = cl.keyBuf, cl.valBuf, cl.val2Buf
 	}
 	n := len(keys)
 	cl.h, cl.err = nil, nil
-	cl.vals, cl.found = nil, nil
+	cl.foundBuf = growTo(cl.foundBuf, n)
+	cl.vals, cl.found = nil, cl.foundBuf[:n]
 	var op extbuf.BatchOp
 	switch cl.op {
-	case wire.OpInsert, wire.OpInsertAt:
+	case wire.OpInsert:
 		op = extbuf.BatchInsert
-	case wire.OpUpsert, wire.OpUpsertAt:
+	case wire.OpUpsert:
 		op = extbuf.BatchUpsert
-	case wire.OpDelete, wire.OpDeleteAt:
-		op, vals = extbuf.BatchDelete, nil
-		cl.foundBuf = growTo(cl.foundBuf, n)
-		cl.found = cl.foundBuf[:n]
+	case wire.OpDelete:
+		op = extbuf.BatchDelete
+	case wire.OpExpire:
+		op = extbuf.BatchExpire
+	case wire.OpUpsertTTL:
+		op = extbuf.BatchUpsertTTL
+	case wire.OpCAS:
+		op = extbuf.BatchCompareSwap
 	case wire.OpLookup:
 		// LOOKUP requests carry no values, so the slot's value backing is
 		// free to receive the results.
 		op = extbuf.BatchLookup
 		cl.valBuf = growTo(cl.valBuf, n)
-		cl.foundBuf = growTo(cl.foundBuf, n)
-		cl.vals, cl.found = cl.valBuf[:n], cl.foundBuf[:n]
+		cl.vals = cl.valBuf[:n]
 		vals = cl.vals
+		// Read-your-writes on a replica: wait (bounded) until this node
+		// has applied the run's token. A node without replication serves
+		// at once: it cannot be behind a token it (or a primary it
+		// follows) never issued.
+		if c.srv.repl != nil && r0.lsn > 0 {
+			if cl.err = c.srv.repl.waitApplied(r0.lsn, c.srv.repl.tokenWait); cl.err != nil {
+				return
+			}
+		}
 	}
 	if op != extbuf.BatchLookup && !c.srv.writableNow() {
 		cl.err = errNotWritable
@@ -414,7 +417,7 @@ func (c *conn) startCall(cl *call) {
 	// even across racing connections (the replication total order,
 	// DESIGN.md §2a). With replication off the sink is nil and the LSN
 	// stays 0.
-	if cl.h, cl.err = c.srv.engine.StartBatch(op, true, keys, vals, cl.found); cl.h != nil {
+	if cl.h, cl.err = c.srv.engine.StartBatch(op, true, keys, vals, vals2, cl.found); cl.h != nil {
 		c.srv.callsOutstanding.Add(1)
 	}
 }
@@ -426,13 +429,20 @@ func (c *conn) drainRing() {
 	}
 }
 
-// finishOldest waits for the oldest outstanding call (unless the engine
-// refused it) and answers every request in it, in request order.
+// finishOldest waits for the oldest outstanding call (unless its start
+// was refused) and answers every request in it, in request order.
 // A mutation's ack is encoded here but goes out through the ack stage,
 // which holds it until the operations are crash-durable (and, under
 // semi-sync, follower-applied) while this goroutine moves on; it is
 // queued only now, after the call's wait returned, so the barrier the
 // ack stage then starts covers every operation of the call.
+//
+// Every mutation answers with a read token: the aggregated run's
+// highest ship LSN. The shard fan-out interleaves the run's records, so
+// a per-request contiguous sub-range no longer exists; a covering LSN
+// preserves read-your-writes — waiting for it waits for this request's
+// own records too. It is 0 (no constraint) when the node does not
+// replicate.
 func (c *conn) finishOldest() {
 	cl := &c.ring[c.ringHead]
 	c.ringHead = (c.ringHead + 1) % applyRing
@@ -455,22 +465,10 @@ func (c *conn) finishOldest() {
 			case wire.OpLookup:
 				c.pay = wire.AppendValues(c.pay[:0], cl.vals[off:off+n], cl.found[off:off+n])
 				c.respond(wire.OpValues, r.id, c.pay)
-			case wire.OpInsert, wire.OpUpsert:
-				c.respondAck(wire.OpAck, r.id, nil, last, n)
-			case wire.OpInsertAt, wire.OpUpsertAt:
-				// The token is the aggregated run's highest ship LSN: the
-				// shard fan-out interleaves the run's records, so a
-				// per-request contiguous sub-range no longer exists. A
-				// covering LSN preserves read-your-writes — waiting for it
-				// waits for this request's own records too. 0 (no
-				// constraint) when the node does not replicate.
+			case wire.OpInsert, wire.OpUpsert, wire.OpUpsertTTL:
 				c.pay = wire.AppendAckT(c.pay[:0], last, epoch)
 				c.respondAck(wire.OpAckT, r.id, c.pay, last, n)
-			case wire.OpDelete:
-				c.pay = wire.AppendFounds(c.pay[:0], cl.found[off:off+n])
-				c.respondAck(wire.OpFounds, r.id, c.pay, last, n)
-			case wire.OpDeleteAt:
-				// Covering token, as for INSERTAT/UPSERTAT above.
+			default: // DELETE, EXPIRE, CAS
 				c.pay = wire.AppendFoundsT(c.pay[:0], last, epoch, cl.found[off:off+n])
 				c.respondAck(wire.OpFoundsT, r.id, c.pay, last, n)
 			}
@@ -490,60 +488,6 @@ func growTo[T any](buf []T, n int) []T {
 	return buf
 }
 
-// foundOut returns the reusable found-flag result buffer at length n.
-func (c *conn) foundOut(n int) []bool {
-	c.found = growTo(c.found, n)
-	return c.found[:n]
-}
-
-// valsOut returns the reusable uint64 result buffer at length n.
-func (c *conn) valsOut(n int) []uint64 {
-	c.vals = growTo(c.vals, n)
-	return c.vals[:n]
-}
-
-// serveTTL answers the TTL/CAS mutations. They are mutations in full:
-// gated on writability, shipped from inside the engine (the Ship
-// variants), and acknowledged through the ack stage, behind the same
-// commit barrier as inserts — a kill -9 after the response never loses
-// an acked expiry or swap. Responses carry the covering ship LSN, so a
-// client can read-its-swap on a replica with LOOKUPAT.
-func (c *conn) serveTTL(r *request) {
-	defer c.putReq(r)
-	if !c.srv.writableNow() {
-		c.respondErr(r.id, errNotWritable)
-		return
-	}
-	var (
-		last  uint64
-		found []bool
-		err   error
-	)
-	c.srv.countCall(len(r.keys))
-	switch r.op {
-	case wire.OpExpire:
-		found = c.foundOut(len(r.keys))
-		last, err = c.srv.engine.ExpireBatchShip(r.keys, r.vals, found)
-	case wire.OpUpsertTTL:
-		last, err = c.srv.engine.UpsertTTLBatchShip(r.keys, r.vals, r.vals2)
-	case wire.OpCAS:
-		found = c.foundOut(len(r.keys))
-		last, err = c.srv.engine.CompareSwapBatchShip(r.keys, r.vals, r.vals2, found)
-	}
-	if err != nil {
-		c.respondErr(r.id, err)
-		return
-	}
-	epoch := c.srv.epochNow()
-	if r.op == wire.OpUpsertTTL {
-		c.pay = wire.AppendAckT(c.pay[:0], last, epoch)
-		c.respondAck(wire.OpAckT, r.id, c.pay, last, len(r.keys))
-		return
-	}
-	c.pay = wire.AppendFoundsT(c.pay[:0], last, epoch, found)
-	c.respondAck(wire.OpFoundsT, r.id, c.pay, last, len(r.keys))
-}
-
 // serveScan answers one cursor page. Scans are reads — replicas serve
 // them — and the engine may overshoot the requested page by the tail
 // of the bucket that crossed it, so the request's max is clamped to
@@ -561,30 +505,6 @@ func (c *conn) serveScan(r *request) {
 	}
 	c.pay = wire.AppendScanR(c.pay[:0], next, keys, vals)
 	c.respond(wire.OpScanR, r.id, c.pay)
-}
-
-// serveLookupAt answers a token-carrying lookup: wait (bounded) until
-// this node has applied at least the token's LSN — read-your-writes on
-// a replica — then serve the batch like any LOOKUP. A node without
-// replication serves immediately: it cannot be behind a token it (or a
-// primary it follows) never issued.
-func (c *conn) serveLookupAt(r *request) {
-	defer c.putReq(r)
-	if c.srv.repl != nil && r.lsn > 0 {
-		if err := c.srv.repl.waitApplied(r.lsn, c.srv.repl.tokenWait); err != nil {
-			c.respondErr(r.id, err)
-			return
-		}
-	}
-	found := c.foundOut(len(r.keys))
-	outV := c.valsOut(len(r.keys))
-	c.srv.countCall(len(r.keys))
-	if err := c.srv.engine.LookupBatchInto(r.keys, outV, found); err != nil {
-		c.respondErr(r.id, err)
-		return
-	}
-	c.pay = wire.AppendValues(c.pay[:0], outV, found)
-	c.respond(wire.OpValues, r.id, c.pay)
 }
 
 // replReadBatch is the streamer's ship-log read granularity (records

@@ -362,7 +362,7 @@ func (f *Follower) apply(as wal.Op, keys, vals []uint64, found []bool) (*extbuf.
 	default:
 		return nil, fmt.Errorf("replicated record with unknown op %d", as)
 	}
-	return f.srv.engine.StartBatch(op, false, keys, vals, found)
+	return f.srv.engine.StartBatch(op, false, keys, vals, nil, found)
 }
 
 // finish is stage two: it takes the started frames oldest first and, for
@@ -372,7 +372,7 @@ func (f *Follower) apply(as wal.Op, keys, vals []uint64, found []bool) (*extbuf.
 //
 // Apply-then-append: a record enters the ship log only after its run and
 // every run started before it completed, so the applied horizon the log
-// advertises (NextLSN()-1: what LOOKUP_AT waits for and chained
+// advertises (NextLSN()-1: what a tokened LOOKUP waits for and chained
 // subscribers read up to) never runs ahead of the engine's state; and
 // the appends are made in start order, so the log is the primary's
 // position by position. Only the waits overlap. An ack names the log's

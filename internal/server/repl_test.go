@@ -27,15 +27,15 @@ type replNode struct {
 // throughout so tests run fast.
 func startReplNode(t testing.TB, follow string, syncFollowers int, syncTimeout time.Duration) *replNode {
 	t.Helper()
-	return startReplNodeOn(t, follow, nil, func(rc *server.ReplConfig) {
-		rc.SyncFollowers, rc.SyncTimeout = syncFollowers, syncTimeout
+	return startReplNodeOn(t, follow, nil, func(cfg *server.Config) {
+		cfg.Repl.SyncFollowers, cfg.Repl.SyncTimeout = syncFollowers, syncTimeout
 	})
 }
 
 // startReplNodeOn is startReplNode serving wrap's engine around the
 // node's Sharded (nil: the Sharded itself), with mut's changes to the
-// replication config.
-func startReplNodeOn(t testing.TB, follow string, wrap func(*extbuf.Sharded) server.Engine, mut func(*server.ReplConfig)) *replNode {
+// server config (whose Repl is set).
+func startReplNodeOn(t testing.TB, follow string, wrap func(*extbuf.Sharded) server.Engine, mut func(*server.Config)) *replNode {
 	t.Helper()
 	dir := t.TempDir()
 	eng, err := extbuf.NewSharded("buffered", extbuf.Config{}, 2)
@@ -46,17 +46,17 @@ func startReplNodeOn(t testing.TB, follow string, wrap func(*extbuf.Sharded) ser
 	if wrap != nil {
 		served = wrap(eng)
 	}
-	rc := &server.ReplConfig{
+	cfg := server.Config{Engine: served, Logf: t.Logf, Repl: &server.ReplConfig{
 		ShipPath:  filepath.Join(dir, "ship.log"),
 		StatePath: filepath.Join(dir, "repl.state"),
 		Follow:    follow,
 		Heartbeat: 50 * time.Millisecond,
 		TokenWait: 300 * time.Millisecond,
-	}
+	}}
 	if mut != nil {
-		mut(rc)
+		mut(&cfg)
 	}
-	srv, err := server.NewServer(server.Config{Engine: served, Logf: t.Logf, Repl: rc})
+	srv, err := server.NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,9 +30,9 @@ func newHeldStarter(s *extbuf.Sharded) *heldStarter {
 	return &heldStarter{Sharded: s, gate: make(chan struct{})}
 }
 
-func (e *heldStarter) StartBatch(op extbuf.BatchOp, ship bool, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
+func (e *heldStarter) StartBatch(op extbuf.BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*extbuf.BatchCall, error) {
 	e.started.Add(1)
-	return e.Sharded.StartBatch(op, ship, keys, vals, found)
+	return e.Sharded.StartBatch(op, ship, keys, vals, vals2, found)
 }
 
 // SetShip wires the server's sink behind a gate for holdKey: a shipping
@@ -56,7 +56,7 @@ func (e *heldStarter) SetShip(fn extbuf.ShipFunc) {
 // it go.
 func (e *heldStarter) hold(t *testing.T) (release func()) {
 	t.Helper()
-	h, err := e.Sharded.StartBatch(extbuf.BatchDelete, true, []uint64{holdKey}, nil, make([]bool, 1))
+	h, err := e.Sharded.StartBatch(extbuf.BatchDelete, true, []uint64{holdKey}, nil, nil, make([]bool, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestReplayPipelineOverlapsShards(t *testing.T) {
 	heldKeys, freeKeys := keysOnShards(t, 64)
 	// One heartbeat in the test's lifetime: the frames in flight are the
 	// runs'.
-	slowBeat := func(rc *server.ReplConfig) { rc.Heartbeat = 2 * time.Second }
+	slowBeat := func(cfg *server.Config) { cfg.Repl.Heartbeat = 2 * time.Second }
 	primary := startReplNodeOn(t, "", nil, slowBeat)
 	defer primary.stop(t)
 	var eng *heldStarter

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -187,12 +188,12 @@ type countingEngine struct {
 	syncs       atomic.Int64
 }
 
-func (e *countingEngine) StartBatch(op extbuf.BatchOp, ship bool, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
+func (e *countingEngine) StartBatch(op extbuf.BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*extbuf.BatchCall, error) {
 	if op == extbuf.BatchInsert {
 		e.insertCalls.Add(1)
 		e.inserted.Add(int64(len(keys)))
 	}
-	return e.Sharded.StartBatch(op, ship, keys, vals, found)
+	return e.Sharded.StartBatch(op, ship, keys, vals, vals2, found)
 }
 
 func (e *countingEngine) Sync() error {
@@ -217,7 +218,7 @@ func TestOversizedBatchRejected(t *testing.T) {
 	defer nc.Close()
 
 	keys := make([]uint64, 9) // one past MaxBatch
-	frame := wire.AppendFrame(nil, wire.OpLookup, 1, wire.AppendKeys(nil, keys))
+	frame := wire.AppendFrame(nil, wire.OpLookup, 1, wire.AppendLookup(nil, 0, keys))
 	frame = wire.AppendFrame(frame, wire.OpLen, 2, nil) // pipelined follow-up
 	if _, err := nc.Write(frame); err != nil {
 		t.Fatal(err)
@@ -536,6 +537,95 @@ func BenchmarkServePipelinedDurable(b *testing.B) {
 			b.Fatal(err)
 		}
 		pendings[slot] = p
+	}
+	for i := max(b.N-depth, 0); i < b.N; i++ {
+		wait(i)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.N*batch)/b.Elapsed().Seconds(), "ops/s")
+}
+
+// BenchmarkServePipelinedMixed is the path mem_api_mix's keyed requests
+// take: a mem engine, one loopback connection keeping 16 requests of 128
+// operations in flight, cycling through that workload's request cycle
+// without its SCAN page (15 LOOKUPs, 2 UPSERTs, a CAS and an UPSERTTTL),
+// so CAS and UPSERTTTL ride the applier's ring between the lookups.
+// Every write stores the value the key already holds, so each CAS swaps
+// and the table keeps its shape. One iteration is one request.
+func BenchmarkServePipelinedMixed(b *testing.B) {
+	addr, eng, stop := startServer(b, extbuf.Config{}, 2, server.Config{Logf: func(string, ...any) {}})
+	defer stop()
+	const batch, depth, space = 128, 16, 1 << 14
+	keys, vals := make([]uint64, space), make([]uint64, space)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+		vals[i] = keys[i] * 3
+	}
+	if err := eng.UpsertBatch(keys, vals); err != nil {
+		b.Fatal(err)
+	}
+	cl, err := client.Dial(addr, client.Options{Conns: 1, Pipeline: depth})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	ctx := context.Background()
+	const (
+		lookup = iota
+		upsert
+		cas
+		upsertTTL
+	)
+	cycle := []int{
+		lookup, lookup, lookup, lookup, upsert, lookup, lookup, lookup, lookup, cas,
+		lookup, lookup, lookup, lookup, upsert, lookup, lookup, lookup, upsertTTL,
+	}
+	far := slices.Repeat([]uint64{client.DeadlineAfter(time.Hour)}, batch)
+	var pendings [depth]*client.Pending
+	// wait collects the reply of the request issued at iteration i.
+	wait := func(i int) {
+		p := pendings[i%depth]
+		var err error
+		switch cycle[i%len(cycle)] {
+		case lookup:
+			_, _, err = p.Lookup(ctx)
+		case upsert:
+			err = p.Wait(ctx)
+		case cas:
+			var swapped []bool
+			if swapped, _, err = p.FoundsT(ctx); err == nil && slices.Contains(swapped, false) {
+				err = fmt.Errorf("a CAS of a key's own value failed: %v", swapped)
+			}
+		case upsertTTL:
+			_, err = p.Token(ctx)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i >= depth {
+			wait(i - depth)
+		}
+		off := i * batch % space
+		k, v := keys[off:off+batch], vals[off:off+batch]
+		var p *client.Pending
+		switch cycle[i%len(cycle)] {
+		case lookup:
+			p, err = cl.GoLookup(k)
+		case upsert:
+			p, err = cl.GoUpsert(k, v)
+		case cas:
+			p, err = cl.GoCompareSwap(k, v, v)
+		case upsertTTL:
+			p, err = cl.GoUpsertTTL(k, v, far)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		pendings[i%depth] = p
 	}
 	for i := max(b.N-depth, 0); i < b.N; i++ {
 		wait(i)

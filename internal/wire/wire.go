@@ -19,32 +19,35 @@
 // Request payload grammar (count is uint32, keys/values uint64):
 //
 //	INSERT, UPSERT   count, then count x (key, val)
-//	LOOKUP, DELETE   count, then count x key
-//	LEN, SYNC, FLUSH, STATS, PING   empty
+//	LOOKUP           min LSN (uint64), count, count x key; min LSN 0
+//	                 is the plain read
+//	DELETE           count, then count x key
+//	EXPIRE           count, then count x (key, deadline ms)
+//	UPSERTTTL        count, then count x (key, val, deadline ms)
+//	CAS              count, then count x (key, old, new)
+//	SCAN             cursor (uint64), max count (uint32)
+//	LEN, SYNC, FLUSH, STATS, PING, INFO, PROMOTE   empty
 //	REPL_SUBSCRIBE   from LSN (uint64)
 //	REPL_ACK         received LSN (uint64); no response — flows
 //	                 follower -> primary on a subscribed connection
-//	LOOKUPAT         min LSN (uint64), count, count x key
-//	INSERTAT, UPSERTAT   count, then count x (key, val)
-//	DELETEAT         count, then count x key
-//	INFO, PROMOTE    empty
 //
 // Response payload grammar:
 //
-//	ACK     empty (mutation applied and WAL-durable; also answers
-//	        SYNC, FLUSH and PING)
+//	ACK     empty                                     answers SYNC,
+//	        FLUSH and PING
+//	ACKT    LSN, epoch        answers INSERT, UPSERT and UPSERTTTL (the
+//	        mutation applied, WAL-durable, and covered by the LSN)
+//	FOUNDST LSN, epoch, count, count x found byte     answers DELETE,
+//	        EXPIRE and CAS
 //	VALUES  count, then count x (val, found byte)     answers LOOKUP
-//	        and LOOKUPAT
-//	FOUNDS  count, then count x found byte            answers DELETE
 //	COUNT   one uint64                                answers LEN
 //	STATS   field count, then that many int64s in the
 //	        order documented on the Stats struct      answers STATS
+//	SCANR   next cursor, count, count x (key, val)    answers SCAN
 //	ERR     UTF-8 error text (whole payload)
 //	REPLBATCH  epoch, first LSN, count, count x (op byte, key, val);
 //	           a stream of these answers REPL_SUBSCRIBE (all echoing
 //	           its id); count 0 is a liveness heartbeat
-//	ACKT    LSN, epoch                 answers INSERTAT and UPSERTAT
-//	FOUNDST LSN, epoch, count, count x found byte     answers DELETEAT
 //	INFOR   epoch, applied LSN, writable byte, role byte
 //	                                  answers INFO and PROMOTE
 //
@@ -70,25 +73,21 @@ type Op uint8
 
 // Request opcodes.
 const (
-	OpInsert Op = 1 // payload: count, count x (key, val)
-	OpUpsert Op = 2 // payload: count, count x (key, val)
-	OpLookup Op = 3 // payload: count, count x key
-	OpDelete Op = 4 // payload: count, count x key
+	OpInsert Op = 1 // payload: count, count x (key, val); answered by ACKT
+	OpUpsert Op = 2 // payload: count, count x (key, val); answered by ACKT
+	OpLookup Op = 3 // payload: min LSN, count, count x key
+	OpDelete Op = 4 // payload: count, count x key; answered by FOUNDST
 	OpLen    Op = 5 // empty
 	OpSync   Op = 6 // empty: WAL acknowledgement barrier
 	OpFlush  Op = 7 // empty: full checkpoint barrier
 	OpStats  Op = 8 // empty
 	OpPing   Op = 9 // empty
 
-	// Replication and token-carrying requests (PR 7). Opcodes 10-15
-	// fill the remaining request space below OpAck; further requests
-	// continue at 32.
+	// Replication requests (PR 7). Opcodes 12-15 carried the token forms
+	// of 1-4 in protocol version 1 and are unassigned since version 2;
+	// further requests continue at 32.
 	OpReplSubscribe Op = 10 // from LSN: stream the op log from here
 	OpReplAck       Op = 11 // received LSN: follower progress, no response
-	OpLookupAt      Op = 12 // min LSN, then a key batch
-	OpInsertAt      Op = 13 // key/value batch; answered by ACKT
-	OpUpsertAt      Op = 14 // key/value batch; answered by ACKT
-	OpDeleteAt      Op = 15 // key batch; answered by FOUNDST
 	OpInfo          Op = 32 // empty; answered by INFOR
 	OpPromote       Op = 33 // empty; answered by INFOR after promotion
 
@@ -103,7 +102,7 @@ const (
 const (
 	OpAck    Op = 16 // empty
 	OpValues Op = 17 // count, count x (val, found byte)
-	OpFounds Op = 18 // count, count x found byte
+	OpFounds Op = 18 // retired: answered DELETE in version 1; no peer sends it
 	OpCount  Op = 19 // one uint64
 	OpStatsR Op = 20 // field count, count x int64
 	OpErr    Op = 21 // UTF-8 error text
@@ -141,14 +140,6 @@ func (o Op) String() string {
 		return "REPL_SUBSCRIBE"
 	case OpReplAck:
 		return "REPL_ACK"
-	case OpLookupAt:
-		return "LOOKUPAT"
-	case OpInsertAt:
-		return "INSERTAT"
-	case OpUpsertAt:
-		return "UPSERTAT"
-	case OpDeleteAt:
-		return "DELETEAT"
 	case OpInfo:
 		return "INFO"
 	case OpPromote:
@@ -190,8 +181,10 @@ func (o Op) String() string {
 
 const (
 	// Version is the protocol version carried by every frame. A reader
-	// rejects frames of any other version.
-	Version = 1
+	// rejects frames of any other version. Version 2 folded the token
+	// opcodes 12-15 into 1-4 and gave LOOKUP a leading min LSN; since a
+	// version-1 frame fails here, its bare key batch is never read as one.
+	Version = 2
 
 	magic = 0x46575845 // "EXWF", little-endian
 
@@ -361,8 +354,8 @@ func DecodeKVInto(p []byte, keys, vals []uint64) ([]uint64, []uint64, error) {
 	return keys, vals, nil
 }
 
-// AppendKeys appends a key batch payload (LOOKUP/DELETE). It panics if
-// the batch exceeds MaxBatch.
+// AppendKeys appends a key batch payload (DELETE, and LOOKUP after its
+// min LSN). It panics if the batch exceeds MaxBatch.
 func AppendKeys(dst []byte, keys []uint64) []byte {
 	if len(keys) > MaxBatch {
 		panic("wire: batch exceeds MaxBatch")
@@ -421,7 +414,8 @@ func DecodeValuesInto(p []byte, vals []uint64, found []bool) ([]uint64, []bool, 
 	return vals, found, nil
 }
 
-// AppendFounds appends a FOUNDS response payload (DELETE results).
+// AppendFounds appends a FOUNDS payload: the count-prefixed found
+// bytes, which FOUNDST carries after its token.
 func AppendFounds(dst []byte, found []bool) []byte {
 	if len(found) > MaxBatch {
 		panic("wire: batch exceeds MaxBatch")
@@ -558,17 +552,17 @@ func DecodeLSN(p []byte) (uint64, error) {
 	return binary.LittleEndian.Uint64(p), nil
 }
 
-// AppendLookupAt appends a LOOKUPAT request payload: the minimum LSN
-// the serving node must have applied, then the key batch.
-func AppendLookupAt(dst []byte, minLSN uint64, keys []uint64) []byte {
+// AppendLookup appends a LOOKUP request payload: the minimum LSN the
+// serving node must have applied (0: no constraint), then the key batch.
+func AppendLookup(dst []byte, minLSN uint64, keys []uint64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, minLSN)
 	return AppendKeys(dst, keys)
 }
 
-// DecodeLookupAtInto decodes a LOOKUPAT payload, appending the keys.
-func DecodeLookupAtInto(p []byte, keys []uint64) (uint64, []uint64, error) {
+// DecodeLookupInto decodes a LOOKUP payload, appending the keys.
+func DecodeLookupInto(p []byte, keys []uint64) (uint64, []uint64, error) {
 	if len(p) < 8 {
-		return 0, keys, fmt.Errorf("%w: %d-byte LOOKUPAT payload", ErrFrame, len(p))
+		return 0, keys, fmt.Errorf("%w: %d-byte LOOKUP payload", ErrFrame, len(p))
 	}
 	minLSN := binary.LittleEndian.Uint64(p)
 	keys, err := DecodeKeysInto(p[8:], keys)

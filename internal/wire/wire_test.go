@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"io"
 	"testing"
 
@@ -240,6 +241,7 @@ func FuzzWireFrame(f *testing.F) {
 	f.Add(AppendFrame(nil, OpExpire, 10, AppendKV(nil, []uint64{3}, []uint64{1e12})))
 	f.Add([]byte{})
 	f.Add([]byte{0x45, 0x58, 0x57, 0x46})
+	f.Add(AppendFrame(nil, OpLookup, 11, AppendLookup(nil, 1<<40|3, []uint64{5, 6})))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		for {
@@ -266,22 +268,38 @@ func FuzzWireFrame(f *testing.F) {
 			DecodeTriplesInto(fr.Payload, nil, nil, nil)
 			DecodeScan(fr.Payload)
 			DecodeScanRInto(fr.Payload, nil, nil)
+			DecodeLookupInto(fr.Payload, nil)
 		}
 	})
 }
 
-// TestReplPayloadRoundTrips covers the PR 7 replication and token
-// codecs: REPLBATCH, ACKT, FOUNDST, INFOR, LOOKUPAT and the bare-LSN
-// payloads.
+// TestReplPayloadRoundTrips covers the replication and token codecs:
+// REPLBATCH, ACKT, FOUNDST, INFOR, LOOKUP (whose min LSN is the read
+// token) and the bare-LSN payloads.
 func TestReplPayloadRoundTrips(t *testing.T) {
 	lsn, err := DecodeLSN(AppendLSN(nil, 42))
 	if err != nil || lsn != 42 {
 		t.Fatalf("lsn = %d, %v", lsn, err)
 	}
 
-	minLSN, keys, err := DecodeLookupAtInto(AppendLookupAt(nil, 77, []uint64{1, 2}), nil)
+	minLSN, keys, err := DecodeLookupInto(AppendLookup(nil, 77, []uint64{1, 2}), nil)
 	if err != nil || minLSN != 77 || len(keys) != 2 || keys[1] != 2 {
-		t.Fatalf("lookupat = %d %v, %v", minLSN, keys, err)
+		t.Fatalf("lookup = %d %v, %v", minLSN, keys, err)
+	}
+	// Token 0 is the plain read; an empty batch still carries the token.
+	minLSN, keys, err = DecodeLookupInto(AppendLookup(nil, 0, nil), nil)
+	if err != nil || minLSN != 0 || len(keys) != 0 {
+		t.Fatalf("plain empty lookup = %d %v, %v", minLSN, keys, err)
+	}
+	// A payload shorter than the token is refused, and so is this bare
+	// key batch (a version-1 LOOKUP): read as a token and a batch, its
+	// bytes leave a count that does not fit. The frame version, not the
+	// codec, is what refuses every version-1 LOOKUP (TestVersionOneRefused).
+	if _, _, err := DecodeLookupInto([]byte{1, 2, 3}, nil); !errors.Is(err, ErrFrame) {
+		t.Fatalf("short lookup: %v, want ErrFrame", err)
+	}
+	if _, _, err := DecodeLookupInto(AppendKeys(nil, []uint64{1, 2}), nil); !errors.Is(err, ErrFrame) {
+		t.Fatalf("token-less lookup: %v, want ErrFrame", err)
 	}
 
 	alsn, aepoch, err := DecodeAckT(AppendAckT(nil, 9, 3))
@@ -392,14 +410,13 @@ func TestTTLPayloadRoundTrips(t *testing.T) {
 	}
 }
 
-// TestNewOpcodesDistinct pins the PR 10 opcode assignments: they must
-// never collide with existing ops (an old peer answers an unknown op
-// with a clean ERR, but a COLLIDING op would be silently misparsed).
+// TestNewOpcodesDistinct pins the opcode assignments: they must never
+// collide with existing ops (an old peer answers an unknown op with a
+// clean ERR, but a COLLIDING op would be silently misparsed).
 func TestNewOpcodesDistinct(t *testing.T) {
 	ops := []Op{
 		OpInsert, OpUpsert, OpLookup, OpDelete, OpLen, OpSync, OpFlush,
-		OpStats, OpPing, OpInfo, OpPromote, OpLookupAt, OpInsertAt,
-		OpUpsertAt, OpDeleteAt, OpReplSubscribe, OpReplAck,
+		OpStats, OpPing, OpInfo, OpPromote, OpReplSubscribe, OpReplAck,
 		OpExpire, OpUpsertTTL, OpCAS, OpScan,
 		OpAck, OpValues, OpFounds, OpCount, OpErr, OpStatsR, OpReplBatch,
 		OpAckT, OpFoundsT, OpInfoR, OpScanR,
@@ -421,5 +438,18 @@ func TestNewOpcodesDistinct(t *testing.T) {
 	fr, err := NewReader(bytes.NewReader(buf)).Next()
 	if err != nil || fr.Op != OpScan {
 		t.Fatalf("new-op frame through reader: %+v, %v", fr, err)
+	}
+}
+
+// TestVersionOneRefused: a version-1 peer's frame fails with ErrFrame
+// before its op is looked at, so a version-1 LOOKUP — a bare key batch —
+// is never read as a version-2 one, whose payload starts with the min
+// LSN, and an old client fails cleanly instead of reading wrong keys.
+func TestVersionOneRefused(t *testing.T) {
+	frame := AppendFrame(nil, OpLookup, 1, AppendKeys(nil, []uint64{7}))
+	frame[4] = 1
+	binary.LittleEndian.PutUint32(frame[len(frame)-4:], crc32.ChecksumIEEE(frame[:len(frame)-4]))
+	if _, err := NewReader(bytes.NewReader(frame)).Next(); !errors.Is(err, ErrFrame) {
+		t.Fatalf("version-1 frame: %v, want ErrFrame", err)
 	}
 }

@@ -428,12 +428,12 @@ type poisonedStarter struct {
 	refused atomic.Int64
 }
 
-func (e *poisonedStarter) StartBatch(op extbuf.BatchOp, ship bool, keys, vals []uint64, found []bool) (*extbuf.BatchCall, error) {
+func (e *poisonedStarter) StartBatch(op extbuf.BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*extbuf.BatchCall, error) {
 	if e.broken.Load() && slices.Contains(keys, poisonKey) {
 		e.refused.Add(1)
 		return nil, errors.New("boom: poisoned batch")
 	}
-	return e.Sharded.StartBatch(op, ship, keys, vals, found)
+	return e.Sharded.StartBatch(op, ship, keys, vals, vals2, found)
 }
 
 // TestReplayEngineErrorMidRing: when an engine call of the replay ring

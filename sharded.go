@@ -469,8 +469,8 @@ func (s *Sharded) SetShip(fn ShipFunc) {
 // server pipelines a connection's requests, and how a replication
 // follower (ship false: it appends the records to its own log, in
 // stream order, once the calls have completed) replays a stream.
-func (s *Sharded) StartBatch(op BatchOp, ship bool, keys, vals []uint64, found []bool) (*BatchCall, error) {
-	if op > BatchExpire {
+func (s *Sharded) StartBatch(op BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*BatchCall, error) {
+	if op > BatchCompareSwap {
 		return nil, fmt.Errorf("extbuf: unknown batch op %d", op)
 	}
 	v := opVec{kind: op, ship: ship, keys: keys}
@@ -481,6 +481,10 @@ func (s *Sharded) StartBatch(op BatchOp, ship bool, keys, vals []uint64, found [
 		v.outOK = found
 	case BatchExpire:
 		v.vals, v.outOK = vals, found
+	case BatchUpsertTTL:
+		v.vals, v.vals2 = vals, vals2
+	case BatchCompareSwap:
+		v.vals, v.vals2, v.outOK = vals, vals2, found
 	default:
 		v.vals = vals
 	}

@@ -123,7 +123,7 @@ func runStarted(t *testing.T, s *extbuf.Sharded, steps []pipelineStep, depth int
 			vals = res.vals
 		}
 		var err error
-		if calls[i], err = s.StartBatch(st.op, true, st.keys, vals, res.found); err != nil {
+		if calls[i], err = s.StartBatch(st.op, true, st.keys, vals, nil, res.found); err != nil {
 			t.Fatalf("step %d: %v", i, err)
 		}
 	}
@@ -189,7 +189,7 @@ func TestStartWaitMatchesSynchronous(t *testing.T) {
 			t.Fatal(err)
 		}
 		found := make([]bool, 1)
-		if _, err := s.StartBatch(extbuf.BatchDelete, true, []uint64{1}, nil, found); !errors.Is(err, extbuf.ErrClosed) {
+		if _, err := s.StartBatch(extbuf.BatchDelete, true, []uint64{1}, nil, nil, found); !errors.Is(err, extbuf.ErrClosed) {
 			t.Fatalf("StartBatch after Close: %v, want ErrClosed", err)
 		}
 		if _, err := s.DeleteBatchShipInto([]uint64{1, 2}, make([]bool, 2)); !errors.Is(err, extbuf.ErrClosed) {
@@ -197,18 +197,19 @@ func TestStartWaitMatchesSynchronous(t *testing.T) {
 		}
 	}
 
-	if _, err := ref.StartBatch(extbuf.BatchInsert, true, []uint64{1, 2}, []uint64{1}, nil); !errors.Is(err, extbuf.ErrBatchLength) {
+	if _, err := ref.StartBatch(extbuf.BatchInsert, true, []uint64{1, 2}, []uint64{1}, nil, nil); !errors.Is(err, extbuf.ErrBatchLength) {
 		t.Fatalf("short vals: %v, want ErrBatchLength", err)
 	}
-	if _, err := ref.StartBatch(extbuf.BatchLookup, false, []uint64{1, 2}, make([]uint64, 2), make([]bool, 1)); !errors.Is(err, extbuf.ErrBatchLength) {
+	if _, err := ref.StartBatch(extbuf.BatchLookup, false, []uint64{1, 2}, make([]uint64, 2), nil, make([]bool, 1)); !errors.Is(err, extbuf.ErrBatchLength) {
 		t.Fatalf("short found: %v, want ErrBatchLength", err)
 	}
 }
 
 // TestStartWaitZeroAllocs: the handle is the request and is pooled with
 // its barrier, so a warmed start+wait allocates nothing — with one call
-// at a time or several outstanding — and neither does a broadcast. A
-// single table's completed handles are recycled too.
+// at a time or several outstanding, for the kinds a served mix sends
+// (upsert, lookup, upsert-ttl, compare-swap) — and neither does a
+// broadcast. A single table's completed handles are recycled too.
 func TestStartWaitZeroAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, set := range bi.Settings {
@@ -229,13 +230,20 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 	}
 	defer single.Close()
 	const batch, depth = 128, 4
-	var keys, vals [depth][]uint64
+	var keys, vals, vals2 [depth][]uint64
 	var found [depth][]bool
+	ops := [depth]extbuf.BatchOp{extbuf.BatchUpsert, extbuf.BatchLookup, extbuf.BatchUpsertTTL, extbuf.BatchCompareSwap}
 	rng := xrand.New(13)
 	for i := range keys {
 		keys[i], vals[i], found[i] = make([]uint64, batch), make([]uint64, batch), make([]bool, batch)
 		for j := range keys[i] {
 			keys[i][j] = rng.Uint64()
+		}
+		switch ops[i] {
+		case extbuf.BatchUpsertTTL:
+			vals2[i] = slices.Repeat([]uint64{^uint64(0)}, batch) // deadlines that never pass
+		case extbuf.BatchCompareSwap:
+			vals2[i] = vals[i] // swap each value for itself: every swap succeeds
 		}
 		for _, e := range []extbuf.Engine{s, single} {
 			if err := e.UpsertBatch(keys[i], vals[i]); err != nil {
@@ -247,12 +255,8 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 	run := func(e extbuf.Engine) func() {
 		return func() {
 			for i := range calls {
-				op := extbuf.BatchUpsert
-				if i%2 == 1 {
-					op = extbuf.BatchLookup
-				}
 				var err error
-				if calls[i], err = e.StartBatch(op, true, keys[i], vals[i], found[i]); err != nil {
+				if calls[i], err = e.StartBatch(ops[i], true, keys[i], vals[i], vals2[i], found[i]); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -272,8 +276,8 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 	// The broadcasts use the same pooled handle: no request per shard,
 	// no error slice per barrier.
 	broadcasts := func() {
-		if s.Len() == 0 || s.StoreStats() != (extbuf.StoreStats{}) || s.ExpiryStats() != (extbuf.ExpiryStats{}) {
-			t.Fatal("mem-backed engine: want entries, zero store costs, no TTL state")
+		if s.Len() == 0 || s.StoreStats() != (extbuf.StoreStats{}) || s.ExpiryStats() != (extbuf.ExpiryStats{Tracked: batch}) {
+			t.Fatal("mem-backed engine: want entries, zero store costs, one batch of deadlines")
 		}
 		if err := s.Sync(); err != nil {
 			t.Fatal(err)
@@ -312,16 +316,16 @@ func TestStartWaitNoShip(t *testing.T) {
 					t.Fatalf("%s: %s: Wait = lsn %d, %v; want 0, nil", name, what, lsn, err)
 				}
 			}
-			h, err := e.StartBatch(extbuf.BatchInsert, false, []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40}, nil)
+			h, err := e.StartBatch(extbuf.BatchInsert, false, []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40}, nil, nil)
 			wait("insert", h, err)
 			found := make([]bool, 2)
-			h, err = e.StartBatch(extbuf.BatchDelete, false, []uint64{4, 5}, nil, found)
+			h, err = e.StartBatch(extbuf.BatchDelete, false, []uint64{4, 5}, nil, nil, found)
 			wait("delete", h, err)
 			if !found[0] || found[1] {
 				t.Fatalf("%s: delete of {4, 5}: found %v", name, found)
 			}
 			got, hit := make([]uint64, 2), make([]bool, 2)
-			h, err = e.StartBatch(extbuf.BatchLookup, true, []uint64{1, 4}, got, hit)
+			h, err = e.StartBatch(extbuf.BatchLookup, true, []uint64{1, 4}, got, nil, hit)
 			wait("lookup", h, err)
 			if got[0] != 10 || !hit[0] || hit[1] {
 				t.Fatalf("%s: lookup of {1, 4}: %v %v", name, got, hit)
