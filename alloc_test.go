@@ -99,7 +99,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					var lsn uint64
 					var err error
 					if op == "expire" {
-						lsn, err = tab.ExpireBatchShip(ks, deadlines, found)
+						lsn, err = extbuf.ExpireForTest(tab, true, ks, deadlines, found)
 					} else {
 						lsn, err = tab.UpsertTTLBatchShip(ks, vals, deadlines)
 					}

@@ -26,7 +26,7 @@
 //	          [-gamma 2] [-delta 0.1] [-q 4000] [-seed 42] [-hash ideal]
 //	          [-backend mem|file] [-path FILE] [-cache 512]
 //	          [-workers 8] [-batch 256]
-//	          [-walpath FILE] [-recoverypar 8]
+//	          [-walpath FILE]
 //	          [-reopen [-crashtail 100000]]
 //	          [-cpuprofile cpu.out] [-memprofile mem.out]
 //
@@ -84,7 +84,6 @@ func main() {
 		workers   = flag.Int("workers", 0, "sharded engine: shard worker count (0 = classic single-structure mode)")
 		batch     = flag.Int("batch", 1, "sharded engine: operations per batch")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL file path (default: -path plus .wal)")
-		recovPar  = flag.Int("recoverypar", 0, "durable mode: recovery parallelism across shards and WAL replay (0 = GOMAXPROCS)")
 		reopen    = flag.Bool("reopen", false, "durability mode: build, flush and close a durable table, then measure reopen/recovery time (requires -backend file and -path)")
 		crashtail = flag.Int("crashtail", 0, "reopen mode: items inserted after the checkpoint and acked via Sync only, with the handle then abandoned (simulated crash) — recovery must replay them from the WAL")
 		cpuProf   = flag.String("cpuprofile", "", "write a pprof CPU profile of the measured run to this file")
@@ -99,36 +98,34 @@ func main() {
 			fatalf("-reopen requires -backend file and a named -path (durable mode)")
 		}
 		runReopen(*structure, extbuf.Config{
-			BlockSize:           *b,
-			MemoryWords:         *mWords,
-			Beta:                *beta,
-			Gamma:               *gamma,
-			ExpectedItems:       *n,
-			Seed:                *seed,
-			HashFamily:          *family,
-			Backend:             *backend,
-			Path:                *path,
-			WALPath:             *walPath,
-			CacheBlocks:         *cache,
-			RecoveryParallelism: *recovPar,
+			BlockSize:     *b,
+			MemoryWords:   *mWords,
+			Beta:          *beta,
+			Gamma:         *gamma,
+			ExpectedItems: *n,
+			Seed:          *seed,
+			HashFamily:    *family,
+			Backend:       *backend,
+			Path:          *path,
+			WALPath:       *walPath,
+			CacheBlocks:   *cache,
 		}, *workers, *batch, *n, *q, *crashtail)
 		return
 	}
 
 	if *workers > 0 {
 		runEngine(*structure, extbuf.Config{
-			BlockSize:           *b,
-			MemoryWords:         *mWords,
-			Beta:                *beta,
-			Gamma:               *gamma,
-			ExpectedItems:       *n,
-			Seed:                *seed,
-			HashFamily:          *family,
-			Backend:             *backend,
-			Path:                *path,
-			WALPath:             *walPath,
-			CacheBlocks:         *cache,
-			RecoveryParallelism: *recovPar,
+			BlockSize:     *b,
+			MemoryWords:   *mWords,
+			Beta:          *beta,
+			Gamma:         *gamma,
+			ExpectedItems: *n,
+			Seed:          *seed,
+			HashFamily:    *family,
+			Backend:       *backend,
+			Path:          *path,
+			WALPath:       *walPath,
+			CacheBlocks:   *cache,
 		}, *workers, *batch, *n, *q)
 		return
 	}
@@ -403,7 +400,7 @@ func runEngine(structure string, cfg extbuf.Config, workers, batch, n, q int) {
 // fsync, no checkpoint) and abandons the handle without Close — the
 // on-disk state is then exactly a kill -9 after the ack, and the
 // measured recovery includes replaying those T records from the log
-// (in parallel when -recoverypar allows).
+// (partitioned across GOMAXPROCS goroutines when the tail is long).
 func runReopen(structure string, cfg extbuf.Config, workers, batch, n, q, crashtail int) {
 	type engine interface {
 		Insert(key, val uint64) error
@@ -480,8 +477,8 @@ func runReopen(structure string, cfg extbuf.Config, workers, batch, n, q, crasht
 	qryWall := time.Since(qryStart)
 	fatal(e2.Close())
 
-	t := tablefmt.New(fmt.Sprintf("%s reopen: b=%d m=%d n=%d crashtail=%d workers=%d recoverypar=%d path=%s",
-		structure, cfg.BlockSize, cfg.MemoryWords, n, crashtail, workers, cfg.RecoveryParallelism, cfg.Path), "metric", "value")
+	t := tablefmt.New(fmt.Sprintf("%s reopen: b=%d m=%d n=%d crashtail=%d workers=%d path=%s",
+		structure, cfg.BlockSize, cfg.MemoryWords, n, crashtail, workers, cfg.Path), "metric", "value")
 	t.AddRow("build wall ms", float64(buildWall.Microseconds())/1000)
 	t.AddRow("flush (checkpoint) wall ms", float64(flushWall.Microseconds())/1000)
 	t.AddRow("reopen (recovery) wall ms", float64(reopenWall.Microseconds())/1000)

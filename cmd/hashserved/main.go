@@ -75,7 +75,6 @@ func main() {
 		path      = flag.String("path", "", "file backend: backing path (named path = durable)")
 		cache     = flag.Int("cache", 0, "file backend: page-cache capacity in blocks (0 = default)")
 		walPath   = flag.String("walpath", "", "durable mode: dedicated WAL device path (default: -path plus .wal)")
-		recovPar  = flag.Int("recoverypar", 0, "startup recovery parallelism across shards and WAL replay (0 = GOMAXPROCS)")
 		expected  = flag.Int("expected", 1<<20, "expected items (pre-sizes fixed-capacity structures)")
 		seed      = flag.Uint64("seed", 1, "hash seed")
 		maxBatch  = flag.Int("maxbatch", server.DefaultMaxBatch, "max operations per request frame / aggregation")
@@ -100,15 +99,14 @@ func main() {
 	baseline := runtime.NumGoroutine()
 
 	eng, err := extbuf.NewSharded(*structure, extbuf.Config{
-		BlockSize:           *b,
-		MemoryWords:         *mWords,
-		ExpectedItems:       *expected,
-		Seed:                *seed,
-		Backend:             *backend,
-		Path:                *path,
-		WALPath:             *walPath,
-		CacheBlocks:         *cache,
-		RecoveryParallelism: *recovPar,
+		BlockSize:     *b,
+		MemoryWords:   *mWords,
+		ExpectedItems: *expected,
+		Seed:          *seed,
+		Backend:       *backend,
+		Path:          *path,
+		WALPath:       *walPath,
+		CacheBlocks:   *cache,
 	}, *shards)
 	if err != nil {
 		log.Fatalf("open engine: %v", err)

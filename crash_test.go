@@ -132,8 +132,9 @@ func runCrashWorkload(t *testing.T, structure string, cfg extbuf.Config, fill in
 			cur[key] = val
 		case r < 6:
 			// Compare-and-swap, against the stored value on even rounds:
-			// a swap logs one upsert record, a refusal must leave none
-			// behind for replay (the durable layer retracts it).
+			// a swap logs one upsert record, a refusal none (the record
+			// step logs after the swap decision), so replay never swaps
+			// what the table refused.
 			val := uint64(i)<<16 | key | 1<<49
 			old, present := cur[key]
 			old += uint64(i % 2)
@@ -151,8 +152,8 @@ func runCrashWorkload(t *testing.T, structure string, cfg extbuf.Config, fill in
 			got := tab.Delete(key)
 			_, present := cur[key]
 			if !got && present {
-				// A present key "missing": the log append was refused —
-				// the crash point has been reached.
+				// A present key "missing": its record was refused — the
+				// crash point has been reached.
 				res.crashed = true
 				return res
 			}
@@ -165,7 +166,7 @@ func runCrashWorkload(t *testing.T, structure string, cfg extbuf.Config, fill in
 			if i%2 == 1 {
 				deadline = crashPastDeadline
 			}
-			if err := tab.ExpireBatch([]uint64{key}, []uint64{deadline}, found); err != nil {
+			if _, err := extbuf.ExpireForTest(tab, false, []uint64{key}, []uint64{deadline}, found); err != nil {
 				res.crashed = true
 				return res
 			}

@@ -24,17 +24,27 @@ import (
 //
 // Protocol (DESIGN.md, "Durability & recovery"):
 //
-//   - Every mutation is appended to the WAL before the structure
-//     absorbs it (buffered; not yet durable).
+//   - Every mutation becomes WAL records after the structure absorbs it:
+//     the guard's record step (guard.record) appends the applied subset
+//     from the table's own goroutine (buffered; not yet durable). A write
+//     that failed and a swap that was refused write no record, so there
+//     is nothing to retract. Applying first is safe because copy-on-write
+//     keeps every block written since the last checkpoint invisible to
+//     recovery, and the checkpoint below spills and fsyncs the log before
+//     it commits: a record must be durable before any checkpoint that
+//     depends on it, not before the block write. A log failure is sticky,
+//     so a mutation whose record was refused can never be checkpointed.
+//     Read-paid merges (settleReads) write no record at all: a merge
+//     moves copies between blocks and changes no logical content.
 //   - Flush is the acknowledgement barrier: (1) spill the WAL and (2)
 //     flush dirty blocks copy-on-write (coalesced into runs of adjacent
 //     slots) — slots referenced by the previous checkpoint are never
 //     overwritten (iomodel.FileStore durable mode) — then fsync both
-//     files concurrently through the shared group committer: every
-//     operation so far is now recoverable against the PREVIOUS
-//     checkpoint; (3) write the new superblock+checkpoint to a temp
-//     file, fsync, and atomically rename it over Path + ".ckpt"; (4)
-//     commit the copy-on-write epoch and recycle the WAL (wal.Log.Reset).
+//     files concurrently (wal.SyncAll): every operation so far is now
+//     recoverable against the PREVIOUS checkpoint; (3) write the new
+//     superblock+checkpoint to a temp file, fsync, and atomically rename
+//     it over Path + ".ckpt"; (4) commit the copy-on-write epoch and
+//     recycle the WAL (wal.Log.Reset).
 //   - A crash strictly before (3)'s rename leaves the previous
 //     checkpoint and a WAL holding every operation since it. A crash
 //     after the rename leaves the new checkpoint, whose recorded LSN
@@ -92,10 +102,13 @@ type superblock struct {
 	expiry        map[uint64]uint64 // key → expiry deadline (unix ms); nil on pre-v4 files
 }
 
-// durableTable layers write-ahead logging and checkpointing over a
-// structure adapter running on a durable FileStore.
+// durableTable is a structure adapter running on a durable FileStore,
+// plus what only a durable table has: recovery, the checkpoint, the
+// WAL's Sync barrier and the log's counters in StoreStats. Its
+// operations are the adapter's; the guard it is opened under writes
+// their WAL records (guard.record).
 type durableTable struct {
-	inner     *adapter
+	*adapter
 	store     *iomodel.FileStore
 	log       *wal.Log
 	cfg       Config // effective configuration (post-merge, post-defaults)
@@ -103,9 +116,8 @@ type durableTable struct {
 	layout    string // slot layout, recorded in every checkpoint as read
 	sector    int
 	crasher   *iomodel.Crasher
-	committer *wal.Committer // shared across shards by NewSharded
-	enc       ckpt.Encoder   // reused checkpoint encode buffer
-	exp       *expiry.Index  // shared with the guard; snapshotted into checkpoints
+	enc       ckpt.Encoder  // reused checkpoint encode buffer
+	exp       *expiry.Index // shared with the guard; snapshotted into checkpoints
 }
 
 // openDurable creates or recovers the durable table at cfg.Path. The
@@ -169,17 +181,13 @@ func openDurable(kind int, cfg Config, idx *expiry.Index) (*durableTable, error)
 		inner.Close()
 		return nil, err
 	}
-	if err := replayRecords(records, lastLSN, fn, inner, idx, cfg.RecoveryParallelism); err != nil {
+	if err := replayRecords(records, lastLSN, fn, inner, idx, 0); err != nil {
 		inner.Close()
 		log.Close()
 		return nil, err
 	}
-	committer := cfg.committer
-	if committer == nil {
-		committer = wal.NewCommitter(2)
-	}
 	return &durableTable{
-		inner:     inner,
+		adapter:   inner,
 		store:     store,
 		log:       log,
 		cfg:       cfg,
@@ -187,7 +195,6 @@ func openDurable(kind int, cfg Config, idx *expiry.Index) (*durableTable, error)
 		layout:    layout,
 		sector:    sector,
 		crasher:   crasher,
-		committer: committer,
 		exp:       idx,
 	}, nil
 }
@@ -471,91 +478,6 @@ func (sb *superblock) mergeConfig(structure string, cfg Config) (Config, error) 
 	return cfg, nil
 }
 
-// Insert logs the operation, then applies it (write-ahead discipline).
-// A failed apply retracts the record: an operation the caller was told
-// failed must not resurface through replay.
-func (d *durableTable) Insert(key, val uint64) error {
-	if _, err := d.log.Append(wal.OpInsert, key, val); err != nil {
-		return err
-	}
-	if err := d.inner.Insert(key, val); err != nil {
-		d.log.Rollback()
-		return err
-	}
-	return nil
-}
-
-// Upsert logs the operation, then applies it, retracting the record if
-// the apply fails.
-func (d *durableTable) Upsert(key, val uint64) error {
-	if _, err := d.log.Append(wal.OpUpsert, key, val); err != nil {
-		return err
-	}
-	if err := d.inner.Upsert(key, val); err != nil {
-		d.log.Rollback()
-		return err
-	}
-	return nil
-}
-
-// Delete logs the operation, then applies it. A failed log append (the
-// store has crashed) suppresses the delete and reports a miss; the
-// failure surfaces at the next Flush or Close barrier.
-func (d *durableTable) Delete(key uint64) bool {
-	if _, err := d.log.Append(wal.OpDelete, key, 0); err != nil {
-		return false
-	}
-	return d.inner.Delete(key)
-}
-
-// compareSwap is the logged compare-and-swap. On a structure with a
-// one-probe form the upsert record is logged first (write-ahead, like
-// Upsert), the swap is applied, and a swap that did not happen retracts
-// the record — replay must not perform an upsert the table refused. The
-// baselines probe first and log only the Upsert that follows.
-func (d *durableTable) compareSwap(key, old, new uint64) (bool, error) {
-	if d.inner.rmw == nil {
-		return casByLookup(d, key, old, new)
-	}
-	if _, err := d.log.Append(wal.OpUpsert, key, new); err != nil {
-		return false, err
-	}
-	swapped, err := d.inner.compareSwap(key, old, new)
-	if !swapped {
-		d.log.Rollback()
-	}
-	return swapped, err
-}
-
-// logExpire appends a wal.OpExpire record (value field = deadline) so
-// recovery re-learns the deadline; the caller then updates the shared
-// expiry index. The structure itself is untouched — a deadline is
-// sidecar state, not a value write.
-func (d *durableTable) logExpire(key, deadline uint64) error {
-	_, err := d.log.Append(wal.OpExpire, key, deadline)
-	return err
-}
-
-func (d *durableTable) Lookup(key uint64) (uint64, bool) { return d.inner.Lookup(key) }
-func (d *durableTable) Len() int                         { return d.inner.Len() }
-func (d *durableTable) Stats() Stats                     { return d.inner.Stats() }
-func (d *durableTable) MemoryUsed() int64                { return d.inner.MemoryUsed() }
-
-// settleReads needs no log record for the merge it may run: a merge moves
-// copies between blocks and changes no logical content, so replaying the
-// log against the last checkpoint reaches the same key set without it,
-// and copy-on-write keeps the merge's block writes off that checkpoint's
-// slots like any other write of the epoch. Recovery and the follower
-// never look up, so neither ever triggers one.
-func (d *durableTable) settleReads() { d.inner.settleReads() }
-
-func (d *durableTable) mergeStats() MergeStats { return d.inner.mergeStats() }
-
-func (d *durableTable) scanBuckets() int { return d.inner.scanBuckets() }
-func (d *durableTable) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
-	return d.inner.scanBucket(i, buf)
-}
-
 // StoreStats reports the block file's pool/syscall counters plus the
 // write-ahead log's spill and fsync counts.
 func (d *durableTable) StoreStats() StoreStats {
@@ -599,7 +521,7 @@ func (d *durableTable) Flush() error { return d.checkpoint() }
 // resource teardown.
 func (d *durableTable) Close() error {
 	errs := []error{d.checkpoint()}
-	errs = append(errs, d.inner.Close()) // closes the model and block store
+	errs = append(errs, d.adapter.Close()) // closes the model and block store
 	errs = append(errs, d.log.Close())
 	return errors.Join(errs...)
 }
@@ -607,10 +529,10 @@ func (d *durableTable) Close() error {
 // checkpoint runs the four-step commit protocol described at the top of
 // the file. The writes of steps (1) and (2) are issued first — in a
 // deterministic order, so crash injection can replay a failure — and
-// their fsyncs then run concurrently through the shared group
-// committer: neither file's durability depends on the other's (copy-on-
-// write keeps block flushes away from checkpointed slots whenever they
-// land), only step (3) requires both.
+// their fsyncs then run concurrently (wal.SyncAll): neither file's
+// durability depends on the other's (copy-on-write keeps block flushes
+// away from checkpointed slots whenever they land), only step (3)
+// requires both.
 func (d *durableTable) checkpoint() error {
 	// (1) Spill the log; (2) flush dirty blocks copy-on-write, coalesced
 	// into runs of adjacent slots. The previous checkpoint's slots stay
@@ -621,10 +543,9 @@ func (d *durableTable) checkpoint() error {
 	if err := d.store.FlushDirty(); err != nil {
 		return err
 	}
-	// Group commit: both files reach durability together. After this,
-	// every operation so far is recoverable against the PREVIOUS
-	// checkpoint.
-	if err := d.committer.Commit(d.log.Fsync, d.store.Fsync); err != nil {
+	// Both files reach durability together. After this, every operation
+	// so far is recoverable against the PREVIOUS checkpoint.
+	if err := wal.SyncAll(d.log.Fsync, d.store.Fsync); err != nil {
 		return err
 	}
 	// (3) Commit the new superblock atomically.
@@ -656,7 +577,7 @@ func (d *durableTable) checkpoint() error {
 		e.U64(k)
 		e.U64(dl)
 	})
-	d.inner.s.SaveState(e)
+	d.s.SaveState(e)
 	if err := writeFileAtomic(d.cfg.Path+ckptSuffix, ckpt.Frame(superblockVersion, e.Bytes()), d.crasher); err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package extbuf
 
 import (
+	"cmp"
 	"fmt"
 	"sync"
 
@@ -90,21 +91,14 @@ type Engine interface {
 	// no-op on a replica), so the record stream stays dense.
 	DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error)
 
-	// ExpireBatch sets deadlines[i] (unix milliseconds) as keys[i]'s
-	// expiry deadline, for keys that are present and unexpired
-	// (found[i] reports which). Expired keys are invisible to reads
-	// immediately and physically deleted by SweepExpired. A plain
-	// Insert/Upsert/CAS on a key clears its deadline.
-	ExpireBatch(keys, deadlines []uint64, found []bool) error
-	// ExpireBatchShip is ExpireBatch with the shipping contract: the
-	// found subset ships as expire records, so replicas adopt the
-	// primary's deadlines instead of running their own clocks.
-	ExpireBatchShip(keys, deadlines []uint64, found []bool) (uint64, error)
 	// UpsertTTLBatchShip atomically upserts each pair and sets its
-	// deadline, shipping the applied pairs' upsert records and then
-	// their expire records, so the returned LSN covers both. Unlike
-	// UpsertBatch + ExpireBatchShip, no concurrent writer can interleave
-	// between a key's value write and its deadline write.
+	// deadline (unix milliseconds), shipping the applied pairs' upsert
+	// records and then their expire records, so the returned LSN covers
+	// both. Unlike an upsert batch followed by a BatchExpire one, no
+	// concurrent writer can interleave between a key's value write and
+	// its deadline write. Expired keys are invisible to reads at once
+	// and physically deleted by SweepExpired; a plain Insert/Upsert/CAS
+	// on a key clears its deadline.
 	UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error)
 	// CompareSwapBatchShip atomically replaces keys[i]'s value with
 	// news[i] iff its current (unexpired) value equals olds[i];
@@ -121,10 +115,10 @@ type Engine interface {
 	// once. Expired entries are filtered.
 	Scan(cursor uint64, max int) (keys, vals []uint64, next uint64, err error)
 	// SweepExpired pops up to max due keys from the expiry index and
-	// deletes them through the normal logged path, shipping the
-	// deletes. It returns the number swept and the covering ship LSN
-	// (0 when nothing swept or no sink). Only the writable node
-	// sweeps; replicas converge by applying the shipped deletes.
+	// deletes them as one shipped delete batch. It returns the number
+	// swept and the covering ship LSN (0 when nothing swept or no sink).
+	// Only the writable node sweeps; replicas converge by applying the
+	// shipped deletes.
 	SweepExpired(max int) (int, uint64, error)
 	// ExpiryStats reports the engine's TTL counters.
 	ExpiryStats() ExpiryStats
@@ -203,7 +197,7 @@ const (
 	BatchUpsert                     // UpsertBatch, UpsertBatchShip
 	BatchDelete                     // DeleteBatchInto, DeleteBatchShipInto
 	BatchLookup                     // LookupBatchInto
-	BatchExpire                     // ExpireBatch, ExpireBatchShip; vals carries the deadlines
+	BatchExpire                     // StartBatch only; vals carries the deadlines
 	BatchUpsertTTL                  // UpsertTTLBatchShip; vals2 carries the deadlines
 	BatchCompareSwap                // CompareSwapBatchShip; vals carries the expected values, vals2 the new ones
 
@@ -313,15 +307,6 @@ func (b batchAPI) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, erro
 	return b.run(&opVec{kind: BatchDelete, ship: true, keys: keys, outOK: found})
 }
 
-func (b batchAPI) ExpireBatch(keys, deadlines []uint64, found []bool) error {
-	_, err := b.run(&opVec{kind: BatchExpire, keys: keys, vals: deadlines, outOK: found})
-	return err
-}
-
-func (b batchAPI) ExpireBatchShip(keys, deadlines []uint64, found []bool) (uint64, error) {
-	return b.run(&opVec{kind: BatchExpire, ship: true, keys: keys, vals: deadlines, outOK: found})
-}
-
 func (b batchAPI) UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error) {
 	return b.run(&opVec{kind: BatchUpsertTTL, ship: true, keys: keys, vals: vals, vals2: deadlines})
 }
@@ -339,9 +324,6 @@ type innerTable interface {
 	// lookups can pay for a merge (readPaidMerger) performs it.
 	settleReads()
 	mergeStats() MergeStats
-	// logExpire makes a deadline write recoverable (a wal.OpExpire
-	// record on a durable table) before the guard records it.
-	logExpire(key, deadline uint64) error
 	// beginSync is Sync with the fsync split off for the caller to run
 	// elsewhere; a nil fsync means the barrier already completed.
 	beginSync() (fsync func() error, err error)
@@ -355,18 +337,21 @@ type innerTable interface {
 // methods), a second Close reports ErrClosed instead of panicking on
 // released resources, and Stats stays readable after Close so
 // experiments can harvest counters last — and it owns everything an
-// operation does besides the table call: the TTL sidecar and the ship
-// seam (apply).
+// operation does besides the table call: the TTL sidecar, and the record
+// step that feeds the WAL and the ship seam (apply).
 type guard struct {
 	batchAPI
-	t       innerTable
-	durable bool
-	closed  bool
+	t      innerTable
+	log    *wal.Log // a durable table's write-ahead log; nil on a scratch table
+	closed bool
 
-	// ship is the replication seam (Engine.SetShip); shipK/V/W gather
-	// the subset of a batch that ships.
-	ship                ShipFunc
-	shipK, shipV, shipW []uint64
+	// ship is the replication seam (Engine.SetShip); recK/V/W gather the
+	// records of a call.
+	ship             ShipFunc
+	recK, recV, recW []uint64
+
+	// The one-element record of a single-key operation.
+	k1, v1 [1]uint64
 
 	// calls recycles the completed handles StartBatch returns. A pool,
 	// not a slice: follower replay waits on another goroutine than the
@@ -386,22 +371,23 @@ type guard struct {
 	expStats ExpiryStats
 }
 
-func newGuard(t innerTable, durable bool, idx *expiry.Index, now func() uint64) *guard {
-	g := &guard{t: t, durable: durable, exp: idx, now: now}
+func newGuard(t innerTable, log *wal.Log, idx *expiry.Index, now func() uint64) *guard {
+	g := &guard{t: t, log: log, exp: idx, now: now}
 	g.do = func(v opVec) (uint64, error) { return g.apply(&v, nil) }
 	return g
 }
 
 // apply is the one definition of every keyed operation. It runs v.kind
 // on positions idx of the operand vector (nil idx: every position), in
-// order, and — when v.ship is set and a sink is installed — emits the
-// kind's shipped subset from the same goroutine, so that per key ship
-// order is apply order (the replication total order, DESIGN.md §2a). It
-// returns the highest ship LSN assigned (0 when nothing shipped or the
-// sink failed) and the first error; a failing position never stops the
-// rest.
+// order, then runs the record step: the kind's records, below, go to the
+// WAL on a durable table and, when v.ship is set and a sink is
+// installed, to the sink — from the same goroutine, so that per key log
+// and ship order are apply order (the replication total order, DESIGN.md
+// §2a). It returns the highest ship LSN assigned (0 when nothing shipped
+// or the record step failed) and the first error; a failing position
+// never stops the rest.
 //
-//	kind        per-key action (applyOne)                   shipped subset
+//	kind        per-key action (applyOne)                   records
 //	insert      Insert; clear the deadline                  applied pairs, as inserts
 //	upsert      Upsert; clear the deadline                  applied pairs, as upserts
 //	lookup      the value, unless the deadline has passed;  nothing
@@ -413,19 +399,21 @@ func newGuard(t innerTable, durable bool, idx *expiry.Index, now func() uint64) 
 //	            clear the deadline                          new value
 //
 // A plain value write makes a key persistent again (Redis semantics),
-// which also keeps replicas convergent: the shipped record is a plain
-// insert/upsert and clears the deadline there too. A missed delete still
-// ships — it replays as a no-op, and the record stream stays dense.
+// which also keeps replicas convergent: the record is a plain
+// insert/upsert and clears the deadline on replay too. A missed delete
+// still writes one — it replays as a no-op, and the record stream stays
+// dense. A write that failed or a swap that was refused writes none.
 func (g *guard) apply(v *opVec, idx []int) (uint64, error) {
 	if g.closed {
 		return 0, ErrClosed
 	}
 	g.arm()
 	kind, keys, vals, vals2, outV, outOK := v.kind, v.keys, v.vals, v.vals2, v.outV, v.outOK
-	ship := v.ship && g.ship != nil && kind != BatchLookup
-	var sk, sv, sw []uint64
-	if ship {
-		sk, sv, sw = g.shipK[:0], g.shipV[:0], g.shipW[:0]
+	ship := v.ship && g.ship != nil
+	rec := kind != BatchLookup && (ship || g.log != nil)
+	var rk, rv, rw []uint64
+	if rec {
+		rk, rv, rw = g.recK[:0], g.recV[:0], g.recW[:0]
 	}
 	n := len(keys)
 	if idx != nil {
@@ -454,41 +442,92 @@ func (g *guard) apply(v *opVec, idx []int) (uint64, error) {
 		if err != nil && first == nil {
 			first = err
 		}
-		if ship && (ok || kind == BatchDelete) {
-			sk, sv, sw = append(sk, keys[j]), append(sv, a), append(sw, b)
+		if rec && (ok || kind == BatchDelete) {
+			rk, rv, rw = append(rk, keys[j]), append(rv, a), append(rw, b)
 		}
 	}
 	if kind == BatchLookup {
 		g.t.settleReads() // once per share, not per key
 	}
-	if len(sk) == 0 {
+	if len(rk) == 0 {
 		return 0, first
 	}
-	g.shipK, g.shipV, g.shipW = sk, sv, sw
-	var lsn uint64
-	var err error
-	switch kind {
-	case BatchInsert:
-		lsn, err = g.emit(ShipInsert, sk, sv)
-	case BatchUpsert:
-		lsn, err = g.emit(ShipUpsert, sk, sv)
-	case BatchDelete:
-		lsn, err = g.emit(ShipDelete, sk, nil)
-	case BatchExpire:
-		lsn, err = g.emit(ShipExpire, sk, sv)
-	case BatchUpsertTTL:
-		// Values before deadlines, so the covering (higher) LSNs belong
-		// to the expires and a follower at the returned LSN has both.
-		if _, err = g.emit(ShipUpsert, sk, sv); err == nil {
-			lsn, err = g.emit(ShipExpire, sk, sw)
-		}
-	case BatchCompareSwap:
-		lsn, err = g.emit(ShipUpsert, sk, sw)
-	}
+	g.recK, g.recV, g.recW = rk, rv, rw
+	lsn, err := g.record(kind, rk, rv, rw, ship)
 	if first == nil {
 		first = err
 	}
 	return lsn, first
+}
+
+// record is the record step of a call of kind whose keys are rk, with rv
+// and rw their operands of vals and vals2: one run of records per op
+// (write), after the apply — durable.go says why that is safe. It
+// returns the last shipped record's LSN.
+func (g *guard) record(kind BatchOp, rk, rv, rw []uint64, ship bool) (uint64, error) {
+	switch kind {
+	case BatchInsert:
+		return g.write(ShipInsert, rk, rv, ship)
+	case BatchUpsert:
+		return g.write(ShipUpsert, rk, rv, ship)
+	case BatchDelete:
+		return g.write(ShipDelete, rk, nil, ship)
+	case BatchExpire:
+		return g.write(ShipExpire, rk, rv, ship)
+	case BatchCompareSwap:
+		return g.write(ShipUpsert, rk, rw, ship)
+	}
+	// Upsert-ttl: values before deadlines, so the covering (higher) LSNs
+	// belong to the expires, a follower at the returned LSN has both, and
+	// replaying either log converges to value + deadline. The WAL takes
+	// the deadlines even when the values failed to ship; they ship only
+	// once the values have.
+	_, err := g.write(ShipUpsert, rk, rv, ship)
+	lsn, err2 := g.write(ShipExpire, rk, rw, ship && err == nil)
+	if err != nil {
+		return 0, err
+	}
+	return lsn, err2
+}
+
+// write is one run of records (vals nil: zero values): the WAL of a
+// durable table takes them first, then the sink, when ship is set, the
+// ones the WAL took. It returns the last shipped record's LSN (0 when
+// the sink failed) and the first error.
+func (g *guard) write(op uint8, keys, vals []uint64, ship bool) (uint64, error) {
+	var err error
+	if g.log != nil {
+		var n int
+		n, err = g.logRecords(op, keys, vals)
+		keys = keys[:n]
+		if vals != nil {
+			vals = vals[:n]
+		}
+	}
+	if !ship || len(keys) == 0 {
+		return 0, err
+	}
+	first, serr := g.ship(op, keys, vals)
+	if serr != nil {
+		return 0, cmp.Or(err, serr)
+	}
+	return first + uint64(len(keys)) - 1, err
+}
+
+// logRecords appends one WAL record per key and returns how many the log
+// took — the durable record hook, and the only place a table's log is
+// appended to. A refusal is sticky: every later append fails too.
+func (g *guard) logRecords(op uint8, keys, vals []uint64) (int, error) {
+	for i, k := range keys {
+		var v uint64
+		if vals != nil {
+			v = vals[i]
+		}
+		if _, err := g.log.Append(wal.Op(op), k, v); err != nil {
+			return i, err
+		}
+	}
+	return len(keys), nil
 }
 
 // applyOne is kind's action on one key, with operands a and b standing
@@ -514,9 +553,9 @@ func (g *guard) applyOne(kind BatchOp, key, a, b uint64) (val uint64, ok bool, e
 		return 0, ok, nil
 	case BatchExpire:
 		if _, ok = g.live(key); ok {
-			err = g.setDeadline(key, a)
+			g.setDeadline(key, a)
 		}
-		return 0, ok && err == nil, err
+		return 0, ok, nil
 	case BatchCompareSwap:
 		if g.expired(key) {
 			g.expStats.LazyHits++
@@ -533,23 +572,12 @@ func (g *guard) applyOne(kind BatchOp, key, a, b uint64) (val uint64, ok bool, e
 	}
 	g.exp.Clear(key)
 	if kind == BatchUpsertTTL {
-		// The WAL, like the ship log, sees the upsert record before the
-		// expire record: replay converges to value + deadline.
-		err = g.setDeadline(key, b)
+		g.setDeadline(key, b)
 	}
-	return 0, err == nil, err
+	return 0, true, nil
 }
 
-// emit ships one record per key and returns the last record's LSN.
-func (g *guard) emit(op uint8, keys, vals []uint64) (uint64, error) {
-	first, err := g.ship(op, keys, vals)
-	if err != nil {
-		return 0, err
-	}
-	return first + uint64(len(keys)) - 1, nil
-}
-
-// arm reads the TTL clock for one call (apply, one, Scan, SweepExpired):
+// arm reads the TTL clock for one call (apply, Scan, SweepExpired):
 // once, and not at all while no key has a deadline (callNow stays 0).
 // While the earliest deadline is still ahead of it no key of the call can
 // be expired, and expired skips the per-key probe of the deadline map.
@@ -580,11 +608,9 @@ func (g *guard) live(key uint64) (uint64, bool) {
 	return g.t.Lookup(key)
 }
 
-// setDeadline logs the deadline, then records it in the index.
-func (g *guard) setDeadline(key, deadline uint64) error {
-	if err := g.t.logExpire(key, deadline); err != nil {
-		return err
-	}
+// setDeadline records a deadline in the index; apply's record step
+// writes its expire record.
+func (g *guard) setDeadline(key, deadline uint64) {
 	g.exp.Set(key, deadline)
 	// The new deadline may already be due for the rest of the call.
 	if g.callNow == 0 {
@@ -592,7 +618,6 @@ func (g *guard) setDeadline(key, deadline uint64) error {
 	} else if deadline <= g.callNow {
 		g.anyDue = true
 	}
-	return nil
 }
 
 // StartBatch is Engine.StartBatch on one table: apply runs before it
@@ -640,13 +665,26 @@ func (g *guard) finish(c *BatchCall) (uint64, error) {
 	return lsn, err
 }
 
-// one is a single-key operation, which never ships.
+// one is a single-key operation (insert, upsert, lookup, delete), which
+// never ships: applyOne, then — on a durable table — the record step,
+// as for a one-element batch. On a scratch table that check is all it
+// adds.
 func (g *guard) one(kind BatchOp, key, val uint64) (uint64, bool, error) {
 	if g.closed {
 		return 0, false, ErrClosed
 	}
 	g.arm()
-	return g.applyOne(kind, key, val, 0)
+	v, ok, err := g.applyOne(kind, key, val, 0)
+	switch {
+	case kind == BatchLookup:
+		g.t.settleReads()
+	case g.log != nil && (ok || kind == BatchDelete):
+		g.k1[0], g.v1[0] = key, val
+		if _, rerr := g.record(kind, g.k1[:], g.v1[:], nil, false); err == nil {
+			err = rerr
+		}
+	}
+	return v, ok, err
 }
 
 func (g *guard) Insert(key, val uint64) error {
@@ -660,16 +698,15 @@ func (g *guard) Upsert(key, val uint64) error {
 }
 
 func (g *guard) Lookup(key uint64) (uint64, bool) {
-	v, ok, err := g.one(BatchLookup, key, 0)
-	if err == nil {
-		g.t.settleReads()
-	}
+	v, ok, _ := g.one(BatchLookup, key, 0)
 	return v, ok
 }
 
+// Delete reports a miss when the record step failed: the key is gone
+// from the table, but nothing durable says so.
 func (g *guard) Delete(key uint64) bool {
-	_, ok, _ := g.one(BatchDelete, key, 0)
-	return ok
+	_, ok, err := g.one(BatchDelete, key, 0)
+	return ok && err == nil
 }
 
 func (g *guard) Len() int {
@@ -693,7 +730,7 @@ func (g *guard) MergeStats() MergeStats {
 
 func (g *guard) MemoryUsed() int64 { return g.t.MemoryUsed() }
 
-func (g *guard) Durable() bool { return g.durable }
+func (g *guard) Durable() bool { return g.log != nil }
 
 // SetShip installs the ship sink. A single table is single-goroutine by
 // contract and a shard's guard is driven by its worker alone, so "apply

@@ -54,7 +54,7 @@ func (s *confSink) ship(op uint8, keys, vals []uint64) (uint64, error) {
 var errFlaky = errors.New("flaky table: write refused")
 
 // flakyTable refuses value writes of the keys in bad, before they touch
-// the table — the engine-visible shape of a failed WAL append.
+// the table — the engine-visible shape of a structure write that fails.
 type flakyTable struct {
 	innerTable
 	bad map[uint64]bool
@@ -125,10 +125,8 @@ func runStep(e Engine, st confStep, started bool) confResult {
 		r.lsn, r.err = e.DeleteBatchShipInto(st.keys, r.outOK)
 	case st.kind == BatchDelete:
 		r.err = e.DeleteBatchInto(st.keys, r.outOK)
-	case st.kind == BatchExpire && st.ship:
-		r.lsn, r.err = e.ExpireBatchShip(st.keys, st.vals, r.outOK)
 	case st.kind == BatchExpire:
-		r.err = e.ExpireBatch(st.keys, st.vals, r.outOK)
+		r.lsn, r.err = ExpireForTest(e, st.ship, st.keys, st.vals, r.outOK)
 	case st.kind == BatchUpsertTTL:
 		r.lsn, r.err = e.UpsertTTLBatchShip(st.keys, st.vals, st.vals2)
 	case st.kind == BatchCompareSwap:
@@ -446,8 +444,6 @@ func checkLengthContract(t *testing.T, ce confEngine, seen map[string]string) {
 		"lookup short vals":       ce.eng.LookupBatchInto(k, one, ok2),
 		"lookup short found":      ce.eng.LookupBatchInto(k, two, ok1),
 		"delete short found":      ce.eng.DeleteBatchInto(k, ok1),
-		"expire short deadlines":  ce.eng.ExpireBatch(k, one, ok2),
-		"expire ship short found": second(ce.eng.ExpireBatchShip(k, two, ok1)),
 		"upsert-ttl short vals":   second(ce.eng.UpsertTTLBatchShip(k, one, two)),
 		"upsert-ttl short ttls":   second(ce.eng.UpsertTTLBatchShip(k, two, one)),
 		"cas short news":          second(ce.eng.CompareSwapBatchShip(k, two, one, ok2)),
@@ -456,6 +452,7 @@ func checkLengthContract(t *testing.T, ce confEngine, seen map[string]string) {
 		"start lookup short vals": startErr(ce.eng.StartBatch(BatchLookup, false, k, one, nil, ok2)),
 		"start delete short":      startErr(ce.eng.StartBatch(BatchDelete, true, k, nil, nil, ok1)),
 		"start expire short":      startErr(ce.eng.StartBatch(BatchExpire, false, k, two, nil, ok1)),
+		"start expire short vals": startErr(ce.eng.StartBatch(BatchExpire, true, k, one, nil, ok2)),
 		"start upsert-ttl short":  startErr(ce.eng.StartBatch(BatchUpsertTTL, true, k, two, one, nil)),
 		"start cas short news":    startErr(ce.eng.StartBatch(BatchCompareSwap, true, k, two, one, ok2)),
 		"start cas short swapped": startErr(ce.eng.StartBatch(BatchCompareSwap, true, k, two, two, ok1)),
@@ -605,7 +602,7 @@ func checkFailingSink(t *testing.T, ce confEngine, keys []uint64) {
 	}{
 		{"upsert", func() (uint64, error) { return ce.eng.UpsertBatchShip(keys, vals) }},
 		{"upsert-ttl", func() (uint64, error) { return ce.eng.UpsertTTLBatchShip(keys, vals, far) }},
-		{"expire", func() (uint64, error) { return ce.eng.ExpireBatchShip(keys, far, found) }},
+		{"expire", func() (uint64, error) { return ExpireForTest(ce.eng, true, keys, far, found) }},
 		{"cas", func() (uint64, error) { return ce.eng.CompareSwapBatchShip(keys, vals, vals, found) }},
 		{"delete", func() (uint64, error) { return ce.eng.DeleteBatchShipInto(keys[:1], found) }},
 	} {
@@ -636,8 +633,6 @@ func checkClosed(t *testing.T, ce confEngine, keys []uint64) {
 		"InsertBatchShip":      second(e.InsertBatchShip(keys, vals)),
 		"UpsertBatchShip":      second(e.UpsertBatchShip(keys, vals)),
 		"DeleteBatchShipInto":  second(e.DeleteBatchShipInto(keys, outOK)),
-		"ExpireBatch":          e.ExpireBatch(keys, vals, outOK),
-		"ExpireBatchShip":      second(e.ExpireBatchShip(keys, vals, outOK)),
 		"UpsertTTLBatchShip":   second(e.UpsertTTLBatchShip(keys, vals, vals)),
 		"CompareSwapBatchShip": second(e.CompareSwapBatchShip(keys, vals, vals, outOK)),
 		"StartBatch":           startErr(e.StartBatch(BatchLookup, false, keys, outV, nil, outOK)),

@@ -66,7 +66,7 @@ func CopiesForTest(tab Table, key uint64) (copies int, ok bool) {
 	case *guard:
 		return CopiesForTest(v.t, key)
 	case *durableTable:
-		return CopiesForTest(v.inner, key)
+		return CopiesForTest(v.adapter, key)
 	case *adapter:
 		if t, isCore := v.s.(*core.Table); isCore {
 			return t.Copies(key), true
@@ -118,6 +118,16 @@ func HoldShardFsyncForTest(s *Sharded, key uint64) (entered <-chan struct{}, rel
 	d := s.shards[s.shard(key)].t.(*durableTable)
 	d.log.Interpose(func(bf iomodel.BlockFile) iomodel.BlockFile { f.BlockFile = bf; return f })
 	return f.entered, f.release
+}
+
+// ExpireForTest sets deadlines the one way an engine takes them,
+// StartBatch(BatchExpire, …) and Wait.
+func ExpireForTest(e Engine, ship bool, keys, deadlines []uint64, found []bool) (uint64, error) {
+	c, err := e.StartBatch(BatchExpire, ship, keys, deadlines, nil, found)
+	if err != nil {
+		return 0, err
+	}
+	return c.Wait()
 }
 
 // CrashWritesForTest returns how many write syscalls the crash plan of a

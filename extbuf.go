@@ -15,7 +15,6 @@ import (
 	"extbuf/internal/linprobe"
 	"extbuf/internal/logmethod"
 	"extbuf/internal/twolevel"
-	"extbuf/internal/wal"
 )
 
 // Stats reports cumulative I/O counts of a table's simulated disk.
@@ -228,13 +227,6 @@ type Config struct {
 	// CacheBlocks is the "file" backend's page-cache capacity in blocks
 	// (default iomodel.DefaultCacheBlocks).
 	CacheBlocks int
-	// RecoveryParallelism bounds the concurrency of the recovery cold
-	// path: NewSharded opens (and replays) this many shards at once,
-	// and within each shard the WAL replay pipeline partitions records
-	// by hash bucket across this many goroutines before applying them
-	// in bucket order. 0 (the default) uses GOMAXPROCS; 1 recovers
-	// serially.
-	RecoveryParallelism int
 	// Crash injects deterministic faults into a durable table's files
 	// (block file, write-ahead log, checkpoint writes) for recovery
 	// testing: a simulated process death at the Nth write syscall,
@@ -252,11 +244,6 @@ type Config struct {
 	// inject deterministic time through it (see export_test.go). Nil
 	// uses the real clock.
 	nowMillis func() uint64
-	// committer is the shared group-commit fsync pool NewSharded hands
-	// every durable shard, so one Flush barrier overlaps all shards'
-	// WAL and block-file fsyncs. Nil (single tables) gets a private
-	// two-slot committer.
-	committer *wal.Committer
 }
 
 // CrashPlan describes a deterministic fault to inject into a durable
@@ -578,7 +565,7 @@ func open(name string, cfg Config) (*guard, error) {
 		if err != nil {
 			return nil, err
 		}
-		return newGuard(t, true, idx, cfg.clock()), nil
+		return newGuard(t, t.log, idx, cfg.clock()), nil
 	}
 	cfg = cfg.withDefaults()
 	if err := cfg.validateFor(structures[kind].name); err != nil {
@@ -593,7 +580,7 @@ func open(name string, cfg Config) (*guard, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newGuard(inner, false, expiry.New(), cfg.clock()), nil
+	return newGuard(inner, nil, expiry.New(), cfg.clock()), nil
 }
 
 // adapter presents a structure running on a model as a Table: it drops
@@ -722,7 +709,6 @@ func (a *adapter) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) 
 	return a.s.ScanBucket(i, buf)
 }
 
-// A scratch table has no log to write a deadline to and no fsync to
-// split off its Sync; the durable layer overrides both.
-func (a *adapter) logExpire(key, deadline uint64) error { return nil }
-func (a *adapter) beginSync() (func() error, error)     { return nil, a.Sync() }
+// A scratch table has no fsync to split off its Sync; the durable layer
+// overrides it.
+func (a *adapter) beginSync() (func() error, error) { return nil, a.Sync() }

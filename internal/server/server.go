@@ -190,9 +190,8 @@ func NewServer(cfg Config) (*Server, error) {
 			// followers can no longer fetch. One group-commit wave fsyncs
 			// both fds, together: the wave's ship records were appended
 			// during apply, so neither fsync depends on the other.
-			fsyncs := wal.NewCommitter(2)
 			engineSync, shipFsync := cfg.Engine.Sync, repl.ship.Fsync
-			s.commit.sync = func() error { return fsyncs.Commit(engineSync, shipFsync) }
+			s.commit.sync = func() error { return wal.SyncAll(engineSync, shipFsync) }
 		}
 	}
 	if cfg.SweepEvery > 0 {

@@ -115,14 +115,13 @@ func TestRecoverIgnoresPreallocatedTail(t *testing.T) {
 	}
 }
 
-// TestCommitterJoinsErrors: the group committer runs every sync and
-// joins errors in argument order, deterministically.
+// TestCommitterJoinsErrors: SyncAll runs every sync and joins errors in
+// argument order, deterministically.
 func TestCommitterJoinsErrors(t *testing.T) {
-	c := NewCommitter(2)
 	errA := errors.New("a")
 	errB := errors.New("b")
 	var ran atomic.Int32
-	err := c.Commit(
+	err := SyncAll(
 		func() error { ran.Add(1); return errA },
 		func() error { ran.Add(1); return nil },
 		func() error { ran.Add(1); return errB },
@@ -130,13 +129,16 @@ func TestCommitterJoinsErrors(t *testing.T) {
 	if ran.Load() != 3 {
 		t.Fatalf("ran %d fns, want 3", ran.Load())
 	}
+	if err == nil || err.Error() != "a\nb" {
+		t.Fatalf("err = %v, want a then b", err)
+	}
 	if !errors.Is(err, errA) || !errors.Is(err, errB) {
 		t.Fatalf("err = %v, want both a and b", err)
 	}
-	if err := c.Commit(func() error { return nil }); err != nil {
-		t.Fatalf("all-nil commit err = %v", err)
+	if err := SyncAll(func() error { return nil }); err != nil {
+		t.Fatalf("all-nil sync err = %v", err)
 	}
-	if c.Batches() != 2 || c.Syncs() != 4 {
-		t.Fatalf("batches=%d syncs=%d, want 2 and 4", c.Batches(), c.Syncs())
+	if err := SyncAll(); err != nil {
+		t.Fatalf("empty sync err = %v", err)
 	}
 }

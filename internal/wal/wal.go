@@ -1,10 +1,11 @@
-// Package wal implements the per-table write-ahead log of the
-// durability subsystem: a flat file of logical operation records
-// (insert/upsert/delete with key and value) appended before the table's
-// buffer absorbs each operation, fsynced at every Flush barrier, and
-// recycled once a checkpoint has made the logged state durable: Reset
-// rewrites the header in place and the next epoch overwrites the blocks
-// the file already owns (DESIGN.md §1b, "Log lifecycle").
+// Package wal implements the per-table redo log of the durability
+// subsystem: a flat file of logical operation records (insert/upsert/
+// delete/expire with key and value) appended right after the table's
+// buffer absorbs each operation, fsynced at every barrier and before any
+// checkpoint that depends on them commits, and recycled once a
+// checkpoint has made the logged state durable: Reset rewrites the
+// header in place and the next epoch overwrites the blocks the file
+// already owns (DESIGN.md §1b, "Apply, then log" and "Log lifecycle").
 //
 // Recovery contract (see DESIGN.md, "Durability & recovery"): on open
 // the log is scanned, each record validated by its CRC, and the valid
@@ -292,10 +293,8 @@ func validate(rec []byte, lsn uint64) bool {
 func (l *Log) NextLSN() uint64 { return l.next }
 
 // Append logs one operation and returns its LSN. The record is
-// buffered; it is durable only after the next successful Sync. The
-// buffer is spilled to the file before the new record is added — never
-// after — so the newest record is always still in memory and Rollback
-// can retract it.
+// buffered; it is durable only after the next successful Sync. A failed
+// write is sticky: every later Append, spill and barrier returns it.
 func (l *Log) Append(op Op, key, val uint64) (uint64, error) {
 	if l.failed != nil {
 		return 0, l.failed
@@ -303,8 +302,7 @@ func (l *Log) Append(op Op, key, val uint64) (uint64, error) {
 	// Bound the append buffer: spill whole 64 KiB chunks to the file
 	// (without fsync) before admitting the next record. Partial spills
 	// are safe — each record carries its own CRC, so a crash tears at
-	// most the last record — and spilling before the append (never
-	// after) keeps the newest record in memory for Rollback.
+	// most the last record.
 	if len(l.buf) >= spillChunk {
 		if err := l.spillN(len(l.buf) / spillChunk * spillChunk); err != nil {
 			return 0, err
@@ -314,17 +312,6 @@ func (l *Log) Append(op Op, key, val uint64) (uint64, error) {
 	l.buf = appendRecord(l.buf, op, key, val, lsn)
 	l.next++
 	return lsn, nil
-}
-
-// Rollback retracts the most recently appended record, which Append
-// guarantees is still buffered. The write-ahead discipline logs before
-// applying; when the apply fails and the caller is told so, the record
-// must not survive to be replayed as if the operation had happened.
-func (l *Log) Rollback() {
-	if len(l.buf) >= recordBytes {
-		l.buf = l.buf[:len(l.buf)-recordBytes]
-		l.next--
-	}
 }
 
 // spill writes all buffered records at the end of the file without
@@ -394,8 +381,8 @@ func (l *Log) reserve(size int64) error {
 }
 
 // Spill writes every buffered record to the file without fsyncing:
-// the first half of the commit protocol, separated from Fsync so a
-// group committer can overlap the fsync with other files'.
+// the first half of the commit protocol, separated from Fsync so
+// SyncAll can overlap the fsync with other files'.
 func (l *Log) Spill() error { return l.spill() }
 
 // Fsync makes previously spilled records durable. It does not spill;

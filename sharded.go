@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sync"
 
-	"extbuf/internal/wal"
 	"extbuf/internal/xrand"
 )
 
@@ -56,14 +55,11 @@ type Sharded struct {
 	workerWG sync.WaitGroup
 	salt     uint64
 	bits     uint
-	durable  bool
 
-	// committer is the fsync pool every durable shard shares. A Sync
-	// barrier's fsyncs run on it, detached from the shard workers;
-	// fsyncWG counts the detached ones still in flight, which Close
-	// waits out before it closes the logs under them.
-	committer *wal.Committer
-	fsyncWG   sync.WaitGroup
+	// fsyncWG counts a Sync barrier's fsyncs still in flight, detached
+	// from the shard workers; Close waits them out before it closes the
+	// logs under them.
+	fsyncWG sync.WaitGroup
 
 	// callPool recycles the handles, so the steady-state submission path
 	// allocates nothing.
@@ -165,11 +161,10 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 		bits++
 	}
 	s := &Sharded{
-		shards:  make([]*guard, n),
-		reqs:    make([]chan *BatchCall, n),
-		salt:    xrand.Mix64(cfg.Seed ^ 0xa5a5a5a5a5a5a5a5),
-		bits:    bits,
-		durable: cfg.durable(),
+		shards: make([]*guard, n),
+		reqs:   make([]chan *BatchCall, n),
+		salt:   xrand.Mix64(cfg.Seed ^ 0xa5a5a5a5a5a5a5a5),
+		bits:   bits,
 	}
 	s.do = s.runBatch
 	s.callPool.New = func() any {
@@ -184,26 +179,14 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 			mergeSt: make([]MergeStats, n),
 		}
 	}
-	// One group committer serves every durable shard: a Flush barrier
-	// then overlaps all shards' WAL and block-file fsyncs in one pool
-	// (two per shard) instead of each worker syncing serially.
-	committer := wal.NewCommitter(2 * n)
-	s.committer = committer
-	// Open the shards concurrently, bounded by RecoveryParallelism:
-	// each durable shard's open reads its checkpoint, rebuilds its
-	// structure and replays its WAL tail — fully independent work, so
-	// the recovery cold path scales near-linearly with the bound until
-	// cores (or the device) saturate. Fresh builds parallelize the same
-	// way. Errors keep the serial contract: the lowest-index failure is
-	// reported, and every shard that did open is closed.
-	par := cfg.RecoveryParallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)
-	}
-	if par > n {
-		par = n
-	}
-	sem := make(chan struct{}, par)
+	// Open the shards concurrently, GOMAXPROCS at a time: each durable
+	// shard's open reads its checkpoint, rebuilds its structure and
+	// replays its WAL tail — fully independent work, so the recovery
+	// cold path scales near-linearly until cores (or the device)
+	// saturate. Fresh builds parallelize the same way. Errors keep the
+	// serial contract: the lowest-index failure is reported, and every
+	// shard that did open is closed.
+	sem := make(chan struct{}, min(runtime.GOMAXPROCS(0), n))
 	errs := make([]error, n)
 	var openWG sync.WaitGroup
 	for i := range s.shards {
@@ -222,7 +205,6 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 				}
 				scfg.shardCount = n
 				scfg.shardIndex = i
-				scfg.committer = committer
 			}
 			g, err := open(structure, scfg)
 			if err != nil {
@@ -282,8 +264,8 @@ func (s *Sharded) serve(i int, g *guard, c *BatchCall) {
 		c.scanK, c.scanV, c.scanNext, c.errs[i] = g.Scan(c.cursor, c.maxN)
 	case opSync:
 		// Only the spill half of a durable shard's barrier runs here. The
-		// fsync is handed to the committer pool and the worker goes back
-		// to its queue: applies (and lookups) queued behind the barrier
+		// fsync is handed to a goroutine of its own and the worker goes
+		// back to its queue: applies (and lookups) queued behind the barrier
 		// overlap the fsync instead of waiting out its ~250 µs, and the
 		// barrier completes whenever the fsync does.
 		fsync, err := g.beginSync()
@@ -309,7 +291,7 @@ func (s *Sharded) serve(i int, g *guard, c *BatchCall) {
 // the barrier's completion.
 func (s *Sharded) finishSync(c *BatchCall, i int, fsync func() error) {
 	defer s.fsyncWG.Done()
-	c.errs[i] = s.committer.Commit(fsync)
+	c.errs[i] = fsync()
 	c.wg.Done()
 }
 
@@ -319,7 +301,7 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 // Durable reports whether the shards run on the durable file backend —
 // i.e. whether Sync buys crash durability. The serving layer skips its
 // ack barrier entirely when this is false.
-func (s *Sharded) Durable() bool { return s.durable }
+func (s *Sharded) Durable() bool { return s.shards[0].Durable() }
 
 func (s *Sharded) shard(key uint64) int {
 	if s.bits == 0 {
@@ -675,7 +657,7 @@ func (s *Sharded) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, erro
 // Sync is the engine's acknowledgement barrier: it waits for every
 // shard to drain the requests queued before it and makes them durable
 // without a checkpoint — each durable shard's worker spills its
-// write-ahead log and hands the fsync to the shared committer pool, so
+// write-ahead log and hands the fsync to a goroutine of its own, so
 // the per-shard fsyncs overlap each other AND the operations queued
 // behind the barrier, which the workers go straight back to applying.
 // Once Sync returns nil, every operation submitted before it survives a

@@ -81,8 +81,9 @@ func (g *guard) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, error)
 	return keys, vals, b, nil
 }
 
-// SweepExpired deletes up to max due keys through the logged path and
-// ships the deletes; see Engine.
+// SweepExpired deletes up to max due keys as one shipped delete batch
+// through apply, so they are logged and shipped like any delete; see
+// Engine.
 func (g *guard) SweepExpired(max int) (int, uint64, error) {
 	if g.closed {
 		return 0, 0, ErrClosed
@@ -94,14 +95,8 @@ func (g *guard) SweepExpired(max int) (int, uint64, error) {
 	if len(g.sweepBuf) == 0 {
 		return 0, 0, nil
 	}
-	for _, k := range g.sweepBuf {
-		g.t.Delete(k) // logged on a durable table; PopDue already dropped the deadline
-	}
 	g.expStats.Swept += int64(len(g.sweepBuf))
-	if g.ship == nil {
-		return len(g.sweepBuf), 0, nil
-	}
-	lsn, err := g.emit(ShipDelete, g.sweepBuf, nil)
+	lsn, err := g.apply(&opVec{kind: BatchDelete, ship: true, keys: g.sweepBuf}, nil)
 	return len(g.sweepBuf), lsn, err
 }
 

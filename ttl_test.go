@@ -47,7 +47,7 @@ func TestTTLLazyExpiryAndSweep(t *testing.T) {
 		}
 		// Deadline in the future: still visible.
 		found := make([]bool, 3)
-		if err := eng.ExpireBatch([]uint64{1, 2, 99}, []uint64{2000, 3000, 2000}, found); err != nil {
+		if _, err := extbuf.ExpireForTest(eng, false, []uint64{1, 2, 99}, []uint64{2000, 3000, 2000}, found); err != nil {
 			t.Fatalf("%s: expire: %v", name, err)
 		}
 		if !found[0] || !found[1] || found[2] {
@@ -107,7 +107,7 @@ func TestTTLClearedByWrites(t *testing.T) {
 		if err := eng.Insert(7, 70); err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.ExpireBatch([]uint64{7}, []uint64{200}, found); err != nil || !found[0] {
+		if _, err := extbuf.ExpireForTest(eng, false, []uint64{7}, []uint64{200}, found); err != nil || !found[0] {
 			t.Fatalf("%s: expire: %v %v", name, err, found)
 		}
 		// A plain upsert clears the deadline.
@@ -119,7 +119,7 @@ func TestTTLClearedByWrites(t *testing.T) {
 			t.Fatalf("%s: upsert did not clear TTL (ok=%v v=%d)", name, ok, v)
 		}
 		// So does a successful CAS.
-		if err := eng.ExpireBatch([]uint64{7}, []uint64{6000}, found); err != nil || !found[0] {
+		if _, err := extbuf.ExpireForTest(eng, false, []uint64{7}, []uint64{6000}, found); err != nil || !found[0] {
 			t.Fatalf("%s: re-expire: %v %v", name, err, found)
 		}
 		if _, err := eng.CompareSwapBatchShip([]uint64{7}, []uint64{71}, []uint64{72}, swapped); err != nil || !swapped[0] {
@@ -165,7 +165,7 @@ func TestCompareSwap(t *testing.T) {
 		}
 		// An expired key never swaps, even with a matching old value.
 		found := make([]bool, 1)
-		if err := eng.ExpireBatch([]uint64{3}, []uint64{150}, found); err != nil || !found[0] {
+		if _, err := extbuf.ExpireForTest(eng, false, []uint64{3}, []uint64{150}, found); err != nil || !found[0] {
 			t.Fatal(err, found)
 		}
 		clk.now.Store(200)
@@ -233,7 +233,7 @@ func TestScanAllStructures(t *testing.T) {
 		}
 		// Expire a disjoint slice; expired entries must not appear.
 		found := make([]bool, 250)
-		if err := eng.ExpireBatch(keys[500:750], repeat(150, 250), found); err != nil {
+		if _, err := extbuf.ExpireForTest(eng, false, keys[500:750], repeat(150, 250), found); err != nil {
 			t.Fatalf("%s: expire: %v", name, err)
 		}
 		clk.now.Store(200)
@@ -311,7 +311,7 @@ func TestShardedTTLCASScan(t *testing.T) {
 	// Expire half with deadline 200, check found flags.
 	half := keys[:n/2]
 	found := make([]bool, n/2)
-	if err := s.ExpireBatch(half, repeat(200, n/2), found); err != nil {
+	if _, err := extbuf.ExpireForTest(s, false, half, repeat(200, n/2), found); err != nil {
 		t.Fatal(err)
 	}
 	for i, ok := range found {
@@ -422,7 +422,7 @@ func TestTTLDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	found := make([]bool, 2)
-	if err := eng.ExpireBatch([]uint64{1, 2}, []uint64{500, 900}, found); err != nil {
+	if _, err := extbuf.ExpireForTest(eng, false, []uint64{1, 2}, []uint64{500, 900}, found); err != nil {
 		t.Fatal(err)
 	}
 	// Checkpoint now holds keys 1-3 and two deadlines.
@@ -431,7 +431,7 @@ func TestTTLDurability(t *testing.T) {
 	}
 	// Post-checkpoint WAL tail: a new deadline for 3, an overwrite of 2
 	// (clears its deadline), and a fresh key.
-	if err := eng.ExpireBatch([]uint64{3}, []uint64{700}, found[:1]); err != nil {
+	if _, err := extbuf.ExpireForTest(eng, false, []uint64{3}, []uint64{700}, found[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Upsert(2, 21); err != nil {
@@ -519,11 +519,11 @@ func TestTTLClockCrossesEarliestDeadline(t *testing.T) {
 		// and then moved out to 5000, abandoning the earlier entry.
 		found := make([]bool, n)
 		dl := append(repeat(2000, 8), repeat(3000, 8)...)
-		if err := eng.ExpireBatch(keys[:16], dl, found[:16]); err != nil {
+		if _, err := extbuf.ExpireForTest(eng, false, keys[:16], dl, found[:16]); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, d := range []uint64{1500, 5000} {
-			if err := eng.ExpireBatch(keys[16:17], []uint64{d}, found[:1]); err != nil || !found[0] {
+			if _, err := extbuf.ExpireForTest(eng, false, keys[16:17], []uint64{d}, found[:1]); err != nil || !found[0] {
 				t.Fatalf("%s: expire key 17 at %d: %v %v", name, d, found[0], err)
 			}
 		}
@@ -547,7 +547,7 @@ func TestTTLClockCrossesEarliestDeadline(t *testing.T) {
 		visible("at the second deadline", func(k uint64) bool { return k == 9 || k > 16 })
 		// A deadline already due, installed mid-call: the second position
 		// of the same call must see key 20 gone.
-		if err := eng.ExpireBatch([]uint64{20, 20}, []uint64{2500, 9000}, found[:2]); err != nil || !found[0] || found[1] {
+		if _, err := extbuf.ExpireForTest(eng, false, []uint64{20, 20}, []uint64{2500, 9000}, found[:2]); err != nil || !found[0] || found[1] {
 			t.Fatalf("%s: expire (past, then again) = %v, %v; want [true false]", name, found[:2], err)
 		}
 		if n, _, err := eng.SweepExpired(1 << 20); err != nil || n != 13 {
