@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"sync"
 	"testing"
 
 	"extbuf"
@@ -344,95 +345,171 @@ func TestCrashFailedSync(t *testing.T) {
 	verifyRecovered(t, "knuth", cfg, "failed-sync", snapshots)
 }
 
+// shardedCrashRun is one run of the sharded crash workload: per key the
+// acknowledged value (post last successful Flush) and every value
+// submitted since, and whether the crash point was reached.
+type shardedCrashRun struct {
+	acked      map[uint64]uint64
+	candidates map[uint64]map[uint64]bool
+	crashed    bool
+}
+
+// runShardedCrashWorkload drives the sharded crash workload: six rounds
+// of four batches of 16 upserts, every batch started before the first is
+// waited for, with a Flush after every second round. Before the first
+// batch it hands the engine to observe (nil: nothing to look at), and
+// after the first Flush it calls flushed.
+func runShardedCrashWorkload(t *testing.T, cfg extbuf.Config, observe func(*extbuf.Sharded), flushed func()) shardedCrashRun {
+	t.Helper()
+	s, err := extbuf.NewSharded("knuth", cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if observe != nil {
+		observe(s)
+	}
+	run := shardedCrashRun{acked: map[uint64]uint64{}, candidates: map[uint64]map[uint64]bool{}}
+	cur := map[uint64]uint64{}
+	submit := func(key, val uint64) {
+		if run.candidates[key] == nil {
+			run.candidates[key] = map[uint64]bool{}
+		}
+		run.candidates[key][val] = true
+		cur[key] = val
+	}
+	for round := 0; round < 6 && !run.crashed; round++ {
+		var calls []*extbuf.BatchCall
+		for b := 0; b < 4; b++ {
+			keys, vals := make([]uint64, 16), make([]uint64, 16)
+			for i := range keys {
+				keys[i] = uint64(round*64+b*16+i) % 160
+				vals[i] = uint64(round)<<32 | keys[i]
+				submit(keys[i], vals[i])
+			}
+			c, err := s.StartBatch(extbuf.BatchUpsert, false, keys, vals, nil, nil)
+			if err != nil {
+				run.crashed = true
+				break
+			}
+			calls = append(calls, c)
+		}
+		for _, c := range calls {
+			if _, err := c.Wait(); err != nil {
+				run.crashed = true
+			}
+		}
+		if !run.crashed && round%2 == 1 {
+			if err := s.Flush(); err != nil {
+				run.crashed = true
+				break
+			}
+			if round == 1 && flushed != nil {
+				flushed()
+			}
+			run.acked = copyState(cur)
+			run.candidates = map[uint64]map[uint64]bool{}
+			for kk, vv := range cur {
+				run.candidates[kk] = map[uint64]bool{vv: true}
+			}
+		}
+	}
+	if err := s.Close(); err != nil {
+		run.crashed = true
+	}
+	return run
+}
+
 // TestCrashShardedPipelinedRecovers is the acceptance scenario: a
 // sharded engine with several started upserts outstanding on its shard
 // queues, crashed at an arbitrary write in each shard, reopened, and
 // checked per key — every key holds its acknowledged value or the value
 // of a later submitted operation on it, and keys never submitted stay
 // absent.
+//
+// Each shard counts its writes against the plan on its own. Besides a
+// few early crash points, the points are fractions of the writes a
+// fault-free dry run counts in its least busy shard, so they stay inside
+// the workload however many writes the store batches together. One more
+// point is the first multi-frame block-file pwrite of shard 0 after the
+// first checkpoint — an eviction batch or a coalesced flush run — torn
+// like every other: the run may only cover slots that checkpoint does
+// not reference, or recovery reads torn blocks.
 func TestCrashShardedPipelinedRecovers(t *testing.T) {
-	for _, k := range []int64{3, 9, 17, 40, 90} {
-		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
-			cfg := extbuf.Config{
-				BlockSize: 16, MemoryWords: 512, ExpectedItems: 2048, Seed: 11,
-				Backend: "file", Path: filepath.Join(t.TempDir(), "shards"),
-				CacheBlocks: 8,
-				Crash:       &extbuf.CrashPlan{FailAfterWrites: k, TornWrite: true, Seed: 13},
+	const shards = 4
+	base := extbuf.Config{
+		BlockSize: 16, MemoryWords: 512, ExpectedItems: 2048, Seed: 11,
+		Backend: "file", CacheBlocks: 8,
+	}
+	slotBytes := 8 + 16*base.BlockSize
+	dry := base
+	dry.Path = filepath.Join(t.TempDir(), "shards")
+	dry.Crash = &extbuf.CrashPlan{FailAfterWrites: 1 << 40}
+	var crashers []*iomodel.Crasher
+	var checkpointed, batchWrite int64
+	var mu sync.Mutex // the observer runs on shard 0's worker
+	run := runShardedCrashWorkload(t, dry, func(s *extbuf.Sharded) {
+		for i := range shards {
+			crashers = append(crashers, extbuf.ShardCrasherForTest(s, i))
+		}
+		blockFile := dry.Path + ".shard000"
+		crashers[0].Observe(func(n int64, name string, size int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if batchWrite == 0 && checkpointed > 0 && n > checkpointed && name == blockFile && size >= 2*slotBytes {
+				batchWrite = n
 			}
-			s, err := extbuf.NewSharded("knuth", cfg, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Per key: the acknowledged value (post last successful Flush)
-			// and every later-submitted candidate value.
-			acked := map[uint64]uint64{}
-			candidates := map[uint64]map[uint64]bool{}
-			cur := map[uint64]uint64{}
-			submit := func(key, val uint64) {
-				if candidates[key] == nil {
-					candidates[key] = map[uint64]bool{}
-				}
-				candidates[key][val] = true
-				cur[key] = val
-			}
-			crashed := false
-			for round := 0; round < 6 && !crashed; round++ {
-				// Four batches of 16 upserts, every one started before the
-				// first is waited for.
-				var calls []*extbuf.BatchCall
-				for b := 0; b < 4; b++ {
-					keys, vals := make([]uint64, 16), make([]uint64, 16)
-					for i := range keys {
-						keys[i] = uint64(round*64+b*16+i) % 160
-						vals[i] = uint64(round)<<32 | keys[i]
-						submit(keys[i], vals[i])
-					}
-					c, err := s.StartBatch(extbuf.BatchUpsert, false, keys, vals, nil, nil)
-					if err != nil {
-						crashed = true
-						break
-					}
-					calls = append(calls, c)
-				}
-				for _, c := range calls {
-					if _, err := c.Wait(); err != nil {
-						crashed = true
-					}
-				}
-				if !crashed && round%2 == 1 {
-					if err := s.Flush(); err != nil {
-						crashed = true
-						break
-					}
-					acked = copyState(cur)
-					candidates = map[uint64]map[uint64]bool{}
-					for kk, vv := range cur {
-						candidates[kk] = map[uint64]bool{vv: true}
-					}
-				}
-			}
-			if err := s.Close(); err != nil {
-				crashed = true
-			}
-			if !crashed {
-				t.Fatalf("k=%d never crashed; raise the workload size", k)
+		})
+	}, func() {
+		mu.Lock()
+		checkpointed = crashers[0].Writes()
+		mu.Unlock()
+	})
+	if run.crashed {
+		t.Fatal("the fault-free dry run failed")
+	}
+	writes := crashers[0].Writes()
+	for _, c := range crashers[1:] {
+		writes = min(writes, c.Writes())
+	}
+	if batchWrite == 0 {
+		t.Fatal("the dry run issued no multi-frame block write after its first checkpoint")
+	}
+	t.Logf("dry run: %d writes in the least busy shard; shard 0 checkpointed at write %d, first batch write %d",
+		writes, checkpointed, batchWrite)
+
+	points := []struct {
+		name string
+		k    int64
+	}{
+		{"k=3", 3}, {"k=9", 9}, {"k=17", 17},
+		{"k=40%", writes * 40 / 100}, {"k=90%", writes * 90 / 100},
+		{"k=batch", batchWrite},
+	}
+	for _, p := range points {
+		t.Run(p.name, func(t *testing.T) {
+			cfg := base
+			cfg.Path = filepath.Join(t.TempDir(), "shards")
+			cfg.Crash = &extbuf.CrashPlan{FailAfterWrites: p.k, TornWrite: true, Seed: 13}
+			run := runShardedCrashWorkload(t, cfg, nil, nil)
+			if !run.crashed {
+				t.Fatalf("k=%d of a %d-write dry run never crashed", p.k, writes)
 			}
 
 			cfg.Crash = nil
-			s, err = extbuf.NewSharded("knuth", cfg, 4)
+			s, err := extbuf.NewSharded("knuth", cfg, shards)
 			if err != nil {
 				t.Fatalf("reopen after sharded crash: %v", err)
 			}
 			defer s.Close()
 			for key := uint64(0); key < 160; key++ {
 				v, ok := s.Lookup(key)
-				av, acking := acked[key]
+				av, acking := run.acked[key]
 				switch {
 				case acking && !ok:
 					t.Fatalf("acknowledged key %d lost", key)
-				case acking && ok && v != av && !candidates[key][v]:
+				case acking && ok && v != av && !run.candidates[key][v]:
 					t.Fatalf("key %d = %d; not the acknowledged value %d nor any later submission", key, v, av)
-				case !acking && ok && !candidates[key][v]:
+				case !acking && ok && !run.candidates[key][v]:
 					t.Fatalf("key %d = %d surfaced from nowhere", key, v)
 				}
 			}

@@ -1,6 +1,8 @@
 package extbuf
 
 import (
+	"fmt"
+
 	"extbuf/internal/core"
 	"extbuf/internal/iomodel"
 )
@@ -135,4 +137,42 @@ func ExpireForTest(e Engine, ship bool, keys, deadlines []uint64, found []bool) 
 // against.
 func CrashWritesForTest(tab Table) int64 {
 	return tab.(*guard).t.(*durableTable).crasher.Writes()
+}
+
+// ShardCrasherForTest returns the crash plan executor of shard i of a
+// durable engine opened with Config.Crash: each shard counts its own
+// writes against the plan.
+func ShardCrasherForTest(s *Sharded, i int) *iomodel.Crasher {
+	return s.shards[i].t.(*durableTable).crasher
+}
+
+// LogicalBlocksForTest decodes the durable table at path through the
+// mapping of the checkpoint beside it: for every logical block ID, the
+// chain pointer and entries the store reads back, or "" for a block the
+// mapping leaves unwritten. Where the blocks sit in the file does not
+// show. The table must be closed; its files are only read.
+func LogicalBlocksForTest(path string) ([]string, error) {
+	sb, _, err := readSuperblock(path + ckptSuffix)
+	if err != nil {
+		return nil, err
+	}
+	if sb == nil {
+		return nil, fmt.Errorf("%s: no checkpoint", path)
+	}
+	st, err := iomodel.OpenFileStore(path, sb.blockSize, 0, nil, sb.sector)
+	if err != nil {
+		return nil, err
+	}
+	defer st.Close()
+	if err := st.RestoreAllocState(sb.nslots, sb.free, sb.mapping); err != nil {
+		return nil, err
+	}
+	blocks := make([]string, sb.nslots)
+	for id, phys := range sb.mapping {
+		if phys >= 0 {
+			b := iomodel.BlockID(id)
+			blocks[id] = fmt.Sprint(st.Next(b), st.ReadBlock(b, nil))
+		}
+	}
+	return blocks, nil
 }

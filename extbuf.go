@@ -54,6 +54,10 @@ type StoreStats struct {
 	WALSpills       int64 // write-ahead log spill writes (durable tables)
 	WALFsyncs       int64 // write-ahead log fsyncs (durable tables)
 	WALFsyncsElided int64 // write-ahead log barrier fsyncs skipped (durable tables)
+	// Gauges, summed over shards like the counters; the wire's STATS
+	// reply does not carry them.
+	FileSlots int64 // block-file extent, in slots
+	FreeSlots int64 // slots of that extent holding no block
 }
 
 // Add returns s + o field-wise, for aggregating shards.
@@ -74,6 +78,8 @@ func (s StoreStats) Add(o StoreStats) StoreStats {
 	s.WALSpills += o.WALSpills
 	s.WALFsyncs += o.WALFsyncs
 	s.WALFsyncsElided += o.WALFsyncsElided
+	s.FileSlots += o.FileSlots
+	s.FreeSlots += o.FreeSlots
 	return s
 }
 
@@ -114,6 +120,8 @@ func fromFileStats(st iomodel.FileStats) StoreStats {
 		Fsyncs:          st.Fsyncs,
 		FsyncsElided:    st.FsyncsElided,
 		GhostHits:       st.GhostHits,
+		FileSlots:       st.FileSlots,
+		FreeSlots:       st.FreeSlots,
 	}
 }
 

@@ -48,6 +48,7 @@ type Crasher struct {
 	plan    CrashPlan
 	writes  atomic.Int64
 	crashed atomic.Bool
+	observe atomic.Pointer[func(n int64, name string, size int)]
 }
 
 // NewCrasher returns a Crasher executing plan.
@@ -58,6 +59,12 @@ func (c *Crasher) Crashed() bool { return c.crashed.Load() }
 
 // Writes returns the number of write syscalls observed so far.
 func (c *Crasher) Writes() int64 { return c.writes.Load() }
+
+// Observe has fn called with every write syscall admitted from now on:
+// its 1-based count (what FailAfterWrites is matched against), the
+// file's name and the write's length. A fault-free dry run uses it to
+// find which write numbers land on which file.
+func (c *Crasher) Observe(fn func(n int64, name string, size int)) { c.observe.Store(&fn) }
 
 // BlockFile is the file-handle surface the storage layer consumes:
 // what FileStore, the WAL and the checkpoint writer need from an
@@ -87,11 +94,14 @@ type crashFile struct {
 // number of bytes of p that may be persisted and the error to report;
 // on the fatal write a torn plan persists a prefix, otherwise nothing
 // of the failing write lands.
-func (c *Crasher) admitWrite(p []byte) (int, error) {
+func (c *Crasher) admitWrite(name string, p []byte) (int, error) {
 	if c.crashed.Load() {
 		return 0, ErrInjectedCrash
 	}
 	n := c.writes.Add(1)
+	if fn := c.observe.Load(); fn != nil {
+		(*fn)(n, name, len(p))
+	}
 	if c.plan.FailAfterWrites > 0 && n >= c.plan.FailAfterWrites {
 		c.crashed.Store(true)
 		if c.plan.TornWrite && len(p) > 0 {
@@ -109,7 +119,7 @@ func (c *Crasher) admitWrite(p []byte) (int, error) {
 }
 
 func (w *crashFile) WriteAt(p []byte, off int64) (int, error) {
-	n, err := w.c.admitWrite(p)
+	n, err := w.c.admitWrite(w.f.Name(), p)
 	if n > 0 {
 		if wn, werr := w.f.WriteAt(p[:n], off); werr != nil {
 			return wn, werr
@@ -122,7 +132,7 @@ func (w *crashFile) WriteAt(p []byte, off int64) (int, error) {
 }
 
 func (w *crashFile) Write(p []byte) (int, error) {
-	n, err := w.c.admitWrite(p)
+	n, err := w.c.admitWrite(w.f.Name(), p)
 	if n > 0 {
 		if wn, werr := w.f.Write(p[:n]); werr != nil {
 			return wn, werr

@@ -161,7 +161,9 @@ func reportSyscalls(b *testing.B, st *FileStore, before FileStats) {
 // BenchmarkPoolMissRMW is the served engine's write path at the store:
 // read a random block, change one entry, write the block back. Each
 // iteration is one pread into a frame and — once the pool is dirty —
-// one dirty eviction out of one: 2 syscalls/op, 0 allocs/op.
+// one dirty eviction, which leaves in a batch with the dirty frames the
+// CLOCK hand reaches next: ≈ 1 + 1/batch syscalls/op (about 1.1 here,
+// where a batch's run averages ~9 frames), 0 allocs/op.
 func BenchmarkPoolMissRMW(b *testing.B) {
 	st, ids := poolMissStore(b)
 	var buf []Entry

@@ -30,15 +30,31 @@ import (
 // recovery mechanism. A store built with OpenFileStore runs in durable
 // mode: the file is NOT truncated, and a logical→physical indirection
 // table decouples the block IDs tables chain through from file
-// placement. Durable flushes are copy-on-write: the first flush of a
-// block in a checkpoint epoch goes to a fresh physical slot, so every
-// slot referenced by the last completed checkpoint stays byte-identical
-// on disk until the next checkpoint commits. A crash at any write
-// therefore leaves the previous checkpoint fully intact — the property
-// the recovery protocol in package extbuf is built on. The indirection
-// table and allocator free lists are volatile; AllocState and
-// RestoreAllocState move them in and out of checkpoints, and EndEpoch
-// retires the superseded pre-checkpoint slots once a checkpoint commits.
+// placement. Durable flushes are copy-on-write: every flush moves a
+// block to a fresh physical slot, so every slot referenced by the last
+// completed checkpoint stays byte-identical on disk until the next
+// checkpoint commits. A crash at any write — torn or not, one frame or a
+// run — therefore leaves the previous checkpoint fully intact: the
+// property the recovery protocol in package extbuf is built on. The slot
+// a block leaves is free at once if this epoch wrote it (no checkpoint
+// references it) and pending until the next checkpoint commits
+// otherwise.
+//
+// Because placement is chosen at every flush, the frames of one flush
+// take adjacent slots whatever their block IDs and leave in one pwrite.
+// The extent allocator behind it keeps a free-slot bitmap and cuts runs
+// from three places, in order: an aligned run of hotSlots slots that
+// this epoch wrote and emptied again (its pages are dirty already, so
+// the next checkpoint's fsync writes back nothing more for it); a wholly
+// free aligned group of groupSlots slots; new groups at the file tail,
+// only when no group anywhere is wholly free. A slot freed inside a
+// partly used group waits for the rest of it, so runs stay long and the
+// file reaches a steady extent: a few times the live blocks under random
+// rewrites, the space this trade buys speed with (Stats: FileSlots,
+// FreeSlots). The indirection table and the bitmap are volatile:
+// AllocState and RestoreAllocState move the table in and out of
+// checkpoints (the bitmap is re-derived from it), and EndEpoch frees the
+// pending slots once a checkpoint commits.
 //
 // # Buffer pool
 //
@@ -54,15 +70,23 @@ import (
 // is CLOCK (second chance): each access sets the frame's reference bit,
 // and the sweep hand clears bits until it finds a cold frame, writing it
 // back first if dirty — no per-access list maintenance, unlike an LRU.
+// A durable store's dirty victim leaves in an eviction batch: with it go
+// the unpinned dirty frames among the batchWindow the hand reaches next
+// (at most maxBatchFrames), the frames the following evictions would
+// write back one at a time. The batch takes adjacent fresh slots and one
+// pwrite; only the victim is recycled, and the others stay resident and
+// clean, so the hit rate and the model's counters do not move. A scratch
+// store (identity placement) instead clusters the victim with the dirty
+// resident blocks of adjacent IDs, the only frames it can write with it.
 // Frames can be pinned (PinBlock/UnpinBlock, reference counted): a
 // pinned frame is never evicted, so callers may hold its entries across
 // further store operations without a copy. Whole-block writes populate
 // a frame without reading the old contents.
 //
-// Dirty frames flushed at a Sync barrier are sorted by physical slot
-// and written as runs of adjacent blocks in single large pwrites
-// (bounded by maxRunBytes), so a checkpoint costs a handful of syscalls
-// instead of one per block. Stats exposes the syscall, pool and
+// Dirty frames flushed at a Sync barrier are written the same way —
+// runs of adjacent slots (adjacent IDs in a scratch store) in single
+// large pwrites bounded by maxRunBytes — so a checkpoint costs a handful
+// of syscalls instead of one per block. Stats exposes the syscall, pool and
 // coalescing counters so experiments can report real costs next to the
 // model's counters.
 //
@@ -117,6 +141,7 @@ type FileStore struct {
 	runBuf      []byte   // coalesced flush buffer, grown on demand
 	dirtyList   []*frame // scratch list reused by FlushDirty
 	clusterList []*frame // scratch list reused by eviction clustering
+	batchList   []*frame // scratch list reused by the eviction batch
 	stats       FileStats
 	removeName  string // non-empty: unlink this path on Close (temp stores)
 	closed      bool
@@ -143,15 +168,28 @@ type FileStore struct {
 
 	// Durable-mode placement state (nil mapping = scratch mode). A slot
 	// whose slotEpoch is the current epoch was first written in it: no
-	// checkpoint references it, so it may be overwritten in place and
-	// reused at once when retired.
+	// checkpoint references it, so it is free again as soon as its block
+	// moves on.
 	durable     bool
 	mapping     []int64  // logical id -> physical slot; -1 = never written
-	physHigh    int64    // physical slots ever placed (file extent, in frames)
-	physFree    []int64  // reusable physical slots
 	pendingFree []int64  // slots superseded this epoch; free after checkpoint
 	slotEpoch   []uint32 // per physical slot: the epoch that last assigned it (0: none)
 	epoch       uint32   // current epoch, never 0
+
+	// The extent allocator (durable mode). used has one bit per physical
+	// slot, set while a block maps to it or it is pending. Runs are cut
+	// from the carve region [carve, carveEnd): a hot run the epoch has
+	// emptied, else wholly free aligned groups of groupSlots slots, else
+	// new groups at the file tail when no group anywhere is wholly free.
+	// A slot freed inside a partly used unit waits for the rest of it,
+	// which keeps every run long and the extent steady.
+	used            []uint64
+	physHigh        int64   // slots the allocator spans (a whole number of groups)
+	freeSlots       int64   // clear bits below physHigh
+	freeGroups      int64   // groups below physHigh with every bit clear
+	groupScan       int64   // the group the search for a free one starts at
+	hotRuns         []int64 // first slots of hot runs freed this epoch, latest last; some may be taken since
+	carve, carveEnd int64
 }
 
 var _ BlockStore = (*FileStore)(nil)
@@ -199,6 +237,13 @@ type FileStats struct {
 	// GhostHits counts faults of blocks found on the eviction ghost
 	// list: re-references the scan-resistant policy promoted to hot.
 	GhostHits int64
+
+	// Gauges of the block file's space. FileSlots is the extent the
+	// allocator spans, in slots, and FreeSlots how many of them hold no
+	// block and wait for none: the room copy-on-write placement keeps so
+	// that every write-back finds adjacent slots.
+	FileSlots int64
+	FreeSlots int64
 }
 
 // DefaultCacheBlocks is the page-cache capacity used when none is
@@ -322,8 +367,16 @@ func NewTempFileStore(b, cacheBlocks int) (*FileStore, error) {
 // Path returns the backing file's name.
 func (s *FileStore) Path() string { return s.f.Name() }
 
-// Stats returns a snapshot of the real-cost counters.
-func (s *FileStore) Stats() FileStats { return s.stats }
+// Stats returns a snapshot of the real-cost counters and space gauges.
+func (s *FileStore) Stats() FileStats {
+	st := s.stats
+	if s.durable {
+		st.FileSlots, st.FreeSlots = s.physHigh, s.freeSlots
+	} else {
+		st.FileSlots, st.FreeSlots = int64(s.nslots), int64(len(s.free))
+	}
+	return st
+}
 
 // B returns the block capacity in entries.
 func (s *FileStore) B() int { return s.b }
@@ -403,32 +456,120 @@ func (s *FileStore) recycle(idx int32) {
 	s.freeFrames = append(s.freeFrames, idx)
 }
 
-// retirePhys returns physical slot phys to the allocator: to the free
-// list if it was first written this epoch (no checkpoint references
-// it), to the pending list to be freed when the next checkpoint
-// commits otherwise.
+// retirePhys returns physical slot phys to the allocator: free at once
+// if it was first written this epoch (no checkpoint references it),
+// pending until the next checkpoint commits otherwise.
 func (s *FileStore) retirePhys(phys int64) {
 	if phys < 0 {
 		return
 	}
 	if s.slotEpoch[phys] == s.epoch {
-		s.physFree = append(s.physFree, phys)
+		s.freeSlot(phys)
 	} else {
 		s.pendingFree = append(s.pendingFree, phys)
 	}
 }
 
-// allocPhys reserves a physical slot for a copy-on-write flush.
-func (s *FileStore) allocPhys() int64 {
-	if n := len(s.physFree); n > 0 {
-		p := s.physFree[n-1]
-		s.physFree = s.physFree[:n-1]
-		return p
+// The allocator's two aligned units; both divide 64, the bits of one
+// bitmap word. A group is the unit it reuses only when wholly free, and
+// so the shortest run a reused group yields. A hot run is the smaller
+// unit it reuses first: one that a slot written this epoch has just left
+// wholly free. Its pages are dirty already, so a run written there adds
+// nothing to the writeback the next checkpoint's fsync waits for.
+const (
+	groupSlots = 16
+	hotSlots   = 8
+)
+
+// runFree reports whether the n aligned slots from p are all free.
+func (s *FileStore) runFree(p, n int64) bool {
+	return s.used[p/64]>>(p%64)&(1<<n-1) == 0
+}
+
+// markUsed claims the free slots [p, p+n).
+func (s *FileStore) markUsed(p, n int64) {
+	for q := p; q < p+n; q++ {
+		if (q == p || q%groupSlots == 0) && s.runFree(q&^(groupSlots-1), groupSlots) {
+			s.freeGroups--
+		}
+		s.used[q/64] |= 1 << (q % 64)
 	}
-	p := s.physHigh
-	s.physHigh++
-	s.slotEpoch = append(s.slotEpoch, 0)
-	return p
+	s.freeSlots -= n
+}
+
+// freeSlot releases slot p.
+func (s *FileStore) freeSlot(p int64) {
+	s.used[p/64] &^= 1 << (p % 64)
+	s.freeSlots++
+	if s.runFree(p&^(groupSlots-1), groupSlots) {
+		s.freeGroups++
+	}
+	if h := p &^ (hotSlots - 1); s.slotEpoch[p] == s.epoch && s.runFree(h, hotSlots) {
+		s.hotRuns = append(s.hotRuns, h)
+	}
+}
+
+// grow extends the allocator's span by n free slots (whole groups).
+func (s *FileStore) grow(n int64) {
+	s.physHigh += n
+	for int64(len(s.used))*64 < s.physHigh {
+		s.used = append(s.used, 0)
+	}
+	s.slotEpoch = append(s.slotEpoch, make([]uint32, n)...)
+	s.freeSlots += n
+	s.freeGroups += n / groupSlots
+}
+
+// allocRun claims a run of between 1 and want adjacent free slots and
+// returns its first slot and length.
+func (s *FileStore) allocRun(want int) (int64, int) {
+	if s.carve == s.carveEnd {
+		s.refill(int64(want))
+	}
+	p, n := s.carve, min(int64(want), s.carveEnd-s.carve)
+	s.carve += n
+	s.markUsed(p, n)
+	return p, int(n)
+}
+
+// refill points the carve region at free slots for a run of want: the
+// last hot run freed that is still free; else the next wholly free
+// group, searching round the file from where the last search stopped;
+// else enough new groups at the tail. A hot run or group is extended
+// over the free units after it while the region is shorter than want.
+func (s *FileStore) refill(want int64) {
+	for n := len(s.hotRuns); n > 0; n = len(s.hotRuns) {
+		h := s.hotRuns[n-1]
+		s.hotRuns = s.hotRuns[:n-1]
+		if s.runFree(h, hotSlots) {
+			s.carve, s.carveEnd = h, s.extend(h+hotSlots, hotSlots, want-hotSlots)
+			return
+		}
+	}
+	if s.freeGroups == 0 {
+		n := alignUp(want, groupSlots)
+		s.carve, s.carveEnd = s.physHigh, s.physHigh+n
+		s.grow(n)
+		return
+	}
+	groups := s.physHigh / groupSlots
+	for !s.runFree(s.groupScan*groupSlots, groupSlots) {
+		if s.groupScan++; s.groupScan == groups {
+			s.groupScan = 0
+		}
+	}
+	s.carve = s.groupScan * groupSlots
+	s.carveEnd = s.extend(s.carve+groupSlots, groupSlots, want-groupSlots)
+	s.groupScan = s.carveEnd / groupSlots % groups
+}
+
+// extend returns the end of the free aligned units of size unit that
+// follow end, taken while fewer than more slots have been added.
+func (s *FileStore) extend(end, unit, more int64) int64 {
+	for stop := end + more; end < stop && end < s.physHigh && s.runFree(end, unit); {
+		end += unit
+	}
+	return end
 }
 
 // physFor returns the file slot holding block id, or -1 if the block
@@ -508,14 +649,9 @@ func (s *FileStore) SetNext(id, next BlockID) {
 // NumBlocks returns the number of allocated (live) blocks.
 func (s *FileStore) NumBlocks() int { return s.nslots - len(s.free) }
 
-// FlushDirty writes every dirty frame to the file without fsyncing,
-// coalescing adjacent physical slots into single large pwrites. Copy-
-// on-write slot assignment happens in block-ID order — deterministic,
-// so the crash-injection harness ("die at the Nth write") can replay a
-// failure — and the writes are then issued in physical-slot order so
-// runs of adjacent slots (the common case: fresh slots are allocated
-// sequentially) become one syscall each. A failed store reports its
-// sticky failure without issuing further writes.
+// FlushDirty writes every dirty frame to the file without fsyncing, in
+// runs of adjacent slots of one pwrite each (writeRuns). A failed store
+// reports its sticky failure without issuing further writes.
 func (s *FileStore) FlushDirty() error {
 	if s.failed != nil {
 		return s.failed
@@ -532,38 +668,44 @@ func (s *FileStore) FlushDirty() error {
 	return err
 }
 
-// writeRuns flushes the given dirty frames: copy-on-write slots are
-// assigned in block-ID order (matching the allocation sequence a
-// per-block flush loop would produce, deterministically), then the
-// writes are issued in physical-slot order with runs of adjacent slots
-// coalesced into single pwrites.
+// writeRuns flushes the given dirty frames in block-ID order, which is
+// deterministic, so the crash-injection harness can replay a failure.
+// In durable mode every frame moves to a fresh slot: the frames take
+// runs of adjacent slots from the allocator, one pwrite per run. In
+// scratch mode a block's slot is its ID, and runs of adjacent IDs are
+// coalesced.
 func (s *FileStore) writeRuns(dirty []*frame) error {
-	if len(dirty) == 0 {
-		return nil
-	}
 	slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(a.id, b.id) })
-	if s.durable {
-		for _, fr := range dirty {
-			s.assignSlot(fr)
-		}
-	}
-	slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(s.physFor(a.id), s.physFor(b.id)) })
-	maxRun := int(maxRunBytes / s.slotBytes)
-	if maxRun < 1 {
-		maxRun = 1
-	}
+	maxRun := max(1, int(maxRunBytes/s.slotBytes))
 	for start := 0; start < len(dirty); {
-		end := start + 1
-		for end < len(dirty) && end-start < maxRun &&
-			s.physFor(dirty[end].id) == s.physFor(dirty[end-1].id)+1 {
-			end++
+		n := 1
+		if s.durable {
+			n = s.place(dirty[start:min(len(dirty), start+maxRun)])
+		} else {
+			for start+n < len(dirty) && n < maxRun && dirty[start+n].id == dirty[start+n-1].id+1 {
+				n++
+			}
 		}
-		if err := s.flushRun(dirty[start:end]); err != nil {
+		if err := s.flushRun(dirty[start : start+n]); err != nil {
 			return err
 		}
-		start = end
+		start += n
 	}
 	return nil
+}
+
+// place moves a prefix of frames to a run of adjacent fresh slots and
+// returns its length. Each block's old slot is retired (retirePhys), so
+// the slots the last checkpoint references are never written before
+// the next one commits.
+func (s *FileStore) place(frames []*frame) int {
+	p, n := s.allocRun(len(frames))
+	for i, fr := range frames[:n] {
+		s.retirePhys(s.mapping[fr.id])
+		s.mapping[fr.id] = p + int64(i)
+		s.slotEpoch[p+int64(i)] = s.epoch
+	}
+	return n
 }
 
 // flushRun writes a run of frames occupying adjacent physical slots
@@ -676,10 +818,9 @@ func (s *FileStore) AllocState() (nslots int, free []BlockID, mapping []int64) {
 }
 
 // RestoreAllocState installs a checkpoint's allocator and placement
-// state into a freshly opened durable store: the physical free list is
-// re-derived as every slot below the high-water mark that the mapping
-// does not reference. The cache must be empty (recovery runs before any
-// block access).
+// state into a freshly opened durable store: the slot bitmap is
+// re-derived from the mapping, every slot it does not reference being
+// free. The cache must be empty (recovery runs before any block access).
 func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int64) error {
 	if !s.durable {
 		return fmt.Errorf("iomodel: RestoreAllocState on a scratch-mode store")
@@ -695,28 +836,19 @@ func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int6
 		s.resident[i] = -1
 	}
 	s.ghostAt = make([]uint64, nslots)
-	s.physHigh = 0
+	high := int64(0)
 	for _, p := range mapping {
-		if p >= s.physHigh {
-			s.physHigh = p + 1
-		}
+		high = max(high, p+1)
 	}
-	used := make([]uint64, (s.physHigh+63)/64)
+	s.used, s.slotEpoch, s.pendingFree, s.hotRuns = nil, nil, s.pendingFree[:0], s.hotRuns[:0]
+	s.physHigh, s.freeSlots, s.freeGroups = 0, 0, 0
+	s.groupScan, s.carve, s.carveEnd = 0, 0, 0
+	s.grow(alignUp(high, groupSlots))
 	for _, p := range mapping {
 		if p >= 0 {
-			used[p/64] |= 1 << (p % 64)
+			s.markUsed(p, 1)
 		}
 	}
-	// Highest first: the list is popped from the back, so low slots are
-	// reused first and the file extent stays tight after recovery.
-	s.physFree = s.physFree[:0]
-	for p := s.physHigh - 1; p >= 0; p-- {
-		if used[p/64]&(1<<(p%64)) == 0 {
-			s.physFree = append(s.physFree, p)
-		}
-	}
-	s.pendingFree = s.pendingFree[:0]
-	s.slotEpoch = make([]uint32, s.physHigh)
 	s.epoch = 1
 	return nil
 }
@@ -725,8 +857,11 @@ func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int6
 // made durable: physical slots superseded during the epoch become
 // reusable, and subsequent flushes start a fresh epoch.
 func (s *FileStore) EndEpoch() {
-	s.physFree = append(s.physFree, s.pendingFree...)
+	for _, p := range s.pendingFree {
+		s.freeSlot(p)
+	}
 	s.pendingFree = s.pendingFree[:0]
+	s.hotRuns = s.hotRuns[:0] // the fsync just cleaned their pages
 	s.epoch++
 	if s.epoch == 0 { // wrapped: no stamp of an old epoch may match a new one
 		clear(s.slotEpoch)
@@ -884,7 +1019,13 @@ func (s *FileStore) evict() int32 {
 		if fr.dirty {
 			s.stats.DirtyWritebacks++
 			if s.failed == nil {
-				if err := s.flushCluster(fr); err != nil && s.failed == nil {
+				var err error
+				if s.durable {
+					err = s.flushBatch(fr)
+				} else {
+					err = s.flushCluster(fr)
+				}
+				if err != nil && s.failed == nil {
 					s.failed = err
 				}
 			}
@@ -916,18 +1057,50 @@ func (s *FileStore) ghostAdd(id BlockID) {
 	s.ghostAt[id] = s.ghostSeq
 }
 
+// The eviction batch of a durable store: at most maxBatchFrames frames,
+// taken from the batchWindow frames the CLOCK hand reaches next.
+const (
+	maxBatchFrames = 32
+	batchWindow    = 64
+)
+
+// flushBatch writes a durable store's eviction victim back together
+// with the unpinned dirty frames the CLOCK hand reaches next: the
+// frames the following evictions would write back one at a time.
+// Copy-on-write places every block of the batch anew anyway, so the
+// batch takes adjacent slots and leaves in one pwrite whatever the
+// blocks' IDs. The other frames stay resident (now clean); only the
+// victim is recycled by the caller.
+func (s *FileStore) flushBatch(victim *frame) error {
+	batch := append(s.batchList[:0], victim)
+	i := s.hand
+	for range min(batchWindow, len(s.frames)-1) {
+		if fr := &s.frames[i]; fr.dirty && fr.pins == 0 {
+			if batch = append(batch, fr); len(batch) == maxBatchFrames {
+				break
+			}
+		}
+		if i++; i == len(s.frames) {
+			i = 0
+		}
+	}
+	err := s.writeRuns(batch)
+	s.batchList = batch[:0]
+	return err
+}
+
 // maxClusterFrames bounds the write cluster gathered around a dirty
 // eviction victim.
 const maxClusterFrames = 128
 
-// flushCluster writes the eviction victim back together with the
-// contiguous run of dirty resident blocks around its block ID — write
-// clustering. Sequential producers (the buffered table's merges, bulk
-// loads) dirty long runs of consecutive blocks; flushing the whole run
-// in one coalesced pwrite when its first frame is evicted turns the
-// steady-state eviction stream from one syscall per block into one per
-// run. The neighbors stay resident (now clean); only the victim is
-// recycled by the caller.
+// flushCluster writes a scratch store's eviction victim back together
+// with the contiguous run of dirty resident blocks around its block ID
+// — write clustering. Sequential producers (the buffered table's
+// merges, bulk loads) dirty long runs of consecutive blocks; flushing
+// the whole run in one coalesced pwrite when its first frame is evicted
+// turns the steady-state eviction stream from one syscall per block
+// into one per run. The neighbors stay resident (now clean); only the
+// victim is recycled by the caller.
 func (s *FileStore) flushCluster(victim *frame) error {
 	cluster := s.clusterList[:0]
 	cluster = append(cluster, victim)
@@ -948,9 +1121,6 @@ func (s *FileStore) flushCluster(victim *frame) error {
 	var err error
 	if len(cluster) == 1 {
 		// The common case needs no sorting: one slot, one pwrite.
-		if s.durable {
-			s.assignSlot(victim)
-		}
 		err = s.flushRun(cluster)
 	} else {
 		err = s.writeRuns(cluster)
@@ -1022,20 +1192,6 @@ func (s *FileStore) load(fr *frame) {
 // are NilBlock.
 func decodeNext(b []byte) BlockID {
 	return BlockID(int32(binary.LittleEndian.Uint32(b))) - 1
-}
-
-// assignSlot gives fr a physical slot for a copy-on-write flush: the
-// first flush of a block within an epoch goes to a fresh slot,
-// preserving the last checkpoint's image of the block. Durable mode
-// only.
-func (s *FileStore) assignSlot(fr *frame) {
-	phys := s.mapping[fr.id]
-	if phys < 0 || s.slotEpoch[phys] != s.epoch {
-		s.retirePhys(phys)
-		phys = s.allocPhys()
-		s.slotEpoch[phys] = s.epoch
-		s.mapping[fr.id] = phys
-	}
 }
 
 func (s *FileStore) checkID(id BlockID) {

@@ -175,8 +175,8 @@ func TestCoalescedFlush(t *testing.T) {
 		t.Fatalf("Fsyncs = %d, want 1", st.Fsyncs)
 	}
 
-	// Rewrite a sparse subset: non-adjacent slots may not be merged
-	// into one run, adjacent ones must be.
+	// Rewrite a sparse subset: copy-on-write moves every flushed frame
+	// to a fresh slot, and the six take adjacent ones — one pwrite.
 	for _, i := range []int{4, 5, 6, 20, 21, 30} {
 		s.WriteBlock(ids[i], []Entry{{Key: uint64(i), Val: 7}})
 	}
@@ -187,11 +187,8 @@ func TestCoalescedFlush(t *testing.T) {
 	if got := st2.FlushedFrames - st.FlushedFrames; got != 6 {
 		t.Fatalf("second flush frames = %d, want 6", got)
 	}
-	runs := st2.FlushRuns - st.FlushRuns
-	if runs < 2 || runs > 3 {
-		// COW reassigns slots, so exact adjacency depends on the free
-		// list; 6 frames must still need far fewer writes than 6.
-		t.Fatalf("second flush runs = %d, want 2..3", runs)
+	if runs := st2.FlushRuns - st.FlushRuns; runs != 1 {
+		t.Fatalf("second flush runs = %d, want 1", runs)
 	}
 
 	// Durability check across reopen: state restore + every block read.

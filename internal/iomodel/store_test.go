@@ -1,7 +1,6 @@
 package iomodel
 
 import (
-	"cmp"
 	"os"
 	"path/filepath"
 	"slices"
@@ -320,11 +319,10 @@ func TestModelOnFileBackend(t *testing.T) {
 }
 
 // TestCopyOnWriteEpochStamps pins the placement rule the epoch stamps
-// carry: the first flush of a block in an epoch moves it to a fresh
-// slot, later flushes in that epoch overwrite in place, a slot retired
-// in the epoch that assigned it is reusable at once while one a
-// checkpoint may reference waits for EndEpoch — and all of it survives
-// the epoch counter wrapping and a RestoreAllocState.
+// carry: every flush moves a block to a fresh slot; the slot it leaves
+// is free at once if this epoch stamped it, while one a checkpoint may
+// reference waits for EndEpoch — and all of it survives the epoch
+// counter wrapping and a RestoreAllocState.
 func TestCopyOnWriteEpochStamps(t *testing.T) {
 	s, err := OpenFileStore(filepath.Join(t.TempDir(), "cow.blocks"), 4, 8, nil, 0)
 	if err != nil {
@@ -347,11 +345,15 @@ func TestCopyOnWriteEpochStamps(t *testing.T) {
 		if first == before {
 			t.Fatalf("%s: first flush of the epoch overwrote slot %d a checkpoint references", label, before)
 		}
-		if again := flush(2); again != first {
-			t.Fatalf("%s: second flush moved %d -> %d, want in place", label, first, again)
-		}
-		if n := len(s.pendingFree); before >= 0 && (n == 0 || s.pendingFree[n-1] != before) {
+		if before >= 0 && (!slotUsed(s, before) || !slices.Contains(s.pendingFree, before)) {
 			t.Fatalf("%s: superseded slot %d not pending (pendingFree %v)", label, before, s.pendingFree)
+		}
+		again := flush(2)
+		if again == first {
+			t.Fatalf("%s: second flush overwrote slot %d in place, want a fresh slot", label, first)
+		}
+		if slotUsed(s, first) || slices.Contains(s.pendingFree, first) {
+			t.Fatalf("%s: slot %d written and left this epoch is not free", label, first)
 		}
 		// A block born and freed inside the epoch gives its slot straight back.
 		tmp := s.Alloc()
@@ -361,13 +363,18 @@ func TestCopyOnWriteEpochStamps(t *testing.T) {
 		}
 		slot := s.mapping[tmp]
 		s.Free(tmp)
-		if n := len(s.physFree); n == 0 || s.physFree[n-1] != slot {
-			t.Fatalf("%s: slot %d written and retired this epoch is not free (physFree %v)", label, slot, s.physFree)
+		if slotUsed(s, slot) {
+			t.Fatalf("%s: slot %d written and retired this epoch is not free", label, slot)
 		}
+		checkAllocator(t, s, label)
 		s.EndEpoch()
 		if len(s.pendingFree) != 0 {
 			t.Fatalf("%s: EndEpoch left pending slots %v", label, s.pendingFree)
 		}
+		if before >= 0 && slotUsed(s, before) {
+			t.Fatalf("%s: EndEpoch did not free superseded slot %d", label, before)
+		}
+		checkAllocator(t, s, label+", after EndEpoch")
 	}
 	epochs("first epoch")
 	epochs("second epoch")
@@ -381,16 +388,213 @@ func TestCopyOnWriteEpochStamps(t *testing.T) {
 	if err := s.RestoreAllocState(nslots, free, mapping); err != nil {
 		t.Fatal(err)
 	}
-	for p := int64(0); p < s.physHigh; p++ {
-		inUse, isFree := slices.Contains(s.mapping, p), slices.Contains(s.physFree, p)
-		if inUse == isFree {
-			t.Fatalf("after restore: slot %d mapped=%v free=%v", p, inUse, isFree)
+	checkAllocator(t, s, "after restore")
+	epochs("first epoch after a restore")
+}
+
+// TestHotRunReuse pins the allocator's first choice: slots this epoch
+// wrote and emptied again are reused before any cold free group or new
+// tail, since their pages are dirty already. An epoch that rewrites the
+// same eight blocks over and over cycles through the runs it has
+// written: once the carve region is used up, each flush lands on the
+// run the flush before last left, and the extent stops growing. After
+// EndEpoch, whose fsync cleaned those pages, nothing is hot.
+func TestHotRunReuse(t *testing.T) {
+	s, err := OpenFileStore(filepath.Join(t.TempDir(), "hot.blocks"), 4, 64, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ids := make([]BlockID, hotSlots)
+	for i := range ids {
+		ids[i] = s.Alloc()
+	}
+	flush := func(v uint64) int64 {
+		t.Helper()
+		for i, id := range ids {
+			s.WriteBlock(id, []Entry{{Key: uint64(i), Val: v}})
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			if s.mapping[id] != s.mapping[ids[0]]+int64(i) {
+				t.Fatalf("flush %d: blocks not in one run: %v", v, s.mapping)
+			}
+		}
+		return s.mapping[ids[0]]
+	}
+	flush(0)
+	s.EndEpoch()
+	at := []int64{flush(1), flush(2), flush(3)}
+	extent := s.physHigh
+	for v := uint64(4); v < 12; v++ {
+		at = append(at, flush(v))
+		if want := at[len(at)-3]; at[len(at)-1] != want {
+			t.Fatalf("flush %d went to slot %d, want the hot run at slot %d (runs so far %v)", v, at[len(at)-1], want, at)
 		}
 	}
-	if !slices.IsSortedFunc(s.physFree, func(a, b int64) int { return cmp.Compare(b, a) }) {
-		t.Fatalf("after restore: physFree %v not highest-first", s.physFree)
+	if s.physHigh != extent {
+		t.Fatalf("extent grew from %d to %d slots while the epoch had hot runs", extent, s.physHigh)
 	}
-	epochs("first epoch after a restore")
+	checkAllocator(t, s, "after the rewrites")
+	s.EndEpoch()
+	if len(s.hotRuns) != 0 {
+		t.Fatalf("hot runs %v survive EndEpoch", s.hotRuns)
+	}
+}
+
+// slotUsed reports whether the allocator holds physical slot p.
+func slotUsed(s *FileStore, p int64) bool { return s.used[p/64]&(1<<(p%64)) != 0 }
+
+// checkAllocator asserts the extent allocator's invariants: a slot is
+// held exactly while a block maps to it or it is pending, the free
+// counts match the bitmap, and the carve region is free.
+func checkAllocator(t *testing.T, s *FileStore, label string) {
+	t.Helper()
+	held := make(map[int64]bool)
+	for _, p := range s.mapping {
+		if p >= 0 {
+			held[p] = true
+		}
+	}
+	for _, p := range s.pendingFree {
+		held[p] = true
+	}
+	if s.physHigh%groupSlots != 0 || int64(len(s.slotEpoch)) != s.physHigh {
+		t.Fatalf("%s: extent %d slots, %d stamps: not whole groups", label, s.physHigh, len(s.slotEpoch))
+	}
+	var freeSlots, freeGroups int64
+	for p := int64(0); p < s.physHigh; p++ {
+		if slotUsed(s, p) != held[p] {
+			t.Fatalf("%s: slot %d used=%v, mapped or pending=%v", label, p, slotUsed(s, p), held[p])
+		}
+		if !held[p] {
+			freeSlots++
+		}
+		if p%groupSlots == 0 && s.runFree(p, groupSlots) {
+			freeGroups++
+		}
+	}
+	if freeSlots != s.freeSlots || freeGroups != s.freeGroups {
+		t.Fatalf("%s: counted %d free slots in %d free groups, allocator says %d in %d",
+			label, freeSlots, freeGroups, s.freeSlots, s.freeGroups)
+	}
+	for p := s.carve; p < s.carveEnd; p++ {
+		if slotUsed(s, p) {
+			t.Fatalf("%s: carve region [%d, %d) holds used slot %d", label, s.carve, s.carveEnd, p)
+		}
+	}
+}
+
+// slotWatch is a block file that reports the slots every write covers.
+type slotWatch struct {
+	BlockFile
+	slotBytes int64
+	onWrite   func(first, last int64)
+}
+
+func (w *slotWatch) WriteAt(p []byte, off int64) (int, error) {
+	w.onWrite(off/w.slotBytes, (off+int64(len(p))-1)/w.slotBytes)
+	return w.BlockFile.WriteAt(p, off)
+}
+
+// TestExtentAllocatorSteadyState runs 60 checkpoint epochs of random
+// read-modify-writes over a durable store 32 times its pool, so nearly
+// every write leaves in an eviction batch, with a checkpoint (Sync,
+// AllocState, EndEpoch) closing each epoch. No write may touch a slot
+// the last checkpoint's mapping references; the batches must average at
+// least 8 frames per pwrite; the file extent must have stopped growing
+// (epoch 50 within 10% of epoch 25); and a reopen restored from the
+// last checkpoint must read every block's last value.
+func TestExtentAllocatorSteadyState(t *testing.T) {
+	const (
+		b, cacheBlocks, blocks = 4, 64, 2048
+		epochs, writesPerEpoch = 60, 2048
+	)
+	path := filepath.Join(t.TempDir(), "extent.blocks")
+	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var referenced []bool // by physical slot: in the last checkpoint's mapping
+	watch := &slotWatch{BlockFile: f, slotBytes: blockHeaderBytes + b*entryBytes}
+	watch.onWrite = func(first, last int64) {
+		for p := first; p <= last && p < int64(len(referenced)); p++ {
+			if referenced[p] {
+				t.Fatalf("a write covering slots %d..%d overwrites slot %d of the last checkpoint", first, last, p)
+			}
+		}
+	}
+	s := newFileStoreOn(watch, b, cacheBlocks, true, 0)
+	ids := make([]BlockID, blocks)
+	want := make([]uint64, blocks)
+	for i := range ids {
+		ids[i] = s.Alloc()
+		s.WriteBlock(ids[i], []Entry{{Key: uint64(i)}})
+	}
+	var nslots int
+	var free []BlockID
+	var mapping []int64
+	checkpoint := func() {
+		t.Helper()
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		nslots, free, mapping = s.AllocState()
+		referenced = make([]bool, s.physHigh)
+		for _, p := range mapping {
+			if p >= 0 {
+				referenced[p] = true
+			}
+		}
+		s.EndEpoch()
+	}
+	checkpoint()
+	base := s.Stats()
+	var extent [epochs + 1]int64
+	x := uint64(0x9e3779b97f4a7c15)
+	var buf []Entry
+	for e := 1; e <= epochs; e++ {
+		for range writesPerEpoch {
+			x = xorshift(x)
+			i := x % blocks
+			buf = s.ReadBlock(ids[i], buf[:0])
+			want[i]++
+			buf[0].Val = want[i]
+			s.WriteBlock(ids[i], buf)
+		}
+		checkpoint()
+		extent[e] = s.Stats().FileSlots
+	}
+	checkAllocator(t, s, "after the last epoch")
+	st := s.Stats()
+	frames, runs := st.FlushedFrames-base.FlushedFrames, st.FlushRuns-base.FlushRuns
+	t.Logf("%d frames in %d runs (%.1f per run); extent %d slots at epoch 25, %d at epoch 50, %d blocks live",
+		frames, runs, float64(frames)/float64(runs), extent[25], extent[50], blocks)
+	if frames < 8*runs {
+		t.Fatalf("%d frames in %d runs: fewer than 8 frames per pwrite", frames, runs)
+	}
+	if d := extent[50] - extent[25]; d*10 > extent[25] || -d*10 > extent[25] {
+		t.Fatalf("file extent %d slots at epoch 25, %d at epoch 50: not steady", extent[25], extent[50])
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	r, err := OpenFileStore(path, b, cacheBlocks, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if err := r.RestoreAllocState(nslots, free, mapping); err != nil {
+		t.Fatal(err)
+	}
+	for i, id := range ids {
+		if got := r.ReadBlock(id, nil); len(got) != 1 || got[0] != (Entry{Key: uint64(i), Val: want[i]}) {
+			t.Fatalf("block %d after reopen = %+v, want key %d val %d", id, got, i, want[i])
+		}
+	}
 }
 
 // fillStore writes n fresh blocks of distinct content through st.

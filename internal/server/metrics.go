@@ -58,6 +58,8 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_store_flush_runs_total", "counter", "pwrites the flushed frames coalesced into.", st.FlushRuns)
 	metric(buf, "extbuf_store_fsyncs_total", "counter", "Block-file fsyncs.", st.Fsyncs)
 	metric(buf, "extbuf_store_ghost_hits_total", "counter", "Faults of recently evicted blocks.", st.GhostHits)
+	metric(buf, "extbuf_store_file_slots", "gauge", "Block-file extent, in slots.", st.FileSlots)
+	metric(buf, "extbuf_store_free_slots", "gauge", "Block-file slots holding no block.", st.FreeSlots)
 	metric(buf, "extbuf_wal_spills_total", "counter", "Write-ahead-log spill writes.", st.WALSpills)
 	metric(buf, "extbuf_wal_fsyncs_total", "counter", "Write-ahead-log fsyncs.", st.WALFsyncs)
 

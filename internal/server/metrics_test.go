@@ -5,6 +5,7 @@ import (
 	"io"
 	"net"
 	"net/http/httptest"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
@@ -106,7 +107,8 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	// The exposition is exactly these families: PR 24's, less the three
 	// the deleted kernel-bypass tier fed and the count of replayed runs
-	// applied synchronously (replay starts every run).
+	// applied synchronously (replay starts every run), plus the block
+	// file's two space gauges.
 	want := []string{
 		"extbuf_keys", "extbuf_memory_bytes",
 		"extbuf_model_reads_total", "extbuf_model_writes_total", "extbuf_model_writebacks_total",
@@ -116,6 +118,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		"extbuf_store_evictions_total", "extbuf_store_dirty_writebacks_total",
 		"extbuf_store_flushed_frames_total", "extbuf_store_flush_runs_total",
 		"extbuf_store_fsyncs_total", "extbuf_store_ghost_hits_total",
+		"extbuf_store_file_slots", "extbuf_store_free_slots",
 		"extbuf_wal_spills_total", "extbuf_wal_fsyncs_total",
 		"extbuf_commit_waves_total", "extbuf_commit_wave_ops_total",
 		"extbuf_engine_calls_total", "extbuf_engine_call_ops_total", "extbuf_engine_calls_outstanding",
@@ -226,5 +229,43 @@ func TestMetricsReplayPipeline(t *testing.T) {
 	if w, err := strconv.ParseFloat(m["extbuf_repl_replay_wait_seconds_total"], 64); err != nil || w <= 0 {
 		t.Fatalf("extbuf_repl_replay_wait_seconds_total = %q (%v), want a positive number of seconds",
 			m["extbuf_repl_replay_wait_seconds_total"], err)
+	}
+}
+
+// TestMetricsStoreGauges reads the block file's space gauges off a
+// durable engine: they are the engine's StoreStats, a nonzero extent of
+// which the checkpointed blocks keep some slots in use.
+func TestMetricsStoreGauges(t *testing.T) {
+	eng, err := extbuf.NewSharded("buffered", extbuf.Config{
+		Backend: "file", Path: filepath.Join(t.TempDir(), "t"), CacheBlocks: 8,
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+	keys, vals := make([]uint64, 4000), make([]uint64, 4000)
+	for i := range keys {
+		keys[i], vals[i] = uint64(i+1), uint64(i)
+	}
+	if err := eng.InsertBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	if err := eng.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	st := eng.StoreStats()
+	if st.FileSlots == 0 || st.FreeSlots >= st.FileSlots {
+		t.Fatalf("FileSlots=%d FreeSlots=%d, want a nonzero extent partly in use", st.FileSlots, st.FreeSlots)
+	}
+	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
+	defer srv.Shutdown(context.Background())
+	m := scrape(t, srv)
+	for name, want := range map[string]int64{
+		"extbuf_store_file_slots": st.FileSlots,
+		"extbuf_store_free_slots": st.FreeSlots,
+	} {
+		if got := m[name]; got != strconv.FormatInt(want, 10) {
+			t.Fatalf("%s = %s, want %d", name, got, want)
+		}
 	}
 }

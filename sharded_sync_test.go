@@ -118,8 +118,8 @@ func TestShardedSyncSurfacesStorageFailure(t *testing.T) {
 }
 
 // TestShardedStoreStats checks the pipeline-routed backend counter
-// aggregation: real counters on the durable file backend, zeros on mem,
-// and zeros (not a hang) on a closed engine.
+// aggregation: real counters and space gauges on the durable file
+// backend, zeros on mem, and zeros (not a hang) on a closed engine.
 func TestShardedStoreStats(t *testing.T) {
 	mem, err := extbuf.NewSharded("buffered", extbuf.Config{}, 2)
 	if err != nil {
@@ -168,6 +168,12 @@ func TestShardedStoreStats(t *testing.T) {
 	if st.BytesWritten == 0 || st.Fsyncs < shards {
 		t.Fatalf("after checkpoint: BytesWritten=%d Fsyncs=%d, want > 0 and >= %d",
 			st.BytesWritten, st.Fsyncs, shards)
+	}
+	// The space gauges: every shard's file spans slots, and not all of
+	// them are free after the checkpoint wrote its blocks.
+	if st.FileSlots == 0 || st.FreeSlots >= st.FileSlots {
+		t.Fatalf("after checkpoint: FileSlots=%d FreeSlots=%d, want a nonzero extent partly in use",
+			st.FileSlots, st.FreeSlots)
 	}
 }
 
