@@ -206,22 +206,24 @@ func Delete(d *iomodel.Disk, head iomodel.BlockID, key uint64) (ios int, found b
 // just read). It reports whether the key was found and the I/Os spent —
 // exactly Find's cost either way. Plain overwrites and compare-and-swap
 // are both this walk with a different fn; it never inserts.
+//
+// Like Find it scans each block pinned, and a write stores the one entry
+// it changed (Disk.WriteBackEntry): no buffer, no copy of the block.
 func Update(d *iomodel.Disk, head iomodel.BlockID, key uint64, fn func(cur uint64) (val uint64, write bool)) (found bool, ios int) {
-	buf := d.AcquireBuf()
-	defer func() { d.ReleaseBuf(buf) }()
 	for id := head; id != iomodel.NilBlock; id = d.Next(id) {
-		buf = d.Read(id, buf[:0])
+		entries := d.ReadPinned(id)
 		ios++
-		for i := range buf {
-			if buf[i].Key != key {
+		for i := range entries {
+			if entries[i].Key != key {
 				continue
 			}
-			if val, write := fn(buf[i].Val); write {
-				buf[i].Val = val
-				d.WriteBack(id, buf)
+			if val, write := fn(entries[i].Val); write {
+				d.WriteBackEntry(id, i, iomodel.Entry{Key: key, Val: val})
 			}
+			d.Unpin(id)
 			return true, ios
 		}
+		d.Unpin(id)
 	}
 	return false, ios
 }

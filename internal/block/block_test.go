@@ -226,6 +226,38 @@ func TestUpdate(t *testing.T) {
 	if v, _, _ := Find(d, head, 2); v != 2 {
 		t.Fatalf("declined update wrote %d", v)
 	}
+	// The write stored one entry in place: the chain's shape and every
+	// other entry are as they were, and no pin is left behind.
+	if Len(d, head) != 5 || Blocks(d, head) != 3 {
+		t.Fatalf("chain after updates: %d entries in %d blocks", Len(d, head), Blocks(d, head))
+	}
+	for k := uint64(0); k < 4; k++ {
+		if v, _, _ := Find(d, head, k); v != k {
+			t.Fatalf("key %d = %d after updating key 4", k, v)
+		}
+	}
+	if p := d.Store().(*iomodel.MemStore).PinnedBlocks(); p != 0 {
+		t.Fatalf("%d pins left", p)
+	}
+}
+
+// TestUpdateZeroAllocs: a read-modify-write scans the store's own block
+// and stores the one entry, with no buffer and no allocation.
+func TestUpdateZeroAllocs(t *testing.T) {
+	d, head := newChain(t, 4)
+	for k := uint64(0); k < 10; k++ {
+		Insert(d, head, iomodel.Entry{Key: k, Val: k})
+	}
+	k := uint64(0)
+	allocs := testing.AllocsPerRun(200, func() {
+		k = (k + 3) % 10
+		if found, _ := Update(d, head, k, func(cur uint64) (uint64, bool) { return cur + 1, true }); !found {
+			t.Fatalf("key %d lost", k)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Update: %.2f allocs/op, want 0", allocs)
+	}
 }
 
 func TestDeleteCompactsBlocks(t *testing.T) {

@@ -176,6 +176,11 @@ type FileStore struct {
 	slotEpoch   []uint32 // per physical slot: the epoch that last assigned it (0: none)
 	epoch       uint32   // current epoch, never 0
 
+	// freeBits has one bit per block ID, set while the ID is on free, so
+	// a second Free panics whatever reads of the freed ID did meanwhile.
+	// It sits last so the pool's hot fields keep their offsets.
+	freeBits []uint64
+
 	// The extent allocator (durable mode). used has one bit per physical
 	// slot, set while a block maps to it or it is pending. Runs are cut
 	// from the carve region [carve, carveEnd): a hot run the epoch has
@@ -398,6 +403,7 @@ func (s *FileStore) Alloc() BlockID {
 	if n := len(s.free); n > 0 {
 		id := s.free[n-1]
 		s.free = s.free[:n-1]
+		s.freeBits[id/64] &^= 1 << (id % 64)
 		// The file may still hold the freed block's stale bytes; install
 		// an empty dirty frame so readers see a fresh block.
 		fr := s.frameForWrite(id, false)
@@ -407,6 +413,9 @@ func (s *FileStore) Alloc() BlockID {
 	}
 	id := BlockID(s.nslots)
 	s.nslots++
+	if id%64 == 0 {
+		s.freeBits = append(s.freeBits, 0)
+	}
 	s.resident = append(s.resident, -1)
 	s.ghostAt = append(s.ghostAt, 0)
 	if s.durable {
@@ -423,9 +432,13 @@ func (s *FileStore) Alloc() BlockID {
 // durable mode the block's physical slot is retired — after the next
 // checkpoint if the last checkpoint references it, immediately
 // otherwise. Freeing a pinned block panics (the pinned slice would
-// alias a recycled frame).
+// alias a recycled frame), and so does freeing a free one (two later
+// Allocs would hand it out twice).
 func (s *FileStore) Free(id BlockID) {
 	s.checkID(id)
+	if s.freeBits[id/64]&(1<<(id%64)) != 0 {
+		panic(fmt.Sprintf("iomodel: double free of block %d", id))
+	}
 	if idx := s.resident[id]; idx >= 0 {
 		fr := &s.frames[idx]
 		if fr.pins > 0 {
@@ -440,6 +453,7 @@ func (s *FileStore) Free(id BlockID) {
 	// Forget eviction history: the ID's next use is a fresh block, not
 	// a re-reference.
 	s.ghostAt[id] = 0
+	s.freeBits[id/64] |= 1 << (id % 64)
 	s.free = append(s.free, id)
 }
 
@@ -593,6 +607,14 @@ func (s *FileStore) WriteBlock(id BlockID, entries []Entry) {
 	fr := s.frameForWrite(id, true)
 	fr.entries = fr.entries[:len(entries)] // within the image: at most B()
 	copy(fr.entries, entries)
+}
+
+// SetEntry overwrites entry i of block id in its frame and marks the
+// frame dirty: the pool access WriteBlock makes, without the copy.
+func (s *FileStore) SetEntry(id BlockID, i int, e Entry) {
+	fr := s.frameFor(id)
+	fr.entries[i] = e
+	fr.dirty = true
 }
 
 // ClearBlock empties block id and resets its next pointer.
@@ -834,6 +856,10 @@ func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int6
 	s.resident = make([]int32, nslots)
 	for i := range s.resident {
 		s.resident[i] = -1
+	}
+	s.freeBits = make([]uint64, (nslots+63)/64)
+	for _, id := range free {
+		s.freeBits[id/64] |= 1 << (id % 64)
 	}
 	s.ghostAt = make([]uint64, nslots)
 	high := int64(0)

@@ -29,6 +29,9 @@
 //     the same block. This implements footnote 2 of the paper: "since disk
 //     I/Os are dominated by the seek time, writing a block immediately
 //     after reading it can be considered as one I/O."
+//   - WriteBackEntry(id, i, e): footnote 2's write-back of one entry —
+//     the same rule and the same count as WriteBack, for a
+//     read-modify-write that changed only entry i of the block it read.
 //
 // Sequential scans receive no discount: the paper's bounds count block
 // transfers uniformly, so uniform counting reproduces them.
@@ -262,6 +265,21 @@ func (d *Disk) WriteBack(id BlockID, entries []Entry) {
 		panic(ErrWriteBackOrder)
 	}
 	d.store.WriteBlock(id, entries)
+	d.writeBacks.Add(1)
+	d.lastRead = NilBlock
+}
+
+// WriteBackEntry stores e as entry i of block id at zero I/O cost: the
+// footnote-2 write-back of WriteBack, narrowed to the one entry a
+// read-modify-write changed, so the block need not be copied out and
+// back. It obeys the same rule (strict mode panics unless id is the most
+// recently read block) and is counted the same way, one write-back. i
+// must index a live entry of the block; the count and the header stay.
+func (d *Disk) WriteBackEntry(id BlockID, i int, e Entry) {
+	if d.strict && d.lastRead != id {
+		panic(ErrWriteBackOrder)
+	}
+	d.store.SetEntry(id, i, e)
 	d.writeBacks.Add(1)
 	d.lastRead = NilBlock
 }

@@ -1,6 +1,8 @@
 package iomodel
 
 import (
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -242,4 +244,147 @@ func TestAllocFreeProperty(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWriteBackEntryOrder: the one-entry write-back obeys WriteBack's
+// footnote-2 rule — legal only directly after Read or ReadPinned of the
+// same block — and strict mode off lifts it the same way.
+func TestWriteBackEntryOrder(t *testing.T) {
+	setup := func() (*Disk, BlockID, BlockID) {
+		d := NewDisk(4)
+		a, b := d.Alloc(), d.Alloc()
+		d.Write(a, []Entry{{1, 1}})
+		d.Write(b, []Entry{{2, 2}})
+		return d, a, b
+	}
+	illegal := map[string]func(d *Disk, a, b BlockID){
+		"no read":          func(d *Disk, a, b BlockID) {},
+		"other block read": func(d *Disk, a, b BlockID) { d.Read(b, nil) },
+		"read then write":  func(d *Disk, a, b BlockID) { d.Read(a, nil); d.Write(b, nil) },
+		"second write-back": func(d *Disk, a, b BlockID) {
+			d.Read(a, nil)
+			d.WriteBackEntry(a, 0, Entry{1, 5})
+		},
+		"cleared": func(d *Disk, a, b BlockID) { d.Read(a, nil); d.Clear(a); d.Write(a, []Entry{{1, 1}}) },
+	}
+	for name, before := range illegal {
+		t.Run(name, func(t *testing.T) {
+			d, a, b := setup()
+			before(d, a, b)
+			defer func() {
+				if r := recover(); r != ErrWriteBackOrder {
+					t.Fatalf("panic = %v, want ErrWriteBackOrder", r)
+				}
+			}()
+			d.WriteBackEntry(a, 0, Entry{1, 9})
+		})
+	}
+	legal := map[string]func(d *Disk, id BlockID){
+		"after Read":       func(d *Disk, id BlockID) { d.Read(id, nil) },
+		"after ReadPinned": func(d *Disk, id BlockID) { d.ReadPinned(id); d.Unpin(id) },
+	}
+	for name, read := range legal {
+		t.Run(name, func(t *testing.T) {
+			d, a, _ := setup()
+			read(d, a)
+			d.WriteBackEntry(a, 0, Entry{1, 9})
+			if got := d.Peek(a); len(got) != 1 || got[0] != (Entry{1, 9}) {
+				t.Fatalf("block after write-back = %v", got)
+			}
+		})
+	}
+	t.Run("non-strict", func(t *testing.T) {
+		d, a, b := setup()
+		d.SetStrict(false)
+		d.Read(b, nil)
+		d.WriteBackEntry(a, 0, Entry{1, 9})
+	})
+}
+
+// TestWriteBackEntryCountsAsWriteBack: a read-modify-write of one entry
+// charges exactly what Read + WriteBack of the whole block charges, and
+// leaves the same block.
+func TestWriteBackEntryCountsAsWriteBack(t *testing.T) {
+	whole, one := NewDisk(4), NewDisk(4)
+	for _, d := range []*Disk{whole, one} {
+		id := d.Alloc()
+		d.Write(id, []Entry{{1, 1}, {2, 2}, {3, 3}})
+	}
+	buf := whole.Read(0, nil)
+	buf[1].Val = 20
+	whole.WriteBack(0, buf)
+	one.ReadPinned(0)
+	one.WriteBackEntry(0, 1, Entry{2, 20})
+	one.Unpin(0)
+	if whole.Counters() != one.Counters() {
+		t.Fatalf("counters: Read+WriteBack %v, ReadPinned+WriteBackEntry %v", whole.Counters(), one.Counters())
+	}
+	if got, want := one.Peek(0), whole.Peek(0); !slices.Equal(got, want) {
+		t.Fatalf("block = %v, want %v", got, want)
+	}
+}
+
+// TestWriteBackEntryFileStore: on a file store the changed entry marks
+// its frame dirty, so it survives eviction through a 2-frame pool and,
+// on a durable store, Sync and a reopen.
+func TestWriteBackEntryFileStore(t *testing.T) {
+	const b, n = 4, 16
+	fill := func(d *Disk) {
+		for i := range n {
+			id := d.Alloc()
+			d.Write(id, []Entry{{uint64(i), 0}, {uint64(i) + 100, 0}})
+		}
+		for i := range n {
+			id := BlockID(i)
+			d.ReadPinned(id)
+			d.WriteBackEntry(id, 1, Entry{uint64(i) + 100, uint64(i) * 7})
+			d.Unpin(id)
+		}
+	}
+	check := func(t *testing.T, s BlockStore) {
+		t.Helper()
+		for i := range n {
+			got := s.ReadBlock(BlockID(i), nil)
+			want := []Entry{{uint64(i), 0}, {uint64(i) + 100, uint64(i) * 7}}
+			if !slices.Equal(got, want) {
+				t.Fatalf("block %d = %v, want %v", i, got, want)
+			}
+		}
+	}
+	t.Run("eviction", func(t *testing.T) {
+		s, err := NewTempFileStore(b, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		fill(NewDiskOn(s))
+		if s.Stats().DirtyWritebacks == 0 {
+			t.Fatal("no dirty eviction: the test is vacuous")
+		}
+		check(t, s)
+	})
+	t.Run("durable-reopen", func(t *testing.T) {
+		path := filepath.Join(t.TempDir(), "entry.blocks")
+		s, err := OpenFileStore(path, b, 2, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fill(NewDiskOn(s))
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		nslots, free, mapping := s.AllocState()
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := OpenFileStore(path, b, 2, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if err := r.RestoreAllocState(nslots, free, mapping); err != nil {
+			t.Fatal(err)
+		}
+		check(t, r)
+	})
 }

@@ -18,7 +18,8 @@ type BlockStore interface {
 	// blocks are reused (most recently freed first) and come back empty
 	// with a nil next pointer.
 	Alloc() BlockID
-	// Free releases a block back to the allocator.
+	// Free releases a block back to the allocator. Freeing a block that
+	// is pinned or already free is a caller bug and panics.
 	Free(id BlockID)
 	// ReadBlock appends the entries of block id to buf (which may be
 	// nil) and returns the result. The returned slice is owned by the
@@ -27,6 +28,11 @@ type BlockStore interface {
 	// WriteBlock replaces the contents of block id. The store may
 	// assume len(entries) <= B(); Disk enforces it.
 	WriteBlock(id BlockID, entries []Entry)
+	// SetEntry overwrites entry i (i < the block's count) of block id in
+	// place, leaving the count, the other entries and the header as they
+	// are: WriteBlock narrowed to the one entry a read-modify-write
+	// changed.
+	SetEntry(id BlockID, i int, e Entry)
 	// ClearBlock empties block id and resets its next pointer.
 	ClearBlock(id BlockID)
 	// PeekBlock returns the current contents of block id without the
