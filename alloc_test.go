@@ -18,13 +18,13 @@ import (
 
 // steadyTable builds a populated table of the given structure on the
 // mem backend, with keys to exercise; keys[i] holds value i.
-func steadyTable(t testing.TB, structure string, n int) (extbuf.Engine, []uint64) {
+func steadyTable(t testing.TB, structure string, n int) (extbuf.Table, []uint64) {
 	cfg := extbuf.Config{BlockSize: 64, MemoryWords: 1024, Beta: 8,
 		ExpectedItems: n, Seed: 17}
 	if structure == "extendible" {
 		cfg.MemoryWords = int64(8*n/64 + 4096)
 	}
-	tab, err := extbuf.OpenEngine(structure, cfg)
+	tab, err := extbuf.Open(structure, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 			op, sink := strings.CutSuffix(tc.op, "+sink")
 			if sink {
 				next := uint64(1)
-				tab.SetShip(func(_ uint8, keys, _ []uint64) (uint64, error) {
+				extbuf.SetShipForTest(tab, func(_ uint8, keys, _ []uint64) (uint64, error) {
 					first := next
 					next += uint64(len(keys))
 					return first, nil
@@ -99,9 +99,9 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 					var lsn uint64
 					var err error
 					if op == "expire" {
-						lsn, err = extbuf.ExpireForTest(tab, true, ks, deadlines, found)
+						lsn, err = extbuf.BatchForTest(tab, extbuf.BatchExpire, true, ks, deadlines, nil, found)
 					} else {
-						lsn, err = tab.UpsertTTLBatchShip(ks, vals, deadlines)
+						lsn, err = extbuf.BatchForTest(tab, extbuf.BatchUpsertTTL, true, ks, vals, deadlines, nil)
 					}
 					if err != nil || (lsn != 0) != sink {
 						t.Fatalf("lsn %d, err %v (sink installed: %v)", lsn, err, sink)
@@ -168,14 +168,14 @@ func TestSteadyStateZeroAllocs(t *testing.T) {
 // steadyCAS cycles compare-and-swaps over a steadyTable's keys, each
 // against the value the key currently holds, so every one swaps.
 type steadyCAS struct {
-	tab           extbuf.Engine
+	tab           extbuf.Table
 	keys, cur     []uint64
 	key, old, new []uint64 // one-element batch, reused
 	swapped       []bool
 	i             int
 }
 
-func newSteadyCAS(tab extbuf.Engine, keys []uint64) *steadyCAS {
+func newSteadyCAS(tab extbuf.Table, keys []uint64) *steadyCAS {
 	c := &steadyCAS{tab: tab, keys: keys, cur: make([]uint64, len(keys)),
 		key: make([]uint64, 1), old: make([]uint64, 1), new: make([]uint64, 1), swapped: make([]bool, 1)}
 	for i := range c.cur {
@@ -188,7 +188,7 @@ func (c *steadyCAS) swapNext() bool {
 	j := c.i % len(c.keys)
 	c.i++
 	c.key[0], c.old[0], c.new[0] = c.keys[j], c.cur[j], c.cur[j]+1
-	if _, err := c.tab.CompareSwapBatchShip(c.key, c.old, c.new, c.swapped); err != nil || !c.swapped[0] {
+	if _, err := extbuf.BatchForTest(c.tab, extbuf.BatchCompareSwap, true, c.key, c.old, c.new, c.swapped); err != nil || !c.swapped[0] {
 		return false
 	}
 	c.cur[j]++

@@ -3,7 +3,6 @@ package extbuf
 import (
 	"cmp"
 	"fmt"
-	"sync"
 
 	"extbuf/internal/expiry"
 	"extbuf/internal/iomodel"
@@ -12,24 +11,23 @@ import (
 
 // Engine is the full serving surface of a table: the single-key Table
 // operations plus the order-preserving batch operations and the
-// Durable capability probe. Both Sharded (worker-per-shard pipeline)
-// and every table returned by Open/New* (via the guard) satisfy it, so
-// layers that used to special-case the two — the network server, the
-// replication follower apply loop, load generators — program against
-// one interface and work with either.
+// Durable capability probe. Sharded (worker-per-shard pipeline) is its
+// implementation; the layers that serve a table — the network server,
+// the replication follower apply loop, load generators — program
+// against this interface.
 //
-// Both engines run every keyed operation through the same routine
-// (guard.apply; DESIGN.md §1a), so the batch contract is one contract —
-// the one Sharded established. Positions i of every slice correspond.
-// Operand slices (vals, deadlines, olds, news) must be exactly len(keys)
-// long and result slices (a lookup's vals, found, swapped) at least
-// len(keys) long — longer is fine, the tail is left alone — or the call
-// fails with ErrBatchLength before touching the table. The *Into and
-// *Ship forms write into the caller's slices and allocate nothing. A
-// batch is not atomic, and a failing position does not stop it: every
-// position is attempted, in order, and the first error is returned;
-// per-key ordering is preserved between batches. A closed engine
-// returns ErrClosed and leaves the result slices untouched.
+// Every keyed operation runs through one routine, the apply of the
+// owning shard's guard (DESIGN.md §1a). Positions i of every slice
+// correspond. Operand slices (vals, deadlines, olds, news) must be
+// exactly len(keys) long and result slices (a lookup's vals, found,
+// swapped) at least len(keys) long — longer is fine, the tail is left
+// alone — or the call fails with ErrBatchLength before touching the
+// table. The *Into and *Ship forms write into the caller's slices and
+// allocate nothing. A batch is not atomic, and a failing position does
+// not stop it: every position is attempted, in order, and the first
+// error is returned; per-key ordering is preserved between batches. A
+// closed engine returns ErrClosed and leaves the result slices
+// untouched.
 type Engine interface {
 	Table
 
@@ -42,8 +40,6 @@ type Engine interface {
 	// LookupBatchInto looks up every key into caller-provided slices of
 	// at least len(keys); it allocates nothing.
 	LookupBatchInto(keys, vals []uint64, found []bool) error
-	// DeleteBatch deletes every key, allocating the found slice.
-	DeleteBatch(keys []uint64) ([]bool, error)
 	// DeleteBatchInto deletes every key into a caller-provided found
 	// slice of at least len(keys); it allocates nothing.
 	DeleteBatchInto(keys []uint64, found []bool) error
@@ -63,9 +59,7 @@ type Engine interface {
 	// and expiries and the outcomes of compare-swaps. The caller calls
 	// Wait on the handle exactly once and leaves the slices alone until
 	// it returns. Batches one goroutine starts apply per key in start
-	// order, waited for or not. Sharded returns while its workers apply;
-	// a single table applies the batch first and returns a handle that is
-	// already complete.
+	// order, waited for or not. It returns while the shard workers apply.
 	StartBatch(op BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*BatchCall, error)
 
 	// SetShip installs (or, with nil, removes) the ship sink the
@@ -143,23 +137,7 @@ const (
 	ShipExpire = uint8(wal.OpExpire)
 )
 
-var (
-	_ Engine = (*Sharded)(nil)
-	_ Engine = (*guard)(nil)
-)
-
-// OpenEngine constructs a single (unsharded) table by structure name —
-// exactly like Open — and returns it as an Engine. Single tables are
-// not safe for concurrent use; front them with one goroutine (or use
-// NewSharded) when serving. See Open for structure names and reopen
-// semantics.
-func OpenEngine(structure string, cfg Config) (Engine, error) {
-	g, err := open(structure, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return g, nil
-}
+var _ Engine = (*Sharded)(nil)
 
 // ReplStats reports a node's replication state and traffic counters,
 // exposed over the wire via the STATS request (append-only payload
@@ -250,71 +228,6 @@ func (v *opVec) check() error {
 	return nil
 }
 
-// batchAPI states Engine's keyed batch methods once, for both engines.
-// Each is the length contract plus one call of the engine's do: on a
-// guard, apply on the table at hand; on Sharded, start-and-wait across
-// the shard workers, each of which calls its guard's apply on its share.
-type batchAPI struct {
-	do func(v opVec) (uint64, error)
-}
-
-func (b batchAPI) run(v *opVec) (uint64, error) {
-	if err := v.check(); err != nil {
-		return 0, err
-	}
-	return b.do(*v) // by value: through the func value a pointer would escape
-}
-
-func (b batchAPI) InsertBatch(keys, vals []uint64) error {
-	_, err := b.run(&opVec{kind: BatchInsert, keys: keys, vals: vals})
-	return err
-}
-
-func (b batchAPI) UpsertBatch(keys, vals []uint64) error {
-	_, err := b.run(&opVec{kind: BatchUpsert, keys: keys, vals: vals})
-	return err
-}
-
-func (b batchAPI) LookupBatch(keys []uint64) ([]uint64, []bool, error) {
-	vals, found := make([]uint64, len(keys)), make([]bool, len(keys))
-	return vals, found, b.LookupBatchInto(keys, vals, found)
-}
-
-func (b batchAPI) LookupBatchInto(keys, vals []uint64, found []bool) error {
-	_, err := b.run(&opVec{kind: BatchLookup, keys: keys, outV: vals, outOK: found})
-	return err
-}
-
-func (b batchAPI) DeleteBatch(keys []uint64) ([]bool, error) {
-	found := make([]bool, len(keys))
-	return found, b.DeleteBatchInto(keys, found)
-}
-
-func (b batchAPI) DeleteBatchInto(keys []uint64, found []bool) error {
-	_, err := b.run(&opVec{kind: BatchDelete, keys: keys, outOK: found})
-	return err
-}
-
-func (b batchAPI) InsertBatchShip(keys, vals []uint64) (uint64, error) {
-	return b.run(&opVec{kind: BatchInsert, ship: true, keys: keys, vals: vals})
-}
-
-func (b batchAPI) UpsertBatchShip(keys, vals []uint64) (uint64, error) {
-	return b.run(&opVec{kind: BatchUpsert, ship: true, keys: keys, vals: vals})
-}
-
-func (b batchAPI) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error) {
-	return b.run(&opVec{kind: BatchDelete, ship: true, keys: keys, outOK: found})
-}
-
-func (b batchAPI) UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error) {
-	return b.run(&opVec{kind: BatchUpsertTTL, ship: true, keys: keys, vals: vals, vals2: deadlines})
-}
-
-func (b batchAPI) CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) (uint64, error) {
-	return b.run(&opVec{kind: BatchCompareSwap, ship: true, keys: keys, vals: olds, vals2: news, outOK: swapped})
-}
-
 // innerTable is what a guard drives: a bare structure adapter, or the
 // durable layer around one.
 type innerTable interface {
@@ -331,8 +244,8 @@ type innerTable interface {
 	scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int)
 }
 
-// guard is the engine around one table, and what a Sharded engine runs
-// per shard. It enforces the close contract — operations on a closed
+// guard is the table Open returns, and what a Sharded engine runs per
+// shard. It enforces the close contract — operations on a closed
 // table fail with ErrClosed (or zero results from the non-error
 // methods), a second Close reports ErrClosed instead of panicking on
 // released resources, and Stats stays readable after Close so
@@ -340,7 +253,6 @@ type innerTable interface {
 // operation does besides the table call: the TTL sidecar, and the record
 // step that feeds the WAL and the ship seam (apply).
 type guard struct {
-	batchAPI
 	t      innerTable
 	log    *wal.Log // a durable table's write-ahead log; nil on a scratch table
 	closed bool
@@ -352,11 +264,6 @@ type guard struct {
 
 	// The one-element record of a single-key operation.
 	k1, v1 [1]uint64
-
-	// calls recycles the completed handles StartBatch returns. A pool,
-	// not a slice: follower replay waits on another goroutine than the
-	// one that started the call.
-	calls sync.Pool
 
 	// TTL sidecar (see ttl.go): the expiry index, the millisecond clock
 	// it is read against, reusable sweep/scan scratch, and counters.
@@ -372,9 +279,7 @@ type guard struct {
 }
 
 func newGuard(t innerTable, log *wal.Log, idx *expiry.Index, now func() uint64) *guard {
-	g := &guard{t: t, log: log, exp: idx, now: now}
-	g.do = func(v opVec) (uint64, error) { return g.apply(&v, nil) }
-	return g
+	return &guard{t: t, log: log, exp: idx, now: now}
 }
 
 // apply is the one definition of every keyed operation. It runs v.kind
@@ -620,51 +525,6 @@ func (g *guard) setDeadline(key, deadline uint64) {
 	}
 }
 
-// StartBatch is Engine.StartBatch on one table: apply runs before it
-// returns, and the handle holds its outcome for Wait. Each call has a
-// handle of its own, since a caller may hold several (the server's
-// applier keeps a ring of them); Wait recycles it.
-func (g *guard) StartBatch(op BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*BatchCall, error) {
-	if op > BatchCompareSwap {
-		return nil, fmt.Errorf("extbuf: unknown batch op %d", op)
-	}
-	v := opVec{kind: op, ship: ship, keys: keys}
-	switch op {
-	case BatchLookup:
-		v.outV, v.outOK = vals, found
-	case BatchDelete:
-		v.outOK = found
-	case BatchExpire:
-		v.vals, v.outOK = vals, found
-	case BatchUpsertTTL:
-		v.vals, v.vals2 = vals, vals2
-	case BatchCompareSwap:
-		v.vals, v.vals2, v.outOK = vals, vals2, found
-	default:
-		v.vals = vals
-	}
-	if err := v.check(); err != nil {
-		return nil, err
-	}
-	if g.closed {
-		return nil, ErrClosed
-	}
-	c, _ := g.calls.Get().(*BatchCall)
-	if c == nil {
-		c = &BatchCall{g: g}
-	}
-	c.doneLSN, c.doneErr = g.apply(&v, nil)
-	return c, nil
-}
-
-// finish is Wait on a handle StartBatch returned.
-func (g *guard) finish(c *BatchCall) (uint64, error) {
-	lsn, err := c.doneLSN, c.doneErr
-	c.doneErr = nil
-	g.calls.Put(c)
-	return lsn, err
-}
-
 // one is a single-key operation (insert, upsert, lookup, delete), which
 // never ships: applyOne, then — on a durable table — the record step,
 // as for a one-element batch. On a scratch table that check is all it
@@ -732,9 +592,9 @@ func (g *guard) MemoryUsed() int64 { return g.t.MemoryUsed() }
 
 func (g *guard) Durable() bool { return g.log != nil }
 
-// SetShip installs the ship sink. A single table is single-goroutine by
-// contract and a shard's guard is driven by its worker alone, so "apply
-// then ship, per key, in call order" is the total order the seam needs.
+// SetShip installs the ship sink (Engine.SetShip). A shard's guard is
+// driven by its worker alone, so "apply then ship, per key, in call
+// order" is the total order the seam needs.
 func (g *guard) SetShip(fn ShipFunc) { g.ship = fn }
 
 func (g *guard) Sync() error {

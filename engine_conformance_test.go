@@ -10,16 +10,16 @@ import (
 	"testing"
 )
 
-// Engine conformance: a single table (OpenEngine) and a Sharded engine
-// of one and of four shards must be the same engine. One scripted op
-// stream — every keyed kind, shipping and not, with duplicate keys,
-// absent keys, keys that expire mid-script and writes that fail — runs
-// against each, once through the synchronous methods and once through
-// StartBatch and Wait, and each run must agree with a model of the kind
-// table in guard.apply's comment on: every result, the first error, what
-// the ship sink saw (per key in apply order; in exactly the model's order
-// on one shard), the LSN returned, the final contents, and — between the
-// single table and the one-shard engine — the model I/O counters.
+// Engine conformance: a Sharded engine of one and of four shards must be
+// the same engine. One scripted op stream — every keyed kind, shipping
+// and not, with duplicate keys, absent keys, keys that expire mid-script
+// and writes that fail — runs against each, once through the synchronous
+// methods and once through StartBatch and Wait, and each run must agree
+// with a model of the kind table in guard.apply's comment on: every
+// result, the first error, what the ship sink saw (per key in apply
+// order; in exactly the model's order on one shard), the LSN returned,
+// the final contents, and — between the one-shard engine's synchronous
+// and started runs — the model I/O counters.
 
 type shipRec struct {
 	op       uint8
@@ -126,7 +126,7 @@ func runStep(e Engine, st confStep, started bool) confResult {
 	case st.kind == BatchDelete:
 		r.err = e.DeleteBatchInto(st.keys, r.outOK)
 	case st.kind == BatchExpire:
-		r.lsn, r.err = ExpireForTest(e, st.ship, st.keys, st.vals, r.outOK)
+		r.lsn, r.err = BatchForTest(e, BatchExpire, st.ship, st.keys, st.vals, nil, r.outOK)
 	case st.kind == BatchUpsertTTL:
 		r.lsn, r.err = e.UpsertTTLBatchShip(st.keys, st.vals, st.vals2)
 	case st.kind == BatchCompareSwap:
@@ -283,11 +283,10 @@ func confScript() (steps []confStep, bad map[uint64]bool) {
 }
 
 type confEngine struct {
-	name   string
-	shards int // 0: a single table
-	eng    Engine
-	clock  *atomic.Uint64
-	sink   *confSink
+	name  string
+	eng   Engine
+	clock *atomic.Uint64
+	sink  *confSink
 }
 
 // openConf opens the engine under test on the mem backend with an
@@ -296,30 +295,19 @@ type confEngine struct {
 // puts bad[0] into the table, runs before it.
 func openConf(t *testing.T, structure string, shards int) (confEngine, func(bad map[uint64]bool)) {
 	t.Helper()
-	ce := confEngine{shards: shards, clock: new(atomic.Uint64), sink: new(confSink)}
+	ce := confEngine{clock: new(atomic.Uint64), sink: new(confSink)}
 	ce.clock.Store(1_000_000)
 	cfg := Config{BlockSize: 64, MemoryWords: 1024, Beta: 8, ExpectedItems: 4096, Seed: 7, nowMillis: ce.clock.Load}
-	var guards []*guard
-	if shards == 0 {
-		ce.name = "OpenEngine"
-		cfg.ExpectedItems++ // what NewSharded(…, 1) hands its one shard
-		g, err := open(structure, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ce.eng, guards = g, []*guard{g}
-	} else {
-		ce.name = fmt.Sprintf("NewSharded(%d)", shards)
-		s, err := NewSharded(structure, cfg, shards)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ce.eng, guards = s, s.shards
+	ce.name = fmt.Sprintf("NewSharded(%d)", shards)
+	s, err := NewSharded(structure, cfg, shards)
+	if err != nil {
+		t.Fatal(err)
 	}
+	ce.eng = s
 	ce.eng.SetShip(ce.sink.ship)
 	arm := func(bad map[uint64]bool) {
 		// Between two synchronous calls no worker is touching its guard.
-		for _, g := range guards {
+		for _, g := range s.shards {
 			g.t = &flakyTable{g.t, bad}
 		}
 	}
@@ -349,12 +337,12 @@ func TestEngineConformance(t *testing.T) {
 	for _, structure := range []string{"buffered", "knuth"} {
 		t.Run(structure, func(t *testing.T) {
 			steps, bad := confScript()
-			var single Stats // OpenEngine's model I/Os, for the one-shard comparison
+			var single Stats // the one-shard synchronous run's model I/Os, for the started run
 			lengthErrs := map[string]string{}
 			for _, run := range []struct {
 				shards  int
 				started bool
-			}{{0, false}, {0, true}, {1, false}, {1, true}, {4, false}, {4, true}} {
+			}{{1, false}, {1, true}, {4, false}, {4, true}} {
 				shards := run.shards
 				ce, arm := openConf(t, structure, shards)
 				if run.started {
@@ -386,7 +374,7 @@ func TestEngineConformance(t *testing.T) {
 					}
 
 					ships := ce.sink.recs[before:]
-					if shards <= 1 && !slices.Equal(ships, wantShips) {
+					if shards == 1 && !slices.Equal(ships, wantShips) {
 						t.Fatalf("%s: shipped\n got  %v\n want %v", at, ships, wantShips)
 					}
 					if !maps.EqualFunc(byKey(ships), byKey(wantShips), slices.Equal[[]shipRec]) {
@@ -414,11 +402,11 @@ func TestEngineConformance(t *testing.T) {
 					t.Fatalf("%s: final Scan has %d entries, the model %d", ce.name, len(got), len(wantFinal))
 				}
 				switch {
-				case shards == 0 && !run.started:
+				case shards == 1 && !run.started:
 					single = ce.eng.Stats()
-				case shards <= 1:
+				case shards == 1:
 					if st := ce.eng.Stats(); st != single {
-						t.Fatalf("%s paid %+v model I/Os, the single table %+v", ce.name, st, single)
+						t.Fatalf("%s paid %+v model I/Os, the synchronous run %+v", ce.name, st, single)
 					}
 				}
 
@@ -602,7 +590,7 @@ func checkFailingSink(t *testing.T, ce confEngine, keys []uint64) {
 	}{
 		{"upsert", func() (uint64, error) { return ce.eng.UpsertBatchShip(keys, vals) }},
 		{"upsert-ttl", func() (uint64, error) { return ce.eng.UpsertTTLBatchShip(keys, vals, far) }},
-		{"expire", func() (uint64, error) { return ExpireForTest(ce.eng, true, keys, far, found) }},
+		{"expire", func() (uint64, error) { return BatchForTest(ce.eng, BatchExpire, true, keys, far, nil, found) }},
 		{"cas", func() (uint64, error) { return ce.eng.CompareSwapBatchShip(keys, vals, vals, found) }},
 		{"delete", func() (uint64, error) { return ce.eng.DeleteBatchShipInto(keys[:1], found) }},
 	} {

@@ -122,14 +122,43 @@ func HoldShardFsyncForTest(s *Sharded, key uint64) (entered <-chan struct{}, rel
 	return f.entered, f.release
 }
 
-// ExpireForTest sets deadlines the one way an engine takes them,
-// StartBatch(BatchExpire, …) and Wait.
-func ExpireForTest(e Engine, ship bool, keys, deadlines []uint64, found []bool) (uint64, error) {
-	c, err := e.StartBatch(BatchExpire, ship, keys, deadlines, nil, found)
-	if err != nil {
+// BatchForTest runs one keyed batch of op with StartBatch's operand
+// columns (see Engine.StartBatch) on a table Open returned — the length
+// contract, then the guard's apply, which is what a shard worker runs —
+// or, on a *Sharded, StartBatch and Wait. It is how tests reach the
+// batch-only kinds (expire, upsert-ttl, compare-swap) on a single table.
+func BatchForTest(tab Table, op BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (uint64, error) {
+	if s, ok := tab.(*Sharded); ok {
+		c, err := s.StartBatch(op, ship, keys, vals, vals2, found)
+		if err != nil {
+			return 0, err
+		}
+		return c.Wait()
+	}
+	v := opVec{kind: op, ship: ship, keys: keys}
+	use := keyedOps[op]
+	if use.vals {
+		v.vals = vals
+	}
+	if use.vals2 {
+		v.vals2 = vals2
+	}
+	if use.outV {
+		v.outV = vals
+	}
+	if use.outOK {
+		v.outOK = found
+	}
+	if err := v.check(); err != nil {
 		return 0, err
 	}
-	return c.Wait()
+	return tab.(*guard).apply(&v, nil)
+}
+
+// SetShipForTest installs the ship sink of a table Open returned, or of
+// a *Sharded.
+func SetShipForTest(tab Table, fn ShipFunc) {
+	tab.(interface{ SetShip(ShipFunc) }).SetShip(fn)
 }
 
 // CrashWritesForTest returns how many write syscalls the crash plan of a

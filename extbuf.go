@@ -547,8 +547,8 @@ func asTable(g *guard, err error) (Table, error) {
 	return g, nil
 }
 
-// open is the single construction path behind Open, OpenEngine, the New*
-// wrappers and NewSharded: resolve the name, validate, build the backend,
+// open is the single construction path behind Open, the New* wrappers
+// and NewSharded: resolve the name, validate, build the backend,
 // construct or recover the structure, and wrap the result in the guard.
 func open(name string, cfg Config) (*guard, error) {
 	kind := -1

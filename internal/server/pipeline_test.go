@@ -260,9 +260,9 @@ func (e refusingStarter) StartBatch(op extbuf.BatchOp, ship bool, keys, vals, va
 
 // TestPipelinedApplyErrorInTheMiddle: an engine error answers ERR to the
 // request it hit and to no other, and the responses still leave in
-// request order — on a Sharded engine, where the failing request arrives
-// while an earlier call is outstanding, and on a single table, whose
-// calls are complete at submission.
+// request order — when the failing request arrives while an earlier call
+// is held outstanding in its shard worker, and on an engine nothing holds,
+// one shard with no gate, where earlier calls may already be done.
 func TestPipelinedApplyErrorInTheMiddle(t *testing.T) {
 	script := func(t *testing.T, c *rawConn, release func()) {
 		c.send(t, wire.OpUpsert, 1, kv(1, 10))
@@ -295,7 +295,7 @@ func TestPipelinedApplyErrorInTheMiddle(t *testing.T) {
 		})
 	})
 	t.Run("synchronous", func(t *testing.T) {
-		single, err := extbuf.OpenEngine("buffered", extbuf.Config{})
+		single, err := extbuf.NewSharded("buffered", extbuf.Config{}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}

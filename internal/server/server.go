@@ -49,10 +49,10 @@ import (
 )
 
 // Engine is the store the server fronts: extbuf's exported engine
-// surface, satisfied by both extbuf.Sharded and single tables from
-// extbuf.OpenEngine. The alias keeps server.Engine as the name this
-// package's API is written in while guaranteeing the server and the
-// replication follower program against exactly the public interface.
+// surface, which extbuf.Sharded implements. The alias keeps
+// server.Engine as the name this package's API is written in while
+// guaranteeing the server and the replication follower program against
+// exactly the public interface.
 type Engine = extbuf.Engine
 
 var _ Engine = (*extbuf.Sharded)(nil)

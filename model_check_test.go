@@ -30,19 +30,6 @@ func modelOps(t *testing.T) int {
 	return 2000
 }
 
-// checkedTable abstracts a single table and the sharded engine behind
-// one mutate/observe surface for the checker.
-type checkedTable interface {
-	Insert(key, val uint64) error
-	Upsert(key, val uint64) error
-	Lookup(key uint64) (uint64, bool)
-	Delete(key uint64) bool
-	CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) (uint64, error)
-	Len() int
-	Flush() error
-	Close() error
-}
-
 // lenUpperBound lists structures whose Len is a documented upper bound
 // under overwrites rather than an exact count: logmethod defers
 // cross-level deduplication to the next merge (see logmethod.recount),
@@ -65,8 +52,8 @@ func copiesMismatch(tab extbuf.Table, ref map[uint64]uint64, key uint64) (n, wan
 // reopen rebuilds the implementation from its durable files; nil
 // disables close/reopen transitions (scratch backends). It returns how
 // many merges the stream's lookups bought (summed over the reopens).
-func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
-	reopen func() (checkedTable, error)) (readPaidMerges int64) {
+func runModelCheck(t *testing.T, label string, seed uint64, tab extbuf.Table,
+	reopen func() (extbuf.Table, error)) (readPaidMerges int64) {
 	t.Helper()
 	countReadPaid := func() { readPaidMerges += extbuf.MergeStatsForTest(tab).ReadPaidMerges }
 	fail := func(format string, args ...any) {
@@ -78,10 +65,8 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 	ref := map[uint64]uint64{}
 	checkCopies := func(i int, key uint64) {
 		t.Helper()
-		if table, isTable := tab.(extbuf.Table); isTable {
-			if n, want, bad := copiesMismatch(table, ref, key); bad {
-				fail("op %d: key %d has %d live copies, reference wants %d", i, key, n, want)
-			}
+		if n, want, bad := copiesMismatch(tab, ref, key); bad {
+			fail("op %d: key %d has %d live copies, reference wants %d", i, key, n, want)
 		}
 	}
 	swapped := make([]bool, 1)
@@ -120,7 +105,7 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 		case c < 72: // compare-and-swap, against the stored value half the time
 			rv, present := ref[key]
 			old, val := rv+rng.Uint64()%2, rng.Uint64()
-			if _, err := tab.CompareSwapBatchShip([]uint64{key}, []uint64{old}, []uint64{val}, swapped); err != nil {
+			if _, err := extbuf.BatchForTest(tab, extbuf.BatchCompareSwap, false, []uint64{key}, []uint64{old}, []uint64{val}, swapped); err != nil {
 				fail("op %d: cas(%d): %v", i, key, err)
 			}
 			if want := present && old == rv; swapped[0] != want {
@@ -143,10 +128,8 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 			// The barrier is a quiescent point (every worker idle), so
 			// the buffer-pool pin gauge must read zero: each ReadPinned
 			// during the preceding operations was balanced by its Unpin.
-			if table, isTable := tab.(extbuf.Table); isTable {
-				if pinned, ok := extbuf.PoolPinnedForTest(table); ok && pinned != 0 {
-					fail("op %d: %d buffer-pool pins leaked across flush barrier", i, pinned)
-				}
+			if pinned, ok := extbuf.PoolPinnedForTest(tab); ok && pinned != 0 {
+				fail("op %d: %d buffer-pool pins leaked across flush barrier", i, pinned)
 			}
 		default: // close + reopen (durable backends only)
 			if reopen == nil {
@@ -194,10 +177,8 @@ func runModelCheck(t *testing.T, label string, seed uint64, tab checkedTable,
 	if err := tab.Flush(); err != nil {
 		fail("final flush: %v", err)
 	}
-	if table, isTable := tab.(extbuf.Table); isTable {
-		if pinned, ok := extbuf.PoolPinnedForTest(table); ok && pinned != 0 {
-			fail("final audit: %d buffer-pool pins leaked", pinned)
-		}
+	if pinned, ok := extbuf.PoolPinnedForTest(tab); ok && pinned != 0 {
+		fail("final audit: %d buffer-pool pins leaked", pinned)
 	}
 	countReadPaid()
 	if err := tab.Close(); err != nil {
@@ -220,11 +201,11 @@ func TestModelCheckStructures(t *testing.T) {
 				if name == "extendible" {
 					cfg.MemoryWords = 1 << 16
 				}
-				tab, err := extbuf.OpenEngine(name, cfg)
+				tab, err := extbuf.Open(name, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
-				reopen := func() (checkedTable, error) { return extbuf.OpenEngine(name, cfg) }
+				reopen := func() (extbuf.Table, error) { return extbuf.Open(name, cfg) }
 				runModelCheck(t, name, seed, tab, reopen)
 			})
 		}
@@ -242,7 +223,7 @@ func TestModelCheckMemBackend(t *testing.T) {
 			if name == "extendible" {
 				cfg.MemoryWords = 1 << 16
 			}
-			tab, err := extbuf.OpenEngine(name, cfg)
+			tab, err := extbuf.Open(name, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -265,7 +246,7 @@ func TestModelCheckSharded(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			reopen := func() (checkedTable, error) { return extbuf.NewSharded("knuth", cfg, 4) }
+			reopen := func() (extbuf.Table, error) { return extbuf.NewSharded("knuth", cfg, 4) }
 			runModelCheck(t, "sharded", seed, s, reopen)
 		})
 	}
@@ -287,7 +268,7 @@ func TestModelCheckReadPaidMerges(t *testing.T) {
 		"mem": func(t *testing.T, seed uint64) int64 {
 			cfg := base
 			cfg.Seed = seed | 1
-			tab, err := extbuf.OpenEngine("buffered", cfg)
+			tab, err := extbuf.Open("buffered", cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -296,7 +277,7 @@ func TestModelCheckReadPaidMerges(t *testing.T) {
 		"durable": func(t *testing.T, seed uint64) int64 {
 			cfg := base
 			cfg.Seed, cfg.Backend, cfg.Path = seed|1, "file", filepath.Join(t.TempDir(), "model.tbl")
-			open := func() (checkedTable, error) { return extbuf.OpenEngine("buffered", cfg) }
+			open := func() (extbuf.Table, error) { return extbuf.Open("buffered", cfg) }
 			tab, err := open()
 			if err != nil {
 				t.Fatal(err)
@@ -306,7 +287,7 @@ func TestModelCheckReadPaidMerges(t *testing.T) {
 		"sharded": func(t *testing.T, seed uint64) int64 {
 			cfg := base
 			cfg.Seed, cfg.Backend, cfg.Path = seed|1, "file", filepath.Join(t.TempDir(), "shards")
-			open := func() (checkedTable, error) { return extbuf.NewSharded("buffered", cfg, 2) }
+			open := func() (extbuf.Table, error) { return extbuf.NewSharded("buffered", cfg, 2) }
 			s, err := open()
 			if err != nil {
 				t.Fatal(err)

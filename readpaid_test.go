@@ -22,8 +22,8 @@ func absentKeys(seed uint64, n int) []uint64 {
 	return keys
 }
 
-// readPaidEngines opens the engines the rule is served through: a single
-// table and a sharded engine, scratch and durable.
+// readPaidEngines opens the engines the rule is served through: one and
+// two shards, scratch and durable.
 func readPaidEngines(t *testing.T, structure string) map[string]extbuf.Engine {
 	t.Helper()
 	out := map[string]extbuf.Engine{}
@@ -32,7 +32,7 @@ func readPaidEngines(t *testing.T, structure string) map[string]extbuf.Engine {
 		if backend == "file" {
 			cfg.Path = filepath.Join(t.TempDir(), "single.tbl")
 		}
-		single, err := extbuf.OpenEngine(structure, cfg)
+		single, err := extbuf.NewSharded(structure, cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func readPaidEngines(t *testing.T, structure string) map[string]extbuf.Engine {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[backend+"/single"], out[backend+"/sharded"] = single, sharded
+		out[backend+"/shards=1"], out[backend+"/shards=2"] = single, sharded
 		t.Cleanup(func() { single.Close(); sharded.Close() })
 	}
 	return out
@@ -174,7 +174,7 @@ func TestScanAcrossReadPaidMerge(t *testing.T) {
 	found := make([]bool, len(absent))
 	got := make([]uint64, len(absent))
 	open := func() extbuf.Engine {
-		eng, err := extbuf.OpenEngine("buffered", extbuf.Config{BlockSize: 16, MemoryWords: 512, Beta: 2, Seed: 3})
+		eng, err := extbuf.NewSharded("buffered", extbuf.Config{BlockSize: 16, MemoryWords: 512, Beta: 2, Seed: 3}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +250,7 @@ func TestCheckpointExpiryRoundTrip(t *testing.T) {
 		t.Run(structure, func(t *testing.T) {
 			cfg := cfg
 			cfg.Path += "." + structure
-			eng, err := extbuf.OpenEngine(structure, cfg)
+			eng, err := extbuf.NewSharded(structure, cfg, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -260,7 +260,7 @@ func TestCheckpointExpiryRoundTrip(t *testing.T) {
 			if err := eng.Close(); err != nil { // the checkpoint
 				t.Fatal(err)
 			}
-			if eng, err = extbuf.OpenEngine(structure, cfg); err != nil {
+			if eng, err = extbuf.NewSharded(structure, cfg, 1); err != nil {
 				t.Fatal(err)
 			}
 			defer eng.Close()

@@ -99,7 +99,7 @@ func TestRecordPathSameRecords(t *testing.T) {
 	if !found[0] || found[1] {
 		t.Fatalf("delete found = %v, want [true false]", found[:2])
 	}
-	must(extbuf.ExpireForTest(s, true, []uint64{4, 2000, 5}, []uint64{150, 150, 1 << 40}, found)) // 2000 is absent
+	must(extbuf.BatchForTest(s, extbuf.BatchExpire, true, []uint64{4, 2000, 5}, []uint64{150, 150, 1 << 40}, nil, found)) // 2000 is absent
 	if !found[0] || found[1] || !found[2] {
 		t.Fatalf("expire found = %v, want [true false true]", found[:3])
 	}
@@ -160,7 +160,7 @@ func TestRecordPathSameRecords(t *testing.T) {
 // leaving it in the table would make it live again.
 func TestRecordPathSweepAfterLogFailure(t *testing.T) {
 	const key = 7
-	open := func(failAt int64) (extbuf.Engine, *testClock, int64) {
+	open := func(failAt int64) (*extbuf.Sharded, *testClock, int64) {
 		t.Helper()
 		clk := &testClock{}
 		clk.now.Store(100)
@@ -169,7 +169,7 @@ func TestRecordPathSweepAfterLogFailure(t *testing.T) {
 			Backend: "file", Path: filepath.Join(t.TempDir(), "sweep.tbl"),
 			Crash: &extbuf.CrashPlan{FailAfterWrites: failAt},
 		}.WithClock(clk.fn())
-		eng, err := extbuf.OpenEngine("buffered", cfg)
+		eng, err := extbuf.NewSharded("buffered", cfg, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -177,10 +177,10 @@ func TestRecordPathSweepAfterLogFailure(t *testing.T) {
 		if err := eng.Upsert(key, 70); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := extbuf.ExpireForTest(eng, false, []uint64{key}, []uint64{200}, found); err != nil || !found[0] {
+		if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, []uint64{key}, []uint64{200}, nil, found); err != nil || !found[0] {
 			t.Fatalf("expire: %v %v", found[0], err)
 		}
-		return eng, clk, extbuf.CrashWritesForTest(eng)
+		return eng, clk, extbuf.ShardCrasherForTest(eng, 0).Writes()
 	}
 	// A fault-free run counts the writes before the Sync; the real run
 	// dies at the Sync's first write, its spill, and the log stays failed.

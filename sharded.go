@@ -49,7 +49,6 @@ const shardQueueDepth = 64
 // without entering the pipeline (the underlying counters are atomic),
 // so monitoring never stalls the workers.
 type Sharded struct {
-	batchAPI
 	shards   []*guard
 	reqs     []chan *BatchCall
 	workerWG sync.WaitGroup
@@ -97,12 +96,6 @@ type BatchCall struct {
 
 	// Completion: the workers signal wg.
 	wg sync.WaitGroup
-
-	// A single table's call (guard.StartBatch), complete at submission:
-	// its guard, and the outcome Wait returns.
-	g       *guard
-	doneLSN uint64
-	doneErr error
 
 	// Results, one slot per shard, and the page of an opScan.
 	errs         []error
@@ -166,7 +159,6 @@ func NewSharded(structure string, cfg Config, shards int) (*Sharded, error) {
 		salt:   xrand.Mix64(cfg.Seed ^ 0xa5a5a5a5a5a5a5a5),
 		bits:   bits,
 	}
-	s.do = s.runBatch
 	s.callPool.New = func() any {
 		return &BatchCall{
 			s:       s,
@@ -378,14 +370,73 @@ func (s *Sharded) waitBatch(c *BatchCall) (uint64, error) {
 	return lsn, err
 }
 
-// runBatch is a whole keyed batch — start, then wait: the do behind
-// every batchAPI method.
-func (s *Sharded) runBatch(v opVec) (uint64, error) {
+// runBatch is a whole keyed batch — the length contract, start, then
+// wait: the body of every batch method.
+func (s *Sharded) runBatch(v *opVec) (uint64, error) {
+	if err := v.check(); err != nil {
+		return 0, err
+	}
 	c := s.getCall()
-	if err := s.startBatch(c, &v); err != nil {
+	if err := s.startBatch(c, v); err != nil {
 		return 0, err
 	}
 	return s.waitBatch(c)
+}
+
+// InsertBatch inserts each (keys[i], vals[i]) pair in order.
+func (s *Sharded) InsertBatch(keys, vals []uint64) error {
+	_, err := s.runBatch(&opVec{kind: BatchInsert, keys: keys, vals: vals})
+	return err
+}
+
+// UpsertBatch upserts each (keys[i], vals[i]) pair in order.
+func (s *Sharded) UpsertBatch(keys, vals []uint64) error {
+	_, err := s.runBatch(&opVec{kind: BatchUpsert, keys: keys, vals: vals})
+	return err
+}
+
+// LookupBatch looks up every key, allocating the result slices.
+func (s *Sharded) LookupBatch(keys []uint64) ([]uint64, []bool, error) {
+	vals, found := make([]uint64, len(keys)), make([]bool, len(keys))
+	return vals, found, s.LookupBatchInto(keys, vals, found)
+}
+
+// LookupBatchInto looks up every key into caller-provided slices.
+func (s *Sharded) LookupBatchInto(keys, vals []uint64, found []bool) error {
+	_, err := s.runBatch(&opVec{kind: BatchLookup, keys: keys, outV: vals, outOK: found})
+	return err
+}
+
+// DeleteBatchInto deletes every key into a caller-provided found slice.
+func (s *Sharded) DeleteBatchInto(keys []uint64, found []bool) error {
+	_, err := s.runBatch(&opVec{kind: BatchDelete, keys: keys, outOK: found})
+	return err
+}
+
+// InsertBatchShip is InsertBatch with the shipping contract (Engine).
+func (s *Sharded) InsertBatchShip(keys, vals []uint64) (uint64, error) {
+	return s.runBatch(&opVec{kind: BatchInsert, ship: true, keys: keys, vals: vals})
+}
+
+// UpsertBatchShip is UpsertBatch with the shipping contract (Engine).
+func (s *Sharded) UpsertBatchShip(keys, vals []uint64) (uint64, error) {
+	return s.runBatch(&opVec{kind: BatchUpsert, ship: true, keys: keys, vals: vals})
+}
+
+// DeleteBatchShipInto is DeleteBatchInto with the shipping contract
+// (Engine).
+func (s *Sharded) DeleteBatchShipInto(keys []uint64, found []bool) (uint64, error) {
+	return s.runBatch(&opVec{kind: BatchDelete, ship: true, keys: keys, outOK: found})
+}
+
+// UpsertTTLBatchShip is Engine.UpsertTTLBatchShip.
+func (s *Sharded) UpsertTTLBatchShip(keys, vals, deadlines []uint64) (uint64, error) {
+	return s.runBatch(&opVec{kind: BatchUpsertTTL, ship: true, keys: keys, vals: vals, vals2: deadlines})
+}
+
+// CompareSwapBatchShip is Engine.CompareSwapBatchShip.
+func (s *Sharded) CompareSwapBatchShip(keys, olds, news []uint64, swapped []bool) (uint64, error) {
+	return s.runBatch(&opVec{kind: BatchCompareSwap, ship: true, keys: keys, vals: olds, vals2: news, outOK: swapped})
 }
 
 // one is a single-key operation: a one-element batch whose operand and
@@ -417,18 +468,19 @@ func (s *Sharded) Upsert(key, val uint64) error {
 }
 
 // Lookup returns the value stored for key. On a closed engine it
-// reports absence; use LookupBatch for an error-signalled variant.
+// reports absence; LookupBatchInto is the error-signalled form.
 func (s *Sharded) Lookup(key uint64) (uint64, bool) {
 	v, ok, _ := s.one(BatchLookup, key, 0)
 	return v, ok
 }
 
-// Delete removes key, reporting whether it was present. On a closed
-// engine it reports a miss; use DeleteBatch for an error-signalled
-// variant.
+// Delete removes key, reporting whether it was present. Like a table's
+// Delete it reports a miss when the record step failed — the key is gone
+// from the shard, but nothing durable says so — and on a closed engine;
+// DeleteBatchInto is the error-signalled form.
 func (s *Sharded) Delete(key uint64) bool {
-	_, ok, _ := s.one(BatchDelete, key, 0)
-	return ok
+	_, ok, err := s.one(BatchDelete, key, 0)
+	return ok && err == nil
 }
 
 // SetShip installs (or removes, with nil) the ship sink on every shard's
@@ -485,9 +537,6 @@ func (s *Sharded) StartBatch(op BatchOp, ship bool, keys, vals, vals2 []uint64, 
 // and the joined per-shard errors — what the synchronous call would have
 // returned. The handle is recycled; it must not be used again.
 func (c *BatchCall) Wait() (uint64, error) {
-	if c.g != nil {
-		return c.g.finish(c)
-	}
 	return c.s.waitBatch(c)
 }
 

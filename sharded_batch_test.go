@@ -69,10 +69,10 @@ func TestBatchOrderPreserved(t *testing.T) {
 		}
 	}
 
-	// DeleteBatch flags also come back in input order.
+	// DeleteBatchInto flags also come back in input order.
 	del := []uint64{keys[10], keys[10] ^ 1, keys[20], keys[10]}
-	hits, err := s.DeleteBatch(del)
-	if err != nil {
+	hits := make([]bool, len(del))
+	if err := s.DeleteBatchInto(del, hits); err != nil {
 		t.Fatal(err)
 	}
 	wantHits := []bool{true, false, true, false} // second delete of keys[10] misses
@@ -153,7 +153,7 @@ func TestBatchErrors(t *testing.T) {
 	if _, _, err := s.LookupBatch([]uint64{1}); !errors.Is(err, extbuf.ErrClosed) {
 		t.Fatalf("lookup after close = %v, want ErrClosed", err)
 	}
-	if _, err := s.DeleteBatch([]uint64{1}); !errors.Is(err, extbuf.ErrClosed) {
+	if err := s.DeleteBatchInto([]uint64{1}, make([]bool, 1)); !errors.Is(err, extbuf.ErrClosed) {
 		t.Fatalf("delete after close = %v, want ErrClosed", err)
 	}
 }

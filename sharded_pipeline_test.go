@@ -209,7 +209,7 @@ func TestStartWaitMatchesSynchronous(t *testing.T) {
 // its barrier, so a warmed start+wait allocates nothing — with one call
 // at a time or several outstanding, for the kinds a served mix sends
 // (upsert, lookup, upsert-ttl, compare-swap) — and neither does a
-// broadcast. A single table's completed handles are recycled too.
+// broadcast.
 func TestStartWaitZeroAllocs(t *testing.T) {
 	if bi, ok := debug.ReadBuildInfo(); ok {
 		for _, set := range bi.Settings {
@@ -224,11 +224,6 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	single, err := extbuf.OpenEngine("knuth", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer single.Close()
 	const batch, depth = 128, 4
 	var keys, vals, vals2 [depth][]uint64
 	var found [depth][]bool
@@ -245,33 +240,27 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 		case extbuf.BatchCompareSwap:
 			vals2[i] = vals[i] // swap each value for itself: every swap succeeds
 		}
-		for _, e := range []extbuf.Engine{s, single} {
-			if err := e.UpsertBatch(keys[i], vals[i]); err != nil {
+		if err := s.UpsertBatch(keys[i], vals[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var calls [depth]*extbuf.BatchCall
+	run := func() {
+		for i := range calls {
+			var err error
+			if calls[i], err = s.StartBatch(ops[i], true, keys[i], vals[i], vals2[i], found[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, c := range calls {
+			if _, err := c.Wait(); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
-	var calls [depth]*extbuf.BatchCall
-	run := func(e extbuf.Engine) func() {
-		return func() {
-			for i := range calls {
-				var err error
-				if calls[i], err = e.StartBatch(ops[i], true, keys[i], vals[i], vals2[i], found[i]); err != nil {
-					t.Fatal(err)
-				}
-			}
-			for _, c := range calls {
-				if _, err := c.Wait(); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-	}
-	for name, e := range map[string]extbuf.Engine{"sharded": s, "single table": single} {
-		run(e)() // warm the handle pool
-		if allocs := testing.AllocsPerRun(200, run(e)); allocs != 0 {
-			t.Fatalf("%s: steady-state start+wait: %.2f allocs per %d calls, want 0", name, allocs, depth)
-		}
+	run() // warm the handle pool
+	if allocs := testing.AllocsPerRun(200, run); allocs != 0 {
+		t.Fatalf("steady-state start+wait: %.2f allocs per %d calls, want 0", allocs, depth)
 	}
 	// The broadcasts use the same pooled handle: no request per shard,
 	// no error slice per barrier.
@@ -290,52 +279,45 @@ func TestStartWaitZeroAllocs(t *testing.T) {
 }
 
 // TestStartWaitNoShip: a start with ship false applies and the sink
-// hears nothing, on either engine; and a lookup ships nothing even with
-// ship set. The subtest is "sync" because every start returns a handle
+// hears nothing; and a lookup ships nothing even with ship set. The subtest is "sync" because every start returns a handle
 // whose Wait reports the batch applied — there is no write-behind path.
 func TestStartWaitNoShip(t *testing.T) {
 	t.Run("sync", func(t *testing.T) {
-		sharded, err := extbuf.NewSharded("buffered", extbuf.Config{}, 2)
+		e, err := extbuf.NewSharded("buffered", extbuf.Config{}, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		single, err := extbuf.OpenEngine("buffered", extbuf.Config{})
-		if err != nil {
-			t.Fatal(err)
+		defer e.Close()
+		rec := newShipRecorder()
+		e.SetShip(rec.ship)
+		wait := func(what string, h *extbuf.BatchCall, err error) {
+			t.Helper()
+			if err != nil {
+				t.Fatalf("%s: %v", what, err)
+			}
+			if lsn, err := h.Wait(); err != nil || lsn != 0 {
+				t.Fatalf("%s: Wait = lsn %d, %v; want 0, nil", what, lsn, err)
+			}
 		}
-		for name, e := range map[string]extbuf.Engine{"sharded": sharded, "single table": single} {
-			defer e.Close()
-			rec := newShipRecorder()
-			e.SetShip(rec.ship)
-			wait := func(what string, h *extbuf.BatchCall, err error) {
-				t.Helper()
-				if err != nil {
-					t.Fatalf("%s: %s: %v", name, what, err)
-				}
-				if lsn, err := h.Wait(); err != nil || lsn != 0 {
-					t.Fatalf("%s: %s: Wait = lsn %d, %v; want 0, nil", name, what, lsn, err)
-				}
-			}
-			h, err := e.StartBatch(extbuf.BatchInsert, false, []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40}, nil, nil)
-			wait("insert", h, err)
-			found := make([]bool, 2)
-			h, err = e.StartBatch(extbuf.BatchDelete, false, []uint64{4, 5}, nil, nil, found)
-			wait("delete", h, err)
-			if !found[0] || found[1] {
-				t.Fatalf("%s: delete of {4, 5}: found %v", name, found)
-			}
-			got, hit := make([]uint64, 2), make([]bool, 2)
-			h, err = e.StartBatch(extbuf.BatchLookup, true, []uint64{1, 4}, got, nil, hit)
-			wait("lookup", h, err)
-			if got[0] != 10 || !hit[0] || hit[1] {
-				t.Fatalf("%s: lookup of {1, 4}: %v %v", name, got, hit)
-			}
-			if n := e.Len(); n != 3 {
-				t.Fatalf("%s: Len = %d, want 3", name, n)
-			}
-			if rec.next != 1 {
-				t.Fatalf("%s: %d records reached the ship sink", name, rec.next-1)
-			}
+		h, err := e.StartBatch(extbuf.BatchInsert, false, []uint64{1, 2, 3, 4}, []uint64{10, 20, 30, 40}, nil, nil)
+		wait("insert", h, err)
+		found := make([]bool, 2)
+		h, err = e.StartBatch(extbuf.BatchDelete, false, []uint64{4, 5}, nil, nil, found)
+		wait("delete", h, err)
+		if !found[0] || found[1] {
+			t.Fatalf("delete of {4, 5}: found %v", found)
+		}
+		got, hit := make([]uint64, 2), make([]bool, 2)
+		h, err = e.StartBatch(extbuf.BatchLookup, true, []uint64{1, 4}, got, nil, hit)
+		wait("lookup", h, err)
+		if got[0] != 10 || !hit[0] || hit[1] {
+			t.Fatalf("lookup of {1, 4}: %v %v", got, hit)
+		}
+		if n := e.Len(); n != 3 {
+			t.Fatalf("Len = %d, want 3", n)
+		}
+		if rec.next != 1 {
+			t.Fatalf("%d records reached the ship sink", rec.next-1)
 		}
 	})
 }

@@ -15,8 +15,8 @@ type testClock struct{ now atomic.Uint64 }
 
 func (c *testClock) fn() func() uint64 { return c.now.Load }
 
-// openEngines builds one engine of every structure on the in-memory
-// backend, all sharing clk.
+// openEngines builds a one-shard engine of every structure on the
+// in-memory backend, all sharing clk.
 func openEngines(t *testing.T, clk *testClock) map[string]extbuf.Engine {
 	t.Helper()
 	out := map[string]extbuf.Engine{}
@@ -26,11 +26,11 @@ func openEngines(t *testing.T, clk *testClock) map[string]extbuf.Engine {
 		if name == "extendible" {
 			cfg.MemoryWords = 1 << 16
 		}
-		tab, err := extbuf.Open(name, cfg)
+		eng, err := extbuf.NewSharded(name, cfg, 1)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		out[name] = tab.(extbuf.Engine)
+		out[name] = eng
 	}
 	return out
 }
@@ -47,7 +47,7 @@ func TestTTLLazyExpiryAndSweep(t *testing.T) {
 		}
 		// Deadline in the future: still visible.
 		found := make([]bool, 3)
-		if _, err := extbuf.ExpireForTest(eng, false, []uint64{1, 2, 99}, []uint64{2000, 3000, 2000}, found); err != nil {
+		if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, []uint64{1, 2, 99}, []uint64{2000, 3000, 2000}, nil, found); err != nil {
 			t.Fatalf("%s: expire: %v", name, err)
 		}
 		if !found[0] || !found[1] || found[2] {
@@ -107,7 +107,7 @@ func TestTTLClearedByWrites(t *testing.T) {
 		if err := eng.Insert(7, 70); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := extbuf.ExpireForTest(eng, false, []uint64{7}, []uint64{200}, found); err != nil || !found[0] {
+		if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, []uint64{7}, []uint64{200}, nil, found); err != nil || !found[0] {
 			t.Fatalf("%s: expire: %v %v", name, err, found)
 		}
 		// A plain upsert clears the deadline.
@@ -119,7 +119,7 @@ func TestTTLClearedByWrites(t *testing.T) {
 			t.Fatalf("%s: upsert did not clear TTL (ok=%v v=%d)", name, ok, v)
 		}
 		// So does a successful CAS.
-		if _, err := extbuf.ExpireForTest(eng, false, []uint64{7}, []uint64{6000}, found); err != nil || !found[0] {
+		if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, []uint64{7}, []uint64{6000}, nil, found); err != nil || !found[0] {
 			t.Fatalf("%s: re-expire: %v %v", name, err, found)
 		}
 		if _, err := eng.CompareSwapBatchShip([]uint64{7}, []uint64{71}, []uint64{72}, swapped); err != nil || !swapped[0] {
@@ -165,7 +165,7 @@ func TestCompareSwap(t *testing.T) {
 		}
 		// An expired key never swaps, even with a matching old value.
 		found := make([]bool, 1)
-		if _, err := extbuf.ExpireForTest(eng, false, []uint64{3}, []uint64{150}, found); err != nil || !found[0] {
+		if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, []uint64{3}, []uint64{150}, nil, found); err != nil || !found[0] {
 			t.Fatal(err, found)
 		}
 		clk.now.Store(200)
@@ -233,7 +233,7 @@ func TestScanAllStructures(t *testing.T) {
 		}
 		// Expire a disjoint slice; expired entries must not appear.
 		found := make([]bool, 250)
-		if _, err := extbuf.ExpireForTest(eng, false, keys[500:750], repeat(150, 250), found); err != nil {
+		if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, keys[500:750], repeat(150, 250), nil, found); err != nil {
 			t.Fatalf("%s: expire: %v", name, err)
 		}
 		clk.now.Store(200)
@@ -311,7 +311,7 @@ func TestShardedTTLCASScan(t *testing.T) {
 	// Expire half with deadline 200, check found flags.
 	half := keys[:n/2]
 	found := make([]bool, n/2)
-	if _, err := extbuf.ExpireForTest(s, false, half, repeat(200, n/2), found); err != nil {
+	if _, err := extbuf.BatchForTest(s, extbuf.BatchExpire, false, half, repeat(200, n/2), nil, found); err != nil {
 		t.Fatal(err)
 	}
 	for i, ok := range found {
@@ -413,16 +413,15 @@ func TestTTLDurability(t *testing.T) {
 		Backend: "file", Path: path,
 	}.WithClock(clk.fn())
 
-	tab, err := extbuf.Open("buffered", cfg)
+	eng, err := extbuf.NewSharded("buffered", cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := tab.(extbuf.Engine)
 	if err := eng.InsertBatch([]uint64{1, 2, 3}, []uint64{10, 20, 30}); err != nil {
 		t.Fatal(err)
 	}
 	found := make([]bool, 2)
-	if _, err := extbuf.ExpireForTest(eng, false, []uint64{1, 2}, []uint64{500, 900}, found); err != nil {
+	if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, []uint64{1, 2}, []uint64{500, 900}, nil, found); err != nil {
 		t.Fatal(err)
 	}
 	// Checkpoint now holds keys 1-3 and two deadlines.
@@ -431,7 +430,7 @@ func TestTTLDurability(t *testing.T) {
 	}
 	// Post-checkpoint WAL tail: a new deadline for 3, an overwrite of 2
 	// (clears its deadline), and a fresh key.
-	if _, err := extbuf.ExpireForTest(eng, false, []uint64{3}, []uint64{700}, found[:1]); err != nil {
+	if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, []uint64{3}, []uint64{700}, nil, found[:1]); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Upsert(2, 21); err != nil {
@@ -444,11 +443,10 @@ func TestTTLDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	tab, err = extbuf.Open("buffered", cfg)
+	eng, err = extbuf.NewSharded("buffered", cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng = tab.(extbuf.Engine)
 	defer eng.Close()
 	if st := eng.ExpiryStats(); st.Tracked != 3 { // keys 1, 3, 4
 		t.Fatalf("Tracked after reopen = %d, want 3", st.Tracked)
@@ -482,7 +480,7 @@ func TestTTLClockCrossesEarliestDeadline(t *testing.T) {
 	clk := &testClock{}
 	cfg := extbuf.Config{BlockSize: 16, MemoryWords: 512, ExpectedItems: 4096, Seed: 7}.
 		WithClock(clk.fn())
-	single, err := extbuf.OpenEngine("buffered", cfg)
+	single, err := extbuf.NewSharded("buffered", cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -490,7 +488,7 @@ func TestTTLClockCrossesEarliestDeadline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, eng := range map[string]extbuf.Engine{"single": single, "sharded": sharded} {
+	for name, eng := range map[string]extbuf.Engine{"shards=1": single, "shards=4": sharded} {
 		clk.now.Store(1000)
 		const n = 64
 		keys, vals := make([]uint64, n), make([]uint64, n)
@@ -519,11 +517,11 @@ func TestTTLClockCrossesEarliestDeadline(t *testing.T) {
 		// and then moved out to 5000, abandoning the earlier entry.
 		found := make([]bool, n)
 		dl := append(repeat(2000, 8), repeat(3000, 8)...)
-		if _, err := extbuf.ExpireForTest(eng, false, keys[:16], dl, found[:16]); err != nil {
+		if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, keys[:16], dl, nil, found[:16]); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, d := range []uint64{1500, 5000} {
-			if _, err := extbuf.ExpireForTest(eng, false, keys[16:17], []uint64{d}, found[:1]); err != nil || !found[0] {
+			if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, keys[16:17], []uint64{d}, nil, found[:1]); err != nil || !found[0] {
 				t.Fatalf("%s: expire key 17 at %d: %v %v", name, d, found[0], err)
 			}
 		}
@@ -547,7 +545,7 @@ func TestTTLClockCrossesEarliestDeadline(t *testing.T) {
 		visible("at the second deadline", func(k uint64) bool { return k == 9 || k > 16 })
 		// A deadline already due, installed mid-call: the second position
 		// of the same call must see key 20 gone.
-		if _, err := extbuf.ExpireForTest(eng, false, []uint64{20, 20}, []uint64{2500, 9000}, found[:2]); err != nil || !found[0] || found[1] {
+		if _, err := extbuf.BatchForTest(eng, extbuf.BatchExpire, false, []uint64{20, 20}, []uint64{2500, 9000}, nil, found[:2]); err != nil || !found[0] || found[1] {
 			t.Fatalf("%s: expire (past, then again) = %v, %v; want [true false]", name, found[:2], err)
 		}
 		if n, _, err := eng.SweepExpired(1 << 20); err != nil || n != 13 {
