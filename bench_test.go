@@ -190,7 +190,10 @@ func benchInsert(b *testing.B, structure string) {
 	cfg := extbuf.Config{BlockSize: 64, MemoryWords: 1024, Beta: 8,
 		ExpectedItems: b.N + 1, Seed: 9}
 	if structure == "extendible" {
-		cfg.MemoryWords = int64(8*(b.N+4096)/64 + 4096)
+		// The directory costs two words a slot and ends a power of two
+		// a few times the bucket count: 2^17 slots for the 31 k full
+		// buckets of b.N = 2 M. Budget 16 slots a full bucket.
+		cfg.MemoryWords = int64(2*16*(b.N+4096)/64 + 4096)
 	}
 	tab, err := extbuf.Open(structure, cfg)
 	if err != nil {

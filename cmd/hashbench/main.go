@@ -551,6 +551,8 @@ func backendStatRows(store iomodel.BlockStore) []statRow {
 			{"file: ghost hits (scan-resistant promotions)", st.GhostHits},
 			{"file: MB read", float64(st.BytesRead) / (1 << 20)},
 			{"file: MB written", float64(st.BytesWritten) / (1 << 20)},
+			{"file: slots (extent)", st.FileSlots},
+			{"file: free slots", st.FreeSlots},
 		}
 		if st.WriteSyscalls > 0 {
 			rows = append(rows, statRow{"file: mean KiB/pwrite",

@@ -39,7 +39,7 @@ import (
 //   - Flush is the acknowledgement barrier: (1) spill the WAL and (2)
 //     flush dirty blocks copy-on-write (coalesced into runs of adjacent
 //     slots) — slots referenced by the previous checkpoint are never
-//     overwritten (iomodel.FileStore durable mode) — then fsync both
+//     overwritten (iomodel.FileStore's copy-on-write epoch) — then fsync both
 //     files concurrently (wal.SyncAll): every operation so far is now
 //     recoverable against the PREVIOUS checkpoint; (3) write the new
 //     superblock+checkpoint to a temp file, fsync, and atomically rename

@@ -46,7 +46,7 @@ type StoreStats struct {
 	BytesWritten    int64
 	Evictions       int64 // frames recycled to make room for a faulting block
 	DirtyWritebacks int64 // evicted frames that had to be written back first
-	FlushedFrames   int64 // dirty frames written back (flush barriers + clustering)
+	FlushedFrames   int64 // dirty frames written back (flush barriers + eviction batches)
 	FlushRuns       int64 // pwrites the flushed frames were batched into
 	Fsyncs          int64 // fsyncs of the block file
 	FsyncsElided    int64 // block-file barrier fsyncs skipped (nothing written since the last)

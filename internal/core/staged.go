@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"extbuf/internal/chainhash"
 	"extbuf/internal/hashfn"
@@ -146,7 +148,9 @@ func (s *Staged) Insert(key, val uint64) int {
 }
 
 // flush empties the memory buffer into the staging area, cleaning first
-// if the slow-zone budget would be exceeded.
+// if the slow-zone budget would be exceeded. The entries go out in key
+// order (keys are distinct), not the map's, so a seed fixes which
+// staging block each lands in and so every later lookup's I/Os.
 func (s *Staged) flush() int {
 	ios := 0
 	if s.stagingItems+len(s.buffer) > s.budget() {
@@ -156,6 +160,7 @@ func (s *Staged) flush() int {
 	for k, v := range s.buffer {
 		entries = append(entries, iomodel.Entry{Key: k, Val: v})
 	}
+	slices.SortFunc(entries, func(a, b iomodel.Entry) int { return cmp.Compare(a.Key, b.Key) })
 	s.buffer = make(map[uint64]uint64, s.bufCap)
 	b := s.model.B()
 	for len(entries) > 0 {

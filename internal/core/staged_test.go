@@ -44,6 +44,38 @@ func TestStagedInsertLookup(t *testing.T) {
 	}
 }
 
+// TestStagedDeterministic: two tables fed the same keys lay out the same
+// staging blocks, so the same lookups cost the same I/Os — the seed,
+// not the map's iteration order, fixes the counters.
+func TestStagedDeterministic(t *testing.T) {
+	keys := workload.Keys(xrand.New(4), 3000)
+	var counters [2]iomodel.Counters
+	var ios [2][]int
+	for r := range counters {
+		model, s := newStaged(t, 8, 256, 0.05)
+		for i, k := range keys {
+			s.Insert(k, uint64(i))
+		}
+		if s.StagingItems() == 0 {
+			t.Fatal("nothing staged: the lookups would not scan staging")
+		}
+		model.Disk.ResetCounters()
+		for _, k := range keys {
+			_, _, c := s.Lookup(k)
+			ios[r] = append(ios[r], c)
+		}
+		counters[r] = model.Disk.Counters()
+	}
+	if counters[0] != counters[1] {
+		t.Fatalf("same keys, same lookups: counters %v vs %v", counters[0], counters[1])
+	}
+	for i := range ios[0] {
+		if ios[0][i] != ios[1][i] {
+			t.Fatalf("lookup %d: %d I/Os vs %d", i, ios[0][i], ios[1][i])
+		}
+	}
+}
+
 func TestStagedBudgetEnforced(t *testing.T) {
 	// |S| = staging items must never exceed m + delta*k.
 	b := 16

@@ -70,9 +70,6 @@ func (t *Table) Len() int { return t.n }
 // GlobalDepth returns the current directory depth g.
 func (t *Table) GlobalDepth() uint { return t.global }
 
-// DirSize returns the number of directory slots, 2^g.
-func (t *Table) DirSize() int { return len(t.dir) }
-
 // LoadFactor returns ceil(n/b) over the number of distinct buckets.
 func (t *Table) LoadFactor() float64 {
 	b := t.d.B()

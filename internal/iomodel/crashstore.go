@@ -2,12 +2,11 @@ package iomodel
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"sync/atomic"
 )
 
-// This file implements CrashStore: deterministic, seedable fault
+// This file implements Crasher: deterministic, seedable fault
 // injection for the durability subsystem. A Crasher interposes on every
 // file underlying a durable table — the block file, the write-ahead log
 // and the checkpoint temp file — and simulates a process death at a
@@ -166,32 +165,3 @@ func (w *crashFile) Truncate(size int64) error {
 func (w *crashFile) Close() error { return w.f.Close() }
 
 func (w *crashFile) Name() string { return w.f.Name() }
-
-// CrashStore is a durable FileStore under a Crasher: the fault-testing
-// backend of the crash matrix. Construction opens (or reopens) the
-// block file at path in durable mode with every write routed through
-// the crasher.
-type CrashStore struct {
-	*FileStore
-	Crasher *Crasher
-}
-
-// NewCrashStore opens a durable FileStore at path with faults injected
-// by crasher.
-func NewCrashStore(path string, b, cacheBlocks int, crasher *Crasher) (*CrashStore, error) {
-	fs, err := OpenFileStore(path, b, cacheBlocks, crasher, 0)
-	if err != nil {
-		return nil, err
-	}
-	return &CrashStore{FileStore: fs, Crasher: crasher}, nil
-}
-
-// Failed returns the store's sticky write failure, if any — the signal
-// a driving harness uses to learn the simulated process has died.
-func (s *CrashStore) Failed() error { return s.FileStore.Failed() }
-
-// String identifies the store in test failure messages.
-func (s *CrashStore) String() string {
-	return fmt.Sprintf("CrashStore(%s, writes=%d, crashed=%v)",
-		s.Path(), s.Crasher.Writes(), s.Crasher.Crashed())
-}

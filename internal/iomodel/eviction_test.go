@@ -91,7 +91,7 @@ func TestScanResistantEviction(t *testing.T) {
 
 // BenchmarkEvictionScan measures steady-state eviction traffic: a
 // working set far larger than the pool read sequentially, with the
-// scan-resistant sweep and write clustering on the miss path.
+// scan-resistant sweep and eviction batches on the miss path.
 func BenchmarkEvictionScan(b *testing.B) {
 	const cacheCap = 256
 	const blocks = 4 * cacheCap

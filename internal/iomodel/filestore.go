@@ -23,22 +23,20 @@ import (
 // writes — decode as an empty block with a nil chain pointer, which is
 // exactly the state of an allocated-but-never-written block.
 //
-// # Placement: scratch vs durable
+// # Placement: copy-on-write
 //
-// A store built with NewFileStore truncates its file and places block
-// id at byte offset id*slotBytes — a fresh scratch store, not a
-// recovery mechanism. A store built with OpenFileStore runs in durable
-// mode: the file is NOT truncated, and a logical→physical indirection
-// table decouples the block IDs tables chain through from file
-// placement. Durable flushes are copy-on-write: every flush moves a
-// block to a fresh physical slot, so every slot referenced by the last
-// completed checkpoint stays byte-identical on disk until the next
-// checkpoint commits. A crash at any write — torn or not, one frame or a
-// run — therefore leaves the previous checkpoint fully intact: the
+// A logical→physical indirection table decouples the block IDs tables
+// chain through from file placement, and every flush is copy-on-write:
+// it moves a block to a fresh physical slot, so every slot referenced by
+// the last completed checkpoint stays byte-identical on disk until the
+// next checkpoint commits. A crash at any write — torn or not, one frame
+// or a run — therefore leaves the previous checkpoint fully intact: the
 // property the recovery protocol in package extbuf is built on. The slot
 // a block leaves is free at once if this epoch wrote it (no checkpoint
 // references it) and pending until the next checkpoint commits
-// otherwise.
+// otherwise. OpenFileStore keeps the file it opens for that recovery;
+// NewFileStore truncates it and never ends its epoch, so every slot a
+// scratch store supersedes is free at once.
 //
 // Because placement is chosen at every flush, the frames of one flush
 // take adjacent slots whatever their block IDs and leave in one pwrite.
@@ -70,25 +68,22 @@ import (
 // is CLOCK (second chance): each access sets the frame's reference bit,
 // and the sweep hand clears bits until it finds a cold frame, writing it
 // back first if dirty — no per-access list maintenance, unlike an LRU.
-// A durable store's dirty victim leaves in an eviction batch: with it go
-// the unpinned dirty frames among the batchWindow the hand reaches next
-// (at most maxBatchFrames), the frames the following evictions would
-// write back one at a time. The batch takes adjacent fresh slots and one
-// pwrite; only the victim is recycled, and the others stay resident and
-// clean, so the hit rate and the model's counters do not move. A scratch
-// store (identity placement) instead clusters the victim with the dirty
-// resident blocks of adjacent IDs, the only frames it can write with it.
+// A dirty victim leaves in an eviction batch: with it go the unpinned
+// dirty frames among the batchWindow the hand reaches next (at most
+// maxBatchFrames), the frames the following evictions would write back
+// one at a time. The batch takes adjacent fresh slots and one pwrite;
+// only the victim is recycled, and the others stay resident and clean,
+// so the hit rate and the model's counters do not move.
 // Frames can be pinned (PinBlock/UnpinBlock, reference counted): a
 // pinned frame is never evicted, so callers may hold its entries across
 // further store operations without a copy. Whole-block writes populate
 // a frame without reading the old contents.
 //
 // Dirty frames flushed at a Sync barrier are written the same way —
-// runs of adjacent slots (adjacent IDs in a scratch store) in single
-// large pwrites bounded by maxRunBytes — so a checkpoint costs a handful
-// of syscalls instead of one per block. Stats exposes the syscall, pool and
-// coalescing counters so experiments can report real costs next to the
-// model's counters.
+// runs of adjacent fresh slots in single large pwrites bounded by
+// maxRunBytes — so a checkpoint costs a handful of syscalls instead of
+// one per block. Stats exposes the syscall, pool and coalescing counters
+// so experiments can report real costs next to the model's counters.
 //
 // Write errors are sticky: the first failed pwrite (real, or injected
 // by a Crasher) marks the store failed, further evictions quietly drop
@@ -138,15 +133,14 @@ type FileStore struct {
 	lastID  BlockID
 	lastIdx int32
 
-	runBuf      []byte   // coalesced flush buffer, grown on demand
-	dirtyList   []*frame // scratch list reused by FlushDirty
-	clusterList []*frame // scratch list reused by eviction clustering
-	batchList   []*frame // scratch list reused by the eviction batch
-	stats       FileStats
-	removeName  string // non-empty: unlink this path on Close (temp stores)
-	closed      bool
-	failed      error // sticky first write failure
-	swab        bool  // big-endian host: entry words are byte-swapped around every transfer
+	runBuf     []byte   // coalesced flush buffer, grown on demand
+	dirtyList  []*frame // scratch list reused by FlushDirty
+	batchList  []*frame // scratch list reused by the eviction batch
+	stats      FileStats
+	removeName string // non-empty: unlink this path on Close (temp stores)
+	closed     bool
+	failed     error // sticky first write failure
+	swab       bool  // big-endian host: entry words are byte-swapped around every transfer
 	// wrote tracks whether any bytes reached the file since the last
 	// fsync, so a barrier with nothing new to harden elides its fsync
 	// instead of queueing a no-op behind the device.
@@ -166,11 +160,9 @@ type FileStore struct {
 	ghostAt  []uint64
 	ghostSeq uint64
 
-	// Durable-mode placement state (nil mapping = scratch mode). A slot
-	// whose slotEpoch is the current epoch was first written in it: no
-	// checkpoint references it, so it is free again as soon as its block
-	// moves on.
-	durable     bool
+	// Placement state. A slot whose slotEpoch is the current epoch was
+	// first written in it: no checkpoint references it, so it is free
+	// again as soon as its block moves on.
 	mapping     []int64  // logical id -> physical slot; -1 = never written
 	pendingFree []int64  // slots superseded this epoch; free after checkpoint
 	slotEpoch   []uint32 // per physical slot: the epoch that last assigned it (0: none)
@@ -181,19 +173,19 @@ type FileStore struct {
 	// It sits last so the pool's hot fields keep their offsets.
 	freeBits []uint64
 
-	// The extent allocator (durable mode). used has one bit per physical
-	// slot, set while a block maps to it or it is pending. Runs are cut
-	// from the carve region [carve, carveEnd): a hot run the epoch has
-	// emptied, else wholly free aligned groups of groupSlots slots, else
-	// new groups at the file tail when no group anywhere is wholly free.
-	// A slot freed inside a partly used unit waits for the rest of it,
+	// The extent allocator. used has one bit per physical slot, set
+	// while a block maps to it or it is pending. Runs are cut from the
+	// carve region [carve, carveEnd): a hot run the epoch has emptied,
+	// else wholly free aligned groups of groupSlots slots, else new
+	// groups at the file tail when no group anywhere is wholly free. A
+	// slot freed inside a partly used unit waits for the rest of it,
 	// which keeps every run long and the extent steady.
 	used            []uint64
 	physHigh        int64   // slots the allocator spans (a whole number of groups)
 	freeSlots       int64   // clear bits below physHigh
 	freeGroups      int64   // groups below physHigh with every bit clear
 	groupScan       int64   // the group the search for a free one starts at
-	hotRuns         []int64 // first slots of hot runs freed this epoch, latest last; some may be taken since
+	hotRuns         []int64 // first slots of hot runs freed this epoch, latest last; some may be taken since; at most physHigh/hotSlots
 	carve, carveEnd int64
 }
 
@@ -229,9 +221,9 @@ type FileStats struct {
 	Evictions       int64 // frames recycled to make room for a faulting block
 	DirtyWritebacks int64 // evicted frames that had to be written back first
 	// FlushedFrames counts every dirty frame written back — at flush
-	// barriers and through eviction write-clustering alike — and
-	// FlushRuns the pwrites they were batched into, so
-	// FlushedFrames/FlushRuns is the realized coalescing factor.
+	// barriers and in eviction batches alike — and FlushRuns the pwrites
+	// they were batched into, so FlushedFrames/FlushRuns is the realized
+	// coalescing factor.
 	FlushedFrames int64
 	FlushRuns     int64
 	Fsyncs        int64 // fsyncs of the block file
@@ -281,19 +273,21 @@ func alignUp(n, align int64) int64 {
 }
 
 // NewFileStore creates (or truncates) the file at path and returns a
-// scratch-placement store with blocks of capacity b entries and a page
-// cache of cacheBlocks frames (DefaultCacheBlocks if cacheBlocks <= 0).
+// scratch store with blocks of capacity b entries and a page cache of
+// cacheBlocks frames (DefaultCacheBlocks if cacheBlocks <= 0). It is the
+// store OpenFileStore opens, on an empty file and with an epoch that
+// never ends, so every slot it supersedes is free at once.
 func NewFileStore(path string, b, cacheBlocks int) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("iomodel: open block store: %w", err)
 	}
-	return newFileStoreOn(f, b, cacheBlocks, false, 0), nil
+	return newFileStoreOn(f, b, cacheBlocks, 0), nil
 }
 
 // OpenFileStore opens (creating if absent, never truncating) the file
-// at path as a durable-mode store: copy-on-write placement behind a
-// logical→physical indirection table, ready for checkpoint/recovery.
+// at path as a durable store, ready for checkpoint/recovery
+// (RestoreAllocState, EndEpoch).
 // A non-nil crasher interposes fault injection on every file write.
 // sector is the slot alignment the table's superblock records: 0 packs
 // the slots, anything else (a power of two) pads them to a multiple of
@@ -310,10 +304,10 @@ func OpenFileStore(path string, b, cacheBlocks int, crasher *Crasher, sector int
 	if crasher != nil {
 		bf = crasher.WrapFile(bf)
 	}
-	return newFileStoreOn(bf, b, cacheBlocks, true, int64(sector)), nil
+	return newFileStoreOn(bf, b, cacheBlocks, int64(sector)), nil
 }
 
-func newFileStoreOn(f BlockFile, b, cacheBlocks int, durable bool, sector int64) *FileStore {
+func newFileStoreOn(f BlockFile, b, cacheBlocks int, sector int64) *FileStore {
 	if b < 1 {
 		panic("iomodel: block size must be >= 1")
 	}
@@ -335,7 +329,6 @@ func newFileStoreOn(f BlockFile, b, cacheBlocks int, durable bool, sector int64)
 		arena:      make([]byte, cacheBlocks*int(slot)),
 		freeFrames: make([]int32, cacheBlocks),
 		swab:       hostBigEndian,
-		durable:    durable,
 		epoch:      1,
 	}
 	s.lastID = NilBlock
@@ -375,20 +368,12 @@ func (s *FileStore) Path() string { return s.f.Name() }
 // Stats returns a snapshot of the real-cost counters and space gauges.
 func (s *FileStore) Stats() FileStats {
 	st := s.stats
-	if s.durable {
-		st.FileSlots, st.FreeSlots = s.physHigh, s.freeSlots
-	} else {
-		st.FileSlots, st.FreeSlots = int64(s.nslots), int64(len(s.free))
-	}
+	st.FileSlots, st.FreeSlots = s.physHigh, s.freeSlots
 	return st
 }
 
 // B returns the block capacity in entries.
 func (s *FileStore) B() int { return s.b }
-
-// Durable reports whether the store runs in durable (copy-on-write)
-// mode.
-func (s *FileStore) Durable() bool { return s.durable }
 
 // Failed returns the sticky first write failure, or nil. A failed store
 // has lost writes; its in-memory cache no longer reflects the file.
@@ -418,22 +403,19 @@ func (s *FileStore) Alloc() BlockID {
 	}
 	s.resident = append(s.resident, -1)
 	s.ghostAt = append(s.ghostAt, 0)
-	if s.durable {
-		s.mapping = append(s.mapping, -1)
-	}
-	// Nothing is written yet: a read of a never-written slot hits EOF
-	// (scratch mode) or an unmapped slot (durable mode) and decodes as an
+	s.mapping = append(s.mapping, -1)
+	// Nothing is written yet: a read of an unmapped block decodes as an
 	// empty block, so allocation alone costs no syscall.
 	return id
 }
 
 // Free releases a block back to the allocator, discarding any cached
-// (even dirty) frame: freed contents need never reach the file. In
-// durable mode the block's physical slot is retired — after the next
-// checkpoint if the last checkpoint references it, immediately
-// otherwise. Freeing a pinned block panics (the pinned slice would
-// alias a recycled frame), and so does freeing a free one (two later
-// Allocs would hand it out twice).
+// (even dirty) frame: freed contents need never reach the file. The
+// block's physical slot is retired — after the next checkpoint if the
+// last checkpoint references it, immediately otherwise. Freeing a
+// pinned block panics (the pinned slice would alias a recycled frame),
+// and so does freeing a free one (two later Allocs would hand it out
+// twice).
 func (s *FileStore) Free(id BlockID) {
 	s.checkID(id)
 	if s.freeBits[id/64]&(1<<(id%64)) != 0 {
@@ -446,10 +428,8 @@ func (s *FileStore) Free(id BlockID) {
 		}
 		s.recycle(idx)
 	}
-	if s.durable {
-		s.retirePhys(s.mapping[id])
-		s.mapping[id] = -1
-	}
+	s.retirePhys(s.mapping[id])
+	s.mapping[id] = -1
 	// Forget eviction history: the ID's next use is a fresh block, not
 	// a re-reference.
 	s.ghostAt[id] = 0
@@ -520,6 +500,35 @@ func (s *FileStore) freeSlot(p int64) {
 	}
 	if h := p &^ (hotSlots - 1); s.slotEpoch[p] == s.epoch && s.runFree(h, hotSlots) {
 		s.hotRuns = append(s.hotRuns, h)
+		if int64(len(s.hotRuns)) > s.physHigh/hotSlots {
+			s.compactHotRuns()
+		}
+	}
+}
+
+// compactHotRuns drops the entries refill would skip, so placement does
+// not move and the list keeps at most one entry per run however long an
+// epoch lasts. Within an epoch a run is listed each time it becomes
+// wholly free, and refill pops the latest entry first and uses its run
+// up before it pops again. So an entry whose run is taken now is skipped
+// unless the run is listed again, which makes it an older entry; and an
+// older entry is skipped, because the run has been taken since its
+// latest listing (by that entry's pop if by nothing else) and would have
+// been listed again had it come free. The walk from the latest entry
+// keeps the first entry of each free run and marks the run's first slot
+// used while it runs, so that run's older entries fail runFree.
+func (s *FileStore) compactHotRuns() {
+	kept := len(s.hotRuns)
+	for i := kept - 1; i >= 0; i-- {
+		if h := s.hotRuns[i]; s.runFree(h, hotSlots) {
+			s.used[h/64] |= 1 << (h % 64)
+			kept--
+			s.hotRuns[kept] = h
+		}
+	}
+	s.hotRuns = append(s.hotRuns[:0], s.hotRuns[kept:]...)
+	for _, h := range s.hotRuns {
+		s.used[h/64] &^= 1 << (h % 64)
 	}
 }
 
@@ -584,15 +593,6 @@ func (s *FileStore) extend(end, unit, more int64) int64 {
 		end += unit
 	}
 	return end
-}
-
-// physFor returns the file slot holding block id, or -1 if the block
-// has never been flushed (durable mode only; scratch mode is identity).
-func (s *FileStore) physFor(id BlockID) int64 {
-	if !s.durable {
-		return int64(id)
-	}
-	return s.mapping[id]
 }
 
 // ReadBlock appends the entries of block id to buf and returns it.
@@ -692,22 +692,13 @@ func (s *FileStore) FlushDirty() error {
 
 // writeRuns flushes the given dirty frames in block-ID order, which is
 // deterministic, so the crash-injection harness can replay a failure.
-// In durable mode every frame moves to a fresh slot: the frames take
-// runs of adjacent slots from the allocator, one pwrite per run. In
-// scratch mode a block's slot is its ID, and runs of adjacent IDs are
-// coalesced.
+// Every frame moves to a fresh slot: the frames take runs of adjacent
+// slots from the allocator, one pwrite per run.
 func (s *FileStore) writeRuns(dirty []*frame) error {
 	slices.SortFunc(dirty, func(a, b *frame) int { return cmp.Compare(a.id, b.id) })
 	maxRun := max(1, int(maxRunBytes/s.slotBytes))
 	for start := 0; start < len(dirty); {
-		n := 1
-		if s.durable {
-			n = s.place(dirty[start:min(len(dirty), start+maxRun)])
-		} else {
-			for start+n < len(dirty) && n < maxRun && dirty[start+n].id == dirty[start+n-1].id+1 {
-				n++
-			}
-		}
+		n := s.place(dirty[start:min(len(dirty), start+maxRun)])
 		if err := s.flushRun(dirty[start : start+n]); err != nil {
 			return err
 		}
@@ -731,9 +722,9 @@ func (s *FileStore) place(frames []*frame) int {
 }
 
 // flushRun writes a run of frames occupying adjacent physical slots
-// with one pwrite and clears their dirty bits. A run of one — every
-// eviction write-back that found no dirty neighbours — is written from
-// the frame's own image; longer runs are gathered into runBuf first.
+// with one pwrite and clears their dirty bits. A run of one — an
+// eviction batch that found no other dirty frame — is written from the
+// frame's own image; longer runs are gathered into runBuf first.
 func (s *FileStore) flushRun(run []*frame) error {
 	buf := run[0].img
 	if len(run) == 1 && !s.swab {
@@ -746,7 +737,7 @@ func (s *FileStore) flushRun(run []*frame) error {
 		buf = s.runBuf[:n]
 		s.sealInto(buf, run)
 	}
-	wn, err := s.f.WriteAt(buf, s.physFor(run[0].id)*s.slotBytes)
+	wn, err := s.f.WriteAt(buf, s.mapping[run[0].id]*s.slotBytes)
 	s.stats.WriteSyscalls++
 	s.stats.FlushRuns++
 	s.stats.FlushedFrames += int64(len(run))
@@ -828,25 +819,18 @@ func (s *FileStore) Sync() error {
 }
 
 // AllocState snapshots the allocator and placement state for a
-// checkpoint: logical slot count, logical free list, and (durable mode)
-// the logical→physical mapping. Call after Sync so the mapping reflects
+// checkpoint: logical slot count, logical free list, and the
+// logical→physical mapping. Call after Sync so the mapping reflects
 // every flushed frame.
 func (s *FileStore) AllocState() (nslots int, free []BlockID, mapping []int64) {
-	free = append([]BlockID(nil), s.free...)
-	if s.durable {
-		mapping = append([]int64(nil), s.mapping...)
-	}
-	return s.nslots, free, mapping
+	return s.nslots, append([]BlockID(nil), s.free...), append([]int64(nil), s.mapping...)
 }
 
 // RestoreAllocState installs a checkpoint's allocator and placement
-// state into a freshly opened durable store: the slot bitmap is
-// re-derived from the mapping, every slot it does not reference being
-// free. The cache must be empty (recovery runs before any block access).
+// state into a freshly opened store: the slot bitmap is re-derived from
+// the mapping, every slot it does not reference being free. The cache
+// must be empty (recovery runs before any block access).
 func (s *FileStore) RestoreAllocState(nslots int, free []BlockID, mapping []int64) error {
-	if !s.durable {
-		return fmt.Errorf("iomodel: RestoreAllocState on a scratch-mode store")
-	}
 	if len(mapping) != nslots {
 		return fmt.Errorf("iomodel: mapping covers %d slots, allocator has %d", len(mapping), nslots)
 	}
@@ -1045,15 +1029,7 @@ func (s *FileStore) evict() int32 {
 		if fr.dirty {
 			s.stats.DirtyWritebacks++
 			if s.failed == nil {
-				var err error
-				if s.durable {
-					err = s.flushBatch(fr)
-				} else {
-					err = s.flushCluster(fr)
-				}
-				if err != nil && s.failed == nil {
-					s.failed = err
-				}
+				s.flushBatch(fr)
 			}
 		}
 		s.ghostAdd(fr.id)
@@ -1083,21 +1059,20 @@ func (s *FileStore) ghostAdd(id BlockID) {
 	s.ghostAt[id] = s.ghostSeq
 }
 
-// The eviction batch of a durable store: at most maxBatchFrames frames,
+// The eviction batch: at most maxBatchFrames frames,
 // taken from the batchWindow frames the CLOCK hand reaches next.
 const (
 	maxBatchFrames = 32
 	batchWindow    = 64
 )
 
-// flushBatch writes a durable store's eviction victim back together
-// with the unpinned dirty frames the CLOCK hand reaches next: the
-// frames the following evictions would write back one at a time.
-// Copy-on-write places every block of the batch anew anyway, so the
-// batch takes adjacent slots and leaves in one pwrite whatever the
-// blocks' IDs. The other frames stay resident (now clean); only the
-// victim is recycled by the caller.
-func (s *FileStore) flushBatch(victim *frame) error {
+// flushBatch writes an eviction victim back together with the unpinned
+// dirty frames the CLOCK hand reaches next: the frames the following
+// evictions would write back one at a time. Copy-on-write places every
+// block of the batch anew anyway, so the batch takes adjacent slots and
+// leaves in one pwrite whatever the blocks' IDs. The other frames stay
+// resident (now clean); only the victim is recycled by the caller.
+func (s *FileStore) flushBatch(victim *frame) {
 	batch := append(s.batchList[:0], victim)
 	i := s.hand
 	for range min(batchWindow, len(s.frames)-1) {
@@ -1110,58 +1085,17 @@ func (s *FileStore) flushBatch(victim *frame) error {
 			i = 0
 		}
 	}
-	err := s.writeRuns(batch)
+	_ = s.writeRuns(batch) // a failure is sticky in s.failed, which Sync and Close report
 	s.batchList = batch[:0]
-	return err
-}
-
-// maxClusterFrames bounds the write cluster gathered around a dirty
-// eviction victim.
-const maxClusterFrames = 128
-
-// flushCluster writes a scratch store's eviction victim back together
-// with the contiguous run of dirty resident blocks around its block ID
-// — write clustering. Sequential producers (the buffered table's
-// merges, bulk loads) dirty long runs of consecutive blocks; flushing
-// the whole run in one coalesced pwrite when its first frame is evicted
-// turns the steady-state eviction stream from one syscall per block
-// into one per run. The neighbors stay resident (now clean); only the
-// victim is recycled by the caller.
-func (s *FileStore) flushCluster(victim *frame) error {
-	cluster := s.clusterList[:0]
-	cluster = append(cluster, victim)
-	for id := victim.id - 1; id >= 0 && len(cluster) < maxClusterFrames; id-- {
-		idx := s.resident[id]
-		if idx < 0 || !s.frames[idx].dirty {
-			break
-		}
-		cluster = append(cluster, &s.frames[idx])
-	}
-	for id := victim.id + 1; int(id) < s.nslots && len(cluster) < maxClusterFrames; id++ {
-		idx := s.resident[id]
-		if idx < 0 || !s.frames[idx].dirty {
-			break
-		}
-		cluster = append(cluster, &s.frames[idx])
-	}
-	var err error
-	if len(cluster) == 1 {
-		// The common case needs no sorting: one slot, one pwrite.
-		err = s.flushRun(cluster)
-	} else {
-		err = s.writeRuns(cluster)
-	}
-	s.clusterList = cluster[:0]
-	return err
 }
 
 // loadHeader fills only fr's header (the next pointer) from the file
 // with one 8-byte pread, for whole-block overwrites that must not lose
 // the chain pointer. The bytes land in the head of the frame's own
-// image, which the caller is about to overwrite. A slot past EOF — or
-// never flushed in durable mode — decodes as a nil pointer.
+// image, which the caller is about to overwrite. A block never flushed
+// has no slot and keeps its nil pointer.
 func (s *FileStore) loadHeader(fr *frame) {
-	phys := s.physFor(fr.id)
+	phys := s.mapping[fr.id]
 	if phys < 0 {
 		return
 	}
@@ -1178,10 +1112,10 @@ func (s *FileStore) loadHeader(fr *frame) {
 
 // load fills fr — freshly installed, so empty with a nil pointer — from
 // the file with one pread into its image; the entries are then simply
-// the image's first count entry slots. A slot past EOF (or never
-// flushed in durable mode) reads as an empty block.
+// the image's first count entry slots. A block never flushed has no
+// slot and stays empty.
 func (s *FileStore) load(fr *frame) {
-	phys := s.physFor(fr.id)
+	phys := s.mapping[fr.id]
 	if phys < 0 {
 		return
 	}

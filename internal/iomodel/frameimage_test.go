@@ -47,9 +47,10 @@ func readSlot(t testing.TB, s *FileStore, phys int64) []byte {
 
 // checkFrameImage writes (entries, next) as a block through a one-frame
 // pool whose frame last held a full block of other data, and requires
-// the slot on disk to be byte-equal to the reference encoding; then it
-// plants the reference bytes in another slot and requires a fault of
-// that slot to return the same entries and pointer.
+// the slot the block maps to on disk to be byte-equal to the reference
+// encoding; then it plants the reference bytes in the slot another
+// synced block maps to and requires a fault of that block to return the
+// same entries and pointer.
 func checkFrameImage(t testing.TB, b int, sector int64, entries []Entry, next BlockID) {
 	t.Helper()
 	s := newScratchStore(t, filepath.Join(t.TempDir(), "img.blocks"), b, 1, sector)
@@ -62,15 +63,17 @@ func checkFrameImage(t testing.TB, b int, sector int64, entries []Entry, next Bl
 	s.WriteBlock(other, full)
 	s.WriteBlock(id, entries) // evicts other; the frame still holds its bytes
 	s.SetNext(id, next)
+	s.WriteBlock(planted, nil) // evicts id; gives planted a slot
 	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
+	s.ReadBlock(other, nil) // evicts planted: the next access faults it in
 	want := referenceEncode(entries, next, int(s.slotBytes))
-	if got := readSlot(t, s, int64(id)); !bytes.Equal(got, want) {
+	if got := readSlot(t, s, s.mapping[id]); !bytes.Equal(got, want) {
 		t.Fatalf("b=%d sector %d: slot image differs from the reference encoding\n got %x\nwant %x", b, sector, got, want)
 	}
 
-	if _, err := s.f.WriteAt(want, int64(planted)*s.slotBytes); err != nil {
+	if _, err := s.f.WriteAt(want, s.mapping[planted]*s.slotBytes); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.ReadBlock(planted, nil); !slices.Equal(got, entries) {
@@ -131,7 +134,7 @@ func TestSealZeroesStaleTail(t *testing.T) {
 		other := s.Alloc()
 		tailIsZero := func(id BlockID, live int, what string) {
 			t.Helper()
-			img := readSlot(t, s, int64(id))
+			img := readSlot(t, s, s.mapping[id])
 			if n := binary.LittleEndian.Uint32(img[0:4]); int(n) != live {
 				t.Fatalf("sector %d, %s: count on disk = %d, want %d", sector, what, n, live)
 			}
@@ -201,7 +204,7 @@ func TestBigEndianSwapRoundTrips(t *testing.T) {
 	}
 	native := referenceEncode(block(5), NilBlock, int(s.slotBytes))
 	swapWords(native[blockHeaderBytes : blockHeaderBytes+len(block(5))*entryBytes])
-	if got := readSlot(t, s, 5); !bytes.Equal(got, native) {
+	if got := readSlot(t, s, s.mapping[5]); !bytes.Equal(got, native) {
 		t.Fatalf("swapped image\n got %x\nwant %x", got, native)
 	}
 	if err := s.Close(); err != nil {

@@ -14,14 +14,14 @@ import (
 var sectors = []int64{0, 512, 4096}
 
 // newScratchStore is NewFileStore with a slot alignment: a scratch
-// store, whose block IDs are its slots, in a legacy table's layout.
+// store in a legacy table's layout.
 func newScratchStore(t testing.TB, path string, b, cacheBlocks int, sector int64) *FileStore {
 	t.Helper()
 	f, err := os.Create(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newFileStoreOn(f, b, cacheBlocks, false, sector)
+	return newFileStoreOn(f, b, cacheBlocks, sector)
 }
 
 // recordingFile wraps a BlockFile and records the offset and length of
@@ -54,7 +54,7 @@ func (r *recordingFile) Truncate(n int64) error      { return r.inner.Truncate(n
 func (r *recordingFile) Name() string                { return r.inner.Name() }
 
 // TestDirectLayoutAlignment drives flush-barrier runs, eviction
-// clustering, faulting reads and a header-preserving overwrite through
+// batches, faulting reads and a header-preserving overwrite through
 // a durable store in the sector-padded layout the deleted O_DIRECT
 // tier wrote, and asserts the layout holds on every transfer: each I/O
 // offset is a multiple of the padded stride and each write covers

@@ -444,6 +444,65 @@ func TestHotRunReuse(t *testing.T) {
 	}
 }
 
+// TestHotRunsBoundedInLongEpoch runs one long epoch of random
+// single-block rewrites, flushed every 5,000 — a durable store between
+// checkpoints, and a scratch store, whose epoch never ends. The hot-run
+// list must never hold more entries than the allocator has runs, a
+// scratch store must free every slot it supersedes at once, the extent
+// must stay within 4x the live blocks, and every block must read back
+// its last write.
+func TestHotRunsBoundedInLongEpoch(t *testing.T) {
+	const b, cacheBlocks, blocks, rewrites, flushEvery = 4, 64, 1000, 400_000, 5000
+	for _, tc := range []struct {
+		name    string
+		open    func(path string) (*FileStore, error)
+		scratch bool
+	}{
+		{"OpenFileStore", func(path string) (*FileStore, error) { return OpenFileStore(path, b, cacheBlocks, nil, 0) }, false},
+		{"NewFileStore", func(path string) (*FileStore, error) { return NewFileStore(path, b, cacheBlocks) }, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, err := tc.open(filepath.Join(t.TempDir(), "epoch.blocks"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			ids := make([]BlockID, blocks)
+			want := make([]uint64, blocks)
+			for i := range ids {
+				ids[i] = s.Alloc()
+			}
+			x := uint64(0x9e3779b97f4a7c15)
+			for r := 1; r <= rewrites; r++ {
+				x = xorshift(x)
+				i := x % blocks
+				s.WriteBlock(ids[i], []Entry{{Key: i, Val: uint64(r)}})
+				want[i] = uint64(r)
+				if r%flushEvery == 0 {
+					if err := s.FlushDirty(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if int64(len(s.hotRuns)) > s.physHigh/hotSlots {
+					t.Fatalf("rewrite %d: %d hot-run entries for %d runs", r, len(s.hotRuns), s.physHigh/hotSlots)
+				}
+				if tc.scratch && len(s.pendingFree) != 0 {
+					t.Fatalf("rewrite %d: scratch store holds %d pending slots", r, len(s.pendingFree))
+				}
+			}
+			if st := s.Stats(); st.FileSlots > 4*blocks {
+				t.Fatalf("extent %d slots for %d live blocks", st.FileSlots, blocks)
+			}
+			checkAllocator(t, s, "after the epoch")
+			for i, id := range ids {
+				if got := s.ReadBlock(id, nil); len(got) != 1 || got[0] != (Entry{Key: uint64(i), Val: want[i]}) {
+					t.Fatalf("block %d = %v, want value %d", i, got, want[i])
+				}
+			}
+		})
+	}
+}
+
 // slotUsed reports whether the allocator holds physical slot p.
 func slotUsed(s *FileStore, p int64) bool { return s.used[p/64]&(1<<(p%64)) != 0 }
 
@@ -526,7 +585,7 @@ func TestExtentAllocatorSteadyState(t *testing.T) {
 			}
 		}
 	}
-	s := newFileStoreOn(watch, b, cacheBlocks, true, 0)
+	s := newFileStoreOn(watch, b, cacheBlocks, 0)
 	ids := make([]BlockID, blocks)
 	want := make([]uint64, blocks)
 	for i := range ids {

@@ -430,7 +430,7 @@ func (f *Follower) finish(nc net.Conn, started <-chan *replayFrame) error {
 			frame = wire.AppendFrame(frame[:0], wire.OpReplAck, 1, pay)
 			_, ended = nc.Write(frame)
 		}
-		if ended == nil && f.srv.durable && now.Sub(lastSync) > repl.syncEvery {
+		if ended == nil && f.srv.hasWAL && now.Sub(lastSync) > repl.syncEvery {
 			ended = f.syncLocal()
 			lastSync = time.Now()
 		}

@@ -104,7 +104,7 @@ type Server struct {
 	maxBatch int
 	pipeline int
 	logf     func(string, ...any)
-	durable  bool
+	hasWAL   bool // the engine is durable: a write is acknowledged behind its WAL
 	commit   *groupCommitter
 	waveOps  atomic.Int64 // operations acknowledged behind commit waves
 	repl     *replState   // nil: replication off
@@ -166,7 +166,7 @@ func NewServer(cfg Config) (*Server, error) {
 		maxBatch:  maxBatch,
 		pipeline:  pipeline,
 		logf:      logf,
-		durable:   cfg.Engine.Durable(),
+		hasWAL:    cfg.Engine.Durable(),
 		commit:    &groupCommitter{sync: cfg.Engine.Sync},
 		listeners: make(map[net.Listener]struct{}),
 		conns:     make(map[*conn]struct{}),
@@ -184,7 +184,7 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.Engine.SetShip(func(op uint8, keys, vals []uint64) (uint64, error) {
 			return repl.ship.Append(wal.Op(op), keys, vals)
 		})
-		if s.durable {
+		if s.hasWAL {
 			// The ack barrier must also make the ship log durable, or a
 			// restarted primary could serve tokens for records its
 			// followers can no longer fetch. One group-commit wave fsyncs
@@ -268,7 +268,7 @@ func (s *Server) writableNow() bool {
 // durable engine always, otherwise only when semi-sync followers must
 // confirm records it shipped.
 func (s *Server) needsBarrier(lastLSN uint64) bool {
-	return s.durable || (s.repl != nil && s.repl.syncN > 0 && lastLSN > 0)
+	return s.hasWAL || (s.repl != nil && s.repl.syncN > 0 && lastLSN > 0)
 }
 
 // commitMutation is the full acknowledgement barrier for ops applied
@@ -276,7 +276,7 @@ func (s *Server) needsBarrier(lastLSN uint64) bool {
 // commit (engine WAL + ship log fsync), then the semi-synchronous
 // follower wait. Either failing withholds the ack.
 func (s *Server) commitMutation(lastLSN uint64, ops int) error {
-	if s.durable {
+	if s.hasWAL {
 		s.waveOps.Add(int64(ops))
 		if err := s.commit.commit(); err != nil {
 			return err
@@ -332,7 +332,7 @@ func (s *Server) Promote() (wire.Info, error) {
 	if f != nil {
 		f.Stop()
 	}
-	if s.durable {
+	if s.hasWAL {
 		if err := s.engine.Sync(); err != nil {
 			return wire.Info{}, err
 		}
