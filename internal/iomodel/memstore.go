@@ -15,12 +15,23 @@ import "fmt"
 //	slot[1:1+count]  the entries
 //
 // The +1 bias on next is FileStore's: an all-zero header is an empty
-// block with a nil chain pointer. Slots live in chunks that are never
-// reallocated, because PinBlock promises that a pinned slice stays valid
-// across later store operations, Alloc included; an arena grown by
-// append would move it. A chunk holds chunkSlots slots, which is exactly
-// B()+1 runtime pages whatever B() is, so no chunk's allocation rounds
-// up, and the store holds (B()+1)·16 bytes per block and nothing else.
+// block with a nil chain pointer, which is what a fresh slot already
+// holds. Slots live in chunks that are never reallocated, because
+// PinBlock promises that a pinned slice stays valid across later store
+// operations, Alloc included; an arena grown by append would move it. A
+// chunk holds chunkSlots slots, B()+1 whole 8 KiB pages whatever B() is,
+// so the store holds (B()+1)·16 bytes per block plus its chunk table.
+//
+// On Linux the chunks live outside the Go heap, in anonymous mappings
+// (memstore_linux.go): the first chunk in a small mapping of its own,
+// every later one carved from 2 MiB-aligned regions advised for
+// transparent huge pages. A large store's random block read then lands
+// on a 2 MiB page rather than a 4 KiB one, and the arena does not count
+// toward the GC's heap goal. Other platforms allocate chunks with make
+// (memstore_other.go). Either way, a slice from PeekBlock or PinBlock is
+// valid until Close: Close returns the chunks, and so does a store
+// dropped without Close once it is collected, so a caller keeps the
+// store reachable while it uses one.
 type MemStore struct {
 	b      int
 	stride int // entries per slot: b+1
@@ -30,12 +41,14 @@ type MemStore struct {
 	pinned int64 // outstanding pins; nothing is ever evicted, so pinning
 	// only tracks balance (the same contract FileStore enforces for real,
 	// kept here so bugs surface on the cheap backend too)
+	arena arena // where chunks come from (per platform)
 }
 
 var _ BlockStore = (*MemStore)(nil)
 
 // Slot geometry: chunk c holds the ids [c·chunkSlots, (c+1)·chunkSlots).
-// chunkSlots·16 bytes is one 8 KiB runtime page per entry of the stride.
+// chunkSlots·16 bytes is one 8 KiB page (two OS pages, one runtime page)
+// per entry of the stride.
 const (
 	chunkSlots = 512
 	chunkShift = 9
@@ -69,7 +82,7 @@ func (s *MemStore) Alloc() BlockID {
 		return id
 	}
 	if s.n&(chunkSlots-1) == 0 { // the first slot of a new chunk
-		s.chunks = append(s.chunks, make([]Entry, chunkSlots*s.stride))
+		s.chunks = append(s.chunks, s.newChunk(chunkSlots*s.stride))
 	}
 	id := BlockID(s.n)
 	s.n++
@@ -176,5 +189,10 @@ func (s *MemStore) NumBlocks() int { return s.n - len(s.free) }
 // Sync is a no-op for the in-memory store.
 func (s *MemStore) Sync() error { return nil }
 
-// Close is a no-op for the in-memory store.
-func (s *MemStore) Close() error { return nil }
+// Close returns the store's chunks and empties it, so a later access
+// panics on an invalid block id instead of reaching returned memory.
+func (s *MemStore) Close() error {
+	s.releaseChunks()
+	s.chunks, s.free, s.n = nil, nil, 0
+	return nil
+}

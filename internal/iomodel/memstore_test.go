@@ -173,30 +173,67 @@ func TestMemStoreWriteAliasesPeek(t *testing.T) {
 }
 
 // TestMemStoreFootprint pins the page rounding: once the blocks fill
-// whole chunks, the store costs (b+1)·16 bytes per block and at most 1 %
-// more. A chunk whose size is not a whole number of runtime pages would
-// round up by most of a page each (the 64-slot chunks of an earlier
-// design cost 9 pages for 8.1).
+// whole chunks and every slot is written, the slots cost (b+1)·16 bytes
+// per block and at most 1 % more. A chunk whose size is not a whole
+// number of pages would round up by most of a page each (the 64-slot
+// chunks of an earlier design cost 9 pages for 8.1). Where the slots
+// live in mappings (Linux), residentSlots measures their resident bytes
+// instead of the heap, allows each advised region its last, part-filled
+// huge page, and checks that the Go heap grew by the chunk table only.
 func TestMemStoreFootprint(t *testing.T) {
 	for _, b := range []int{8, 64, 100} {
 		t.Run(fmt.Sprint("b=", b), func(t *testing.T) {
 			const n = 16 * chunkSlots // 16 whole chunks
+			full := make([]Entry, b)
 			before := heapAlloc()
 			s := NewMemStore(b)
+			defer s.Close()
 			for range n {
-				s.Alloc()
+				s.WriteBlock(s.Alloc(), full)
 			}
 			grown := heapAlloc() - before
-			runtime.KeepAlive(s)
+			slots, slack := residentSlots(t, s, grown)
 			want := float64(n * (b + 1) * entryBytes)
-			if float64(grown) > 1.01*want {
-				t.Fatalf("%d blocks of b=%d cost %d heap bytes, want <= 1.01 × %.0f (%.2f×)",
-					n, b, grown, want, float64(grown)/want)
+			if float64(slots) > 1.01*want+float64(slack) {
+				t.Fatalf("%d blocks of b=%d cost %d bytes, want <= 1.01 × %.0f + %d (%.2f×)",
+					n, b, slots, want, slack, float64(slots)/want)
 			}
-			if float64(grown) < 0.95*want {
-				t.Fatalf("%d blocks cost %d heap bytes, well below their slots (%.0f): the measurement is off", n, grown, want)
+			if float64(slots) < 0.95*want {
+				t.Fatalf("%d blocks cost %d bytes, well below their slots (%.0f): the measurement is off", n, slots, want)
 			}
 		})
+	}
+}
+
+// TestMemStoreAccessAfterClose: Close empties the store, so an access
+// through a stale id panics on the id instead of reaching returned
+// memory.
+func TestMemStoreAccessAfterClose(t *testing.T) {
+	s := NewMemStore(4)
+	var id BlockID
+	for range chunkSlots + 1 { // a chunk past the first
+		id = s.Alloc()
+	}
+	s.WriteBlock(id, []Entry{{1, 1}})
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for name, access := range map[string]func(){
+		"PeekBlock":  func() { s.PeekBlock(id) },
+		"PinBlock":   func() { s.PinBlock(id) },
+		"WriteBlock": func() { s.WriteBlock(0, nil) },
+	} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "invalid block id") {
+					t.Fatalf("%s after Close: panic %v, want the invalid block id", name, r)
+				}
+			}()
+			access()
+		}()
+	}
+	if s.NumBlocks() != 0 {
+		t.Fatalf("NumBlocks after Close = %d", s.NumBlocks())
 	}
 }
 

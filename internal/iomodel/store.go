@@ -44,7 +44,9 @@ type BlockStore interface {
 	// PeekBlock, but the returned slice stays valid until the matching
 	// UnpinBlock: a caching store must not evict or recycle the frame
 	// while it is pinned. Pins nest (a frame may be pinned more than
-	// once) and must balance. The slice must not be mutated.
+	// once) and must balance. The slice must not be mutated. Neither
+	// slice outlives Close: MemStore returns its memory there (or when
+	// a store dropped without Close is collected).
 	PinBlock(id BlockID) []Entry
 	// UnpinBlock releases one pin taken by PinBlock. Unbalanced unpins
 	// are a caller bug and panic.
@@ -58,7 +60,7 @@ type BlockStore interface {
 	// Sync flushes any buffered state to durable storage. In-memory
 	// stores return nil.
 	Sync() error
-	// Close releases backend resources (file handles, temp files).
-	// The store must not be used afterwards.
+	// Close releases backend resources (file handles, temp files, a
+	// mem store's mappings). The store must not be used afterwards.
 	Close() error
 }

@@ -362,9 +362,11 @@ func TestReplayExpireBetweenRuns(t *testing.T) {
 	if _, err := follower.srv.Follow(primary.addr); err != nil {
 		t.Fatal(err)
 	}
+	// AppliedLSN moves inside the ship log's Append, before the frame
+	// counter does; the in-flight gauge drops only after the counter.
 	waitUntil(t, "the follower catching up", func() bool {
 		info, _ := follower.srv.Info()
-		return info.AppliedLSN == 5*each
+		return info.AppliedLSN == 5*each && follower.srv.ReplayInflightForTest() == 0
 	})
 	if got := scrape(t, follower.srv)["extbuf_repl_frames_replayed_total"]; got != "1" {
 		t.Fatalf("the stream arrived as %s frames, want 1", got)
