@@ -12,13 +12,23 @@ import (
 	"extbuf/internal/server"
 )
 
+// newServer returns a server for cfg, failing the test if cfg is invalid.
+func newServer(t testing.TB, cfg server.Config) *server.Server {
+	t.Helper()
+	srv, err := server.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 func startServer(t *testing.T) (string, func()) {
 	t.Helper()
 	eng, err := extbuf.NewSharded("buffered", extbuf.Config{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
+	srv := newServer(t, server.Config{Engine: eng, Logf: t.Logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ func startSweepingServer(t *testing.T) (string, func()) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Config{
+	srv := newServer(t, server.Config{
 		Engine: eng, Logf: t.Logf,
 		SweepEvery: 5 * time.Millisecond, SweepMax: 128,
 	})

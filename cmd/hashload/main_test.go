@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -70,10 +71,35 @@ func TestParseAckLogMalformed(t *testing.T) {
 // node is a replication-enabled server over a mem-backend engine, like
 // the ones internal/server's replication tests stand up.
 type node struct {
-	eng  *extbuf.Sharded
-	addr string
-	srv  *server.Server
-	cl   *client.Client
+	eng     *extbuf.Sharded
+	counted *countingEngine // eng as the server sees it
+	addr    string
+	srv     *server.Server
+	cl      *client.Client
+}
+
+// countingEngine is a served engine that counts the keys each batch kind
+// reached it with and the entries its scans returned: the keys a load
+// run sent, counted on the server's side of the wire.
+type countingEngine struct {
+	*extbuf.Sharded
+	keys    [extbuf.BatchCompareSwap + 1]atomic.Int64
+	scanned atomic.Int64
+	maxPage atomic.Int64 // a page may pass the asked size by a bucket
+}
+
+func (e *countingEngine) StartBatch(op extbuf.BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*extbuf.BatchCall, error) {
+	e.keys[op].Add(int64(len(keys)))
+	return e.Sharded.StartBatch(op, ship, keys, vals, vals2, found)
+}
+
+func (e *countingEngine) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, error) {
+	keys, vals, next, err := e.Sharded.Scan(cursor, max)
+	n := int64(len(keys))
+	e.scanned.Add(n)
+	for m := e.maxPage.Load(); n > m && !e.maxPage.CompareAndSwap(m, n); m = e.maxPage.Load() {
+	}
+	return keys, vals, next, err
 }
 
 // startNode boots a primary (follow "") or a follower replaying follow.
@@ -84,7 +110,8 @@ func startNode(t *testing.T, follow string) *node {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	srv, err := server.NewServer(server.Config{Engine: eng, Logf: t.Logf, Repl: &server.ReplConfig{
+	counted := &countingEngine{Sharded: eng}
+	srv, err := server.NewServer(server.Config{Engine: counted, Logf: t.Logf, Repl: &server.ReplConfig{
 		ShipPath:  filepath.Join(dir, "ship.log"),
 		StatePath: filepath.Join(dir, "repl.state"),
 		Follow:    follow,
@@ -100,7 +127,7 @@ func startNode(t *testing.T, follow string) *node {
 	}
 	served := make(chan error, 1)
 	go func() { served <- srv.Serve(lis) }()
-	n := &node{eng: eng, addr: lis.Addr().String(), srv: srv}
+	n := &node{eng: eng, counted: counted, addr: lis.Addr().String(), srv: srv}
 	if follow != "" {
 		if _, err := srv.Follow(follow); err != nil {
 			t.Fatal(err)
@@ -184,5 +211,118 @@ func TestDiffConverged(t *testing.T) {
 	}
 	if err := diffConverged(primary.cl, follower.cl, path, 16); err == nil || !strings.Contains(err.Error(), "1 of 40 keys differ") {
 		t.Fatalf("a key present on one node only: err %v, want 1 of 40 keys differing", err)
+	}
+}
+
+// modeRun is one mode of the load loop: the flags that select its mix,
+// as main reads them.
+type modeRun struct {
+	ycsb                            string
+	overlap                         int
+	lookupFrac, deleteFrac, casFrac float64
+	ttlFrac                         float64
+	zipf, replica, acklog           bool
+}
+
+// drive runs m for about a second against a fresh primary (and, with
+// m.replica, a follower of it), failing the test unless the run ended
+// with no errors and its connection up. It returns the result, the
+// nodes and the acked-write log's path ("" without m.acklog).
+func drive(t *testing.T, m modeRun) (res result, primary, follower *node, ackPath string) {
+	t.Helper()
+	primary = startNode(t, "")
+	var rcl *client.Client
+	if m.replica {
+		follower = startNode(t, primary.addr)
+		rcl = follower.cl
+	}
+	if m.acklog {
+		ackPath = filepath.Join(t.TempDir(), "ack.log")
+	}
+	mix, err := newMix(m.ycsb, modeRecords, m.overlap, m.lookupFrac, m.deleteFrac, m.casFrac)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, _ = run(primary.cl, rcl, config{
+		workers:  modeWorkers,
+		batch:    modeBatch,
+		duration: time.Second,
+		seed:     1,
+		mix:      mix,
+		zipf:     m.zipf || m.ycsb != "",
+		ttlFrac:  m.ttlFrac,
+		ackPath:  ackPath,
+	})
+	if res.fatal != nil || res.errors != 0 {
+		t.Fatalf("run: %d errors, connection error %v", res.errors, res.fatal)
+	}
+	return res, primary, follower, ackPath
+}
+
+const (
+	modeWorkers = 4
+	modeBatch   = 32
+	modeRecords = 2000 // YCSB preload
+)
+
+// checkOps fails unless the run's ops count the key operations the
+// primary served: every keyed request's keys and every scan page's
+// entries, less the preload and the compare-swap half of each
+// read-modify-write (which counts its keys once, at its read). Each
+// worker may have had one request in flight when the deadline abandoned
+// it, and the server may still have applied that one.
+func checkOps(t *testing.T, res result, primary *node, preload int64, rmw bool) {
+	t.Helper()
+	var ops int64
+	for _, n := range res.ops {
+		ops += n
+	}
+	e := primary.counted
+	sent := e.scanned.Load()
+	for op := range e.keys {
+		if !rmw || extbuf.BatchOp(op) != extbuf.BatchCompareSwap {
+			sent += e.keys[op].Load()
+		}
+	}
+	sent -= preload
+	slack := modeWorkers * max(modeBatch, e.maxPage.Load())
+	if ops == 0 || ops > sent || sent > ops+slack {
+		t.Fatalf("ops = %d, want the %d key operations sent (less up to %d in flight at the deadline)", ops, sent, slack)
+	}
+}
+
+// TestModes drives the load loop in each of its modes and checks the
+// claims each makes: the owned mix's acked-write log verifies, the
+// contended mode's replica honours every token and converges, and the
+// YCSB mixes run clean. In every mode ops counts key operations.
+func TestModes(t *testing.T) {
+	t.Run("owned", func(t *testing.T) {
+		res, primary, _, ackPath := drive(t, modeRun{
+			lookupFrac: 0.3, deleteFrac: 0.1, casFrac: 0.1, ttlFrac: 0.25,
+			zipf: true, replica: true, acklog: true,
+		})
+		checkOps(t, res, primary, 0, false)
+		if res.tokenChecks == 0 || res.tokenViols != 0 {
+			t.Fatalf("%d token checks, %d violations; want some, none", res.tokenChecks, res.tokenViols)
+		}
+		if err := verify(primary.cl, ackPath, modeBatch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Run("overlap", func(t *testing.T) {
+		res, primary, follower, ackPath := drive(t, modeRun{overlap: 512, zipf: true, replica: true, acklog: true})
+		checkOps(t, res, primary, 0, false)
+		if res.tokenChecks == 0 || res.tokenViols != 0 {
+			t.Fatalf("%d token checks, %d violations; want some, none", res.tokenChecks, res.tokenViols)
+		}
+		if err := diffConverged(primary.cl, follower.cl, ackPath, modeBatch); err != nil {
+			t.Fatal(err)
+		}
+	})
+	for _, w := range []string{"A", "B", "C", "D", "E", "F"} {
+		t.Run("ycsb-"+w, func(t *testing.T) {
+			res, primary, _, _ := drive(t, modeRun{ycsb: w})
+			checkOps(t, res, primary, modeRecords, w == "F")
+		})
 	}
 }

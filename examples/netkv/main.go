@@ -43,7 +43,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	srv := server.New(server.Config{Engine: eng})
+	srv, err := server.NewServer(server.Config{Engine: eng})
+	if err != nil {
+		log.Fatal(err)
+	}
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		log.Fatal(err)

@@ -128,7 +128,7 @@ func startGated(t *testing.T) (*gatedEngine, *server.Server, string) {
 		eng.applied.Add(1)
 		return 0, nil
 	})
-	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
+	srv := newServer(t, server.Config{Engine: eng, Logf: t.Logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -24,7 +24,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
+	srv := newServer(t, server.Config{Engine: eng, Logf: t.Logf})
 	defer srv.Shutdown(context.Background())
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -257,7 +257,7 @@ func TestMetricsStoreGauges(t *testing.T) {
 	if st.FileSlots == 0 || st.FreeSlots >= st.FileSlots {
 		t.Fatalf("FileSlots=%d FreeSlots=%d, want a nonzero extent partly in use", st.FileSlots, st.FreeSlots)
 	}
-	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
+	srv := newServer(t, server.Config{Engine: eng, Logf: t.Logf})
 	defer srv.Shutdown(context.Background())
 	m := scrape(t, srv)
 	for name, want := range map[string]int64{

@@ -24,7 +24,7 @@ func serveEngine(t *testing.T, eng server.Engine, logf func(string, ...any)) (*s
 	if logf == nil {
 		logf = t.Logf
 	}
-	srv := server.New(server.Config{Engine: eng, Logf: logf})
+	srv := newServer(t, server.Config{Engine: eng, Logf: logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

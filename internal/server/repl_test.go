@@ -430,7 +430,7 @@ func TestClientReconnect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
+	srv := newServer(t, server.Config{Engine: eng, Logf: t.Logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -457,7 +457,7 @@ func TestClientReconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	srv2 := server.New(server.Config{Engine: eng2, Logf: t.Logf})
+	srv2 := newServer(t, server.Config{Engine: eng2, Logf: t.Logf})
 	lis2, err := net.Listen("tcp", addr)
 	if err != nil {
 		t.Skipf("could not rebind %s: %v", addr, err)

@@ -128,18 +128,6 @@ type Server struct {
 	sweepOnce sync.Once
 }
 
-// New returns a server for cfg. It does not listen; pass listeners to
-// Serve. It panics on an invalid configuration — use NewServer when
-// replication (whose state lives in files that may fail to open) is
-// configured.
-func New(cfg Config) *Server {
-	s, err := NewServer(cfg)
-	if err != nil {
-		panic("server: " + err.Error())
-	}
-	return s
-}
-
 // NewServer returns a server for cfg, opening the replication state
 // (ship log + epoch file) when cfg.Repl is set.
 func NewServer(cfg Config) (*Server, error) {

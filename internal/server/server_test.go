@@ -18,6 +18,16 @@ import (
 	"extbuf/internal/wire"
 )
 
+// newServer returns a server for cfg, failing the test if cfg is invalid.
+func newServer(t testing.TB, cfg server.Config) *server.Server {
+	t.Helper()
+	srv, err := server.NewServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
 // startServer boots a server over a fresh mem-backend sharded engine on
 // a loopback listener and returns its address plus a teardown that
 // drains the server and closes the engine.
@@ -31,7 +41,7 @@ func startServer(t testing.TB, cfg extbuf.Config, shards int, scfg server.Config
 	if scfg.Logf == nil {
 		scfg.Logf = t.Logf
 	}
-	srv := server.New(scfg)
+	srv := newServer(t, scfg)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +143,7 @@ func TestServeRoundTrip(t *testing.T) {
 // into fewer engine batches.
 func TestPipelinedAggregation(t *testing.T) {
 	eng := &countingEngine{Sharded: newSharded(t)}
-	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
+	srv := newServer(t, server.Config{Engine: eng, Logf: t.Logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -270,7 +280,7 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng.Close()
-	srv := server.New(server.Config{Engine: eng, Logf: t.Logf})
+	srv := newServer(t, server.Config{Engine: eng, Logf: t.Logf})
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
-# soak.sh — the nightly soak gate: a race-instrumented hashserved on the
-# durable backend under sustained load, finished with a SIGTERM graceful
-# drain and a goroutine-leak check (the server exits 3 if anything
-# outlives shutdown). Any data race aborts the server and fails the run.
+# soak.sh — the soak gate (300 s nightly, 30 s on every pull request):
+# a race-instrumented hashserved on the durable backend under sustained
+# load, finished with a SIGTERM graceful drain and a goroutine-leak
+# check (the server exits 3 if anything outlives shutdown). Any data
+# race aborts the server and fails the run.
 #
 # The load comes in two parts:
 #
