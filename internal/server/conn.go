@@ -30,6 +30,12 @@ type request struct {
 	lsn     uint64   // LOOKUP's read token / REPL_SUBSCRIBE's start / SCAN's cursor
 	maxN    uint32   // SCAN's requested page size
 	errText string   // set when the reader rejected the frame (op == wire.OpErr)
+
+	// A follower's replay run (op == wire.OpReplBatch): the engine op it
+	// applies as, the op the ship log records, and whether it ends a frame.
+	as        extbuf.BatchOp
+	rec       wal.Op
+	endsFrame bool
 }
 
 // ackItem is one encoded response held by the ack stage. A mutation's
@@ -58,20 +64,22 @@ const applyRing = 8
 // start until finish; keyBuf, valBuf, val2Buf and foundBuf are the
 // slot's own backing for them, reused across calls.
 type call struct {
-	op    wire.Op
-	reqs  []*request
-	vals  []uint64          // lookup results, parallel to the run's keys
-	found []bool            // per-key results: hits, deletes, expiries, swaps
-	h     *extbuf.BatchCall // the started call, until finish waits for it
-	err   error             // why the submission was refused (h nil)
+	op     wire.Op
+	reqs   []*request
+	vals   []uint64          // lookup results, parallel to the run's keys
+	found  []bool            // per-key results: hits, deletes, expiries, swaps
+	h      *extbuf.BatchCall // the started call, until wait takes its result
+	last   uint64            // the call's highest ship LSN, once waited for
+	waited time.Duration     // how long that wait took
+	err    error             // why the submission was refused or the call failed
 
 	keyBuf, valBuf, val2Buf []uint64
 	foundBuf                []bool
 }
 
-// conn is one client connection, a four-stage pipeline: a reader
-// decoding frames into a bounded apply queue, an applier coalescing
-// queued requests into engine batch calls and keeping a ring of them
+// conn is one connection, a four-stage pipeline: a reader decoding
+// frames into a bounded apply queue, an applier coalescing queued
+// requests into engine batch calls and keeping a ring of them
 // outstanding, an ack stage holding mutation acknowledgements back
 // until a commit covers them, and a writer streaming the encoded
 // responses back. The queue bound is the connection's backpressure (the
@@ -79,6 +87,10 @@ type call struct {
 // single applier drains the queue FIFO and finishes its calls oldest
 // first, and a response goes around the ack stage only when that stage
 // is empty.
+//
+// A follower's stream from its primary is a conn too: its reader is
+// Follower.read, its requests the primary's replay runs, its responses
+// the REPL_ACKs of the replay finish step (finishReplay).
 type conn struct {
 	srv *Server
 	nc  net.Conn
@@ -118,6 +130,16 @@ type conn struct {
 	recs  []wal.Record
 	wrecs []wire.ReplRec
 
+	// Closed by the goroutine the oldest call's wait was handed to
+	// (awaitOldest); non-nil until finishOldest joins it.
+	oldestDone chan struct{}
+
+	// The replay finish step's state (finishReplay), owned by the applier.
+	replayEnd     error     // why the stream ended: no acks or syncs after it
+	replayBroken  bool      // a run failed: no appends after it
+	replayInFrame bool      // the last run started does not end its frame
+	lastSync      time.Time // the last local sync
+
 	draining atomic.Bool
 }
 
@@ -143,12 +165,12 @@ func (c *conn) beginDrain() {
 	c.nc.SetReadDeadline(time.Now())
 }
 
-// run owns the connection lifecycle: it runs the reader inline and the
-// applier, ack stage and writer as goroutines, wired so that reader exit
-// closes the apply queue, applier exit closes the ack queue, ack-stage
-// exit closes the write queue, and writer exit closes the socket. run
-// returns once all four are done.
-func (c *conn) run() {
+// run owns the connection lifecycle: it runs the reader, read, inline
+// and the applier, ack stage and writer as goroutines, wired so that
+// reader exit closes the apply queue, applier exit closes the ack
+// queue, ack-stage exit closes the write queue, and writer exit closes
+// the socket. run returns once all four are done.
+func (c *conn) run(read func()) {
 	writerDone := make(chan struct{})
 	go c.applier()
 	go c.acker()
@@ -156,18 +178,19 @@ func (c *conn) run() {
 		defer close(writerDone)
 		c.writer()
 	}()
-	c.reader()
+	read()
+	close(c.readerDone)
+	close(c.applyCh)
 	<-writerDone
 }
 
-// reader decodes request frames into the apply queue until the client
-// disconnects, a drain begins, or the stream turns invalid. Frame-level
-// corruption (bad magic or CRC) closes the connection — after it the
-// stream offsets cannot be trusted — while a well-framed but invalid
-// batch payload is answered with ERR and the stream continues.
+// reader is an accepted connection's read stage: it decodes request
+// frames into the apply queue until the client disconnects, a drain
+// begins, or the stream turns invalid. Frame-level corruption (bad
+// magic or CRC) closes the connection — after it the stream offsets
+// cannot be trusted — while a well-framed but invalid batch payload is
+// answered with ERR and the stream continues.
 func (c *conn) reader() {
-	defer close(c.applyCh)
-	defer close(c.readerDone)
 	r := wire.NewReader(bufio.NewReaderSize(c.nc, connBufBytes))
 	for {
 		f, err := r.Next()
@@ -252,50 +275,55 @@ func (c *conn) checkBatch(payload []byte, off int) error {
 
 // applier drains the apply queue, coalescing runs of same-kind keyed
 // requests into one engine call each, and emits responses in request
-// order. Every keyed request — the seven kinds StartBatch takes — is
-// pipelined: the applier starts the run it just aggregated and goes
-// back to the queue, finishing the oldest outstanding call only when the
-// ring is full or the queue is empty, so the shard workers are handed
-// the next request's share while they are still applying this one's.
-// Per-key order is the order of submission: this one goroutine enqueues
-// the connection's calls, in request order, on the engine's FIFO shard
-// queues. SCAN, the unkeyed requests and exit first drain the ring, so
-// they observe every earlier request applied and their responses follow
-// theirs.
+// order. Every keyed request — the seven kinds StartBatch takes, and a
+// follower's replay runs — is pipelined: the applier starts the run it
+// just aggregated and goes back to the queue, finishing the oldest
+// outstanding call only when the ring is full or the queue is empty, so
+// the shard workers are handed the next request's share while they are
+// still applying this one's. Per-key order is the order of submission:
+// this one goroutine enqueues the connection's calls, in request order,
+// on the engine's FIFO shard queues. SCAN, the unkeyed requests and exit
+// first drain the ring, so they observe every earlier request applied
+// and their responses follow theirs.
 func (c *conn) applier() {
 	defer close(c.ackCh)
 	var pending *request
 	chOpen := true
-	next := func(block bool) *request {
-		if pending != nil {
-			r := pending
+	// next returns the request held back, else the queue's next: at once
+	// (nil on an empty queue) unless block, in which case it waits for
+	// one — or, with done non-nil, until done closes (nil).
+	next := func(block bool, done <-chan struct{}) *request {
+		if r := pending; r != nil || !chOpen {
 			pending = nil
 			return r
 		}
-		if !chOpen {
-			return nil
-		}
+		var r *request
+		ok := true
 		if block {
-			r, ok := <-c.applyCh
-			if !ok {
-				chOpen = false
-				return nil
+			select {
+			case r, ok = <-c.applyCh:
+			case <-done:
 			}
-			return r
-		}
-		select {
-		case r, ok := <-c.applyCh:
-			if !ok {
-				chOpen = false
-				return nil
+		} else {
+			select {
+			case r, ok = <-c.applyCh:
+			default:
 			}
-			return r
-		default:
-			return nil
 		}
+		chOpen = ok
+		return r
 	}
 	for {
-		first := next(c.ringLen == 0)
+		first := next(c.ringLen == 0, nil)
+		if first == nil && c.ringLen > 0 {
+			// Calls are outstanding and the queue is empty: wait for the
+			// oldest off this goroutine and start whatever arrives first.
+			// A replay stream arrives shard by shard, so the oldest run may
+			// be applying on one shard while the next frame brings runs for
+			// the other; a pipelining client's next request is started the
+			// same way.
+			first = next(true, c.awaitOldest())
+		}
 		if first == nil {
 			if c.ringLen == 0 {
 				return
@@ -306,7 +334,7 @@ func (c *conn) applier() {
 		}
 		switch first.op {
 		case wire.OpInsert, wire.OpUpsert, wire.OpLookup, wire.OpDelete,
-			wire.OpExpire, wire.OpUpsertTTL, wire.OpCAS:
+			wire.OpExpire, wire.OpUpsertTTL, wire.OpCAS, wire.OpReplBatch:
 			if c.ringLen == applyRing {
 				c.finishOldest()
 			}
@@ -314,12 +342,14 @@ func (c *conn) applier() {
 			// engine batch — this is what maps client pipelining 1:1 onto
 			// the engine's shard fan-out. A run is cut where the op or the
 			// read token changes, so one wait covers every lookup in it.
+			// A replay run is one call as the stream cut it, so a failure
+			// ends the ship log right before the run that failed.
 			cl := &c.ring[(c.ringHead+c.ringLen)%applyRing]
 			cl.op = first.op
 			cl.reqs = append(cl.reqs[:0], first)
 			ops := len(first.keys)
-			for ops < c.srv.maxBatch {
-				r2 := next(false)
+			for ops < c.srv.maxBatch && first.op != wire.OpReplBatch {
+				r2 := next(false, nil)
 				if r2 == nil {
 					break
 				}
@@ -332,7 +362,7 @@ func (c *conn) applier() {
 			}
 			c.startCall(cl)
 			c.ringLen++
-			if cl.h == nil {
+			if cl.err != nil {
 				// A refused submission is complete on arrival: nothing to
 				// overlap with, and its ERR must keep its place.
 				c.drainRing()
@@ -354,8 +384,15 @@ func (c *conn) applier() {
 // startCall submits the run of same-kind requests in cl.reqs as one
 // engine call and leaves it outstanding (cl.h). A refused submission —
 // the node is not writable or is behind a lookup's read token, the
-// engine is closed, a column has the wrong length — leaves no handle,
-// its error in cl.err.
+// engine is closed, a column has the wrong length, a replay stream has
+// ended — leaves no handle, its error in cl.err; an empty replay run
+// leaves neither.
+//
+// Replay runs skip the engine's ship seam, which orders a primary's log
+// by apply order: a follower's log must be the primary's position by
+// position, so finishReplay appends the runs in the order they start
+// here. Nor do they check writability: a replica's stream is its one
+// writer.
 func (c *conn) startCall(cl *call) {
 	// Concatenate the requests' operands. A run of one request uses its
 	// slices directly — the common case when the client is not
@@ -373,11 +410,24 @@ func (c *conn) startCall(cl *call) {
 		keys, vals, vals2 = cl.keyBuf, cl.valBuf, cl.val2Buf
 	}
 	n := len(keys)
-	cl.h, cl.err = nil, nil
+	cl.h, cl.last, cl.waited, cl.err = nil, 0, 0, nil
 	cl.foundBuf = growTo(cl.foundBuf, n)
 	cl.vals, cl.found = nil, cl.foundBuf[:n]
+	ship := cl.op != wire.OpReplBatch
 	var op extbuf.BatchOp
 	switch cl.op {
+	case wire.OpReplBatch:
+		op = r0.as // an expiry's deadlines ride the value column
+		if c.replayEnd != nil && !c.replayInFrame {
+			// The stream has ended: no later run is appended or acked, so
+			// after the frame it ended in none is started, and the engine
+			// runs ahead of the log by at most the ring and that frame.
+			cl.err = c.replayEnd
+			return
+		}
+		if c.replayInFrame = !r0.endsFrame; n == 0 {
+			return
+		}
 	case wire.OpInsert:
 		op = extbuf.BatchInsert
 	case wire.OpUpsert:
@@ -407,7 +457,7 @@ func (c *conn) startCall(cl *call) {
 			}
 		}
 	}
-	if op != extbuf.BatchLookup && !c.srv.writableNow() {
+	if ship && op != extbuf.BatchLookup && !c.srv.writableNow() {
 		cl.err = errNotWritable
 		return
 	}
@@ -417,7 +467,7 @@ func (c *conn) startCall(cl *call) {
 	// even across racing connections (the replication total order,
 	// DESIGN.md §2a). With replication off the sink is nil and the LSN
 	// stays 0.
-	if cl.h, cl.err = c.srv.engine.StartBatch(op, true, keys, vals, vals2, cl.found); cl.h != nil {
+	if cl.h, cl.err = c.srv.engine.StartBatch(op, ship, keys, vals, vals2, cl.found); cl.h != nil {
 		c.srv.callsOutstanding.Add(1)
 	}
 }
@@ -430,7 +480,9 @@ func (c *conn) drainRing() {
 }
 
 // finishOldest waits for the oldest outstanding call (unless its start
-// was refused) and answers every request in it, in request order.
+// was refused) — joining the goroutine its wait was handed to, if any —
+// and answers every request in it, in request order, or hands a replay
+// run to its finish step.
 // A mutation's ack is encoded here but goes out through the ack stage,
 // which holds it until the operations are crash-durable (and, under
 // semi-sync, follower-applied) while this goroutine moves on; it is
@@ -447,13 +499,16 @@ func (c *conn) finishOldest() {
 	cl := &c.ring[c.ringHead]
 	c.ringHead = (c.ringHead + 1) % applyRing
 	c.ringLen--
-	var last uint64
-	err := cl.err
-	if cl.h != nil {
-		last, err = cl.h.Wait()
-		cl.h = nil
-		c.srv.callsOutstanding.Add(-1)
+	if c.oldestDone != nil {
+		<-c.oldestDone // the handed-off wait left its result in cl
+		c.oldestDone = nil
 	}
+	c.wait(cl)
+	if cl.op == wire.OpReplBatch {
+		c.finishReplay(cl)
+		return
+	}
+	last, err := cl.last, cl.err
 	epoch := c.srv.epochNow()
 	off := 0
 	for i, r := range cl.reqs {
@@ -477,6 +532,85 @@ func (c *conn) finishOldest() {
 		c.putReq(r)
 		cl.reqs[i] = nil
 	}
+}
+
+// wait joins cl's started call, if it has one, leaving its highest ship
+// LSN, its error and the wait's duration in cl. It runs on the applier
+// or, handed off, on awaitOldest's goroutine.
+func (c *conn) wait(cl *call) {
+	if cl.h != nil {
+		from := time.Now()
+		cl.last, cl.err = cl.h.Wait()
+		cl.waited, cl.h = time.Since(from), nil
+		c.srv.callsOutstanding.Add(-1)
+	}
+}
+
+// finishReplay is the replay kind's finish step, for a run finishOldest
+// waited for: append the run to the ship log with the op the primary
+// recorded; at its frame's end, acknowledge the log's end with one
+// REPL_ACK and run the periodic local sync.
+//
+// Apply-then-append: a record enters the ship log only after its run
+// and every run started before it applied, in start order, so the
+// applied horizon the log advertises (NextLSN()-1) never runs ahead of
+// the engine and the log is the primary's position by position. Acks
+// name only appended LSNs and leave in order. After a failed run or
+// append nothing is appended — the log cannot skip a position — every
+// started call is still waited for as the ring drains, and none starts
+// after the frame the failure was found in (startCall). The engine is
+// then ahead of the log by at most the ring and that frame, as a crash
+// between apply and append can leave it, and the next stream's catch-up
+// horizon replays that idempotently. Any error ends the stream; no acks
+// or syncs follow it.
+func (c *conn) finishReplay(cl *call) {
+	repl, r, err := c.srv.repl, cl.reqs[0], cl.err // replay runs are never coalesced
+	repl.replayWaitNs.Add(int64(cl.waited))
+	if len(r.keys) > 0 && !c.replayBroken {
+		if err == nil {
+			_, err = repl.ship.Append(r.rec, r.keys, r.vals)
+		}
+		if c.replayBroken = err != nil; !c.replayBroken {
+			repl.replayRecords.Add(int64(len(r.keys)))
+			if r.endsFrame {
+				repl.replayed.Add(1)
+			}
+		}
+	}
+	if r.endsFrame {
+		repl.replayInflight.Add(-1)
+		if c.replayEnd == nil && err == nil {
+			c.pay = wire.AppendLSN(c.pay[:0], repl.ship.NextLSN()-1)
+			c.respond(wire.OpReplAck, 1, c.pay)
+			if c.srv.hasWAL && time.Since(c.lastSync) > repl.syncEvery {
+				err = c.srv.syncLocal()
+				c.lastSync = time.Now()
+			}
+		}
+	}
+	if err != nil && c.replayEnd == nil {
+		// Closing the connection stops the read stage.
+		c.replayEnd = err
+		c.nc.Close()
+	}
+	c.putReq(r)
+	cl.reqs[0] = nil
+}
+
+// awaitOldest hands the wait for the oldest call to a goroutine (once)
+// and returns the channel it closes when the call is complete. The
+// goroutine ends with the call and leaves the result in it; finishOldest
+// joins it before reading the call, so none outlives the ring's drain.
+func (c *conn) awaitOldest() <-chan struct{} {
+	if c.oldestDone == nil {
+		cl, done := &c.ring[c.ringHead], make(chan struct{})
+		go func() {
+			c.wait(cl)
+			close(done)
+		}()
+		c.oldestDone = done
+	}
+	return c.oldestDone
 }
 
 // growTo returns buf with capacity for n elements, reallocating only
@@ -569,7 +703,7 @@ func (c *conn) serveRepl(r *request) {
 		}
 		c.pay = wire.AppendReplBatch(c.pay[:0], c.srv.epochNow(), cur, c.wrecs)
 		c.respond(wire.OpReplBatch, id, c.pay)
-		repl.addShipped()
+		repl.shipped.Add(1)
 		cur += uint64(n)
 	}
 }

@@ -68,13 +68,12 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_commit_waves_total", "counter", "Group-commit sync waves run.", s.commit.wavesStarted())
 	metric(buf, "extbuf_commit_wave_ops_total", "counter", "Mutation operations acknowledged behind commit waves.", s.waveOps.Load())
 
-	// The appliers' engine calls: operations per call is how well client
-	// pipelining aggregates, calls outstanding how deep the appliers keep
-	// the shard queues (0 on an engine that cannot start a batch without
-	// waiting for it).
-	metric(buf, "extbuf_engine_calls_total", "counter", "Engine batch calls made by connection appliers.", s.engineCalls.Load())
+	// The appliers' engine calls, a follower's replay calls included:
+	// operations per call is how well client pipelining aggregates, calls
+	// outstanding how deep the appliers keep the shard queues.
+	metric(buf, "extbuf_engine_calls_total", "counter", "Engine batch calls made by connection appliers, a follower's replay calls included.", s.engineCalls.Load())
 	metric(buf, "extbuf_engine_call_ops_total", "counter", "Operations in those engine batch calls.", s.engineCallOps.Load())
-	metric(buf, "extbuf_engine_calls_outstanding", "gauge", "Engine batch calls started and not yet waited for, across connections.", s.callsOutstanding.Load())
+	metric(buf, "extbuf_engine_calls_outstanding", "gauge", "Engine batch calls started and not yet waited for, across connections and the follower's stream.", s.callsOutstanding.Load())
 
 	// TTL expiry.
 	metric(buf, "extbuf_expiry_tracked", "gauge", "Keys with a pending expiry deadline.", exp.Tracked)
@@ -96,8 +95,8 @@ func (s *Server) writeMetrics(buf *bytes.Buffer) {
 	metric(buf, "extbuf_repl_replay_inserts_total", "counter", "Records replayed as inserts (live region, above the catch-up horizon).", r.replayInserts.Load())
 	metric(buf, "extbuf_repl_replay_upserts_total", "counter", "Insert and upsert records replayed as idempotent upserts.", r.replayUpserts.Load())
 	metric(buf, "extbuf_repl_replay_records_total", "counter", "Records replayed into the engine and appended to this node's ship log.", r.replayRecords.Load())
-	metric(buf, "extbuf_repl_replay_inflight_frames", "gauge", "Replication batches started on the engine and not yet appended.", r.replayInflight.Load())
-	seconds(buf, "extbuf_repl_replay_wait_seconds_total", "Time replay's finishing stage spent waiting for started engine calls.", r.replayWaitNs.Load())
+	metric(buf, "extbuf_repl_replay_inflight_frames", "gauge", "Replication batches queued or started and not yet acknowledged.", r.replayInflight.Load())
+	seconds(buf, "extbuf_repl_replay_wait_seconds_total", "Time the replay finish step spent waiting for started engine calls.", r.replayWaitNs.Load())
 
 	writable := int64(0)
 	if s.writableNow() {

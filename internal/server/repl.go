@@ -88,8 +88,10 @@ type replState struct {
 	subs     map[*conn]uint64 // subscribed follower conns -> acked LSN
 	ackCh    chan struct{}    // closed+replaced when subs/acks change under a waiter
 	ackWait  bool             // a waitFollowers call has taken ackCh since it was made
-	shipped  int64            // REPLBATCH frames sent
-	replayed int64            // REPLBATCH frames applied (follower)
+
+	// REPLBATCH frames sent (primary) and applied (follower).
+	shipped  atomic.Int64
+	replayed atomic.Int64
 
 	// Insert and upsert records the follower loop replayed as inserts
 	// (above the catch-up horizon) and as upserts (everything else).
@@ -97,8 +99,8 @@ type replState struct {
 	replayUpserts atomic.Int64
 
 	// The replay pipeline (Follower): records appended after replay,
-	// frames started and not yet finished, and nanoseconds the finishing
-	// stage spent waiting for started runs.
+	// frames queued or started and not yet acknowledged, and nanoseconds
+	// the replay finish step spent waiting for started runs.
 	replayRecords  atomic.Int64
 	replayInflight atomic.Int64
 	replayWaitNs   atomic.Int64
@@ -192,8 +194,8 @@ func (r *replState) stats() extbuf.ReplStats {
 		Epoch:          int64(r.epoch),
 		CurrentLSN:     current,
 		FollowerLag:    lag,
-		FramesShipped:  r.shipped,
-		FramesReplayed: r.replayed,
+		FramesShipped:  r.shipped.Load(),
+		FramesReplayed: r.replayed.Load(),
 		ShipStartLSN:   int64(r.ship.StartLSN()),
 	}
 }
@@ -203,19 +205,6 @@ func (r *replState) epochNow() uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.epoch
-}
-
-// addShipped and addReplayed bump the frame traffic counters.
-func (r *replState) addShipped() {
-	r.mu.Lock()
-	r.shipped++
-	r.mu.Unlock()
-}
-
-func (r *replState) addReplayed() {
-	r.mu.Lock()
-	r.replayed++
-	r.mu.Unlock()
 }
 
 // subscribe registers a follower connection (acked nothing yet) and

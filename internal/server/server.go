@@ -407,7 +407,7 @@ func (s *Server) Serve(lis net.Listener) error {
 		s.mu.Unlock()
 		go func() {
 			defer s.connWG.Done()
-			c.run()
+			c.run(c.reader)
 			s.mu.Lock()
 			delete(s.conns, c)
 			s.mu.Unlock()

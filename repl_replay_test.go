@@ -409,7 +409,7 @@ func TestReplayFollowerAheadOfPrimaryStaysIdempotent(t *testing.T) {
 	insertBlocks(t, fresh.addr, 2<<20, 800)
 	waitCaughtUp(t, fresh, follower)
 	// The follower takes the primary's records from its own position on
-	// (log matching is ROADMAP item 4a): 500 of them, none as an insert.
+	// (log matching is ROADMAP item 10(a)): 500 of them, none as an insert.
 	if ins, ups := follower.metric(t, "extbuf_repl_replay_inserts_total"), follower.metric(t, "extbuf_repl_replay_upserts_total"); ins != 0 || ups != 500 {
 		t.Fatalf("replayed %d inserts and %d upserts, want 0 and 500", ins, ups)
 	}
