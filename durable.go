@@ -495,23 +495,6 @@ func (d *durableTable) StoreStats() StoreStats {
 // the serving layer acks client writes behind.
 func (d *durableTable) Sync() error { return d.log.Sync() }
 
-// beginSync is Sync split for a caller that must not stall in the
-// fsync: it spills the log here, on the table's owner, and returns the
-// fsync half, which may run on any goroutine while the owner goes on
-// mutating the table (wal.Log.FsyncDetached). It returns a nil fsync
-// when the barrier already ran to completion on the owner: the spill
-// failed, or the table is crash-injected — the crash harness counts
-// syscalls in order, so it stays synchronous.
-func (d *durableTable) beginSync() (fsync func() error, err error) {
-	if d.crasher != nil {
-		return nil, d.log.Sync()
-	}
-	if err := d.log.Spill(); err != nil {
-		return nil, err
-	}
-	return d.log.FsyncDetached, nil
-}
-
 // Flush is the durability barrier: it commits a checkpoint, after which
 // every previously submitted operation survives any crash.
 func (d *durableTable) Flush() error { return d.checkpoint() }
@@ -536,16 +519,23 @@ func (d *durableTable) Close() error {
 func (d *durableTable) checkpoint() error {
 	// (1) Spill the log; (2) flush dirty blocks copy-on-write, coalesced
 	// into runs of adjacent slots. The previous checkpoint's slots stay
-	// intact either way.
-	if err := d.log.Spill(); err != nil {
+	// intact either way. The log's steps hold its append lock, as the
+	// record step does: an ack barrier may spill and fsync it from
+	// another goroutine meanwhile (Sharded.Sync).
+	d.log.Lock()
+	err := d.log.Spill()
+	d.log.Unlock()
+	if err != nil {
 		return err
 	}
 	if err := d.store.FlushDirty(); err != nil {
 		return err
 	}
 	// Both files reach durability together. After this, every operation
-	// so far is recoverable against the PREVIOUS checkpoint.
-	if err := wal.SyncAll(d.log.Fsync, d.store.Fsync); err != nil {
+	// so far is recoverable against the PREVIOUS checkpoint. The spill
+	// above reported the log's sticky failure, so its fsync half is all
+	// that is left.
+	if err := wal.SyncAll(d.log.FsyncDetached, d.store.Fsync); err != nil {
 		return err
 	}
 	// (3) Commit the new superblock atomically.
@@ -584,6 +574,8 @@ func (d *durableTable) checkpoint() error {
 	// (4) The checkpoint is durable: retire the superseded block slots
 	// and the logged operations it absorbed.
 	d.store.EndEpoch()
+	d.log.Lock()
+	defer d.log.Unlock()
 	return d.log.Reset(nextLSN)
 }
 

@@ -185,7 +185,6 @@ const (
 	opMergeStats
 	opSweep
 	opScan
-	opSync
 	opFlush
 	opClose // the flush every worker serves last (Sharded.Close)
 )
@@ -237,9 +236,6 @@ type innerTable interface {
 	// lookups can pay for a merge (readPaidMerger) performs it.
 	settleReads()
 	mergeStats() MergeStats
-	// beginSync is Sync with the fsync split off for the caller to run
-	// elsewhere; a nil fsync means the barrier already completed.
-	beginSync() (fsync func() error, err error)
 	scanBuckets() int
 	scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int)
 }
@@ -366,51 +362,62 @@ func (g *guard) apply(v *opVec, idx []int) (uint64, error) {
 }
 
 // record is the record step of a call of kind whose keys are rk, with rv
-// and rw their operands of vals and vals2: one run of records per op
-// (write), after the apply — durable.go says why that is safe. It
-// returns the last shipped record's LSN.
+// and rw their operands of vals and vals2: one run of records per op,
+// after the apply — durable.go says why that is safe. A durable table's
+// WAL takes every run first, under one hold of the log's append lock:
+// the ack barrier (Sharded.Sync) spills the log from its own goroutine
+// and must find a call's records either all in the buffer or not yet
+// in it. Then, when ship is set, the sink takes the records the WAL
+// took, outside the lock (shipRun). It returns the last shipped record's
+// LSN.
 func (g *guard) record(kind BatchOp, rk, rv, rw []uint64, ship bool) (uint64, error) {
+	op, vals := ShipUpsert, rv // upsert, and upsert-ttl's first run
 	switch kind {
 	case BatchInsert:
-		return g.write(ShipInsert, rk, rv, ship)
-	case BatchUpsert:
-		return g.write(ShipUpsert, rk, rv, ship)
+		op = ShipInsert
 	case BatchDelete:
-		return g.write(ShipDelete, rk, nil, ship)
+		op, vals = ShipDelete, nil
 	case BatchExpire:
-		return g.write(ShipExpire, rk, rv, ship)
+		op = ShipExpire
 	case BatchCompareSwap:
-		return g.write(ShipUpsert, rk, rw, ship)
+		vals = rw
 	}
-	// Upsert-ttl: values before deadlines, so the covering (higher) LSNs
-	// belong to the expires, a follower at the returned LSN has both, and
-	// replaying either log converges to value + deadline. The WAL takes
-	// the deadlines even when the values failed to ship; they ship only
-	// once the values have.
-	_, err := g.write(ShipUpsert, rk, rv, ship)
-	lsn, err2 := g.write(ShipExpire, rk, rw, ship && err == nil)
-	if err != nil {
+	// Upsert-ttl's second run is its deadlines, after the values, so the
+	// covering (higher) LSNs belong to the expires, a follower at the
+	// returned LSN has both, and replaying either log converges to value
+	// + deadline. The WAL takes the deadlines even when the values failed
+	// to ship; they ship only once the values have.
+	ttl := kind == BatchUpsertTTL
+	n, n2 := len(rk), len(rk)
+	var err, err2 error
+	if g.log != nil {
+		g.log.Lock()
+		n, err = g.logRecords(op, rk, vals)
+		if ttl {
+			n2, err2 = g.logRecords(ShipExpire, rk, rw)
+		}
+		g.log.Unlock()
+	}
+	lsn, err := g.shipRun(op, rk[:n], vals, ship, err)
+	switch {
+	case !ttl:
+		return lsn, err
+	case err != nil:
 		return 0, err
 	}
-	return lsn, err2
+	return g.shipRun(ShipExpire, rk[:n2], rw, ship, err2)
 }
 
-// write is one run of records (vals nil: zero values): the WAL of a
-// durable table takes them first, then the sink, when ship is set, the
-// ones the WAL took. It returns the last shipped record's LSN (0 when
-// the sink failed) and the first error.
-func (g *guard) write(op uint8, keys, vals []uint64, ship bool) (uint64, error) {
-	var err error
-	if g.log != nil {
-		var n int
-		n, err = g.logRecords(op, keys, vals)
-		keys = keys[:n]
-		if vals != nil {
-			vals = vals[:n]
-		}
-	}
+// shipRun hands the sink, when ship is set, one run of records the WAL
+// took (vals nil: zero values), with err the WAL's error for the run. It
+// returns the last shipped record's LSN (0 when the sink failed) and the
+// first error.
+func (g *guard) shipRun(op uint8, keys, vals []uint64, ship bool, err error) (uint64, error) {
 	if !ship || len(keys) == 0 {
 		return 0, err
+	}
+	if vals != nil {
+		vals = vals[:len(keys)]
 	}
 	first, serr := g.ship(op, keys, vals)
 	if serr != nil {
@@ -602,13 +609,6 @@ func (g *guard) Sync() error {
 		return ErrClosed
 	}
 	return g.t.Sync()
-}
-
-func (g *guard) beginSync() (fsync func() error, err error) {
-	if g.closed {
-		return nil, ErrClosed
-	}
-	return g.t.beginSync()
 }
 
 func (g *guard) Flush() error {

@@ -122,6 +122,48 @@ func HoldShardFsyncForTest(s *Sharded, key uint64) (entered <-chan struct{}, rel
 	return f.entered, f.release
 }
 
+// heldTable holds every insert or upsert of one key: it signals entered
+// and then blocks until release is closed, with the shard's worker
+// inside the call's apply, before its record step.
+type heldTable struct {
+	innerTable
+	key     uint64
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (h *heldTable) hold(key uint64) {
+	if key != h.key {
+		return
+	}
+	select {
+	case h.entered <- struct{}{}:
+	default: // an earlier signal is still unread
+	}
+	<-h.release
+}
+
+func (h *heldTable) Insert(key, val uint64) error {
+	h.hold(key)
+	return h.innerTable.Insert(key, val)
+}
+
+func (h *heldTable) Upsert(key, val uint64) error {
+	h.hold(key)
+	return h.innerTable.Upsert(key, val)
+}
+
+// HoldShardApplyForTest holds the worker of the shard that owns key
+// inside every call that inserts or upserts key: the worker signals
+// entered and blocks, before the call's record step, until release is
+// closed. Call it before the engine sees any operation.
+func HoldShardApplyForTest(s *Sharded, key uint64) (entered <-chan struct{}, release chan<- struct{}) {
+	g := s.shards[s.shard(key)]
+	h := &heldTable{innerTable: g.t, key: key, entered: make(chan struct{}, 1), release: make(chan struct{})}
+	g.t = h
+	return h.entered, h.release
+}
+
 // BatchForTest runs one keyed batch of op with StartBatch's operand
 // columns (see Engine.StartBatch) on a table Open returned — the length
 // contract, then the guard's apply, which is what a shard worker runs —

@@ -156,12 +156,16 @@ type Table interface {
 	// charges against its budget.
 	MemoryUsed() int64
 	// Sync is the lightweight acknowledgement barrier: once it returns
-	// nil, every operation submitted before it survives a crash. A
-	// durable table (file backend with a named Path) spills and fsyncs
-	// its write-ahead log — no checkpoint, no block flush — so recovery
-	// replays the log against the last checkpoint; the serving layer
-	// group-commits client acks behind exactly this barrier. Scratch
-	// backends degrade to a backend sync (a no-op in memory).
+	// nil, every operation whose call completed before Sync was called
+	// survives a crash — on a table driven from one goroutine, every
+	// operation before it. A durable table (file backend with a named
+	// Path) spills and fsyncs its write-ahead log — no checkpoint, no
+	// block flush — so recovery replays the log against the last
+	// checkpoint; the serving layer group-commits client acks behind
+	// exactly this barrier. An Engine's Sync runs on its caller and
+	// waits for no call still queued or running (Sharded.Sync). Scratch
+	// tables degrade to a backend sync (a no-op in memory); a scratch
+	// Engine has nothing to make durable and returns at once.
 	Sync() error
 	// Flush forces any state buffered by the storage backend down to
 	// durable storage. For a durable table (file backend with a named
@@ -716,7 +720,3 @@ func (a *adapter) scanBuckets() int { return a.s.ScanBuckets() }
 func (a *adapter) scanBucket(i int, buf []iomodel.Entry) ([]iomodel.Entry, int) {
 	return a.s.ScanBucket(i, buf)
 }
-
-// A scratch table has no fsync to split off its Sync; the durable layer
-// overrides it.
-func (a *adapter) beginSync() (func() error, error) { return nil, a.Sync() }

@@ -312,10 +312,12 @@ func (f *Follower) queue(c *conn, first uint64, batch []wire.ReplRec) error {
 
 // syncLocal is the follower's periodic local durability, off the ack
 // path: semi-sync acks promise the follower APPLIED the ops; this bounds
-// how much a crashed follower re-replays. The engine's Sync queues behind
-// every run started so far — more than the log holds — so engine-durable
-// covers what the fsync then makes ship-durable, and with ShipRetain set
-// this is the safe point to drop the ship log's prefix.
+// how much a crashed follower re-replays. It runs on the applier, which
+// appends a run to the ship log only after its call completed, so every
+// record in the log belongs to a call that completed before the engine's
+// Sync was called, and Sync covers exactly those: engine-durable covers
+// what the fsync then makes ship-durable, and with ShipRetain set this
+// is the safe point to drop the ship log's prefix.
 func (s *Server) syncLocal() error {
 	repl := s.repl
 	if err := s.engine.Sync(); err != nil {

@@ -105,27 +105,32 @@ var errCorruptHeader = errors.New("wal: corrupt log header")
 // Log is an open write-ahead log. Appends are buffered in memory;
 // Sync flushes and fsyncs them — an operation is durable only after
 // the Sync that follows its Append returns nil. Not safe for concurrent
-// use; the owning table serializes access — with one exception, the
-// fsync half of the barrier: FsyncDetached may run on any goroutine
-// while the owner keeps appending and spilling, which is what lets a
-// shard worker hand the fsync of an ack barrier off and go on applying.
+// use; the owning table serializes access — with one exception, the ack
+// barrier: a goroutine other than the owner may Spill and then
+// FsyncDetached while the owner goes on appending. Both sides then hold
+// the log's append lock (Lock) around their buffer steps: the owner
+// across a call's Appends and across a checkpoint's Spill and Reset,
+// the barrier across its Spill only, never across the fsync. That is
+// what lets an ack barrier run on its caller while the shard worker
+// keeps applying.
 type Log struct {
+	mu       sync.Mutex // the append lock: buf, size, prealloc, failed and the file's tail
 	f        iomodel.BlockFile
 	buf      []byte
-	first    uint64 // firstLSN of the header on disk: this generation's
-	next     uint64 // LSN of the next append
-	size     int64  // bytes written to the file (header + records)
-	prealloc int64  // file extent: behind size, reserved zeros or stale generations
-	spills   int64  // spill WriteAt syscalls issued
-	failed   error  // sticky first write failure
+	first    uint64       // firstLSN of the header on disk: this generation's
+	next     uint64       // LSN of the next append
+	size     int64        // bytes written to the file (header + records)
+	prealloc int64        // file extent: behind size, reserved zeros or stale generations
+	spills   atomic.Int64 // spill WriteAt syscalls issued
+	failed   error        // sticky first write failure
 
 	// The fsync half, shared with detached fsyncs. fsMu is held across
 	// the syscall, so a barrier arriving while another fsync is in
 	// flight waits for it and only then reads dirty: the one-fsync-per-fd
-	// elision is always against a COMPLETED fsync. The owner sets dirty
-	// after each write returns — never before — so a racing fsync can
-	// leave the flag spuriously set (one extra fsync), never clear with
-	// unsynced bytes behind it.
+	// elision is always against a COMPLETED fsync. Whoever writes sets
+	// dirty after the write returns — never before — so a racing fsync
+	// can leave the flag spuriously set (one extra fsync), never clear
+	// with unsynced bytes behind it.
 	fsMu   sync.Mutex
 	dirty  atomic.Bool  // bytes written (spill/truncate/header) since the last fsync
 	syncs  atomic.Int64 // fsyncs issued (Fsync/Sync)
@@ -289,6 +294,15 @@ func validate(rec []byte, lsn uint64) bool {
 	return binary.LittleEndian.Uint32(rec[17:21]) == recordCRC(rec, lsn)
 }
 
+// Lock takes the log's append lock, which a log shared with an ack
+// barrier on another goroutine needs around every buffer step (see Log).
+// It orders before the fsync half's own mutex: no fsync holds or waits
+// for it.
+func (l *Log) Lock() { l.mu.Lock() }
+
+// Unlock releases the append lock.
+func (l *Log) Unlock() { l.mu.Unlock() }
+
 // NextLSN returns the LSN the next Append will receive.
 func (l *Log) NextLSN() uint64 { return l.next }
 
@@ -332,7 +346,7 @@ func (l *Log) spillN(n int) error {
 	}
 	wn, err := l.f.WriteAt(l.buf[:n], l.size)
 	l.size += int64(wn)
-	l.spills++
+	l.spills.Add(1)
 	l.dirty.Store(true)
 	if err != nil {
 		l.failed = fmt.Errorf("wal: append: %w", err)
@@ -396,12 +410,13 @@ func (l *Log) Fsync() error {
 	return l.FsyncDetached()
 }
 
-// FsyncDetached is Fsync for a goroutine other than the log's owner:
-// the owner calls Spill (which reports the sticky write failure), then
-// hands this half off and goes on appending. It touches only the fsync
-// state and the fd, covers every byte written before it was called, and
-// waits its turn behind any fsync already in flight on this log — so
-// Fsync from a checkpoint, and Close, wait for a detached fsync too.
+// FsyncDetached is the fsync half without the append lock: a barrier
+// calls Spill under the lock (which reports the sticky write failure),
+// releases it and then calls this, while the owner goes on appending.
+// It touches only the fsync state and the fd, covers every byte written
+// before it was called, and waits its turn behind any fsync already in
+// flight on this log — so a checkpoint's fsync, and Close, wait for a
+// barrier's too.
 func (l *Log) FsyncDetached() error {
 	l.fsMu.Lock()
 	defer l.fsMu.Unlock()
@@ -435,7 +450,7 @@ func (l *Log) Fsyncs() int64 { return l.syncs.Load() }
 func (l *Log) FsyncsElided() int64 { return l.elided.Load() }
 
 // Spills returns the number of spill WriteAt syscalls issued.
-func (l *Log) Spills() int64 { return l.spills }
+func (l *Log) Spills() int64 { return l.spills.Load() }
 
 // Reset recycles the log after a checkpoint commit: all records are
 // discarded and the next append receives firstLSN. Only the header is

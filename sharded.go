@@ -32,8 +32,10 @@ const shardQueueDepth = 64
 // identical to a sequential run of the same stream. StartBatch exposes
 // the two halves separately, so a caller can keep several batches
 // outstanding and the workers busy, with the same per-key order.
-// Everything unkeyed (Len, StoreStats, ExpiryStats, SweepExpired, Scan,
-// Sync, Flush, Close) is the other choreography: broadcast.
+// Everything unkeyed but Sync (Len, StoreStats, ExpiryStats,
+// SweepExpired, Scan, Flush, Close) is the other choreography:
+// broadcast. Sync, the ack barrier, rides no queue: it spills and
+// fsyncs the shards' logs from its caller.
 //
 // A call returns once every shard has applied its share, with the join
 // of the shards' first errors, and it queues behind the prior calls of
@@ -55,11 +57,6 @@ type Sharded struct {
 	salt     uint64
 	bits     uint
 
-	// fsyncWG counts a Sync barrier's fsyncs still in flight, detached
-	// from the shard workers; Close waits them out before it closes the
-	// logs under them.
-	fsyncWG sync.WaitGroup
-
 	// callPool recycles the handles, so the steady-state submission path
 	// allocates nothing.
 	callPool sync.Pool
@@ -67,9 +64,10 @@ type Sharded struct {
 	// stateMu makes submission and shutdown race-free: submitters hold
 	// the read side across the closed check and their channel sends, and
 	// Close takes the write side to flip closed and close the channels,
-	// so a send can never hit a closed channel. Every access to closed
-	// is under stateMu or closeMu (Close serializes on closeMu and is
-	// the only writer).
+	// so a send can never hit a closed channel. Sync holds the read side
+	// across its spills and fsyncs, so Close also waits it out before it
+	// closes the logs under it. Every access to closed is under stateMu
+	// or closeMu (Close serializes on closeMu and is the only writer).
 	stateMu  sync.RWMutex
 	closed   bool
 	closeMu  sync.Mutex
@@ -254,19 +252,6 @@ func (s *Sharded) serve(i int, g *guard, c *BatchCall) {
 		c.lens[i] = int64(n)
 	case opScan:
 		c.scanK, c.scanV, c.scanNext, c.errs[i] = g.Scan(c.cursor, c.maxN)
-	case opSync:
-		// Only the spill half of a durable shard's barrier runs here. The
-		// fsync is handed to a goroutine of its own and the worker goes
-		// back to its queue: applies (and lookups) queued behind the barrier
-		// overlap the fsync instead of waiting out its ~250 µs, and the
-		// barrier completes whenever the fsync does.
-		fsync, err := g.beginSync()
-		if fsync != nil {
-			s.fsyncWG.Add(1)
-			go s.finishSync(c, i, fsync)
-			return
-		}
-		c.errs[i] = err
 	case opFlush, opClose:
 		c.errs[i] = g.Flush()
 	default:
@@ -276,14 +261,6 @@ func (s *Sharded) serve(i int, g *guard, c *BatchCall) {
 		// (a key hashes to exactly one shard) ship order == apply order.
 		c.lsns[i], c.errs[i] = g.apply(&c.opVec, c.parts[i])
 	}
-	c.wg.Done()
-}
-
-// finishSync is the detached half of shard i's opSync: the fsync, then
-// the barrier's completion.
-func (s *Sharded) finishSync(c *BatchCall, i int, fsync func() error) {
-	defer s.fsyncWG.Done()
-	c.errs[i] = fsync()
 	c.wg.Done()
 }
 
@@ -703,19 +680,44 @@ func (s *Sharded) Scan(cursor uint64, max int) ([]uint64, []uint64, uint64, erro
 	return nil, nil, ScanDone, nil
 }
 
-// Sync is the engine's acknowledgement barrier: it waits for every
-// shard to drain the requests queued before it and makes them durable
-// without a checkpoint — each durable shard's worker spills its
-// write-ahead log and hands the fsync to a goroutine of its own, so
-// the per-shard fsyncs overlap each other AND the operations queued
-// behind the barrier, which the workers go straight back to applying.
-// Once Sync returns nil, every operation submitted before it survives a
-// crash. The serving layer group-commits client acks behind this
-// barrier.
+// Sync is the engine's acknowledgement barrier: once it returns nil,
+// every operation whose call completed before Sync was called survives
+// a crash. It runs on its caller, not on the shard queues, so it waits
+// for no queued or running call: for each durable shard it takes the
+// write-ahead log's append lock only to spill the buffered records —
+// a call's record step appends its WAL records under that lock, so they
+// are either all spilled or not yet appended — and then fsyncs every
+// shard's log concurrently, with no lock held, while the workers go on
+// applying. A call still in flight may or may not be covered. The
+// serving layer group-commits client acks behind this barrier: it calls
+// Sync only after the calls it acknowledges have completed.
 func (s *Sharded) Sync() error {
+	s.stateMu.RLock()
+	defer s.stateMu.RUnlock()
+	if s.closed {
+		return ErrClosed
+	}
 	c := s.getCall()
 	defer s.putCall(c)
-	return s.broadcast(c, opSync, 0, len(s.shards))
+	for i, g := range s.shards {
+		if g.log == nil {
+			continue // a scratch shard: nothing to make durable
+		}
+		g.log.Lock()
+		err := g.log.Spill()
+		g.log.Unlock()
+		if err != nil {
+			c.errs[i] = err
+			continue
+		}
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			c.errs[i] = g.log.FsyncDetached()
+		}()
+	}
+	c.wg.Wait()
+	return errors.Join(c.errs...)
 }
 
 // Flush is the engine's checkpoint barrier: it waits for every shard to
@@ -770,7 +772,6 @@ func (s *Sharded) Close() error {
 	errs := []error{s.broadcast(c, opClose, 0, len(s.shards))}
 	s.putCall(c)
 	s.workerWG.Wait()
-	s.fsyncWG.Wait()
 	for _, g := range s.shards {
 		errs = append(errs, g.Close())
 	}

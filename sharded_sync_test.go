@@ -1,12 +1,19 @@
 package extbuf_test
 
 import (
+	"context"
 	"errors"
+	"net"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"extbuf"
+	"extbuf/internal/server"
+	"extbuf/internal/wire"
 )
 
 // copyDir snapshots every regular file of src into a fresh directory —
@@ -89,6 +96,268 @@ func TestShardedSyncMakesAcksDurable(t *testing.T) {
 			t.Fatalf("key %d: (%d,%v), want (%d,true)", keys[i], got[i], found[i], vals[i])
 		}
 	}
+}
+
+// TestShardedSyncSkipsHeldCall pins the ack barrier's contract: Sync
+// covers every call that completed before it was called and waits for
+// no call still queued or running. One shard's worker is held inside a
+// started upsert; Sync must return regardless, and a crash image taken
+// right after it must recover every completed call and not the held one.
+func TestShardedSyncSkipsHeldCall(t *testing.T) {
+	const held = 1 << 40
+	dir := t.TempDir()
+	s, err := extbuf.NewSharded("buffered", extbuf.Config{
+		Backend: "file",
+		Path:    filepath.Join(dir, "t"),
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered, release := extbuf.HoldShardApplyForTest(s, held)
+	keys := make([]uint64, 2000)
+	vals := make([]uint64, len(keys))
+	for i := range keys {
+		keys[i], vals[i] = uint64(i+1), uint64(i)*7
+	}
+	if err := s.InsertBatch(keys, vals); err != nil {
+		t.Fatal(err)
+	}
+	c, err := s.StartBatch(extbuf.BatchUpsert, false, []uint64{held}, []uint64{1}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the held upsert never reached its shard's worker")
+	}
+
+	syncDone := make(chan error, 1)
+	go func() { syncDone <- s.Sync() }()
+	select {
+	case err := <-syncDone:
+		if err != nil {
+			t.Fatalf("Sync: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Sync waits for a call held inside a shard's apply")
+	}
+	snap := copyDir(t, dir)
+	close(release)
+	if _, err := c.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := extbuf.NewSharded("buffered", extbuf.Config{
+		Backend: "file",
+		Path:    filepath.Join(snap, "t"),
+	}, 2)
+	if err != nil {
+		t.Fatalf("recover from the crash image: %v", err)
+	}
+	defer re.Close()
+	got, found, err := re.LookupBatch(keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range keys {
+		if !found[i] || got[i] != vals[i] {
+			t.Fatalf("key %d: (%d,%v), want (%d,true)", keys[i], got[i], found[i], vals[i])
+		}
+	}
+	if v, ok := re.Lookup(held); ok {
+		t.Fatalf("the held upsert, which had not recorded, recovered as %d", v)
+	}
+}
+
+// TestShardedSyncBesideWritesAndCheckpoints runs Sync in a loop on one
+// goroutine while another writes and a third checkpoints: the barrier's
+// spill shares each shard's WAL buffer with the worker's record step and
+// the checkpoint's spill and Reset, under the log's append lock, and
+// every value written must survive a close and reopen.
+func TestShardedSyncBesideWritesAndCheckpoints(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t")
+	cfg := extbuf.Config{Backend: "file", Path: path}
+	s, err := extbuf.NewSharded("buffered", cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds, batch = 200, 64
+	keys := make([]uint64, batch)
+	vals := make([]uint64, batch)
+	done := make(chan struct{})
+	errs := make(chan error, 3)
+	go func() {
+		defer close(done)
+		for r := range rounds {
+			for i := range keys {
+				keys[i], vals[i] = uint64(r%16*batch+i+1), uint64(r)
+			}
+			if err := s.UpsertBatch(keys, vals); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for _, barrier := range []func() error{s.Sync, s.Flush} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if err := barrier(); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := extbuf.NewSharded("buffered", cfg, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	for k := uint64(1); k <= 16*batch; k++ {
+		// Key k was last written in the last round r with r%16 == j.
+		j := int(k-1) / batch
+		want := uint64(j + (rounds-1-j)/16*16)
+		if v, ok := re.Lookup(k); !ok || v != want {
+			t.Fatalf("key %d: (%d, %v), want (%d, true)", k, v, ok, want)
+		}
+	}
+}
+
+// TestShardedSyncServerAckSkipsLaterApply: a durable server acknowledges
+// a mutation behind a Sync, and that Sync must not wait for a request
+// the client sent after it. Request 1 (an upsert) and request 2 (an
+// insert, so the applier does not fold the two into one call) are both
+// held inside their apply; once request 2 is started, request 1 is let
+// go, and its ACK must arrive while request 2 has not completed: it is
+// held, or queued behind request 1 when the two keys share a shard.
+func TestShardedSyncServerAckSkipsLaterApply(t *testing.T) {
+	const key1, key2 = 11, 22
+	eng, err := extbuf.NewSharded("buffered", extbuf.Config{
+		Backend: "file",
+		Path:    filepath.Join(t.TempDir(), "t"),
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entered1, release1 := extbuf.HoldShardApplyForTest(eng, key1)
+	entered2, release2 := extbuf.HoldShardApplyForTest(eng, key2)
+	counted := &startCounter{Sharded: eng}
+	srv, err := server.NewServer(server.Config{Engine: counted})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(lis) }()
+	released2 := false
+	defer func() {
+		if !released2 {
+			close(release2)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+		<-served
+		eng.Close()
+	}()
+
+	nc, err := net.Dial("tcp", lis.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	var out []byte
+	out = wire.AppendFrame(out, wire.OpUpsert, 1, wire.AppendKV(nil, []uint64{key1}, []uint64{1}))
+	out = wire.AppendFrame(out, wire.OpInsert, 2, wire.AppendKV(nil, []uint64{key2}, []uint64{2}))
+	if _, err := nc.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-entered1:
+	case <-time.After(10 * time.Second):
+		t.Fatal("request 1 never reached its shard's worker")
+	}
+	for deadline := time.Now().Add(10 * time.Second); counted.started.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("request 2 was never started")
+		}
+	}
+	close(release1)
+
+	frames := make(chan wire.Frame, 2)
+	go func() {
+		r := wire.NewReader(nc)
+		for {
+			f, err := r.Next()
+			if err != nil {
+				close(frames)
+				return
+			}
+			f.Payload = append([]byte(nil), f.Payload...)
+			frames <- f
+		}
+	}()
+	next := func(why string) wire.Frame {
+		t.Helper()
+		select {
+		case f, ok := <-frames:
+			if !ok {
+				t.Fatalf("connection closed %s", why)
+			}
+			return f
+		case <-time.After(10 * time.Second):
+			t.Fatalf("no response %s", why)
+		}
+		return wire.Frame{}
+	}
+	if f := next("to request 1 while request 2 is held"); f.ID != 1 || f.Op != wire.OpAckT {
+		t.Fatalf("first response: %v for request %d, want ACKT for request 1", f.Op, f.ID)
+	}
+	select {
+	case <-entered2:
+	case <-time.After(10 * time.Second):
+		t.Fatal("request 2 never reached its shard's worker")
+	}
+	released2 = true
+	close(release2)
+	if f := next("to request 2"); f.ID != 2 || f.Op != wire.OpAckT {
+		t.Fatalf("second response: %v for request %d, want ACKT for request 2", f.Op, f.ID)
+	}
+}
+
+// startCounter counts the batch calls a server starts on its engine.
+type startCounter struct {
+	*extbuf.Sharded
+	started atomic.Int32
+}
+
+func (e *startCounter) StartBatch(op extbuf.BatchOp, ship bool, keys, vals, vals2 []uint64, found []bool) (*extbuf.BatchCall, error) {
+	c, err := e.Sharded.StartBatch(op, ship, keys, vals, vals2, found)
+	e.started.Add(1)
+	return c, err
 }
 
 // TestShardedSyncSurfacesStorageFailure checks that the acknowledgement
