@@ -2,7 +2,7 @@
 // repository's wire protocol (internal/wire), turning the library into
 // a network key/value service.
 //
-// The engine configuration mirrors hashbench: structure, block size,
+// The flags set the engine's extbuf.Config: structure, block size,
 // memory budget, backend and shard count. With
 // -backend file and a named -path the store is durable — mutations are
 // only acked to clients after a group-committed write-ahead-log fsync,
@@ -24,7 +24,8 @@
 //	           [-shipretain N] [-metrics HOST:PORT] [-sweep 1s] [-sweepmax N]
 //
 // -metrics serves Prometheus text-format counters over HTTP at
-// /metrics on a side listener, never the data port. -sweep is the TTL
+// /metrics on a side listener, never the data port, and the pprof
+// profiles under /debug/pprof/ on the same listener. -sweep is the TTL
 // sweeper interval: expired keys disappear from reads at their deadline
 // regardless, the sweeper is what physically reclaims them (through the
 // logged, replicated delete path; followers never sweep).
@@ -50,6 +51,7 @@ import (
 	"log"
 	"net"
 	"net/http"
+	httppprof "net/http/pprof"
 	"os"
 	"os/signal"
 	"runtime"
@@ -186,6 +188,11 @@ func main() {
 		}
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", srv.MetricsHandler())
+		mux.HandleFunc("/debug/pprof/", httppprof.Index)
+		mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
+		mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
+		mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
+		mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
 		msrv = &http.Server{Handler: mux}
 		go msrv.Serve(mlis)
 		log.Printf("metrics on http://%s/metrics", mlis.Addr())

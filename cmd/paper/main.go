@@ -6,15 +6,19 @@
 //
 // Usage:
 //
-//	paper [-scale f] [-seed s]
+//	paper [-scale f] [-seed s] [-trials n]
 //
-// -scale 0.25 runs a quarter-size workload for a fast smoke pass.
+// -scale 0.25 runs a quarter-size workload for a fast smoke pass; its
+// output is testdata/paper_scale025.golden, which the package's test
+// checks byte for byte.
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"math"
 	"os"
 
 	"extbuf/internal/experiments"
@@ -29,24 +33,44 @@ func main() {
 	trials := flag.Int("trials", 2000, "bin-ball Monte Carlo trials")
 	flag.Parse()
 
-	cfg := experiments.Default()
-	cfg.Seed = *seed
-	if *scale != 1.0 {
-		cfg = cfg.Scaled(*scale)
+	cfg, err := config(*scale, *seed)
+	if err == nil {
+		err = run(os.Stdout, cfg, *trials)
 	}
+	if err != nil {
+		log.Fatal(err)
+	}
+}
 
-	type driver struct {
+// config is the default configuration at the given scale and seed.
+func config(scale float64, seed uint64) (experiments.Config, error) {
+	cfg := experiments.Default()
+	cfg.Seed = seed
+	if !(scale > 0) || math.IsInf(scale, 1) {
+		return cfg, fmt.Errorf("-scale %v: want a finite factor > 0", scale)
+	}
+	if scale != 1.0 {
+		cfg = cfg.Scaled(scale)
+	}
+	return cfg, nil
+}
+
+// run writes every table to w, each under its experiment ID.
+func run(w io.Writer, cfg experiments.Config, trials int) error {
+	if trials < 1 {
+		return fmt.Errorf("-trials %d: want at least 1", trials)
+	}
+	drivers := []struct {
 		id  string
 		run func() (*tablefmt.Table, error)
-	}
-	drivers := []driver{
+	}{
 		{"F1", func() (*tablefmt.Table, error) { return experiments.Figure1(cfg) }},
 		{"T1.1-T1.3", func() (*tablefmt.Table, error) { return experiments.Theorem1(cfg) }},
 		{"T2.1", func() (*tablefmt.Table, error) { return experiments.Theorem2(cfg) }},
 		{"T2.2", func() (*tablefmt.Table, error) { return experiments.Theorem2Eps(cfg) }},
 		{"L5", func() (*tablefmt.Table, error) { return experiments.Lemma5(cfg) }},
-		{"L3", func() (*tablefmt.Table, error) { return experiments.BinBallLemma3(cfg, *trials), nil }},
-		{"L4", func() (*tablefmt.Table, error) { return experiments.BinBallLemma4(cfg, *trials), nil }},
+		{"L3", func() (*tablefmt.Table, error) { return experiments.BinBallLemma3(cfg, trials), nil }},
+		{"L4", func() (*tablefmt.Table, error) { return experiments.BinBallLemma4(cfg, trials), nil }},
 		{"EQ1", func() (*tablefmt.Table, error) { return experiments.ZoneAudit(cfg) }},
 		{"L2", func() (*tablefmt.Table, error) { return experiments.GoodFunctions(cfg, 100000) }},
 		{"K64", func() (*tablefmt.Table, error) { return experiments.KnuthBaseline(cfg) }},
@@ -57,10 +81,11 @@ func main() {
 	for _, d := range drivers {
 		t, err := d.run()
 		if err != nil {
-			log.Fatalf("%s: %v", d.id, err)
+			return fmt.Errorf("%s: %w", d.id, err)
 		}
-		fmt.Printf("[%s]\n", d.id)
-		t.Render(os.Stdout)
-		fmt.Println()
+		fmt.Fprintf(w, "[%s]\n", d.id)
+		t.Render(w)
+		fmt.Fprintln(w)
 	}
+	return nil
 }

@@ -41,8 +41,7 @@
 //     so a kill -9 loses no acknowledged write (DESIGN.md §2);
 //   - the paper's lower-bound machinery — zone audits, characteristic
 //     vectors, bin-ball games — and an experiment harness regenerating
-//     Figure 1 and every theorem/lemma table (cmd/figure1, cmd/zones,
-//     cmd/binball, cmd/hashbench).
+//     Figure 1 and every theorem/lemma table in one command (cmd/paper).
 //
 // All tables implement the Table interface and report their exact I/O
 // counts through Stats. Keys and values are uint64 words, matching the

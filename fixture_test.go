@@ -181,8 +181,7 @@ func TestBufferedTableBytesMatchParent(t *testing.T) {
 // {Backend: "file", IOMode: "odirect", BlockSize: 8, MemoryWords: 256,
 // CacheBlocks: 4}); Insert(k, k*k+7) for k in 1..160; Delete every k
 // divisible by 3; Flush; Upsert(k, k+1) for every k divisible by 5;
-// Sync; exit without Close, as hashbench -reopen -crashtail leaves a
-// table. Its slots are 4096 bytes, and its WAL holds the 32 upserts,
+// Sync; exit without Close, as a kill -9 after a Sync leaves a table. Its slots are 4096 bytes, and its WAL holds the 32 upserts,
 // zero-padded to a sector, ahead of stale records of the generation
 // before the checkpoint.
 func TestIOModeSuperblockAdoption(t *testing.T) {

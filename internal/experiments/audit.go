@@ -24,11 +24,12 @@ type auditSubject struct {
 }
 
 // buildAll constructs every structure in the repository on its own
-// model, ready for a zone audit.
-func (cfg Config) buildAll(salt uint64) ([]auditSubject, error) {
+// model, ready for a zone audit. newModel makes each model from its
+// memory budget in words; the tables use memModel.
+func (cfg Config) buildAll(salt uint64, newModel func(words int64) *iomodel.Model) ([]auditSubject, error) {
 	var subs []auditSubject
 
-	mChain := iomodel.NewModel(cfg.B, cfg.MWords)
+	mChain := newModel(cfg.MWords)
 	chain, err := chainhash.New(mChain, cfg.fn(salt+1), 2*cfg.N/cfg.B)
 	if err != nil {
 		return nil, err
@@ -36,7 +37,7 @@ func (cfg Config) buildAll(salt uint64) ([]auditSubject, error) {
 	subs = append(subs, auditSubject{"chainhash", chain,
 		func(k uint64) error { chain.Insert(k, 0); return nil }})
 
-	mProbe := iomodel.NewModel(cfg.B, cfg.MWords)
+	mProbe := newModel(cfg.MWords)
 	probe, err := linprobe.New(mProbe, cfg.fn(salt+2), 2*cfg.N/cfg.B)
 	if err != nil {
 		return nil, err
@@ -47,7 +48,7 @@ func (cfg Config) buildAll(salt uint64) ([]auditSubject, error) {
 	// Extendible hashing's in-memory directory needs Theta(n/b) words —
 	// a real cost of the scheme the memory accounting makes visible, so
 	// its model is provisioned for it explicitly.
-	mExt := iomodel.NewModel(cfg.B, cfg.MWords+int64(8*cfg.N/cfg.B))
+	mExt := newModel(cfg.MWords + int64(8*cfg.N/cfg.B))
 	ext, err := exthash.New(mExt, cfg.fn(salt+3), 4)
 	if err != nil {
 		return nil, err
@@ -55,7 +56,7 @@ func (cfg Config) buildAll(salt uint64) ([]auditSubject, error) {
 	subs = append(subs, auditSubject{"exthash", ext,
 		func(k uint64) error { ext.Insert(k, 0); return nil }})
 
-	mLin := iomodel.NewModel(cfg.B, cfg.MWords)
+	mLin := newModel(cfg.MWords)
 	lin, err := linhash.New(mLin, cfg.fn(salt+4), 2)
 	if err != nil {
 		return nil, err
@@ -63,7 +64,7 @@ func (cfg Config) buildAll(salt uint64) ([]auditSubject, error) {
 	subs = append(subs, auditSubject{"linhash", lin,
 		func(k uint64) error { lin.Insert(k, 0); return nil }})
 
-	mTwo := iomodel.NewModel(cfg.B, cfg.MWords)
+	mTwo := newModel(cfg.MWords)
 	two, err := twolevel.New(mTwo, cfg.fn(salt+5), twolevel.HomeBucketsFor(cfg.N, cfg.B))
 	if err != nil {
 		return nil, err
@@ -71,7 +72,7 @@ func (cfg Config) buildAll(salt uint64) ([]auditSubject, error) {
 	subs = append(subs, auditSubject{"twolevel(JP)", two,
 		func(k uint64) error { two.Insert(k, 0); return nil }})
 
-	mLog := iomodel.NewModel(cfg.B, cfg.MWords)
+	mLog := newModel(cfg.MWords)
 	logm, err := logmethod.New(mLog, cfg.fn(salt+6), logmethod.Config{Gamma: 2})
 	if err != nil {
 		return nil, err
@@ -79,7 +80,7 @@ func (cfg Config) buildAll(salt uint64) ([]auditSubject, error) {
 	subs = append(subs, auditSubject{"logmethod", logm,
 		func(k uint64) error { _, err := logm.Insert(k, 0); return err }})
 
-	mCore := iomodel.NewModel(cfg.B, cfg.MWords)
+	mCore := newModel(cfg.MWords)
 	ct, err := core.New(mCore, cfg.fn(salt+7), core.Config{Beta: betaFor(cfg.B, 0.5), Gamma: 2})
 	if err != nil {
 		return nil, err
@@ -87,7 +88,7 @@ func (cfg Config) buildAll(salt uint64) ([]auditSubject, error) {
 	subs = append(subs, auditSubject{"core(Thm2)", ct,
 		func(k uint64) error { _, err := ct.Insert(k, 0); return err }})
 
-	mStaged := iomodel.NewModel(cfg.B, cfg.MWords)
+	mStaged := newModel(cfg.MWords)
 	st, err := core.NewStaged(mStaged, cfg.fn(salt+8), core.StagedConfig{Delta: 1 / math.Sqrt(float64(cfg.B))})
 	if err != nil {
 		return nil, err
@@ -111,7 +112,7 @@ func ZoneAudit(cfg Config) (*tablefmt.Table, error) {
 		"structure", "|M|", "|F|", "|S|", "slow frac", "tq_model",
 		"design delta", "Eq.(1) ok", "slack")
 	t.AddNote("b=%d m=%d n=%d", cfg.B, cfg.MWords, cfg.N)
-	subs, err := cfg.buildAll(1000)
+	subs, err := cfg.buildAll(1000, cfg.memModel)
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +155,7 @@ func GoodFunctions(cfg Config, samples int) (*tablefmt.Table, error) {
 	t := tablefmt.New("Lemma 2: characteristic vectors and good functions",
 		"structure", "addressed blocks", "max alpha*d", "lambda_f", "phi", "good?")
 	t.AddNote("alpha estimated over %d sampled keys; rho, phi per §2 at c=0.5", samples)
-	subs, err := cfg.buildAll(1100)
+	subs, err := cfg.buildAll(1100, cfg.memModel)
 	if err != nil {
 		return nil, err
 	}

@@ -81,6 +81,10 @@ func (cfg Config) fn(salt uint64) hashfn.Fn {
 	return hashfn.Family(cfg.HashFamily, cfg.Seed^salt)
 }
 
+// memModel is a model on the free in-memory store: the one the tables
+// count on.
+func (cfg Config) memModel(words int64) *iomodel.Model { return iomodel.NewModel(cfg.B, words) }
+
 // betaFor returns the paper's beta = b^c, clamped into [2, b].
 func betaFor(b int, c float64) int {
 	beta := int(math.Round(math.Pow(float64(b), c)))

@@ -18,10 +18,12 @@
 #
 # Trajectory artifacts land in SOAK_ARTDIR (default ./soak-artifacts):
 # each workload's SUMMARY JSON as SOAK_<W>.json, the legacy phase as
-# SOAK_legacy.json, and two Prometheus /metrics scrapes bracketing the
-# load as SOAK_metrics_start.txt / SOAK_metrics_end.txt — nightly CI
-# uploads the directory, so a soak regression comes with the counter
-# trajectory that explains it.
+# SOAK_legacy.json, two Prometheus /metrics scrapes bracketing the
+# load as SOAK_metrics_start.txt / SOAK_metrics_end.txt, and the
+# server's heap profile after the load as SOAK_heap.pprof (from
+# /debug/pprof/heap on the metrics listener; a non-200 answer fails the
+# run) — nightly CI uploads the directory, so a soak regression comes
+# with the counter trajectory that explains it.
 #
 # Cleanup is trap-based: the SIGTERM drain and leak check run even when
 # a load phase fails, so a mid-soak server death reports the goroutine
@@ -42,7 +44,7 @@ cleanup() {
   trap - EXIT
   if [ -n "${SRV_PID:-}" ]; then
     echo "--- SIGTERM drain + goroutine leak check (runs even after a failed phase) ---"
-    scrape_metrics "$ART/SOAK_metrics_end.txt" || true
+    fetch metrics "$ART/SOAK_metrics_end.txt" || true
     kill -TERM "$SRV_PID" 2>/dev/null || true
     if wait "$SRV_PID" 2>/dev/null; then
       DRAINED=ok
@@ -63,11 +65,11 @@ cleanup() {
 }
 trap cleanup EXIT
 
-scrape_metrics() { # scrape_metrics OUTFILE
+fetch() { # fetch PATH OUTFILE: GET http://$MADDR/PATH, failing on a non-200
   if command -v curl >/dev/null; then
-    curl -fsS "http://$MADDR/metrics" -o "$1"
+    curl -fsS "http://$MADDR/$1" -o "$2"
   else
-    wget -qO "$1" "http://$MADDR/metrics"
+    wget -qO "$2" "http://$MADDR/$1"
   fi
 }
 
@@ -102,7 +104,7 @@ LEGACY_SECS=$((SECS / 2))
 YCSB_SECS=$(((SECS - LEGACY_SECS) / 6))
 [ "$YCSB_SECS" -ge 5 ] || YCSB_SECS=5
 echo "soaking $ADDR: ${LEGACY_SECS}s legacy mix + 6 x ${YCSB_SECS}s YCSB (race-built server, metrics on $MADDR)"
-scrape_metrics "$ART/SOAK_metrics_start.txt"
+fetch metrics "$ART/SOAK_metrics_start.txt"
 
 "$BIN/hashload" -addr "$ADDR" -duration "${LEGACY_SECS}s" -conns 4 -workers 8 \
   -batch 128 -lookupfrac 0.40 -deletefrac 0.10 -casfrac 0.10 -ttlfrac 0.25 \
@@ -137,5 +139,10 @@ for W in A B C D E F; do
     exit 1
   fi
 done
+
+fetch debug/pprof/heap "$ART/SOAK_heap.pprof" || {
+  echo "FAIL: /debug/pprof/heap did not answer 200 on $MADDR" >&2
+  exit 1
+}
 
 OK=1
